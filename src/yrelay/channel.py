@@ -1,11 +1,14 @@
 """System configuration, random block-constant channels, and noisy propagation.
 
+A `ChannelSet` is one block-constant draw: it computes its per-user
+precoders once, on first use, and every round over it reuses them.
+
 All randomness comes from the Philox counter-based generator keyed with
 (seed, stream id), so any seed reproduces the exact same realization and
 independent streams never overlap. Stream ids used in this package:
 
     1  channel matrices      (sample_channels)
-    2  AWGN                  (sample_awgn, per-round noise)
+    2  receiver noise        (transceiver.run_round, uplink then downlink)
     3  codeword symbols      (transceiver.sample_stream_symbols)
 """
 
@@ -13,11 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionError, GenerationFailed
-from .linalg import RANK_TOL, as_complex_matrix
+from .linalg import as_complex_matrix, normalized_left_mppi, normalized_right_mppi, well_conditioned
 
 STREAM_CHANNEL = 1
 STREAM_NOISE = 2
@@ -76,10 +80,13 @@ class ChannelSet:
     def K(self) -> int:
         return len(self.uplink)
 
-
-def _full_rank(m: np.ndarray) -> bool:
-    s = np.linalg.svd(m, compute_uv=False)
-    return s[0] > 0 and s[-1] / s[0] >= RANK_TOL
+    @cached_property
+    def precoders(self):
+        """(right, left): per-user normalized right inverses of the uplink
+        matrices and left inverses of the downlink matrices."""
+        right = tuple(normalized_right_mppi(h) for h in self.uplink)
+        left = tuple(normalized_left_mppi(d) for d in self.downlink)
+        return right, left
 
 
 def sample_channels(cfg: SystemConfig, seed: int) -> ChannelSet:
@@ -94,20 +101,13 @@ def sample_channels(cfg: SystemConfig, seed: int) -> ChannelSet:
     def draw(shape):
         for _ in range(_MAX_RESAMPLE):
             m = complex_normal(rng, shape)
-            if _full_rank(m):
+            if well_conditioned(np.linalg.svd(m, compute_uv=False)):
                 return m
         raise GenerationFailed(f"no full-rank {shape} draw in {_MAX_RESAMPLE} tries")
 
     uplink = tuple(draw((cfg.N, cfg.M)) for _ in range(cfg.K))
     downlink = tuple(draw((cfg.M, cfg.N)) for _ in range(cfg.K))
     return ChannelSet(uplink=uplink, downlink=downlink)
-
-
-def sample_awgn(dim: int, seed: int) -> np.ndarray:
-    """Unit-variance circularly-symmetric complex Gaussian vector."""
-    if dim < 1:
-        raise DimensionError(f"noise dimension must be >= 1, got {dim}")
-    return complex_normal(rng_for(seed, STREAM_NOISE), dim)
 
 
 def uplink_propagate(ch: ChannelSet, x, noise=None) -> np.ndarray:

@@ -40,7 +40,7 @@ from .dofregion import (
     vertices_k3,
 )
 from .errors import YRelayError
-from .harness import ExperimentConfig, db_to_linear, derive_seed, run_sweep
+from .harness import SUBSEED_CHANNEL, ExperimentConfig, db_to_linear, derive_seed, run_sweep
 from .linalg import DIAG_RTOL, TRACE_TOL
 from .transceiver import GENIE, RAW, run_round
 
@@ -185,17 +185,14 @@ def cmd_mppi_check(args) -> int:
     cfg = SystemConfig(K=args.k, M=args.m, N=args.n, P=1.0)
     max_diag = 0.0
     max_trace = 0.0
-    from .linalg import normalized_left_mppi, normalized_right_mppi
-
     for t in range(args.trials):
         ch = sample_channels(cfg, derive_seed(args.seed, SUBSEED_MPPI, t))
-        for h in ch.uplink:
-            r = normalized_right_mppi(h)
+        right, left = ch.precoders
+        for h, r in zip(ch.uplink, right):
             resid = np.linalg.norm(h @ r.matrix - r.alpha * np.eye(cfg.N))
             max_diag = max(max_diag, resid / (r.alpha * np.sqrt(cfg.N)))
             max_trace = max(max_trace, abs(np.trace(r.matrix.conj().T @ r.matrix).real - 1.0))
-        for d in ch.downlink:
-            l = normalized_left_mppi(d)
+        for d, l in zip(ch.downlink, left):
             resid = np.linalg.norm(l.matrix @ d - l.beta * np.eye(cfg.N))
             max_diag = max(max_diag, resid / (l.beta * np.sqrt(cfg.N)))
             max_trace = max(max_trace, abs(np.trace(l.matrix.conj().T @ l.matrix).real - 1.0))
@@ -227,8 +224,9 @@ def cmd_simulate(args) -> int:
     if args.noise is None:
         args.noise = True
     cfg = _system(args)
-    ch = sample_channels(cfg, derive_seed(args.seed, 0xC4, 0))
-    res = run_round(cfg, ch, _dof(args), seed=args.seed, mode=args.mode, noise=args.noise)
+    plan = build_stream_plan(_dof(args), cfg.N)
+    ch = sample_channels(cfg, derive_seed(args.seed, SUBSEED_CHANNEL, 0))
+    res = run_round(cfg, ch, plan, seed=args.seed, mode=args.mode, noise=args.noise)
     _print_json(res.to_dict())
     return EXIT_OK
 

@@ -16,11 +16,10 @@ import math
 from dataclasses import dataclass
 
 from .alignment import DofVector, build_stream_plan
-from .channel import SystemConfig, sample_channels
+from .channel import _MASK64, SystemConfig, sample_channels
 from .errors import Underdetermined
 from .transceiver import GENIE, RAW, run_round
 
-_MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 SUBSEED_CHANNEL = 0xC4
@@ -166,7 +165,7 @@ def fit_slope(points):
 
 def run_sweep(cfg: ExperimentConfig) -> SweepReport:
     """Run the full power sweep; deterministic given (cfg, seed)."""
-    build_stream_plan(cfg.dof, cfg.system.N)  # raise Infeasible before any work
+    plan = build_stream_plan(cfg.dof, cfg.system.N)  # raises Infeasible before any work
     channels = [
         sample_channels(cfg.system, derive_seed(cfg.seed, SUBSEED_CHANNEL, t))
         for t in range(cfg.trials)
@@ -181,7 +180,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepReport:
             res = run_round(
                 system,
                 channels[t],
-                cfg.dof,
+                plan,
                 seed=derive_seed(cfg.seed, SUBSEED_ROUND, pi, t),
                 mode=cfg.mode,
                 noise=cfg.noise,

@@ -2,7 +2,7 @@
 
 Right and left Moore-Penrose pseudo-inverses in Gram-matrix form, scaled to
 unit Frobenius norm so that pre/post-coding turns every uplink and downlink
-channel into a scaled identity, plus conditioning diagnostics.
+channel into a scaled identity.
 """
 
 from __future__ import annotations
@@ -31,25 +31,15 @@ def as_complex_matrix(a) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
-class ConditionDiagnostics:
-    """Singular values (nonincreasing) and 2-norm condition number."""
-
-    singular_values: np.ndarray
-    condition: float
-
-
-def condition_diagnostics(a) -> ConditionDiagnostics:
-    m = as_complex_matrix(a)
-    s = np.linalg.svd(m, compute_uv=False)
-    cond = float(s[0] / s[-1]) if s[-1] > 0 else math.inf
-    return ConditionDiagnostics(singular_values=s, condition=cond)
+def well_conditioned(s) -> bool:
+    """True iff nonincreasing singular values `s` have sigma_min/sigma_max >= RANK_TOL."""
+    return s[0] > 0 and s[-1] / s[0] >= RANK_TOL
 
 
 def _check_conditioning(m: np.ndarray, side: str) -> np.ndarray:
     """Singular values of `m`, raising RankDeficient below the rank threshold."""
     s = np.linalg.svd(m, compute_uv=False)
-    if s[0] == 0 or s[-1] / s[0] < RANK_TOL:
+    if not well_conditioned(s):
         raise RankDeficient(
             f"{side} inverse needs a well-conditioned matrix: "
             f"sigma_min/sigma_max = {0.0 if s[0] == 0 else s[-1] / s[0]:.3e}"
@@ -117,28 +107,20 @@ class NormalizedLeftMppi:
     beta: float
 
 
-def normalized_right_mppi(h, power_matched: bool = False) -> NormalizedRightMppi:
+def normalized_right_mppi(h) -> NormalizedRightMppi:
     """Right pseudo-inverse rescaled to unit Frobenius norm.
 
     With G = right_pseudo_inverse(H) and alpha^{-2} = tr(G^H G), the returned
     matrix is alpha * G, so H @ matrix = alpha * I_N and tr(matrix^H matrix) = 1.
     A white input with per-component variance s^2 then produces a transmit
     vector of expected total power s^2.
-
-    `power_matched=True` applies an extra sqrt(N) so the expected transmit
-    power equals the input's total power N * s^2 instead; off by default.
     """
     g = right_pseudo_inverse(h)
     alpha = 1.0 / math.sqrt(float(np.sum(np.abs(g) ** 2)))
-    matrix = alpha * g
-    if power_matched:
-        scale = math.sqrt(g.shape[1])  # N = number of diagonalized components
-        matrix = matrix * scale
-        alpha = alpha * scale
-    return NormalizedRightMppi(matrix=matrix, alpha=alpha)
+    return NormalizedRightMppi(matrix=alpha * g, alpha=alpha)
 
 
-def normalized_left_mppi(d, power_matched: bool = False) -> NormalizedLeftMppi:
+def normalized_left_mppi(d) -> NormalizedLeftMppi:
     """Left pseudo-inverse rescaled to unit Frobenius norm.
 
     Mirror of `normalized_right_mppi`: matrix @ D = beta * I_N with
@@ -146,9 +128,4 @@ def normalized_left_mppi(d, power_matched: bool = False) -> NormalizedLeftMppi:
     """
     g = left_pseudo_inverse(d)
     beta = 1.0 / math.sqrt(float(np.sum(np.abs(g) ** 2)))
-    matrix = beta * g
-    if power_matched:
-        scale = math.sqrt(g.shape[0])
-        matrix = matrix * scale
-        beta = beta * scale
-    return NormalizedLeftMppi(matrix=matrix, beta=beta)
+    return NormalizedLeftMppi(matrix=beta * g, beta=beta)

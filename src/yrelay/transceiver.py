@@ -1,5 +1,10 @@
 """End-to-end transmission rounds over the diagonalized Y-channel.
 
+A round is one pipeline over a block-constant channel: the caller's stream
+plan and the channel draw's cached precoders go in; each user assembles its
+slot word once; `relay_observe` forms the relay observation of every channel
+use; the relay decodes and transmits; every user post-codes and recovers.
+
 Uplink: every user precodes its slot word with the unit-norm right inverse of
 its channel, so the relay observes the componentwise sum of all users' words,
 each scaled only by the user's diagonalization constant alpha_j. Pair slots
@@ -22,11 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .alignment import (
-    DofVector,
     StreamPlan,
     StreamSymbols,
     assemble_uplink_symbol,
-    build_stream_plan,
     extract_pair_slot,
     ordered_pairs,
 )
@@ -42,12 +45,7 @@ from .channel import (
     uplink_propagate,
 )
 from .errors import DimensionError, ModeUnavailable, ScalarUnderflow
-from .linalg import (
-    NormalizedLeftMppi,
-    NormalizedRightMppi,
-    normalized_left_mppi,
-    normalized_right_mppi,
-)
+from .linalg import NormalizedLeftMppi, NormalizedRightMppi
 
 SCALE_UNDERFLOW = 1e-300
 
@@ -65,13 +63,6 @@ def sample_stream_symbols(plan: StreamPlan, seed: int) -> StreamSymbols:
     return StreamSymbols(plan.K, vectors)
 
 
-def build_precoders(ch: ChannelSet):
-    """Per-user normalized right (uplink) and left (downlink) inverses."""
-    right = tuple(normalized_right_mppi(h) for h in ch.uplink)
-    left = tuple(normalized_left_mppi(d) for d in ch.downlink)
-    return right, left
-
-
 def uplink_precode(u_j, hr: NormalizedRightMppi) -> np.ndarray:
     """Transmit vector x_j = Hr @ u_j (length M) for one channel use."""
     u_j = np.asarray(u_j, dtype=np.complex128)
@@ -80,33 +71,29 @@ def uplink_precode(u_j, hr: NormalizedRightMppi) -> np.ndarray:
     return hr.matrix @ u_j
 
 
-def relay_observe(cfg: SystemConfig, ch: ChannelSet, precoders, us, noise=None) -> np.ndarray:
-    """Relay observation for one channel use: sum_j alpha_j u_j plus noise."""
-    if len(us) != cfg.K or len(precoders) != cfg.K:
-        raise DimensionError(f"expected {cfg.K} users, got {len(us)} words / {len(precoders)} precoders")
-    xs = [uplink_precode(u, hr) for u, hr in zip(us, precoders)]
-    return uplink_propagate(ch, xs, noise)
+def relay_observe(cfg: SystemConfig, ch: ChannelSet, us, noise=None):
+    """Relay observation for one channel use: sum_j alpha_j u_j plus noise.
 
-
-@dataclass(frozen=True)
-class RelayWord:
-    """Noiseless network-coded relay word with its per-slot scale metadata.
-
-    Slot {j,k} of `word` holds alpha_j*u_jk + alpha_k*u_kj; `pair_scales`
-    maps each unordered pair to (alpha_j, alpha_k). The padding tail is zero.
+    Each user precodes its length-N chunk `us[j-1]` with the channel draw's
+    right inverse. Returns (y, power_ok), where power_ok says that every
+    user's transmit vector passed `check_power` against cfg.P.
     """
+    if len(us) != cfg.K:
+        raise DimensionError(f"expected {cfg.K} user words, got {len(us)}")
+    xs = [uplink_precode(u, hr) for u, hr in zip(us, ch.precoders[0])]
+    power_ok = all(check_power(x, cfg.P) for x in xs)
+    return uplink_propagate(ch, xs, noise), power_ok
 
-    word: np.ndarray
-    pair_scales: dict
 
+def network_coded_word(words, alphas) -> np.ndarray:
+    """Ground-truth relay word w = sum_j alpha_j * (user j's slot word).
 
-def network_coded_word(plan: StreamPlan, sym: StreamSymbols, alphas) -> RelayWord:
-    """Ground-truth relay word w = sum_j alpha_j * (user j's slot word)."""
-    word = np.zeros(plan.word_length, dtype=np.complex128)
-    for j in range(1, plan.K + 1):
-        word += alphas[j - 1] * assemble_uplink_symbol(j, sym, plan)
-    scales = {(j, k): (alphas[j - 1], alphas[k - 1]) for j, k in plan.pairs()}
-    return RelayWord(word=word, pair_scales=scales)
+    Slot {j,k} holds alpha_j*u_jk + alpha_k*u_kj; the padding tail is zero.
+    """
+    word = np.zeros(words[0].shape[0], dtype=np.complex128)
+    for alpha, w in zip(alphas, words):
+        word += alpha * w
+    return word
 
 
 def relay_decode(y_word, plan: StreamPlan, mode: str, true_word=None) -> np.ndarray:
@@ -121,8 +108,7 @@ def relay_decode(y_word, plan: StreamPlan, mode: str, true_word=None) -> np.ndar
     if mode == GENIE:
         if true_word is None:
             raise ModeUnavailable("genie decoding needs the ground-truth relay word")
-        w = true_word.word if isinstance(true_word, RelayWord) else np.asarray(true_word)
-        return np.array(w, dtype=np.complex128)
+        return np.array(true_word, dtype=np.complex128)
     if mode == RAW:
         w_hat = y_word.copy()
         if plan.padding:
@@ -238,7 +224,7 @@ def effective_snr(cfg: SystemConfig, ch: ChannelSet, plan: StreamPlan, mode: str
     """
     if mode not in (GENIE, RAW):
         raise ModeUnavailable(f"unknown mode {mode!r}")
-    right, left = build_precoders(ch)
+    right, left = ch.precoders
     alphas = [hr.alpha for hr in right]
     word_power = expected_word_power(plan, alphas)
     gamma_sq = cfg.P / word_power if word_power > 0 else 0.0
@@ -318,20 +304,20 @@ def _chunks(word: np.ndarray, n: int):
 def run_round(
     cfg: SystemConfig,
     ch: ChannelSet,
-    d: DofVector,
+    plan: StreamPlan,
     symbols: StreamSymbols | None = None,
     seed: int = 0,
     mode: str = GENIE,
     noise: bool = True,
 ) -> RoundResult:
-    """Execute one full uplink + downlink round for the DoF target `d`.
+    """Execute one full uplink + downlink round over the stream plan `plan`.
 
     Symbols are sampled from (seed, symbol stream) when not supplied; noise
-    from (seed, noise stream). Raises Infeasible when `d` does not fit the
-    relay word.
+    from (seed, noise stream). The precoders come from `ch.precoders`.
     """
-    plan = build_stream_plan(d, cfg.N)
-    right, left = build_precoders(ch)
+    if (plan.K, plan.N) != (cfg.K, cfg.N):
+        raise DimensionError(f"plan for K={plan.K}, N={plan.N} does not fit K={cfg.K}, N={cfg.N}")
+    right, left = ch.precoders
     alphas = [hr.alpha for hr in right]
     if symbols is None:
         symbols = sample_stream_symbols(plan, seed)
@@ -340,15 +326,15 @@ def run_round(
     noise_scale = math.sqrt(cfg.noise_variance)
 
     words = [assemble_uplink_symbol(j, symbols, plan) for j in range(1, cfg.K + 1)]
-    truth = network_coded_word(plan, symbols, alphas)
+    truth = network_coded_word(words, alphas)
 
     power_ok = True
     y_parts = []
-    for t, chunk_set in enumerate(zip(*(_chunks(w, cfg.N) for w in words))):
+    for chunk_set in zip(*(_chunks(w, cfg.N) for w in words)):
         z = noise_scale * complex_normal(noise_rng, cfg.N) if noise else None
-        xs = [uplink_precode(u, hr) for u, hr in zip(chunk_set, right)]
-        power_ok = power_ok and all(check_power(x, cfg.P) for x in xs)
-        y_parts.append(uplink_propagate(ch, xs, z))
+        y, use_ok = relay_observe(cfg, ch, chunk_set, z)
+        power_ok = power_ok and use_ok
+        y_parts.append(y)
     y_word = np.concatenate(y_parts)
 
     w_hat = relay_decode(y_word, plan, mode, true_word=truth)

@@ -21,7 +21,7 @@ from yrelay.dofregion import (
 )
 from yrelay.harness import ExperimentConfig, run_sweep
 from yrelay.linalg import normalized_left_mppi, normalized_right_mppi
-from yrelay.transceiver import GENIE, build_precoders, relay_observe, run_round
+from yrelay.transceiver import GENIE, relay_observe, run_round
 
 
 class _verdict:
@@ -75,10 +75,9 @@ def test_criterion_2_parallel_pair_decomposition():
                 (j, k): complex_normal(rng, 1)
                 for j in range(1, 5) for k in range(1, 5) if j != k
             })
-            right, _ = build_precoders(ch)
             us = [assemble_uplink_symbol(j, sym, plan) for j in range(1, 5)]
-            y = relay_observe(cfg, ch, right, us, noise=None)
-            alphas = [r.alpha for r in right]
+            y, _ = relay_observe(cfg, ch, us, noise=None)
+            alphas = [r.alpha for r in ch.precoders[0]]
             target = sum(alphas[j - 1] * us[j - 1] for j in range(1, 5))
             assert np.linalg.norm(y - target) / np.linalg.norm(target) <= 1e-9
             for (j, k), off in plan.offsets.items():
@@ -90,7 +89,7 @@ def test_criterion_3_noiseless_round_trip():
     # Genie relay, no noise, all-ones targets: every direction's estimate
     # reproduces the unit symbol to 1e-8 over 100 channel draws.
     with _verdict(3, "noiseless round trip"):
-        ones = DofVector.uniform(4, Fraction(1))
+        plan = build_stream_plan(DofVector.uniform(4, Fraction(1)), 6)
         for i in range(100):
             cfg = SystemConfig(K=4, M=6, N=6, P=100.0)
             ch = sample_channels(cfg, seed=5000 + i)
@@ -98,7 +97,7 @@ def test_criterion_3_noiseless_round_trip():
                 (j, k): [1.0 + 0.0j]
                 for j in range(1, 5) for k in range(1, 5) if j != k
             })
-            res = run_round(cfg, ch, ones, symbols=sym, mode=GENIE, noise=False, seed=9000 + i)
+            res = run_round(cfg, ch, plan, symbols=sym, mode=GENIE, noise=False, seed=9000 + i)
             for pair, est in res.estimates.items():
                 assert est.shape == (1,)
                 assert abs(est[0] - 1.0) <= 1e-8

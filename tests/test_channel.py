@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from yrelay.channel import (
+    STREAM_NOISE,
     ChannelSet,
     SystemConfig,
     check_power,
+    complex_normal,
     downlink_propagate,
     rng_for,
-    sample_awgn,
     sample_channels,
     uplink_propagate,
 )
@@ -28,6 +29,11 @@ def propagate_oracle(mats, xs):
 
 
 CFG = SystemConfig(K=4, M=6, N=6, P=100.0)
+
+
+def noise(dim, seed):
+    """Unit-variance receiver noise, drawn as a round draws it."""
+    return complex_normal(rng_for(seed, STREAM_NOISE), dim)
 
 
 def test_config_validation():
@@ -99,7 +105,7 @@ def test_uplink_matches_oracle():
 
 def test_uplink_noise_added():
     ch = sample_channels(CFG, seed=2)
-    z = sample_awgn(6, seed=9)
+    z = noise(6, seed=9)
     xs = [np.zeros(6)] * 4
     assert np.allclose(uplink_propagate(ch, xs, noise=z), z)
 
@@ -149,8 +155,8 @@ def test_propagation_linearity():
 
 
 def test_awgn_determinism_and_moments():
-    assert np.array_equal(sample_awgn(16, seed=3), sample_awgn(16, seed=3))
-    z = sample_awgn(100_000, seed=21)
+    assert np.array_equal(noise(16, seed=3), noise(16, seed=3))
+    z = noise(100_000, seed=21)
     assert abs(np.mean(z)) <= 3.0 / np.sqrt(z.size)
     assert abs(np.mean(np.abs(z) ** 2) - 1.0) < 0.05
 

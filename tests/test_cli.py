@@ -20,6 +20,8 @@ except ModuleNotFoundError:  # Python 3.10
     tomllib = None
 
 import yrelay.__main__
+from yrelay.alignment import DofVector, build_stream_plan
+from yrelay.channel import SystemConfig, sample_channels
 from yrelay.cli import (
     EXIT_FAILURE,
     EXIT_OK,
@@ -29,6 +31,8 @@ from yrelay.cli import (
     parse_dof_spec,
     parse_sweep_spec,
 )
+from yrelay.harness import SUBSEED_CHANNEL, db_to_linear, derive_seed
+from yrelay.transceiver import RAW, run_round
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "sweep_small.csv"
 PYPROJECT = pathlib.Path(__file__).parents[1] / "pyproject.toml"
@@ -149,6 +153,26 @@ def test_simulate_reports_round(capsys):
     blob = json.loads(out)
     assert blob["mode"] == "genie"
     assert max(blob["rel_errors"].values()) <= 1e-8
+
+
+def test_simulate_uses_sweep_channel_seed(capsys):
+    # simulate --seed S runs on the channels a sweep with master seed S draws
+    # for its trial 0
+    code, out, _ = run_cli(capsys, "simulate", "--k", "4", "--m", "6", "--n", "6",
+                           "--power-db", "30", "--seed", "5", "--mode", "raw")
+    assert code == EXIT_OK
+    cfg = SystemConfig(K=4, M=6, N=6, P=db_to_linear(30.0))
+    ch = sample_channels(cfg, derive_seed(5, SUBSEED_CHANNEL, 0))
+    plan = build_stream_plan(DofVector.uniform(4, 1), cfg.N)
+    res = run_round(cfg, ch, plan, seed=5, mode=RAW, noise=True)
+    assert out == json.dumps(res.to_dict(), sort_keys=True, indent=2) + "\n"
+
+
+def test_simulate_infeasible_exits_one(capsys):
+    code, out, err = run_cli(capsys, "simulate", "--k", "4", "--n", "6", "--dof", "1-2=7")
+    assert code == EXIT_FAILURE
+    assert out == ""
+    assert "Infeasible" in err
 
 
 def test_mppi_check(capsys):

@@ -8,6 +8,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import yrelay.channel
+import yrelay.harness
 from yrelay.alignment import DofVector
 from yrelay.channel import SystemConfig
 from yrelay.errors import Infeasible, Underdetermined
@@ -182,3 +184,33 @@ def test_channels_shared_across_power_points():
     )
     rep = run_sweep(cfg)
     assert rep.rows[1].mean_stream_snr == pytest.approx(10 * rep.rows[0].mean_stream_snr, rel=1e-9)
+
+
+def counted(fn, calls, key):
+    def wrapper(*args, **kwargs):
+        calls[key] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+def test_sweep_reuses_precoders_and_plan(monkeypatch):
+    # the channel is block-constant: each draw inverts its 2K matrices once
+    # for all power points, and the sweep builds its stream plan once
+    calls = {"mppi": 0, "plan": 0}
+    for module, name, key in (
+        (yrelay.channel, "normalized_right_mppi", "mppi"),
+        (yrelay.channel, "normalized_left_mppi", "mppi"),
+        (yrelay.harness, "build_stream_plan", "plan"),
+    ):
+        monkeypatch.setattr(module, name, counted(getattr(module, name), calls, key))
+    k_users, trials = 4, 3
+    cfg = ExperimentConfig(
+        system=SystemConfig(K=k_users, M=6, N=6, P=1.0),
+        dof=DofVector.uniform(k_users, Fraction(1)),
+        sweep_db=(30.0, 35.0, 40.0, 45.0, 50.0, 55.0, 60.0),
+        trials=trials,
+        seed=0,
+    )
+    run_sweep(cfg)
+    assert calls == {"mppi": 2 * k_users * trials, "plan": 1}

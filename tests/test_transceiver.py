@@ -13,14 +13,20 @@ from yrelay.alignment import (
     build_stream_plan,
     ordered_pairs,
 )
-from yrelay.channel import ChannelSet, SystemConfig, sample_awgn, sample_channels
-from yrelay.errors import Infeasible, ModeUnavailable
+from yrelay.channel import (
+    STREAM_NOISE,
+    ChannelSet,
+    SystemConfig,
+    complex_normal,
+    rng_for,
+    sample_channels,
+)
+from yrelay.errors import DimensionError, ModeUnavailable
 from yrelay.harness import derive_seed
 from yrelay.linalg import normalized_left_mppi, normalized_right_mppi
 from yrelay.transceiver import (
     GENIE,
     RAW,
-    build_precoders,
     effective_snr,
     network_coded_word,
     relay_decode,
@@ -34,7 +40,13 @@ from yrelay.transceiver import (
 )
 
 ALL_ONES = DofVector.uniform(4, Fraction(1))
+ONES_PLAN = build_stream_plan(ALL_ONES, 6)
 CFG66 = SystemConfig(K=4, M=6, N=6, P=1e4)
+
+
+def noise(dim, seed):
+    """Unit-variance receiver noise, drawn as a round draws it."""
+    return complex_normal(rng_for(seed, STREAM_NOISE), dim)
 
 
 def identity_channels(k_users, n):
@@ -68,39 +80,48 @@ def test_precode_inverts_channel():
 
 def test_relay_observe_noise_only():
     ch = sample_channels(CFG66, seed=1)
-    right, _ = build_precoders(ch)
-    z = sample_awgn(6, seed=2)
+    z = noise(6, seed=2)
     us = [np.zeros(6)] * 4
-    assert np.allclose(relay_observe(CFG66, ch, right, us, noise=z), z)
+    y, power_ok = relay_observe(CFG66, ch, us, noise=z)
+    assert np.allclose(y, z)
+    assert power_ok
+    with pytest.raises(DimensionError):
+        relay_observe(CFG66, ch, us[:3])
 
 
 def test_relay_observe_single_user():
     ch = sample_channels(CFG66, seed=3)
-    right, _ = build_precoders(ch)
+    right, _ = ch.precoders
     rng = np.random.default_rng(4)
     u2 = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     us = [np.zeros(6), u2, np.zeros(6), np.zeros(6)]
-    y = relay_observe(CFG66, ch, right, us)
+    y, power_ok = relay_observe(CFG66, ch, us)
     want = right[1].alpha * u2
     assert np.linalg.norm(y - want) <= 1e-9 * np.linalg.norm(want)
+    assert power_ok
+    # user 2 transmits ||Hr u2||^2 > 0; a budget below that fails the check
+    energy = np.linalg.norm(right[1].matrix @ u2) ** 2
+    y_low, low_ok = relay_observe(SystemConfig(K=4, M=6, N=6, P=energy / 2), ch, us)
+    assert np.array_equal(y_low, y)
+    assert not low_ok
 
 
 def test_relay_observe_matches_dense_oracle():
     ch = sample_channels(CFG66, seed=5)
-    right, _ = build_precoders(ch)
+    right, _ = ch.precoders
     rng = np.random.default_rng(6)
     us = [rng.standard_normal(6) + 1j * rng.standard_normal(6) for _ in range(4)]
-    y = relay_observe(CFG66, ch, right, us)
+    y, _ = relay_observe(CFG66, ch, us)
     want = sum(h @ (hr.matrix @ u) for h, hr, u in zip(ch.uplink, right, us))
     assert np.allclose(y, want, rtol=1e-12)
 
 
 def test_relay_observe_is_scaled_symbol_sum():
     ch = sample_channels(CFG66, seed=7)
-    right, _ = build_precoders(ch)
+    right, _ = ch.precoders
     rng = np.random.default_rng(8)
     us = [rng.standard_normal(6) + 1j * rng.standard_normal(6) for _ in range(4)]
-    y = relay_observe(CFG66, ch, right, us)
+    y, _ = relay_observe(CFG66, ch, us)
     want = sum(hr.alpha * u for hr, u in zip(right, us))
     assert np.linalg.norm(y - want) <= 1e-9 * np.linalg.norm(want)
 
@@ -108,12 +129,16 @@ def test_relay_observe_is_scaled_symbol_sum():
 # -------------------------------------------------------------- relay decode
 
 
+def slot_words(sym, plan):
+    return [assemble_uplink_symbol(j, sym, plan) for j in range(1, plan.K + 1)]
+
+
 def test_genie_decode_exact_under_noise():
     plan = build_stream_plan(ALL_ONES, 6)
     sym = sample_stream_symbols(plan, seed=11)
-    truth = network_coded_word(plan, sym, [0.5, 0.4, 0.3, 0.2])
-    noisy = truth.word + sample_awgn(6, seed=12)
-    assert np.array_equal(relay_decode(noisy, plan, GENIE, true_word=truth), truth.word)
+    truth = network_coded_word(slot_words(sym, plan), [0.5, 0.4, 0.3, 0.2])
+    noisy = truth + noise(6, seed=12)
+    assert np.array_equal(relay_decode(noisy, plan, GENIE, true_word=truth), truth)
 
 
 def test_genie_decode_needs_truth():
@@ -125,8 +150,8 @@ def test_genie_decode_needs_truth():
 def test_raw_decode_noiseless_passthrough():
     plan = build_stream_plan(ALL_ONES, 6)
     sym = sample_stream_symbols(plan, seed=13)
-    truth = network_coded_word(plan, sym, [0.5, 0.4, 0.3, 0.2])
-    assert np.allclose(relay_decode(truth.word, plan, RAW), truth.word)
+    truth = network_coded_word(slot_words(sym, plan), [0.5, 0.4, 0.3, 0.2])
+    assert np.allclose(relay_decode(truth, plan, RAW), truth)
 
 
 def test_raw_decode_zeroes_padding_tail():
@@ -144,13 +169,12 @@ def test_raw_decode_error_power_matches_noise_floor():
     sq = []
     for t in range(1000):
         ch = sample_channels(CFG66, derive_seed(9, 1, t))
-        right, _ = build_precoders(ch)
-        alphas = [r.alpha for r in right]
+        alphas = [r.alpha for r in ch.precoders[0]]
         sym = sample_stream_symbols(plan, derive_seed(9, 3, t))
-        truth = network_coded_word(plan, sym, alphas)
-        us = [assemble_uplink_symbol(j, sym, plan) for j in range(1, 5)]
-        y = relay_observe(CFG66, ch, right, us, noise=sample_awgn(6, derive_seed(9, 4, t)))
-        sq.extend(np.abs(relay_decode(y, plan, RAW) - truth.word) ** 2)
+        us = slot_words(sym, plan)
+        truth = network_coded_word(us, alphas)
+        y, _ = relay_observe(CFG66, ch, us, noise=noise(6, derive_seed(9, 4, t)))
+        sq.extend(np.abs(relay_decode(y, plan, RAW) - truth) ** 2)
     assert np.mean(sq) == pytest.approx(1.0, rel=0.10)
 
 
@@ -229,7 +253,7 @@ def test_recover_zero_symbols_zero_estimates():
 
 def test_round_noiseless_genie_recovers_exactly():
     ch = sample_channels(CFG66, seed=19)
-    res = run_round(CFG66, ch, ALL_ONES, seed=20, mode=GENIE, noise=False)
+    res = run_round(CFG66, ch, ONES_PLAN, seed=20, mode=GENIE, noise=False)
     assert res.max_rel_error() <= 1e-8
     assert res.power_ok
     assert not res.zero_word
@@ -249,7 +273,7 @@ def test_round_noiseless_recovery_random_feasible_targets():
         if not 0 < total <= 6:
             continue
         ch = sample_channels(CFG66, seed=100 + rounds)
-        res = run_round(CFG66, ch, d, seed=200 + rounds, mode=GENIE, noise=False)
+        res = run_round(CFG66, ch, build_stream_plan(d, 6), seed=200 + rounds, mode=GENIE, noise=False)
         assert res.max_rel_error() <= 1e-8
         rounds += 1
 
@@ -261,21 +285,21 @@ def test_round_high_power_limit():
     means = []
     for t in range(100):
         ch = sample_channels(cfg, derive_seed(77, 1, t))
-        res = run_round(cfg, ch, ALL_ONES, seed=derive_seed(77, 2, t), mode=GENIE, noise=True)
+        res = run_round(cfg, ch, ONES_PLAN, seed=derive_seed(77, 2, t), mode=GENIE, noise=True)
         means.append(np.mean(list(res.rel_errors.values())))
     assert np.mean(means) < 1e-3
 
 
-def test_round_infeasible_target():
+def test_round_rejects_plan_of_other_shape():
     ch = sample_channels(CFG66, seed=22)
-    with pytest.raises(Infeasible):
-        run_round(CFG66, ch, DofVector(4, {(1, 2): Fraction(7)}), seed=23)
+    with pytest.raises(DimensionError):
+        run_round(CFG66, ch, build_stream_plan(DofVector(4, {(1, 2): 1}), 5), seed=23)
 
 
 def test_round_symbol_extension():
     d = DofVector(4, {(1, 2): Fraction(3, 2), (2, 1): Fraction(1, 2), (3, 4): Fraction(2)})
     ch = sample_channels(CFG66, seed=24)
-    res = run_round(CFG66, ch, d, seed=25, mode=GENIE, noise=False)
+    res = run_round(CFG66, ch, build_stream_plan(d, 6), seed=25, mode=GENIE, noise=False)
     assert res.max_rel_error() <= 1e-8
     active = {p for p, v in res.estimates.items() if v.shape[0] > 0}
     assert active == {(1, 2), (2, 1), (3, 4)}
@@ -284,14 +308,14 @@ def test_round_symbol_extension():
 
 def test_round_raw_noiseless_also_exact():
     ch = sample_channels(CFG66, seed=26)
-    res = run_round(CFG66, ch, ALL_ONES, seed=27, mode=RAW, noise=False)
+    res = run_round(CFG66, ch, ONES_PLAN, seed=27, mode=RAW, noise=False)
     assert res.max_rel_error() <= 1e-8
 
 
 def test_round_transmit_powers_within_budget():
     for t in range(10):
         ch = sample_channels(CFG66, seed=300 + t)
-        res = run_round(CFG66, ch, ALL_ONES, seed=400 + t, mode=GENIE, noise=True)
+        res = run_round(CFG66, ch, ONES_PLAN, seed=400 + t, mode=GENIE, noise=True)
         assert res.power_ok
         assert res.gamma > 0
 
@@ -309,7 +333,7 @@ def test_self_interference_fully_cancelled():
             data[(j, k)] = rng.standard_normal(1) + 1j * rng.standard_normal(1)
     sym = StreamSymbols(4, data)
     ch = sample_channels(CFG66, seed=29)
-    res = run_round(CFG66, ch, ALL_ONES, symbols=sym, seed=30, mode=GENIE, noise=False)
+    res = run_round(CFG66, ch, ONES_PLAN, symbols=sym, seed=30, mode=GENIE, noise=False)
     scale = max(float(np.max(np.abs(v))) for (j, k), v in sym.items() if j > k)
     for (j, k), est in res.estimates.items():
         if j < k:
@@ -320,7 +344,7 @@ def test_round_json_serializable():
     import json
 
     ch = sample_channels(CFG66, seed=31)
-    res = run_round(CFG66, ch, ALL_ONES, seed=32, mode=GENIE, noise=True)
+    res = run_round(CFG66, ch, ONES_PLAN, seed=32, mode=GENIE, noise=True)
     blob = json.loads(json.dumps(res.to_dict()))
     assert blob["mode"] == "genie"
     assert "1-2" in blob["rel_errors"]
