@@ -68,10 +68,6 @@ class DofVector:
     def total(self) -> Fraction:
         return sum(self._d.values(), Fraction(0))
 
-    def relabel(self, sigma) -> "DofVector":
-        """Apply a user permutation to both indices; sigma is a mapping 1..K -> 1..K."""
-        return DofVector(self.K, {(sigma[j], sigma[k]): v for (j, k), v in self._d.items()})
-
     def scaled(self, c) -> "DofVector":
         c = Fraction(c)
         return DofVector(self.K, {p: v * c for p, v in self._d.items()})

@@ -56,7 +56,6 @@ class SystemConfig:
     M: int
     N: int
     P: float
-    noise_variance: float = 1.0
 
     def __post_init__(self):
         if self.K < 3:
@@ -65,8 +64,6 @@ class SystemConfig:
             raise ValueError(f"need 1 <= N <= M, got N={self.N}, M={self.M}")
         if self.P <= 0:
             raise ValueError(f"power must be positive, got P={self.P}")
-        if self.noise_variance <= 0:
-            raise ValueError("noise variance must be positive")
 
 
 @dataclass(frozen=True)

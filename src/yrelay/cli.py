@@ -13,10 +13,12 @@ Subcommands:
 Exit codes: 0 success, 1 domain failure (infeasible point, violated check,
 non-member), 2 usage or config error.
 
-A config file (--config) holds `key = value` lines, `#` comments, and blank
-lines; keys mirror the long flag names with underscores (k, m, n, seed,
-trials, mode, out, noise, dof, sweep_db, power_db). Explicit flags win over
-the file, the file wins over built-in defaults.
+Every option is declared once, in OPTIONS (flag, parser, default). A config
+file (--config) holds `key = value` lines, `#` comments, and blank lines; keys
+mirror the long flag names with underscores (k, m, n, seed, trials, dof, mode,
+noise, power_db, sweep_db, out). A file value is parsed like its flag, and a
+bad one is a config error; keys the subcommand has no flag for are ignored.
+Explicit flags win over the file, the file wins over the OPTIONS default.
 """
 
 from __future__ import annotations
@@ -115,21 +117,6 @@ def load_config(path: str) -> dict:
     return out
 
 
-_CONFIG_KEYS = {
-    "k": int,
-    "m": int,
-    "n": int,
-    "seed": int,
-    "trials": int,
-    "power_db": float,
-    "mode": str,
-    "out": str,
-    "dof": str,
-    "sweep_db": str,
-    "noise": None,  # parsed as bool below
-}
-
-
 def _parse_bool(text: str) -> bool:
     low = text.lower()
     if low in ("1", "true", "yes", "on"):
@@ -139,21 +126,46 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"bad boolean {text!r}")
 
 
+# name -> (default, argparse kwargs of --name). A config-file value goes
+# through the same `type` and `choices`; `noise` is read by _parse_bool.
+OPTIONS = {
+    "k": (4, {"type": int, "help": "number of users"}),
+    "m": (6, {"type": int, "help": "antennas per user"}),
+    "n": (6, {"type": int, "help": "relay antennas"}),
+    "seed": (0, {"type": int, "help": "master RNG seed"}),
+    "trials": (200, {"type": int, "help": "trials per point"}),
+    "dof": ("uniform:1", {"type": str, "help": "rate point, e.g. 1-2=1,2-1=1/2 or uniform:1"}),
+    "mode": (GENIE, {"choices": (GENIE, RAW), "help": "relay decode mode"}),
+    "noise": (True, {"action": argparse.BooleanOptionalAction, "help": "add receiver noise"}),
+    "power_db": (40.0, {"type": float, "help": "transmit power in dB"}),
+    "sweep_db": (parse_sweep_spec("30:5:60"),
+                 {"type": parse_sweep_spec, "help": "power points start:step:stop in dB"}),
+    "out": ("csv", {"choices": ("csv", "json"), "help": "report format"}),
+}
+
+
+def parse_option(name: str, text: str):
+    """A config-file value of option `name`, parsed as its flag would be."""
+    kwargs = OPTIONS[name][1]
+    parse = _parse_bool if name == "noise" else kwargs.get("type", str)
+    try:
+        value = parse(text)
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise ValueError(f"{name} = {text!r}: {exc}") from None
+    if "choices" in kwargs and value not in kwargs["choices"]:
+        raise ValueError(f"{name} = {text!r}: want one of {', '.join(kwargs['choices'])}")
+    return value
+
+
 def apply_config(args: argparse.Namespace, raw: dict) -> None:
-    """Fill argparse values that the command line left at None."""
-    for key, value in raw.items():
-        if key not in _CONFIG_KEYS:
+    """Fill the options the command line left at None: from the config-file
+    values `raw` where present, else from the OPTIONS default."""
+    for key in raw:
+        if key not in OPTIONS:
             raise ValueError(f"unknown config key {key!r}")
-        if not hasattr(args, key) or getattr(args, key) is not None:
-            continue
-        caster = _parse_bool if key == "noise" else _CONFIG_KEYS[key]
-        setattr(args, key, caster(value))
-
-
-def _fill_defaults(args: argparse.Namespace, **defaults) -> None:
-    for key, value in defaults.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, value)
+    for name, (default, _) in OPTIONS.items():
+        if hasattr(args, name) and getattr(args, name) is None:
+            setattr(args, name, parse_option(name, raw[name]) if name in raw else default)
 
 
 def _emit(data: bytes) -> None:
@@ -171,9 +183,8 @@ def _note(args, message: str) -> None:
 
 
 def _system(args) -> SystemConfig:
-    p_db = getattr(args, "power_db", None)
-    p_lin = db_to_linear(p_db) if p_db is not None else db_to_linear(args.sweep_db[0])
-    return SystemConfig(K=args.k, M=args.m, N=args.n, P=p_lin)
+    p_db = args.power_db if hasattr(args, "power_db") else args.sweep_db[0]
+    return SystemConfig(K=args.k, M=args.m, N=args.n, P=db_to_linear(p_db))
 
 
 def _dof(args) -> DofVector:
@@ -181,7 +192,6 @@ def _dof(args) -> DofVector:
 
 
 def cmd_mppi_check(args) -> int:
-    _fill_defaults(args, k=4, m=6, n=6, seed=0, trials=200)
     cfg = SystemConfig(K=args.k, M=args.m, N=args.n, P=1.0)
     max_diag = 0.0
     max_trace = 0.0
@@ -213,16 +223,12 @@ def cmd_mppi_check(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    _fill_defaults(args, k=4, n=6, dof="uniform:1")
     plan = build_stream_plan(_dof(args), args.n)
     _print_json(plan.to_dict())
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    _fill_defaults(args, k=4, m=6, n=6, seed=0, power_db=40.0, mode=GENIE, dof="uniform:1")
-    if args.noise is None:
-        args.noise = True
     cfg = _system(args)
     plan = build_stream_plan(_dof(args), cfg.N)
     ch = sample_channels(cfg, derive_seed(args.seed, SUBSEED_CHANNEL, 0))
@@ -232,17 +238,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    _fill_defaults(
-        args, k=4, m=6, n=6, seed=0, trials=200, mode=GENIE, out="csv", dof="uniform:1"
-    )
-    if args.sweep_db is None:
-        args.sweep_db = parse_sweep_spec("30:5:60")
-    if args.noise is None:
-        args.noise = True
     cfg = ExperimentConfig(
         system=_system(args),
         dof=_dof(args),
-        sweep_db=tuple(args.sweep_db),
+        sweep_db=args.sweep_db,
         trials=args.trials,
         seed=args.seed,
         mode=args.mode,
@@ -255,7 +254,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_dof_check(args) -> int:
-    _fill_defaults(args, k=4, n=6, dof="uniform:1")
     d = _dof(args)
     spec = RegionSpec(K=args.k, N=args.n)
     verdict = is_member(d, spec)
@@ -268,14 +266,12 @@ def cmd_dof_check(args) -> int:
 
 
 def cmd_dof_sumdof(args) -> int:
-    _fill_defaults(args, k=4, n=6)
     value, maximizer = sum_dof_max(RegionSpec(K=args.k, N=args.n))
     _print_json({"sum_dof": str(value), "maximizer": maximizer.to_dict()})
     return EXIT_OK
 
 
 def cmd_dof_gap(args) -> int:
-    _fill_defaults(args, k=4, n=6)
     witness = find_construction_gap(RegionSpec(K=args.k, N=args.n))
     if witness is None:
         _print_json({"gap_found": False, "witness": None})
@@ -293,31 +289,15 @@ def cmd_dof_gap(args) -> int:
 
 
 def cmd_dof_vertices(args) -> int:
-    _fill_defaults(args, n=6)
     verts = vertices_k3(args.n)
     _print_json({"n_relay": args.n, "count": len(verts), "vertices": [v.to_dict() for v in verts]})
     return EXIT_OK
 
 
 def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
-    if "k" in names:
-        p.add_argument("--k", type=int, default=None, help="number of users")
-    if "m" in names:
-        p.add_argument("--m", type=int, default=None, help="antennas per user")
-    if "n" in names:
-        p.add_argument("--n", type=int, default=None, help="relay antennas")
-    if "seed" in names:
-        p.add_argument("--seed", type=int, default=None, help="master RNG seed")
-    if "trials" in names:
-        p.add_argument("--trials", type=int, default=None, help="trials per point")
-    if "dof" in names:
-        p.add_argument("--dof", type=str, default=None, help="rate point, e.g. 1-2=1,2-1=1/2 or uniform:1")
-    if "mode" in names:
-        p.add_argument("--mode", choices=(GENIE, RAW), default=None, help="relay decode mode")
-    if "noise" in names:
-        p.add_argument("--noise", action=argparse.BooleanOptionalAction, default=None, help="add receiver noise")
-    if "power_db" in names:
-        p.add_argument("--power-db", dest="power_db", type=float, default=None, help="transmit power in dB")
+    for name in names:
+        # None marks "not given", so main can fill in the file value or default
+        p.add_argument("--" + name.replace("_", "-"), default=None, **OPTIONS[name][1])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -343,10 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", help="run a power sweep and emit a report")
-    _add_common(p, "k", "m", "n", "seed", "trials", "dof", "mode", "noise")
-    p.add_argument("--sweep-db", dest="sweep_db", type=parse_sweep_spec, default=None,
-                   help="power points start:step:stop in dB")
-    p.add_argument("--out", choices=("csv", "json"), default=None, help="report format")
+    _add_common(p, "k", "m", "n", "seed", "trials", "dof", "mode", "noise", "sweep_db", "out")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("dof", help="exact region computations")
@@ -372,23 +349,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.config is not None:
-        try:
-            apply_config(args, load_config(args.config))
-        except (OSError, ValueError) as exc:
-            print(f"yrelay: config error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+    args = build_parser().parse_args(argv)
+    try:
+        apply_config(args, load_config(args.config) if args.config is not None else {})
+    except (OSError, ValueError) as exc:
+        print(f"yrelay: config error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.func(args)
     except YRelayError as exc:
         print(f"yrelay: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    except argparse.ArgumentTypeError as exc:
+    except (argparse.ArgumentTypeError, ValueError) as exc:
         # late parse of values that needed other flags first (e.g. --dof)
-        print(f"yrelay: usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
         print(f"yrelay: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

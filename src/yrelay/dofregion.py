@@ -134,29 +134,26 @@ def construction_feasible(d: DofVector, n_relay: int):
     return total <= n_relay, total
 
 
-def find_construction_gap(spec: RegionSpec, pairs=None) -> DofVector | None:
+def find_construction_gap(spec: RegionSpec) -> DofVector | None:
     """Search for a region member whose pair maxima overflow the relay.
 
     For every per-pair direction selection, maximize the selected directed
     sum over the region (exact LP). Any optimum above N yields a witness:
     a member that the direct slot layout cannot carry. Returns None when no
     selection overflows, which proves the region lies inside the
-    construction-feasible set restricted to the given pairs.
+    construction-feasible set.
     """
     if spec.K > GAP_MAX_USERS:
         raise TooLarge(f"gap probe guarded at K <= {GAP_MAX_USERS}")
-    allowed = list(pairs) if pairs is not None else user_pairs(spec.K)
-    for j, k in allowed:
-        if not (1 <= j < k <= spec.K):
-            raise ValueError(f"invalid unordered pair ({j},{k}) for K={spec.K}")
-    variables = [pair for pair in ordered_pairs(spec.K) if (min(pair), max(pair)) in set(allowed)]
+    pairs = user_pairs(spec.K)
+    variables = ordered_pairs(spec.K)
     rows = _permutation_rows(spec.K, variables)
     rhs = [Fraction(spec.N)] * len(rows)
     index = {pair: i for i, pair in enumerate(variables)}
 
-    for bits in itertools.product((0, 1), repeat=len(allowed)):
+    for bits in itertools.product((0, 1), repeat=len(pairs)):
         objective = [Fraction(0)] * len(variables)
-        for (j, k), rev in zip(allowed, bits):
+        for (j, k), rev in zip(pairs, bits):
             objective[index[(k, j) if rev else (j, k)]] = Fraction(1)
         res = solve_max(objective, rows, rhs)
         if res.value > spec.N:

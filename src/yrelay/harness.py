@@ -93,6 +93,7 @@ class SweepRow:
     sum_rate_proxy: float
     err_mean: float
     err_max: float
+    power_violations: int  # rounds whose power check failed
 
 
 @dataclass(frozen=True)
@@ -176,6 +177,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepReport:
         system = dataclasses.replace(cfg.system, P=db_to_linear(p_db))
         snr_sum = rate_sum = sum_rate_sum = err_sum = 0.0
         err_max = 0.0
+        violations = 0
         for t in range(cfg.trials):
             res = run_round(
                 system,
@@ -185,6 +187,8 @@ def run_sweep(cfg: ExperimentConfig) -> SweepReport:
                 mode=cfg.mode,
                 noise=cfg.noise,
             )
+            if not res.power_ok:
+                violations += 1
             streams = res.snr.streams
             if streams:
                 snr_sum += sum(s.effective for s in streams.values()) / len(streams)
@@ -202,6 +206,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepReport:
                 sum_rate_proxy=sum_rate_sum / cfg.trials,
                 err_mean=err_sum / cfg.trials,
                 err_max=err_max,
+                power_violations=violations,
             )
         )
 

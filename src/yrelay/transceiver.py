@@ -139,28 +139,29 @@ def user_postcode(y_k, dl: NormalizedLeftMppi) -> np.ndarray:
     return dl.matrix @ y_k
 
 
-def user_recover(filtered, k: int, own: StreamSymbols, plan: StreamPlan, alphas, gamma: float, beta_k: float):
+def user_recover(filtered, k: int, own_word, plan: StreamPlan, alphas, gamma: float, beta_k: float):
     """Estimates v_jk for all partners j != k from user k's filtered word.
 
-    Per pair slot: undo the relay scale gamma and the downlink constant
-    beta_k, subtract user k's own contribution alpha_k*u_kj, divide by the
-    partner's alpha_j, and keep the first T*d_jk symbol positions.
+    Undo the relay scale gamma and the downlink constant beta_k, subtract
+    user k's own contribution alpha_k * own_word (its assembled slot word),
+    then per pair slot divide by the partner's alpha_j and keep the first
+    T*d_jk symbol positions.
     """
     filtered = np.asarray(filtered, dtype=np.complex128)
-    estimates = {}
-    for j in range(1, plan.K + 1):
-        if j == k:
-            continue
+    if filtered.shape != (plan.word_length,) or np.shape(own_word) != filtered.shape:
+        raise DimensionError(
+            f"filtered {filtered.shape} and own word {np.shape(own_word)} != ({plan.word_length},)"
+        )
+    partners = [j for j in range(1, plan.K + 1) if j != k]
+    for j in partners:
         denom = gamma * beta_k * alphas[j - 1]
         if abs(denom) < SCALE_UNDERFLOW:
             raise ScalarUnderflow(f"recovery scale gamma*beta*alpha = {denom:.3e} for pair ({j},{k})")
-        slot = extract_pair_slot(filtered, (j, k), plan)
-        _, length = plan.slot(j, k)
-        own_word = np.zeros(length, dtype=np.complex128)
-        v_own = own.get(k, j)
-        own_word[: v_own.shape[0]] = v_own
-        cleaned = slot / (gamma * beta_k) - alphas[k - 1] * own_word
-        estimates[(j, k)] = cleaned[: plan.stream_lengths[(j, k)]] / alphas[j - 1]
+    cleaned = filtered / (gamma * beta_k) - alphas[k - 1] * own_word
+    estimates = {}
+    for j in partners:
+        slot = extract_pair_slot(cleaned, (j, k), plan)
+        estimates[(j, k)] = slot[: plan.stream_lengths[(j, k)]] / alphas[j - 1]
     return estimates
 
 
@@ -237,16 +238,13 @@ def effective_snr(cfg: SystemConfig, ch: ChannelSet, plan: StreamPlan, mode: str
         if length == 0:
             continue
         off, _ = plan.slot(j, k)
-        snr_up = alphas[j - 1] ** 2 / cfg.noise_variance
+        snr_up = alphas[j - 1] ** 2
         beta_k = left[k - 1].beta
         down = []
         rate = 0.0
         for i in range(length):
             row = (off + i) % cfg.N
-            snr_dl = float(
-                gamma_sq * (beta_k**2) * (alphas[j - 1] ** 2)
-                / (noise_rows[k - 1][row] * cfg.noise_variance)
-            )
+            snr_dl = float(gamma_sq * (beta_k**2) * (alphas[j - 1] ** 2) / noise_rows[k - 1][row])
             down.append(snr_dl)
             eff = snr_dl if mode == GENIE else min(snr_up, snr_dl)
             rate += math.log2(1.0 + eff)
@@ -323,7 +321,6 @@ def run_round(
         symbols = sample_stream_symbols(plan, seed)
     symbols.check_plan(plan)
     noise_rng = rng_for(seed, STREAM_NOISE) if noise else None
-    noise_scale = math.sqrt(cfg.noise_variance)
 
     words = [assemble_uplink_symbol(j, symbols, plan) for j in range(1, cfg.K + 1)]
     truth = network_coded_word(words, alphas)
@@ -331,7 +328,7 @@ def run_round(
     power_ok = True
     y_parts = []
     for chunk_set in zip(*(_chunks(w, cfg.N) for w in words)):
-        z = noise_scale * complex_normal(noise_rng, cfg.N) if noise else None
+        z = complex_normal(noise_rng, cfg.N) if noise else None
         y, use_ok = relay_observe(cfg, ch, chunk_set, z)
         power_ok = power_ok and use_ok
         y_parts.append(y)
@@ -346,7 +343,7 @@ def run_round(
     for k in range(1, cfg.K + 1):
         filt_parts = []
         for x_chunk in _chunks(x_word, cfg.N):
-            z = noise_scale * complex_normal(noise_rng, cfg.M) if noise else None
+            z = complex_normal(noise_rng, cfg.M) if noise else None
             y_k = downlink_propagate(ch.downlink[k - 1], x_chunk, z)
             filt_parts.append(user_postcode(y_k, left[k - 1]))
         filtered = np.concatenate(filt_parts)
@@ -357,7 +354,7 @@ def run_round(
                     estimates[(j, k)] = np.zeros(plan.stream_lengths[(j, k)], dtype=np.complex128)
         else:
             estimates.update(
-                user_recover(filtered, k, symbols, plan, alphas, gamma, left[k - 1].beta)
+                user_recover(filtered, k, words[k - 1], plan, alphas, gamma, left[k - 1].beta)
             )
 
     for (j, k), v_hat in estimates.items():

@@ -8,6 +8,7 @@ runs the CLI end to end: the `yrelay` console script when it is on PATH, and
 import json
 import os
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -20,12 +21,14 @@ except ModuleNotFoundError:  # Python 3.10
     tomllib = None
 
 import yrelay.__main__
+import yrelay.cli
 from yrelay.alignment import DofVector, build_stream_plan
 from yrelay.channel import SystemConfig, sample_channels
 from yrelay.cli import (
     EXIT_FAILURE,
     EXIT_OK,
     EXIT_USAGE,
+    OPTIONS,
     load_config,
     main,
     parse_dof_spec,
@@ -36,6 +39,7 @@ from yrelay.transceiver import RAW, run_round
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "sweep_small.csv"
 PYPROJECT = pathlib.Path(__file__).parents[1] / "pyproject.toml"
+README = pathlib.Path(__file__).parents[1] / "README.md"
 SWEEP_ARGS = [
     "--quiet", "sweep", "--k", "3", "--m", "4", "--n", "3", "--dof", "uniform:1",
     "--sweep-db", "10:10:30", "--trials", "5", "--seed", "42", "--mode", "genie",
@@ -284,6 +288,70 @@ def test_config_errors_exit_two(tmp_path, capsys):
     code, _, err = run_cli(capsys, "--config", str(unknown), "dof", "sumdof")
     assert code == EXIT_USAGE
     assert "unknown config key" in err
+
+
+def test_readme_experiment_cfg_runs(tmp_path, capsys):
+    # the example file from the README, verbatim
+    block = re.search(r"```ini\n(# experiment\.cfg\n.*?)```", README.read_text(), re.S)
+    cfg = tmp_path / "experiment.cfg"
+    cfg.write_text(block.group(1))
+    code, from_file, _ = run_cli(capsys, "--config", str(cfg), "--quiet", "sweep", "--out", "json")
+    assert code == EXIT_OK
+    code, from_flags, _ = run_cli(
+        capsys, "--quiet", "sweep", "--k", "4", "--m", "6", "--n", "6", "--dof", "uniform:1",
+        "--sweep-db", "30:5:60", "--trials", "200", "--seed", "0", "--out", "json",
+    )
+    assert code == EXIT_OK
+    assert from_file == from_flags
+    assert len(json.loads(from_file)["rows"]) == 7
+
+    # keys that `dof sumdof` has no flag for are ignored
+    code, out, _ = run_cli(capsys, "--config", str(cfg), "dof", "sumdof")
+    assert code == EXIT_OK
+    assert json.loads(out)["sum_dof"] == "12"
+
+
+def test_config_values_parse_like_flags(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("mode = raw\nnoise = off\npower_db = 30\n")
+    code, out, _ = run_cli(capsys, "--config", str(cfg), "simulate")
+    assert code == EXIT_OK
+    blob = json.loads(out)
+    assert (blob["mode"], blob["noisy"]) == ("raw", False)
+    code, out, _ = run_cli(capsys, "--config", str(cfg), "simulate", "--noise", "--mode", "genie")
+    assert code == EXIT_OK
+    blob = json.loads(out)
+    assert (blob["mode"], blob["noisy"]) == ("genie", True)
+
+
+@pytest.mark.parametrize(
+    "line, command",
+    [
+        ("sweep_db = oops", "sweep"),
+        ("out = xml", "sweep"),
+        ("k = x", "sweep"),
+        ("noise = maybe", "sweep"),
+        ("mode = foo", "simulate"),
+        ("mode = foo", "sweep"),
+    ],
+)
+def test_bad_config_value_exits_two(tmp_path, capsys, line, command):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = run_cli(capsys, "--config", str(cfg), command)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "config error" in err
+    assert line.split(" = ")[0] in err
+    assert "Traceback" not in err
+
+
+def test_documented_config_keys_match_option_table():
+    keys = list(OPTIONS)
+    readme = re.search(r"Recognized keys: `([^`]+)`", README.read_text()).group(1)
+    assert re.split(r",\s+", readme) == keys
+    doc = re.search(r"with underscores \(([^)]+)\)", yrelay.cli.__doc__).group(1)
+    assert re.split(r",\s+", doc) == keys
 
 
 def exit_code(argv):

@@ -95,7 +95,7 @@ def test_cycle_point_membership():
     assert values == {3, 6}
 
 
-def test_membership_relabel_invariance():
+def test_membership_relabel_invariance(relabel):
     rng = random.Random(5)
     for _ in range(40):
         d = DofVector(4, {
@@ -105,7 +105,7 @@ def test_membership_relabel_invariance():
         perm = list(range(1, 5))
         rng.shuffle(perm)
         sigma = {i + 1: perm[i] for i in range(4)}
-        assert is_member(d.relabel(sigma), SPEC46).member == base
+        assert is_member(relabel(d, sigma), SPEC46).member == base
 
 
 def test_membership_downscaling():
@@ -186,12 +186,6 @@ def test_gap_probe_returns_valid_witness():
     assert is_member(w, SPEC46).member
     ok, total = construction_feasible(w, 6)
     assert not ok and total > 6
-
-
-def test_gap_probe_restricted_to_one_pair_finds_none():
-    # with a single bidirectional pair the region boundary and the
-    # construction bound coincide, so no witness exists
-    assert find_construction_gap(SPEC46, pairs=((1, 2),)) is None
 
 
 def test_cycle_is_a_pinned_witness():

@@ -186,6 +186,25 @@ def test_channels_shared_across_power_points():
     assert rep.rows[1].mean_stream_snr == pytest.approx(10 * rep.rows[0].mean_stream_snr, rel=1e-9)
 
 
+def test_sweep_counts_power_violations():
+    # at P = 1 (0 dB) a unit-norm precoder on a unit-variance word often
+    # exceeds the budget; at 30 dB it never does
+    cfg = ExperimentConfig(
+        system=SystemConfig(K=4, M=6, N=6, P=1.0),
+        dof=DofVector.uniform(4, Fraction(1)),
+        sweep_db=(0.0, 30.0),
+        trials=50,
+        seed=0,
+    )
+    rep = run_sweep(cfg)
+    low, high = rep.rows
+    assert 0 < low.power_violations <= cfg.trials
+    assert high.power_violations == 0
+    rows = json.loads(rep.to_json_bytes())["rows"]
+    assert [r["power_violations"] for r in rows] == [low.power_violations, 0]
+    assert "power_violations" not in rep.to_csv_bytes().decode()
+
+
 def counted(fn, calls, key):
     def wrapper(*args, **kwargs):
         calls[key] += 1

@@ -236,16 +236,26 @@ def test_postcode_noiseless_chain():
 def test_recover_keys_exclude_own_messages():
     plan = build_stream_plan(ALL_ONES, 6)
     sym = sample_stream_symbols(plan, seed=17)
-    est = user_recover(np.zeros(6), 2, sym, plan, [0.5] * 4, 1.0, 0.5)
+    own = assemble_uplink_symbol(2, sym, plan)
+    est = user_recover(np.zeros(6), 2, own, plan, [0.5] * 4, 1.0, 0.5)
     assert set(est) == {(1, 2), (3, 2), (4, 2)}
 
 
 def test_recover_zero_symbols_zero_estimates():
     plan = build_stream_plan(ALL_ONES, 6)
     zeros = StreamSymbols(4, {p: np.zeros(1) for p in ordered_pairs(4)})
-    est = user_recover(np.zeros(6), 1, zeros, plan, [0.5] * 4, 2.0, 0.5)
+    own = assemble_uplink_symbol(1, zeros, plan)
+    est = user_recover(np.zeros(6), 1, own, plan, [0.5] * 4, 2.0, 0.5)
     for v in est.values():
         assert np.allclose(v, 0.0)
+
+
+def test_recover_rejects_word_of_other_length():
+    plan = build_stream_plan(ALL_ONES, 6)
+    with pytest.raises(DimensionError):
+        user_recover(np.zeros(6), 1, np.zeros(1), plan, [0.5] * 4, 1.0, 0.5)
+    with pytest.raises(DimensionError):
+        user_recover(np.zeros(1), 1, np.zeros(6), plan, [0.5] * 4, 1.0, 0.5)
 
 
 # ----------------------------------------------------------------- full round
