@@ -68,10 +68,6 @@ class DofVector:
     def total(self) -> Fraction:
         return sum(self._d.values(), Fraction(0))
 
-    def scaled(self, c) -> "DofVector":
-        c = Fraction(c)
-        return DofVector(self.K, {p: v * c for p, v in self._d.items()})
-
     def __eq__(self, other):
         return isinstance(other, DofVector) and self.K == other.K and self._d == other._d
 
@@ -128,9 +124,6 @@ class StreamPlan:
     @property
     def word_length(self) -> int:
         return self.T * self.N
-
-    def pairs(self):
-        return user_pairs(self.K)
 
     def slot(self, j: int, k: int):
         """(offset, length) of the slot shared by users j and k."""

@@ -144,12 +144,15 @@ OPTIONS = {
 }
 
 
-def parse_option(name: str, text: str):
-    """A config-file value of option `name`, parsed as its flag would be."""
+def parse_option(name: str, text: str, k_users: int):
+    """A config-file value of option `name`, parsed as its flag would be; a
+    `dof` value is also parsed against `k_users`, so its errors name the key."""
     kwargs = OPTIONS[name][1]
     parse = _parse_bool if name == "noise" else kwargs.get("type", str)
     try:
         value = parse(text)
+        if name == "dof":
+            parse_dof_spec(value, k_users)
     except (ValueError, argparse.ArgumentTypeError) as exc:
         raise ValueError(f"{name} = {text!r}: {exc}") from None
     if "choices" in kwargs and value not in kwargs["choices"]:
@@ -165,7 +168,8 @@ def apply_config(args: argparse.Namespace, raw: dict) -> None:
             raise ValueError(f"unknown config key {key!r}")
     for name, (default, _) in OPTIONS.items():
         if hasattr(args, name) and getattr(args, name) is None:
-            setattr(args, name, parse_option(name, raw[name]) if name in raw else default)
+            k_users = getattr(args, "k", None)  # filled first: `k` precedes `dof`
+            setattr(args, name, parse_option(name, raw[name], k_users) if name in raw else default)
 
 
 def _emit(data: bytes) -> None:
@@ -349,6 +353,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a separate `--sweep-db -10:10:40` value for a flag: join the two
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] == "--sweep-db" and argv[i][:1] == "-" and argv[i][1:2].isdigit():
+            argv[i - 1 : i + 1] = [f"--sweep-db={argv[i]}"]
     args = build_parser().parse_args(argv)
     try:
         apply_config(args, load_config(args.config) if args.config is not None else {})

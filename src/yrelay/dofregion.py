@@ -93,17 +93,15 @@ def is_member(d: DofVector, spec: RegionSpec) -> MembershipVerdict:
     return MembershipVerdict(member=True, witness=None, tight=tuple(tight), max_value=best)
 
 
-def _permutation_rows(k_users: int, variables):
-    """0/1 constraint matrix: one row per permutation over the given variables."""
-    index = {pair: i for i, pair in enumerate(variables)}
+def _permutation_rows(k_users: int):
+    """0/1 constraint matrix: one row per permutation, columns in `ordered_pairs` order."""
+    index = {pair: i for i, pair in enumerate(ordered_pairs(k_users))}
     rows = []
     for p in itertools.permutations(range(1, k_users + 1)):
-        row = [Fraction(0)] * len(variables)
+        row = [Fraction(0)] * len(index)
         for a in range(k_users):
             for b in range(a + 1, k_users):
-                col = index.get((p[a], p[b]))
-                if col is not None:
-                    row[col] = Fraction(1)
+                row[index[(p[a], p[b])]] = Fraction(1)
         rows.append(row)
     return rows
 
@@ -117,7 +115,7 @@ def sum_dof_max(spec: RegionSpec):
     if spec.K > SUMDOF_MAX_USERS:
         raise TooLarge(f"sum-DoF LP guarded at K <= {SUMDOF_MAX_USERS}")
     variables = ordered_pairs(spec.K)
-    rows = _permutation_rows(spec.K, variables)
+    rows = _permutation_rows(spec.K)
     rhs = [Fraction(spec.N)] * len(rows)
     objective = [Fraction(1)] * len(variables)
     res = solve_max(objective, rows, rhs)
@@ -147,7 +145,7 @@ def find_construction_gap(spec: RegionSpec) -> DofVector | None:
         raise TooLarge(f"gap probe guarded at K <= {GAP_MAX_USERS}")
     pairs = user_pairs(spec.K)
     variables = ordered_pairs(spec.K)
-    rows = _permutation_rows(spec.K, variables)
+    rows = _permutation_rows(spec.K)
     rhs = [Fraction(spec.N)] * len(rows)
     index = {pair: i for i, pair in enumerate(variables)}
 
@@ -177,9 +175,10 @@ def vertices_k3(n_relay: int):
         raise TooLarge(f"vertex enumeration guarded at N <= {VERTICES_MAX_N}")
     if n_relay < 1:
         raise ValueError(f"need N >= 1, got {n_relay}")
+    spec = RegionSpec(K=3, N=n_relay)
     variables = ordered_pairs(3)
     dim = len(variables)
-    perm_rows = _permutation_rows(3, variables)
+    perm_rows = _permutation_rows(3)
     nonneg_rows = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
     rows = perm_rows + nonneg_rows
     rhs = [Fraction(n_relay)] * len(perm_rows) + [Fraction(0)] * dim
@@ -188,18 +187,14 @@ def vertices_k3(n_relay: int):
     vertices = []
     for subset in itertools.combinations(range(len(rows)), dim):
         solution = solve_linear([rows[i] for i in subset], [rhs[i] for i in subset])
-        if solution is None:
-            continue
-        if any(v < 0 for v in solution):
-            continue
-        if any(
-            sum(r * x for r, x in zip(perm_rows[i], solution)) > n_relay
-            for i in range(len(perm_rows))
-        ):
+        if solution is None or any(v < 0 for v in solution):
             continue
         key = tuple(solution)
-        if key not in seen:
-            seen.add(key)
-            vertices.append(DofVector(3, dict(zip(variables, solution))))
+        if key in seen:
+            continue
+        seen.add(key)
+        vertex = DofVector(3, dict(zip(variables, solution)))
+        if is_member(vertex, spec).member:
+            vertices.append(vertex)
     vertices.sort(key=lambda v: v.as_tuple())
     return vertices

@@ -36,59 +36,33 @@ def well_conditioned(s) -> bool:
     return s[0] > 0 and s[-1] / s[0] >= RANK_TOL
 
 
-def _check_conditioning(m: np.ndarray, side: str) -> np.ndarray:
-    """Singular values of `m`, raising RankDeficient below the rank threshold."""
-    s = np.linalg.svd(m, compute_uv=False)
+def _unit_pinv(a, right: bool) -> tuple[np.ndarray, float]:
+    """Minimum-norm pseudo-inverse G of `a` scaled to unit Frobenius norm: (c * G, c).
+
+    With `right`, `a` is wide and G = A^H (A A^H)^{-1} (A @ G = I); otherwise
+    `a` is tall and G = (A^H A)^{-1} A^H (G @ A = I). A Gram matrix too
+    ill-conditioned to invert reliably falls back to the SVD route. The side
+    is explicit: a square `a` fits both, and there the formulas differ in the
+    last bits. c^{-2} = tr(G^H G).
+    """
+    a = as_complex_matrix(a)
+    side, (n, m) = ("right", a.shape) if right else ("left", a.shape[::-1])
+    if n > m:
+        want = "wide" if right else "tall"
+        raise DimensionError(f"{side} inverse needs a {want} matrix, got {a.shape[0]}x{a.shape[1]}")
+    s = np.linalg.svd(a, compute_uv=False)
     if not well_conditioned(s):
+        ratio = 0.0 if s[0] == 0 else s[-1] / s[0]
         raise RankDeficient(
-            f"{side} inverse needs a well-conditioned matrix: "
-            f"sigma_min/sigma_max = {0.0 if s[0] == 0 else s[-1] / s[0]:.3e}"
-        )
-    return s
-
-
-def right_pseudo_inverse(h) -> np.ndarray:
-    """Minimum-norm right inverse G of a wide matrix: H @ G = I.
-
-    Computed as H^H (H H^H)^{-1}; falls back to the SVD route when the Gram
-    matrix H H^H is too ill-conditioned to invert reliably.
-
-    Parameters
-    ----------
-    h : array_like, shape (N, M) with N <= M
-        Full row rank complex matrix.
-
-    Raises
-    ------
-    DimensionError : if N > M.
-    RankDeficient : if sigma_min/sigma_max < RANK_TOL.
-    """
-    h = as_complex_matrix(h)
-    n, m = h.shape
-    if n > m:
-        raise DimensionError(f"right inverse needs rows <= cols, got {n}x{m}")
-    s = _check_conditioning(h, "right")
+            f"{side} inverse needs a well-conditioned matrix: sigma_min/sigma_max = {ratio:.3e}")
+    ah = a.conj().T
     if (s[0] / s[-1]) ** 2 > GRAM_COND_LIMIT:
-        return np.linalg.pinv(h)
-    gram = h @ h.conj().T
-    return h.conj().T @ np.linalg.inv(gram)
-
-
-def left_pseudo_inverse(d) -> np.ndarray:
-    """Minimum-norm left inverse G of a tall matrix: G @ D = I.
-
-    Computed as (D^H D)^{-1} D^H, with the same SVD fallback and conditioning
-    guard as `right_pseudo_inverse`.
-    """
-    d = as_complex_matrix(d)
-    m, n = d.shape
-    if n > m:
-        raise DimensionError(f"left inverse needs cols <= rows, got {m}x{n}")
-    s = _check_conditioning(d, "left")
-    if (s[0] / s[-1]) ** 2 > GRAM_COND_LIMIT:
-        return np.linalg.pinv(d)
-    gram = d.conj().T @ d
-    return np.linalg.inv(gram) @ d.conj().T
+        g = np.linalg.pinv(a)
+    else:
+        gram_inv = np.linalg.inv(a @ ah if right else ah @ a)
+        g = ah @ gram_inv if right else gram_inv @ ah
+    c = 1.0 / math.sqrt(float(np.sum(np.abs(g) ** 2)))
+    return c * g, c
 
 
 @dataclass(frozen=True)
@@ -108,24 +82,14 @@ class NormalizedLeftMppi:
 
 
 def normalized_right_mppi(h) -> NormalizedRightMppi:
-    """Right pseudo-inverse rescaled to unit Frobenius norm.
+    """Right pseudo-inverse of a wide H at unit Frobenius norm.
 
-    With G = right_pseudo_inverse(H) and alpha^{-2} = tr(G^H G), the returned
-    matrix is alpha * G, so H @ matrix = alpha * I_N and tr(matrix^H matrix) = 1.
-    A white input with per-component variance s^2 then produces a transmit
-    vector of expected total power s^2.
+    H @ matrix = alpha * I_N, so a white input with per-component variance s^2
+    is sent at expected total power s^2.
     """
-    g = right_pseudo_inverse(h)
-    alpha = 1.0 / math.sqrt(float(np.sum(np.abs(g) ** 2)))
-    return NormalizedRightMppi(matrix=alpha * g, alpha=alpha)
+    return NormalizedRightMppi(*_unit_pinv(h, right=True))
 
 
 def normalized_left_mppi(d) -> NormalizedLeftMppi:
-    """Left pseudo-inverse rescaled to unit Frobenius norm.
-
-    Mirror of `normalized_right_mppi`: matrix @ D = beta * I_N with
-    tr(matrix^H matrix) = 1.
-    """
-    g = left_pseudo_inverse(d)
-    beta = 1.0 / math.sqrt(float(np.sum(np.abs(g) ** 2)))
-    return NormalizedLeftMppi(matrix=beta * g, beta=beta)
+    """Left pseudo-inverse of a tall D at unit Frobenius norm: matrix @ D = beta * I_N."""
+    return NormalizedLeftMppi(*_unit_pinv(d, right=False))

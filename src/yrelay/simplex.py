@@ -19,6 +19,17 @@ def _frac_matrix(rows):
     return [[Fraction(v) for v in row] for row in rows]
 
 
+def _pivot(tab, row: int, col: int) -> None:
+    """Gauss-Jordan step in place: scale `row` to a unit entry at `col`, then
+    clear `col` from every other row."""
+    pivot = tab[row][col]
+    tab[row] = [v / pivot for v in tab[row]]
+    for r, other in enumerate(tab):
+        if r != row and other[col] != 0:
+            factor = other[col]
+            tab[r] = [v - factor * p for v, p in zip(other, tab[row])]
+
+
 def solve_linear(a, b):
     """Exact solution of a square system, or None when singular."""
     n = len(a)
@@ -28,12 +39,7 @@ def solve_linear(a, b):
         if pivot is None:
             return None
         m[col], m[pivot] = m[pivot], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [v * inv for v in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [v - factor * p for v, p in zip(m[r], m[col])]
+        _pivot(m, col, col)
     return [m[r][n] for r in range(n)]
 
 
@@ -79,12 +85,7 @@ def solve_max(c, a, b) -> LpResult:
         if not ratios:
             raise LpError("unbounded linear program")
         _, _, row = min(ratios)  # Bland: min ratio, ties by smallest basis index
-        pivot = tab[row][enter]
-        tab[row] = [v / pivot for v in tab[row]]
-        for r in range(m + 1):
-            if r != row and tab[r][enter] != 0:
-                factor = tab[r][enter]
-                tab[r] = [v - factor * p for v, p in zip(tab[r], tab[row])]
+        _pivot(tab, row, enter)
         basis[row] = enter
         iterations += 1
 

@@ -276,9 +276,6 @@ class RoundResult:
     mode: str
     noisy: bool
 
-    def max_rel_error(self) -> float:
-        return max(self.rel_errors.values(), default=0.0)
-
     def to_dict(self) -> dict:
         return {
             "mode": self.mode,

@@ -4,6 +4,7 @@ Run `pytest -s tests/test_acceptance.py` to see the per-criterion lines;
 a plain `pytest` run enforces the same assertions with capture on.
 """
 
+import hashlib
 import time
 from fractions import Fraction
 
@@ -22,6 +23,8 @@ from yrelay.dofregion import (
 from yrelay.harness import ExperimentConfig, run_sweep
 from yrelay.linalg import normalized_left_mppi, normalized_right_mppi
 from yrelay.transceiver import GENIE, relay_observe, run_round
+
+CRITERION4_SHA256 = "a1eba261f300b0fe56121170e53879b5043d4fdff79981f3024bc3b718d3d47b"
 
 
 class _verdict:
@@ -107,6 +110,7 @@ def test_criterion_3_noiseless_round_trip():
 def test_criterion_4_rate_slope_tracks_total_dof():
     # Genie sweep 30..60 dB, 200 trials/point: the sum-rate-proxy slope in
     # log2(P) lands within 5% of 12 (= 2N for N=6), in under two minutes.
+    # The CSV digest pins the bytes of the square (M = N) inverse route.
     with _verdict(4, "rate slope tracks total streams"):
         start = time.perf_counter()
         cfg = ExperimentConfig(
@@ -119,6 +123,7 @@ def test_criterion_4_rate_slope_tracks_total_dof():
         report = run_sweep(cfg)
         assert report.slope is not None
         assert 11.4 <= report.slope <= 12.6
+        assert hashlib.sha256(report.to_csv_bytes()).hexdigest() == CRITERION4_SHA256
         assert time.perf_counter() - start < 120.0
 
 

@@ -74,11 +74,6 @@ def test_dof_relabel_roundtrip(relabel):
     assert relabel(r, inverse) == d
 
 
-def test_dof_scaled():
-    d = DofVector(4, {(1, 2): Fraction(3)})
-    assert d.scaled(Fraction(1, 3)).get(1, 2) == Fraction(1)
-
-
 # -------------------------------------------------------------- plan lengths
 
 
@@ -126,11 +121,11 @@ def test_minimal_extension_matches_lcm_oracle():
 def test_all_ones_plan():
     plan = build_stream_plan(DofVector.uniform(4, Fraction(1)), 6)
     assert plan.T == 1
-    assert all(plan.lengths[p] == 1 for p in plan.pairs())
+    assert all(plan.lengths[p] == 1 for p in user_pairs(plan.K))
     assert plan.padding == 0
     assert plan.word_length == 6
     # consecutive lexicographic offsets
-    assert [plan.slot(j, k)[0] for j, k in plan.pairs()] == [0, 1, 2, 3, 4, 5]
+    assert [plan.slot(j, k)[0] for j, k in user_pairs(plan.K)] == [0, 1, 2, 3, 4, 5]
 
 
 def test_plan_infeasible_single_pair():

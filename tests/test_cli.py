@@ -38,6 +38,7 @@ from yrelay.harness import SUBSEED_CHANNEL, db_to_linear, derive_seed
 from yrelay.transceiver import RAW, run_round
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "sweep_small.csv"
+GOLDEN_EXT = pathlib.Path(__file__).parent / "golden" / "sweep_ext.csv"
 PYPROJECT = pathlib.Path(__file__).parents[1] / "pyproject.toml"
 README = pathlib.Path(__file__).parents[1] / "README.md"
 SWEEP_ARGS = [
@@ -197,6 +198,29 @@ def test_sweep_matches_golden_csv(capsys):
     assert out.encode() == GOLDEN.read_bytes()
 
 
+def test_sweep_matches_golden_ext_csv(capsys):
+    # K=5, M=8, N=6 at T=4: wide uplink and tall downlink inverses. Genie
+    # mode, so uplink power scaling does not reach these bytes.
+    code, out, _ = run_cli(
+        capsys, "--quiet", "sweep", "--k", "5", "--m", "8", "--n", "6", "--dof", "uniform:1/4",
+        "--sweep-db", "10:10:30", "--trials", "4", "--seed", "42", "--mode", "genie", "--out", "csv",
+    )
+    assert code == EXIT_OK
+    assert out.encode() == GOLDEN_EXT.read_bytes()
+
+
+def test_sweep_db_takes_separate_negative_value(capsys):
+    # argparse alone reads `-10:10:10` as a flag and exits 2
+    base = ["--quiet", "sweep", "--k", "3", "--m", "4", "--n", "3", "--trials", "2"]
+    code, separate, _ = run_cli(capsys, *base, "--sweep-db", "-10:10:10")
+    assert code == EXIT_OK
+    code, joined, _ = run_cli(capsys, *base, "--sweep-db=-10:10:10")
+    assert code == EXIT_OK
+    assert separate.encode() == joined.encode()
+    assert [line.split(",")[0] for line in separate.splitlines()[2:5]] == ["-10.0", "0.0", "10.0"]
+    assert exit_code([*base, "--sweep-db", "-10:oops"]) == EXIT_USAGE
+
+
 def test_sweep_repeat_is_byte_identical(capsys):
     _, first, _ = run_cli(capsys, *SWEEP_ARGS)
     _, second, _ = run_cli(capsys, *SWEEP_ARGS)
@@ -333,6 +357,7 @@ def test_config_values_parse_like_flags(tmp_path, capsys):
         ("noise = maybe", "sweep"),
         ("mode = foo", "simulate"),
         ("mode = foo", "sweep"),
+        ("dof = banana", "plan"),
     ],
 )
 def test_bad_config_value_exits_two(tmp_path, capsys, line, command):

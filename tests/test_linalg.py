@@ -1,8 +1,11 @@
 """Normalized pseudo-inverse tests.
 
-The independent oracle is an explicit SVD reconstruction (economy SVD,
-invert nonzero singular values); the library path uses the Gram formula,
-so agreement is a real cross-check, not a tautology.
+The library exposes only the unit-Frobenius-norm inverses; the raw
+pseudo-inverse G is read back from them as matrix / alpha (right) or
+matrix / beta (left). The independent oracle is an explicit SVD
+reconstruction (economy SVD, invert nonzero singular values); the library
+path uses the Gram formula, so agreement is a real cross-check, not a
+tautology.
 """
 
 import math
@@ -16,12 +19,22 @@ from yrelay.linalg import (
     RANK_TOL,
     TRACE_TOL,
     as_complex_matrix,
-    left_pseudo_inverse,
     normalized_left_mppi,
     normalized_right_mppi,
-    right_pseudo_inverse,
     well_conditioned,
 )
+
+
+def raw_right_inverse(h):
+    """Raw right inverse G with H @ G = I, unscaled from the normalized form."""
+    r = normalized_right_mppi(h)
+    return r.matrix / r.alpha
+
+
+def raw_left_inverse(d):
+    """Raw left inverse G with G @ D = I, unscaled from the normalized form."""
+    l = normalized_left_mppi(d)
+    return l.matrix / l.beta
 
 
 def svd_pinv(a):
@@ -34,16 +47,16 @@ def random_complex(rng, rows, cols):
     return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / math.sqrt(2)
 
 
-# ---------------------------------------------------------------- raw inverses
+# ------------------------------------------------- raw inverses, unscaled
 
 
 def test_right_pinv_identity():
-    g = right_pseudo_inverse(np.eye(2))
+    g = raw_right_inverse(np.eye(2))
     assert np.allclose(g, np.eye(2), atol=1e-14)
 
 
 def test_right_pinv_scalar():
-    g = right_pseudo_inverse(np.array([[2.0]]))
+    g = raw_right_inverse(np.array([[2.0]]))
     assert np.allclose(g, [[0.5]], atol=1e-15)
 
 
@@ -51,17 +64,17 @@ def test_right_pinv_matches_svd_oracle():
     rng = np.random.default_rng(101)
     for _ in range(50):
         h = random_complex(rng, 2, 3)
-        g = right_pseudo_inverse(h)
+        g = raw_right_inverse(h)
         assert np.max(np.abs(g - svd_pinv(h))) <= 1e-10
 
 
 def test_left_pinv_identity():
-    assert np.allclose(left_pseudo_inverse(np.eye(3)), np.eye(3), atol=1e-14)
+    assert np.allclose(raw_left_inverse(np.eye(3)), np.eye(3), atol=1e-14)
 
 
 def test_left_pinv_least_squares_row():
     # D = [0; 2] is tall rank-1; the left inverse is the least-squares row.
-    g = left_pseudo_inverse(np.array([[0.0], [2.0]]))
+    g = raw_left_inverse(np.array([[0.0], [2.0]]))
     assert np.allclose(g, [[0.0, 0.5]], atol=1e-15)
 
 
@@ -69,27 +82,27 @@ def test_left_pinv_matches_svd_oracle():
     rng = np.random.default_rng(102)
     for _ in range(50):
         d = random_complex(rng, 4, 2)
-        g = left_pseudo_inverse(d)
+        g = raw_left_inverse(d)
         assert np.max(np.abs(g - svd_pinv(d))) <= 1e-10
 
 
 def test_right_pinv_rejects_tall_input():
     with pytest.raises(DimensionError):
-        right_pseudo_inverse(np.ones((3, 2)))
+        raw_right_inverse(np.ones((3, 2)))
 
 
 def test_left_pinv_rejects_wide_input():
     with pytest.raises(DimensionError):
-        left_pseudo_inverse(np.ones((2, 3)))
+        raw_left_inverse(np.ones((2, 3)))
 
 
 def test_rank_deficient_rejected():
     row = np.array([1.0 + 1j, 2.0, -0.5j])
     h = np.vstack([row, 2 * row])  # rank 1, two rows
     with pytest.raises(RankDeficient):
-        right_pseudo_inverse(h)
+        raw_right_inverse(h)
     with pytest.raises(RankDeficient):
-        left_pseudo_inverse(h.conj().T)
+        raw_left_inverse(h.conj().T)
 
 
 def test_rejects_nonfinite_entries():
@@ -163,7 +176,7 @@ def test_scaling_identities():
     rng = np.random.default_rng(106)
     h = random_complex(rng, 3, 5)
     for c in (0.25, 2.0, 17.5):
-        assert np.allclose(right_pseudo_inverse(c * h), right_pseudo_inverse(h) / c, rtol=1e-11)
+        assert np.allclose(raw_right_inverse(c * h), raw_right_inverse(h) / c, rtol=1e-11)
         base, scaled = normalized_right_mppi(h), normalized_right_mppi(c * h)
         assert abs(scaled.alpha - c * base.alpha) <= 1e-11 * base.alpha
         assert np.allclose(scaled.matrix, base.matrix, rtol=1e-11)
@@ -176,7 +189,7 @@ def test_gram_and_svd_agree_when_well_conditioned():
         h = random_complex(rng, 4, 6)
         if np.linalg.cond(h) > 1e6:
             continue
-        assert np.max(np.abs(right_pseudo_inverse(h) - svd_pinv(h))) <= 1e-9
+        assert np.max(np.abs(raw_right_inverse(h) - svd_pinv(h))) <= 1e-9
         checked += 1
 
 
