@@ -130,6 +130,18 @@ def test_dof_vertices(capsys):
     assert blob["count"] == 12
 
 
+DOF_GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden" / "dof_outputs.json").read_text())
+
+
+@pytest.mark.parametrize("case", DOF_GOLDEN, ids=lambda case: " ".join(case["argv"][1:]))
+def test_dof_output_matches_golden(capsysbinary, case):
+    # recorded with the K!-enumeration region tools: any faster oracle
+    # must reproduce the same bytes and exit codes
+    code = main(list(case["argv"]))
+    assert code == case["exit"]
+    assert capsysbinary.readouterr().out == case["stdout"].encode()
+
+
 # ------------------------------------------------------------ plan / simulate
 
 
