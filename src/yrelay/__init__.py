@@ -28,6 +28,7 @@ from .errors import (
     ScalarUnderflow,
     TooLarge,
     Underdetermined,
+    WitnessInvalid,
     YRelayError,
 )
 from .harness import ExperimentConfig, SweepReport, derive_seed, fit_slope, run_sweep
@@ -57,6 +58,7 @@ __all__ = [
     "SystemConfig",
     "TooLarge",
     "Underdetermined",
+    "WitnessInvalid",
     "YRelayError",
     "build_stream_plan",
     "construction_feasible",

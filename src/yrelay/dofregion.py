@@ -6,6 +6,14 @@ the users, sum over positions a < b of d[p_a -> p_b] <= N. Membership,
 sum-DoF maximization, the direct-construction feasibility predicate
 (sum of per-pair maxima <= N), and a probe for points separating the two
 are all computed without floating point.
+
+No tool walks the K! orderings. The Held-Karp subset DP gives the largest
+ordering sum over the 2^K user subsets, in ints (entries scaled by the lcm of
+their denominators); a lexicographic search pruned by its table finds the
+first violating ordering and lists the tight ones. The LPs add the DP's
+violating ordering as a row until the optimum is a member (cutting planes):
+the simplex certificate on those rows, with zero duals for the rest, and the
+DP's feasibility verdict certify the optimum for all K! rows.
 """
 
 from __future__ import annotations
@@ -14,13 +22,13 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .alignment import DofVector, ordered_pairs, user_pairs
-from .errors import TooLarge
+from .alignment import DofVector, minimal_extension, ordered_pairs, user_pairs
+from .errors import TooLarge, WitnessInvalid
 from .simplex import solve_linear, solve_max, verify_certificate
 
-MEMBERSHIP_MAX_USERS = 8   # K! permutation enumeration guard
-SUMDOF_MAX_USERS = 5       # full-constraint LP guard
-GAP_MAX_USERS = 4          # 2^(pairs) direction-selection LPs
+ORACLE_MAX_USERS = 16    # the ordering DP tabulates all 2^K user subsets
+TIGHT_LIST_MAX = 40320   # 8!, every ordering of 8 users
+GAP_MAX_USERS = 5        # 2^(K(K-1)/2) direction selections, one LP each
 VERTICES_MAX_N = 100
 
 
@@ -40,10 +48,13 @@ class RegionSpec:
 
 @dataclass(frozen=True)
 class MembershipVerdict:
-    """Outcome of the exhaustive permutation check.
+    """Outcome of the check of all ordering constraints.
 
-    When violated, `witness` is (permutation, exact constraint value > N).
-    When member, `tight` lists the permutations meeting N with equality.
+    When violated, `witness` is (permutation, exact constraint value > N)
+    for the lexicographically first violating permutation, and `max_value`
+    is that value. When member, `tight` lists the permutations meeting N
+    with equality in lexicographic order, and `max_value` is the largest
+    constraint value.
     """
 
     member: bool
@@ -74,54 +85,138 @@ def permutation_constraint(d: DofVector, p) -> Fraction:
     return total
 
 
+def _subset_sums(values, half: int):
+    """Tables (lo, hi) with lo[s % 2^half] + hi[s >> half] equal to the sum
+    of values[u] over the set bits u of s."""
+    tables = []
+    for part in (values[:half], values[half:]):
+        table = [0]
+        for v in part:
+            table += [t + v for t in table]
+        tables.append(table)
+    return tables
+
+
+class _OrderingDP:
+    """Held-Karp table of the largest ordering sums of a DoF vector.
+
+    Entries are scaled by `scale`, the lcm of their denominators, so every
+    sum is an int. Bit u-1 of a subset S stands for user u. best[S] is the
+    largest sum, over orderings of the users in S, of the entries from
+    earlier to later users; paths[S] counts the orderings attaining it.
+    """
+
+    def __init__(self, d: DofVector):
+        k = d.K
+        if k > ORACLE_MAX_USERS:
+            raise TooLarge(f"ordering DP guarded at K <= {ORACLE_MAX_USERS} (2^K subsets)")
+        self.K, self.scale, self.half = k, minimal_extension(d), k // 2
+        w = [[0] * k for _ in range(k)]
+        for (u, v), value in d.items():
+            w[u - 1][v - 1] = value.numerator * (self.scale // value.denominator)
+        self.out = [_subset_sums(row, self.half) for row in w]
+        into = [(1 << v, *_subset_sums([row[v] for row in w], self.half)) for v in range(k)]
+        mask = (1 << self.half) - 1
+        best, paths = [0] * (1 << k), [1] * (1 << k)
+        for s in range(1, 1 << k):
+            s_lo, s_hi = s & mask, s >> self.half
+            top, count = -1, 0
+            for bit, lo, hi in into:
+                if s & bit:
+                    # the user of `bit` placed last: every other member precedes it
+                    value = best[s ^ bit] + lo[s_lo] + hi[s_hi]
+                    if value > top:
+                        top, count = value, paths[s ^ bit]
+                    elif value == top:
+                        count += paths[s ^ bit]
+            best[s], paths[s] = top, count
+        self.best, self.paths = best, paths
+
+    def orderings(self, floor: int):
+        """Orderings (tuples of users) with a scaled sum >= floor, in
+        lexicographic order. A branch is cut when the entries fixed by its
+        placed users plus the best order of the rest fall below floor."""
+        mask = (1 << self.half) - 1
+        prefix = []
+
+        def walk(rest, fixed):
+            if not rest:
+                yield tuple(prefix)
+            for u in range(self.K):
+                bit = 1 << u
+                if rest & bit:
+                    left = rest ^ bit
+                    lo, hi = self.out[u]
+                    placed = fixed + lo[left & mask] + hi[left >> self.half]
+                    if placed + self.best[left] >= floor:
+                        prefix.append(u + 1)
+                        yield from walk(left, placed)
+                        prefix.pop()
+
+        return walk((1 << self.K) - 1, 0)
+
+
 def is_member(d: DofVector, spec: RegionSpec) -> MembershipVerdict:
-    """Exhaustive exact check of all K! ordering constraints."""
-    if spec.K > MEMBERSHIP_MAX_USERS:
-        raise TooLarge(f"membership enumeration guarded at K <= {MEMBERSHIP_MAX_USERS}")
+    """Exact check of all K! ordering constraints through the subset DP.
+
+    Raises TooLarge beyond ORACLE_MAX_USERS users, or when a member has more
+    than TIGHT_LIST_MAX tight orderings to list.
+    """
     if d.K != spec.K:
         raise ValueError(f"DoF vector has K={d.K}, region has K={spec.K}")
-    bound = Fraction(spec.N)
-    tight = []
-    best = Fraction(0)
-    for p in itertools.permutations(range(1, spec.K + 1)):
+    dp = _OrderingDP(d)
+    bound, top = spec.N * dp.scale, dp.best[-1]
+    if top > bound:
+        p = next(dp.orderings(bound + 1))
         value = permutation_constraint(d, p)
-        best = max(best, value)
-        if value > bound:
-            return MembershipVerdict(member=False, witness=(p, value), tight=(), max_value=value)
-        if value == bound:
-            tight.append(p)
-    return MembershipVerdict(member=True, witness=None, tight=tuple(tight), max_value=best)
+        return MembershipVerdict(member=False, witness=(p, value), tight=(), max_value=value)
+    tight = ()
+    if top == bound:
+        if dp.paths[-1] > TIGHT_LIST_MAX:
+            raise TooLarge(f"{dp.paths[-1]} tight orderings to list, guarded at {TIGHT_LIST_MAX}")
+        tight = tuple(dp.orderings(bound))
+    return MembershipVerdict(member=True, witness=None, tight=tight, max_value=Fraction(top, dp.scale))
 
 
-def _permutation_rows(k_users: int):
-    """0/1 constraint matrix: one row per permutation, columns in `ordered_pairs` order."""
-    index = {pair: i for i, pair in enumerate(ordered_pairs(k_users))}
-    rows = []
-    for p in itertools.permutations(range(1, k_users + 1)):
-        row = [Fraction(0)] * len(index)
-        for a in range(k_users):
-            for b in range(a + 1, k_users):
-                row[index[(p[a], p[b])]] = Fraction(1)
-        rows.append(row)
-    return rows
+def _ordering_row(p, index) -> list:
+    """0/1 constraint row of ordering p, columns in `index` (pair -> column) order."""
+    row = [Fraction(0)] * len(index)
+    for a, u in enumerate(p):
+        for v in p[a + 1 :]:
+            row[index[(u, v)]] = Fraction(1)
+    return row
+
+
+def _region_max(objective, spec: RegionSpec, cap=None):
+    """(max of objective . d over the region, maximizer), by cutting planes
+    from the identity and reversed orderings, which bound every variable.
+    The maximizer is None once a restricted optimum is <= cap: the full
+    optimum is no larger."""
+    variables = ordered_pairs(spec.K)
+    index = {pair: i for i, pair in enumerate(variables)}
+    identity = tuple(range(1, spec.K + 1))
+    rows = [_ordering_row(identity, index), _ordering_row(identity[::-1], index)]
+    while True:
+        rhs = [Fraction(spec.N)] * len(rows)
+        res = solve_max(objective, rows, rhs)
+        if cap is not None and res.value <= cap:
+            return res.value, None
+        point = DofVector(spec.K, dict(zip(variables, res.x)))
+        dp = _OrderingDP(point)
+        cut = next(dp.orderings(spec.N * dp.scale + 1), None)
+        if cut is None:
+            verify_certificate(objective, rows, rhs, res)
+            return res.value, point
+        rows.append(_ordering_row(cut, index))
 
 
 def sum_dof_max(spec: RegionSpec):
     """Exact maximum of the total DoF over the region, with a maximizer.
 
-    Solves the full-constraint LP over rationals and re-verifies the
-    optimal basis certificate by substitution before returning.
+    Solves the LP by cutting planes and verifies its certificate (zero
+    tolerance) before returning.
     """
-    if spec.K > SUMDOF_MAX_USERS:
-        raise TooLarge(f"sum-DoF LP guarded at K <= {SUMDOF_MAX_USERS}")
-    variables = ordered_pairs(spec.K)
-    rows = _permutation_rows(spec.K)
-    rhs = [Fraction(spec.N)] * len(rows)
-    objective = [Fraction(1)] * len(variables)
-    res = solve_max(objective, rows, rhs)
-    verify_certificate(objective, rows, rhs, res)
-    maximizer = DofVector(spec.K, dict(zip(variables, res.x)))
-    return res.value, maximizer
+    return _region_max([Fraction(1)] * (spec.K * (spec.K - 1)), spec)
 
 
 def construction_feasible(d: DofVector, n_relay: int):
@@ -136,30 +231,25 @@ def find_construction_gap(spec: RegionSpec) -> DofVector | None:
     """Search for a region member whose pair maxima overflow the relay.
 
     For every per-pair direction selection, maximize the selected directed
-    sum over the region (exact LP). Any optimum above N yields a witness:
-    a member that the direct slot layout cannot carry. Returns None when no
-    selection overflows, which proves the region lies inside the
-    construction-feasible set.
+    sum over the region (exact LP by cutting planes). Any optimum above N
+    yields a witness: a member that the direct slot layout cannot carry.
+    Returns None when no selection overflows, which proves the region lies
+    inside the construction-feasible set.
     """
     if spec.K > GAP_MAX_USERS:
         raise TooLarge(f"gap probe guarded at K <= {GAP_MAX_USERS}")
     pairs = user_pairs(spec.K)
-    variables = ordered_pairs(spec.K)
-    rows = _permutation_rows(spec.K)
-    rhs = [Fraction(spec.N)] * len(rows)
-    index = {pair: i for i, pair in enumerate(variables)}
+    index = {pair: i for i, pair in enumerate(ordered_pairs(spec.K))}
 
     for bits in itertools.product((0, 1), repeat=len(pairs)):
-        objective = [Fraction(0)] * len(variables)
+        objective = [Fraction(0)] * len(index)
         for (j, k), rev in zip(pairs, bits):
             objective[index[(k, j) if rev else (j, k)]] = Fraction(1)
-        res = solve_max(objective, rows, rhs)
-        if res.value > spec.N:
-            verify_certificate(objective, rows, rhs, res)
-            witness = DofVector(spec.K, dict(zip(variables, res.x)))
-            feasible, _ = construction_feasible(witness, spec.N)
-            if feasible or not is_member(witness, spec).member:
-                raise AssertionError("gap witness failed its defining checks")
+        _, witness = _region_max(objective, spec, cap=spec.N)
+        if witness is not None:
+            feasible, total = construction_feasible(witness, spec.N)
+            if feasible:
+                raise WitnessInvalid(f"gap witness {witness} fits the relay: pair maxima sum to {total}")
             return witness
     return None
 
@@ -178,7 +268,8 @@ def vertices_k3(n_relay: int):
     spec = RegionSpec(K=3, N=n_relay)
     variables = ordered_pairs(3)
     dim = len(variables)
-    perm_rows = _permutation_rows(3)
+    index = {pair: i for i, pair in enumerate(variables)}
+    perm_rows = [_ordering_row(p, index) for p in itertools.permutations((1, 2, 3))]
     nonneg_rows = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
     rows = perm_rows + nonneg_rows
     rhs = [Fraction(n_relay)] * len(perm_rows) + [Fraction(0)] * dim

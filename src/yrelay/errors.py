@@ -51,3 +51,7 @@ class Underdetermined(YRelayError, ValueError):
 
 class LpError(YRelayError, RuntimeError):
     """Linear program is malformed or unbounded."""
+
+
+class WitnessInvalid(YRelayError, RuntimeError):
+    """A computed witness failed one of its defining checks."""

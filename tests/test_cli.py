@@ -130,6 +130,19 @@ def test_dof_vertices(capsys):
     assert blob["count"] == 12
 
 
+def test_dof_check_sixteen_users(capsys):
+    # the README's examples at the DP's user bound
+    code, out, _ = run_cli(capsys, "dof", "check", "--k", "16", "--n", "6", "--dof", "uniform:1/40")
+    blob = json.loads(out)
+    assert code == EXIT_OK
+    assert (blob["member"], blob["max_value"], blob["tight_permutations"]) == (True, "3", [])
+    code, out, _ = run_cli(capsys, "dof", "check", "--k", "16", "--n", "6", "--dof", "1-2=7")
+    assert code == EXIT_FAILURE
+    assert json.loads(out)["witness"] == {"permutation": list(range(1, 17)), "value": "7"}
+    code, _, err = run_cli(capsys, "dof", "check", "--k", "9", "--n", "1", "--dof", "uniform:1/36")
+    assert code == EXIT_FAILURE and "TooLarge" in err
+
+
 DOF_GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden" / "dof_outputs.json").read_text())
 
 

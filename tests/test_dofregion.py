@@ -1,8 +1,10 @@
 """Exact region computations: membership, sum-DoF, gap probe, vertices.
 
-Oracles: hand-enumerated permutation sums for pinned points, the
-certificate-verified exact LP as a support-function oracle for the vertex
-list, and a closed-form vertex catalogue checked for several N.
+Oracles: hand-enumerated permutation sums for pinned points; the brute-force
+K!-enumeration membership check and the LPs over all K! ordering rows (in
+conftest.py), which property tests hold the subset DP and the cutting-plane
+LPs to; the full-row LP as a support-function oracle for the vertex list;
+and a closed-form vertex catalogue checked for several N.
 """
 
 import random
@@ -10,11 +12,16 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import yrelay.dofregion
 from yrelay.alignment import DofVector, ordered_pairs, user_pairs
 from yrelay.dofregion import (
+    GAP_MAX_USERS,
+    ORACLE_MAX_USERS,
+    TIGHT_LIST_MAX,
     RegionSpec,
-    _permutation_rows,
     construction_feasible,
     find_construction_gap,
     is_member,
@@ -22,13 +29,14 @@ from yrelay.dofregion import (
     sum_dof_max,
     vertices_k3,
 )
-from yrelay.errors import TooLarge
-from yrelay.simplex import solve_max, verify_certificate
+from yrelay.errors import TooLarge, WitnessInvalid
 
 F = Fraction
 ALL_ONES = DofVector.uniform(4, F(1))
 CYCLE = DofVector(4, {(1, 2): F(3), (2, 3): F(3), (3, 1): F(3)})
 SPEC46 = RegionSpec(K=4, N=6)
+# fixed example sequence, no example database: the same cases on every run
+PROPERTY = settings(deadline=None, database=None, derandomize=True)
 
 
 def test_region_spec_validation():
@@ -135,8 +143,59 @@ def test_witness_value_exceeds_bound_iff_rejected():
 
 
 def test_membership_guard():
+    k = ORACLE_MAX_USERS + 1
     with pytest.raises(TooLarge):
-        is_member(DofVector(9, {}), RegionSpec(K=9, N=2))
+        is_member(DofVector(k, {}), RegionSpec(K=k, N=2))
+
+
+def test_membership_nine_users():
+    spec = RegionSpec(K=9, N=7)
+    cycle = DofVector(9, {(1, 2): F(3), (2, 3): F(3), (3, 1): F(3)})
+    v = is_member(cycle, spec)
+    assert v.member and v.witness is None and v.tight == () and v.max_value == 6
+    v = is_member(DofVector(9, {(1, 2): F(7), (9, 8): F(1, 2)}), spec)
+    assert not v.member
+    # (1,...,7,8,9) carries only d_12; the first ordering that also has 9 before 8
+    assert v.witness == ((1, 2, 3, 4, 5, 6, 7, 9, 8), F(15, 2))
+    assert v.max_value == F(15, 2)
+
+
+def test_tight_list_guard():
+    # every ordering of a uniform point is tight: 8! are listed, 9! are refused
+    v = is_member(DofVector.uniform(8, F(1, 28)), RegionSpec(K=8, N=1))
+    assert len(v.tight) == TIGHT_LIST_MAX == 40320
+    assert v.tight[0] == (1, 2, 3, 4, 5, 6, 7, 8) and v.tight[-1] == (8, 7, 6, 5, 4, 3, 2, 1)
+    assert list(v.tight) == sorted(set(v.tight))
+    with pytest.raises(TooLarge):
+        is_member(DofVector.uniform(9, F(1, 36)), RegionSpec(K=9, N=1))
+    # half of the 9! orderings put two edges of the 3-cycle in order
+    with pytest.raises(TooLarge):
+        is_member(DofVector(9, {(1, 2): F(3), (2, 3): F(3), (3, 1): F(3)}), RegionSpec(K=9, N=6))
+
+
+@st.composite
+def region_points(draw):
+    """A K = 3..6 point and a region; the point is scaled so that its largest
+    ordering sum lands on N (tight orderings), just above N (a witness), or
+    is left as drawn."""
+    k = draw(st.integers(3, 6))
+    spec = RegionSpec(K=k, N=draw(st.integers(1, 8)))
+    entry = st.one_of(st.just(0), st.integers(1, 12))
+    d = DofVector(k, {
+        p: F(draw(entry), draw(st.sampled_from((1, 2, 3, 4)))) for p in ordered_pairs(k)
+    })
+    top = max(permutation_constraint(d, p) for p in permutations(range(1, k + 1)))
+    target = draw(st.sampled_from((None, F(spec.N), spec.N + F(1, 7))))
+    if target is not None and top > 0:
+        d = DofVector(k, {p: v * target / top for p, v in d.items()})
+    return d, spec
+
+
+@settings(PROPERTY, max_examples=80)
+@given(region_points())
+def test_membership_matches_enumeration(brute_membership, case):
+    d, spec = case
+    assert is_member(d, spec) == brute_membership(d, spec)
 
 
 # -------------------------------------------------------------------- sum-DoF
@@ -164,9 +223,23 @@ def test_sum_dof_symmetric_point_also_optimal():
     assert is_member(sym, RegionSpec(K=4, N=5)).member
 
 
+def test_sum_dof_doubles_relay_antennas_six_and_eight_users():
+    for k in (6, 8):
+        for n in (1, 6):
+            value, arg = sum_dof_max(RegionSpec(K=k, N=n))
+            assert value == arg.total() == 2 * n
+            assert is_member(arg, RegionSpec(K=k, N=n)).member
+
+
 def test_sum_dof_guard():
     with pytest.raises(TooLarge):
-        sum_dof_max(RegionSpec(K=6, N=2))
+        sum_dof_max(RegionSpec(K=ORACLE_MAX_USERS + 1, N=2))
+
+
+@settings(PROPERTY, max_examples=6)
+@given(k=st.integers(3, 5), n=st.integers(1, 8))
+def test_sum_dof_matches_full_row_lp(full_row_lp, k, n):
+    assert sum_dof_max(RegionSpec(K=k, N=n)) == full_row_lp([F(1)] * (k * (k - 1)), k, n)
 
 
 # ------------------------------------------------------------- construction
@@ -196,8 +269,32 @@ def test_cycle_is_a_pinned_witness():
 
 
 def test_gap_probe_guard():
+    k = GAP_MAX_USERS + 1
     with pytest.raises(TooLarge):
-        find_construction_gap(RegionSpec(K=5, N=3))
+        find_construction_gap(RegionSpec(K=k, N=3))
+
+
+def test_gap_probe_five_users():
+    spec = RegionSpec(K=5, N=3)
+    w = find_construction_gap(spec)
+    assert w == DofVector(5, {(3, 4): F(3, 2), (4, 5): F(3, 2), (5, 3): F(3, 2)})
+    v = is_member(w, spec)
+    assert v.member and v.max_value == 3
+    ok, total = construction_feasible(w, 3)
+    assert not ok and total == F(9, 2)
+
+
+def test_gap_witness_failing_its_checks_raises(monkeypatch):
+    monkeypatch.setattr(yrelay.dofregion, "construction_feasible", lambda d, n: (True, F(0)))
+    with pytest.raises(WitnessInvalid):
+        find_construction_gap(SPEC46)
+
+
+@settings(PROPERTY, max_examples=6)
+@given(k=st.integers(3, GAP_MAX_USERS), n=st.integers(1, 8))
+def test_gap_probe_matches_full_row_probe(full_row_gap, k, n):
+    spec = RegionSpec(K=k, N=n)
+    assert find_construction_gap(spec) == full_row_gap(spec)
 
 
 def test_feasible_implies_member_sample():
@@ -264,16 +361,13 @@ def test_vertices_basic_contracts():
         assert tuple(t) in tuples
 
 
-def test_vertices_support_function_matches_lp():
+def test_vertices_support_function_matches_lp(full_row_lp):
     # any missing vertex would lose to the LP on some objective
     rng = random.Random(9)
-    a = _permutation_rows(3)
     for n in (1, 4):
-        b = [F(n)] * len(a)
         verts = vertices_k3(n)
         for _ in range(150):
             c = [F(rng.randint(0, 12), rng.choice((1, 2, 3))) for _ in range(6)]
-            res = solve_max(c, a, b)
-            verify_certificate(c, a, b, res)
+            value, _ = full_row_lp(c, 3, n)
             best = max(sum(ci * vi for ci, vi in zip(c, v.as_tuple())) for v in verts)
-            assert best == res.value
+            assert best == value
