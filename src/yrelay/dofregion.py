@@ -7,13 +7,14 @@ sum-DoF maximization, the direct-construction feasibility predicate
 (sum of per-pair maxima <= N), and a probe for points separating the two
 are all computed without floating point.
 
-No tool walks the K! orderings. The Held-Karp subset DP gives the largest
-ordering sum over the 2^K user subsets, in ints (entries scaled by the lcm of
-their denominators); a lexicographic search pruned by its table finds the
-first violating ordering and lists the tight ones. The LPs add the DP's
-violating ordering as a row until the optimum is a member (cutting planes):
-the simplex certificate on those rows, with zero duals for the rest, and the
-DP's feasibility verdict certify the optimum for all K! rows.
+Membership, sum-DoF and the gap probe never walk the K! orderings. The
+Held-Karp subset DP gives the largest ordering sum over the 2^K user subsets,
+in ints (entries scaled by the lcm of their denominators); a lexicographic
+search pruned by its table finds the first violating ordering and lists the
+tight ones. The LPs add the DP's violating ordering as a row until the
+optimum is a member (cutting planes): the simplex certificate on those rows,
+with zero duals for the rest, and the DP's feasibility verdict certify the
+optimum for all K! rows.
 """
 
 from __future__ import annotations
