@@ -33,7 +33,7 @@ from .errors import (
 )
 from .harness import ExperimentConfig, SweepReport, derive_seed, fit_slope, run_sweep
 from .linalg import normalized_left_mppi, normalized_right_mppi
-from .transceiver import GENIE, RAW, RoundResult, effective_snr, run_round
+from .transceiver import GENIE, RAW, RoundContext, RoundResult, effective_snr, run_round, transmit_round
 
 __version__ = "0.1.0"
 
@@ -51,6 +51,7 @@ __all__ = [
     "RAW",
     "RankDeficient",
     "RegionSpec",
+    "RoundContext",
     "RoundResult",
     "ScalarUnderflow",
     "StreamPlan",
@@ -74,6 +75,7 @@ __all__ = [
     "run_sweep",
     "sample_channels",
     "sum_dof_max",
+    "transmit_round",
     "vertices_k3",
     "__version__",
 ]

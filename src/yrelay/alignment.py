@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -111,6 +112,10 @@ class StreamPlan:
     `padding` components are zero. `stream_lengths[(j,k)]` is the number of
     codeword symbols T*d_jk carried in direction j->k (the remainder of the
     slot is zero-filled for that direction).
+
+    A round holds all symbols in one flat vector, v_jk for the ordered pairs
+    in `ordered_pairs` order; the cached `symbol_spans`, `word_index` and
+    `receive_index` map it onto this layout.
     """
 
     K: int
@@ -124,6 +129,33 @@ class StreamPlan:
     @property
     def word_length(self) -> int:
         return self.T * self.N
+
+    @cached_property
+    def symbol_spans(self) -> dict:
+        """(start, stop) of v_jk in the flat symbol vector."""
+        spans, stop = {}, 0
+        for pair in ordered_pairs(self.K):
+            spans[pair] = (stop, stop + self.stream_lengths[pair])
+            stop = spans[pair][1]
+        return spans
+
+    @cached_property
+    def word_index(self) -> np.ndarray:
+        """(K, T*N) gather index: row j-1 takes user j's slot word out of the
+        flat symbol vector followed by one zero (index -1)."""
+        positions = StreamSymbols(self.K, {p: np.arange(a + 1, b + 1) for p, (a, b) in self.symbol_spans.items()})
+        words = [assemble_uplink_symbol(j, positions, self).real for j in range(1, self.K + 1)]
+        return np.array(words).astype(np.intp) - 1
+
+    @cached_property
+    def receive_index(self) -> np.ndarray:
+        """For each symbol of the flat vector, its position in the K stacked
+        length-T*N words the users receive: user k finds v_jk in its slot with j."""
+        components = np.arange(self.word_length)
+        return np.concatenate([
+            (k - 1) * self.word_length + extract_pair_slot(components, (j, k), self)[: b - a]
+            for (j, k), (a, b) in self.symbol_spans.items()
+        ])
 
     def slot(self, j: int, k: int):
         """(offset, length) of the slot shared by users j and k."""

@@ -1,27 +1,32 @@
 """System configuration, random block-constant channels, and noisy propagation.
 
 A `ChannelSet` is one block-constant draw: it computes its per-user
-precoders once, on first use, and every round over it reuses them.
+precoders once, on first use, and every round over it reuses them. A sampled
+draw hands the singular values it computed for its conditioning check to
+those inverses, so each matrix is decomposed once.
 
 All randomness comes from the Philox counter-based generator keyed with
-(seed, stream id), so any seed reproduces the exact same realization and
-independent streams never overlap. Stream ids used in this package:
+(seed, stream id), so any seed reproduces the exact same realization. Streams
+of different keys are independent, but two seeds can share a key: numpy
+reads the key `[seed, stream]` through a float64 array when seed >= 2^63,
+which rounds the seed to a multiple of 2^11, so 2^63 + 5 and 2^63 + 6 (for
+example) draw the same streams. Stream ids used in this package:
 
     1  channel matrices      (sample_channels)
-    2  receiver noise        (transceiver.run_round, uplink then downlink)
-    3  codeword symbols      (transceiver.sample_stream_symbols)
+    2  receiver noise        (transceiver.transmit_round, uplink then downlink)
+    3  codeword symbols      (transceiver.transmit_round)
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionError, GenerationFailed
-from .linalg import as_complex_matrix, normalized_left_mppi, normalized_right_mppi, well_conditioned
+from .linalg import NormalizedLeftMppi, NormalizedRightMppi, _unit_pinv, well_conditioned
 
 STREAM_CHANNEL = 1
 STREAM_NOISE = 2
@@ -31,16 +36,55 @@ POWER_CHECK_SLACK = 1e-9  # relative slack in check_power
 _MAX_RESAMPLE = 100
 
 _MASK64 = (1 << 64) - 1
+_ZERO4 = np.zeros(4, dtype=np.uint64)
 
 
 def rng_for(seed: int, stream: int) -> np.random.Generator:
     """Philox generator addressed by (seed, stream)."""
-    return np.random.Generator(np.random.Philox(key=[seed & _MASK64, stream & _MASK64]))
+    return reset_rng(np.random.Generator(np.random.Philox(key=0)), seed, stream)
+
+
+def reset_rng(rng: np.random.Generator, seed: int, stream: int) -> np.random.Generator:
+    """Re-key the Philox generator `rng` to the start of stream (seed, stream)
+    and return it: the state `Philox(key=[seed, stream])` starts in.
+
+    A round re-keys one generator per draw it takes, which costs a quarter of
+    building a new one. The key goes through `np.asarray(key).astype(np.uint64)`,
+    the conversion `Philox(key=...)` applies to a list.
+    """
+    key = np.asarray([seed & _MASK64, stream & _MASK64]).astype(np.uint64)
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZERO4, "key": key},
+        "buffer": _ZERO4,
+        "buffer_pos": 4,  # empty buffer: the next draw starts at counter 0
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
 def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     """I.i.d. circularly-symmetric complex Gaussian, unit variance per entry."""
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+
+
+def normal_block_index(sizes) -> np.ndarray:
+    """Where consecutive `complex_normal(rng, n)` calls, one per n in `sizes`,
+    take their real parts (row 0) and imaginary parts (row 1) from a single
+    `rng.standard_normal` draw: each call draws all its real parts first."""
+    sizes = np.asarray(sizes, dtype=np.intp)
+    starts = np.cumsum(sizes) - sizes
+    block = np.repeat(np.arange(sizes.size), sizes)
+    real = starts[block] + np.arange(block.size)
+    return np.stack([real, real + sizes[block]])
+
+
+def complex_normal_blocks(rng: np.random.Generator, index: np.ndarray) -> np.ndarray:
+    """The blocks that `index` (from `normal_block_index`) describes, drawn in
+    one call: bit for bit the concatenation of the `complex_normal` calls."""
+    real, imag = rng.standard_normal(index.size)[index]
+    return (real + 1j * imag) / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -72,6 +116,9 @@ class ChannelSet:
 
     uplink: tuple
     downlink: tuple
+    # Each matrix's singular values, uplink then downlink, set only by
+    # `sample_channels`; `dataclasses.replace` does not carry them over.
+    _singular_values: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def K(self) -> int:
@@ -81,8 +128,9 @@ class ChannelSet:
     def precoders(self):
         """(right, left): per-user normalized right inverses of the uplink
         matrices and left inverses of the downlink matrices."""
-        right = tuple(normalized_right_mppi(h) for h in self.uplink)
-        left = tuple(normalized_left_mppi(d) for d in self.downlink)
+        s = self._singular_values or (None,) * (2 * self.K)
+        right = tuple(NormalizedRightMppi(*_unit_pinv(h, True, sv)) for h, sv in zip(self.uplink, s))
+        left = tuple(NormalizedLeftMppi(*_unit_pinv(d, False, sv)) for d, sv in zip(self.downlink, s[self.K :]))
         return right, left
 
 
@@ -94,54 +142,71 @@ def sample_channels(cfg: SystemConfig, seed: int) -> ChannelSet:
     retry budget exists only to guard degenerate misuse.
     """
     rng = rng_for(seed, STREAM_CHANNEL)
+    singular_values = []
 
     def draw(shape):
         for _ in range(_MAX_RESAMPLE):
             m = complex_normal(rng, shape)
-            if well_conditioned(np.linalg.svd(m, compute_uv=False)):
+            s = np.linalg.svd(m, compute_uv=False)
+            if well_conditioned(s):
+                singular_values.append(s)
                 return m
         raise GenerationFailed(f"no full-rank {shape} draw in {_MAX_RESAMPLE} tries")
 
     uplink = tuple(draw((cfg.N, cfg.M)) for _ in range(cfg.K))
     downlink = tuple(draw((cfg.M, cfg.N)) for _ in range(cfg.K))
-    return ChannelSet(uplink=uplink, downlink=downlink)
+    ch = ChannelSet(uplink=uplink, downlink=downlink)
+    object.__setattr__(ch, "_singular_values", tuple(singular_values))
+    return ch
 
 
 def uplink_propagate(ch: ChannelSet, x, noise=None) -> np.ndarray:
-    """Relay observation: sum_j H_j x_j plus noise (zero vector if absent)."""
+    """Relay observation: sum_j H_j x_j plus noise (zero vector if absent).
+
+    x[j] is user j's transmit vector (M,), or a stack (..., M) of them, one
+    per channel use; the observation then has the same leading shape.
+    """
     if len(x) != ch.K:
         raise DimensionError(f"expected {ch.K} transmit vectors, got {len(x)}")
-    n = ch.uplink[0].shape[0]
-    y = np.zeros(n, dtype=np.complex128)
+    shape = np.shape(x[0])[:-1] + (ch.uplink[0].shape[0],)
+    y = np.zeros(shape, dtype=np.complex128)
     for h, xj in zip(ch.uplink, x):
         xj = np.asarray(xj, dtype=np.complex128)
-        if xj.shape != (h.shape[1],):
-            raise DimensionError(f"transmit vector shape {xj.shape} != ({h.shape[1]},)")
-        y += h @ xj
+        if xj.shape != shape[:-1] + (h.shape[1],):
+            raise DimensionError(f"transmit vector shape {xj.shape} != {shape[:-1] + (h.shape[1],)}")
+        y += (h @ xj[..., None])[..., 0]
     if noise is not None:
         noise = np.asarray(noise, dtype=np.complex128)
-        if noise.shape != (n,):
-            raise DimensionError(f"noise shape {noise.shape} != ({n},)")
+        if noise.shape != shape:
+            raise DimensionError(f"noise shape {noise.shape} != {shape}")
         y += noise
     return y
 
 
-def downlink_propagate(d_k, x_r, noise=None) -> np.ndarray:
-    """User observation: D_k x_r plus noise (zero vector if absent)."""
-    d_k = as_complex_matrix(d_k)
+def downlink_propagate(d, x_r, noise=None) -> np.ndarray:
+    """User observation: D x_r plus noise (zero vector if absent).
+
+    `d` is one downlink matrix (M x N) or a stack (..., M, N) of them, and
+    `x_r` one relay vector (N,) or a stack (..., N); the products broadcast
+    over the leading axes.
+    """
+    d = np.asarray(d, dtype=np.complex128)
     x_r = np.asarray(x_r, dtype=np.complex128)
-    if x_r.shape != (d_k.shape[1],):
-        raise DimensionError(f"relay vector shape {x_r.shape} != ({d_k.shape[1]},)")
-    y = d_k @ x_r
+    if d.ndim < 2 or x_r.shape[-1:] != d.shape[-1:]:
+        raise DimensionError(f"relay vector shape {x_r.shape} does not fit downlink shape {d.shape}")
+    if not np.isfinite(d).all():
+        raise ValueError("downlink matrix has non-finite entries")
+    y = (d @ x_r[..., None])[..., 0]
     if noise is not None:
         noise = np.asarray(noise, dtype=np.complex128)
-        if noise.shape != (d_k.shape[0],):
-            raise DimensionError(f"noise shape {noise.shape} != ({d_k.shape[0]},)")
+        if noise.shape != y.shape:
+            raise DimensionError(f"noise shape {noise.shape} != {y.shape}")
         y += noise
     return y
 
 
 def check_power(x, p: float) -> bool:
-    """True iff ||x||^2 <= P up to a relative slack of 1e-9."""
-    energy = float(np.sum(np.abs(np.asarray(x, dtype=np.complex128)) ** 2))
-    return energy <= p * (1.0 + POWER_CHECK_SLACK)
+    """True iff every vector along the last axis of x has ||x||^2 <= P, up to
+    a relative slack of 1e-9."""
+    energy = (np.abs(np.asarray(x, dtype=np.complex128)) ** 2).sum(axis=-1)
+    return bool(energy.max() <= p * (1.0 + POWER_CHECK_SLACK))

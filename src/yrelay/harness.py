@@ -2,9 +2,13 @@
 
 A sweep runs `trials` independent rounds at every power point. Channel
 realizations are shared across power points of the same trial (common random
-numbers), while symbols and noise are redrawn per (point, trial). All
-sub-seeds derive from the master seed with a splitmix64 chain, so a report is
-a pure function of (config, seed): repeated runs emit identical bytes.
+numbers), while symbols and noise are redrawn per (point, trial). The stream
+plan is built once per sweep. Each trial's channel draw gets one
+`RoundContext` (its inverses, gather indices and SNR coefficient table),
+which serves every power point and is dropped before the next draw, so a
+sweep holds one draw at a time. All sub-seeds derive from the master seed
+with a splitmix64 chain, so a report is a pure function of (config, seed):
+repeated runs emit identical bytes.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 from .alignment import DofVector, build_stream_plan
 from .channel import _MASK64, SystemConfig, sample_channels
 from .errors import Underdetermined
-from .transceiver import GENIE, RAW, run_round
+from .transceiver import GENIE, RAW, RoundContext, transmit_round
 
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -164,51 +168,60 @@ def fit_slope(points):
     return slope, intercept, math.sqrt(rss / n)
 
 
+@dataclass
+class _PointSums:
+    """Running sums over the trials of one power point, in trial order."""
+
+    snr: float = 0.0
+    rate: float = 0.0
+    sum_rate: float = 0.0
+    err: float = 0.0
+    err_max: float = 0.0
+    violations: int = 0
+
+    def add(self, res) -> None:
+        if not res.power_ok:
+            self.violations += 1
+        streams = res.snr.streams
+        if streams:
+            self.snr += sum(s.effective for s in streams.values()) / len(streams)
+            self.rate += res.snr.rate_proxy / len(streams)
+        self.sum_rate += res.snr.rate_proxy
+        errs = list(res.rel_errors.values())
+        if errs:
+            self.err += sum(errs) / len(errs)
+            self.err_max = max(self.err_max, max(errs))
+
+
 def run_sweep(cfg: ExperimentConfig) -> SweepReport:
     """Run the full power sweep; deterministic given (cfg, seed)."""
     plan = build_stream_plan(cfg.dof, cfg.system.N)  # raises Infeasible before any work
-    channels = [
-        sample_channels(cfg.system, derive_seed(cfg.seed, SUBSEED_CHANNEL, t))
-        for t in range(cfg.trials)
-    ]
-
-    rows = []
-    for pi, p_db in enumerate(cfg.sweep_db):
-        system = dataclasses.replace(cfg.system, P=db_to_linear(p_db))
-        snr_sum = rate_sum = sum_rate_sum = err_sum = 0.0
-        err_max = 0.0
-        violations = 0
-        for t in range(cfg.trials):
-            res = run_round(
-                system,
-                channels[t],
-                plan,
+    powers = [db_to_linear(p_db) for p_db in cfg.sweep_db]
+    sums = [_PointSums() for _ in powers]
+    for t in range(cfg.trials):
+        # One draw serves every power point; its context lives for this trial only.
+        ctx = RoundContext(sample_channels(cfg.system, derive_seed(cfg.seed, SUBSEED_CHANNEL, t)), plan)
+        for pi, p in enumerate(powers):
+            res = transmit_round(
+                ctx,
+                p,
                 seed=derive_seed(cfg.seed, SUBSEED_ROUND, pi, t),
                 mode=cfg.mode,
                 noise=cfg.noise,
             )
-            if not res.power_ok:
-                violations += 1
-            streams = res.snr.streams
-            if streams:
-                snr_sum += sum(s.effective for s in streams.values()) / len(streams)
-                rate_sum += res.snr.rate_proxy / len(streams)
-            sum_rate_sum += res.snr.rate_proxy
-            errs = [e for e in res.rel_errors.values()]
-            if errs:
-                err_sum += sum(errs) / len(errs)
-                err_max = max(err_max, max(errs))
-        rows.append(
-            SweepRow(
-                p_db=float(p_db),
-                mean_stream_snr=snr_sum / cfg.trials,
-                mean_rate_proxy=rate_sum / cfg.trials,
-                sum_rate_proxy=sum_rate_sum / cfg.trials,
-                err_mean=err_sum / cfg.trials,
-                err_max=err_max,
-                power_violations=violations,
-            )
+            sums[pi].add(res)
+    rows = [
+        SweepRow(
+            p_db=float(p_db),
+            mean_stream_snr=acc.snr / cfg.trials,
+            mean_rate_proxy=acc.rate / cfg.trials,
+            sum_rate_proxy=acc.sum_rate / cfg.trials,
+            err_mean=acc.err / cfg.trials,
+            err_max=acc.err_max,
+            power_violations=acc.violations,
         )
+        for p_db, acc in zip(cfg.sweep_db, sums)
+    ]
 
     slope = intercept = residual = None
     if len(rows) >= 3:

@@ -36,21 +36,23 @@ def well_conditioned(s) -> bool:
     return s[0] > 0 and s[-1] / s[0] >= RANK_TOL
 
 
-def _unit_pinv(a, right: bool) -> tuple[np.ndarray, float]:
+def _unit_pinv(a, right: bool, sv=None) -> tuple[np.ndarray, float]:
     """Minimum-norm pseudo-inverse G of `a` scaled to unit Frobenius norm: (c * G, c).
 
     With `right`, `a` is wide and G = A^H (A A^H)^{-1} (A @ G = I); otherwise
     `a` is tall and G = (A^H A)^{-1} A^H (G @ A = I). A Gram matrix too
     ill-conditioned to invert reliably falls back to the SVD route. The side
     is explicit: a square `a` fits both, and there the formulas differ in the
-    last bits. c^{-2} = tr(G^H G).
+    last bits. c^{-2} = tr(G^H G). `sv`, when given, holds the singular values
+    of `a` as `np.linalg.svd(a, compute_uv=False)` returns them; a sampled
+    channel draw passes the ones its conditioning check computed.
     """
     a = as_complex_matrix(a)
     side, (n, m) = ("right", a.shape) if right else ("left", a.shape[::-1])
     if n > m:
         want = "wide" if right else "tall"
         raise DimensionError(f"{side} inverse needs a {want} matrix, got {a.shape[0]}x{a.shape[1]}")
-    s = np.linalg.svd(a, compute_uv=False)
+    s = np.linalg.svd(a, compute_uv=False) if sv is None else sv
     if not well_conditioned(s):
         ratio = 0.0 if s[0] == 0 else s[-1] / s[0]
         raise RankDeficient(

@@ -1,9 +1,14 @@
 """End-to-end transmission rounds over the diagonalized Y-channel.
 
-A round is one pipeline over a block-constant channel: the caller's stream
-plan and the channel draw's cached precoders go in; each user assembles its
-slot word once; `relay_observe` forms the relay observation of every channel
-use; the relay decodes and transmits; every user post-codes and recovers.
+The channel is block-constant, so a `RoundContext` computes once per
+(channel draw, stream plan) everything the rounds over that draw share: the
+stacked precoders and channel matrices, the diagonalization constants
+alpha_j and beta_k, the gather indices that place symbols into slot words and
+take estimates out of filtered words, the layout of the round's random draws,
+and the coefficient table of the analytic SNR. `transmit_round` is the one
+round implementation; only the symbols, the noise and the power budget P
+change from round to round. `run_round` builds a context for a single round,
+and a sweep builds one per draw and reuses it for every power point.
 
 Uplink: every user precodes its slot word with the unit-norm right inverse of
 its channel, so the relay observes the componentwise sum of all users' words,
@@ -26,85 +31,98 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alignment import (
-    StreamPlan,
-    StreamSymbols,
-    assemble_uplink_symbol,
-    extract_pair_slot,
-    ordered_pairs,
-)
+from .alignment import StreamPlan, StreamSymbols
 from .channel import (
     STREAM_NOISE,
     STREAM_SYMBOLS,
     ChannelSet,
     SystemConfig,
     check_power,
-    complex_normal,
+    complex_normal_blocks,
     downlink_propagate,
+    normal_block_index,
+    reset_rng,
     rng_for,
     uplink_propagate,
 )
 from .errors import DimensionError, ModeUnavailable, ScalarUnderflow
-from .linalg import NormalizedLeftMppi, NormalizedRightMppi
 
 SCALE_UNDERFLOW = 1e-300
 
 GENIE = "genie"
 RAW = "raw"
 
-
-def sample_stream_symbols(plan: StreamPlan, seed: int) -> StreamSymbols:
-    """Unit-variance complex Gaussian codeword symbols for every direction."""
-    rng = rng_for(seed, STREAM_SYMBOLS)
-    vectors = {}
-    for pair in ordered_pairs(plan.K):
-        length = plan.stream_lengths[pair]
-        vectors[pair] = complex_normal(rng, length)
-    return StreamSymbols(plan.K, vectors)
+_PAD = np.zeros(1, dtype=np.complex128)
 
 
-def uplink_precode(u_j, hr: NormalizedRightMppi) -> np.ndarray:
-    """Transmit vector x_j = Hr @ u_j (length M) for one channel use."""
-    u_j = np.asarray(u_j, dtype=np.complex128)
-    if u_j.shape != (hr.matrix.shape[1],):
-        raise DimensionError(f"slot word shape {u_j.shape} != ({hr.matrix.shape[1]},)")
-    return hr.matrix @ u_j
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm of a complex vector, by the formula np.linalg.norm uses."""
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
-def relay_observe(cfg: SystemConfig, ch: ChannelSet, us, noise=None):
-    """Relay observation for one channel use: sum_j alpha_j u_j plus noise.
+class RoundContext:
+    """What one channel draw and one stream plan fix for every round over them.
 
-    Each user precodes its length-N chunk `us[j-1]` with the channel draw's
-    right inverse. Returns (y, power_ok), where power_ok says that every
-    user's transmit vector passed `check_power` against cfg.P.
+    Symbols travel as one flat vector laid out by `plan.symbol_spans`. `rng`
+    is re-keyed by every round, so a context serves one round at a time.
     """
-    if len(us) != cfg.K:
-        raise DimensionError(f"expected {cfg.K} user words, got {len(us)}")
-    xs = [uplink_precode(u, hr) for u, hr in zip(us, ch.precoders[0])]
-    power_ok = all(check_power(x, cfg.P) for x in xs)
-    return uplink_propagate(ch, xs, noise), power_ok
 
+    def __init__(self, ch: ChannelSet, plan: StreamPlan):
+        n, m = ch.uplink[0].shape
+        if (plan.K, plan.N) != (ch.K, n):
+            raise DimensionError(
+                f"plan for K={plan.K}, N={plan.N} does not fit channels with K={ch.K}, N={n}")
+        right, left = ch.precoders
+        k_users, t_ext = plan.K, plan.T
+        self.ch, self.plan, self.M = ch, plan, m
+        self.alphas = [hr.alpha for hr in right]
+        self.betas = [dl.beta for dl in left]
+        # Leading (K, 1) axes: one matrix per user, broadcast over channel uses.
+        self.right = np.array([hr.matrix for hr in right])[:, None]
+        self.left = np.array([dl.matrix for dl in left])[:, None]
+        self.downlink = np.array(ch.downlink, dtype=np.complex128)[:, None]
+        self.alpha_rows = np.array(self.alphas)[:, None]
+        self.beta_rows = np.array(self.betas)[:, None]
 
-def network_coded_word(words, alphas) -> np.ndarray:
-    """Ground-truth relay word w = sum_j alpha_j * (user j's slot word).
+        sizes = [plan.stream_lengths[p] for p in plan.symbol_spans]
+        self.symbol_index = normal_block_index(sizes)
+        self.noise_index = normal_block_index([n] * t_ext + [m] * (k_users * t_ext))
+        self.receive_scale = np.repeat([self.alphas[j - 1] for j, _ in plan.symbol_spans], sizes)
+        # Estimates in the order user k recovers them (k, then partner j); a
+        # sweep averages their errors in this order.
+        self.estimate_order = [
+            (j, k) for k in range(1, k_users + 1) for j in range(1, k_users + 1) if j != k
+        ]
 
-    Slot {j,k} holds alpha_j*u_jk + alpha_k*u_kj; the padding tail is zero.
-    """
-    word = np.zeros(words[0].shape[0], dtype=np.complex128)
-    for alpha, w in zip(alphas, words):
-        word += alpha * w
-    return word
+        # effective_snr: E||w||^2 of unit-variance symbols, and per active
+        # direction alpha_j^2, beta_k^2 and the filtered noise power of each
+        # slot component (row q mod N of Dl_k).
+        noise_rows = [np.sum(np.abs(dl.matrix) ** 2, axis=1) for dl in left]
+        self.word_power = 0.0
+        for (j, k), size in plan.stream_lengths.items():
+            self.word_power += (self.alphas[j - 1] ** 2) * size
+        self.snr_table = []
+        for (j, k), size in plan.stream_lengths.items():
+            if size == 0:
+                continue
+            off, _ = plan.slot(j, k)
+            rows = [float(noise_rows[k - 1][(off + i) % n]) for i in range(size)]
+            self.snr_table.append(((j, k), self.alphas[j - 1] ** 2, self.betas[k - 1] ** 2, rows))
+        self.rng = rng_for(0, STREAM_NOISE)
 
 
 def relay_decode(y_word, plan: StreamPlan, mode: str, true_word=None) -> np.ndarray:
     """Relay's estimate of the network-coded word.
 
-    genie: returns the supplied ground-truth word (ideal lattice decoding).
+    genie: returns a copy of the supplied ground-truth word (ideal lattice
+           decoding); the observation is not read and may be None.
     raw:   passes the observation through, zeroing the padding tail.
     """
-    y_word = np.asarray(y_word, dtype=np.complex128)
-    if y_word.shape != (plan.word_length,):
-        raise DimensionError(f"observation shape {y_word.shape} != ({plan.word_length},)")
+    if y_word is not None or mode == RAW:
+        y_word = np.asarray(y_word, dtype=np.complex128)
+        if y_word.shape != (plan.word_length,):
+            raise DimensionError(f"observation shape {y_word.shape} != ({plan.word_length},)")
     if mode == GENIE:
         if true_word is None:
             raise ModeUnavailable("genie decoding needs the ground-truth relay word")
@@ -124,45 +142,11 @@ def relay_transmit(w_hat, p: float):
     as-is with gamma = 0 (callers see the flag through gamma).
     """
     w_hat = np.asarray(w_hat, dtype=np.complex128)
-    norm = float(np.linalg.norm(w_hat))
+    norm = _norm(w_hat)
     if norm == 0.0:
         return np.zeros_like(w_hat), 0.0
     gamma = math.sqrt(p) / norm
     return gamma * w_hat, gamma
-
-
-def user_postcode(y_k, dl: NormalizedLeftMppi) -> np.ndarray:
-    """Left-inverse filtering of one received chunk: Dl @ y_k."""
-    y_k = np.asarray(y_k, dtype=np.complex128)
-    if y_k.shape != (dl.matrix.shape[1],):
-        raise DimensionError(f"received shape {y_k.shape} != ({dl.matrix.shape[1]},)")
-    return dl.matrix @ y_k
-
-
-def user_recover(filtered, k: int, own_word, plan: StreamPlan, alphas, gamma: float, beta_k: float):
-    """Estimates v_jk for all partners j != k from user k's filtered word.
-
-    Undo the relay scale gamma and the downlink constant beta_k, subtract
-    user k's own contribution alpha_k * own_word (its assembled slot word),
-    then per pair slot divide by the partner's alpha_j and keep the first
-    T*d_jk symbol positions.
-    """
-    filtered = np.asarray(filtered, dtype=np.complex128)
-    if filtered.shape != (plan.word_length,) or np.shape(own_word) != filtered.shape:
-        raise DimensionError(
-            f"filtered {filtered.shape} and own word {np.shape(own_word)} != ({plan.word_length},)"
-        )
-    partners = [j for j in range(1, plan.K + 1) if j != k]
-    for j in partners:
-        denom = gamma * beta_k * alphas[j - 1]
-        if abs(denom) < SCALE_UNDERFLOW:
-            raise ScalarUnderflow(f"recovery scale gamma*beta*alpha = {denom:.3e} for pair ({j},{k})")
-    cleaned = filtered / (gamma * beta_k) - alphas[k - 1] * own_word
-    estimates = {}
-    for j in partners:
-        slot = extract_pair_slot(cleaned, (j, k), plan)
-        estimates[(j, k)] = slot[: plan.stream_lengths[(j, k)]] / alphas[j - 1]
-    return estimates
 
 
 @dataclass(frozen=True)
@@ -203,16 +187,8 @@ class SnrReport:
         }
 
 
-def expected_word_power(plan: StreamPlan, alphas) -> float:
-    """E||w||^2 for unit-variance symbols: each direction adds alpha^2 per symbol."""
-    total = 0.0
-    for (j, k), length in plan.stream_lengths.items():
-        total += (alphas[j - 1] ** 2) * length
-    return total
-
-
-def effective_snr(cfg: SystemConfig, ch: ChannelSet, plan: StreamPlan, mode: str = GENIE) -> SnrReport:
-    """Analytic per-subchannel SNRs of the parallel two-way streams.
+def effective_snr(ctx: RoundContext, p: float, mode: str = GENIE) -> SnrReport:
+    """Analytic per-subchannel SNRs of the parallel two-way streams at power P.
 
     Uplink: the relay sees alpha_j * v plus unit-variance noise, so direction
     j->k runs at alpha_j^2 per component. Downlink: the relay forwards with
@@ -222,37 +198,23 @@ def effective_snr(cfg: SystemConfig, ch: ChannelSet, plan: StreamPlan, mode: str
 
     The rate proxy counts log2(1 + SNR) per component: downlink-only SNR in
     genie mode (the relay decode is ideal), min(uplink, downlink) in raw mode.
+    Everything but P comes from the context's table.
     """
     if mode not in (GENIE, RAW):
         raise ModeUnavailable(f"unknown mode {mode!r}")
-    right, left = ch.precoders
-    alphas = [hr.alpha for hr in right]
-    word_power = expected_word_power(plan, alphas)
-    gamma_sq = cfg.P / word_power if word_power > 0 else 0.0
-
-    noise_rows = [np.sum(np.abs(dl.matrix) ** 2, axis=1) for dl in left]  # per-user, length N
-
+    gamma_sq = p / ctx.word_power if ctx.word_power > 0 else 0.0
     streams, rates = {}, {}
     total_rate = 0.0
-    for (j, k), length in plan.stream_lengths.items():
-        if length == 0:
-            continue
-        off, _ = plan.slot(j, k)
-        snr_up = alphas[j - 1] ** 2
-        beta_k = left[k - 1].beta
-        down = []
+    for key, a2, b2, rows in ctx.snr_table:
+        down = [gamma_sq * b2 * a2 / row for row in rows]
         rate = 0.0
-        for i in range(length):
-            row = (off + i) % cfg.N
-            snr_dl = float(gamma_sq * (beta_k**2) * (alphas[j - 1] ** 2) / noise_rows[k - 1][row])
-            down.append(snr_dl)
-            eff = snr_dl if mode == GENIE else min(snr_up, snr_dl)
-            rate += math.log2(1.0 + eff)
-        rate /= plan.T
+        for snr_dl in down:
+            rate += math.log2(1.0 + (snr_dl if mode == GENIE else min(a2, snr_dl)))
+        rate /= ctx.plan.T
         snr_down = min(down)
-        effective = snr_down if mode == GENIE else min(snr_up, snr_down)
-        streams[(j, k)] = StreamSnr(uplink=snr_up, downlink=snr_down, effective=effective)
-        rates[(j, k)] = rate
+        effective = snr_down if mode == GENIE else min(a2, snr_down)
+        streams[key] = StreamSnr(uplink=a2, downlink=snr_down, effective=effective)
+        rates[key] = rate
         total_rate += rate
     return SnrReport(streams=streams, rates=rates, rate_proxy=total_rate)
 
@@ -292,8 +254,86 @@ class RoundResult:
         }
 
 
-def _chunks(word: np.ndarray, n: int):
-    return [word[t * n : (t + 1) * n] for t in range(word.shape[0] // n)]
+def transmit_round(
+    ctx: RoundContext,
+    p: float,
+    symbols: StreamSymbols | None = None,
+    seed: int = 0,
+    mode: str = GENIE,
+    noise: bool = True,
+) -> RoundResult:
+    """One full uplink + downlink round at power budget P over a context.
+
+    Symbols are drawn from (seed, symbol stream) when not supplied, noise
+    from (seed, noise stream): each stream in one draw, uplink noise of every
+    channel use before the downlink noise of every user and use.
+    """
+    if mode not in (GENIE, RAW):
+        raise ModeUnavailable(f"unknown mode {mode!r}")
+    plan, k_users, m = ctx.plan, ctx.plan.K, ctx.M
+    t_ext, n, length = plan.T, plan.N, plan.word_length
+    if symbols is None:
+        v = complex_normal_blocks(reset_rng(ctx.rng, seed, STREAM_SYMBOLS), ctx.symbol_index)
+    else:
+        symbols.check_plan(plan)
+        v = np.concatenate([symbols.get(j, k) for j, k in plan.symbol_spans])
+    words = np.concatenate((v, _PAD))[plan.word_index]  # row j: user j's slot word
+    z_up = z_down = None
+    if noise:
+        z = complex_normal_blocks(reset_rng(ctx.rng, seed, STREAM_NOISE), ctx.noise_index)
+        z_up, z_down = z[: t_ext * n].reshape(t_ext, n), z[t_ext * n :].reshape(k_users, t_ext, m)
+
+    # Uplink: x[j, t] is user j's transmit vector in channel use t.
+    x = (ctx.right @ words.reshape(k_users, t_ext, n, 1))[..., 0]
+    power_ok = check_power(x, p)
+    scaled = ctx.alpha_rows * words  # alpha_j * u_j
+    truth = y_word = None
+    if mode == GENIE:
+        truth = np.zeros(length, dtype=np.complex128)
+        for row in scaled:
+            truth += row
+    else:  # only the raw relay reads its observation
+        y_word = uplink_propagate(ctx.ch, x, z_up).reshape(length)
+
+    w_hat = relay_decode(y_word, plan, mode, true_word=truth)
+    x_word, gamma = relay_transmit(w_hat, p)
+    zero_word = gamma == 0.0
+    power_ok = power_ok and check_power(x_word.reshape(t_ext, n), p)
+
+    if zero_word:  # nothing was forwarded; every estimate is zero
+        est = np.zeros_like(v)
+    else:
+        for j, k in ctx.estimate_order:
+            denom = gamma * ctx.betas[k - 1] * ctx.alphas[j - 1]
+            if abs(denom) < SCALE_UNDERFLOW:
+                raise ScalarUnderflow(f"recovery scale gamma*beta*alpha = {denom:.3e} for pair ({j},{k})")
+        y = downlink_propagate(ctx.downlink, x_word.reshape(t_ext, n), z_down)
+        filtered = (ctx.left @ y[..., None]).reshape(k_users, length)
+        # Undo gamma*beta_k, cancel the user's own contribution, and divide
+        # each partner's slot by the partner's alpha_j.
+        cleaned = filtered / (gamma * ctx.beta_rows) - scaled
+        est = cleaned.reshape(-1)[plan.receive_index] / ctx.receive_scale
+
+    err = est - v
+    estimates, rel_errors = {}, {}
+    for key in ctx.estimate_order:
+        a, b = plan.symbol_spans[key]
+        estimates[key] = est[a:b]
+        if a == b:
+            continue
+        ref, e = _norm(v[a:b]), _norm(err[a:b])
+        rel_errors[key] = e / ref if ref > 0 else (0.0 if e == 0 else math.inf)
+
+    return RoundResult(
+        estimates=estimates,
+        rel_errors=rel_errors,
+        snr=effective_snr(ctx, p, mode),
+        gamma=gamma,
+        zero_word=zero_word,
+        power_ok=power_ok,
+        mode=mode,
+        noisy=noise,
+    )
 
 
 def run_round(
@@ -305,71 +345,8 @@ def run_round(
     mode: str = GENIE,
     noise: bool = True,
 ) -> RoundResult:
-    """Execute one full uplink + downlink round over the stream plan `plan`.
-
-    Symbols are sampled from (seed, symbol stream) when not supplied; noise
-    from (seed, noise stream). The precoders come from `ch.precoders`.
-    """
+    """One round over the stream plan `plan` at power cfg.P: builds the
+    channel draw's context and runs `transmit_round` on it."""
     if (plan.K, plan.N) != (cfg.K, cfg.N):
         raise DimensionError(f"plan for K={plan.K}, N={plan.N} does not fit K={cfg.K}, N={cfg.N}")
-    right, left = ch.precoders
-    alphas = [hr.alpha for hr in right]
-    if symbols is None:
-        symbols = sample_stream_symbols(plan, seed)
-    symbols.check_plan(plan)
-    noise_rng = rng_for(seed, STREAM_NOISE) if noise else None
-
-    words = [assemble_uplink_symbol(j, symbols, plan) for j in range(1, cfg.K + 1)]
-    truth = network_coded_word(words, alphas)
-
-    power_ok = True
-    y_parts = []
-    for chunk_set in zip(*(_chunks(w, cfg.N) for w in words)):
-        z = complex_normal(noise_rng, cfg.N) if noise else None
-        y, use_ok = relay_observe(cfg, ch, chunk_set, z)
-        power_ok = power_ok and use_ok
-        y_parts.append(y)
-    y_word = np.concatenate(y_parts)
-
-    w_hat = relay_decode(y_word, plan, mode, true_word=truth)
-    x_word, gamma = relay_transmit(w_hat, cfg.P)
-    zero_word = gamma == 0.0
-    power_ok = power_ok and all(check_power(xc, cfg.P) for xc in _chunks(x_word, cfg.N))
-
-    estimates, rel_errors = {}, {}
-    for k in range(1, cfg.K + 1):
-        filt_parts = []
-        for x_chunk in _chunks(x_word, cfg.N):
-            z = complex_normal(noise_rng, cfg.M) if noise else None
-            y_k = downlink_propagate(ch.downlink[k - 1], x_chunk, z)
-            filt_parts.append(user_postcode(y_k, left[k - 1]))
-        filtered = np.concatenate(filt_parts)
-        if zero_word:
-            # Nothing was forwarded; report zero estimates for this user.
-            for j in range(1, cfg.K + 1):
-                if j != k:
-                    estimates[(j, k)] = np.zeros(plan.stream_lengths[(j, k)], dtype=np.complex128)
-        else:
-            estimates.update(
-                user_recover(filtered, k, words[k - 1], plan, alphas, gamma, left[k - 1].beta)
-            )
-
-    for (j, k), v_hat in estimates.items():
-        v = symbols.get(j, k)
-        if v.shape[0] == 0:
-            continue
-        ref = float(np.linalg.norm(v))
-        err = float(np.linalg.norm(v_hat - v))
-        rel_errors[(j, k)] = err / ref if ref > 0 else (0.0 if err == 0 else math.inf)
-
-    report = effective_snr(cfg, ch, plan, mode)
-    return RoundResult(
-        estimates=estimates,
-        rel_errors=rel_errors,
-        snr=report,
-        gamma=gamma,
-        zero_word=zero_word,
-        power_ok=power_ok,
-        mode=mode,
-        noisy=noise,
-    )
+    return transmit_round(RoundContext(ch, plan), cfg.P, symbols, seed, mode, noise)

@@ -1,15 +1,29 @@
-"""Shared test helpers, and the brute-force region oracles that the subset-DP
-and cutting-plane tools in `yrelay.dofregion` are checked against."""
+"""Shared test helpers, the brute-force region oracles that the subset-DP
+and cutting-plane tools in `yrelay.dofregion` are checked against, and the
+reference round that `yrelay.transceiver.transmit_round` is checked against."""
 
 import functools
 import itertools
+import math
 from fractions import Fraction
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from yrelay.alignment import DofVector, ordered_pairs, user_pairs
+from yrelay.alignment import (
+    DofVector,
+    StreamSymbols,
+    assemble_uplink_symbol,
+    extract_pair_slot,
+    ordered_pairs,
+    user_pairs,
+)
+from yrelay.channel import POWER_CHECK_SLACK, STREAM_NOISE, STREAM_SYMBOLS, complex_normal, rng_for
 from yrelay.dofregion import MembershipVerdict, construction_feasible, permutation_constraint
+from yrelay.errors import DimensionError, ModeUnavailable, ScalarUnderflow
 from yrelay.simplex import solve_max, verify_certificate
+from yrelay.transceiver import GENIE, RAW, SCALE_UNDERFLOW, RoundResult, SnrReport, StreamSnr
 
 
 @pytest.fixture
@@ -97,3 +111,241 @@ def full_row_lp():
 def full_row_gap():
     """find_construction_gap with every LP over all K! rows."""
     return _full_row_gap
+
+
+# ------------------------------------------------------------ reference round
+# The round one call at a time: per user and channel use, symbols and noise
+# drawn per block, the analytic SNR recomputed from the precoders. The
+# propagation and power-check helpers are the single-vector forms.
+
+
+def _check_power(x, p):
+    energy = float(np.sum(np.abs(np.asarray(x, dtype=np.complex128)) ** 2))
+    return energy <= p * (1.0 + POWER_CHECK_SLACK)
+
+
+def _uplink_propagate(ch, x, noise=None):
+    if len(x) != ch.K:
+        raise DimensionError(f"expected {ch.K} transmit vectors, got {len(x)}")
+    n = ch.uplink[0].shape[0]
+    y = np.zeros(n, dtype=np.complex128)
+    for h, xj in zip(ch.uplink, x):
+        xj = np.asarray(xj, dtype=np.complex128)
+        if xj.shape != (h.shape[1],):
+            raise DimensionError(f"transmit vector shape {xj.shape} != ({h.shape[1]},)")
+        y += h @ xj
+    if noise is not None:
+        y += np.asarray(noise, dtype=np.complex128)
+    return y
+
+
+def _downlink_propagate(d_k, x_r, noise=None):
+    y = np.asarray(d_k, dtype=np.complex128) @ np.asarray(x_r, dtype=np.complex128)
+    if noise is not None:
+        y += np.asarray(noise, dtype=np.complex128)
+    return y
+
+
+def _sample_stream_symbols(plan, seed):
+    """Unit-variance complex Gaussian codeword symbols for every direction."""
+    rng = rng_for(seed, STREAM_SYMBOLS)
+    return StreamSymbols(plan.K, {pair: complex_normal(rng, plan.stream_lengths[pair])
+                                  for pair in ordered_pairs(plan.K)})
+
+
+def _uplink_precode(u_j, hr):
+    """Transmit vector x_j = Hr @ u_j (length M) for one channel use."""
+    u_j = np.asarray(u_j, dtype=np.complex128)
+    if u_j.shape != (hr.matrix.shape[1],):
+        raise DimensionError(f"slot word shape {u_j.shape} != ({hr.matrix.shape[1]},)")
+    return hr.matrix @ u_j
+
+
+def _relay_observe(cfg, ch, us, noise=None):
+    """(sum_j alpha_j u_j plus noise, every transmit vector within cfg.P) for one channel use."""
+    if len(us) != cfg.K:
+        raise DimensionError(f"expected {cfg.K} user words, got {len(us)}")
+    xs = [_uplink_precode(u, hr) for u, hr in zip(us, ch.precoders[0])]
+    power_ok = all(_check_power(x, cfg.P) for x in xs)
+    return _uplink_propagate(ch, xs, noise), power_ok
+
+
+def _network_coded_word(words, alphas):
+    """Ground-truth relay word w = sum_j alpha_j * (user j's slot word)."""
+    word = np.zeros(words[0].shape[0], dtype=np.complex128)
+    for alpha, w in zip(alphas, words):
+        word += alpha * w
+    return word
+
+
+def _relay_decode(y_word, plan, mode, true_word=None):
+    y_word = np.asarray(y_word, dtype=np.complex128)
+    if y_word.shape != (plan.word_length,):
+        raise DimensionError(f"observation shape {y_word.shape} != ({plan.word_length},)")
+    if mode == GENIE:
+        if true_word is None:
+            raise ModeUnavailable("genie decoding needs the ground-truth relay word")
+        return np.array(true_word, dtype=np.complex128)
+    if mode == RAW:
+        w_hat = y_word.copy()
+        if plan.padding:
+            w_hat[plan.word_length - plan.padding :] = 0.0
+        return w_hat
+    raise ModeUnavailable(f"unknown relay decode mode {mode!r}")
+
+
+def _relay_transmit(w_hat, p):
+    w_hat = np.asarray(w_hat, dtype=np.complex128)
+    norm = float(np.linalg.norm(w_hat))
+    if norm == 0.0:
+        return np.zeros_like(w_hat), 0.0
+    gamma = math.sqrt(p) / norm
+    return gamma * w_hat, gamma
+
+
+def _user_postcode(y_k, dl):
+    """Left-inverse filtering of one received chunk: Dl @ y_k."""
+    y_k = np.asarray(y_k, dtype=np.complex128)
+    if y_k.shape != (dl.matrix.shape[1],):
+        raise DimensionError(f"received shape {y_k.shape} != ({dl.matrix.shape[1]},)")
+    return dl.matrix @ y_k
+
+
+def _user_recover(filtered, k, own_word, plan, alphas, gamma, beta_k):
+    """Estimates v_jk for all partners j != k from user k's filtered word."""
+    filtered = np.asarray(filtered, dtype=np.complex128)
+    if filtered.shape != (plan.word_length,) or np.shape(own_word) != filtered.shape:
+        raise DimensionError(
+            f"filtered {filtered.shape} and own word {np.shape(own_word)} != ({plan.word_length},)")
+    partners = [j for j in range(1, plan.K + 1) if j != k]
+    for j in partners:
+        denom = gamma * beta_k * alphas[j - 1]
+        if abs(denom) < SCALE_UNDERFLOW:
+            raise ScalarUnderflow(f"recovery scale gamma*beta*alpha = {denom:.3e} for pair ({j},{k})")
+    cleaned = filtered / (gamma * beta_k) - alphas[k - 1] * own_word
+    estimates = {}
+    for j in partners:
+        slot = extract_pair_slot(cleaned, (j, k), plan)
+        estimates[(j, k)] = slot[: plan.stream_lengths[(j, k)]] / alphas[j - 1]
+    return estimates
+
+
+def _effective_snr(cfg, ch, plan, mode=GENIE):
+    if mode not in (GENIE, RAW):
+        raise ModeUnavailable(f"unknown mode {mode!r}")
+    right, left = ch.precoders
+    alphas = [hr.alpha for hr in right]
+    word_power = 0.0
+    for (j, k), length in plan.stream_lengths.items():
+        word_power += (alphas[j - 1] ** 2) * length
+    gamma_sq = cfg.P / word_power if word_power > 0 else 0.0
+    noise_rows = [np.sum(np.abs(dl.matrix) ** 2, axis=1) for dl in left]
+    streams, rates = {}, {}
+    total_rate = 0.0
+    for (j, k), length in plan.stream_lengths.items():
+        if length == 0:
+            continue
+        off, _ = plan.slot(j, k)
+        snr_up = alphas[j - 1] ** 2
+        beta_k = left[k - 1].beta
+        down = []
+        rate = 0.0
+        for i in range(length):
+            row = (off + i) % cfg.N
+            snr_dl = float(gamma_sq * (beta_k**2) * (alphas[j - 1] ** 2) / noise_rows[k - 1][row])
+            down.append(snr_dl)
+            eff = snr_dl if mode == GENIE else min(snr_up, snr_dl)
+            rate += math.log2(1.0 + eff)
+        rate /= plan.T
+        snr_down = min(down)
+        effective = snr_down if mode == GENIE else min(snr_up, snr_down)
+        streams[(j, k)] = StreamSnr(uplink=snr_up, downlink=snr_down, effective=effective)
+        rates[(j, k)] = rate
+        total_rate += rate
+    return SnrReport(streams=streams, rates=rates, rate_proxy=total_rate)
+
+
+def _chunks(word, n):
+    return [word[t * n : (t + 1) * n] for t in range(word.shape[0] // n)]
+
+
+def _run_round(cfg, ch, plan, symbols=None, seed=0, mode=GENIE, noise=True):
+    if (plan.K, plan.N) != (cfg.K, cfg.N):
+        raise DimensionError(f"plan for K={plan.K}, N={plan.N} does not fit K={cfg.K}, N={cfg.N}")
+    right, left = ch.precoders
+    alphas = [hr.alpha for hr in right]
+    if symbols is None:
+        symbols = _sample_stream_symbols(plan, seed)
+    symbols.check_plan(plan)
+    noise_rng = rng_for(seed, STREAM_NOISE) if noise else None
+
+    words = [assemble_uplink_symbol(j, symbols, plan) for j in range(1, cfg.K + 1)]
+    truth = _network_coded_word(words, alphas)
+
+    power_ok = True
+    y_parts = []
+    for chunk_set in zip(*(_chunks(w, cfg.N) for w in words)):
+        z = complex_normal(noise_rng, cfg.N) if noise else None
+        y, use_ok = _relay_observe(cfg, ch, chunk_set, z)
+        power_ok = power_ok and use_ok
+        y_parts.append(y)
+    y_word = np.concatenate(y_parts)
+
+    w_hat = _relay_decode(y_word, plan, mode, true_word=truth)
+    x_word, gamma = _relay_transmit(w_hat, cfg.P)
+    zero_word = gamma == 0.0
+    power_ok = power_ok and all(_check_power(xc, cfg.P) for xc in _chunks(x_word, cfg.N))
+
+    estimates, rel_errors = {}, {}
+    for k in range(1, cfg.K + 1):
+        filt_parts = []
+        for x_chunk in _chunks(x_word, cfg.N):
+            z = complex_normal(noise_rng, cfg.M) if noise else None
+            y_k = _downlink_propagate(ch.downlink[k - 1], x_chunk, z)
+            filt_parts.append(_user_postcode(y_k, left[k - 1]))
+        filtered = np.concatenate(filt_parts)
+        if zero_word:
+            for j in range(1, cfg.K + 1):
+                if j != k:
+                    estimates[(j, k)] = np.zeros(plan.stream_lengths[(j, k)], dtype=np.complex128)
+        else:
+            estimates.update(
+                _user_recover(filtered, k, words[k - 1], plan, alphas, gamma, left[k - 1].beta))
+
+    for (j, k), v_hat in estimates.items():
+        v = symbols.get(j, k)
+        if v.shape[0] == 0:
+            continue
+        ref = float(np.linalg.norm(v))
+        err = float(np.linalg.norm(v_hat - v))
+        rel_errors[(j, k)] = err / ref if ref > 0 else (0.0 if err == 0 else math.inf)
+
+    return RoundResult(
+        estimates=estimates,
+        rel_errors=rel_errors,
+        snr=_effective_snr(cfg, ch, plan, mode),
+        gamma=gamma,
+        zero_word=zero_word,
+        power_ok=power_ok,
+        mode=mode,
+        noisy=noise,
+    )
+
+
+@pytest.fixture(scope="session")
+def reference_round():
+    """The round one call at a time. `reference_round.run(cfg, ch, plan,
+    symbols, seed, mode, noise)` takes `run_round`'s arguments; its stages
+    (`effective_snr(cfg, ch, plan, mode)`, `sample_stream_symbols`,
+    `uplink_precode`, `relay_observe`, `network_coded_word`,
+    `user_postcode`, `user_recover`) are attributes too."""
+    return SimpleNamespace(
+        run=_run_round,
+        effective_snr=_effective_snr,
+        sample_stream_symbols=_sample_stream_symbols,
+        uplink_precode=_uplink_precode,
+        relay_observe=_relay_observe,
+        network_coded_word=_network_coded_word,
+        user_postcode=_user_postcode,
+        user_recover=_user_recover,
+    )

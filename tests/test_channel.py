@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,15 @@ from yrelay.channel import (
     SystemConfig,
     check_power,
     complex_normal,
+    complex_normal_blocks,
     downlink_propagate,
+    normal_block_index,
+    reset_rng,
     rng_for,
     sample_channels,
     uplink_propagate,
 )
-from yrelay.errors import DimensionError
+from yrelay.errors import DimensionError, RankDeficient
 
 
 def propagate_oracle(mats, xs):
@@ -70,6 +75,27 @@ def test_channel_shapes():
     assert all(d.shape == (8, 6) for d in wide.downlink)
 
 
+def test_sampled_precoders_match_fresh_inverses():
+    # a sampled draw reuses its conditioning check's singular values: the
+    # precoders equal a directly built set's bit for bit, and a replaced set
+    # inverts its own matrices, not with the draw's values
+    ch = sample_channels(CFG, seed=4)
+    other = sample_channels(CFG, seed=5)
+    cases = [
+        (ch, ChannelSet(uplink=ch.uplink, downlink=ch.downlink)),
+        (dataclasses.replace(ch, uplink=other.uplink), ChannelSet(uplink=other.uplink, downlink=ch.downlink)),
+    ]
+    for got, want in cases:
+        for g, w in zip(got.precoders[0] + got.precoders[1], want.precoders[0] + want.precoders[1]):
+            assert g.matrix.tobytes() == w.matrix.tobytes()
+        assert [hr.alpha for hr in got.precoders[0]] == [hr.alpha for hr in want.precoders[0]]
+        assert [dl.beta for dl in got.precoders[1]] == [dl.beta for dl in want.precoders[1]]
+    flat = other.uplink[0].copy()
+    flat[1] = flat[0]  # rank-deficient: only its own singular values show it
+    with pytest.raises(RankDeficient):
+        dataclasses.replace(ch, uplink=(flat,) + ch.uplink[1:]).precoders
+
+
 def test_entry_moments():
     ch = sample_channels(SystemConfig(K=4, M=50, N=40, P=1.0), seed=5)
     entries = np.concatenate([m.ravel() for m in ch.uplink + ch.downlink])
@@ -101,6 +127,13 @@ def test_uplink_matches_oracle():
         got = uplink_propagate(ch, xs)
         want = propagate_oracle(ch.uplink, xs)
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+    # a stack of channel uses: each use equals its own call, bit for bit
+    stack = rng.standard_normal((4, 3, 6)) + 1j * rng.standard_normal((4, 3, 6))
+    z = noise((3, 6), seed=10)
+    got = uplink_propagate(ch, stack, noise=z)
+    assert got.shape == (3, 6)
+    for t in range(3):
+        assert got[t].tobytes() == uplink_propagate(ch, list(stack[:, t]), noise=z[t]).tobytes()
 
 
 def test_uplink_noise_added():
@@ -134,12 +167,22 @@ def test_downlink_matches_oracle():
     got = downlink_propagate(ch.downlink[2], x)
     want = propagate_oracle([ch.downlink[2]], [x])
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    # every user's matrix against a stack of relay vectors, bit for bit
+    xs = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
+    z = noise((4, 3, 6), seed=14)
+    got = downlink_propagate(np.array(ch.downlink)[:, None], xs, noise=z)
+    assert got.shape == (4, 3, 6)
+    for k in range(4):
+        for t in range(3):
+            assert got[k, t].tobytes() == downlink_propagate(ch.downlink[k], xs[t], noise=z[k, t]).tobytes()
 
 
 def test_downlink_dimension_error():
     ch = sample_channels(CFG, seed=4)
     with pytest.raises(DimensionError):
         downlink_propagate(ch.downlink[0], np.zeros(5))
+    with pytest.raises(DimensionError):
+        downlink_propagate(ch.downlink[0], np.zeros(6), noise=np.zeros(5))
 
 
 def test_propagation_linearity():
@@ -161,6 +204,32 @@ def test_awgn_determinism_and_moments():
     assert abs(np.mean(np.abs(z) ** 2) - 1.0) < 0.05
 
 
+def test_reset_rng_matches_fresh_generator():
+    # rng_for and a re-keyed generator both start where numpy's own
+    # Philox(key=[seed, stream]) does, also for seeds >= 2^63, whose key
+    # numpy rounds through float64 (2^63 + 5 and 2^63 + 6 collide)
+    reused = rng_for(0, STREAM_NOISE)
+    seeds = [0, 2**53, 2**63 - 1, 2**63, 2**63 + 5, 2**63 + 6, 2**64 - 1]
+    seeds += [int(s) for s in np.random.default_rng(15).integers(0, 2**64, size=200, dtype=np.uint64)]
+    with np.errstate(invalid="ignore"):  # seeds that round up to 2^64
+        for seed in seeds:
+            for stream in (1, 2, 3):
+                want = np.random.Generator(np.random.Philox(key=[seed, stream])).standard_normal(64)
+                assert rng_for(seed, stream).standard_normal(64).tobytes() == want.tobytes()
+                assert reset_rng(reused, seed, stream).standard_normal(64).tobytes() == want.tobytes()
+        assert (rng_for(2**63 + 5, 2).standard_normal(4) == rng_for(2**63 + 6, 2).standard_normal(4)).all()
+
+
+def test_blocked_draw_matches_consecutive_calls():
+    for sizes in ([3], [0, 2, 0, 5, 1], [6] * 4 + [8] * 12, [0, 0]):
+        index = normal_block_index(sizes)
+        assert index.shape == (2, sum(sizes))
+        rng = rng_for(16, STREAM_NOISE)
+        want = np.concatenate([complex_normal(rng, n) for n in sizes])
+        got = complex_normal_blocks(rng_for(16, STREAM_NOISE), index)
+        assert got.tobytes() == want.tobytes()
+
+
 def test_rng_streams_independent():
     # same seed, different stream ids must give unrelated draws
     a = rng_for(5, 1).standard_normal(8)
@@ -173,3 +242,7 @@ def test_check_power():
     x = np.ones(4) * 0.5  # ||x||^2 = 1
     assert check_power(x, 1.0)
     assert not check_power(x, 1.0 / 1.1)
+    # a stack passes only when every vector does
+    stack = np.stack([np.zeros(4), x, 0.5 * x])
+    assert check_power(stack, 1.0)
+    assert not check_power(stack, 1.0 / 1.1)

@@ -10,6 +10,7 @@ import pytest
 
 import yrelay.channel
 import yrelay.harness
+import yrelay.transceiver
 from yrelay.alignment import DofVector
 from yrelay.channel import SystemConfig
 from yrelay.errors import Infeasible, Underdetermined
@@ -214,15 +215,30 @@ def counted(fn, calls, key):
 
 
 def test_sweep_reuses_precoders_and_plan(monkeypatch):
-    # the channel is block-constant: each draw inverts its 2K matrices once
-    # for all power points, and the sweep builds its stream plan once
-    calls = {"mppi": 0, "plan": 0}
+    # the channel is block-constant: each draw runs the 2K SVDs of its
+    # conditioning check, inverts its 2K matrices once with those singular
+    # values, and builds one round context (with its SNR coefficient table)
+    # for all power points; the sweep builds its stream plan once; a noisy
+    # round draws its symbols and its noise with one standard_normal call each
+    calls = {"mppi": 0, "plan": 0, "svd": 0, "context": 0, "normal": 0}
     for module, name, key in (
-        (yrelay.channel, "normalized_right_mppi", "mppi"),
-        (yrelay.channel, "normalized_left_mppi", "mppi"),
+        (yrelay.channel, "_unit_pinv", "mppi"),
         (yrelay.harness, "build_stream_plan", "plan"),
+        (yrelay.harness, "RoundContext", "context"),
+        (np.linalg, "svd", "svd"),
     ):
         monkeypatch.setattr(module, name, counted(getattr(module, name), calls, key))
+
+    class CountingGenerator:
+        def __init__(self, rng):
+            self.bit_generator, self._rng = rng.bit_generator, rng
+
+        def standard_normal(self, *args):
+            calls["normal"] += 1
+            return self._rng.standard_normal(*args)
+
+    fresh = yrelay.transceiver.rng_for
+    monkeypatch.setattr(yrelay.transceiver, "rng_for", lambda seed, stream: CountingGenerator(fresh(seed, stream)))
     k_users, trials = 4, 3
     cfg = ExperimentConfig(
         system=SystemConfig(K=k_users, M=6, N=6, P=1.0),
@@ -232,4 +248,11 @@ def test_sweep_reuses_precoders_and_plan(monkeypatch):
         seed=0,
     )
     run_sweep(cfg)
-    assert calls == {"mppi": 2 * k_users * trials, "plan": 1}
+    rounds = len(cfg.sweep_db) * trials
+    assert calls == {
+        "mppi": 2 * k_users * trials,
+        "plan": 1,
+        "svd": 2 * k_users * trials,
+        "context": trials,
+        "normal": 2 * rounds,
+    }

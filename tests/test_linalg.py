@@ -16,8 +16,10 @@ import pytest
 from yrelay.errors import DimensionError, RankDeficient
 from yrelay.linalg import (
     DIAG_RTOL,
+    GRAM_COND_LIMIT,
     RANK_TOL,
     TRACE_TOL,
+    _unit_pinv,
     as_complex_matrix,
     normalized_left_mppi,
     normalized_right_mppi,
@@ -226,3 +228,29 @@ def test_singular_values_multiply_to_determinant():
         assert list(s) == sorted(s, reverse=True)
         assert np.prod(s) == pytest.approx(abs(np.linalg.det(a)), rel=1e-9)
         assert not well_conditioned(svals(a @ np.diag([1.0, 1.0, 0.0])))
+
+
+def test_given_singular_values_change_no_bit():
+    # the inverse of a sampled channel reuses the draw's singular values: same
+    # bits, same route (Gram or SVD fallback) and same error as computing them
+    rng = np.random.default_rng(110)
+    routes = {"gram": 0, "fallback": 0, "rank": 0}
+    for i in range(600):
+        n = 1 + i % 6
+        m = n + (i // 6) % 3
+        a = random_complex(rng, n, m)
+        a[:, 0] *= 10.0 ** -rng.uniform(0, 12)  # ill-conditioned down to rank-deficient
+        for right, x in ((True, a), (False, a.T)):
+            s = svals(x)
+            try:
+                want = _unit_pinv(x, right)
+            except RankDeficient:
+                routes["rank"] += 1
+                with pytest.raises(RankDeficient):
+                    _unit_pinv(x, right, s)
+                continue
+            routes["fallback" if (s[0] / s[-1]) ** 2 > GRAM_COND_LIMIT else "gram"] += 1
+            got = _unit_pinv(x, right, s)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1] == want[1]
+    assert min(routes.values()) > 50

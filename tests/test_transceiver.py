@@ -1,10 +1,18 @@
-"""End-to-end round tests: precoding, relay processing, recovery, SNR."""
+"""End-to-end round tests: precoding, relay processing, recovery, SNR.
+
+`transmit_round` is held to the one-call-at-a-time reference round in
+`tests/conftest.py` bit for bit; the stage tests below check that reference's
+stages, or the stages the round still calls (`relay_decode`, `relay_transmit`,
+`effective_snr`).
+"""
 
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from yrelay.alignment import (
     DofVector,
@@ -27,16 +35,12 @@ from yrelay.linalg import normalized_left_mppi, normalized_right_mppi
 from yrelay.transceiver import (
     GENIE,
     RAW,
+    RoundContext,
     effective_snr,
-    network_coded_word,
     relay_decode,
-    relay_observe,
     relay_transmit,
     run_round,
-    sample_stream_symbols,
-    uplink_precode,
-    user_postcode,
-    user_recover,
+    transmit_round,
 )
 
 ALL_ONES = DofVector.uniform(4, Fraction(1))
@@ -57,71 +61,71 @@ def identity_channels(k_users, n):
 # ------------------------------------------------------------------- uplink
 
 
-def test_precode_zero():
+def test_precode_zero(reference_round):
     hr = normalized_right_mppi(np.eye(4))
-    assert np.allclose(uplink_precode(np.zeros(4), hr), 0.0)
+    assert np.allclose(reference_round.uplink_precode(np.zeros(4), hr), 0.0)
 
 
-def test_precode_identity_scales_by_root_n():
+def test_precode_identity_scales_by_root_n(reference_round):
     hr = normalized_right_mppi(np.eye(4))
     u = np.arange(1.0, 5.0)
-    assert np.allclose(uplink_precode(u, hr), u / 2.0)  # sqrt(N) = 2
+    assert np.allclose(reference_round.uplink_precode(u, hr), u / 2.0)  # sqrt(N) = 2
 
 
-def test_precode_inverts_channel():
+def test_precode_inverts_channel(reference_round):
     rng = np.random.default_rng(41)
     for _ in range(20):
         h = (rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))) / np.sqrt(2)
         hr = normalized_right_mppi(h)
         u = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        x = uplink_precode(u, hr)
+        x = reference_round.uplink_precode(u, hr)
         assert np.linalg.norm(h @ x - hr.alpha * u) <= 1e-9 * hr.alpha * np.linalg.norm(u)
 
 
-def test_relay_observe_noise_only():
+def test_relay_observe_noise_only(reference_round):
     ch = sample_channels(CFG66, seed=1)
     z = noise(6, seed=2)
     us = [np.zeros(6)] * 4
-    y, power_ok = relay_observe(CFG66, ch, us, noise=z)
+    y, power_ok = reference_round.relay_observe(CFG66, ch, us, noise=z)
     assert np.allclose(y, z)
     assert power_ok
     with pytest.raises(DimensionError):
-        relay_observe(CFG66, ch, us[:3])
+        reference_round.relay_observe(CFG66, ch, us[:3])
 
 
-def test_relay_observe_single_user():
+def test_relay_observe_single_user(reference_round):
     ch = sample_channels(CFG66, seed=3)
     right, _ = ch.precoders
     rng = np.random.default_rng(4)
     u2 = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     us = [np.zeros(6), u2, np.zeros(6), np.zeros(6)]
-    y, power_ok = relay_observe(CFG66, ch, us)
+    y, power_ok = reference_round.relay_observe(CFG66, ch, us)
     want = right[1].alpha * u2
     assert np.linalg.norm(y - want) <= 1e-9 * np.linalg.norm(want)
     assert power_ok
     # user 2 transmits ||Hr u2||^2 > 0; a budget below that fails the check
     energy = np.linalg.norm(right[1].matrix @ u2) ** 2
-    y_low, low_ok = relay_observe(SystemConfig(K=4, M=6, N=6, P=energy / 2), ch, us)
+    y_low, low_ok = reference_round.relay_observe(SystemConfig(K=4, M=6, N=6, P=energy / 2), ch, us)
     assert np.array_equal(y_low, y)
     assert not low_ok
 
 
-def test_relay_observe_matches_dense_oracle():
+def test_relay_observe_matches_dense_oracle(reference_round):
     ch = sample_channels(CFG66, seed=5)
     right, _ = ch.precoders
     rng = np.random.default_rng(6)
     us = [rng.standard_normal(6) + 1j * rng.standard_normal(6) for _ in range(4)]
-    y, _ = relay_observe(CFG66, ch, us)
+    y, _ = reference_round.relay_observe(CFG66, ch, us)
     want = sum(h @ (hr.matrix @ u) for h, hr, u in zip(ch.uplink, right, us))
     assert np.allclose(y, want, rtol=1e-12)
 
 
-def test_relay_observe_is_scaled_symbol_sum():
+def test_relay_observe_is_scaled_symbol_sum(reference_round):
     ch = sample_channels(CFG66, seed=7)
     right, _ = ch.precoders
     rng = np.random.default_rng(8)
     us = [rng.standard_normal(6) + 1j * rng.standard_normal(6) for _ in range(4)]
-    y, _ = relay_observe(CFG66, ch, us)
+    y, _ = reference_round.relay_observe(CFG66, ch, us)
     want = sum(hr.alpha * u for hr, u in zip(right, us))
     assert np.linalg.norm(y - want) <= 1e-9 * np.linalg.norm(want)
 
@@ -133,10 +137,10 @@ def slot_words(sym, plan):
     return [assemble_uplink_symbol(j, sym, plan) for j in range(1, plan.K + 1)]
 
 
-def test_genie_decode_exact_under_noise():
+def test_genie_decode_exact_under_noise(reference_round):
     plan = build_stream_plan(ALL_ONES, 6)
-    sym = sample_stream_symbols(plan, seed=11)
-    truth = network_coded_word(slot_words(sym, plan), [0.5, 0.4, 0.3, 0.2])
+    sym = reference_round.sample_stream_symbols(plan, seed=11)
+    truth = reference_round.network_coded_word(slot_words(sym, plan), [0.5, 0.4, 0.3, 0.2])
     noisy = truth + noise(6, seed=12)
     assert np.array_equal(relay_decode(noisy, plan, GENIE, true_word=truth), truth)
 
@@ -147,10 +151,24 @@ def test_genie_decode_needs_truth():
         relay_decode(np.zeros(6), plan, GENIE)
 
 
-def test_raw_decode_noiseless_passthrough():
+def test_genie_decode_returns_a_copy_and_checks_the_observation():
     plan = build_stream_plan(ALL_ONES, 6)
-    sym = sample_stream_symbols(plan, seed=13)
-    truth = network_coded_word(slot_words(sym, plan), [0.5, 0.4, 0.3, 0.2])
+    truth = noise(6, seed=14)
+    for y in (None, np.zeros(6)):  # the observation is not read, so it may be absent
+        out = relay_decode(y, plan, GENIE, true_word=truth)
+        assert out.tobytes() == truth.tobytes()
+        out[0] += 1.0
+        assert out[0] != truth[0]  # writing to the estimate leaves the truth alone
+    with pytest.raises(DimensionError):
+        relay_decode(np.zeros(5), plan, GENIE, true_word=truth)
+    with pytest.raises(DimensionError):
+        relay_decode(None, plan, RAW)
+
+
+def test_raw_decode_noiseless_passthrough(reference_round):
+    plan = build_stream_plan(ALL_ONES, 6)
+    sym = reference_round.sample_stream_symbols(plan, seed=13)
+    truth = reference_round.network_coded_word(slot_words(sym, plan), [0.5, 0.4, 0.3, 0.2])
     assert np.allclose(relay_decode(truth, plan, RAW), truth)
 
 
@@ -163,17 +181,17 @@ def test_raw_decode_zeroes_padding_tail():
     assert out[0] == 1.0
 
 
-def test_raw_decode_error_power_matches_noise_floor():
+def test_raw_decode_error_power_matches_noise_floor(reference_round):
     # hat w - w is exactly the relay noise, unit variance per component
     plan = build_stream_plan(ALL_ONES, 6)
     sq = []
     for t in range(1000):
         ch = sample_channels(CFG66, derive_seed(9, 1, t))
         alphas = [r.alpha for r in ch.precoders[0]]
-        sym = sample_stream_symbols(plan, derive_seed(9, 3, t))
+        sym = reference_round.sample_stream_symbols(plan, derive_seed(9, 3, t))
         us = slot_words(sym, plan)
-        truth = network_coded_word(us, alphas)
-        y, _ = relay_observe(CFG66, ch, us, noise=noise(6, derive_seed(9, 4, t)))
+        truth = reference_round.network_coded_word(us, alphas)
+        y, _ = reference_round.relay_observe(CFG66, ch, us, noise=noise(6, derive_seed(9, 4, t)))
         sq.extend(np.abs(relay_decode(y, plan, RAW) - truth) ** 2)
     assert np.mean(sq) == pytest.approx(1.0, rel=0.10)
 
@@ -214,48 +232,48 @@ def test_transmit_zero_word_flagged():
 # ---------------------------------------------------------- downlink + recover
 
 
-def test_postcode_zero_and_identity():
+def test_postcode_zero_and_identity(reference_round):
     dl = normalized_left_mppi(np.eye(5))
-    assert np.allclose(user_postcode(np.zeros(5), dl), 0.0)
+    assert np.allclose(reference_round.user_postcode(np.zeros(5), dl), 0.0)
     y = np.arange(5.0)
-    assert np.allclose(user_postcode(y, dl), y / np.sqrt(5))
+    assert np.allclose(reference_round.user_postcode(y, dl), y / np.sqrt(5))
 
 
-def test_postcode_noiseless_chain():
+def test_postcode_noiseless_chain(reference_round):
     # relay word through D then the left inverse: exactly gamma*beta*w
     rng = np.random.default_rng(16)
     d = (rng.standard_normal((8, 6)) + 1j * rng.standard_normal((8, 6))) / np.sqrt(2)
     dl = normalized_left_mppi(d)
     w = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     x, gamma = relay_transmit(w, 100.0)
-    got = user_postcode(d @ x, dl)
+    got = reference_round.user_postcode(d @ x, dl)
     want = gamma * dl.beta * w
     assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
 
-def test_recover_keys_exclude_own_messages():
+def test_recover_keys_exclude_own_messages(reference_round):
     plan = build_stream_plan(ALL_ONES, 6)
-    sym = sample_stream_symbols(plan, seed=17)
+    sym = reference_round.sample_stream_symbols(plan, seed=17)
     own = assemble_uplink_symbol(2, sym, plan)
-    est = user_recover(np.zeros(6), 2, own, plan, [0.5] * 4, 1.0, 0.5)
+    est = reference_round.user_recover(np.zeros(6), 2, own, plan, [0.5] * 4, 1.0, 0.5)
     assert set(est) == {(1, 2), (3, 2), (4, 2)}
 
 
-def test_recover_zero_symbols_zero_estimates():
+def test_recover_zero_symbols_zero_estimates(reference_round):
     plan = build_stream_plan(ALL_ONES, 6)
     zeros = StreamSymbols(4, {p: np.zeros(1) for p in ordered_pairs(4)})
     own = assemble_uplink_symbol(1, zeros, plan)
-    est = user_recover(np.zeros(6), 1, own, plan, [0.5] * 4, 2.0, 0.5)
+    est = reference_round.user_recover(np.zeros(6), 1, own, plan, [0.5] * 4, 2.0, 0.5)
     for v in est.values():
         assert np.allclose(v, 0.0)
 
 
-def test_recover_rejects_word_of_other_length():
+def test_recover_rejects_word_of_other_length(reference_round):
     plan = build_stream_plan(ALL_ONES, 6)
     with pytest.raises(DimensionError):
-        user_recover(np.zeros(6), 1, np.zeros(1), plan, [0.5] * 4, 1.0, 0.5)
+        reference_round.user_recover(np.zeros(6), 1, np.zeros(1), plan, [0.5] * 4, 1.0, 0.5)
     with pytest.raises(DimensionError):
-        user_recover(np.zeros(1), 1, np.zeros(6), plan, [0.5] * 4, 1.0, 0.5)
+        reference_round.user_recover(np.zeros(1), 1, np.zeros(6), plan, [0.5] * 4, 1.0, 0.5)
 
 
 # ----------------------------------------------------------------- full round
@@ -361,6 +379,85 @@ def test_round_json_serializable():
     assert blob["snr"]["rate_proxy"] > 0
 
 
+# ------------------------------------------------- kernel against reference
+
+PROPERTY = settings(deadline=None, database=None, derandomize=True)
+
+
+def assert_same_round(got, want):
+    """Every RoundResult field equal: arrays by bytes, floats by ==, dict
+    entries in the same order (a sweep sums them in that order)."""
+    assert list(got.estimates) == list(want.estimates)
+    for key, est in want.estimates.items():
+        assert got.estimates[key].tobytes() == est.tobytes()
+    assert list(got.rel_errors.items()) == list(want.rel_errors.items())
+    assert (got.gamma, got.zero_word, got.power_ok, got.mode, got.noisy) == (
+        want.gamma, want.zero_word, want.power_ok, want.mode, want.noisy)
+    assert list(got.snr.streams.items()) == list(want.snr.streams.items())
+    assert list(got.snr.rates.items()) == list(want.snr.rates.items())
+    assert got.snr.rate_proxy == want.snr.rate_proxy
+
+
+@st.composite
+def round_cases(draw):
+    """A K = 3..5, M >= N system, a feasible plan with T = 1..4 (sometimes
+    the all-zero DoF vector), a channel draw (sometimes built directly, so
+    the inverses take their own SVD route), two powers in -10..60 dB, mode,
+    noise, supplied or sampled symbols, and a round seed, half of them >= 2^63."""
+    k = draw(st.integers(3, 5))
+    n = draw(st.integers(1, 6))
+    cfg = SystemConfig(K=k, M=n + draw(st.integers(0, 2)), N=n, P=1.0)
+    t_ext = draw(st.integers(1, 4))
+    entries = {}
+    if draw(st.integers(0, 4)) > 0:  # else the all-zero DoF vector
+        room = t_ext * n
+        for j, kk in ordered_pairs(k):
+            if j < kk:
+                fwd, rev = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+                if max(fwd, rev) <= room:
+                    room -= max(fwd, rev)
+                    entries[(j, kk)] = Fraction(fwd, t_ext)
+                    entries[(kk, j)] = Fraction(rev, t_ext)
+    plan = build_stream_plan(DofVector(k, entries), n)
+    ch = sample_channels(cfg, seed=draw(st.integers(0, 2**64 - 1)))
+    if draw(st.booleans()):
+        ch = ChannelSet(uplink=ch.uplink, downlink=ch.downlink)
+    symbols = None
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+        symbols = StreamSymbols(k, {
+            pair: rng.standard_normal(size) + 1j * rng.standard_normal(size)
+            for pair, size in plan.stream_lengths.items()
+        })
+    powers = [10.0 ** (draw(st.integers(-10, 60)) / 10.0) for _ in range(2)]
+    seed = draw(st.one_of(st.integers(0, 2**32), st.integers(2**63, 2**64 - 1)))
+    return dict(cfg=cfg, ch=ch, plan=plan, symbols=symbols, powers=powers, seed=seed, mode=draw(st.sampled_from((GENIE, RAW))),
+                noise=draw(st.booleans()))
+
+
+@settings(PROPERTY, max_examples=80)
+@given(round_cases())
+def test_round_matches_reference(reference_round, case):
+    # one context serves both powers, as in a sweep
+    cfg, ch, plan = case["cfg"], case["ch"], case["plan"]
+    ctx = RoundContext(ch, plan)
+    for p in case["powers"]:
+        args = (case["symbols"], case["seed"], case["mode"], case["noise"])
+        want = reference_round.run(SystemConfig(K=cfg.K, M=cfg.M, N=cfg.N, P=p), ch, plan, *args)
+        assert_same_round(transmit_round(ctx, p, *args), want)
+
+
+@pytest.mark.parametrize("mode", (GENIE, RAW))
+@pytest.mark.parametrize("noise", (True, False))
+def test_zero_dof_round_matches_reference(reference_round, mode, noise):
+    cfg = SystemConfig(K=3, M=4, N=3, P=10.0)
+    ch = sample_channels(cfg, seed=36)
+    plan = build_stream_plan(DofVector(3, {}), 3)
+    got = run_round(cfg, ch, plan, seed=37, mode=mode, noise=noise)
+    assert got.zero_word and got.gamma == 0.0 and not got.rel_errors
+    assert_same_round(got, reference_round.run(cfg, ch, plan, seed=37, mode=mode, noise=noise))
+
+
 # ------------------------------------------------------------------- SNR math
 
 
@@ -371,7 +468,7 @@ def test_identity_channel_snr_closed_form():
     cfg = SystemConfig(K=4, M=6, N=6, P=p)
     ch = identity_channels(4, 6)
     plan = build_stream_plan(ALL_ONES, 6)
-    rep = effective_snr(cfg, ch, plan, GENIE)
+    rep = effective_snr(RoundContext(ch, plan), cfg.P, GENIE)
     assert len(rep.streams) == 12
     for s in rep.streams.values():
         assert s.downlink == pytest.approx(p / 12.0, rel=1e-12)
@@ -383,8 +480,9 @@ def test_identity_channel_snr_closed_form():
 def test_snr_linear_in_power():
     ch = sample_channels(CFG66, seed=33)
     plan = build_stream_plan(ALL_ONES, 6)
-    base = effective_snr(CFG66, ch, plan, GENIE)
-    doubled = effective_snr(SystemConfig(K=4, M=6, N=6, P=2e4), ch, plan, GENIE)
+    ctx = RoundContext(ch, plan)
+    base = effective_snr(ctx, CFG66.P, GENIE)
+    doubled = effective_snr(ctx, 2e4, GENIE)
     for key in base.streams:
         assert doubled.streams[key].effective == 2 * base.streams[key].effective
 
@@ -392,7 +490,7 @@ def test_snr_linear_in_power():
 def test_raw_mode_takes_bottleneck():
     ch = sample_channels(CFG66, seed=34)
     plan = build_stream_plan(ALL_ONES, 6)
-    rep = effective_snr(CFG66, ch, plan, RAW)
+    rep = effective_snr(RoundContext(ch, plan), CFG66.P, RAW)
     for s in rep.streams.values():
         assert s.effective == min(s.uplink, s.downlink)
 
@@ -401,5 +499,5 @@ def test_snr_skips_silent_directions():
     d = DofVector(4, {(1, 2): Fraction(2), (2, 1): Fraction(1)})
     ch = sample_channels(CFG66, seed=35)
     plan = build_stream_plan(d, 6)
-    rep = effective_snr(CFG66, ch, plan, GENIE)
+    rep = effective_snr(RoundContext(ch, plan), CFG66.P, GENIE)
     assert set(rep.streams) == {(1, 2), (2, 1)}
