@@ -3,8 +3,9 @@ K-user MIMO multi-way relay channel.
 
 Layering, bottom up: `linalg` (normalized pseudo-inverses), `channel`
 (seeded fading and noise), `alignment` (exact stream bookkeeping),
-`transceiver` (one end-to-end round), `dofregion` + `simplex` (exact
-rational region computations), `harness` (sweeps and reports).
+`transceiver` (end-to-end rounds, every power point of a channel draw in one
+call), `dofregion` + `simplex` (exact rational region computations),
+`harness` (sweeps and reports).
 """
 
 from .alignment import DofVector, StreamPlan, build_stream_plan, minimal_extension
@@ -33,7 +34,7 @@ from .errors import (
 )
 from .harness import ExperimentConfig, SweepReport, derive_seed, fit_slope, run_sweep
 from .linalg import normalized_left_mppi, normalized_right_mppi
-from .transceiver import GENIE, RAW, RoundContext, RoundResult, effective_snr, run_round, transmit_round
+from .transceiver import GENIE, RAW, RoundContext, RoundLayout, RoundResult, effective_snr, run_round, transmit_round
 
 __version__ = "0.1.0"
 
@@ -52,6 +53,7 @@ __all__ = [
     "RankDeficient",
     "RegionSpec",
     "RoundContext",
+    "RoundLayout",
     "RoundResult",
     "ScalarUnderflow",
     "StreamPlan",

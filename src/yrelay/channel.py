@@ -1,9 +1,10 @@
 """System configuration, random block-constant channels, and noisy propagation.
 
-A `ChannelSet` is one block-constant draw: it computes its per-user
-precoders once, on first use, and every round over it reuses them. A sampled
-draw hands the singular values it computed for its conditioning check to
-those inverses, so each matrix is decomposed once.
+A `ChannelSet` is one block-constant draw. `sample_channels` draws all 2K
+matrices with one standard-normal call and checks each link direction's
+conditioning with one stacked SVD; the draw computes its per-user precoders
+once, on first use, as one stacked pseudo-inverse per direction, from the
+singular values its check computed, and every round over it reuses them.
 
 All randomness comes from the Philox counter-based generator keyed with
 (seed, stream id), so any seed reproduces the exact same realization. Streams
@@ -64,9 +65,16 @@ def reset_rng(rng: np.random.Generator, seed: int, stream: int) -> np.random.Gen
     return rng
 
 
+def _complex(re, im) -> np.ndarray:
+    """Unit-variance complex normals from standard-normal real and imaginary parts."""
+    return (re + 1j * im) / math.sqrt(2.0)
+
+
 def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    """I.i.d. circularly-symmetric complex Gaussian, unit variance per entry."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+    """I.i.d. circularly-symmetric complex Gaussian, unit variance per entry:
+    all real parts are drawn first, then all imaginary parts."""
+    re = rng.standard_normal(shape)
+    return _complex(re, rng.standard_normal(shape))
 
 
 def normal_block_index(sizes) -> np.ndarray:
@@ -80,11 +88,13 @@ def normal_block_index(sizes) -> np.ndarray:
     return np.stack([real, real + sizes[block]])
 
 
-def complex_normal_blocks(rng: np.random.Generator, index: np.ndarray) -> np.ndarray:
-    """The blocks that `index` (from `normal_block_index`) describes, drawn in
-    one call: bit for bit the concatenation of the `complex_normal` calls."""
-    real, imag = rng.standard_normal(index.size)[index]
-    return (real + 1j * imag) / math.sqrt(2.0)
+def complex_normal_blocks(normals: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """The blocks that `index` (from `normal_block_index`) describes, taken
+    from `normals`, one `rng.standard_normal(index.size)` draw per row along
+    the last axis: bit for bit the concatenation of the `complex_normal`
+    calls, for every row at once."""
+    z = normals[..., index]
+    return _complex(z[..., 0, :], z[..., 1, :])
 
 
 @dataclass(frozen=True)
@@ -116,7 +126,7 @@ class ChannelSet:
 
     uplink: tuple
     downlink: tuple
-    # Each matrix's singular values, uplink then downlink, set only by
+    # The singular values (uplink (K, N), downlink (K, N)), set only by
     # `sample_channels`; `dataclasses.replace` does not carry them over.
     _singular_values: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -125,38 +135,61 @@ class ChannelSet:
         return len(self.uplink)
 
     @cached_property
+    def inverses(self):
+        """(right, alpha, left, beta): the normalized right inverses of the
+        uplink matrices (K, M, N) with their alpha_j (K,), and the left
+        inverses of the downlink matrices (K, N, M) with their beta_k (K,)."""
+        s_up, s_down = self._singular_values or (None, None)
+        right, alpha = _unit_pinv(np.array(self.uplink, dtype=np.complex128), True, s_up)
+        left, beta = _unit_pinv(np.array(self.downlink, dtype=np.complex128), False, s_down)
+        return right, alpha, left, beta
+
+    @cached_property
     def precoders(self):
         """(right, left): per-user normalized right inverses of the uplink
-        matrices and left inverses of the downlink matrices."""
-        s = self._singular_values or (None,) * (2 * self.K)
-        right = tuple(NormalizedRightMppi(*_unit_pinv(h, True, sv)) for h, sv in zip(self.uplink, s))
-        left = tuple(NormalizedLeftMppi(*_unit_pinv(d, False, sv)) for d, sv in zip(self.downlink, s[self.K :]))
-        return right, left
+        matrices and left inverses of the downlink matrices, one object each."""
+        right, alpha, left, beta = self.inverses
+        return (tuple(NormalizedRightMppi(g, c) for g, c in zip(right, alpha.tolist())),
+                tuple(NormalizedLeftMppi(g, c) for g, c in zip(left, beta.tolist())))
 
 
 def sample_channels(cfg: SystemConfig, seed: int) -> ChannelSet:
     """Draw K uplink (N x M) and K downlink (M x N) matrices, i.i.d. CN(0,1).
 
-    Deterministic per seed. A matrix failing the conditioning check is
-    redrawn; continuous entries make that a probability-zero event, so the
-    retry budget exists only to guard degenerate misuse.
+    Deterministic per seed. The 2K matrices come from one standard-normal
+    draw, bit for bit the consecutive `complex_normal` calls of a draw
+    matrix by matrix (both shapes hold N*M entries), and each link
+    direction gets one stacked SVD. A matrix failing the conditioning check
+    is redrawn from where that stream goes on: its block is dropped, the
+    blocks after it move up one matrix, and one more block is drawn.
+    Continuous entries make that a probability-zero event, so the retry
+    budget exists only to guard degenerate misuse.
     """
+    k, n, m = cfg.K, cfg.N, cfg.M
     rng = rng_for(seed, STREAM_CHANNEL)
-    singular_values = []
-
-    def draw(shape):
-        for _ in range(_MAX_RESAMPLE):
-            m = complex_normal(rng, shape)
-            s = np.linalg.svd(m, compute_uv=False)
-            if well_conditioned(s):
-                singular_values.append(s)
-                return m
-        raise GenerationFailed(f"no full-rank {shape} draw in {_MAX_RESAMPLE} tries")
-
-    uplink = tuple(draw((cfg.N, cfg.M)) for _ in range(cfg.K))
-    downlink = tuple(draw((cfg.M, cfg.N)) for _ in range(cfg.K))
-    ch = ChannelSet(uplink=uplink, downlink=downlink)
-    object.__setattr__(ch, "_singular_values", tuple(singular_values))
+    blocks = rng.standard_normal((2 * k, 2, n * m))  # per matrix: real parts, then imaginary parts
+    mats = np.empty((2 * k, n * m), dtype=np.complex128)
+    svals = np.empty((2 * k, n))
+    ok = np.empty(2 * k, dtype=bool)
+    start = tries = 0  # matrices before `start` are accepted
+    while True:
+        mats[start:] = _complex(blocks[start:, 0], blocks[start:, 1])
+        for lo, shape in ((0, (n, m)), (k, (m, n))):
+            first = max(start, lo)
+            if first < lo + k:
+                svals[first : lo + k] = np.linalg.svd(mats[first : lo + k].reshape(-1, *shape), compute_uv=False)
+                ok[first : lo + k] = well_conditioned(svals[first : lo + k])
+        if ok[start:].all():
+            break
+        failed = start + int(np.argmin(ok[start:]))
+        tries = tries + 1 if failed == start else 1
+        if tries == _MAX_RESAMPLE:
+            shape = (n, m) if failed < k else (m, n)
+            raise GenerationFailed(f"no full-rank {shape} draw in {_MAX_RESAMPLE} tries")
+        blocks = np.concatenate((blocks[:failed], blocks[failed + 1 :], rng.standard_normal((1, 2, n * m))))
+        start = failed
+    ch = ChannelSet(uplink=tuple(mats[:k].reshape(k, n, m)), downlink=tuple(mats[k:].reshape(k, m, n)))
+    object.__setattr__(ch, "_singular_values", (svals[:k], svals[k:]))
     return ch
 
 
@@ -205,8 +238,11 @@ def downlink_propagate(d, x_r, noise=None) -> np.ndarray:
     return y
 
 
-def check_power(x, p: float) -> bool:
+def check_power(x, p):
     """True iff every vector along the last axis of x has ||x||^2 <= P, up to
-    a relative slack of 1e-9."""
+    a relative slack of 1e-9. With a 1-D array of budgets, the leading axis
+    of x runs over them, and one verdict per budget comes back."""
+    p = np.asarray(p, dtype=np.float64)
     energy = (np.abs(np.asarray(x, dtype=np.complex128)) ** 2).sum(axis=-1)
-    return bool(energy.max() <= p * (1.0 + POWER_CHECK_SLACK))
+    ok = energy.reshape(p.shape + (-1,)).max(axis=-1) <= p * (1.0 + POWER_CHECK_SLACK)
+    return ok if p.ndim else bool(ok)

@@ -3,12 +3,15 @@
 A sweep runs `trials` independent rounds at every power point. Channel
 realizations are shared across power points of the same trial (common random
 numbers), while symbols and noise are redrawn per (point, trial). The stream
-plan is built once per sweep. Each trial's channel draw gets one
-`RoundContext` (its inverses, gather indices and SNR coefficient table),
-which serves every power point and is dropped before the next draw, so a
-sweep holds one draw at a time. All sub-seeds derive from the master seed
-with a splitmix64 chain, so a report is a pure function of (config, seed):
-repeated runs emit identical bytes.
+plan and its `RoundLayout` (the plan-only indices) are built once per sweep.
+Each trial's channel draw gets one `RoundContext` (its inverses and SNR
+coefficients) and one `transmit_round` call that runs every power point at
+once; the point sums add its stacked arrays in trial order, and the draw is
+dropped before the next one, so a sweep holds one draw at a time. Floats are
+added left to right (`left_sum`), so the bytes do not depend on the Python
+version. All sub-seeds derive from the master seed with a splitmix64 chain,
+so a report is a pure function of (config, seed): repeated runs emit
+identical bytes.
 """
 
 from __future__ import annotations
@@ -19,10 +22,13 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .alignment import DofVector, build_stream_plan
 from .channel import _MASK64, SystemConfig, sample_channels
 from .errors import Underdetermined
-from .transceiver import GENIE, RAW, RoundContext, transmit_round
+from .linalg import left_sum
+from .transceiver import GENIE, RAW, RoundContext, RoundLayout, transmit_round
 
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -156,72 +162,58 @@ def fit_slope(points):
     if len(pts) < 2:
         raise Underdetermined(f"slope fit needs >= 2 points, got {len(pts)}")
     n = len(pts)
-    mx = sum(x for x, _ in pts) / n
-    my = sum(y for _, y in pts) / n
-    sxx = sum((x - mx) ** 2 for x, _ in pts)
+    mx = left_sum(x for x, _ in pts) / n
+    my = left_sum(y for _, y in pts) / n
+    sxx = left_sum((x - mx) ** 2 for x, _ in pts)
     if sxx == 0:
         raise Underdetermined("slope fit needs distinct x values")
-    sxy = sum((x - mx) * (y - my) for x, y in pts)
+    sxy = left_sum((x - mx) * (y - my) for x, y in pts)
     slope = sxy / sxx
     intercept = my - slope * mx
-    rss = sum((y - slope * x - intercept) ** 2 for x, y in pts)
+    rss = left_sum((y - slope * x - intercept) ** 2 for x, y in pts)
     return slope, intercept, math.sqrt(rss / n)
 
 
-@dataclass
 class _PointSums:
-    """Running sums over the trials of one power point, in trial order."""
+    """Running sums over the trials, one entry per power point, in trial order."""
 
-    snr: float = 0.0
-    rate: float = 0.0
-    sum_rate: float = 0.0
-    err: float = 0.0
-    err_max: float = 0.0
-    violations: int = 0
+    def __init__(self, points: int):
+        self.snr, self.rate, self.sum_rate, self.err, self.err_max = np.zeros((5, points))
+        self.violations = np.zeros(points, dtype=np.int64)
 
-    def add(self, res) -> None:
-        if not res.power_ok:
-            self.violations += 1
-        streams = res.snr.streams
+    def add(self, rounds) -> None:
+        self.violations += ~rounds.power_ok
+        snr = rounds.snr
+        streams = snr.effective.shape[1]
         if streams:
-            self.snr += sum(s.effective for s in streams.values()) / len(streams)
-            self.rate += res.snr.rate_proxy / len(streams)
-        self.sum_rate += res.snr.rate_proxy
-        errs = list(res.rel_errors.values())
-        if errs:
-            self.err += sum(errs) / len(errs)
-            self.err_max = max(self.err_max, max(errs))
+            self.snr += left_sum(snr.effective.T) / streams
+            self.rate += snr.rate_proxy / streams
+        self.sum_rate += snr.rate_proxy
+        errs = rounds.rel_errors
+        if errs.shape[1]:
+            self.err += left_sum(errs.T) / errs.shape[1]
+            self.err_max = np.maximum(self.err_max, errs.max(axis=1))
+
+    def rows(self, sweep_db, trials: int) -> list:
+        """One SweepRow per point: means over the trials, the worst error and
+        the violation count."""
+        means = (self.snr / trials, self.rate / trials, self.sum_rate / trials, self.err / trials)
+        columns = [a.tolist() for a in (*means, self.err_max, self.violations)]
+        return [SweepRow(float(p_db), *values) for p_db, *values in zip(sweep_db, *columns)]
 
 
 def run_sweep(cfg: ExperimentConfig) -> SweepReport:
     """Run the full power sweep; deterministic given (cfg, seed)."""
     plan = build_stream_plan(cfg.dof, cfg.system.N)  # raises Infeasible before any work
+    layout = RoundLayout(plan, cfg.system.M)
     powers = [db_to_linear(p_db) for p_db in cfg.sweep_db]
-    sums = [_PointSums() for _ in powers]
+    sums = _PointSums(len(powers))
     for t in range(cfg.trials):
         # One draw serves every power point; its context lives for this trial only.
-        ctx = RoundContext(sample_channels(cfg.system, derive_seed(cfg.seed, SUBSEED_CHANNEL, t)), plan)
-        for pi, p in enumerate(powers):
-            res = transmit_round(
-                ctx,
-                p,
-                seed=derive_seed(cfg.seed, SUBSEED_ROUND, pi, t),
-                mode=cfg.mode,
-                noise=cfg.noise,
-            )
-            sums[pi].add(res)
-    rows = [
-        SweepRow(
-            p_db=float(p_db),
-            mean_stream_snr=acc.snr / cfg.trials,
-            mean_rate_proxy=acc.rate / cfg.trials,
-            sum_rate_proxy=acc.sum_rate / cfg.trials,
-            err_mean=acc.err / cfg.trials,
-            err_max=acc.err_max,
-            power_violations=acc.violations,
-        )
-        for p_db, acc in zip(cfg.sweep_db, sums)
-    ]
+        ctx = RoundContext(sample_channels(cfg.system, derive_seed(cfg.seed, SUBSEED_CHANNEL, t)), layout)
+        seeds = [derive_seed(cfg.seed, SUBSEED_ROUND, pi, t) for pi in range(len(powers))]
+        sums.add(transmit_round(ctx, powers, seeds, mode=cfg.mode, noise=cfg.noise))
+    rows = sums.rows(cfg.sweep_db, cfg.trials)
 
     slope = intercept = residual = None
     if len(rows) >= 3:

@@ -1,13 +1,14 @@
 """Complex dense linear algebra for zero-forcing relay beamforming.
 
-Right and left Moore-Penrose pseudo-inverses in Gram-matrix form, scaled to
-unit Frobenius norm so that pre/post-coding turns every uplink and downlink
-channel into a scaled identity.
+Right and left Moore-Penrose pseudo-inverses in Gram-matrix form, for a
+whole stack of matrices at once, scaled to unit Frobenius norm so that
+pre/post-coding turns every uplink and downlink channel into a scaled
+identity; and the left-to-right sum that keeps float results independent of
+the Python version.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,40 +32,77 @@ def as_complex_matrix(a) -> np.ndarray:
     return m
 
 
-def well_conditioned(s) -> bool:
-    """True iff nonincreasing singular values `s` have sigma_min/sigma_max >= RANK_TOL."""
-    return s[0] > 0 and s[-1] / s[0] >= RANK_TOL
+def well_conditioned(s):
+    """Whether nonincreasing singular values `s` have sigma_max > 0 and
+    sigma_min/sigma_max >= RANK_TOL; for a stack of them (one row each), one
+    verdict per row."""
+    s = np.asarray(s)
+    top = s[..., 0]
+    ratio = np.divide(s[..., -1], top, out=np.zeros_like(top), where=top > 0)
+    return (top > 0) & (ratio >= RANK_TOL)
 
 
-def _unit_pinv(a, right: bool, sv=None) -> tuple[np.ndarray, float]:
-    """Minimum-norm pseudo-inverse G of `a` scaled to unit Frobenius norm: (c * G, c).
+def left_sum(values, start=0.0):
+    """((start + v0) + v1) + ..., added left to right.
 
-    With `right`, `a` is wide and G = A^H (A A^H)^{-1} (A @ G = I); otherwise
-    `a` is tall and G = (A^H A)^{-1} A^H (G @ A = I). A Gram matrix too
-    ill-conditioned to invert reliably falls back to the SVD route. The side
-    is explicit: a square `a` fits both, and there the formulas differ in the
-    last bits. c^{-2} = tr(G^H G). `sv`, when given, holds the singular values
-    of `a` as `np.linalg.svd(a, compute_uv=False)` returns them; a sampled
-    channel draw passes the ones its conditioning check computed.
+    Builtin `sum()` adds floats with compensation from Python 3.12 on, and
+    `np.sum` adds pairwise, so neither keeps a report's bytes across
+    versions. On arrays the sums run elementwise: each entry of
+    `left_sum(a.T)` is one row of a 2-D `a` added left to right.
     """
-    a = as_complex_matrix(a)
-    side, (n, m) = ("right", a.shape) if right else ("left", a.shape[::-1])
+    total = start
+    for v in values:
+        total = total + v
+    return total
+
+
+def _gram_pinv(a: np.ndarray, right: bool) -> np.ndarray:
+    """Pseudo-inverses of a stack of full-rank matrices by the Gram formula."""
+    ah = a.conj().swapaxes(1, 2)
+    gram_inv = np.linalg.inv(a @ ah if right else ah @ a)
+    return ah @ gram_inv if right else gram_inv @ ah
+
+
+def _unit_pinv(a, right: bool, sv=None) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-norm pseudo-inverses G of a stack `a` (S, rows, cols), each
+    scaled to unit Frobenius norm: (c * G, c), stacked.
+
+    With `right`, every matrix is wide and G = A^H (A A^H)^{-1} (A @ G = I);
+    otherwise tall, and G = (A^H A)^{-1} A^H (G @ A = I). One Gram product,
+    one inversion and one product serve the stack, matrix by matrix the
+    same bits as one matrix alone. A matrix whose Gram matrix is too
+    ill-conditioned to invert reliably takes the SVD route instead, and its
+    stack is then inverted matrix by matrix. The side
+    is explicit: a square matrix fits both, and there the formulas differ in
+    the last bits. c^{-2} = tr(G^H G). `sv`, when given, holds the singular
+    values (S, min(rows, cols)) as `np.linalg.svd(a, compute_uv=False)`
+    returns them; a sampled channel draw passes the ones its conditioning
+    check computed.
+    """
+    a = np.asarray(a, dtype=np.complex128)
+    if a.ndim != 3:
+        raise DimensionError(f"expected a stack of 2-D matrices, got ndim={a.ndim}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has non-finite entries")
+    side, (n, m) = ("right", a.shape[1:]) if right else ("left", a.shape[:0:-1])
     if n > m:
         want = "wide" if right else "tall"
-        raise DimensionError(f"{side} inverse needs a {want} matrix, got {a.shape[0]}x{a.shape[1]}")
+        raise DimensionError(f"{side} inverse needs a {want} matrix, got {a.shape[1]}x{a.shape[2]}")
     s = np.linalg.svd(a, compute_uv=False) if sv is None else sv
-    if not well_conditioned(s):
-        ratio = 0.0 if s[0] == 0 else s[-1] / s[0]
+    ok = well_conditioned(s)
+    if not ok.all():
+        top, low = s[np.argmin(ok)][[0, -1]]
+        ratio = 0.0 if top == 0 else low / top
         raise RankDeficient(
             f"{side} inverse needs a well-conditioned matrix: sigma_min/sigma_max = {ratio:.3e}")
-    ah = a.conj().T
-    if (s[0] / s[-1]) ** 2 > GRAM_COND_LIMIT:
-        g = np.linalg.pinv(a)
+    # Squared as Python floats, by the pow() a lone matrix's scalar ratio used.
+    fallback = [r**2 > GRAM_COND_LIMIT for r in (s[:, 0] / s[:, -1]).tolist()]
+    if any(fallback):  # matrix by matrix, each on its own route
+        g = np.array([np.linalg.pinv(x) if f else _gram_pinv(x[None], right)[0] for x, f in zip(a, fallback)])
     else:
-        gram_inv = np.linalg.inv(a @ ah if right else ah @ a)
-        g = ah @ gram_inv if right else gram_inv @ ah
-    c = 1.0 / math.sqrt(float(np.sum(np.abs(g) ** 2)))
-    return c * g, c
+        g = _gram_pinv(a, right)
+    c = 1.0 / np.sqrt(np.sum((np.abs(g) ** 2).reshape(len(g), -1), axis=-1))
+    return c[:, None, None] * g, c
 
 
 @dataclass(frozen=True)
@@ -89,9 +127,11 @@ def normalized_right_mppi(h) -> NormalizedRightMppi:
     H @ matrix = alpha * I_N, so a white input with per-component variance s^2
     is sent at expected total power s^2.
     """
-    return NormalizedRightMppi(*_unit_pinv(h, right=True))
+    g, c = _unit_pinv(as_complex_matrix(h)[None], right=True)
+    return NormalizedRightMppi(g[0], float(c[0]))
 
 
 def normalized_left_mppi(d) -> NormalizedLeftMppi:
     """Left pseudo-inverse of a tall D at unit Frobenius norm: matrix @ D = beta * I_N."""
-    return NormalizedLeftMppi(*_unit_pinv(d, right=False))
+    g, c = _unit_pinv(as_complex_matrix(d)[None], right=False)
+    return NormalizedLeftMppi(g[0], float(c[0]))

@@ -1,14 +1,24 @@
 """End-to-end transmission rounds over the diagonalized Y-channel.
 
-The channel is block-constant, so a `RoundContext` computes once per
-(channel draw, stream plan) everything the rounds over that draw share: the
-stacked precoders and channel matrices, the diagonalization constants
-alpha_j and beta_k, the gather indices that place symbols into slot words and
-take estimates out of filtered words, the layout of the round's random draws,
-and the coefficient table of the analytic SNR. `transmit_round` is the one
-round implementation; only the symbols, the noise and the power budget P
-change from round to round. `run_round` builds a context for a single round,
-and a sweep builds one per draw and reuses it for every power point.
+The channel is block-constant, and a sweep runs every power point on each
+channel draw, so the work splits three ways:
+
+- a `RoundLayout`, built once per stream plan and antenna count M, holds the
+  plan-only indices: the layout of a round's random draws, the order in
+  which users recover their estimates, the directions grouped by span length
+  for the error norms, and the slot components of the analytic SNR;
+- a `RoundContext`, built once per channel draw, holds what the draw fixes:
+  the stacked precoders and channel matrices, the diagonalization constants
+  alpha_j and beta_k, and the coefficients of the analytic SNR;
+- `transmit_round` runs the rounds of every power point over a context in
+  one stacked computation, with a leading points axis: only the symbols, the
+  noise and the power budget P change from point to point. `run_round` is
+  the one-point case.
+
+Each point gets the bits it would get alone: every sum whose order reaches a
+report keeps its order (users are added one at a time, rates and errors left
+to right), error norms run one BLAS dot per row as `ndarray.dot` does, and
+log2 runs per component through `math.log2`.
 
 Uplink: every user precodes its slot word with the unit-norm right inverse of
 its channel, so the relay observes the componentwise sum of all users' words,
@@ -46,74 +56,121 @@ from .channel import (
     uplink_propagate,
 )
 from .errors import DimensionError, ModeUnavailable, ScalarUnderflow
+from .linalg import left_sum
 
 SCALE_UNDERFLOW = 1e-300
 
 GENIE = "genie"
 RAW = "raw"
 
-_PAD = np.zeros(1, dtype=np.complex128)
+
+def _row_dots(x: np.ndarray) -> np.ndarray:
+    """x . x along the last axis of a real array: one BLAS dot per row, the
+    call `ndarray.dot` makes for one row (`np.sum` adds in another order)."""
+    return (x[..., None, :] @ x[..., :, None])[..., 0, 0]
 
 
-def _norm(x: np.ndarray) -> float:
-    """Euclidean norm of a complex vector, by the formula np.linalg.norm uses."""
-    re, im = x.real, x.imag
-    return math.sqrt(re.dot(re) + im.dot(im))
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis of a complex array, each by the
+    formula np.linalg.norm uses for one vector."""
+    return np.sqrt(_row_dots(x.real) + _row_dots(x.imag))
 
 
-class RoundContext:
-    """What one channel draw and one stream plan fix for every round over them.
+def _length_groups(spans):
+    """Spans (start, stop) grouped by length: per length, the positions of
+    its spans in `spans` and a (spans, length) index of their elements."""
+    groups = {}
+    for pos, (a, b) in enumerate(spans):
+        groups.setdefault(b - a, []).append(pos)
+    starts = np.array([a for a, _ in spans], dtype=np.intp)
+    return [(np.array(pos), starts[pos, None] + np.arange(length)) for length, pos in groups.items()]
+
+
+def _draws(rng: np.random.Generator, seeds, stream: int, size: int) -> np.ndarray:
+    """Row i: `size` standard normals from the start of stream (seeds[i], stream)."""
+    out = np.empty((len(seeds), size))
+    for row, seed in zip(out, seeds):
+        reset_rng(rng, seed, stream).standard_normal(out=row)
+    return out
+
+
+class RoundLayout:
+    """What a stream plan and the users' antenna count M fix for every round,
+    whatever the channel draw. A sweep builds one and passes it to the
+    `RoundContext` of every draw.
 
     Symbols travel as one flat vector laid out by `plan.symbol_spans`. `rng`
-    is re-keyed by every round, so a context serves one round at a time.
+    is re-keyed by every draw a round takes, so a layout serves one
+    `transmit_round` call at a time.
     """
 
-    def __init__(self, ch: ChannelSet, plan: StreamPlan):
-        n, m = ch.uplink[0].shape
-        if (plan.K, plan.N) != (ch.K, n):
-            raise DimensionError(
-                f"plan for K={plan.K}, N={plan.N} does not fit channels with K={ch.K}, N={n}")
-        right, left = ch.precoders
-        k_users, t_ext = plan.K, plan.T
-        self.ch, self.plan, self.M = ch, plan, m
-        self.alphas = [hr.alpha for hr in right]
-        self.betas = [dl.beta for dl in left]
-        # Leading (K, 1) axes: one matrix per user, broadcast over channel uses.
-        self.right = np.array([hr.matrix for hr in right])[:, None]
-        self.left = np.array([dl.matrix for dl in left])[:, None]
-        self.downlink = np.array(ch.downlink, dtype=np.complex128)[:, None]
-        self.alpha_rows = np.array(self.alphas)[:, None]
-        self.beta_rows = np.array(self.betas)[:, None]
-
-        sizes = [plan.stream_lengths[p] for p in plan.symbol_spans]
+    def __init__(self, plan: StreamPlan, m: int):
+        k_users, n, t_ext = plan.K, plan.N, plan.T
+        self.plan, self.M = plan, m
+        spans = plan.symbol_spans
+        sizes = [b - a for a, b in spans.values()]
         self.symbol_index = normal_block_index(sizes)
         self.noise_index = normal_block_index([n] * t_ext + [m] * (k_users * t_ext))
-        self.receive_scale = np.repeat([self.alphas[j - 1] for j, _ in plan.symbol_spans], sizes)
+        self.sender = np.repeat([j - 1 for j, _ in spans], sizes)  # user index of each symbol
         # Estimates in the order user k recovers them (k, then partner j); a
         # sweep averages their errors in this order.
         self.estimate_order = [
             (j, k) for k in range(1, k_users + 1) for j in range(1, k_users + 1) if j != k
         ]
+        self.pair_users = np.array(self.estimate_order).T - 1  # rows: j - 1, k - 1
+        self.error_keys = [key for key in self.estimate_order if spans[key][1] > spans[key][0]]
+        self.error_groups = _length_groups([spans[key] for key in self.error_keys])
 
-        # effective_snr: E||w||^2 of unit-variance symbols, and per active
-        # direction alpha_j^2, beta_k^2 and the filtered noise power of each
-        # slot component (row q mod N of Dl_k).
-        noise_rows = [np.sum(np.abs(dl.matrix) ** 2, axis=1) for dl in left]
-        self.word_power = 0.0
-        for (j, k), size in plan.stream_lengths.items():
-            self.word_power += (self.alphas[j - 1] ** 2) * size
-        self.snr_table = []
+        # effective_snr: per active direction its slot components, and per
+        # component the users j, k and its row q mod N of Dl_k.
+        self.snr_keys, components, component_spans = [], [], []
         for (j, k), size in plan.stream_lengths.items():
             if size == 0:
                 continue
             off, _ = plan.slot(j, k)
-            rows = [float(noise_rows[k - 1][(off + i) % n]) for i in range(size)]
-            self.snr_table.append(((j, k), self.alphas[j - 1] ** 2, self.betas[k - 1] ** 2, rows))
+            self.snr_keys.append((j, k))
+            component_spans.append((len(components), len(components) + size))
+            components += [(j - 1, k - 1, (off + i) % n) for i in range(size)]
+        self.snr_components = np.array(components, dtype=np.intp).reshape(-1, 3).T
+        self.snr_groups = _length_groups(component_spans)
         self.rng = rng_for(0, STREAM_NOISE)
 
 
+class RoundContext:
+    """What one channel draw fixes for every round over it, under the
+    layout of its stream plan."""
+
+    def __init__(self, ch: ChannelSet, layout: RoundLayout):
+        n, m = ch.uplink[0].shape
+        plan = layout.plan
+        if (plan.K, plan.N, layout.M) != (ch.K, n, m):
+            raise DimensionError(
+                f"layout for K={plan.K}, N={plan.N}, M={layout.M} does not fit channels with K={ch.K}, N={n}, M={m}")
+        right, alpha, left, beta = ch.inverses
+        self.ch, self.layout = ch, layout
+        # Leading (K, 1) axes: one matrix per user, broadcast over channel uses.
+        self.right, self.left = right[:, None], left[:, None]
+        self.downlink = np.array(ch.downlink, dtype=np.complex128)[:, None]
+        self.alpha_rows, self.beta_rows = alpha[:, None], beta[:, None]
+        self.receive_scale = alpha[layout.sender]
+        j, k = layout.pair_users
+        self.pair_beta, self.pair_alpha = beta[k], alpha[j]
+
+        # effective_snr: E||w||^2 of unit-variance symbols, and per slot
+        # component alpha_j^2, beta_k^2 and the filtered noise power of its
+        # row of Dl_k. Squares are Python floats, as per-component code had them.
+        a2 = [a**2 for a in alpha.tolist()]
+        b2 = [b**2 for b in beta.tolist()]
+        self.word_power = left_sum(a2[j - 1] * size for (j, _), size in plan.stream_lengths.items())
+        j, k, row = layout.snr_components
+        self.snr_a2, self.snr_b2 = np.array(a2)[j], np.array(b2)[k]
+        self.snr_rows = np.sum(np.abs(left) ** 2, axis=-1)[k, row]
+        self.snr_uplink = np.array([a2[j - 1] for j, _ in layout.snr_keys])
+
+
 def relay_decode(y_word, plan: StreamPlan, mode: str, true_word=None) -> np.ndarray:
-    """Relay's estimate of the network-coded word.
+    """Relay's estimate of the network-coded word, or of a stack of words
+    (one per round along the leading axes).
 
     genie: returns a copy of the supplied ground-truth word (ideal lattice
            decoding); the observation is not read and may be None.
@@ -121,8 +178,8 @@ def relay_decode(y_word, plan: StreamPlan, mode: str, true_word=None) -> np.ndar
     """
     if y_word is not None or mode == RAW:
         y_word = np.asarray(y_word, dtype=np.complex128)
-        if y_word.shape != (plan.word_length,):
-            raise DimensionError(f"observation shape {y_word.shape} != ({plan.word_length},)")
+        if y_word.shape[-1:] != (plan.word_length,):
+            raise DimensionError(f"observation shape {y_word.shape} != (..., {plan.word_length})")
     if mode == GENIE:
         if true_word is None:
             raise ModeUnavailable("genie decoding needs the ground-truth relay word")
@@ -130,23 +187,27 @@ def relay_decode(y_word, plan: StreamPlan, mode: str, true_word=None) -> np.ndar
     if mode == RAW:
         w_hat = y_word.copy()
         if plan.padding:
-            w_hat[plan.word_length - plan.padding :] = 0.0
+            w_hat[..., plan.word_length - plan.padding :] = 0.0
         return w_hat
     raise ModeUnavailable(f"unknown relay decode mode {mode!r}")
 
 
-def relay_transmit(w_hat, p: float):
-    """Scale the decoded word to the power budget: x_r = sqrt(P)/||w|| * w.
+def relay_transmit(w_hat, p):
+    """Scale each decoded word (along the last axis) to its power budget:
+    x_r = sqrt(P)/||w|| * w.
 
-    Returns (x_r, gamma). A zero word cannot be normalized; it is forwarded
-    as-is with gamma = 0 (callers see the flag through gamma).
+    Returns (x_r, gamma), gamma with the words' leading shape (a float for
+    one word). A zero word cannot be normalized; it is forwarded as zeros
+    with gamma = 0 (callers see the flag through gamma).
     """
     w_hat = np.asarray(w_hat, dtype=np.complex128)
-    norm = _norm(w_hat)
-    if norm == 0.0:
-        return np.zeros_like(w_hat), 0.0
-    gamma = math.sqrt(p) / norm
-    return gamma * w_hat, gamma
+    norm = _norms(w_hat)
+    live = norm != 0.0
+    gamma = np.divide(np.sqrt(p), norm, out=np.zeros_like(norm), where=live)
+    x_r = gamma[..., None] * w_hat
+    if not live.all():
+        x_r[~live] = 0.0
+    return x_r, (gamma if gamma.ndim else float(gamma))
 
 
 @dataclass(frozen=True)
@@ -187,8 +248,31 @@ class SnrReport:
         }
 
 
-def effective_snr(ctx: RoundContext, p: float, mode: str = GENIE) -> SnrReport:
-    """Analytic per-subchannel SNRs of the parallel two-way streams at power P.
+@dataclass(frozen=True)
+class SnrBatch:
+    """Analytic SNRs at several power points over one context. Rows are the
+    points, columns the active directions in `ctx.layout.snr_keys` order;
+    `report(i)` is point i as an SnrReport."""
+
+    ctx: RoundContext
+    downlink: np.ndarray
+    effective: np.ndarray
+    rates: np.ndarray
+    rate_proxy: np.ndarray  # per point
+
+    def report(self, i: int) -> SnrReport:
+        keys = self.ctx.layout.snr_keys
+        rows = zip(keys, self.ctx.snr_uplink.tolist(), self.downlink[i].tolist(), self.effective[i].tolist())
+        return SnrReport(
+            streams={key: StreamSnr(uplink=up, downlink=down, effective=eff) for key, up, down, eff in rows},
+            rates=dict(zip(keys, self.rates[i].tolist())),
+            rate_proxy=float(self.rate_proxy[i]),
+        )
+
+
+def effective_snr(ctx: RoundContext, powers, mode: str = GENIE) -> SnrBatch:
+    """Analytic per-subchannel SNRs of the parallel two-way streams at each
+    power P in `powers`.
 
     Uplink: the relay sees alpha_j * v plus unit-variance noise, so direction
     j->k runs at alpha_j^2 per component. Downlink: the relay forwards with
@@ -198,25 +282,24 @@ def effective_snr(ctx: RoundContext, p: float, mode: str = GENIE) -> SnrReport:
 
     The rate proxy counts log2(1 + SNR) per component: downlink-only SNR in
     genie mode (the relay decode is ideal), min(uplink, downlink) in raw mode.
-    Everything but P comes from the context's table.
+    Everything but P comes from the context.
     """
     if mode not in (GENIE, RAW):
         raise ModeUnavailable(f"unknown mode {mode!r}")
-    gamma_sq = p / ctx.word_power if ctx.word_power > 0 else 0.0
-    streams, rates = {}, {}
-    total_rate = 0.0
-    for key, a2, b2, rows in ctx.snr_table:
-        down = [gamma_sq * b2 * a2 / row for row in rows]
-        rate = 0.0
-        for snr_dl in down:
-            rate += math.log2(1.0 + (snr_dl if mode == GENIE else min(a2, snr_dl)))
-        rate /= ctx.plan.T
-        snr_down = min(down)
-        effective = snr_down if mode == GENIE else min(a2, snr_down)
-        streams[key] = StreamSnr(uplink=a2, downlink=snr_down, effective=effective)
-        rates[key] = rate
-        total_rate += rate
-    return SnrReport(streams=streams, rates=rates, rate_proxy=total_rate)
+    layout = ctx.layout
+    powers = np.asarray(powers, dtype=np.float64)
+    gamma_sq = powers / ctx.word_power if ctx.word_power > 0 else np.zeros_like(powers)
+    down = gamma_sq[:, None] * ctx.snr_b2 * ctx.snr_a2 / ctx.snr_rows
+    eff = down if mode == GENIE else np.minimum(ctx.snr_a2, down)
+    # math.log2: np.log2 rounds some values differently
+    logs = np.array(list(map(math.log2, (1.0 + eff).ravel().tolist()))).reshape(eff.shape)
+    shape = (len(powers), len(layout.snr_keys))
+    snr_down, rates = np.empty(shape), np.empty(shape)
+    for where, index in layout.snr_groups:
+        snr_down[:, where] = down[:, index].min(axis=-1)
+        rates[:, where] = left_sum(logs[:, index].transpose(2, 0, 1)) / layout.plan.T
+    effective = snr_down if mode == GENIE else np.minimum(ctx.snr_uplink, snr_down)
+    return SnrBatch(ctx, snr_down, effective, rates, left_sum(rates.T, np.zeros(len(powers))))
 
 
 @dataclass(frozen=True)
@@ -254,86 +337,119 @@ class RoundResult:
         }
 
 
+@dataclass(frozen=True)
+class RoundBatch:
+    """Rounds at several power points over one context; every array leads
+    with the points axis.
+
+    `estimates` holds each point's symbol estimates in the flat layout of
+    `plan.symbol_spans`, `rel_errors` the relative L2 error of each active
+    direction in `ctx.layout.error_keys` order, and `gamma` 0 for a zero
+    relay word. `round(i)` is point i as a RoundResult.
+    """
+
+    ctx: RoundContext
+    mode: str
+    noisy: bool
+    estimates: np.ndarray
+    rel_errors: np.ndarray
+    gamma: np.ndarray
+    power_ok: np.ndarray
+    snr: SnrBatch
+
+    def round(self, i: int) -> RoundResult:
+        layout = self.ctx.layout
+        spans = layout.plan.symbol_spans
+        gamma = float(self.gamma[i])
+        return RoundResult(
+            estimates={key: self.estimates[i, slice(*spans[key])] for key in layout.estimate_order},
+            rel_errors=dict(zip(layout.error_keys, self.rel_errors[i].tolist())),
+            snr=self.snr.report(i),
+            gamma=gamma,
+            zero_word=gamma == 0.0,
+            power_ok=bool(self.power_ok[i]),
+            mode=self.mode,
+            noisy=self.noisy,
+        )
+
+
 def transmit_round(
     ctx: RoundContext,
-    p: float,
+    powers,
+    seeds,
     symbols: StreamSymbols | None = None,
-    seed: int = 0,
     mode: str = GENIE,
     noise: bool = True,
-) -> RoundResult:
-    """One full uplink + downlink round at power budget P over a context.
+) -> RoundBatch:
+    """Full uplink + downlink rounds over a context, one per power point, in
+    one stacked computation.
 
-    Symbols are drawn from (seed, symbol stream) when not supplied, noise
-    from (seed, noise stream): each stream in one draw, uplink noise of every
-    channel use before the downlink noise of every user and use.
+    Point i runs at power budget powers[i]. Its symbols are drawn from
+    (seeds[i], symbol stream) unless supplied (supplied symbols serve every
+    point), its noise from (seeds[i], noise stream): each stream in one draw,
+    uplink noise of every channel use before the downlink noise of every
+    user and use.
     """
     if mode not in (GENIE, RAW):
         raise ModeUnavailable(f"unknown mode {mode!r}")
-    plan, k_users, m = ctx.plan, ctx.plan.K, ctx.M
+    layout = ctx.layout
+    plan, k_users, m = layout.plan, layout.plan.K, layout.M
     t_ext, n, length = plan.T, plan.N, plan.word_length
+    powers = np.asarray(powers, dtype=np.float64)
+    points = len(powers)
+    if len(seeds) != points:
+        raise ValueError(f"{points} power points but {len(seeds)} seeds")
     if symbols is None:
-        v = complex_normal_blocks(reset_rng(ctx.rng, seed, STREAM_SYMBOLS), ctx.symbol_index)
+        normals = _draws(layout.rng, seeds, STREAM_SYMBOLS, layout.symbol_index.size)
+        v = complex_normal_blocks(normals, layout.symbol_index)
     else:
         symbols.check_plan(plan)
-        v = np.concatenate([symbols.get(j, k) for j, k in plan.symbol_spans])
-    words = np.concatenate((v, _PAD))[plan.word_index]  # row j: user j's slot word
+        v = np.tile(np.concatenate([symbols.get(j, k) for j, k in plan.symbol_spans]), (points, 1))
+    pad = np.zeros((points, 1), dtype=np.complex128)
+    words = np.concatenate((v, pad), axis=1)[:, plan.word_index]  # words[i, j]: user j's slot word
     z_up = z_down = None
     if noise:
-        z = complex_normal_blocks(reset_rng(ctx.rng, seed, STREAM_NOISE), ctx.noise_index)
-        z_up, z_down = z[: t_ext * n].reshape(t_ext, n), z[t_ext * n :].reshape(k_users, t_ext, m)
+        normals = _draws(layout.rng, seeds, STREAM_NOISE, layout.noise_index.size)
+        z = complex_normal_blocks(normals, layout.noise_index)
+        z_up = z[:, : t_ext * n].reshape(points, t_ext, n)
+        z_down = z[:, t_ext * n :].reshape(points, k_users, t_ext, m)
 
-    # Uplink: x[j, t] is user j's transmit vector in channel use t.
-    x = (ctx.right @ words.reshape(k_users, t_ext, n, 1))[..., 0]
-    power_ok = check_power(x, p)
+    # Uplink: x[i, j, t] is user j's transmit vector in channel use t.
+    x = (ctx.right @ words.reshape(points, k_users, t_ext, n, 1))[..., 0]
+    power_ok = check_power(x, powers)
     scaled = ctx.alpha_rows * words  # alpha_j * u_j
     truth = y_word = None
-    if mode == GENIE:
-        truth = np.zeros(length, dtype=np.complex128)
-        for row in scaled:
-            truth += row
+    if mode == GENIE:  # users added one at a time
+        truth = left_sum(scaled.swapaxes(0, 1), np.zeros((points, length), dtype=np.complex128))
     else:  # only the raw relay reads its observation
-        y_word = uplink_propagate(ctx.ch, x, z_up).reshape(length)
+        y_word = uplink_propagate(ctx.ch, x.swapaxes(0, 1), z_up).reshape(points, length)
 
     w_hat = relay_decode(y_word, plan, mode, true_word=truth)
-    x_word, gamma = relay_transmit(w_hat, p)
-    zero_word = gamma == 0.0
-    power_ok = power_ok and check_power(x_word.reshape(t_ext, n), p)
+    x_word, gamma = relay_transmit(w_hat, powers)
+    live = gamma != 0.0  # a zero word forwards nothing; its estimates are zero
+    power_ok &= check_power(x_word.reshape(points, t_ext, n), powers)
 
-    if zero_word:  # nothing was forwarded; every estimate is zero
-        est = np.zeros_like(v)
-    else:
-        for j, k in ctx.estimate_order:
-            denom = gamma * ctx.betas[k - 1] * ctx.alphas[j - 1]
-            if abs(denom) < SCALE_UNDERFLOW:
-                raise ScalarUnderflow(f"recovery scale gamma*beta*alpha = {denom:.3e} for pair ({j},{k})")
-        y = downlink_propagate(ctx.downlink, x_word.reshape(t_ext, n), z_down)
-        filtered = (ctx.left @ y[..., None]).reshape(k_users, length)
-        # Undo gamma*beta_k, cancel the user's own contribution, and divide
-        # each partner's slot by the partner's alpha_j.
-        cleaned = filtered / (gamma * ctx.beta_rows) - scaled
-        est = cleaned.reshape(-1)[plan.receive_index] / ctx.receive_scale
+    denom = gamma[:, None] * ctx.pair_beta * ctx.pair_alpha
+    under = (np.abs(denom) < SCALE_UNDERFLOW) & live[:, None]
+    if under.any():
+        i, e = np.argwhere(under)[0]
+        j, k = layout.estimate_order[e]
+        raise ScalarUnderflow(f"recovery scale gamma*beta*alpha = {denom[i, e]:.3e} for pair ({j},{k})")
+    y = downlink_propagate(ctx.downlink, x_word.reshape(points, 1, t_ext, n), z_down)
+    filtered = (ctx.left @ y[..., None]).reshape(points, k_users, length)
+    # Undo gamma*beta_k, cancel the user's own contribution, and divide
+    # each partner's slot by the partner's alpha_j.
+    cleaned = filtered / (np.where(live, gamma, 1.0)[:, None, None] * ctx.beta_rows) - scaled
+    est = cleaned.reshape(points, -1)[:, plan.receive_index] / ctx.receive_scale
+    est[~live] = 0.0
 
-    err = est - v
-    estimates, rel_errors = {}, {}
-    for key in ctx.estimate_order:
-        a, b = plan.symbol_spans[key]
-        estimates[key] = est[a:b]
-        if a == b:
-            continue
-        ref, e = _norm(v[a:b]), _norm(err[a:b])
-        rel_errors[key] = e / ref if ref > 0 else (0.0 if e == 0 else math.inf)
+    symbols_and_errors = np.stack((v, est - v))
+    rel_errors = np.empty((points, len(layout.error_keys)))
+    for where, index in layout.error_groups:
+        ref, e = _norms(symbols_and_errors[:, :, index])
+        rel_errors[:, where] = np.divide(e, ref, out=np.where(e == 0, 0.0, np.inf), where=ref > 0)
 
-    return RoundResult(
-        estimates=estimates,
-        rel_errors=rel_errors,
-        snr=effective_snr(ctx, p, mode),
-        gamma=gamma,
-        zero_word=zero_word,
-        power_ok=power_ok,
-        mode=mode,
-        noisy=noise,
-    )
+    return RoundBatch(ctx, mode, noise, est, rel_errors, gamma, power_ok, effective_snr(ctx, powers, mode))
 
 
 def run_round(
@@ -345,8 +461,9 @@ def run_round(
     mode: str = GENIE,
     noise: bool = True,
 ) -> RoundResult:
-    """One round over the stream plan `plan` at power cfg.P: builds the
-    channel draw's context and runs `transmit_round` on it."""
+    """One round over the stream plan `plan` at power cfg.P: the one-point
+    case of `transmit_round`."""
     if (plan.K, plan.N) != (cfg.K, cfg.N):
         raise DimensionError(f"plan for K={plan.K}, N={plan.N} does not fit K={cfg.K}, N={cfg.N}")
-    return transmit_round(RoundContext(ch, plan), cfg.P, symbols, seed, mode, noise)
+    ctx = RoundContext(ch, RoundLayout(plan, cfg.M))
+    return transmit_round(ctx, [cfg.P], [seed], symbols, mode, noise).round(0)

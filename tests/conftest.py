@@ -1,6 +1,9 @@
 """Shared test helpers, the brute-force region oracles that the subset-DP
-and cutting-plane tools in `yrelay.dofregion` are checked against, and the
-reference round that `yrelay.transceiver.transmit_round` is checked against."""
+and cutting-plane tools in `yrelay.dofregion` are checked against, the
+matrix-by-matrix channel draw and pseudo-inverse that
+`yrelay.channel.sample_channels` and `yrelay.linalg._unit_pinv` are checked
+against, and the reference round that `yrelay.transceiver.transmit_round` is
+checked against."""
 
 import functools
 import itertools
@@ -19,9 +22,18 @@ from yrelay.alignment import (
     ordered_pairs,
     user_pairs,
 )
-from yrelay.channel import POWER_CHECK_SLACK, STREAM_NOISE, STREAM_SYMBOLS, complex_normal, rng_for
+import yrelay.channel
+from yrelay.channel import (
+    POWER_CHECK_SLACK,
+    STREAM_CHANNEL,
+    STREAM_NOISE,
+    STREAM_SYMBOLS,
+    complex_normal,
+    rng_for,
+)
 from yrelay.dofregion import MembershipVerdict, construction_feasible, permutation_constraint
-from yrelay.errors import DimensionError, ModeUnavailable, ScalarUnderflow
+from yrelay.errors import DimensionError, GenerationFailed, ModeUnavailable, RankDeficient, ScalarUnderflow
+from yrelay.linalg import GRAM_COND_LIMIT, RANK_TOL, as_complex_matrix
 from yrelay.simplex import solve_max, verify_certificate
 from yrelay.transceiver import GENIE, RAW, SCALE_UNDERFLOW, RoundResult, SnrReport, StreamSnr
 
@@ -111,6 +123,71 @@ def full_row_lp():
 def full_row_gap():
     """find_construction_gap with every LP over all K! rows."""
     return _full_row_gap
+
+
+# ------------------------------------------------- reference channel draw
+# One matrix at a time: each drawn by its own `complex_normal` call, checked
+# by its own SVD and inverted alone.
+
+
+def _reference_unit_pinv(a, right, sv=None):
+    """Unit-Frobenius pseudo-inverse of one matrix: (c * G, c)."""
+    a = as_complex_matrix(a)
+    side, (n, m) = ("right", a.shape) if right else ("left", a.shape[::-1])
+    if n > m:
+        want = "wide" if right else "tall"
+        raise DimensionError(f"{side} inverse needs a {want} matrix, got {a.shape[0]}x{a.shape[1]}")
+    s = np.linalg.svd(a, compute_uv=False) if sv is None else sv
+    if not (s[0] > 0 and s[-1] / s[0] >= RANK_TOL):
+        ratio = 0.0 if s[0] == 0 else s[-1] / s[0]
+        raise RankDeficient(
+            f"{side} inverse needs a well-conditioned matrix: sigma_min/sigma_max = {ratio:.3e}")
+    ah = a.conj().T
+    if (s[0] / s[-1]) ** 2 > GRAM_COND_LIMIT:
+        g = np.linalg.pinv(a)
+    else:
+        gram_inv = np.linalg.inv(a @ ah if right else ah @ a)
+        g = ah @ gram_inv if right else gram_inv @ ah
+    c = 1.0 / math.sqrt(float(np.sum(np.abs(g) ** 2)))
+    return c * g, c
+
+
+def _reference_channels(cfg, seed):
+    """K uplink then K downlink matrices, one `complex_normal` call per try,
+    each checked by `yrelay.channel.well_conditioned` (looked up at call time,
+    so a test can replace it) and redrawn up to 100 times; with every
+    matrix's singular values and its inverse from `_reference_unit_pinv`."""
+    rng = rng_for(seed, STREAM_CHANNEL)
+    singular_values = []
+
+    def draw(shape):
+        for _ in range(100):
+            m = complex_normal(rng, shape)
+            s = np.linalg.svd(m, compute_uv=False)
+            if yrelay.channel.well_conditioned(s):
+                singular_values.append(s)
+                return m
+        raise GenerationFailed(f"no full-rank {shape} draw in 100 tries")
+
+    uplink = tuple(draw((cfg.N, cfg.M)) for _ in range(cfg.K))
+    downlink = tuple(draw((cfg.M, cfg.N)) for _ in range(cfg.K))
+    s = singular_values
+    right = [_reference_unit_pinv(h, True, sv) for h, sv in zip(uplink, s)]
+    left = [_reference_unit_pinv(d, False, sv) for d, sv in zip(downlink, s[cfg.K :])]
+    return SimpleNamespace(uplink=uplink, downlink=downlink, singular_values=s, right=right, left=left)
+
+
+@pytest.fixture(scope="session")
+def reference_pinv():
+    """`_unit_pinv` for one matrix, as it was before it took stacks."""
+    return _reference_unit_pinv
+
+
+@pytest.fixture(scope="session")
+def reference_channels():
+    """`sample_channels` one matrix at a time: (cfg, seed) -> namespace of
+    uplink, downlink, singular_values, right and left ((matrix, scale) pairs)."""
+    return _reference_channels
 
 
 # ------------------------------------------------------------ reference round

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import yrelay.channel
 from yrelay.channel import (
     STREAM_NOISE,
     ChannelSet,
@@ -17,7 +18,7 @@ from yrelay.channel import (
     sample_channels,
     uplink_propagate,
 )
-from yrelay.errors import DimensionError, RankDeficient
+from yrelay.errors import DimensionError, GenerationFailed, RankDeficient
 
 
 def propagate_oracle(mats, xs):
@@ -94,6 +95,76 @@ def test_sampled_precoders_match_fresh_inverses():
     flat[1] = flat[0]  # rank-deficient: only its own singular values show it
     with pytest.raises(RankDeficient):
         dataclasses.replace(ch, uplink=(flat,) + ch.uplink[1:]).precoders
+
+
+def assert_same_draw(ch, want):
+    """A sampled set equals the matrix-by-matrix reference bit for bit:
+    matrices, singular values, precoders, alpha and beta."""
+    assert len(ch.uplink) == len(want.uplink) and len(ch.downlink) == len(want.downlink)
+    for got, ref in zip(ch.uplink + ch.downlink, want.uplink + want.downlink):
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+    s_up, s_down = ch._singular_values
+    assert len(s_up) + len(s_down) == len(want.singular_values)
+    for got, ref in zip([*s_up, *s_down], want.singular_values):
+        assert got.tobytes() == ref.tobytes()
+    right, left = ch.precoders
+    for got, (matrix, _) in zip(right + left, want.right + want.left):
+        assert got.matrix.tobytes() == matrix.tobytes()
+    assert [hr.alpha for hr in right] == [c for _, c in want.right]
+    assert [dl.beta for dl in left] == [c for _, c in want.left]
+
+
+@pytest.mark.parametrize("k, m, n", [(3, 1, 1), (3, 4, 3), (4, 6, 6), (5, 8, 6), (4, 9, 2), (6, 7, 7)])
+def test_blocked_draw_matches_sequential_reference(reference_channels, k, m, n):
+    cfg = SystemConfig(K=k, M=m, N=n, P=1.0)
+    for seed in (0, 1, 7, 2**53 + 1, 2**63 + 5, 2**64 - 2**11):
+        assert_same_draw(sample_channels(cfg, seed), reference_channels(cfg, seed))
+
+
+def test_redraw_matches_sequential_reference(monkeypatch, reference_channels):
+    # a rejected matrix is redrawn from where the stream goes on, as a draw
+    # matrix by matrix does: uplink 2 once, then its redraw too, then
+    # downlink 3 (M != N, so each block changes shape when it moves up)
+    cfg = SystemConfig(K=4, M=5, N=3, P=1.0)
+    plain = sample_channels(cfg, 9)
+    accept, rejected = yrelay.channel.well_conditioned, []
+    monkeypatch.setattr(
+        yrelay.channel, "well_conditioned", lambda s: accept(s) & ~np.isin(np.asarray(s)[..., 0], rejected))
+    for position in (1, 1, 6):
+        rejected.append(reference_channels(cfg, 9).singular_values[position][0])
+        ch = sample_channels(cfg, 9)
+        assert_same_draw(ch, reference_channels(cfg, 9))
+        assert ch.uplink[0].tobytes() == plain.uplink[0].tobytes()
+        assert ch.uplink[1].tobytes() != plain.uplink[1].tobytes()
+    assert len(rejected) == 3
+
+
+def test_redraw_budget_matches_sequential_reference(monkeypatch, reference_channels):
+    cfg = SystemConfig(K=3, M=3, N=2, P=1.0)
+    accept = yrelay.channel.well_conditioned
+    # every matrix rejected: both give up on the first one after 100 tries
+    monkeypatch.setattr(yrelay.channel, "well_conditioned", lambda s: np.zeros(np.shape(s)[:-1], dtype=bool))
+    for draw in (sample_channels, reference_channels):
+        with pytest.raises(GenerationFailed, match=r"^no full-rank \(2, 3\) draw in 100 tries$"):
+            draw(cfg, 3)
+    # about 1 matrix in 32 accepted: long runs of redraws, some past the
+    # budget (on an uplink or a downlink matrix); both agree on every outcome
+    monkeypatch.setattr(
+        yrelay.channel, "well_conditioned",
+        lambda s: accept(s) & (np.floor(np.asarray(s)[..., 0] * 2**20) % 32 == 0))
+    outcomes = []
+    for seed in range(30):
+        try:
+            want = reference_channels(cfg, seed)
+        except GenerationFailed as exc:
+            with pytest.raises(GenerationFailed) as got:
+                sample_channels(cfg, seed)
+            assert str(got.value) == str(exc)
+            outcomes.append(str(exc))
+            continue
+        assert_same_draw(sample_channels(cfg, seed), want)
+        outcomes.append("drawn")
+    assert outcomes.count("drawn") >= 10 and len(set(outcomes)) == 3
 
 
 def test_entry_moments():
@@ -226,8 +297,13 @@ def test_blocked_draw_matches_consecutive_calls():
         assert index.shape == (2, sum(sizes))
         rng = rng_for(16, STREAM_NOISE)
         want = np.concatenate([complex_normal(rng, n) for n in sizes])
-        got = complex_normal_blocks(rng_for(16, STREAM_NOISE), index)
+        got = complex_normal_blocks(rng_for(16, STREAM_NOISE).standard_normal(index.size), index)
         assert got.tobytes() == want.tobytes()
+        # one row per draw: every row as if drawn alone
+        rows = np.array([rng_for(seed, STREAM_NOISE).standard_normal(index.size) for seed in (16, 17, 2**63)])
+        for row, seed in zip(complex_normal_blocks(rows, index), (16, 17, 2**63)):
+            rng = rng_for(seed, STREAM_NOISE)
+            assert row.tobytes() == np.concatenate([complex_normal(rng, n) for n in sizes]).tobytes()
 
 
 def test_rng_streams_independent():

@@ -14,6 +14,7 @@ import yrelay.transceiver
 from yrelay.alignment import DofVector
 from yrelay.channel import SystemConfig
 from yrelay.errors import Infeasible, Underdetermined
+from yrelay.linalg import left_sum
 from yrelay.harness import (
     ExperimentConfig,
     db_to_linear,
@@ -105,6 +106,30 @@ def test_fit_noisy_synthetic_line():
     stderr = sigma / math.sqrt(np.sum((xs - xs.mean()) ** 2))
     assert abs(slope - true_slope) <= 3 * stderr
     assert resid == pytest.approx(sigma, rel=0.5)
+
+
+def test_left_sum_adds_left_to_right():
+    # builtin sum() adds floats with compensation from Python 3.12 on:
+    # sum([0.1] * 10) is 0.9999999999999999 on 3.11 and 1.0 on 3.12; a report
+    # keeps the left-to-right bytes on every version
+    total = 0.0
+    for x in [0.1] * 10:
+        total += x
+    assert left_sum([0.1] * 10) == total == 0.9999999999999999
+    assert left_sum(x for x in [1e16, 1.0, -1e16]) == 0.0  # 1e16 + 1 rounds to 1e16
+    assert left_sum([]) == 0.0
+    assert left_sum([], 5.0) == 5.0
+    # on arrays, elementwise: the columns of a.T are the rows of a
+    rows = np.array([[0.1] * 10, [1e16, 1.0, -1e16] + [0.0] * 7])
+    assert left_sum(rows.T).tolist() == [0.9999999999999999, 0.0]
+
+
+def test_fit_sums_left_to_right():
+    # the means of x and y are left-to-right sums over n: with ten equal
+    # y = 0.1 the intercept is 0.09999999999999999, not 0.1
+    slope, intercept, _ = fit_slope([(float(x), 0.1) for x in range(10)])
+    assert slope == 0.0
+    assert intercept == 0.9999999999999999 / 10
 
 
 # --------------------------------------------------------------------- sweeps
@@ -215,30 +240,37 @@ def counted(fn, calls, key):
 
 
 def test_sweep_reuses_precoders_and_plan(monkeypatch):
-    # the channel is block-constant: each draw runs the 2K SVDs of its
-    # conditioning check, inverts its 2K matrices once with those singular
-    # values, and builds one round context (with its SNR coefficient table)
-    # for all power points; the sweep builds its stream plan once; a noisy
-    # round draws its symbols and its noise with one standard_normal call each
-    calls = {"mppi": 0, "plan": 0, "svd": 0, "context": 0, "normal": 0}
+    # the channel is block-constant: each draw takes its 2K matrices from one
+    # standard_normal call, runs one stacked SVD per link direction for its
+    # conditioning check, inverts each direction's stack once with those
+    # singular values, builds one round context (with its SNR coefficients)
+    # and makes one stacked kernel call for all power points; the sweep
+    # builds its stream plan and its plan-only round layout once; a noisy
+    # point draws its symbols and its noise with one standard_normal call each
+    calls = {"mppi": 0, "plan": 0, "layout": 0, "svd": 0, "context": 0, "kernel": 0,
+             "channel_normal": 0, "round_normal": 0}
     for module, name, key in (
         (yrelay.channel, "_unit_pinv", "mppi"),
         (yrelay.harness, "build_stream_plan", "plan"),
+        (yrelay.harness, "RoundLayout", "layout"),
         (yrelay.harness, "RoundContext", "context"),
+        (yrelay.harness, "transmit_round", "kernel"),
         (np.linalg, "svd", "svd"),
     ):
         monkeypatch.setattr(module, name, counted(getattr(module, name), calls, key))
 
     class CountingGenerator:
-        def __init__(self, rng):
-            self.bit_generator, self._rng = rng.bit_generator, rng
+        def __init__(self, rng, key):
+            self.bit_generator, self._rng, self._key = rng.bit_generator, rng, key
 
-        def standard_normal(self, *args):
-            calls["normal"] += 1
-            return self._rng.standard_normal(*args)
+        def standard_normal(self, *args, **kwargs):
+            calls[self._key] += 1
+            return self._rng.standard_normal(*args, **kwargs)
 
-    fresh = yrelay.transceiver.rng_for
-    monkeypatch.setattr(yrelay.transceiver, "rng_for", lambda seed, stream: CountingGenerator(fresh(seed, stream)))
+    for module, key in ((yrelay.channel, "channel_normal"), (yrelay.transceiver, "round_normal")):
+        fresh = module.rng_for
+        monkeypatch.setattr(module, "rng_for",
+                            lambda seed, stream, fresh=fresh, key=key: CountingGenerator(fresh(seed, stream), key))
     k_users, trials = 4, 3
     cfg = ExperimentConfig(
         system=SystemConfig(K=k_users, M=6, N=6, P=1.0),
@@ -248,11 +280,14 @@ def test_sweep_reuses_precoders_and_plan(monkeypatch):
         seed=0,
     )
     run_sweep(cfg)
-    rounds = len(cfg.sweep_db) * trials
+    points = len(cfg.sweep_db) * trials
     assert calls == {
-        "mppi": 2 * k_users * trials,
+        "mppi": 2 * trials,
         "plan": 1,
-        "svd": 2 * k_users * trials,
+        "layout": 1,
+        "svd": 2 * trials,
         "context": trials,
-        "normal": 2 * rounds,
+        "kernel": trials,
+        "channel_normal": trials,
+        "round_normal": 2 * points,
     }

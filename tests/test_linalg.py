@@ -243,14 +243,52 @@ def test_given_singular_values_change_no_bit():
         for right, x in ((True, a), (False, a.T)):
             s = svals(x)
             try:
-                want = _unit_pinv(x, right)
+                want = _unit_pinv(x[None], right)
             except RankDeficient:
                 routes["rank"] += 1
                 with pytest.raises(RankDeficient):
-                    _unit_pinv(x, right, s)
+                    _unit_pinv(x[None], right, s[None])
                 continue
             routes["fallback" if (s[0] / s[-1]) ** 2 > GRAM_COND_LIMIT else "gram"] += 1
-            got = _unit_pinv(x, right, s)
+            got = _unit_pinv(x[None], right, s[None])
             assert got[0].tobytes() == want[0].tobytes()
-            assert got[1] == want[1]
+            assert got[1].tobytes() == want[1].tobytes()
     assert min(routes.values()) > 50
+
+
+def test_stacked_inverse_matches_one_matrix_at_a_time(reference_pinv):
+    # one stacked Gram product, inversion and product give each matrix the
+    # bits it gets alone, on either route, with or without given singular
+    # values; a stack with a rank-deficient matrix raises the first one's error
+    rng = np.random.default_rng(111)
+    routes = {"gram": 0, "fallback": 0, "rank": 0}
+    for i in range(300):
+        n = 1 + i % 5
+        m = n + (i // 5) % 3
+        stack = np.array([random_complex(rng, n, m) for _ in range(1 + i % 6)])
+        stack[:, :, 0] *= 10.0 ** -rng.uniform(0, 11, size=(len(stack), 1))
+        for right, x in ((True, stack), (False, stack.transpose(0, 2, 1).copy())):
+            wants = []
+            for a in x:
+                try:
+                    wants.append(reference_pinv(a, right))
+                except RankDeficient as exc:
+                    wants.append(exc)
+            errors = [w for w in wants if isinstance(w, RankDeficient)]
+            for sv in (None, np.linalg.svd(x, compute_uv=False)):
+                if errors:
+                    with pytest.raises(RankDeficient) as got:
+                        _unit_pinv(x, right, sv)
+                    assert str(got.value) == str(errors[0])
+                    continue
+                g, c = _unit_pinv(x, right, sv)
+                assert g.shape == (len(x),) + x.shape[:0:-1]
+                for gi, ci, (gw, cw) in zip(g, c.tolist(), wants):
+                    assert gi.tobytes() == gw.tobytes() and ci == cw
+            if errors:
+                routes["rank"] += 1
+            else:
+                s = np.linalg.svd(x, compute_uv=False)
+                routes["fallback"] += any((s[:, 0] / s[:, -1]) ** 2 > GRAM_COND_LIMIT)
+                routes["gram"] += all((s[:, 0] / s[:, -1]) ** 2 <= GRAM_COND_LIMIT)
+    assert min(routes.values()) > 30

@@ -1,13 +1,15 @@
 """End-to-end round tests: precoding, relay processing, recovery, SNR.
 
-`transmit_round` is held to the one-call-at-a-time reference round in
-`tests/conftest.py` bit for bit; the stage tests below check that reference's
-stages, or the stages the round still calls (`relay_decode`, `relay_transmit`,
-`effective_snr`).
+`transmit_round`, which runs every power point of a channel draw in one
+stacked call, is held point by point to the one-call-at-a-time reference
+round in `tests/conftest.py` bit for bit; the stage tests below check that
+reference's stages, or the stages the round still calls (`relay_decode`,
+`relay_transmit`, `effective_snr`, the stacked error norms).
 """
 
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,13 +31,15 @@ from yrelay.channel import (
     rng_for,
     sample_channels,
 )
-from yrelay.errors import DimensionError, ModeUnavailable
+from yrelay.errors import DimensionError, ModeUnavailable, ScalarUnderflow
 from yrelay.harness import derive_seed
 from yrelay.linalg import normalized_left_mppi, normalized_right_mppi
 from yrelay.transceiver import (
     GENIE,
     RAW,
     RoundContext,
+    RoundLayout,
+    _norms,
     effective_snr,
     relay_decode,
     relay_transmit,
@@ -400,10 +404,12 @@ def assert_same_round(got, want):
 
 @st.composite
 def round_cases(draw):
-    """A K = 3..5, M >= N system, a feasible plan with T = 1..4 (sometimes
-    the all-zero DoF vector), a channel draw (sometimes built directly, so
-    the inverses take their own SVD route), two powers in -10..60 dB, mode,
-    noise, supplied or sampled symbols, and a round seed, half of them >= 2^63."""
+    """A K = 3..5, M >= N system, a feasible plan with T = 1..4 and
+    directions up to 7 symbols long (sometimes the all-zero DoF vector), a
+    channel draw (sometimes built directly, so the inverses take their own
+    SVD route), 1..4 power points in -10..60 dB, each with its round seed
+    (half of them >= 2^63, some shared), mode, noise, and supplied or
+    sampled symbols."""
     k = draw(st.integers(3, 5))
     n = draw(st.integers(1, 6))
     cfg = SystemConfig(K=k, M=n + draw(st.integers(0, 2)), N=n, P=1.0)
@@ -413,7 +419,7 @@ def round_cases(draw):
         room = t_ext * n
         for j, kk in ordered_pairs(k):
             if j < kk:
-                fwd, rev = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+                fwd, rev = draw(st.integers(0, 7)), draw(st.integers(0, 7))
                 if max(fwd, rev) <= room:
                     room -= max(fwd, rev)
                     entries[(j, kk)] = Fraction(fwd, t_ext)
@@ -429,22 +435,29 @@ def round_cases(draw):
             pair: rng.standard_normal(size) + 1j * rng.standard_normal(size)
             for pair, size in plan.stream_lengths.items()
         })
-    powers = [10.0 ** (draw(st.integers(-10, 60)) / 10.0) for _ in range(2)]
-    seed = draw(st.one_of(st.integers(0, 2**32), st.integers(2**63, 2**64 - 1)))
-    return dict(cfg=cfg, ch=ch, plan=plan, symbols=symbols, powers=powers, seed=seed, mode=draw(st.sampled_from((GENIE, RAW))),
-                noise=draw(st.booleans()))
+    points = draw(st.integers(1, 4))
+    powers = [10.0 ** (draw(st.integers(-10, 60)) / 10.0) for _ in range(points)]
+    seed = st.one_of(st.integers(0, 2**32), st.integers(2**63, 2**64 - 1))
+    seeds = [draw(seed) for _ in range(points)]
+    if points > 1 and draw(st.booleans()):
+        seeds[1] = seeds[0]
+    return dict(cfg=cfg, ch=ch, plan=plan, symbols=symbols, powers=powers, seeds=seeds,
+                mode=draw(st.sampled_from((GENIE, RAW))), noise=draw(st.booleans()))
 
 
 @settings(PROPERTY, max_examples=80)
 @given(round_cases())
 def test_round_matches_reference(reference_round, case):
-    # one context serves both powers, as in a sweep
+    # one stacked call runs every point, as a sweep does for one channel draw;
+    # each point equals the round run alone, and a context serves two calls
     cfg, ch, plan = case["cfg"], case["ch"], case["plan"]
-    ctx = RoundContext(ch, plan)
-    for p in case["powers"]:
-        args = (case["symbols"], case["seed"], case["mode"], case["noise"])
-        want = reference_round.run(SystemConfig(K=cfg.K, M=cfg.M, N=cfg.N, P=p), ch, plan, *args)
-        assert_same_round(transmit_round(ctx, p, *args), want)
+    ctx = RoundContext(ch, RoundLayout(plan, cfg.M))
+    mode, noise, symbols = case["mode"], case["noise"], case["symbols"]
+    for powers, seeds in ((case["powers"], case["seeds"]), (case["powers"][::-1], case["seeds"][::-1])):
+        rounds = transmit_round(ctx, powers, seeds, symbols, mode, noise)
+        for i, (p, seed) in enumerate(zip(powers, seeds)):
+            want = reference_round.run(SystemConfig(K=cfg.K, M=cfg.M, N=cfg.N, P=p), ch, plan, symbols, seed, mode, noise)
+            assert_same_round(rounds.round(i), want)
 
 
 @pytest.mark.parametrize("mode", (GENIE, RAW))
@@ -458,6 +471,64 @@ def test_zero_dof_round_matches_reference(reference_round, mode, noise):
     assert_same_round(got, reference_round.run(cfg, ch, plan, seed=37, mode=mode, noise=noise))
 
 
+def test_stacked_norms_match_one_row_at_a_time():
+    # one BLAS dot per row, as np.linalg.norm runs on one vector; from length
+    # 4 on, OpenBLAS's strided dot unrolls, so the order of the sum matters
+    rng = np.random.default_rng(42)
+    for length in range(1, 41):
+        flat = rng.standard_normal((3, 5 * length)) + 1j * rng.standard_normal((3, 5 * length))
+        flat[0, :length] *= 1e-3 * rng.standard_normal(length)  # rows of unequal scale
+        contiguous = flat[:, : 2 * length].reshape(3, 2, length)
+        gathered = flat[:, rng.permutation(5 * length)[: 2 * length].reshape(2, length)]
+        for rows in (contiguous, gathered):
+            got = _norms(rows)
+            assert got.shape == (3, 2)
+            for i in range(3):
+                for g in range(2):
+                    x = np.ascontiguousarray(rows[i, g])
+                    one = math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+                    assert got[i, g] == one == np.linalg.norm(x)
+
+
+def test_round_rejects_points_without_seeds():
+    ctx = RoundContext(sample_channels(CFG66, seed=38), RoundLayout(ONES_PLAN, 6))
+    with pytest.raises(ValueError):
+        transmit_round(ctx, [1.0, 10.0], [5])
+    with pytest.raises(ModeUnavailable):
+        transmit_round(ctx, [1.0], [5], mode="telepathy")
+
+
+def test_zero_power_point_forwards_nothing(reference_round):
+    # P = 0 (a sweep point at -4000 dB) leaves gamma = 0: that point's word is
+    # not forwarded and its estimates are zero, while the other points of the
+    # same call run as they would alone
+    ch = sample_channels(CFG66, seed=40)
+    ctx = RoundContext(ch, RoundLayout(ONES_PLAN, 6))
+    powers, seeds = [1e3, 0.0, 1e5], [41, 42, 43]
+    for mode in (GENIE, RAW):
+        rounds = transmit_round(ctx, powers, seeds, mode=mode)
+        for i, (p, seed) in enumerate(zip(powers, seeds)):
+            cfg = SimpleNamespace(K=4, M=6, N=6, P=p)  # SystemConfig rejects P = 0
+            assert_same_round(rounds.round(i), reference_round.run(cfg, ch, ONES_PLAN, None, seed, mode, True))
+        assert [rounds.round(i).zero_word for i in range(3)] == [False, True, False]
+
+
+def test_underflowing_recovery_scale_raises_as_alone(reference_round):
+    # a point whose gamma*beta*alpha underflows raises the error a lone round
+    # raises, pair included, even behind a point that recovers
+    ch = sample_channels(CFG66, seed=44)
+    rng = np.random.default_rng(45)
+    sym = StreamSymbols(4, {pair: 1e150 * (rng.standard_normal(1) + 1j * rng.standard_normal(1))
+                            for pair in ordered_pairs(4)})
+    with pytest.raises(ScalarUnderflow) as want:
+        reference_round.run(SystemConfig(K=4, M=6, N=6, P=1e-300), ch, ONES_PLAN, sym, 46, GENIE, False)
+    ctx = RoundContext(ch, RoundLayout(ONES_PLAN, 6))
+    with pytest.raises(ScalarUnderflow) as got:
+        transmit_round(ctx, [1.0, 1e-300], [46, 46], sym, GENIE, False)
+    assert str(got.value) == str(want.value)
+    assert transmit_round(ctx, [1.0], [46], sym, GENIE, False).round(0).gamma > 0
+
+
 # ------------------------------------------------------------------- SNR math
 
 
@@ -468,7 +539,7 @@ def test_identity_channel_snr_closed_form():
     cfg = SystemConfig(K=4, M=6, N=6, P=p)
     ch = identity_channels(4, 6)
     plan = build_stream_plan(ALL_ONES, 6)
-    rep = effective_snr(RoundContext(ch, plan), cfg.P, GENIE)
+    rep = effective_snr(RoundContext(ch, RoundLayout(plan, cfg.M)), [cfg.P], GENIE).report(0)
     assert len(rep.streams) == 12
     for s in rep.streams.values():
         assert s.downlink == pytest.approx(p / 12.0, rel=1e-12)
@@ -477,12 +548,27 @@ def test_identity_channel_snr_closed_form():
     assert rep.rate_proxy == pytest.approx(12 * math.log2(1 + p / 12.0), rel=1e-12)
 
 
+def test_snr_matches_reference_over_many_draws(reference_round):
+    # log2 runs per component through math.log2, as a lone round's loop ran
+    # it; np.log2 rounds about one value in a thousand differently, which
+    # 300 draws at 7 powers (25200 components) show
+    plan = build_stream_plan(ALL_ONES, 6)
+    layout = RoundLayout(plan, 6)
+    powers = [10.0 ** (db / 10.0) for db in range(0, 61, 10)]
+    for t in range(300):
+        ch = sample_channels(CFG66, derive_seed(39, 1, t))
+        mode = (GENIE, RAW)[t % 2]
+        snr = effective_snr(RoundContext(ch, layout), powers, mode)
+        for i, p in enumerate(powers):
+            want = reference_round.effective_snr(SystemConfig(K=4, M=6, N=6, P=p), ch, plan, mode)
+            assert snr.report(i) == want
+
+
 def test_snr_linear_in_power():
     ch = sample_channels(CFG66, seed=33)
     plan = build_stream_plan(ALL_ONES, 6)
-    ctx = RoundContext(ch, plan)
-    base = effective_snr(ctx, CFG66.P, GENIE)
-    doubled = effective_snr(ctx, 2e4, GENIE)
+    ctx = RoundContext(ch, RoundLayout(plan, CFG66.M))
+    base, doubled = map(effective_snr(ctx, [CFG66.P, 2e4], GENIE).report, (0, 1))
     for key in base.streams:
         assert doubled.streams[key].effective == 2 * base.streams[key].effective
 
@@ -490,7 +576,7 @@ def test_snr_linear_in_power():
 def test_raw_mode_takes_bottleneck():
     ch = sample_channels(CFG66, seed=34)
     plan = build_stream_plan(ALL_ONES, 6)
-    rep = effective_snr(RoundContext(ch, plan), CFG66.P, RAW)
+    rep = effective_snr(RoundContext(ch, RoundLayout(plan, CFG66.M)), [CFG66.P], RAW).report(0)
     for s in rep.streams.values():
         assert s.effective == min(s.uplink, s.downlink)
 
@@ -499,5 +585,5 @@ def test_snr_skips_silent_directions():
     d = DofVector(4, {(1, 2): Fraction(2), (2, 1): Fraction(1)})
     ch = sample_channels(CFG66, seed=35)
     plan = build_stream_plan(d, 6)
-    rep = effective_snr(RoundContext(ch, plan), CFG66.P, GENIE)
+    rep = effective_snr(RoundContext(ch, RoundLayout(plan, CFG66.M)), [CFG66.P], GENIE).report(0)
     assert set(rep.streams) == {(1, 2), (2, 1)}
