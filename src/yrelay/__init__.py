@@ -3,8 +3,8 @@ K-user MIMO multi-way relay channel.
 
 Layering, bottom up: `linalg` (normalized pseudo-inverses), `channel`
 (seeded fading and noise), `alignment` (exact stream bookkeeping),
-`transceiver` (end-to-end rounds, every power point of a channel draw in one
-call), `dofregion` + `simplex` (exact rational region computations),
+`transceiver` (end-to-end rounds, every draw and power point of a block of
+trials in one call), `dofregion` + `simplex` (exact rational region computations),
 `harness` (sweeps and reports).
 """
 

@@ -1,19 +1,21 @@
 """System configuration, random block-constant channels, and noisy propagation.
 
-A `ChannelSet` is one block-constant draw. `sample_channels` draws all 2K
-matrices with one standard-normal call and checks each link direction's
-conditioning with one stacked SVD; the draw computes its per-user precoders
-once, on first use, as one stacked pseudo-inverse per direction, from the
-singular values its check computed, and every round over it reuses them.
+A `ChannelSet` is one block-constant draw. `sample_channel_block` draws a
+block of them, each draw's 2K matrices with one standard-normal call, and
+runs one stacked SVD per link direction for the conditioning check of the
+whole block and one stacked pseudo-inverse per direction for its per-user
+precoders, from those singular values; every round over a draw reuses them.
+`sample_channels` is the block of one.
 
 All randomness comes from the Philox counter-based generator keyed with
 (seed, stream id), so any seed reproduces the exact same realization. Streams
 of different keys are independent, but two seeds can share a key: numpy
 reads the key `[seed, stream]` through a float64 array when seed >= 2^63,
 which rounds the seed to a multiple of 2^11, so 2^63 + 5 and 2^63 + 6 (for
-example) draw the same streams. Stream ids used in this package:
+example) draw the same streams, and `reset_rng` keys its streams the same
+way. Stream ids used in this package:
 
-    1  channel matrices      (sample_channels)
+    1  channel matrices      (sample_channel_block)
     2  receiver noise        (transceiver.transmit_round, uplink then downlink)
     3  codeword symbols      (transceiver.transmit_round)
 """
@@ -50,10 +52,15 @@ def reset_rng(rng: np.random.Generator, seed: int, stream: int) -> np.random.Gen
     and return it: the state `Philox(key=[seed, stream])` starts in.
 
     A round re-keys one generator per draw it takes, which costs a quarter of
-    building a new one. The key goes through `np.asarray(key).astype(np.uint64)`,
-    the conversion `Philox(key=...)` applies to a list.
+    building a new one. The key is the one `Philox(key=[seed, stream])` builds:
+    numpy reads a list holding a value >= 2^63 as float64, so both entries
+    are then rounded to doubles, and a value rounded up to 2^64 wraps to 0 as
+    the x86-64 cast to uint64 does. It is built from Python ints, with no
+    cast and so no cast warning.
     """
-    key = np.asarray([seed & _MASK64, stream & _MASK64]).astype(np.uint64)
+    key = [seed & _MASK64, stream & _MASK64]
+    if max(key) >> 63:
+        key = [int(float(v)) & _MASK64 for v in key]
     rng.bit_generator.state = {
         "bit_generator": "Philox",
         "state": {"counter": _ZERO4, "key": key},
@@ -126,8 +133,9 @@ class ChannelSet:
 
     uplink: tuple
     downlink: tuple
-    # The singular values (uplink (K, N), downlink (K, N)), set only by
-    # `sample_channels`; `dataclasses.replace` does not carry them over.
+    # The singular values (uplink (K, N), downlink (K, N)) of the
+    # conditioning check, set only by `sample_channel_block`, which also
+    # fills `inverses`; `dataclasses.replace` carries neither over.
     _singular_values: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -139,9 +147,8 @@ class ChannelSet:
         """(right, alpha, left, beta): the normalized right inverses of the
         uplink matrices (K, M, N) with their alpha_j (K,), and the left
         inverses of the downlink matrices (K, N, M) with their beta_k (K,)."""
-        s_up, s_down = self._singular_values or (None, None)
-        right, alpha = _unit_pinv(np.array(self.uplink, dtype=np.complex128), True, s_up)
-        left, beta = _unit_pinv(np.array(self.downlink, dtype=np.complex128), False, s_down)
+        right, alpha = _unit_pinv(np.array(self.uplink, dtype=np.complex128), True)
+        left, beta = _unit_pinv(np.array(self.downlink, dtype=np.complex128), False)
         return right, alpha, left, beta
 
     @cached_property
@@ -154,33 +161,61 @@ class ChannelSet:
 
 
 def sample_channels(cfg: SystemConfig, seed: int) -> ChannelSet:
-    """Draw K uplink (N x M) and K downlink (M x N) matrices, i.i.d. CN(0,1).
+    """Draw K uplink (N x M) and K downlink (M x N) matrices, i.i.d. CN(0,1):
+    the block-of-one case of `sample_channel_block`."""
+    return sample_channel_block(cfg, [seed])[0]
 
-    Deterministic per seed. The 2K matrices come from one standard-normal
-    draw, bit for bit the consecutive `complex_normal` calls of a draw
-    matrix by matrix (both shapes hold N*M entries), and each link
-    direction gets one stacked SVD. A matrix failing the conditioning check
-    is redrawn from where that stream goes on: its block is dropped, the
-    blocks after it move up one matrix, and one more block is drawn.
-    Continuous entries make that a probability-zero event, so the retry
-    budget exists only to guard degenerate misuse.
+
+def sample_channel_block(cfg: SystemConfig, seeds) -> tuple:
+    """One channel draw per seed, each deterministic per its seed, with its
+    inverses computed.
+
+    Each draw's 2K matrices come from one standard-normal draw, bit for bit
+    the consecutive `complex_normal` calls of a draw matrix by matrix (both
+    shapes hold N*M entries), on one generator re-keyed per seed. The whole
+    block gets one stacked SVD per link direction for the conditioning check
+    and one stacked pseudo-inverse per direction, from those singular values.
+    A matrix failing the check is redrawn on its own stream from where that
+    stream goes on: its block is dropped, the blocks after it move up one
+    matrix, and one more block is drawn. Continuous entries make that a
+    probability-zero event, so the retry budget exists only to guard
+    degenerate misuse.
     """
     k, n, m = cfg.K, cfg.N, cfg.M
-    rng = rng_for(seed, STREAM_CHANNEL)
-    blocks = rng.standard_normal((2 * k, 2, n * m))  # per matrix: real parts, then imaginary parts
-    mats = np.empty((2 * k, n * m), dtype=np.complex128)
-    svals = np.empty((2 * k, n))
-    ok = np.empty(2 * k, dtype=bool)
+    draws = len(seeds)
+    rng = rng_for(0, STREAM_CHANNEL)
+    blocks = np.empty((draws, 2 * k, 2, n * m))  # per matrix: real parts, then imaginary parts
+    for row, seed in zip(blocks, seeds):
+        reset_rng(rng, seed, STREAM_CHANNEL).standard_normal(out=row)
+    mats = _complex(blocks[:, :, 0], blocks[:, :, 1])
+    svals = np.empty((draws, 2 * k, n))
+    for lo, shape in ((0, (n, m)), (k, (m, n))):
+        stack = mats[:, lo : lo + k].reshape(-1, *shape)
+        svals[:, lo : lo + k] = np.linalg.svd(stack, compute_uv=False).reshape(-1, k, n)
+    ok = well_conditioned(svals)
+    for b in np.flatnonzero(~ok.all(axis=1)).tolist():
+        reset_rng(rng, seeds[b], STREAM_CHANNEL).standard_normal(blocks[b].shape)  # past the first draw
+        _redraw(rng, blocks[b], mats[b], svals[b], ok[b], cfg)
+    up, down = mats[:, :k].reshape(draws * k, n, m), mats[:, k:].reshape(draws * k, m, n)
+    right, alpha = _unit_pinv(up, True, svals[:, :k].reshape(-1, n))
+    left, beta = _unit_pinv(down, False, svals[:, k:].reshape(-1, n))
+    out = []
+    for b in range(draws):
+        mine = slice(b * k, (b + 1) * k)
+        ch = ChannelSet(uplink=tuple(up[mine]), downlink=tuple(down[mine]))
+        object.__setattr__(ch, "_singular_values", (svals[b, :k], svals[b, k:]))
+        ch.__dict__["inverses"] = (right[mine], alpha[mine], left[mine], beta[mine])
+        out.append(ch)
+    return tuple(out)
+
+
+def _redraw(rng, blocks, mats, svals, ok, cfg) -> None:
+    """Redraw the rejected matrices of one draw in place: `blocks` holds its
+    normals, `mats`, `svals` and `ok` the matrices, singular values and
+    verdicts of its first check, and `rng` stands where its stream goes on."""
+    k, n, m = cfg.K, cfg.N, cfg.M
     start = tries = 0  # matrices before `start` are accepted
-    while True:
-        mats[start:] = _complex(blocks[start:, 0], blocks[start:, 1])
-        for lo, shape in ((0, (n, m)), (k, (m, n))):
-            first = max(start, lo)
-            if first < lo + k:
-                svals[first : lo + k] = np.linalg.svd(mats[first : lo + k].reshape(-1, *shape), compute_uv=False)
-                ok[first : lo + k] = well_conditioned(svals[first : lo + k])
-        if ok[start:].all():
-            break
+    while not ok[start:].all():
         failed = start + int(np.argmin(ok[start:]))
         tries = tries + 1 if failed == start else 1
         if tries == _MAX_RESAMPLE:
@@ -188,9 +223,12 @@ def sample_channels(cfg: SystemConfig, seed: int) -> ChannelSet:
             raise GenerationFailed(f"no full-rank {shape} draw in {_MAX_RESAMPLE} tries")
         blocks = np.concatenate((blocks[:failed], blocks[failed + 1 :], rng.standard_normal((1, 2, n * m))))
         start = failed
-    ch = ChannelSet(uplink=tuple(mats[:k].reshape(k, n, m)), downlink=tuple(mats[k:].reshape(k, m, n)))
-    object.__setattr__(ch, "_singular_values", (svals[:k], svals[k:]))
-    return ch
+        mats[start:] = _complex(blocks[start:, 0], blocks[start:, 1])
+        for lo, shape in ((0, (n, m)), (k, (m, n))):
+            first = max(start, lo)
+            if first < lo + k:
+                svals[first : lo + k] = np.linalg.svd(mats[first : lo + k].reshape(-1, *shape), compute_uv=False)
+                ok[first : lo + k] = well_conditioned(svals[first : lo + k])
 
 
 def uplink_propagate(ch: ChannelSet, x, noise=None) -> np.ndarray:
@@ -240,8 +278,8 @@ def downlink_propagate(d, x_r, noise=None) -> np.ndarray:
 
 def check_power(x, p):
     """True iff every vector along the last axis of x has ||x||^2 <= P, up to
-    a relative slack of 1e-9. With a 1-D array of budgets, the leading axis
-    of x runs over them, and one verdict per budget comes back."""
+    a relative slack of 1e-9. With an array of budgets, the leading axes of
+    x run over them, and one verdict per budget comes back."""
     p = np.asarray(p, dtype=np.float64)
     energy = (np.abs(np.asarray(x, dtype=np.complex128)) ** 2).sum(axis=-1)
     ok = energy.reshape(p.shape + (-1,)).max(axis=-1) <= p * (1.0 + POWER_CHECK_SLACK)

@@ -3,15 +3,17 @@
 A sweep runs `trials` independent rounds at every power point. Channel
 realizations are shared across power points of the same trial (common random
 numbers), while symbols and noise are redrawn per (point, trial). The stream
-plan and its `RoundLayout` (the plan-only indices) are built once per sweep.
-Each trial's channel draw gets one `RoundContext` (its inverses and SNR
-coefficients) and one `transmit_round` call that runs every power point at
-once; the point sums add its stacked arrays in trial order, and the draw is
-dropped before the next one, so a sweep holds one draw at a time. Floats are
-added left to right (`left_sum`), so the bytes do not depend on the Python
-version. All sub-seeds derive from the master seed with a splitmix64 chain,
-so a report is a pure function of (config, seed): repeated runs emit
-identical bytes.
+plan and its `RoundLayout` (the plan-only indices) come from the process's
+memo (`transceiver.plan_layout`), built once per (DoF vector, N, M). The
+trials run in blocks of TRIAL_BLOCK: a block's channel draws are sampled and
+inverted together, get one `RoundContext` (their inverses and SNR
+coefficients) and one `transmit_round` call over every draw and power point;
+the point sums add its stacked arrays in trial order, and the block is
+dropped before the next one, so a sweep holds one block at a time. Each
+trial gets the bits it would get alone. Floats are added left to right
+(`left_sum`), so the bytes do not depend on the Python version. All
+sub-seeds derive from the master seed with a splitmix64 chain, so a report
+is a pure function of (config, seed): repeated runs emit identical bytes.
 """
 
 from __future__ import annotations
@@ -24,16 +26,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alignment import DofVector, build_stream_plan
-from .channel import _MASK64, SystemConfig, sample_channels
+from .alignment import DofVector
+from .channel import _MASK64, SystemConfig, sample_channel_block
 from .errors import Underdetermined
 from .linalg import left_sum
-from .transceiver import GENIE, RAW, RoundContext, RoundLayout, transmit_round
+from .transceiver import GENIE, RAW, RoundContext, plan_layout, transmit_round
 
 _GOLDEN = 0x9E3779B97F4A7C15
 
 SUBSEED_CHANNEL = 0xC4
 SUBSEED_ROUND = 0x0E
+
+TRIAL_BLOCK = 16  # trials per channel block, round context and kernel call
 
 
 def _splitmix64(z: int) -> int:
@@ -91,8 +95,13 @@ class ExperimentConfig:
         }
 
     def digest(self) -> str:
-        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+        return _digest(self.to_dict())
+
+
+def _digest(config: dict) -> str:
+    """First 16 hex digits of the SHA-256 of the canonical JSON of `config`."""
+    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -182,17 +191,24 @@ class _PointSums:
         self.violations = np.zeros(points, dtype=np.int64)
 
     def add(self, rounds) -> None:
-        self.violations += ~rounds.power_ok
+        """Add a block of trials' rounds (`transmit_round` rows: the points of
+        each trial in turn), one trial after the other."""
+        points = len(self.snr)
+
+        def trials(a):  # (trials, points, ...)
+            return a.reshape(len(a) // points, points, *a.shape[1:])
+
+        self.violations += (~trials(rounds.power_ok)).sum(axis=0)
         snr = rounds.snr
         streams = snr.effective.shape[1]
         if streams:
-            self.snr += left_sum(snr.effective.T) / streams
-            self.rate += snr.rate_proxy / streams
-        self.sum_rate += snr.rate_proxy
-        errs = rounds.rel_errors
-        if errs.shape[1]:
-            self.err += left_sum(errs.T) / errs.shape[1]
-            self.err_max = np.maximum(self.err_max, errs.max(axis=1))
+            self.snr = left_sum(left_sum(trials(snr.effective).transpose(2, 0, 1)) / streams, self.snr)
+            self.rate = left_sum(trials(snr.rate_proxy) / streams, self.rate)
+        self.sum_rate = left_sum(trials(snr.rate_proxy), self.sum_rate)
+        errs = trials(rounds.rel_errors)
+        if errs.shape[2]:
+            self.err = left_sum(left_sum(errs.transpose(2, 0, 1)) / errs.shape[2], self.err)
+            self.err_max = np.maximum(self.err_max, errs.max(axis=(0, 2)))
 
     def rows(self, sweep_db, trials: int) -> list:
         """One SweepRow per point: means over the trials, the worst error and
@@ -204,15 +220,17 @@ class _PointSums:
 
 def run_sweep(cfg: ExperimentConfig) -> SweepReport:
     """Run the full power sweep; deterministic given (cfg, seed)."""
-    plan = build_stream_plan(cfg.dof, cfg.system.N)  # raises Infeasible before any work
-    layout = RoundLayout(plan, cfg.system.M)
+    layout = plan_layout(cfg.dof, cfg.system.N, cfg.system.M)  # raises Infeasible before any work
     powers = [db_to_linear(p_db) for p_db in cfg.sweep_db]
+    # derive_seed(seed, SUBSEED_ROUND, pi, t) continues the chain of derive_seed(seed, SUBSEED_ROUND, pi).
+    point_seeds = [derive_seed(cfg.seed, SUBSEED_ROUND, pi) for pi in range(len(powers))]
     sums = _PointSums(len(powers))
-    for t in range(cfg.trials):
-        # One draw serves every power point; its context lives for this trial only.
-        ctx = RoundContext(sample_channels(cfg.system, derive_seed(cfg.seed, SUBSEED_CHANNEL, t)), layout)
-        seeds = [derive_seed(cfg.seed, SUBSEED_ROUND, pi, t) for pi in range(len(powers))]
-        sums.add(transmit_round(ctx, powers, seeds, mode=cfg.mode, noise=cfg.noise))
+    for first in range(0, cfg.trials, TRIAL_BLOCK):
+        block = range(first, min(first + TRIAL_BLOCK, cfg.trials))
+        # One draw per trial serves every power point; the block's context lives for this block only.
+        channels = sample_channel_block(cfg.system, [derive_seed(cfg.seed, SUBSEED_CHANNEL, t) for t in block])
+        seeds = [derive_seed(point, t) for t in block for point in point_seeds]
+        sums.add(transmit_round(RoundContext(channels, layout), powers, seeds, mode=cfg.mode, noise=cfg.noise))
     rows = sums.rows(cfg.sweep_db, cfg.trials)
 
     slope = intercept = residual = None
@@ -223,13 +241,14 @@ def run_sweep(cfg: ExperimentConfig) -> SweepReport:
 
     from . import __version__
 
+    config = cfg.to_dict()
     return SweepReport(
         rows=tuple(rows),
         slope=slope,
         intercept=intercept,
         residual=residual,
-        config=cfg.to_dict(),
-        config_hash=cfg.digest(),
+        config=config,
+        config_hash=_digest(config),
         seed=cfg.seed,
         version=__version__,
     )

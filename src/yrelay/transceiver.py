@@ -3,19 +3,21 @@
 The channel is block-constant, and a sweep runs every power point on each
 channel draw, so the work splits three ways:
 
-- a `RoundLayout`, built once per stream plan and antenna count M, holds the
-  plan-only indices: the layout of a round's random draws, the order in
-  which users recover their estimates, the directions grouped by span length
-  for the error norms, and the slot components of the analytic SNR;
-- a `RoundContext`, built once per channel draw, holds what the draw fixes:
-  the stacked precoders and channel matrices, the diagonalization constants
-  alpha_j and beta_k, and the coefficients of the analytic SNR;
-- `transmit_round` runs the rounds of every power point over a context in
-  one stacked computation, with a leading points axis: only the symbols, the
-  noise and the power budget P change from point to point. `run_round` is
-  the one-point case.
+- a `RoundLayout`, built once per stream plan and antenna count M and kept
+  in a bounded per-process memo (`plan_layout`), holds the plan-only
+  indices: the layout of a round's random draws, the order in which users
+  recover their estimates, the directions grouped by span length for the
+  error norms, and the slot components of the analytic SNR;
+- a `RoundContext`, built once per block of channel draws, holds what the
+  draws fix: the stacked precoders and channel matrices, the
+  diagonalization constants alpha_j and beta_k, and the coefficients of the
+  analytic SNR;
+- `transmit_round` runs the rounds of every draw and power point over a
+  context in one stacked computation, with leading (draw, point) axes: only
+  the symbols, the noise and the power budget P change from point to point.
+  `run_round` is the one-draw, one-point case.
 
-Each point gets the bits it would get alone: every sum whose order reaches a
+Each round gets the bits it would get alone: every sum whose order reaches a
 report keeps its order (users are added one at a time, rates and errors left
 to right), error norms run one BLAS dot per row as `ndarray.dot` does, and
 log2 runs per component through `math.log2`.
@@ -36,12 +38,14 @@ consecutive channel uses of the same block-constant channel.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .alignment import StreamPlan, StreamSymbols
+from .alignment import DofVector, StreamPlan, StreamSymbols, build_stream_plan, ordered_pairs
 from .channel import (
     STREAM_NOISE,
     STREAM_SYMBOLS,
@@ -96,12 +100,12 @@ def _draws(rng: np.random.Generator, seeds, stream: int, size: int) -> np.ndarra
 
 class RoundLayout:
     """What a stream plan and the users' antenna count M fix for every round,
-    whatever the channel draw. A sweep builds one and passes it to the
-    `RoundContext` of every draw.
+    whatever the channel draw. `plan_layout` builds one per (DoF vector, N,
+    M) and hands it to every `RoundContext` over that plan.
 
-    Symbols travel as one flat vector laid out by `plan.symbol_spans`. `rng`
-    is re-keyed by every draw a round takes, so a layout serves one
-    `transmit_round` call at a time.
+    Symbols travel as one flat vector laid out by `plan.symbol_spans`. A
+    layout holds no generator and its arrays are read-only, so one layout
+    serves any number of sweeps, in any number of threads, at once.
     """
 
     def __init__(self, plan: StreamPlan, m: int):
@@ -109,63 +113,92 @@ class RoundLayout:
         self.plan, self.M = plan, m
         spans = plan.symbol_spans
         sizes = [b - a for a, b in spans.values()]
+        self.word_index, self.receive_index = plan.word_index, plan.receive_index
         self.symbol_index = normal_block_index(sizes)
         self.noise_index = normal_block_index([n] * t_ext + [m] * (k_users * t_ext))
         self.sender = np.repeat([j - 1 for j, _ in spans], sizes)  # user index of each symbol
         # Estimates in the order user k recovers them (k, then partner j); a
         # sweep averages their errors in this order.
-        self.estimate_order = [
+        self.estimate_order = tuple(
             (j, k) for k in range(1, k_users + 1) for j in range(1, k_users + 1) if j != k
-        ]
+        )
         self.pair_users = np.array(self.estimate_order).T - 1  # rows: j - 1, k - 1
-        self.error_keys = [key for key in self.estimate_order if spans[key][1] > spans[key][0]]
+        self.error_keys = tuple(key for key in self.estimate_order if spans[key][1] > spans[key][0])
         self.error_groups = _length_groups([spans[key] for key in self.error_keys])
 
-        # effective_snr: per active direction its slot components, and per
-        # component the users j, k and its row q mod N of Dl_k.
-        self.snr_keys, components, component_spans = [], [], []
+        # effective_snr: per active direction its slot components and its
+        # sender, and per component the users j, k and its row q mod N of Dl_k.
+        snr_keys, components, component_spans = [], [], []
         for (j, k), size in plan.stream_lengths.items():
             if size == 0:
                 continue
             off, _ = plan.slot(j, k)
-            self.snr_keys.append((j, k))
+            snr_keys.append((j, k))
             component_spans.append((len(components), len(components) + size))
             components += [(j - 1, k - 1, (off + i) % n) for i in range(size)]
+        self.snr_keys = tuple(snr_keys)
+        self.snr_senders = np.array([j - 1 for j, _ in snr_keys], dtype=np.intp)
         self.snr_components = np.array(components, dtype=np.intp).reshape(-1, 3).T
         self.snr_groups = _length_groups(component_spans)
-        self.rng = rng_for(0, STREAM_NOISE)
+        for a in (self.word_index, self.receive_index, self.symbol_index, self.noise_index, self.sender,
+                  self.pair_users, self.snr_senders, self.snr_components,
+                  *(a for group in self.error_groups + self.snr_groups for a in group)):
+            a.flags.writeable = False
+
+
+LAYOUT_MEMO_SIZE = 64  # (K, DoF vector, N, M) keys whose layouts a process keeps
+
+
+def plan_layout(dof: DofVector, n: int, m: int) -> RoundLayout:
+    """The layout of `build_stream_plan(dof, n)` (its plan is `.plan`) for M
+    user antennas, from a per-process memo of the last LAYOUT_MEMO_SIZE keys
+    (K, `dof.as_tuple()`, N, M). A layout enters the memo whole, its plan's
+    cached indices included, and is shared read-only by every caller.
+    `Infeasible` and the other plan errors are raised on every call, before
+    any work, as `build_stream_plan` raises them."""
+    return _memo_layout(dof.K, dof.as_tuple(), n, m)
+
+
+@functools.lru_cache(maxsize=LAYOUT_MEMO_SIZE)
+def _memo_layout(k_users: int, entries: tuple, n: int, m: int) -> RoundLayout:
+    return RoundLayout(build_stream_plan(DofVector(k_users, dict(zip(ordered_pairs(k_users), entries))), n), m)
 
 
 class RoundContext:
-    """What one channel draw fixes for every round over it, under the
-    layout of its stream plan."""
+    """What a block of channel draws fixes for every round over it, under the
+    layout of its stream plan. `channels` is one ChannelSet (a block of one)
+    or a sequence of them; every array leads with the draws axis, and those
+    a round reads next with a points axis of length 1."""
 
-    def __init__(self, ch: ChannelSet, layout: RoundLayout):
-        n, m = ch.uplink[0].shape
+    def __init__(self, channels, layout: RoundLayout):
+        channels = (channels,) if isinstance(channels, ChannelSet) else tuple(channels)
         plan = layout.plan
-        if (plan.K, plan.N, layout.M) != (ch.K, n, m):
-            raise DimensionError(
-                f"layout for K={plan.K}, N={plan.N}, M={layout.M} does not fit channels with K={ch.K}, N={n}, M={m}")
-        right, alpha, left, beta = ch.inverses
-        self.ch, self.layout = ch, layout
-        # Leading (K, 1) axes: one matrix per user, broadcast over channel uses.
-        self.right, self.left = right[:, None], left[:, None]
-        self.downlink = np.array(ch.downlink, dtype=np.complex128)[:, None]
-        self.alpha_rows, self.beta_rows = alpha[:, None], beta[:, None]
-        self.receive_scale = alpha[layout.sender]
+        for ch in channels:
+            n, m = ch.uplink[0].shape
+            if (plan.K, plan.N, layout.M) != (ch.K, n, m):
+                raise DimensionError(
+                    f"layout for K={plan.K}, N={plan.N}, M={layout.M} does not fit channels with K={ch.K}, N={n}, M={m}")
+        right, alpha, left, beta = (np.stack(a) for a in zip(*(ch.inverses for ch in channels)))
+        self.channels, self.layout = channels, layout
+        # Axes (draw, point, user, channel use): a matrix per draw and user,
+        # broadcast over points and channel uses.
+        self.right, self.left = right[:, None, :, None], left[:, None, :, None]
+        self.downlink = np.array([ch.downlink for ch in channels], dtype=np.complex128)[:, None, :, None]
+        self.alpha_rows, self.beta_rows = alpha[:, None, :, None], beta[:, None, :, None]
+        self.receive_scale = alpha[:, None, layout.sender]
         j, k = layout.pair_users
-        self.pair_beta, self.pair_alpha = beta[k], alpha[j]
+        self.pair_beta, self.pair_alpha = beta[:, None, k], alpha[:, None, j]
 
         # effective_snr: E||w||^2 of unit-variance symbols, and per slot
         # component alpha_j^2, beta_k^2 and the filtered noise power of its
         # row of Dl_k. Squares are Python floats, as per-component code had them.
-        a2 = [a**2 for a in alpha.tolist()]
-        b2 = [b**2 for b in beta.tolist()]
-        self.word_power = left_sum(a2[j - 1] * size for (j, _), size in plan.stream_lengths.items())
+        a2 = np.array([a**2 for a in alpha.ravel().tolist()]).reshape(alpha.shape)
+        b2 = np.array([b**2 for b in beta.ravel().tolist()]).reshape(beta.shape)
+        self.word_power = left_sum(a2[:, j - 1] * size for (j, _), size in plan.stream_lengths.items())
         j, k, row = layout.snr_components
-        self.snr_a2, self.snr_b2 = np.array(a2)[j], np.array(b2)[k]
-        self.snr_rows = np.sum(np.abs(left) ** 2, axis=-1)[k, row]
-        self.snr_uplink = np.array([a2[j - 1] for j, _ in layout.snr_keys])
+        self.snr_a2, self.snr_b2 = a2[:, None, j], b2[:, None, k]
+        self.snr_rows = np.sum(np.abs(left) ** 2, axis=-1)[:, k, row][:, None]
+        self.snr_uplink = a2[:, None, layout.snr_senders]
 
 
 def relay_decode(y_word, plan: StreamPlan, mode: str, true_word=None) -> np.ndarray:
@@ -250,29 +283,36 @@ class SnrReport:
 
 @dataclass(frozen=True)
 class SnrBatch:
-    """Analytic SNRs at several power points over one context. Rows are the
-    points, columns the active directions in `ctx.layout.snr_keys` order;
-    `report(i)` is point i as an SnrReport."""
+    """Analytic SNRs at several power points over a context's draws. Rows
+    are the rounds, the points of each draw in turn (row d * points + i is
+    draw d at point i), columns the active directions in
+    `ctx.layout.snr_keys` order; `report(r)` is row r as an SnrReport."""
 
     ctx: RoundContext
+    uplink: np.ndarray
     downlink: np.ndarray
     effective: np.ndarray
     rates: np.ndarray
-    rate_proxy: np.ndarray  # per point
+    rate_proxy: np.ndarray  # per round
 
-    def report(self, i: int) -> SnrReport:
+    def report(self, r: int) -> SnrReport:
         keys = self.ctx.layout.snr_keys
-        rows = zip(keys, self.ctx.snr_uplink.tolist(), self.downlink[i].tolist(), self.effective[i].tolist())
+        rows = zip(keys, self.uplink[r].tolist(), self.downlink[r].tolist(), self.effective[r].tolist())
         return SnrReport(
             streams={key: StreamSnr(uplink=up, downlink=down, effective=eff) for key, up, down, eff in rows},
-            rates=dict(zip(keys, self.rates[i].tolist())),
-            rate_proxy=float(self.rate_proxy[i]),
+            rates=dict(zip(keys, self.rates[r].tolist())),
+            rate_proxy=float(self.rate_proxy[r]),
         )
+
+
+def _rounds(a: np.ndarray) -> np.ndarray:
+    """Merge the leading (draw, point) axes of `a` into one rounds axis."""
+    return a.reshape(a.shape[0] * a.shape[1], *a.shape[2:])
 
 
 def effective_snr(ctx: RoundContext, powers, mode: str = GENIE) -> SnrBatch:
     """Analytic per-subchannel SNRs of the parallel two-way streams at each
-    power P in `powers`.
+    power P in `powers`, on every draw of the context.
 
     Uplink: the relay sees alpha_j * v plus unit-variance noise, so direction
     j->k runs at alpha_j^2 per component. Downlink: the relay forwards with
@@ -288,18 +328,21 @@ def effective_snr(ctx: RoundContext, powers, mode: str = GENIE) -> SnrBatch:
         raise ModeUnavailable(f"unknown mode {mode!r}")
     layout = ctx.layout
     powers = np.asarray(powers, dtype=np.float64)
-    gamma_sq = powers / ctx.word_power if ctx.word_power > 0 else np.zeros_like(powers)
-    down = gamma_sq[:, None] * ctx.snr_b2 * ctx.snr_a2 / ctx.snr_rows
+    word_power = ctx.word_power[:, None]
+    shape = (len(word_power), len(powers))
+    gamma_sq = np.divide(powers, word_power, out=np.zeros(shape), where=word_power > 0)
+    down = gamma_sq[..., None] * ctx.snr_b2 * ctx.snr_a2 / ctx.snr_rows
     eff = down if mode == GENIE else np.minimum(ctx.snr_a2, down)
     # math.log2: np.log2 rounds some values differently
     logs = np.array(list(map(math.log2, (1.0 + eff).ravel().tolist()))).reshape(eff.shape)
-    shape = (len(powers), len(layout.snr_keys))
-    snr_down, rates = np.empty(shape), np.empty(shape)
+    snr_down, rates = np.empty((2, *shape, len(layout.snr_keys)))
     for where, index in layout.snr_groups:
-        snr_down[:, where] = down[:, index].min(axis=-1)
-        rates[:, where] = left_sum(logs[:, index].transpose(2, 0, 1)) / layout.plan.T
-    effective = snr_down if mode == GENIE else np.minimum(ctx.snr_uplink, snr_down)
-    return SnrBatch(ctx, snr_down, effective, rates, left_sum(rates.T, np.zeros(len(powers))))
+        snr_down[..., where] = down[..., index].min(axis=-1)
+        rates[..., where] = left_sum(np.moveaxis(logs[..., index], -1, 0)) / layout.plan.T
+    uplink = np.broadcast_to(ctx.snr_uplink, snr_down.shape)
+    effective = snr_down if mode == GENIE else np.minimum(uplink, snr_down)
+    rate_proxy = left_sum(np.moveaxis(rates, -1, 0), np.zeros(shape))
+    return SnrBatch(ctx, *map(_rounds, (uplink, snr_down, effective, rates, rate_proxy)))
 
 
 @dataclass(frozen=True)
@@ -339,13 +382,14 @@ class RoundResult:
 
 @dataclass(frozen=True)
 class RoundBatch:
-    """Rounds at several power points over one context; every array leads
-    with the points axis.
+    """Rounds at several power points over a context's draws; every array
+    leads with the rounds axis, the points of each draw in turn (row
+    d * points + i is draw d at point i).
 
-    `estimates` holds each point's symbol estimates in the flat layout of
+    `estimates` holds each round's symbol estimates in the flat layout of
     `plan.symbol_spans`, `rel_errors` the relative L2 error of each active
     direction in `ctx.layout.error_keys` order, and `gamma` 0 for a zero
-    relay word. `round(i)` is point i as a RoundResult.
+    relay word. `round(r)` is row r as a RoundResult.
     """
 
     ctx: RoundContext
@@ -357,17 +401,17 @@ class RoundBatch:
     power_ok: np.ndarray
     snr: SnrBatch
 
-    def round(self, i: int) -> RoundResult:
+    def round(self, r: int) -> RoundResult:
         layout = self.ctx.layout
         spans = layout.plan.symbol_spans
-        gamma = float(self.gamma[i])
+        gamma = float(self.gamma[r])
         return RoundResult(
-            estimates={key: self.estimates[i, slice(*spans[key])] for key in layout.estimate_order},
-            rel_errors=dict(zip(layout.error_keys, self.rel_errors[i].tolist())),
-            snr=self.snr.report(i),
+            estimates={key: self.estimates[r, slice(*spans[key])] for key in layout.estimate_order},
+            rel_errors=dict(zip(layout.error_keys, self.rel_errors[r].tolist())),
+            snr=self.snr.report(r),
             gamma=gamma,
             zero_word=gamma == 0.0,
-            power_ok=bool(self.power_ok[i]),
+            power_ok=bool(self.power_ok[r]),
             mode=self.mode,
             noisy=self.noisy,
         )
@@ -381,14 +425,16 @@ def transmit_round(
     mode: str = GENIE,
     noise: bool = True,
 ) -> RoundBatch:
-    """Full uplink + downlink rounds over a context, one per power point, in
-    one stacked computation.
+    """Full uplink + downlink rounds over a context, one per draw and power
+    point, in one stacked computation with leading (draw, point) axes.
 
-    Point i runs at power budget powers[i]. Its symbols are drawn from
-    (seeds[i], symbol stream) unless supplied (supplied symbols serve every
-    point), its noise from (seeds[i], noise stream): each stream in one draw,
-    uplink noise of every channel use before the downlink noise of every
-    user and use.
+    Point i runs at power budget powers[i]. `seeds` holds one seed per
+    round, in the order of the batch rows: the points of each draw in turn.
+    A round's symbols are drawn from (its seed, symbol stream) unless
+    supplied (supplied symbols serve every round), its noise from (its
+    seed, noise stream): each stream in one draw, uplink noise of every
+    channel use before the downlink noise of every user and use. One
+    generator, made for the call, is re-keyed for every draw.
     """
     if mode not in (GENIE, RAW):
         raise ModeUnavailable(f"unknown mode {mode!r}")
@@ -396,60 +442,65 @@ def transmit_round(
     plan, k_users, m = layout.plan, layout.plan.K, layout.M
     t_ext, n, length = plan.T, plan.N, plan.word_length
     powers = np.asarray(powers, dtype=np.float64)
-    points = len(powers)
-    if len(seeds) != points:
-        raise ValueError(f"{points} power points but {len(seeds)} seeds")
+    shape = (len(ctx.channels), len(powers))
+    budgets = np.broadcast_to(powers, shape)
+    if len(seeds) != budgets.size:
+        raise ValueError(f"{shape[0]} draws x {shape[1]} power points but {len(seeds)} seeds")
+    rng = rng_for(0, STREAM_SYMBOLS)
     if symbols is None:
-        normals = _draws(layout.rng, seeds, STREAM_SYMBOLS, layout.symbol_index.size)
-        v = complex_normal_blocks(normals, layout.symbol_index)
+        normals = _draws(rng, seeds, STREAM_SYMBOLS, layout.symbol_index.size)
+        v = complex_normal_blocks(normals, layout.symbol_index).reshape(*shape, len(layout.sender))
     else:
         symbols.check_plan(plan)
-        v = np.tile(np.concatenate([symbols.get(j, k) for j, k in plan.symbol_spans]), (points, 1))
-    pad = np.zeros((points, 1), dtype=np.complex128)
-    words = np.concatenate((v, pad), axis=1)[:, plan.word_index]  # words[i, j]: user j's slot word
+        v = np.tile(np.concatenate([symbols.get(j, k) for j, k in plan.symbol_spans]), (*shape, 1))
+    pad = np.zeros((*shape, 1), dtype=np.complex128)
+    words = np.concatenate((v, pad), axis=-1)[..., layout.word_index]  # words[d, i, j]: user j's slot word
     z_up = z_down = None
     if noise:
-        normals = _draws(layout.rng, seeds, STREAM_NOISE, layout.noise_index.size)
-        z = complex_normal_blocks(normals, layout.noise_index)
-        z_up = z[:, : t_ext * n].reshape(points, t_ext, n)
-        z_down = z[:, t_ext * n :].reshape(points, k_users, t_ext, m)
+        normals = _draws(rng, seeds, STREAM_NOISE, layout.noise_index.size)
+        z = complex_normal_blocks(normals, layout.noise_index).reshape(*shape, -1)
+        z_up = z[..., : t_ext * n].reshape(*shape, t_ext, n)
+        z_down = z[..., t_ext * n :].reshape(*shape, k_users, t_ext, m)
 
-    # Uplink: x[i, j, t] is user j's transmit vector in channel use t.
-    x = (ctx.right @ words.reshape(points, k_users, t_ext, n, 1))[..., 0]
-    power_ok = check_power(x, powers)
+    # Uplink: x[d, i, j, t] is user j's transmit vector in channel use t.
+    x = (ctx.right @ words.reshape(*shape, k_users, t_ext, n, 1))[..., 0]
+    power_ok = check_power(x, budgets)
     scaled = ctx.alpha_rows * words  # alpha_j * u_j
     truth = y_word = None
     if mode == GENIE:  # users added one at a time
-        truth = left_sum(scaled.swapaxes(0, 1), np.zeros((points, length), dtype=np.complex128))
-    else:  # only the raw relay reads its observation
-        y_word = uplink_propagate(ctx.ch, x.swapaxes(0, 1), z_up).reshape(points, length)
+        truth = left_sum(np.moveaxis(scaled, 2, 0), np.zeros((*shape, length), dtype=np.complex128))
+    else:  # only the raw relay reads its observation, one draw at a time
+        noises = z_up if noise else [None] * shape[0]
+        y_word = np.stack([uplink_propagate(ch, xd.swapaxes(0, 1), zd)
+                           for ch, xd, zd in zip(ctx.channels, x, noises)]).reshape(*shape, length)
 
     w_hat = relay_decode(y_word, plan, mode, true_word=truth)
     x_word, gamma = relay_transmit(w_hat, powers)
     live = gamma != 0.0  # a zero word forwards nothing; its estimates are zero
-    power_ok &= check_power(x_word.reshape(points, t_ext, n), powers)
+    power_ok &= check_power(x_word.reshape(*shape, t_ext, n), budgets)
 
-    denom = gamma[:, None] * ctx.pair_beta * ctx.pair_alpha
-    under = (np.abs(denom) < SCALE_UNDERFLOW) & live[:, None]
+    denom = gamma[..., None] * ctx.pair_beta * ctx.pair_alpha
+    under = (np.abs(denom) < SCALE_UNDERFLOW) & live[..., None]
     if under.any():
-        i, e = np.argwhere(under)[0]
+        d, i, e = np.argwhere(under)[0]
         j, k = layout.estimate_order[e]
-        raise ScalarUnderflow(f"recovery scale gamma*beta*alpha = {denom[i, e]:.3e} for pair ({j},{k})")
-    y = downlink_propagate(ctx.downlink, x_word.reshape(points, 1, t_ext, n), z_down)
-    filtered = (ctx.left @ y[..., None]).reshape(points, k_users, length)
+        raise ScalarUnderflow(f"recovery scale gamma*beta*alpha = {denom[d, i, e]:.3e} for pair ({j},{k})")
+    y = downlink_propagate(ctx.downlink, x_word.reshape(*shape, 1, t_ext, n), z_down)
+    filtered = (ctx.left @ y[..., None]).reshape(*shape, k_users, length)
     # Undo gamma*beta_k, cancel the user's own contribution, and divide
     # each partner's slot by the partner's alpha_j.
-    cleaned = filtered / (np.where(live, gamma, 1.0)[:, None, None] * ctx.beta_rows) - scaled
-    est = cleaned.reshape(points, -1)[:, plan.receive_index] / ctx.receive_scale
+    cleaned = filtered / (np.where(live, gamma, 1.0)[..., None, None] * ctx.beta_rows) - scaled
+    est = cleaned.reshape(*shape, k_users * length)[..., layout.receive_index] / ctx.receive_scale
     est[~live] = 0.0
 
     symbols_and_errors = np.stack((v, est - v))
-    rel_errors = np.empty((points, len(layout.error_keys)))
+    rel_errors = np.empty((*shape, len(layout.error_keys)))
     for where, index in layout.error_groups:
-        ref, e = _norms(symbols_and_errors[:, :, index])
-        rel_errors[:, where] = np.divide(e, ref, out=np.where(e == 0, 0.0, np.inf), where=ref > 0)
+        ref, e = _norms(symbols_and_errors[..., index])
+        rel_errors[..., where] = np.divide(e, ref, out=np.where(e == 0, 0.0, np.inf), where=ref > 0)
 
-    return RoundBatch(ctx, mode, noise, est, rel_errors, gamma, power_ok, effective_snr(ctx, powers, mode))
+    return RoundBatch(ctx, mode, noise, *map(_rounds, (est, rel_errors, gamma, power_ok)),
+                      effective_snr(ctx, powers, mode))
 
 
 def run_round(
@@ -461,9 +512,14 @@ def run_round(
     mode: str = GENIE,
     noise: bool = True,
 ) -> RoundResult:
-    """One round over the stream plan `plan` at power cfg.P: the one-point
-    case of `transmit_round`."""
+    """One round over the stream plan `plan` at power cfg.P: the one-draw,
+    one-point case of `transmit_round`, on the memoized layout of the plan's
+    DoF vector (a plan that `build_stream_plan` would not build gets a
+    layout of its own)."""
     if (plan.K, plan.N) != (cfg.K, cfg.N):
         raise DimensionError(f"plan for K={plan.K}, N={plan.N} does not fit K={cfg.K}, N={cfg.N}")
-    ctx = RoundContext(ch, RoundLayout(plan, cfg.M))
-    return transmit_round(ctx, [cfg.P], [seed], symbols, mode, noise).round(0)
+    dof = DofVector(plan.K, {pair: Fraction(size, plan.T) for pair, size in plan.stream_lengths.items()})
+    layout = plan_layout(dof, plan.N, cfg.M)
+    if layout.plan != plan:
+        layout = RoundLayout(plan, cfg.M)
+    return transmit_round(RoundContext(ch, layout), [cfg.P], [seed], symbols, mode, noise).round(0)

@@ -2,8 +2,10 @@
 and cutting-plane tools in `yrelay.dofregion` are checked against, the
 matrix-by-matrix channel draw and pseudo-inverse that
 `yrelay.channel.sample_channels` and `yrelay.linalg._unit_pinv` are checked
-against, and the reference round that `yrelay.transceiver.transmit_round` is
-checked against."""
+against, the numpy key conversion that `yrelay.channel.reset_rng` is checked
+against, the reference round that `yrelay.transceiver.transmit_round` is
+checked against, and the trial-by-trial sweep that
+`yrelay.harness.run_sweep` is checked against."""
 
 import functools
 import itertools
@@ -14,8 +16,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from yrelay import __version__
 from yrelay.alignment import (
     DofVector,
+    build_stream_plan,
     StreamSymbols,
     assemble_uplink_symbol,
     extract_pair_slot,
@@ -33,9 +37,20 @@ from yrelay.channel import (
 )
 from yrelay.dofregion import MembershipVerdict, construction_feasible, permutation_constraint
 from yrelay.errors import DimensionError, GenerationFailed, ModeUnavailable, RankDeficient, ScalarUnderflow
-from yrelay.linalg import GRAM_COND_LIMIT, RANK_TOL, as_complex_matrix
+from yrelay.harness import SUBSEED_CHANNEL, SUBSEED_ROUND, SweepReport, SweepRow, db_to_linear, derive_seed, fit_slope
+from yrelay.linalg import GRAM_COND_LIMIT, RANK_TOL, as_complex_matrix, left_sum
 from yrelay.simplex import solve_max, verify_certificate
-from yrelay.transceiver import GENIE, RAW, SCALE_UNDERFLOW, RoundResult, SnrReport, StreamSnr
+from yrelay.transceiver import (
+    GENIE,
+    RAW,
+    SCALE_UNDERFLOW,
+    RoundContext,
+    RoundLayout,
+    RoundResult,
+    SnrReport,
+    StreamSnr,
+    transmit_round,
+)
 
 
 @pytest.fixture
@@ -123,6 +138,23 @@ def full_row_lp():
 def full_row_gap():
     """find_construction_gap with every LP over all K! rows."""
     return _full_row_gap
+
+
+# ----------------------------------------------------- reference Philox key
+
+
+def _numpy_philox_key(seed, stream):
+    """The key numpy's `Philox(key=[seed, stream])` builds from a list: a
+    float64 array when an entry is >= 2^63, cast to uint64 (a value rounded
+    up to 2^64 becomes 0 on x86-64, with a cast warning, silenced here)."""
+    with np.errstate(invalid="ignore"):
+        return np.asarray([seed & (2**64 - 1), stream & (2**64 - 1)]).astype(np.uint64)
+
+
+@pytest.fixture(scope="session")
+def numpy_philox_key():
+    """(seed, stream) -> the uint64 key numpy builds from `[seed, stream]`."""
+    return _numpy_philox_key
 
 
 # ------------------------------------------------- reference channel draw
@@ -426,3 +458,59 @@ def reference_round():
         user_postcode=_user_postcode,
         user_recover=_user_recover,
     )
+
+
+# ------------------------------------------------------------ reference sweep
+# The sweep one trial at a time, as it ran before trials were blocked: its own
+# plan and layout, and per trial one channel draw, one context and one kernel
+# call over the block of one, with the point sums added trial by trial.
+
+
+class _TrialSums:
+    """Running sums over the trials, one entry per power point, in trial order."""
+
+    def __init__(self, points):
+        self.snr, self.rate, self.sum_rate, self.err, self.err_max = np.zeros((5, points))
+        self.violations = np.zeros(points, dtype=np.int64)
+
+    def add(self, rounds):
+        self.violations += ~rounds.power_ok
+        snr = rounds.snr
+        streams = snr.effective.shape[1]
+        if streams:
+            self.snr += left_sum(snr.effective.T) / streams
+            self.rate += snr.rate_proxy / streams
+        self.sum_rate += snr.rate_proxy
+        errs = rounds.rel_errors
+        if errs.shape[1]:
+            self.err += left_sum(errs.T) / errs.shape[1]
+            self.err_max = np.maximum(self.err_max, errs.max(axis=1))
+
+    def rows(self, sweep_db, trials):
+        means = (self.snr / trials, self.rate / trials, self.sum_rate / trials, self.err / trials)
+        columns = [a.tolist() for a in (*means, self.err_max, self.violations)]
+        return [SweepRow(float(p_db), *values) for p_db, *values in zip(sweep_db, *columns)]
+
+
+def _reference_sweep(cfg):
+    layout = RoundLayout(build_stream_plan(cfg.dof, cfg.system.N), cfg.system.M)
+    powers = [db_to_linear(p_db) for p_db in cfg.sweep_db]
+    sums = _TrialSums(len(powers))
+    for t in range(cfg.trials):
+        ch = yrelay.channel.sample_channels(cfg.system, derive_seed(cfg.seed, SUBSEED_CHANNEL, t))
+        ctx = RoundContext(ch, layout)
+        seeds = [derive_seed(cfg.seed, SUBSEED_ROUND, pi, t) for pi in range(len(powers))]
+        sums.add(transmit_round(ctx, powers, seeds, mode=cfg.mode, noise=cfg.noise))
+    rows = sums.rows(cfg.sweep_db, cfg.trials)
+    slope = intercept = residual = None
+    if len(rows) >= 3:
+        slope, intercept, residual = fit_slope(
+            [(math.log2(db_to_linear(r.p_db)), r.sum_rate_proxy) for r in rows])
+    return SweepReport(rows=tuple(rows), slope=slope, intercept=intercept, residual=residual,
+                       config=cfg.to_dict(), config_hash=cfg.digest(), seed=cfg.seed, version=__version__)
+
+
+@pytest.fixture(scope="session")
+def reference_sweep():
+    """`run_sweep` one trial at a time: ExperimentConfig -> SweepReport."""
+    return _reference_sweep

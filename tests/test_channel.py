@@ -15,6 +15,7 @@ from yrelay.channel import (
     normal_block_index,
     reset_rng,
     rng_for,
+    sample_channel_block,
     sample_channels,
     uplink_propagate,
 )
@@ -139,12 +140,29 @@ def test_redraw_matches_sequential_reference(monkeypatch, reference_channels):
     assert len(rejected) == 3
 
 
+def test_block_draw_matches_sequential_reference(monkeypatch, reference_channels):
+    # a block draws each seed's set as that seed alone draws it, also where
+    # a draw inside the block redraws rejected matrices on its own stream
+    cfg = SystemConfig(K=4, M=5, N=3, P=1.0)
+    seeds = [8, 9, 2**63 + 5, 10]
+    accept, rejected = yrelay.channel.well_conditioned, []
+    monkeypatch.setattr(
+        yrelay.channel, "well_conditioned", lambda s: accept(s) & ~np.isin(np.asarray(s)[..., 0], rejected))
+    for seed, position in ((None, None), (9, 1), (10, 6), (10, 0)):
+        if seed is not None:
+            rejected.append(reference_channels(cfg, seed).singular_values[position][0])
+        block = sample_channel_block(cfg, seeds)
+        assert len(block) == len(seeds)
+        for ch, seed in zip(block, seeds):
+            assert_same_draw(ch, reference_channels(cfg, seed))
+
+
 def test_redraw_budget_matches_sequential_reference(monkeypatch, reference_channels):
     cfg = SystemConfig(K=3, M=3, N=2, P=1.0)
     accept = yrelay.channel.well_conditioned
     # every matrix rejected: both give up on the first one after 100 tries
     monkeypatch.setattr(yrelay.channel, "well_conditioned", lambda s: np.zeros(np.shape(s)[:-1], dtype=bool))
-    for draw in (sample_channels, reference_channels):
+    for draw in (sample_channels, reference_channels, lambda cfg, seed: sample_channel_block(cfg, [1, seed])):
         with pytest.raises(GenerationFailed, match=r"^no full-rank \(2, 3\) draw in 100 tries$"):
             draw(cfg, 3)
     # about 1 matrix in 32 accepted: long runs of redraws, some past the
@@ -291,6 +309,25 @@ def test_reset_rng_matches_fresh_generator():
         assert (rng_for(2**63 + 5, 2).standard_normal(4) == rng_for(2**63 + 6, 2).standard_normal(4)).all()
 
 
+def test_reset_rng_keys_as_numpy_does(numpy_philox_key):
+    # reset_rng builds its key from Python ints, with no cast and so no cast
+    # warning, and gets numpy's key: for a seed >= 2^63 both entries rounded
+    # to doubles (half to even at an odd multiple of 2^10 past a multiple of
+    # 2^11), and a seed rounded up to 2^64 wrapped to 0
+    rng = rng_for(0, STREAM_NOISE)
+    seeds = [0, 1, 2**53 + 1, 2**63 - 1, 2**63, 2**63 + 1]
+    multiples = [2**63, 2**63 + 2**11, 2**63 + 3 * 2**11, 2**63 + 2**62, 2**64 - 2**12, 2**64 - 2**11, 2**64, 2**62]
+    multiples += [2**11 * int(q) for q in np.random.default_rng(16).integers(2**52, 2**53, size=50)]
+    seeds += [c + offset for c in multiples for offset in (-1025, -1024, -1023, 1023, 1024, 1025)]
+    seeds += range(2**64 - 1024, 2**64)
+    seeds += [int(s) for s in np.random.default_rng(17).integers(0, 2**64, size=2000, dtype=np.uint64)]
+    for seed in seeds:
+        for stream in (1, 2, 3):
+            key = reset_rng(rng, seed, stream).bit_generator.state["state"]["key"]
+            assert key.tolist() == numpy_philox_key(seed, stream).tolist()
+    assert numpy_philox_key(2**64 - 1, 1).tolist() == [0, 1]
+
+
 def test_blocked_draw_matches_consecutive_calls():
     for sizes in ([3], [0, 2, 0, 5, 1], [6] * 4 + [8] * 12, [0, 0]):
         index = normal_block_index(sizes)
@@ -322,3 +359,8 @@ def test_check_power():
     stack = np.stack([np.zeros(4), x, 0.5 * x])
     assert check_power(stack, 1.0)
     assert not check_power(stack, 1.0 / 1.1)
+    # budgets with leading axes (draws, points): one verdict per budget, each
+    # over the vectors under it
+    budgets = np.array([[1.0, 1.0 / 1.1], [0.2, 4.0]])
+    rounds = np.stack([np.stack([stack, stack]), np.stack([0.5 * stack, 2 * stack])])
+    assert check_power(rounds, budgets).tolist() == [[True, False], [False, True]]

@@ -1,17 +1,22 @@
 """Sweep orchestration: seeding, slope fits, report determinism."""
 
+import concurrent.futures
+import dataclasses
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import yrelay.channel
 import yrelay.harness
 import yrelay.transceiver
-from yrelay.alignment import DofVector
+from yrelay.alignment import DofVector, user_pairs
 from yrelay.channel import SystemConfig
 from yrelay.errors import Infeasible, Underdetermined
 from yrelay.linalg import left_sum
@@ -43,6 +48,9 @@ def test_derive_seed_is_deterministic_and_spread():
     assert len(seen) == 1000
     assert all(0 <= s < 2**64 for s in seen)
     assert derive_seed(0, 1, 2) != derive_seed(0, 2, 1)  # order matters
+    # a sub-seed continues its prefix's chain, as a sweep derives its round seeds
+    for master in (0, 42, 2**63 + 5, 2**64 - 1):
+        assert derive_seed(derive_seed(master, 0x0E, 6), 31) == derive_seed(master, 0x0E, 6, 31)
 
 
 def test_config_validation():
@@ -164,7 +172,7 @@ def test_sweep_deterministic_bytes():
     assert a.to_json_bytes() == b.to_json_bytes()
 
 
-def test_sweep_infeasible_target():
+def test_sweep_infeasible_target(monkeypatch):
     cfg = ExperimentConfig(
         system=SMALL.system,
         dof=DofVector(3, {(1, 2): Fraction(5)}),
@@ -174,6 +182,12 @@ def test_sweep_infeasible_target():
     )
     with pytest.raises(Infeasible):
         run_sweep(cfg)
+    # not memoized: raised again, before any channel is drawn
+    drawn = []
+    monkeypatch.setattr(yrelay.harness, "sample_channel_block", lambda *args: drawn.append(args))
+    with pytest.raises(Infeasible):
+        run_sweep(cfg)
+    assert drawn == []
 
 
 def test_csv_schema():
@@ -240,19 +254,22 @@ def counted(fn, calls, key):
 
 
 def test_sweep_reuses_precoders_and_plan(monkeypatch):
-    # the channel is block-constant: each draw takes its 2K matrices from one
-    # standard_normal call, runs one stacked SVD per link direction for its
-    # conditioning check, inverts each direction's stack once with those
-    # singular values, builds one round context (with its SNR coefficients)
-    # and makes one stacked kernel call for all power points; the sweep
-    # builds its stream plan and its plan-only round layout once; a noisy
-    # point draws its symbols and its noise with one standard_normal call each
-    calls = {"mppi": 0, "plan": 0, "layout": 0, "svd": 0, "context": 0, "kernel": 0,
-             "channel_normal": 0, "round_normal": 0}
+    # the channel is block-constant and trials run in blocks of TRIAL_BLOCK:
+    # each draw takes its 2K matrices from one standard_normal call on its
+    # block's one generator; each block runs one stacked SVD per link
+    # direction for the conditioning check of all its draws, inverts each
+    # direction's stack once with those singular values, builds one round
+    # context (with its SNR coefficients) and makes one stacked kernel call,
+    # on one generator of its own, for all its draws and power points; a
+    # noisy round draws its symbols and its noise with one standard_normal
+    # call each. The plan and its round layout come from the process memo:
+    # built for the first sweep of a (DoF vector, N, M), not again for a
+    # second sweep with another seed, and once more for another M.
+    calls = {}
     for module, name, key in (
         (yrelay.channel, "_unit_pinv", "mppi"),
-        (yrelay.harness, "build_stream_plan", "plan"),
-        (yrelay.harness, "RoundLayout", "layout"),
+        (yrelay.transceiver, "build_stream_plan", "plan"),
+        (yrelay.transceiver, "RoundLayout", "layout"),
         (yrelay.harness, "RoundContext", "context"),
         (yrelay.harness, "transmit_round", "kernel"),
         (np.linalg, "svd", "svd"),
@@ -267,11 +284,17 @@ def test_sweep_reuses_precoders_and_plan(monkeypatch):
             calls[self._key] += 1
             return self._rng.standard_normal(*args, **kwargs)
 
-    for module, key in ((yrelay.channel, "channel_normal"), (yrelay.transceiver, "round_normal")):
+    for module, key in ((yrelay.channel, "channel"), (yrelay.transceiver, "round")):
         fresh = module.rng_for
-        monkeypatch.setattr(module, "rng_for",
-                            lambda seed, stream, fresh=fresh, key=key: CountingGenerator(fresh(seed, stream), key))
-    k_users, trials = 4, 3
+
+        def make(seed, stream, fresh=fresh, key=key):
+            calls[key + "_rng"] += 1
+            return CountingGenerator(fresh(seed, stream), key + "_normal")
+
+        monkeypatch.setattr(module, "rng_for", make)
+    yrelay.transceiver._memo_layout.cache_clear()
+    k_users, trials = 4, yrelay.harness.TRIAL_BLOCK + 3
+    blocks = 2
     cfg = ExperimentConfig(
         system=SystemConfig(K=k_users, M=6, N=6, P=1.0),
         dof=DofVector.uniform(k_users, Fraction(1)),
@@ -279,15 +302,86 @@ def test_sweep_reuses_precoders_and_plan(monkeypatch):
         trials=trials,
         seed=0,
     )
-    run_sweep(cfg)
-    points = len(cfg.sweep_db) * trials
-    assert calls == {
-        "mppi": 2 * trials,
-        "plan": 1,
-        "layout": 1,
-        "svd": 2 * trials,
-        "context": trials,
-        "kernel": trials,
+    rounds = len(cfg.sweep_db) * trials
+    per_sweep = {
+        "mppi": 2 * blocks,
+        "svd": 2 * blocks,
+        "context": blocks,
+        "kernel": blocks,
+        "channel_rng": blocks,
         "channel_normal": trials,
-        "round_normal": 2 * points,
+        "round_rng": blocks,
+        "round_normal": 2 * rounds,
     }
+    for sweep, built in ((cfg, 1), (dataclasses.replace(cfg, seed=1), 0),
+                         (dataclasses.replace(cfg, system=SystemConfig(K=k_users, M=7, N=6, P=1.0)), 1)):
+        calls.update(dict.fromkeys([*per_sweep, "plan", "layout"], 0))
+        run_sweep(sweep)
+        assert calls == {**per_sweep, "plan": built, "layout": built}
+    # the memo's layout is shared read-only: it holds no generator, and its
+    # indices, its plan's included, refuse writes
+    layout = yrelay.transceiver.plan_layout(cfg.dof, 6, 6)
+    assert not any(isinstance(v, np.random.Generator) for v in vars(layout).values())
+    for index in (layout.word_index, layout.receive_index, layout.plan.word_index, layout.noise_index):
+        with pytest.raises(ValueError):
+            index[0] = 0
+
+
+def test_concurrent_sweeps_match_sequential_bytes():
+    # sweeps of one DoF vector in more threads than cores, all filling and
+    # then sharing one memoized layout, give the bytes each gives alone
+    configs = [dataclasses.replace(SMALL, seed=seed, trials=yrelay.harness.TRIAL_BLOCK + 2, mode=mode)
+               for seed in (3, 4) for mode in ("genie", "raw")]
+    want = [run_sweep(cfg).to_json_bytes() for cfg in configs]
+    yrelay.transceiver._memo_layout.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=len(configs)) as pool:
+            futures = [pool.submit(lambda c: run_sweep(c).to_json_bytes(), cfg) for cfg in configs * 2]
+            got = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want * 2
+
+
+def _sweep_configs():
+    """K = 3..5, M >= N, a DoF vector at T = 1..3 with some zero-DoF
+    directions (sometimes all of them), 1..4 increasing points, 1, 2,
+    TRIAL_BLOCK or TRIAL_BLOCK + 1 trials, a master seed below 2^32 or at
+    least 2^63, genie or raw, noise on or off."""
+
+    @st.composite
+    def configs(draw):
+        k = draw(st.integers(3, 5))
+        n = draw(st.integers(1, 4))
+        t_ext = draw(st.integers(1, 3))
+        entries, room = {}, t_ext * n
+        if draw(st.integers(0, 4)) > 0:  # else the all-zero DoF vector
+            for j, kk in user_pairs(k):
+                fwd, rev = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+                if max(fwd, rev) <= room:
+                    room -= max(fwd, rev)
+                    entries[(j, kk)], entries[(kk, j)] = Fraction(fwd, t_ext), Fraction(rev, t_ext)
+        points = sorted(draw(st.sets(st.integers(-10, 60), min_size=1, max_size=4)))
+        block = yrelay.harness.TRIAL_BLOCK
+        return ExperimentConfig(
+            system=SystemConfig(K=k, M=n + draw(st.integers(0, 2)), N=n, P=1.0),
+            dof=DofVector(k, entries),
+            sweep_db=tuple(float(p) for p in points),
+            trials=draw(st.sampled_from((1, 2, block, block + 1))),
+            seed=draw(st.one_of(st.integers(0, 2**32), st.integers(2**63, 2**64 - 1))),
+            mode=draw(st.sampled_from(("genie", "raw"))),
+            noise=draw(st.booleans()),
+        )
+
+    return configs()
+
+
+@settings(deadline=None, database=None, derandomize=True, max_examples=60)
+@given(_sweep_configs())
+def test_blocked_sweep_matches_trial_by_trial_reference(reference_sweep, cfg):
+    want = reference_sweep(cfg)
+    got = run_sweep(cfg)
+    assert got.to_csv_bytes() == want.to_csv_bytes()
+    assert got.to_json_bytes() == want.to_json_bytes()

@@ -16,8 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import yrelay.transceiver
 from yrelay.alignment import (
     DofVector,
+    StreamPlan,
     StreamSymbols,
     assemble_uplink_symbol,
     build_stream_plan,
@@ -29,6 +31,7 @@ from yrelay.channel import (
     SystemConfig,
     complex_normal,
     rng_for,
+    sample_channel_block,
     sample_channels,
 )
 from yrelay.errors import DimensionError, ModeUnavailable, ScalarUnderflow
@@ -458,6 +461,50 @@ def test_round_matches_reference(reference_round, case):
         for i, (p, seed) in enumerate(zip(powers, seeds)):
             want = reference_round.run(SystemConfig(K=cfg.K, M=cfg.M, N=cfg.N, P=p), ch, plan, symbols, seed, mode, noise)
             assert_same_round(rounds.round(i), want)
+
+
+@pytest.mark.parametrize("mode", (GENIE, RAW))
+@pytest.mark.parametrize("noise", (True, False))
+@pytest.mark.parametrize("k, m, n, dof", [(4, 6, 6, "1"), (5, 8, 6, "1/4"), (3, 4, 3, "0")])
+def test_block_of_draws_matches_draws_alone(k, m, n, dof, mode, noise):
+    # one context over a block of draws (sampled together, or built
+    # directly) runs each draw's rounds as a context of that draw alone
+    cfg = SystemConfig(K=k, M=m, N=n, P=1.0)
+    layout = RoundLayout(build_stream_plan(DofVector.uniform(k, Fraction(dof)), n), m)
+    drawn = sample_channel_block(cfg, [50, 2**63 + 51, 52])
+    block = drawn + (ChannelSet(uplink=drawn[0].uplink, downlink=drawn[2].downlink),)
+    powers = [1.0, 1e3, 1e6]
+    seeds = [[derive_seed(53, d, i) for i in range(len(powers))] for d in range(len(block))]
+    rounds = transmit_round(RoundContext(block, layout), powers, sum(seeds, []), mode=mode, noise=noise)
+    assert len(rounds.gamma) == len(block) * len(powers)
+    for d, ch in enumerate(block):
+        alone = transmit_round(RoundContext(ch, layout), powers, seeds[d], mode=mode, noise=noise)
+        for i in range(len(powers)):
+            assert_same_round(rounds.round(d * len(powers) + i), alone.round(i))
+    with pytest.raises(ValueError):
+        transmit_round(RoundContext(block, layout), powers, seeds[0], mode=mode, noise=noise)
+
+
+def test_run_round_takes_the_memoized_layout_of_its_plan(monkeypatch, reference_round):
+    # a plan that build_stream_plan builds runs on the memo's layout for its
+    # DoF vector, built once; any other plan (here T = 2 where T = 1 would
+    # do) runs on a layout of its own, and either round is the plan's round
+    built = []
+    monkeypatch.setattr(yrelay.transceiver, "RoundLayout",
+                        lambda plan, m, make=yrelay.transceiver.RoundLayout: built.append(plan) or make(plan, m))
+    yrelay.transceiver._memo_layout.cache_clear()
+    cfg = SystemConfig(K=3, M=4, N=3, P=100.0)
+    ch = sample_channels(cfg, seed=54)
+    plan = build_stream_plan(DofVector.uniform(3, 1), 3)
+    for seed in (55, 56):
+        assert_same_round(run_round(cfg, ch, plan, seed=seed), reference_round.run(cfg, ch, plan, seed=seed))
+    assert built == [plan]
+    pairs = [(1, 2), (1, 3), (2, 3)]
+    doubled = StreamPlan(K=3, N=3, T=2, lengths=dict.fromkeys(pairs, 2), offsets=dict(zip(pairs, (0, 2, 4))),
+                         stream_lengths=dict.fromkeys(ordered_pairs(3), 2), padding=0)
+    got = run_round(cfg, ch, doubled, seed=57, mode=RAW)
+    assert built == [plan, doubled]
+    assert_same_round(got, reference_round.run(cfg, ch, doubled, seed=57, mode=RAW))
 
 
 @pytest.mark.parametrize("mode", (GENIE, RAW))
