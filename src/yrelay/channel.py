@@ -13,7 +13,8 @@ of different keys are independent, but two seeds can share a key: numpy
 reads the key `[seed, stream]` through a float64 array when seed >= 2^63,
 which rounds the seed to a multiple of 2^11, so 2^63 + 5 and 2^63 + 6 (for
 example) draw the same streams, and `reset_rng` keys its streams the same
-way. Stream ids used in this package:
+way (a seed that rounds up to 2^64 is keyed as 0). Stream ids used in this
+package:
 
     1  channel matrices      (sample_channel_block)
     2  receiver noise        (transceiver.transmit_round, uplink then downlink)
@@ -23,7 +24,7 @@ way. Stream ids used in this package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -52,11 +53,13 @@ def reset_rng(rng: np.random.Generator, seed: int, stream: int) -> np.random.Gen
     and return it: the state `Philox(key=[seed, stream])` starts in.
 
     A round re-keys one generator per draw it takes, which costs a quarter of
-    building a new one. The key is the one `Philox(key=[seed, stream])` builds:
-    numpy reads a list holding a value >= 2^63 as float64, so both entries
-    are then rounded to doubles, and a value rounded up to 2^64 wraps to 0 as
-    the x86-64 cast to uint64 does. It is built from Python ints, with no
-    cast and so no cast warning.
+    building a new one. The key follows `Philox(key=[seed, stream])`: numpy
+    reads a list holding a value >= 2^63 as float64, so both entries are
+    then rounded to doubles. A value that rounds up to 2^64 has no uint64 of
+    its own (numpy's cast of it depends on the platform); this package's
+    fixed rule wraps it to 0, as the x86-64 cast does, so every platform
+    draws the same bytes. The key is built from Python ints, with no cast
+    and so no cast warning.
     """
     key = [seed & _MASK64, stream & _MASK64]
     if max(key) >> 63:
@@ -133,10 +136,6 @@ class ChannelSet:
 
     uplink: tuple
     downlink: tuple
-    # The singular values (uplink (K, N), downlink (K, N)) of the
-    # conditioning check, set only by `sample_channel_block`, which also
-    # fills `inverses`; `dataclasses.replace` carries neither over.
-    _singular_values: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def K(self) -> int:
@@ -203,7 +202,6 @@ def sample_channel_block(cfg: SystemConfig, seeds) -> tuple:
     for b in range(draws):
         mine = slice(b * k, (b + 1) * k)
         ch = ChannelSet(uplink=tuple(up[mine]), downlink=tuple(down[mine]))
-        object.__setattr__(ch, "_singular_values", (svals[b, :k], svals[b, k:]))
         ch.__dict__["inverses"] = (right[mine], alpha[mine], left[mine], beta[mine])
         out.append(ch)
     return tuple(out)

@@ -3,9 +3,9 @@
 The channel is block-constant, and a sweep runs every power point on each
 channel draw, so the work splits three ways:
 
-- a `RoundLayout`, built once per stream plan and antenna count M and kept
-  in a bounded per-process memo (`plan_layout`), holds the plan-only
-  indices: the layout of a round's random draws, the order in which users
+- a `RoundLayout`, built once per stream plan and antenna count M (for
+  sweeps, kept in a bounded per-process memo, `plan_layout`), holds the
+  plan-only indices: the layout of a round's random draws, the order in which users
   recover their estimates, the directions grouped by span length for the
   error norms, and the slot components of the analytic SNR;
 - a `RoundContext`, built once per block of channel draws, holds what the
@@ -41,7 +41,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -101,7 +100,8 @@ def _draws(rng: np.random.Generator, seeds, stream: int, size: int) -> np.ndarra
 class RoundLayout:
     """What a stream plan and the users' antenna count M fix for every round,
     whatever the channel draw. `plan_layout` builds one per (DoF vector, N,
-    M) and hands it to every `RoundContext` over that plan.
+    M) for the sweeps of a process; `run_round`, a single round, builds its
+    own.
 
     Symbols travel as one flat vector laid out by `plan.symbol_spans`. A
     layout holds no generator and its arrays are read-only, so one layout
@@ -166,12 +166,12 @@ def _memo_layout(k_users: int, entries: tuple, n: int, m: int) -> RoundLayout:
 
 class RoundContext:
     """What a block of channel draws fixes for every round over it, under the
-    layout of its stream plan. `channels` is one ChannelSet (a block of one)
-    or a sequence of them; every array leads with the draws axis, and those
-    a round reads next with a points axis of length 1."""
+    layout of its stream plan. `channels` is a sequence of ChannelSets, one
+    draw each; every array leads with the draws axis, and those a round
+    reads next with a points axis of length 1."""
 
     def __init__(self, channels, layout: RoundLayout):
-        channels = (channels,) if isinstance(channels, ChannelSet) else tuple(channels)
+        channels = tuple(channels)
         plan = layout.plan
         for ch in channels:
             n, m = ch.uplink[0].shape
@@ -513,13 +513,8 @@ def run_round(
     noise: bool = True,
 ) -> RoundResult:
     """One round over the stream plan `plan` at power cfg.P: the one-draw,
-    one-point case of `transmit_round`, on the memoized layout of the plan's
-    DoF vector (a plan that `build_stream_plan` would not build gets a
-    layout of its own)."""
+    one-point case of `transmit_round`."""
     if (plan.K, plan.N) != (cfg.K, cfg.N):
         raise DimensionError(f"plan for K={plan.K}, N={plan.N} does not fit K={cfg.K}, N={cfg.N}")
-    dof = DofVector(plan.K, {pair: Fraction(size, plan.T) for pair, size in plan.stream_lengths.items()})
-    layout = plan_layout(dof, plan.N, cfg.M)
-    if layout.plan != plan:
-        layout = RoundLayout(plan, cfg.M)
-    return transmit_round(RoundContext(ch, layout), [cfg.P], [seed], symbols, mode, noise).round(0)
+    ctx = RoundContext([ch], RoundLayout(plan, cfg.M))
+    return transmit_round(ctx, [cfg.P], [seed], symbols, mode, noise).round(0)

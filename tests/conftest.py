@@ -145,8 +145,9 @@ def full_row_gap():
 
 def _numpy_philox_key(seed, stream):
     """The key numpy's `Philox(key=[seed, stream])` builds from a list: a
-    float64 array when an entry is >= 2^63, cast to uint64 (a value rounded
-    up to 2^64 becomes 0 on x86-64, with a cast warning, silenced here)."""
+    float64 array when an entry is >= 2^63, cast to uint64 (the cast of a
+    value rounded up to 2^64 depends on the platform and warns, silenced
+    here)."""
     with np.errstate(invalid="ignore"):
         return np.asarray([seed & (2**64 - 1), stream & (2**64 - 1)]).astype(np.uint64)
 
@@ -498,7 +499,7 @@ def _reference_sweep(cfg):
     sums = _TrialSums(len(powers))
     for t in range(cfg.trials):
         ch = yrelay.channel.sample_channels(cfg.system, derive_seed(cfg.seed, SUBSEED_CHANNEL, t))
-        ctx = RoundContext(ch, layout)
+        ctx = RoundContext([ch], layout)
         seeds = [derive_seed(cfg.seed, SUBSEED_ROUND, pi, t) for pi in range(len(powers))]
         sums.add(transmit_round(ctx, powers, seeds, mode=cfg.mode, noise=cfg.noise))
     rows = sums.rows(cfg.sweep_db, cfg.trials)

@@ -16,10 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import yrelay.transceiver
 from yrelay.alignment import (
     DofVector,
-    StreamPlan,
     StreamSymbols,
     assemble_uplink_symbol,
     build_stream_plan,
@@ -454,7 +452,7 @@ def test_round_matches_reference(reference_round, case):
     # one stacked call runs every point, as a sweep does for one channel draw;
     # each point equals the round run alone, and a context serves two calls
     cfg, ch, plan = case["cfg"], case["ch"], case["plan"]
-    ctx = RoundContext(ch, RoundLayout(plan, cfg.M))
+    ctx = RoundContext([ch], RoundLayout(plan, cfg.M))
     mode, noise, symbols = case["mode"], case["noise"], case["symbols"]
     for powers, seeds in ((case["powers"], case["seeds"]), (case["powers"][::-1], case["seeds"][::-1])):
         rounds = transmit_round(ctx, powers, seeds, symbols, mode, noise)
@@ -478,33 +476,11 @@ def test_block_of_draws_matches_draws_alone(k, m, n, dof, mode, noise):
     rounds = transmit_round(RoundContext(block, layout), powers, sum(seeds, []), mode=mode, noise=noise)
     assert len(rounds.gamma) == len(block) * len(powers)
     for d, ch in enumerate(block):
-        alone = transmit_round(RoundContext(ch, layout), powers, seeds[d], mode=mode, noise=noise)
+        alone = transmit_round(RoundContext([ch], layout), powers, seeds[d], mode=mode, noise=noise)
         for i in range(len(powers)):
             assert_same_round(rounds.round(d * len(powers) + i), alone.round(i))
     with pytest.raises(ValueError):
         transmit_round(RoundContext(block, layout), powers, seeds[0], mode=mode, noise=noise)
-
-
-def test_run_round_takes_the_memoized_layout_of_its_plan(monkeypatch, reference_round):
-    # a plan that build_stream_plan builds runs on the memo's layout for its
-    # DoF vector, built once; any other plan (here T = 2 where T = 1 would
-    # do) runs on a layout of its own, and either round is the plan's round
-    built = []
-    monkeypatch.setattr(yrelay.transceiver, "RoundLayout",
-                        lambda plan, m, make=yrelay.transceiver.RoundLayout: built.append(plan) or make(plan, m))
-    yrelay.transceiver._memo_layout.cache_clear()
-    cfg = SystemConfig(K=3, M=4, N=3, P=100.0)
-    ch = sample_channels(cfg, seed=54)
-    plan = build_stream_plan(DofVector.uniform(3, 1), 3)
-    for seed in (55, 56):
-        assert_same_round(run_round(cfg, ch, plan, seed=seed), reference_round.run(cfg, ch, plan, seed=seed))
-    assert built == [plan]
-    pairs = [(1, 2), (1, 3), (2, 3)]
-    doubled = StreamPlan(K=3, N=3, T=2, lengths=dict.fromkeys(pairs, 2), offsets=dict(zip(pairs, (0, 2, 4))),
-                         stream_lengths=dict.fromkeys(ordered_pairs(3), 2), padding=0)
-    got = run_round(cfg, ch, doubled, seed=57, mode=RAW)
-    assert built == [plan, doubled]
-    assert_same_round(got, reference_round.run(cfg, ch, doubled, seed=57, mode=RAW))
 
 
 @pytest.mark.parametrize("mode", (GENIE, RAW))
@@ -538,7 +514,7 @@ def test_stacked_norms_match_one_row_at_a_time():
 
 
 def test_round_rejects_points_without_seeds():
-    ctx = RoundContext(sample_channels(CFG66, seed=38), RoundLayout(ONES_PLAN, 6))
+    ctx = RoundContext([sample_channels(CFG66, seed=38)], RoundLayout(ONES_PLAN, 6))
     with pytest.raises(ValueError):
         transmit_round(ctx, [1.0, 10.0], [5])
     with pytest.raises(ModeUnavailable):
@@ -550,7 +526,7 @@ def test_zero_power_point_forwards_nothing(reference_round):
     # not forwarded and its estimates are zero, while the other points of the
     # same call run as they would alone
     ch = sample_channels(CFG66, seed=40)
-    ctx = RoundContext(ch, RoundLayout(ONES_PLAN, 6))
+    ctx = RoundContext([ch], RoundLayout(ONES_PLAN, 6))
     powers, seeds = [1e3, 0.0, 1e5], [41, 42, 43]
     for mode in (GENIE, RAW):
         rounds = transmit_round(ctx, powers, seeds, mode=mode)
@@ -569,7 +545,7 @@ def test_underflowing_recovery_scale_raises_as_alone(reference_round):
                             for pair in ordered_pairs(4)})
     with pytest.raises(ScalarUnderflow) as want:
         reference_round.run(SystemConfig(K=4, M=6, N=6, P=1e-300), ch, ONES_PLAN, sym, 46, GENIE, False)
-    ctx = RoundContext(ch, RoundLayout(ONES_PLAN, 6))
+    ctx = RoundContext([ch], RoundLayout(ONES_PLAN, 6))
     with pytest.raises(ScalarUnderflow) as got:
         transmit_round(ctx, [1.0, 1e-300], [46, 46], sym, GENIE, False)
     assert str(got.value) == str(want.value)
@@ -586,7 +562,7 @@ def test_identity_channel_snr_closed_form():
     cfg = SystemConfig(K=4, M=6, N=6, P=p)
     ch = identity_channels(4, 6)
     plan = build_stream_plan(ALL_ONES, 6)
-    rep = effective_snr(RoundContext(ch, RoundLayout(plan, cfg.M)), [cfg.P], GENIE).report(0)
+    rep = effective_snr(RoundContext([ch], RoundLayout(plan, cfg.M)), [cfg.P], GENIE).report(0)
     assert len(rep.streams) == 12
     for s in rep.streams.values():
         assert s.downlink == pytest.approx(p / 12.0, rel=1e-12)
@@ -605,7 +581,7 @@ def test_snr_matches_reference_over_many_draws(reference_round):
     for t in range(300):
         ch = sample_channels(CFG66, derive_seed(39, 1, t))
         mode = (GENIE, RAW)[t % 2]
-        snr = effective_snr(RoundContext(ch, layout), powers, mode)
+        snr = effective_snr(RoundContext([ch], layout), powers, mode)
         for i, p in enumerate(powers):
             want = reference_round.effective_snr(SystemConfig(K=4, M=6, N=6, P=p), ch, plan, mode)
             assert snr.report(i) == want
@@ -614,7 +590,7 @@ def test_snr_matches_reference_over_many_draws(reference_round):
 def test_snr_linear_in_power():
     ch = sample_channels(CFG66, seed=33)
     plan = build_stream_plan(ALL_ONES, 6)
-    ctx = RoundContext(ch, RoundLayout(plan, CFG66.M))
+    ctx = RoundContext([ch], RoundLayout(plan, CFG66.M))
     base, doubled = map(effective_snr(ctx, [CFG66.P, 2e4], GENIE).report, (0, 1))
     for key in base.streams:
         assert doubled.streams[key].effective == 2 * base.streams[key].effective
@@ -623,7 +599,7 @@ def test_snr_linear_in_power():
 def test_raw_mode_takes_bottleneck():
     ch = sample_channels(CFG66, seed=34)
     plan = build_stream_plan(ALL_ONES, 6)
-    rep = effective_snr(RoundContext(ch, RoundLayout(plan, CFG66.M)), [CFG66.P], RAW).report(0)
+    rep = effective_snr(RoundContext([ch], RoundLayout(plan, CFG66.M)), [CFG66.P], RAW).report(0)
     for s in rep.streams.values():
         assert s.effective == min(s.uplink, s.downlink)
 
@@ -632,5 +608,5 @@ def test_snr_skips_silent_directions():
     d = DofVector(4, {(1, 2): Fraction(2), (2, 1): Fraction(1)})
     ch = sample_channels(CFG66, seed=35)
     plan = build_stream_plan(d, 6)
-    rep = effective_snr(RoundContext(ch, RoundLayout(plan, CFG66.M)), [CFG66.P], GENIE).report(0)
+    rep = effective_snr(RoundContext([ch], RoundLayout(plan, CFG66.M)), [CFG66.P], GENIE).report(0)
     assert set(rep.streams) == {(1, 2), (2, 1)}
