@@ -5,16 +5,17 @@ user ordering stays within the relay dimension: for each permutation p of
 the users, sum over positions a < b of d[p_a -> p_b] <= N. Membership,
 sum-DoF maximization, the direct-construction feasibility predicate
 (sum of per-pair maxima <= N), and a probe for points separating the two
-are all computed without floating point.
+are all computed in Python ints, on entries scaled by the lcm of their
+denominators; Fractions appear only in the values returned.
 
 Membership, sum-DoF and the gap probe never walk the K! orderings. The
-Held-Karp subset DP gives the largest ordering sum over the 2^K user subsets,
-in ints (entries scaled by the lcm of their denominators); a lexicographic
-search pruned by its table finds the first violating ordering and lists the
-tight ones. The LPs add the DP's violating ordering as a row until the
-optimum is a member (cutting planes): the simplex certificate on those rows,
-with zero duals for the rest, and the DP's feasibility verdict certify the
-optimum for all K! rows.
+Held-Karp subset DP gives the largest ordering sum over the 2^K user subsets;
+a lexicographic search pruned by its table finds the first violating ordering
+and lists the tight ones, which a second pass over the table counts first.
+The LPs, on the integer simplex tableau, add the DP's violating ordering as a
+row until the optimum is a member (cutting planes): the simplex certificate
+on those rows, with zero duals for the rest, and the DP's feasibility verdict
+certify the optimum for all K! rows.
 """
 
 from __future__ import annotations
@@ -86,14 +87,14 @@ def permutation_constraint(d: DofVector, p) -> Fraction:
     return total
 
 
-def _subset_sums(values, half: int):
-    """Tables (lo, hi) with lo[s % 2^half] + hi[s >> half] equal to the sum
-    of values[u] over the set bits u of s."""
+def _subset_sums(rows, half: int):
+    """Tables (lo, hi) of lists with lo[s % 2^half][v] + hi[s >> half][v]
+    equal to the sum of rows[u][v] over the set bits u of s."""
     tables = []
-    for part in (values[:half], values[half:]):
-        table = [0]
-        for v in part:
-            table += [t + v for t in table]
+    for part in (rows[:half], rows[half:]):
+        table = [[0] * len(rows[0])]
+        for row in part:
+            table += [[t + x for t, x in zip(sums, row)] for sums in table]
         tables.append(table)
     return tables
 
@@ -101,10 +102,10 @@ def _subset_sums(values, half: int):
 class _OrderingDP:
     """Held-Karp table of the largest ordering sums of a DoF vector.
 
-    Entries are scaled by `scale`, the lcm of their denominators, so every
-    sum is an int. Bit u-1 of a subset S stands for user u. best[S] is the
-    largest sum, over orderings of the users in S, of the entries from
-    earlier to later users; paths[S] counts the orderings attaining it.
+    Entries are scaled by `scale`, the lcm of their denominators, into the
+    int weights w[u-1][v-1], so every sum is an int. Bit u-1 of a subset S
+    stands for user u. best[S] is the largest sum, over orderings of the
+    users in S, of the entries from earlier to later users.
     """
 
     def __init__(self, d: DofVector):
@@ -115,40 +116,51 @@ class _OrderingDP:
         w = [[0] * k for _ in range(k)]
         for (u, v), value in d.items():
             w[u - 1][v - 1] = value.numerator * (self.scale // value.denominator)
-        self.out = [_subset_sums(row, self.half) for row in w]
-        into = [(1 << v, *_subset_sums([row[v] for row in w], self.half)) for v in range(k)]
+        self.w, self.bits = w, [(v, 1 << v) for v in range(k)]
+        lo, hi = self.into = _subset_sums(w, self.half)
         mask = (1 << self.half) - 1
-        best, paths = [0] * (1 << k), [1] * (1 << k)
+        best = [0] * (1 << k)
         for s in range(1, 1 << k):
-            s_lo, s_hi = s & mask, s >> self.half
-            top, count = -1, 0
-            for bit, lo, hi in into:
+            into_lo, into_hi = lo[s & mask], hi[s >> self.half]
+            top = -1
+            for v, bit in self.bits:
                 if s & bit:
-                    # the user of `bit` placed last: every other member precedes it
-                    value = best[s ^ bit] + lo[s_lo] + hi[s_hi]
+                    # user v+1 placed last: every other member precedes it
+                    value = best[s ^ bit] + into_lo[v] + into_hi[v]
                     if value > top:
-                        top, count = value, paths[s ^ bit]
-                    elif value == top:
-                        count += paths[s ^ bit]
-            best[s], paths[s] = top, count
-        self.best, self.paths = best, paths
+                        top = value
+            best[s] = top
+        self.best = best
+
+    def tight_count(self) -> int:
+        """Number of orderings attaining best[-1]. Walks the table back from
+        the full set: an ordering attains the maximum exactly when each of
+        its prefixes does, so only the steps that keep a prefix tight count."""
+        (lo, hi), mask, best = self.into, (1 << self.half) - 1, self.best
+        ways = [0] * (len(best) - 1) + [1]
+        for s in range(len(best) - 1, 0, -1):
+            if ways[s]:
+                into_lo, into_hi = lo[s & mask], hi[s >> self.half]
+                for v, bit in self.bits:
+                    if s & bit and best[s ^ bit] + into_lo[v] + into_hi[v] == best[s]:
+                        ways[s ^ bit] += ways[s]
+        return ways[0]
 
     def orderings(self, floor: int):
         """Orderings (tuples of users) with a scaled sum >= floor, in
         lexicographic order. A branch is cut when the entries fixed by its
         placed users plus the best order of the rest fall below floor."""
-        mask = (1 << self.half) - 1
-        prefix = []
+        mask, prefix = (1 << self.half) - 1, []
+        # out_lo[s % 2^half][u] + out_hi[s >> half][u]: entries from u to the users of s
+        out_lo, out_hi = _subset_sums([list(col) for col in zip(*self.w)], self.half)
 
         def walk(rest, fixed):
             if not rest:
                 yield tuple(prefix)
-            for u in range(self.K):
-                bit = 1 << u
+            for u, bit in self.bits:
                 if rest & bit:
                     left = rest ^ bit
-                    lo, hi = self.out[u]
-                    placed = fixed + lo[left & mask] + hi[left >> self.half]
+                    placed = fixed + out_lo[left & mask][u] + out_hi[left >> self.half][u]
                     if placed + self.best[left] >= floor:
                         prefix.append(u + 1)
                         yield from walk(left, placed)
@@ -169,22 +181,22 @@ def is_member(d: DofVector, spec: RegionSpec) -> MembershipVerdict:
     bound, top = spec.N * dp.scale, dp.best[-1]
     if top > bound:
         p = next(dp.orderings(bound + 1))
-        value = permutation_constraint(d, p)
+        value = Fraction(sum(dp.w[u - 1][v - 1] for a, u in enumerate(p) for v in p[a + 1 :]), dp.scale)
         return MembershipVerdict(member=False, witness=(p, value), tight=(), max_value=value)
     tight = ()
     if top == bound:
-        if dp.paths[-1] > TIGHT_LIST_MAX:
-            raise TooLarge(f"{dp.paths[-1]} tight orderings to list, guarded at {TIGHT_LIST_MAX}")
+        if (count := dp.tight_count()) > TIGHT_LIST_MAX:
+            raise TooLarge(f"{count} tight orderings to list, guarded at {TIGHT_LIST_MAX}")
         tight = tuple(dp.orderings(bound))
     return MembershipVerdict(member=True, witness=None, tight=tight, max_value=Fraction(top, dp.scale))
 
 
 def _ordering_row(p, index) -> list:
     """0/1 constraint row of ordering p, columns in `index` (pair -> column) order."""
-    row = [Fraction(0)] * len(index)
+    row = [0] * len(index)
     for a, u in enumerate(p):
         for v in p[a + 1 :]:
-            row[index[(u, v)]] = Fraction(1)
+            row[index[(u, v)]] = 1
     return row
 
 
@@ -198,7 +210,7 @@ def _region_max(objective, spec: RegionSpec, cap=None):
     identity = tuple(range(1, spec.K + 1))
     rows = [_ordering_row(identity, index), _ordering_row(identity[::-1], index)]
     while True:
-        rhs = [Fraction(spec.N)] * len(rows)
+        rhs = [spec.N] * len(rows)
         res = solve_max(objective, rows, rhs)
         if cap is not None and res.value <= cap:
             return res.value, None
@@ -217,15 +229,16 @@ def sum_dof_max(spec: RegionSpec):
     Solves the LP by cutting planes and verifies its certificate (zero
     tolerance) before returning.
     """
-    return _region_max([Fraction(1)] * (spec.K * (spec.K - 1)), spec)
+    return _region_max([1] * (spec.K * (spec.K - 1)), spec)
 
 
 def construction_feasible(d: DofVector, n_relay: int):
-    """(feasible, sum of per-pair maxima): the direct-layout condition."""
-    total = Fraction(0)
-    for j, k in user_pairs(d.K):
-        total += max(d.get(j, k), d.get(k, j))
-    return total <= n_relay, total
+    """(feasible, sum of per-pair maxima): the direct-layout condition,
+    summed in ints over the entries scaled by their lcm denominator."""
+    scale = minimal_extension(d)
+    w = {pair: v.numerator * (scale // v.denominator) for pair, v in d.items()}
+    total = sum(max(w[(j, k)], w[(k, j)]) for j, k in user_pairs(d.K))
+    return total <= n_relay * scale, Fraction(total, scale)
 
 
 def find_construction_gap(spec: RegionSpec) -> DofVector | None:
@@ -243,9 +256,9 @@ def find_construction_gap(spec: RegionSpec) -> DofVector | None:
     index = {pair: i for i, pair in enumerate(ordered_pairs(spec.K))}
 
     for bits in itertools.product((0, 1), repeat=len(pairs)):
-        objective = [Fraction(0)] * len(index)
+        objective = [0] * len(index)
         for (j, k), rev in zip(pairs, bits):
-            objective[index[(k, j) if rev else (j, k)]] = Fraction(1)
+            objective[index[(k, j) if rev else (j, k)]] = 1
         _, witness = _region_max(objective, spec, cap=spec.N)
         if witness is not None:
             feasible, total = construction_feasible(witness, spec.N)
@@ -271,9 +284,9 @@ def vertices_k3(n_relay: int):
     dim = len(variables)
     index = {pair: i for i, pair in enumerate(variables)}
     perm_rows = [_ordering_row(p, index) for p in itertools.permutations((1, 2, 3))]
-    nonneg_rows = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
+    nonneg_rows = [[int(i == j) for j in range(dim)] for i in range(dim)]
     rows = perm_rows + nonneg_rows
-    rhs = [Fraction(n_relay)] * len(perm_rows) + [Fraction(0)] * dim
+    rhs = [n_relay] * len(perm_rows) + [0] * dim
 
     seen = set()
     vertices = []

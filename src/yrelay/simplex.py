@@ -1,46 +1,57 @@
 """Exact-arithmetic primal simplex for small linear programs.
 
-Maximizes c'x subject to Ax <= b, x >= 0 with b >= 0, entirely over
-fractions.Fraction. Bland's rule guarantees termination; problem sizes here
-are tiny (tens of variables and constraints), so no effort is spent on
-sparsity or revised-form updates. The result carries the optimal basis and
-the dual vector so callers can re-verify optimality by substitution.
+Maximizes c'x subject to Ax <= b, x >= 0 with b >= 0, on a tableau of
+Python ints: each constraint row and the cost row are scaled by their own
+least common denominator (ints by 1), and integer-preserving Gauss-Jordan
+pivots (Edmonds, 1967) divide exactly, so Fractions appear only in the
+result. Bland's rule guarantees termination; problem sizes here are tiny
+(tens of variables and constraints), so no effort is spent on sparsity or
+revised-form updates. The result carries the optimal basis and the dual
+vector so callers can re-verify optimality by substitution.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import LpError
 
 
-def _frac_matrix(rows):
-    return [[Fraction(v) for v in row] for row in rows]
+def _integral(values):
+    """(ints, s): the rationals `values` times s, their least common
+    denominator; a list of ints comes back as it is, with s = 1."""
+    if set(map(type, values)) <= {int}:
+        return values, 1
+    values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    s = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (s // v.denominator) for v in values], s
 
 
-def _pivot(tab, row: int, col: int) -> None:
-    """Gauss-Jordan step in place: scale `row` to a unit entry at `col`, then
-    clear `col` from every other row."""
-    pivot = tab[row][col]
-    tab[row] = [v / pivot for v in tab[row]]
+def _pivot(tab, row: int, col: int, d: int) -> int:
+    """Integer-preserving Gauss-Jordan step in place on a tableau whose true
+    entries are tab / d: row i != `row` becomes (p * row_i - tab[i][col] *
+    pivot row) // d, an exact division; returns the new denominator p."""
+    p, prow = tab[row][col], tab[row]
     for r, other in enumerate(tab):
-        if r != row and other[col] != 0:
-            factor = other[col]
-            tab[r] = [v - factor * p for v, p in zip(other, tab[row])]
+        f = other[col]
+        if r != row and (f or p != d):
+            tab[r] = [(p * v - f * q) // d for v, q in zip(other, prow)]
+    return p
 
 
 def solve_linear(a, b):
     """Exact solution of a square system, or None when singular."""
     n = len(a)
-    m = [[Fraction(v) for v in row] + [Fraction(rhs)] for row, rhs in zip(a, b)]
+    m, d = [_integral([*row, rhs])[0] for row, rhs in zip(a, b)], 1
     for col in range(n):
         pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
         if pivot is None:
             return None
         m[col], m[pivot] = m[pivot], m[col]
-        _pivot(m, col, col)
-    return [m[r][n] for r in range(n)]
+        d = _pivot(m, col, col, d)
+    return [Fraction(m[r][n], d) for r in range(n)]
 
 
 @dataclass(frozen=True)
@@ -57,70 +68,75 @@ class LpResult:
 
 def solve_max(c, a, b) -> LpResult:
     """Maximize c'x s.t. Ax <= b, x >= 0 (all rationals, b >= 0)."""
-    a = _frac_matrix(a)
-    c = [Fraction(v) for v in c]
-    b = [Fraction(v) for v in b]
     m, n = len(a), len(c)
     if any(len(row) != n for row in a) or len(b) != m:
         raise LpError("inconsistent LP dimensions")
     if any(v < 0 for v in b):
         raise LpError("this solver needs b >= 0 (all-slack start)")
 
-    # Tableau: m constraint rows then the cost row; columns are the n
-    # structural variables, m slacks, and the rhs.
-    tab = [a[i] + [Fraction(int(i == j)) for j in range(m)] + [b[i]] for i in range(m)]
-    tab.append([-v for v in c] + [Fraction(0)] * (m + 1))
+    # Tableau: m constraint rows then the cost row, each scaled to ints;
+    # columns are the n structural variables, m slacks (slack i scaled with
+    # its row, so its column stays a unit column), and the rhs. True entries
+    # are tab / d.
+    rows = [_integral([*row, rhs]) for row, rhs in zip(a, b)]
+    tab = [r[:n] + [int(i == j) for j in range(m)] + r[n:] for i, (r, _) in enumerate(rows)]
+    cost, c_scale = _integral(c)
+    tab.append([-v for v in cost] + [0] * (m + 1))
     basis = list(range(n, n + m))
 
-    iterations = 0
+    d, iterations = 1, 0
     while True:
         enter = next((j for j in range(n + m) if tab[m][j] < 0), None)
         if enter is None:
             break
-        ratios = [
-            (tab[i][-1] / tab[i][enter], basis[i], i)
-            for i in range(m)
-            if tab[i][enter] > 0
-        ]
-        if not ratios:
+        # Bland: min ratio tab[i][-1] / tab[i][enter], compared by
+        # cross-multiplying; ties by smallest basis index
+        row = None
+        for i in range(m):
+            t, rhs = tab[i][enter], tab[i][-1]
+            if t > 0 and (row is None or (rhs * den, basis[i]) < (top * t, basis[row])):
+                row, top, den = i, rhs, t
+        if row is None:
             raise LpError("unbounded linear program")
-        _, _, row = min(ratios)  # Bland: min ratio, ties by smallest basis index
-        _pivot(tab, row, enter)
+        d = _pivot(tab, row, enter, d)
         basis[row] = enter
         iterations += 1
 
     x = [Fraction(0)] * n
     for i, var in enumerate(basis):
         if var < n:
-            x[var] = tab[i][-1]
-    duals = tuple(tab[m][n + i] for i in range(m))
-    return LpResult(
-        value=tab[m][-1], x=tuple(x), basis=tuple(basis), duals=duals, iterations=iterations
-    )
+            x[var] = Fraction(tab[i][-1], d)
+    # slack i, scaled with its row by s, has reduced cost y_i * c_scale / s
+    duals = tuple(Fraction(s * v, d * c_scale) for (_, s), v in zip(rows, tab[m][n : n + m]))
+    return LpResult(value=Fraction(tab[m][-1], d * c_scale), x=tuple(x), basis=tuple(basis),
+                    duals=duals, iterations=iterations)
 
 
 def verify_certificate(c, a, b, res: LpResult) -> bool:
     """Re-check optimality by substitution, with zero tolerance.
 
     Primal feasibility, dual feasibility, and matching objective values
-    (strong duality) together certify the reported optimum.
+    (strong duality) together certify the reported optimum. The data (c, A,
+    b), x and y are each compared in ints over their common denominator.
     """
-    a = _frac_matrix(a)
-    c = [Fraction(v) for v in c]
-    b = [Fraction(v) for v in b]
-    x, y = res.x, res.duals
+    n, m = len(c), len(a)
+    data, s = _integral([*c, *b, *(v for row in a for v in row)])
+    c, b, a = data[:n], data[n : n + m], [data[n + m + i * n : n + m + (i + 1) * n] for i in range(m)]
+    x, sx = _integral(res.x)
+    y, sy = _integral(res.duals)
     if any(v < 0 for v in x):
         raise LpError("certificate: primal point has a negative coordinate")
     for i, row in enumerate(a):
-        if sum(rv * xv for rv, xv in zip(row, x)) > b[i]:
+        if sum(rv * xv for rv, xv in zip(row, x)) > b[i] * sx:
             raise LpError(f"certificate: primal point violates constraint {i}")
     if any(v < 0 for v in y):
         raise LpError("certificate: dual vector has a negative coordinate")
-    for j in range(len(c)):
-        if sum(y[i] * a[i][j] for i in range(len(a))) < c[j]:
+    for j in range(n):
+        if sum(y[i] * a[i][j] for i in range(m)) < c[j] * sy:
             raise LpError(f"certificate: dual vector violates column {j}")
-    primal = sum(cv * xv for cv, xv in zip(c, x))
-    dual = sum(yv * bv for yv, bv in zip(y, b))
-    if primal != res.value or dual != res.value:
+    value = res.value
+    primal = sum(cv * xv for cv, xv in zip(c, x)) * value.denominator
+    dual = sum(yv * bv for yv, bv in zip(y, b)) * value.denominator
+    if primal != value.numerator * s * sx or dual != value.numerator * s * sy:
         raise LpError("certificate: objective values disagree")
     return True

@@ -1,6 +1,7 @@
 """Shared test helpers, the brute-force region oracles that the subset-DP
 and cutting-plane tools in `yrelay.dofregion` are checked against, the
-matrix-by-matrix channel draw and pseudo-inverse that
+Fraction simplex that the integer tableau of `yrelay.simplex` is checked
+against, the matrix-by-matrix channel draw and pseudo-inverse that
 `yrelay.channel.sample_channels` and `yrelay.linalg._unit_pinv` are checked
 against, the numpy key conversion that `yrelay.channel.reset_rng` is checked
 against, the reference round that `yrelay.transceiver.transmit_round` is
@@ -39,7 +40,8 @@ from yrelay.dofregion import MembershipVerdict, construction_feasible, permutati
 from yrelay.errors import DimensionError, GenerationFailed, ModeUnavailable, RankDeficient, ScalarUnderflow
 from yrelay.harness import SUBSEED_CHANNEL, SUBSEED_ROUND, SweepReport, SweepRow, db_to_linear, derive_seed, fit_slope
 from yrelay.linalg import GRAM_COND_LIMIT, RANK_TOL, as_complex_matrix, left_sum
-from yrelay.simplex import solve_max, verify_certificate
+from yrelay.errors import LpError
+from yrelay.simplex import LpResult
 from yrelay.transceiver import (
     GENIE,
     RAW,
@@ -95,12 +97,12 @@ def _all_ordering_rows(k_users):
 
 @functools.cache
 def _full_row_lp(objective: tuple, k_users: int, n_relay: int):
-    """Exact max of objective . d over all K! ordering rows, certificate
-    verified; (value, maximizer)."""
+    """Exact max of objective . d over all K! ordering rows, solved and
+    certified by the reference simplex; (value, maximizer)."""
     rows = _all_ordering_rows(k_users)
     rhs = [Fraction(n_relay)] * len(rows)
-    res = solve_max(list(objective), rows, rhs)
-    verify_certificate(list(objective), rows, rhs, res)
+    res = _reference_solve_max(list(objective), rows, rhs)
+    _reference_verify_certificate(list(objective), rows, rhs, res)
     return res.value, DofVector(k_users, dict(zip(ordered_pairs(k_users), res.x)))
 
 
@@ -138,6 +140,119 @@ def full_row_lp():
 def full_row_gap():
     """find_construction_gap with every LP over all K! rows."""
     return _full_row_gap
+
+
+# ---------------------------------------------------------- reference simplex
+# The tableau simplex as it ran over fractions.Fraction, before the integer
+# tableau: every entry a Fraction, each pivot row scaled to a unit entry.
+
+
+def _reference_frac_matrix(rows):
+    return [[Fraction(v) for v in row] for row in rows]
+
+
+def _reference_pivot(tab, row: int, col: int) -> None:
+    """Gauss-Jordan step in place: scale `row` to a unit entry at `col`, then
+    clear `col` from every other row."""
+    pivot = tab[row][col]
+    tab[row] = [v / pivot for v in tab[row]]
+    for r, other in enumerate(tab):
+        if r != row and other[col] != 0:
+            factor = other[col]
+            tab[r] = [v - factor * p for v, p in zip(other, tab[row])]
+
+
+def _reference_solve_linear(a, b):
+    """Exact solution of a square system, or None when singular."""
+    n = len(a)
+    m = [[Fraction(v) for v in row] + [Fraction(rhs)] for row, rhs in zip(a, b)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            return None
+        m[col], m[pivot] = m[pivot], m[col]
+        _reference_pivot(m, col, col)
+    return [m[r][n] for r in range(n)]
+
+
+def _reference_solve_max(c, a, b) -> LpResult:
+    """Maximize c'x s.t. Ax <= b, x >= 0 (all rationals, b >= 0)."""
+    a = _reference_frac_matrix(a)
+    c = [Fraction(v) for v in c]
+    b = [Fraction(v) for v in b]
+    m, n = len(a), len(c)
+    if any(len(row) != n for row in a) or len(b) != m:
+        raise LpError("inconsistent LP dimensions")
+    if any(v < 0 for v in b):
+        raise LpError("this solver needs b >= 0 (all-slack start)")
+
+    # Tableau: m constraint rows then the cost row; columns are the n
+    # structural variables, m slacks, and the rhs.
+    tab = [a[i] + [Fraction(int(i == j)) for j in range(m)] + [b[i]] for i in range(m)]
+    tab.append([-v for v in c] + [Fraction(0)] * (m + 1))
+    basis = list(range(n, n + m))
+
+    iterations = 0
+    while True:
+        enter = next((j for j in range(n + m) if tab[m][j] < 0), None)
+        if enter is None:
+            break
+        ratios = [
+            (tab[i][-1] / tab[i][enter], basis[i], i)
+            for i in range(m)
+            if tab[i][enter] > 0
+        ]
+        if not ratios:
+            raise LpError("unbounded linear program")
+        _, _, row = min(ratios)  # Bland: min ratio, ties by smallest basis index
+        _reference_pivot(tab, row, enter)
+        basis[row] = enter
+        iterations += 1
+
+    x = [Fraction(0)] * n
+    for i, var in enumerate(basis):
+        if var < n:
+            x[var] = tab[i][-1]
+    duals = tuple(tab[m][n + i] for i in range(m))
+    return LpResult(
+        value=tab[m][-1], x=tuple(x), basis=tuple(basis), duals=duals, iterations=iterations
+    )
+
+
+def _reference_verify_certificate(c, a, b, res: LpResult) -> bool:
+    """Re-check optimality by substitution, with zero tolerance.
+
+    Primal feasibility, dual feasibility, and matching objective values
+    (strong duality) together certify the reported optimum.
+    """
+    a = _reference_frac_matrix(a)
+    c = [Fraction(v) for v in c]
+    b = [Fraction(v) for v in b]
+    x, y = res.x, res.duals
+    if any(v < 0 for v in x):
+        raise LpError("certificate: primal point has a negative coordinate")
+    for i, row in enumerate(a):
+        if sum(rv * xv for rv, xv in zip(row, x)) > b[i]:
+            raise LpError(f"certificate: primal point violates constraint {i}")
+    if any(v < 0 for v in y):
+        raise LpError("certificate: dual vector has a negative coordinate")
+    for j in range(len(c)):
+        if sum(y[i] * a[i][j] for i in range(len(a))) < c[j]:
+            raise LpError(f"certificate: dual vector violates column {j}")
+    primal = sum(cv * xv for cv, xv in zip(c, x))
+    dual = sum(yv * bv for yv, bv in zip(y, b))
+    if primal != res.value or dual != res.value:
+        raise LpError("certificate: objective values disagree")
+    return True
+
+
+@pytest.fixture(scope="session")
+def reference_simplex():
+    """The Fraction tableau simplex: `solve_max`, `verify_certificate` and
+    `solve_linear` with the package's signatures, results and messages."""
+    return SimpleNamespace(solve_max=_reference_solve_max,
+                           verify_certificate=_reference_verify_certificate,
+                           solve_linear=_reference_solve_linear)
 
 
 # ----------------------------------------------------- reference Philox key

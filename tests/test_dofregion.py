@@ -174,10 +174,10 @@ def test_tight_list_guard():
 
 
 @st.composite
-def region_points(draw):
+def region_points(draw, tight=False):
     """A K = 3..6 point and a region; the point is scaled so that its largest
     ordering sum lands on N (tight orderings), just above N (a witness), or
-    is left as drawn."""
+    is left as drawn; with `tight`, always on N."""
     k = draw(st.integers(3, 6))
     spec = RegionSpec(K=k, N=draw(st.integers(1, 8)))
     entry = st.one_of(st.just(0), st.integers(1, 12))
@@ -185,7 +185,7 @@ def region_points(draw):
         p: F(draw(entry), draw(st.sampled_from((1, 2, 3, 4)))) for p in ordered_pairs(k)
     })
     top = max(permutation_constraint(d, p) for p in permutations(range(1, k + 1)))
-    target = draw(st.sampled_from((None, F(spec.N), spec.N + F(1, 7))))
+    target = F(spec.N) if tight else draw(st.sampled_from((None, F(spec.N), spec.N + F(1, 7))))
     if target is not None and top > 0:
         d = DofVector(k, {p: v * target / top for p, v in d.items()})
     return d, spec
@@ -194,8 +194,22 @@ def region_points(draw):
 @settings(PROPERTY, max_examples=80)
 @given(region_points())
 def test_membership_matches_enumeration(brute_membership, case):
+    # the oracle takes each value from permutation_constraint, so this also
+    # holds the witness value, summed from the DP's int weights, to it
     d, spec = case
     assert is_member(d, spec) == brute_membership(d, spec)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(region_points(tight=True))
+def test_tight_count_matches_enumeration(brute_membership, case):
+    d, spec = case
+    values = [permutation_constraint(d, p) for p in permutations(range(1, d.K + 1))]
+    count = yrelay.dofregion._OrderingDP(d).tight_count()
+    assert count == values.count(max(values))
+    verdict = brute_membership(d, spec)
+    if verdict.member and verdict.max_value == spec.N:
+        assert count == len(verdict.tight) > 0
 
 
 # -------------------------------------------------------------------- sum-DoF
@@ -252,6 +266,29 @@ def test_construction_feasible_examples():
     assert ok and total == 6
     ok, total = construction_feasible(CYCLE, 6)
     assert not ok and total == 9
+
+
+@st.composite
+def construction_points(draw):
+    """A K = 3..6 point with zero entries and mixed denominators, and N;
+    half of them scaled so that the pair maxima sum to N exactly."""
+    k, n = draw(st.integers(3, 6)), draw(st.integers(1, 8))
+    entry = st.one_of(st.just(F(0)), st.builds(F, st.integers(0, 12), st.sampled_from((1, 2, 3, 5, 6, 7))))
+    d = DofVector(k, {p: draw(entry) for p in ordered_pairs(k)})
+    total = sum((max(d.get(j, i), d.get(i, j)) for j, i in user_pairs(k)), F(0))
+    if total and draw(st.booleans()):
+        d = DofVector(k, {p: v * n / total for p, v in d.items()})
+    return d, n
+
+
+@settings(PROPERTY, max_examples=100)
+@given(construction_points())
+def test_construction_feasible_matches_fraction_sum(case):
+    d, n = case
+    total = sum((max(d.get(j, k), d.get(k, j)) for j, k in user_pairs(d.K)), F(0))
+    got = construction_feasible(d, n)
+    assert got == (total <= n, total)
+    assert type(got[1]) is F
 
 
 def test_gap_probe_returns_valid_witness():

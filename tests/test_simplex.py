@@ -1,15 +1,26 @@
-"""Exact rational simplex: pinned instances plus a float LP oracle sweep."""
+"""Exact rational simplex: pinned instances, a float LP oracle sweep, and
+Hypothesis properties holding the integer tableau to the Fraction tableau
+(`reference_simplex` in conftest.py)."""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from yrelay.errors import LpError
 from yrelay.simplex import LpResult, solve_linear, solve_max, verify_certificate
 
 F = Fraction
+# fixed example sequence, no example database: the same cases on every run
+PROPERTY = settings(deadline=None, database=None, derandomize=True)
+BEALE = (
+    [F(3, 4), F(-150), F(1, 50), F(-6)],
+    [[F(1, 4), F(-60), F(-1, 25), F(9)], [F(1, 2), F(-90), F(-1, 50), F(3)], [F(0), F(0), F(1), F(0)]],
+    [F(0), F(0), F(1)],
+)
 
 
 def test_solve_linear_known_system():
@@ -32,13 +43,7 @@ def test_small_lp():
 
 def test_beale_degenerate_instance_terminates():
     # classic cycling example for naive pivoting; Bland's rule must finish
-    c = [F(3, 4), F(-150), F(1, 50), F(-6)]
-    a = [
-        [F(1, 4), F(-60), F(-1, 25), F(9)],
-        [F(1, 2), F(-90), F(-1, 50), F(3)],
-        [F(0), F(0), F(1), F(0)],
-    ]
-    b = [F(0), F(0), F(1)]
+    c, a, b = BEALE
     res = solve_max(c, a, b)
     assert res.value == F(1, 20)
     assert res.x == (F(1, 25), F(0), F(1), F(0))
@@ -55,21 +60,41 @@ def test_negative_rhs_rejected():
         solve_max([F(1)], [[F(1)]], [F(-1)])
 
 
-def test_certificate_rejects_tampering():
-    c = [F(2), F(3)]
-    a = [[F(1), F(0)], [F(0), F(1)], [F(1), F(1)]]
-    b = [F(4), F(4), F(6)]
-    res = solve_max(c, a, b)
-    verify_certificate(c, a, b, res)
-    forged = LpResult(value=res.value + 1, x=res.x, basis=res.basis,
-                      duals=res.duals, iterations=res.iterations)
-    with pytest.raises(LpError):
-        verify_certificate(c, a, b, forged)
-    off = tuple(x + F(1, 7) for x in res.x)
-    forged = LpResult(value=res.value, x=off, basis=res.basis,
-                      duals=res.duals, iterations=res.iterations)
-    with pytest.raises(LpError):
-        verify_certificate(c, a, b, forged)
+def lp_error(fn, *args):
+    """fn(*args), or the message of the LpError it raises."""
+    try:
+        return fn(*args)
+    except LpError as exc:
+        return str(exc)
+
+
+TAMPER_LPS = (
+    ([2, 3], [[1, 0], [0, 1], [1, 1]], [4, 4, 6]),  # integer data
+    ([F(2, 3), F(3, 2)], [[F(1, 2), 0], [0, F(1, 3)], [1, F(5, 4)]], [F(4, 3), 4, F(6, 5)]),  # fractional
+)
+
+
+def test_certificate_rejects_tampering(reference_simplex):
+    for c, a, b in TAMPER_LPS:
+        res = solve_max(c, a, b)
+        assert verify_certificate(c, a, b, res) is True
+
+        def forge(**fields):
+            return LpResult(**{**res.__dict__, **fields})
+
+        cases = [
+            ("primal point has a negative coordinate", forge(x=(F(-1, 3), *res.x[1:]))),
+            ("primal point violates constraint 0", forge(x=tuple(x + 5 for x in res.x))),
+            ("dual vector has a negative coordinate", forge(duals=(*res.duals[:2], F(-1, 5)))),
+            ("dual vector violates column 0", forge(duals=(0,) * len(res.duals))),
+            ("objective values disagree", forge(value=res.value + F(1, 9))),
+            # still dual-feasible (A >= 0), but b . y no longer meets c . x
+            ("objective values disagree", forge(duals=tuple(y + F(1, 4) for y in res.duals))),
+        ]
+        for message, forged in cases:
+            got = lp_error(verify_certificate, c, a, b, forged)
+            assert got == f"certificate: {message}"
+            assert got == lp_error(reference_simplex.verify_certificate, c, a, b, forged)
 
 
 def test_matches_float_oracle_on_random_instances():
@@ -95,3 +120,75 @@ def test_matches_float_oracle_on_random_instances():
         )
         assert lp.status == 0
         assert float(res.value) == pytest.approx(-lp.fun, abs=1e-7)
+
+
+# ------------------------------------------ integer tableau = Fraction tableau
+
+_ENTRY = st.one_of(
+    st.just(0),
+    st.integers(-4, 6),
+    st.builds(F, st.integers(-9, 9), st.sampled_from((1, 2, 3, 5, 6))),
+)
+
+
+@st.composite
+def lps(draw):
+    """(c, A, b) with up to 8 rows and 12 columns: ints and Fractions mixed,
+    negative and fractional entries, zero rows and zero right-hand sides,
+    most with a last row of positive entries that bounds the LP; now and then
+    a negative right-hand side or a row or b of the wrong length."""
+    m, n = draw(st.integers(0, 8)), draw(st.integers(1, 12))
+    rhs = st.one_of(st.just(0), st.integers(0, 9), st.builds(F, st.integers(0, 9), st.integers(1, 4)))
+    c = [draw(_ENTRY) for _ in range(n)]
+    a = [[0] * n if draw(st.integers(0, 5)) == 0 else [draw(_ENTRY) for _ in range(n)] for _ in range(m)]
+    if m and draw(st.integers(0, 3)):
+        a[-1] = [draw(st.sampled_from((1, 2, F(1, 2), F(5, 3)))) for _ in range(n)]
+    b = [draw(rhs) for _ in range(m)]
+    flaw = draw(st.sampled_from(("none",) * 12 + ("negative b", "short row", "short b")))
+    if flaw == "negative b" and m:
+        b[draw(st.integers(0, m - 1))] = F(-1, 2)
+    elif flaw == "short row" and m:
+        a[draw(st.integers(0, m - 1))].pop()
+    elif flaw == "short b":
+        b.append(1)
+    return c, a, b
+
+
+@settings(PROPERTY, max_examples=300)
+@given(lps())
+@example(BEALE)
+@example(([1, 1, 1], [[1, 1, 0], [1, 0, 1], [0, 1, 1], [1, 1, 1]], [2, 2, 2, 3]))  # ratio-test ties
+@example(([1, 2], [[-1, 1], [1, -2]], [1, 0]))  # unbounded after a degenerate pivot
+def test_integer_tableau_matches_fraction_tableau(reference_simplex, lp):
+    c, a, b = lp
+    got = lp_error(solve_max, c, a, b)
+    assert got == lp_error(reference_simplex.solve_max, c, a, b)
+    if isinstance(got, LpResult):
+        assert all(type(v) is F for v in (got.value, *got.x, *got.duals))
+        assert verify_certificate(c, a, b, got) is True
+        assert reference_simplex.verify_certificate(c, a, b, got) is True
+
+
+@st.composite
+def square_systems(draw):
+    """An n x n system, n = 1..6; now and then one row a combination of two
+    others (singular when n >= 2) or a zero row."""
+    n = draw(st.integers(1, 6))
+    a = [[draw(_ENTRY) for _ in range(n)] for _ in range(n)]
+    b = [draw(_ENTRY) for _ in range(n)]
+    kind = draw(st.sampled_from(("random", "random", "combination", "zero row")))
+    i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
+    if kind == "combination":
+        a[i] = [F(2) * u - F(1, 3) * v for u, v in zip(a[j], a[k])]
+    elif kind == "zero row":
+        a[i] = [0] * n
+    return a, b
+
+
+@settings(PROPERTY, max_examples=200)
+@given(square_systems())
+def test_solve_linear_matches_fraction_elimination(reference_simplex, system):
+    a, b = system
+    got = solve_linear(a, b)
+    assert got == reference_simplex.solve_linear(a, b)
+    assert got is None or all(type(v) is F for v in got)
