@@ -1,15 +1,19 @@
 """Zero-forcing transceiver chain and degrees-of-freedom tools for the
 K-user MIMO multi-way relay channel.
 
-Layering, bottom up: `linalg` (normalized pseudo-inverses), `channel`
-(seeded fading and noise), `alignment` (exact stream bookkeeping),
+Layering, bottom up. The exact core needs only the standard library:
+`alignment` (DoF vectors as ints over one common denominator, and the
+relay-word slot layout), `simplex` (integer-tableau LPs) and `dofregion`
+(exact region computations). The simulator is built on numpy: `linalg`
+(normalized pseudo-inverses), `channel` (seeded fading and noise),
 `transceiver` (end-to-end rounds, every draw and power point of a block of
-trials in one call), `dofregion` + `simplex` (exact rational region computations),
-`harness` (sweeps and reports).
+trials in one call) and `harness` (sweeps and reports).
+
+The package root re-exports the exact core only, so importing it does not
+load numpy; simulator names are imported from their modules.
 """
 
-from .alignment import DofVector, StreamPlan, build_stream_plan, minimal_extension
-from .channel import ChannelSet, SystemConfig, sample_channels
+from .alignment import DofVector, StreamPlan, build_stream_plan
 from .dofregion import (
     RegionSpec,
     construction_feasible,
@@ -24,7 +28,6 @@ from .errors import (
     Infeasible,
     LpError,
     ModeUnavailable,
-    NonIntegral,
     RankDeficient,
     ScalarUnderflow,
     TooLarge,
@@ -32,52 +35,29 @@ from .errors import (
     WitnessInvalid,
     YRelayError,
 )
-from .harness import ExperimentConfig, SweepReport, derive_seed, fit_slope, run_sweep
-from .linalg import normalized_left_mppi, normalized_right_mppi
-from .transceiver import GENIE, RAW, RoundContext, RoundLayout, RoundResult, effective_snr, run_round, transmit_round
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChannelSet",
     "DimensionError",
     "DofVector",
-    "ExperimentConfig",
-    "GENIE",
     "GenerationFailed",
     "Infeasible",
     "LpError",
     "ModeUnavailable",
-    "NonIntegral",
-    "RAW",
     "RankDeficient",
     "RegionSpec",
-    "RoundContext",
-    "RoundLayout",
-    "RoundResult",
     "ScalarUnderflow",
     "StreamPlan",
-    "SweepReport",
-    "SystemConfig",
     "TooLarge",
     "Underdetermined",
     "WitnessInvalid",
     "YRelayError",
     "build_stream_plan",
     "construction_feasible",
-    "derive_seed",
-    "effective_snr",
     "find_construction_gap",
-    "fit_slope",
     "is_member",
-    "minimal_extension",
-    "normalized_left_mppi",
-    "normalized_right_mppi",
-    "run_round",
-    "run_sweep",
-    "sample_channels",
     "sum_dof_max",
-    "transmit_round",
     "vertices_k3",
     "__version__",
 ]

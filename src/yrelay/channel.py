@@ -3,9 +3,14 @@
 A `ChannelSet` is one block-constant draw. `sample_channel_block` draws a
 block of them, each draw's 2K matrices with one standard-normal call, and
 runs one stacked SVD per link direction for the conditioning check of the
-whole block and one stacked pseudo-inverse per direction for its per-user
-precoders, from those singular values; every round over a draw reuses them.
+whole block and one stacked pseudo-inverse per direction for the per-user
+normalized inverses (`ChannelSet.inverses`: the precoders and receive
+filters with their diagonalization constants alpha_j and beta_k), from
+those singular values; every round over a draw reuses them.
 `sample_channels` is the block of one.
+
+Complex normals are drawn in blocks: a block of n unit-variance entries
+takes n standard normals as its real parts, then n as its imaginary parts.
 
 All randomness comes from the Philox counter-based generator keyed with
 (seed, stream id), so any seed reproduces the exact same realization. Streams
@@ -30,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionError, GenerationFailed
-from .linalg import NormalizedLeftMppi, NormalizedRightMppi, _unit_pinv, well_conditioned
+from .linalg import _unit_pinv, well_conditioned
 
 STREAM_CHANNEL = 1
 STREAM_NOISE = 2
@@ -80,17 +85,11 @@ def _complex(re, im) -> np.ndarray:
     return (re + 1j * im) / math.sqrt(2.0)
 
 
-def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    """I.i.d. circularly-symmetric complex Gaussian, unit variance per entry:
-    all real parts are drawn first, then all imaginary parts."""
-    re = rng.standard_normal(shape)
-    return _complex(re, rng.standard_normal(shape))
-
-
 def normal_block_index(sizes) -> np.ndarray:
-    """Where consecutive `complex_normal(rng, n)` calls, one per n in `sizes`,
-    take their real parts (row 0) and imaginary parts (row 1) from a single
-    `rng.standard_normal` draw: each call draws all its real parts first."""
+    """Where consecutive blocks of complex normals, one of n entries per n
+    in `sizes`, take their real parts (row 0) and imaginary parts (row 1)
+    from a single `rng.standard_normal` draw: each block takes all its real
+    parts first."""
     sizes = np.asarray(sizes, dtype=np.intp)
     starts = np.cumsum(sizes) - sizes
     block = np.repeat(np.arange(sizes.size), sizes)
@@ -101,8 +100,8 @@ def normal_block_index(sizes) -> np.ndarray:
 def complex_normal_blocks(normals: np.ndarray, index: np.ndarray) -> np.ndarray:
     """The blocks that `index` (from `normal_block_index`) describes, taken
     from `normals`, one `rng.standard_normal(index.size)` draw per row along
-    the last axis: bit for bit the concatenation of the `complex_normal`
-    calls, for every row at once."""
+    the last axis: bit for bit the blocks drawn one after the other, for
+    every row at once."""
     z = normals[..., index]
     return _complex(z[..., 0, :], z[..., 1, :])
 
@@ -126,8 +125,8 @@ class SystemConfig:
             raise ValueError(f"need at least 3 users, got K={self.K}")
         if not (1 <= self.N <= self.M):
             raise ValueError(f"need 1 <= N <= M, got N={self.N}, M={self.M}")
-        if self.P <= 0:
-            raise ValueError(f"power must be positive, got P={self.P}")
+        if not (0 < self.P < math.inf):
+            raise ValueError(f"power must be positive and finite, got P={self.P}")
 
 
 @dataclass(frozen=True)
@@ -150,14 +149,6 @@ class ChannelSet:
         left, beta = _unit_pinv(np.array(self.downlink, dtype=np.complex128), False)
         return right, alpha, left, beta
 
-    @cached_property
-    def precoders(self):
-        """(right, left): per-user normalized right inverses of the uplink
-        matrices and left inverses of the downlink matrices, one object each."""
-        right, alpha, left, beta = self.inverses
-        return (tuple(NormalizedRightMppi(g, c) for g, c in zip(right, alpha.tolist())),
-                tuple(NormalizedLeftMppi(g, c) for g, c in zip(left, beta.tolist())))
-
 
 def sample_channels(cfg: SystemConfig, seed: int) -> ChannelSet:
     """Draw K uplink (N x M) and K downlink (M x N) matrices, i.i.d. CN(0,1):
@@ -170,7 +161,7 @@ def sample_channel_block(cfg: SystemConfig, seeds) -> tuple:
     inverses computed.
 
     Each draw's 2K matrices come from one standard-normal draw, bit for bit
-    the consecutive `complex_normal` calls of a draw matrix by matrix (both
+    the consecutive complex-normal blocks of a draw matrix by matrix (both
     shapes hold N*M entries), on one generator re-keyed per seed. The whole
     block gets one stacked SVD per link direction for the conditioning check
     and one stacked pseudo-inverse per direction, from those singular values.

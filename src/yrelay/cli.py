@@ -19,20 +19,22 @@ mirror the long flag names with underscores (k, m, n, seed, trials, dof, mode,
 noise, power_db, sweep_db, out). A file value is parsed like its flag, and a
 bad one is a config error; keys the subcommand has no flag for are ignored.
 Explicit flags win over the file, the file wins over the OPTIONS default.
+
+Only `mppi-check`, `simulate` and `sweep` import numpy and the simulator
+modules, when they run: `plan` and the `dof` commands need only the exact
+core (`alignment`, `dofregion`, `simplex`).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import __version__
 from .alignment import DofVector, build_stream_plan
-from .channel import SystemConfig, sample_channels
 from .dofregion import (
     RegionSpec,
     construction_feasible,
@@ -42,9 +44,6 @@ from .dofregion import (
     vertices_k3,
 )
 from .errors import YRelayError
-from .harness import SUBSEED_CHANNEL, ExperimentConfig, db_to_linear, derive_seed, run_sweep
-from .linalg import DIAG_RTOL, TRACE_TOL
-from .transceiver import GENIE, RAW, run_round
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -96,6 +95,8 @@ def parse_sweep_spec(text: str) -> tuple:
         start, step, stop = (float(p) for p in parts)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad sweep {text!r}, want numeric start:step:stop") from None
+    if not all(map(math.isfinite, (start, step, stop))):
+        raise argparse.ArgumentTypeError(f"bad sweep {text!r}: start, step and stop must be finite")
     if step <= 0 or stop < start:
         raise argparse.ArgumentTypeError(f"bad sweep {text!r}: need step > 0 and stop >= start")
     count = int((stop - start) / step + 1e-9) + 1
@@ -135,7 +136,7 @@ OPTIONS = {
     "seed": (0, {"type": int, "help": "master RNG seed"}),
     "trials": (200, {"type": int, "help": "trials per point"}),
     "dof": ("uniform:1", {"type": str, "help": "rate point, e.g. 1-2=1,2-1=1/2 or uniform:1"}),
-    "mode": (GENIE, {"choices": (GENIE, RAW), "help": "relay decode mode"}),
+    "mode": ("genie", {"choices": ("genie", "raw"), "help": "relay decode mode"}),
     "noise": (True, {"action": argparse.BooleanOptionalAction, "help": "add receiver noise"}),
     "power_db": (40.0, {"type": float, "help": "transmit power in dB"}),
     "sweep_db": (parse_sweep_spec("30:5:60"),
@@ -181,35 +182,31 @@ def _print_json(obj) -> None:
     _emit((json.dumps(obj, sort_keys=True, indent=2) + "\n").encode())
 
 
-def _note(args, message: str) -> None:
-    if not args.quiet:
-        print(message, file=sys.stderr)
-
-
-def _system(args) -> SystemConfig:
-    p_db = args.power_db if hasattr(args, "power_db") else args.sweep_db[0]
-    return SystemConfig(K=args.k, M=args.m, N=args.n, P=db_to_linear(p_db))
-
-
 def _dof(args) -> DofVector:
     return parse_dof_spec(args.dof, args.k)
 
 
 def cmd_mppi_check(args) -> int:
+    import numpy as np
+
+    from .channel import SystemConfig, sample_channels
+    from .harness import derive_seed
+    from .linalg import DIAG_RTOL, TRACE_TOL
+
+    if args.trials < 1:
+        raise ValueError(f"need at least one trial, got {args.trials}")
     cfg = SystemConfig(K=args.k, M=args.m, N=args.n, P=1.0)
     max_diag = 0.0
     max_trace = 0.0
     for t in range(args.trials):
         ch = sample_channels(cfg, derive_seed(args.seed, SUBSEED_MPPI, t))
-        right, left = ch.precoders
-        for h, r in zip(ch.uplink, right):
-            resid = np.linalg.norm(h @ r.matrix - r.alpha * np.eye(cfg.N))
-            max_diag = max(max_diag, resid / (r.alpha * np.sqrt(cfg.N)))
-            max_trace = max(max_trace, abs(np.trace(r.matrix.conj().T @ r.matrix).real - 1.0))
-        for d, l in zip(ch.downlink, left):
-            resid = np.linalg.norm(l.matrix @ d - l.beta * np.eye(cfg.N))
-            max_diag = max(max_diag, resid / (l.beta * np.sqrt(cfg.N)))
-            max_trace = max(max_trace, abs(np.trace(l.matrix.conj().T @ l.matrix).real - 1.0))
+        right, alpha, left, beta = ch.inverses
+        # H_j @ right_j = alpha_j * I and left_k @ D_k = beta_k * I
+        products = [h @ g for h, g in zip(ch.uplink, right)] + [g @ d for d, g in zip(ch.downlink, left)]
+        for product, g, c in zip(products, [*right, *left], alpha.tolist() + beta.tolist()):
+            resid = np.linalg.norm(product - c * np.eye(cfg.N))
+            max_diag = max(max_diag, resid / (c * np.sqrt(cfg.N)))
+            max_trace = max(max_trace, abs(np.trace(g.conj().T @ g).real - 1.0))
     max_diag, max_trace = float(max_diag), float(max_trace)
     ok = max_diag <= DIAG_RTOL and max_trace <= TRACE_TOL
     _print_json(
@@ -233,7 +230,11 @@ def cmd_plan(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _system(args)
+    from .channel import SystemConfig, sample_channels
+    from .harness import SUBSEED_CHANNEL, db_to_linear, derive_seed
+    from .transceiver import run_round
+
+    cfg = SystemConfig(K=args.k, M=args.m, N=args.n, P=db_to_linear(args.power_db))
     plan = build_stream_plan(_dof(args), cfg.N)
     ch = sample_channels(cfg, derive_seed(args.seed, SUBSEED_CHANNEL, 0))
     res = run_round(cfg, ch, plan, seed=args.seed, mode=args.mode, noise=args.noise)
@@ -242,8 +243,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .channel import SystemConfig
+    from .harness import ExperimentConfig, db_to_linear, run_sweep
+
     cfg = ExperimentConfig(
-        system=_system(args),
+        system=SystemConfig(K=args.k, M=args.m, N=args.n, P=db_to_linear(args.sweep_db[0])),
         dof=_dof(args),
         sweep_db=args.sweep_db,
         trials=args.trials,
@@ -251,7 +255,8 @@ def cmd_sweep(args) -> int:
         mode=args.mode,
         noise=args.noise,
     )
-    _note(args, f"sweep: {len(cfg.sweep_db)} points x {cfg.trials} trials, config {cfg.digest()}")
+    if not args.quiet:
+        print(f"sweep: {len(cfg.sweep_db)} points x {cfg.trials} trials, config {cfg.digest()}", file=sys.stderr)
     report = run_sweep(cfg)
     _emit(report.to_csv_bytes() if args.out == "csv" else report.to_json_bytes())
     return EXIT_OK
@@ -277,18 +282,11 @@ def cmd_dof_sumdof(args) -> int:
 
 def cmd_dof_gap(args) -> int:
     witness = find_construction_gap(RegionSpec(K=args.k, N=args.n))
-    if witness is None:
-        _print_json({"gap_found": False, "witness": None})
-    else:
+    out = {"gap_found": witness is not None, "witness": None}
+    if witness is not None:
         feasible, weighted = construction_feasible(witness, args.n)
-        _print_json(
-            {
-                "gap_found": True,
-                "witness": witness.to_dict(),
-                "construction_feasible": feasible,
-                "weighted_sum": str(weighted),
-            }
-        )
+        out.update(witness=witness.to_dict(), construction_feasible=feasible, weighted_sum=str(weighted))
+    _print_json(out)
     return EXIT_OK
 
 

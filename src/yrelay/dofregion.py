@@ -5,8 +5,8 @@ user ordering stays within the relay dimension: for each permutation p of
 the users, sum over positions a < b of d[p_a -> p_b] <= N. Membership,
 sum-DoF maximization, the direct-construction feasibility predicate
 (sum of per-pair maxima <= N), and a probe for points separating the two
-are all computed in Python ints, on entries scaled by the lcm of their
-denominators; Fractions appear only in the values returned.
+are all computed in Python ints, on the scaled entries a `DofVector` holds;
+Fractions appear only in the values returned.
 
 Membership, sum-DoF and the gap probe never walk the K! orderings. The
 Held-Karp subset DP gives the largest ordering sum over the 2^K user subsets;
@@ -24,9 +24,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .alignment import DofVector, minimal_extension, ordered_pairs, user_pairs
+from .alignment import DofVector, ordered_pairs, pair_index, user_pairs
 from .errors import TooLarge, WitnessInvalid
-from .simplex import solve_linear, solve_max, verify_certificate
+from .simplex import _integral, solve_linear, solve_max, verify_certificate
 
 ORACLE_MAX_USERS = 16    # the ordering DP tabulates all 2^K user subsets
 TIGHT_LIST_MAX = 40320   # 8!, every ordering of 8 users
@@ -75,18 +75,6 @@ class MembershipVerdict:
         }
 
 
-def permutation_constraint(d: DofVector, p) -> Fraction:
-    """Exact sum of d[p_a -> p_b] over ordered positions a < b."""
-    p = tuple(p)
-    if sorted(p) != list(range(1, d.K + 1)):
-        raise ValueError(f"{p} is not a permutation of 1..{d.K}")
-    total = Fraction(0)
-    for a in range(d.K):
-        for b in range(a + 1, d.K):
-            total += d.get(p[a], p[b])
-    return total
-
-
 def _subset_sums(rows, half: int):
     """Tables (lo, hi) of lists with lo[s % 2^half][v] + hi[s >> half][v]
     equal to the sum of rows[u][v] over the set bits u of s."""
@@ -102,8 +90,8 @@ def _subset_sums(rows, half: int):
 class _OrderingDP:
     """Held-Karp table of the largest ordering sums of a DoF vector.
 
-    Entries are scaled by `scale`, the lcm of their denominators, into the
-    int weights w[u-1][v-1], so every sum is an int. Bit u-1 of a subset S
+    The weights w[u-1][v-1] are the vector's ints T*d_uv, so every sum is
+    an int, `scale` = T times the exact one. Bit u-1 of a subset S
     stands for user u. best[S] is the largest sum, over orderings of the
     users in S, of the entries from earlier to later users.
     """
@@ -112,10 +100,10 @@ class _OrderingDP:
         k = d.K
         if k > ORACLE_MAX_USERS:
             raise TooLarge(f"ordering DP guarded at K <= {ORACLE_MAX_USERS} (2^K subsets)")
-        self.K, self.scale, self.half = k, minimal_extension(d), k // 2
+        self.K, self.scale, self.half = k, d.T, k // 2
         w = [[0] * k for _ in range(k)]
-        for (u, v), value in d.items():
-            w[u - 1][v - 1] = value.numerator * (self.scale // value.denominator)
+        for (u, v), value in zip(ordered_pairs(k), d.scaled):
+            w[u - 1][v - 1] = value
         self.w, self.bits = w, [(v, 1 << v) for v in range(k)]
         lo, hi = self.into = _subset_sums(w, self.half)
         mask = (1 << self.half) - 1
@@ -191,8 +179,9 @@ def is_member(d: DofVector, spec: RegionSpec) -> MembershipVerdict:
     return MembershipVerdict(member=True, witness=None, tight=tight, max_value=Fraction(top, dp.scale))
 
 
-def _ordering_row(p, index) -> list:
-    """0/1 constraint row of ordering p, columns in `index` (pair -> column) order."""
+def _ordering_row(p) -> list:
+    """0/1 constraint row of ordering p, columns in `ordered_pairs` order."""
+    index = pair_index(len(p))
     row = [0] * len(index)
     for a, u in enumerate(p):
         for v in p[a + 1 :]:
@@ -205,22 +194,20 @@ def _region_max(objective, spec: RegionSpec, cap=None):
     from the identity and reversed orderings, which bound every variable.
     The maximizer is None once a restricted optimum is <= cap: the full
     optimum is no larger."""
-    variables = ordered_pairs(spec.K)
-    index = {pair: i for i, pair in enumerate(variables)}
     identity = tuple(range(1, spec.K + 1))
-    rows = [_ordering_row(identity, index), _ordering_row(identity[::-1], index)]
+    rows = [_ordering_row(identity), _ordering_row(identity[::-1])]
     while True:
         rhs = [spec.N] * len(rows)
         res = solve_max(objective, rows, rhs)
         if cap is not None and res.value <= cap:
             return res.value, None
-        point = DofVector(spec.K, dict(zip(variables, res.x)))
+        point = DofVector.from_scaled(spec.K, *_integral(res.x))
         dp = _OrderingDP(point)
         cut = next(dp.orderings(spec.N * dp.scale + 1), None)
         if cut is None:
             verify_certificate(objective, rows, rhs, res)
             return res.value, point
-        rows.append(_ordering_row(cut, index))
+        rows.append(_ordering_row(cut))
 
 
 def sum_dof_max(spec: RegionSpec):
@@ -234,11 +221,9 @@ def sum_dof_max(spec: RegionSpec):
 
 def construction_feasible(d: DofVector, n_relay: int):
     """(feasible, sum of per-pair maxima): the direct-layout condition,
-    summed in ints over the entries scaled by their lcm denominator."""
-    scale = minimal_extension(d)
-    w = {pair: v.numerator * (scale // v.denominator) for pair, v in d.items()}
-    total = sum(max(w[(j, k)], w[(k, j)]) for j, k in user_pairs(d.K))
-    return total <= n_relay * scale, Fraction(total, scale)
+    summed in ints over the vector's scaled entries."""
+    total = sum(d.pair_lengths().values())
+    return total <= n_relay * d.T, Fraction(total, d.T)
 
 
 def find_construction_gap(spec: RegionSpec) -> DofVector | None:
@@ -252,8 +237,7 @@ def find_construction_gap(spec: RegionSpec) -> DofVector | None:
     """
     if spec.K > GAP_MAX_USERS:
         raise TooLarge(f"gap probe guarded at K <= {GAP_MAX_USERS}")
-    pairs = user_pairs(spec.K)
-    index = {pair: i for i, pair in enumerate(ordered_pairs(spec.K))}
+    pairs, index = user_pairs(spec.K), pair_index(spec.K)
 
     for bits in itertools.product((0, 1), repeat=len(pairs)):
         objective = [0] * len(index)
@@ -277,29 +261,17 @@ def vertices_k3(n_relay: int):
     """
     if n_relay > VERTICES_MAX_N:
         raise TooLarge(f"vertex enumeration guarded at N <= {VERTICES_MAX_N}")
-    if n_relay < 1:
-        raise ValueError(f"need N >= 1, got {n_relay}")
     spec = RegionSpec(K=3, N=n_relay)
     variables = ordered_pairs(3)
     dim = len(variables)
-    index = {pair: i for i, pair in enumerate(variables)}
-    perm_rows = [_ordering_row(p, index) for p in itertools.permutations((1, 2, 3))]
+    perm_rows = [_ordering_row(p) for p in itertools.permutations((1, 2, 3))]
     nonneg_rows = [[int(i == j) for j in range(dim)] for i in range(dim)]
     rows = perm_rows + nonneg_rows
     rhs = [n_relay] * len(perm_rows) + [0] * dim
 
-    seen = set()
-    vertices = []
+    candidates = set()
     for subset in itertools.combinations(range(len(rows)), dim):
         solution = solve_linear([rows[i] for i in subset], [rhs[i] for i in subset])
-        if solution is None or any(v < 0 for v in solution):
-            continue
-        key = tuple(solution)
-        if key in seen:
-            continue
-        seen.add(key)
-        vertex = DofVector(3, dict(zip(variables, solution)))
-        if is_member(vertex, spec).member:
-            vertices.append(vertex)
-    vertices.sort(key=lambda v: v.as_tuple())
-    return vertices
+        if solution is not None and min(solution) >= 0:
+            candidates.add(DofVector(3, dict(zip(variables, solution))))
+    return sorted((v for v in candidates if is_member(v, spec).member), key=DofVector.as_tuple)

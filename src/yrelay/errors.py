@@ -17,10 +17,6 @@ class GenerationFailed(YRelayError, RuntimeError):
     """Random generation exhausted its retry budget."""
 
 
-class NonIntegral(YRelayError, ValueError):
-    """A scaled DoF entry is not an integer for the given extension factor."""
-
-
 class Infeasible(YRelayError, ValueError):
     """Requested DoF vector does not fit the relay signal space.
 

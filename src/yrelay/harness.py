@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import __version__
 from .alignment import DofVector
 from .channel import _MASK64, SystemConfig, sample_channel_block
 from .errors import Underdetermined
@@ -238,8 +239,6 @@ def run_sweep(cfg: ExperimentConfig) -> SweepReport:
         slope, intercept, residual = fit_slope(
             [(math.log2(db_to_linear(r.p_db)), r.sum_rate_proxy) for r in rows]
         )
-
-    from . import __version__
 
     config = cfg.to_dict()
     return SweepReport(

@@ -9,8 +9,6 @@ the Python version.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionError, RankDeficient
@@ -20,16 +18,6 @@ RANK_TOL = 1e-10          # reject when sigma_min/sigma_max falls below this
 GRAM_COND_LIMIT = 1e8     # switch to the SVD route when cond(Gram) exceeds this
 DIAG_RTOL = 1e-9          # relative residual allowed in H @ H_R = alpha * I
 TRACE_TOL = 1e-12         # absolute tolerance on the unit-trace normalization
-
-
-def as_complex_matrix(a) -> np.ndarray:
-    """Coerce to a 2-D complex128 array, rejecting NaN/Inf entries."""
-    m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2:
-        raise DimensionError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix has non-finite entries")
-    return m
 
 
 def well_conditioned(s):
@@ -104,34 +92,3 @@ def _unit_pinv(a, right: bool, sv=None) -> tuple[np.ndarray, np.ndarray]:
     c = 1.0 / np.sqrt(np.sum((np.abs(g) ** 2).reshape(len(g), -1), axis=-1))
     return c[:, None, None] * g, c
 
-
-@dataclass(frozen=True)
-class NormalizedRightMppi:
-    """Unit-Frobenius-norm right inverse: H @ matrix = alpha * I_N."""
-
-    matrix: np.ndarray  # M x N
-    alpha: float
-
-
-@dataclass(frozen=True)
-class NormalizedLeftMppi:
-    """Unit-Frobenius-norm left inverse: matrix @ D = beta * I_N."""
-
-    matrix: np.ndarray  # N x M
-    beta: float
-
-
-def normalized_right_mppi(h) -> NormalizedRightMppi:
-    """Right pseudo-inverse of a wide H at unit Frobenius norm.
-
-    H @ matrix = alpha * I_N, so a white input with per-component variance s^2
-    is sent at expected total power s^2.
-    """
-    g, c = _unit_pinv(as_complex_matrix(h)[None], right=True)
-    return NormalizedRightMppi(g[0], float(c[0]))
-
-
-def normalized_left_mppi(d) -> NormalizedLeftMppi:
-    """Left pseudo-inverse of a tall D at unit Frobenius norm: matrix @ D = beta * I_N."""
-    g, c = _unit_pinv(as_complex_matrix(d)[None], right=False)
-    return NormalizedLeftMppi(g[0], float(c[0]))

@@ -5,9 +5,11 @@ channel draw, so the work splits three ways:
 
 - a `RoundLayout`, built once per stream plan and antenna count M (for
   sweeps, kept in a bounded per-process memo, `plan_layout`), holds the
-  plan-only indices: the layout of a round's random draws, the order in which users
-  recover their estimates, the directions grouped by span length for the
-  error norms, and the slot components of the analytic SNR;
+  plan-only indices: where the flat symbol vector enters the users' slot
+  words and where each symbol lies in the words they receive, the layout of
+  a round's random draws, the order in which users recover their estimates,
+  the directions grouped by span length for the error norms, and the slot
+  components of the analytic SNR;
 - a `RoundContext`, built once per block of channel draws, holds what the
   draws fix: the stacked precoders and channel matrices, the
   diagonalization constants alpha_j and beta_k, and the coefficients of the
@@ -44,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alignment import DofVector, StreamPlan, StreamSymbols, build_stream_plan, ordered_pairs
+from .alignment import DofVector, StreamPlan, build_stream_plan, ordered_pairs
 from .channel import (
     STREAM_NOISE,
     STREAM_SYMBOLS,
@@ -111,9 +113,25 @@ class RoundLayout:
     def __init__(self, plan: StreamPlan, m: int):
         k_users, n, t_ext = plan.K, plan.N, plan.T
         self.plan, self.M = plan, m
-        spans = plan.symbol_spans
+        spans, length = plan.symbol_spans, plan.word_length
         sizes = [b - a for a, b in spans.values()]
-        self.word_index, self.receive_index = plan.word_index, plan.receive_index
+        # word_index: row j-1 gathers user j's slot word from the flat symbols
+        # followed by one zero (index -1); receive_index: where each symbol
+        # lies in the K stacked words the users receive (v_jk in user k's
+        # slot with j). effective_snr: per active direction its slot
+        # components and its sender, and per component the users j, k and
+        # its row q mod N of Dl_k.
+        self.word_index = np.full((k_users, length), -1, dtype=np.intp)
+        self.receive_index = np.empty(sum(sizes), dtype=np.intp)
+        snr_keys, components, component_spans = [], [], []
+        for (j, k), (a, b) in spans.items():
+            off, _ = plan.slot(j, k)
+            self.word_index[j - 1, off : off + b - a] = np.arange(a, b)
+            self.receive_index[a:b] = (k - 1) * length + off + np.arange(b - a)
+            if b > a:
+                snr_keys.append((j, k))
+                component_spans.append((len(components), len(components) + b - a))
+                components += [(j - 1, k - 1, (off + i) % n) for i in range(b - a)]
         self.symbol_index = normal_block_index(sizes)
         self.noise_index = normal_block_index([n] * t_ext + [m] * (k_users * t_ext))
         self.sender = np.repeat([j - 1 for j, _ in spans], sizes)  # user index of each symbol
@@ -125,17 +143,6 @@ class RoundLayout:
         self.pair_users = np.array(self.estimate_order).T - 1  # rows: j - 1, k - 1
         self.error_keys = tuple(key for key in self.estimate_order if spans[key][1] > spans[key][0])
         self.error_groups = _length_groups([spans[key] for key in self.error_keys])
-
-        # effective_snr: per active direction its slot components and its
-        # sender, and per component the users j, k and its row q mod N of Dl_k.
-        snr_keys, components, component_spans = [], [], []
-        for (j, k), size in plan.stream_lengths.items():
-            if size == 0:
-                continue
-            off, _ = plan.slot(j, k)
-            snr_keys.append((j, k))
-            component_spans.append((len(components), len(components) + size))
-            components += [(j - 1, k - 1, (off + i) % n) for i in range(size)]
         self.snr_keys = tuple(snr_keys)
         self.snr_senders = np.array([j - 1 for j, _ in snr_keys], dtype=np.intp)
         self.snr_components = np.array(components, dtype=np.intp).reshape(-1, 3).T
@@ -146,22 +153,18 @@ class RoundLayout:
             a.flags.writeable = False
 
 
-LAYOUT_MEMO_SIZE = 64  # (K, DoF vector, N, M) keys whose layouts a process keeps
-
-
-def plan_layout(dof: DofVector, n: int, m: int) -> RoundLayout:
-    """The layout of `build_stream_plan(dof, n)` (its plan is `.plan`) for M
-    user antennas, from a per-process memo of the last LAYOUT_MEMO_SIZE keys
-    (K, `dof.as_tuple()`, N, M). A layout enters the memo whole, its plan's
-    cached indices included, and is shared read-only by every caller.
-    `Infeasible` and the other plan errors are raised on every call, before
-    any work, as `build_stream_plan` raises them."""
-    return _memo_layout(dof.K, dof.as_tuple(), n, m)
+LAYOUT_MEMO_SIZE = 64  # (DoF vector, N, M) keys whose layouts a process keeps
 
 
 @functools.lru_cache(maxsize=LAYOUT_MEMO_SIZE)
-def _memo_layout(k_users: int, entries: tuple, n: int, m: int) -> RoundLayout:
-    return RoundLayout(build_stream_plan(DofVector(k_users, dict(zip(ordered_pairs(k_users), entries))), n), m)
+def plan_layout(dof: DofVector, n: int, m: int) -> RoundLayout:
+    """The layout of `build_stream_plan(dof, n)` (its plan is `.plan`) for M
+    user antennas, from a per-process memo of the last LAYOUT_MEMO_SIZE keys
+    (DoF vector, N, M); a vector hashes by its ints. A layout enters the memo
+    whole and is shared read-only by every caller. `Infeasible` and the
+    other plan errors are raised on every call, before any work, as
+    `build_stream_plan` raises them."""
+    return RoundLayout(build_stream_plan(dof, n), m)
 
 
 class RoundContext:
@@ -415,6 +418,27 @@ class RoundBatch:
             mode=self.mode,
             noisy=self.noisy,
         )
+
+
+class StreamSymbols:
+    """Codeword symbols v_jk per ordered pair; v_jk has length T*d_jk."""
+
+    def __init__(self, k_users: int, vectors=None):
+        self.K = k_users
+        self._v = {pair: np.zeros(0, dtype=np.complex128) for pair in ordered_pairs(k_users)}
+        for pair, vec in (vectors or {}).items():
+            if pair not in self._v:
+                raise ValueError(f"invalid ordered pair {pair} for K={k_users}")
+            self._v[pair] = np.asarray(vec, dtype=np.complex128).reshape(-1)
+
+    def get(self, j: int, k: int) -> np.ndarray:
+        return self._v[(j, k)]
+
+    def check_plan(self, plan: StreamPlan) -> None:
+        for (j, k), vec in self._v.items():
+            want = plan.stream_lengths[(j, k)]
+            if vec.shape[0] != want:
+                raise DimensionError(f"v[{j},{k}] has {vec.shape[0]} symbols, plan wants {want}")
 
 
 def transmit_round(

@@ -1,5 +1,10 @@
 """Shared test helpers, the brute-force region oracles that the subset-DP
-and cutting-plane tools in `yrelay.dofregion` are checked against, the
+and cutting-plane tools in `yrelay.dofregion` are checked against (with
+`permutation_constraint`, the definition of an ordering sum), the
+slot-word assembly and extraction that `yrelay.transceiver.RoundLayout`'s
+gather and scatter indices are checked against, the per-matrix normalized
+pseudo-inverses (`normalized_right_mppi`, `normalized_left_mppi`) that the
+stage tests feed the reference round, the
 Fraction simplex that the integer tableau of `yrelay.simplex` is checked
 against, the matrix-by-matrix channel draw and pseudo-inverse that
 `yrelay.channel.sample_channels` and `yrelay.linalg._unit_pinv` are checked
@@ -11,6 +16,7 @@ checked against, and the trial-by-trial sweep that
 import functools
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -18,28 +24,20 @@ import numpy as np
 import pytest
 
 from yrelay import __version__
-from yrelay.alignment import (
-    DofVector,
-    build_stream_plan,
-    StreamSymbols,
-    assemble_uplink_symbol,
-    extract_pair_slot,
-    ordered_pairs,
-    user_pairs,
-)
+from yrelay.alignment import DofVector, StreamPlan, build_stream_plan, ordered_pairs, user_pairs
 import yrelay.channel
 from yrelay.channel import (
     POWER_CHECK_SLACK,
     STREAM_CHANNEL,
     STREAM_NOISE,
     STREAM_SYMBOLS,
-    complex_normal,
+    _complex,
     rng_for,
 )
-from yrelay.dofregion import MembershipVerdict, construction_feasible, permutation_constraint
+from yrelay.dofregion import MembershipVerdict, construction_feasible
 from yrelay.errors import DimensionError, GenerationFailed, ModeUnavailable, RankDeficient, ScalarUnderflow
 from yrelay.harness import SUBSEED_CHANNEL, SUBSEED_ROUND, SweepReport, SweepRow, db_to_linear, derive_seed, fit_slope
-from yrelay.linalg import GRAM_COND_LIMIT, RANK_TOL, as_complex_matrix, left_sum
+from yrelay.linalg import GRAM_COND_LIMIT, RANK_TOL, _unit_pinv, left_sum
 from yrelay.errors import LpError
 from yrelay.simplex import LpResult
 from yrelay.transceiver import (
@@ -51,8 +49,112 @@ from yrelay.transceiver import (
     RoundResult,
     SnrReport,
     StreamSnr,
+    StreamSymbols,
     transmit_round,
 )
+
+
+# ------------------------------------------------------------------ oracles
+# Definitions the package computes faster or in stacks; tests import them
+# from here (`from conftest import ...`).
+
+
+def permutation_constraint(d: DofVector, p) -> Fraction:
+    """Exact sum of d[p_a -> p_b] over ordered positions a < b."""
+    p = tuple(p)
+    if sorted(p) != list(range(1, d.K + 1)):
+        raise ValueError(f"{p} is not a permutation of 1..{d.K}")
+    total = Fraction(0)
+    for a in range(d.K):
+        for b in range(a + 1, d.K):
+            total += d.get(p[a], p[b])
+    return total
+
+
+def assemble_uplink_symbol(j: int, sym: StreamSymbols, plan: StreamPlan) -> np.ndarray:
+    """User j's length-T*N word: its symbols zero-padded into each owned slot.
+
+    Slots of pairs not containing j stay zero, as does the padding tail, so
+    different users overlap only inside their shared pair slot. `sym` must
+    fit the plan, as `StreamSymbols.check_plan` verifies.
+    """
+    if not (1 <= j <= plan.K):
+        raise DimensionError(f"user index {j} out of range 1..{plan.K}")
+    word = np.zeros(plan.word_length, dtype=np.complex128)
+    for k in range(1, plan.K + 1):
+        if k == j:
+            continue
+        v = sym.get(j, k)
+        off, _ = plan.slot(j, k)
+        word[off : off + v.shape[0]] = v  # rest of the slot is the zero pad
+    return word
+
+
+def extract_pair_slot(word, pair, plan: StreamPlan) -> np.ndarray:
+    """The contiguous components shared by pair {j,k} inside a relay word."""
+    word = np.asarray(word)
+    if word.shape != (plan.word_length,):
+        raise DimensionError(f"word shape {word.shape} != ({plan.word_length},)")
+    j, k = pair
+    if j == k or not (1 <= j <= plan.K) or not (1 <= k <= plan.K):
+        raise DimensionError(f"invalid pair {pair} for K={plan.K}")
+    off, length = plan.slot(j, k)
+    return word[off : off + length]
+
+
+def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """I.i.d. circularly-symmetric complex Gaussian, unit variance per entry:
+    all real parts are drawn first, then all imaginary parts."""
+    re = rng.standard_normal(shape)
+    return _complex(re, rng.standard_normal(shape))
+
+
+def as_complex_matrix(a) -> np.ndarray:
+    """Coerce to a 2-D complex128 array, rejecting NaN/Inf entries."""
+    m = np.asarray(a, dtype=np.complex128)
+    if m.ndim != 2:
+        raise DimensionError(f"expected a 2-D matrix, got ndim={m.ndim}")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix has non-finite entries")
+    return m
+
+
+@dataclass(frozen=True)
+class NormalizedRightMppi:
+    """Unit-Frobenius-norm right inverse: H @ matrix = alpha * I_N."""
+
+    matrix: np.ndarray  # M x N
+    alpha: float
+
+
+@dataclass(frozen=True)
+class NormalizedLeftMppi:
+    """Unit-Frobenius-norm left inverse: matrix @ D = beta * I_N."""
+
+    matrix: np.ndarray  # N x M
+    beta: float
+
+
+def normalized_right_mppi(h) -> NormalizedRightMppi:
+    """Right pseudo-inverse of one wide H at unit Frobenius norm: `_unit_pinv`
+    on a stack of one."""
+    g, c = _unit_pinv(as_complex_matrix(h)[None], right=True)
+    return NormalizedRightMppi(g[0], float(c[0]))
+
+
+def normalized_left_mppi(d) -> NormalizedLeftMppi:
+    """Left pseudo-inverse of one tall D at unit Frobenius norm: `_unit_pinv`
+    on a stack of one."""
+    g, c = _unit_pinv(as_complex_matrix(d)[None], right=False)
+    return NormalizedLeftMppi(g[0], float(c[0]))
+
+
+def precoders(ch):
+    """(right, left): a channel draw's `inverses` as one NormalizedRightMppi
+    per uplink and one NormalizedLeftMppi per downlink matrix."""
+    right, alpha, left, beta = ch.inverses
+    return (tuple(NormalizedRightMppi(g, c) for g, c in zip(right, alpha.tolist())),
+            tuple(NormalizedLeftMppi(g, c) for g, c in zip(left, beta.tolist())))
 
 
 @pytest.fixture
@@ -390,7 +492,7 @@ def _relay_observe(cfg, ch, us, noise=None):
     """(sum_j alpha_j u_j plus noise, every transmit vector within cfg.P) for one channel use."""
     if len(us) != cfg.K:
         raise DimensionError(f"expected {cfg.K} user words, got {len(us)}")
-    xs = [_uplink_precode(u, hr) for u, hr in zip(us, ch.precoders[0])]
+    xs = [_uplink_precode(u, hr) for u, hr in zip(us, precoders(ch)[0])]
     power_ok = all(_check_power(x, cfg.P) for x in xs)
     return _uplink_propagate(ch, xs, noise), power_ok
 
@@ -458,7 +560,7 @@ def _user_recover(filtered, k, own_word, plan, alphas, gamma, beta_k):
 def _effective_snr(cfg, ch, plan, mode=GENIE):
     if mode not in (GENIE, RAW):
         raise ModeUnavailable(f"unknown mode {mode!r}")
-    right, left = ch.precoders
+    right, left = precoders(ch)
     alphas = [hr.alpha for hr in right]
     word_power = 0.0
     for (j, k), length in plan.stream_lengths.items():
@@ -497,7 +599,7 @@ def _chunks(word, n):
 def _run_round(cfg, ch, plan, symbols=None, seed=0, mode=GENIE, noise=True):
     if (plan.K, plan.N) != (cfg.K, cfg.N):
         raise DimensionError(f"plan for K={plan.K}, N={plan.N} does not fit K={cfg.K}, N={cfg.N}")
-    right, left = ch.precoders
+    right, left = precoders(ch)
     alphas = [hr.alpha for hr in right]
     if symbols is None:
         symbols = _sample_stream_symbols(plan, seed)

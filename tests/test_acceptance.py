@@ -10,8 +10,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from yrelay.alignment import DofVector, StreamSymbols, assemble_uplink_symbol, build_stream_plan
-from yrelay.channel import SystemConfig, complex_normal, rng_for, sample_channels, uplink_propagate
+from conftest import assemble_uplink_symbol, complex_normal
+from yrelay.alignment import DofVector, build_stream_plan
+from yrelay.channel import SystemConfig, rng_for, sample_channels, uplink_propagate
 from yrelay.cli import main
 from yrelay.dofregion import (
     RegionSpec,
@@ -21,8 +22,8 @@ from yrelay.dofregion import (
     sum_dof_max,
 )
 from yrelay.harness import ExperimentConfig, run_sweep
-from yrelay.linalg import normalized_left_mppi, normalized_right_mppi
-from yrelay.transceiver import GENIE, run_round
+from yrelay.linalg import _unit_pinv
+from yrelay.transceiver import GENIE, StreamSymbols, run_round
 
 CRITERION4_SHA256 = "a1eba261f300b0fe56121170e53879b5043d4fdff79981f3024bc3b718d3d47b"
 
@@ -53,14 +54,14 @@ def test_criterion_1_diagonalization_fidelity():
             n, m = shapes[i % len(shapes)]
             h = complex_normal(rng, (n, m))
             d = complex_normal(rng, (m, n))
-            r = normalized_right_mppi(h)
-            residual = np.linalg.norm(h @ r.matrix - r.alpha * np.eye(n), "fro")
-            assert residual / (r.alpha * np.sqrt(n)) <= 1e-9
-            assert abs(np.trace(r.matrix.conj().T @ r.matrix).real - 1.0) <= 1e-12
-            l = normalized_left_mppi(d)
-            residual = np.linalg.norm(l.matrix @ d - l.beta * np.eye(n), "fro")
-            assert residual / (l.beta * np.sqrt(n)) <= 1e-9
-            assert abs(np.trace(l.matrix.conj().T @ l.matrix).real - 1.0) <= 1e-12
+            (r,), (alpha,) = _unit_pinv(h[None], right=True)
+            residual = np.linalg.norm(h @ r - alpha * np.eye(n), "fro")
+            assert residual / (alpha * np.sqrt(n)) <= 1e-9
+            assert abs(np.trace(r.conj().T @ r).real - 1.0) <= 1e-12
+            (l,), (beta,) = _unit_pinv(d[None], right=False)
+            residual = np.linalg.norm(l @ d - beta * np.eye(n), "fro")
+            assert residual / (beta * np.sqrt(n)) <= 1e-9
+            assert abs(np.trace(l.conj().T @ l).real - 1.0) <= 1e-12
         assert time.perf_counter() - start < 5.0
 
 
@@ -79,9 +80,9 @@ def test_criterion_2_parallel_pair_decomposition():
                 for j in range(1, 5) for k in range(1, 5) if j != k
             })
             us = [assemble_uplink_symbol(j, sym, plan) for j in range(1, 5)]
-            right = ch.precoders[0]
-            y = uplink_propagate(ch, [hr.matrix @ u for hr, u in zip(right, us)])
-            alphas = [r.alpha for r in right]
+            right, alpha, _, _ = ch.inverses
+            y = uplink_propagate(ch, [g @ u for g, u in zip(right, us)])
+            alphas = alpha.tolist()
             target = sum(alphas[j - 1] * us[j - 1] for j in range(1, 5))
             assert np.linalg.norm(y - target) / np.linalg.norm(target) <= 1e-9
             for (j, k), off in plan.offsets.items():

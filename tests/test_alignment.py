@@ -1,4 +1,5 @@
-"""Stream plan bookkeeping: exact rational lengths, slot layout, round trips."""
+"""DoF vectors and stream plan bookkeeping: exact integer lengths, slot
+layout, and the slot-word assembly and extraction oracles in conftest.py."""
 
 import json
 import random
@@ -6,19 +7,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from yrelay.alignment import (
-    DofVector,
-    StreamSymbols,
-    assemble_uplink_symbol,
-    build_stream_plan,
-    extract_pair_slot,
-    minimal_extension,
-    ordered_pairs,
-    pair_lengths,
-    user_pairs,
-)
-from yrelay.errors import DimensionError, Infeasible, NonIntegral
+from conftest import assemble_uplink_symbol, extract_pair_slot
+from yrelay.alignment import DofVector, build_stream_plan, ordered_pairs, pair_index, user_pairs
+from yrelay.errors import DimensionError, Infeasible
+from yrelay.transceiver import StreamSymbols
 
 
 def lcm_oracle(fractions):
@@ -43,6 +38,9 @@ def test_pair_listings():
     assert user_pairs(3) == [(1, 2), (1, 3), (2, 3)]
     assert ordered_pairs(3) == [(1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)]
     assert len(ordered_pairs(4)) == 12
+    for k in (3, 4, 7):
+        assert list(pair_index(k)) == ordered_pairs(k)
+        assert list(pair_index(k).values()) == list(range(k * (k - 1)))
 
 
 def test_dof_vector_basics():
@@ -51,6 +49,13 @@ def test_dof_vector_basics():
     assert d.get(2, 1) == 0
     assert len(d.as_tuple()) == 12
     assert d.total() == Fraction(3, 2)
+    assert (d.T, d.scaled) == (2, (3,) + (0,) * 11)
+    assert d.items() == list(zip(ordered_pairs(4), d.as_tuple()))
+    assert repr(d) == "DofVector(K=4, {'1->2': '3/2'})"
+    # the same vector from its ints over any common denominator
+    assert DofVector.from_scaled(4, (9,) + (0,) * 11, 6) == d
+    assert DofVector.from_scaled(4, (0,) * 12, 5) == DofVector(4) == DofVector.uniform(4, 0)
+    assert DofVector.from_scaled(4, (0,) * 12, 5).T == 1
 
 
 def test_dof_vector_validation():
@@ -62,6 +67,9 @@ def test_dof_vector_validation():
         DofVector(4, {(1, 5): Fraction(1)})
     with pytest.raises(ValueError):
         DofVector(4, {(1, 2): Fraction(-1, 2)})
+    for k, scaled, t in ((4, (1,) * 11, 1), (4, (-1,) + (0,) * 11, 1), (4, (0,) * 12, 0), (2, (0, 0), 1)):
+        with pytest.raises(ValueError):
+            DofVector.from_scaled(k, scaled, t)
 
 
 def test_dof_relabel_roundtrip(relabel):
@@ -79,40 +87,40 @@ def test_dof_relabel_roundtrip(relabel):
 
 def test_pair_lengths_max_rule():
     d = DofVector(4, {(1, 2): Fraction(2), (2, 1): Fraction(1)})
-    assert pair_lengths(d, 1)[(1, 2)] == 2
+    assert d.pair_lengths()[(1, 2)] == 2
+    assert list(d.pair_lengths()) == user_pairs(4)
 
 
 def test_pair_lengths_zero():
     d = DofVector(4, {})
-    assert pair_lengths(d, 1)[(1, 2)] == 0
+    assert d.pair_lengths()[(1, 2)] == 0
 
 
 def test_pair_lengths_scaled_fractions():
     d = DofVector(4, {(1, 2): Fraction(1, 2), (2, 1): Fraction(1, 3)})
-    assert pair_lengths(d, 6)[(1, 2)] == 3
-
-
-def test_pair_lengths_rejects_nonintegral():
-    d = DofVector(4, {(1, 2): Fraction(1, 2)})
-    with pytest.raises(NonIntegral):
-        pair_lengths(d, 3)
+    assert d.T == 6
+    assert d.pair_lengths()[(1, 2)] == 3
 
 
 def test_minimal_extension():
-    assert minimal_extension(DofVector(4, {(1, 2): Fraction(2)})) == 1
-    assert minimal_extension(DofVector(4, {(1, 2): Fraction(1, 2), (2, 1): Fraction(1, 3)})) == 6
+    assert DofVector(4, {(1, 2): Fraction(2)}).T == 1
+    assert DofVector(4, {(1, 2): Fraction(1, 2), (2, 1): Fraction(1, 3)}).T == 6
     d = DofVector(4, {(1, 2): Fraction(3, 4), (3, 4): Fraction(5, 6)})
-    assert minimal_extension(d) == 12
+    assert d.T == 12
 
 
-def test_minimal_extension_matches_lcm_oracle():
-    rng = random.Random(31)
-    for _ in range(200):
-        entries = {}
-        for j, k in ordered_pairs(4):
-            entries[(j, k)] = Fraction(rng.randint(0, 8), rng.randint(1, 8))
-        d = DofVector(4, entries)
-        assert minimal_extension(d) == lcm_oracle(d.as_tuple())
+@settings(deadline=None, database=None, derandomize=True, max_examples=200)
+@given(st.integers(3, 5).flatmap(lambda k: st.tuples(
+    st.just(k), st.lists(st.fractions(0, 8, max_denominator=8), min_size=k * (k - 1), max_size=k * (k - 1)))))
+def test_minimal_extension_matches_lcm_oracle(case):
+    # T is the least extension making every entry an integer, the ints are
+    # T times the entries, and reading them back gives the entries
+    k, values = case
+    d = DofVector(k, dict(zip(ordered_pairs(k), values)))
+    assert d.T == lcm_oracle(values)
+    assert d.scaled == tuple(int(d.T * v) for v in values)
+    assert d.as_tuple() == tuple(values)
+    assert d == DofVector.from_scaled(k, [3 * v for v in d.scaled], 3 * d.T)
 
 
 # ----------------------------------------------------------------- stream plan
@@ -126,6 +134,13 @@ def test_all_ones_plan():
     assert plan.word_length == 6
     # consecutive lexicographic offsets
     assert [plan.slot(j, k)[0] for j, k in user_pairs(plan.K)] == [0, 1, 2, 3, 4, 5]
+
+
+def test_plan_needs_a_relay_antenna():
+    # the bound RegionSpec and SystemConfig put on N
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="need at least one relay antenna"):
+            build_stream_plan(DofVector(4), n)
 
 
 def test_plan_infeasible_single_pair():

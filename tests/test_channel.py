@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 import yrelay.channel
+from conftest import complex_normal
 from yrelay.channel import (
     STREAM_NOISE,
     ChannelSet,
     SystemConfig,
     check_power,
-    complex_normal,
     complex_normal_blocks,
     downlink_propagate,
     normal_block_index,
@@ -52,6 +52,9 @@ def test_config_validation():
         SystemConfig(K=3, M=4, N=0, P=1.0)
     with pytest.raises(ValueError):
         SystemConfig(K=3, M=4, N=4, P=0.0)
+    for p in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError):
+            SystemConfig(K=3, M=4, N=4, P=p)
 
 
 def test_same_seed_same_channels():
@@ -79,7 +82,7 @@ def test_channel_shapes():
 
 def test_sampled_precoders_match_fresh_inverses():
     # a sampled draw reuses its conditioning check's singular values: the
-    # precoders equal a directly built set's bit for bit, and a replaced set
+    # inverses equal a directly built set's bit for bit, and a replaced set
     # inverts its own matrices, not with the draw's values
     ch = sample_channels(CFG, seed=4)
     other = sample_channels(CFG, seed=5)
@@ -88,19 +91,17 @@ def test_sampled_precoders_match_fresh_inverses():
         (dataclasses.replace(ch, uplink=other.uplink), ChannelSet(uplink=other.uplink, downlink=ch.downlink)),
     ]
     for got, want in cases:
-        for g, w in zip(got.precoders[0] + got.precoders[1], want.precoders[0] + want.precoders[1]):
-            assert g.matrix.tobytes() == w.matrix.tobytes()
-        assert [hr.alpha for hr in got.precoders[0]] == [hr.alpha for hr in want.precoders[0]]
-        assert [dl.beta for dl in got.precoders[1]] == [dl.beta for dl in want.precoders[1]]
+        for g, w in zip(got.inverses, want.inverses):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
     flat = other.uplink[0].copy()
     flat[1] = flat[0]  # rank-deficient: only its own singular values show it
     with pytest.raises(RankDeficient):
-        dataclasses.replace(ch, uplink=(flat,) + ch.uplink[1:]).precoders
+        dataclasses.replace(ch, uplink=(flat,) + ch.uplink[1:]).inverses
 
 
 def assert_same_draw(ch, want):
     """A sampled set equals the matrix-by-matrix reference bit for bit:
-    matrices, their singular values, inverses, precoders, alpha and beta."""
+    matrices, their singular values, inverses, alpha and beta."""
     assert len(ch.uplink) == len(want.uplink) and len(ch.downlink) == len(want.downlink)
     for got, ref in zip(ch.uplink + ch.downlink, want.uplink + want.downlink):
         assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
@@ -110,11 +111,6 @@ def assert_same_draw(ch, want):
     assert inv_right.tobytes() == np.array([g for g, _ in want.right]).tobytes()
     assert inv_left.tobytes() == np.array([g for g, _ in want.left]).tobytes()
     assert alpha.tolist() == [c for _, c in want.right] and beta.tolist() == [c for _, c in want.left]
-    right, left = ch.precoders
-    for got, (matrix, _) in zip(right + left, want.right + want.left):
-        assert got.matrix.tobytes() == matrix.tobytes()
-    assert [hr.alpha for hr in right] == [c for _, c in want.right]
-    assert [dl.beta for dl in left] == [c for _, c in want.left]
 
 
 @pytest.mark.parametrize("k, m, n", [(3, 1, 1), (3, 4, 3), (4, 6, 6), (5, 8, 6), (4, 9, 2), (6, 7, 7)])

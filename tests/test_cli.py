@@ -87,6 +87,17 @@ def test_parse_sweep():
             parse_sweep_spec(bad)
 
 
+def test_parse_sweep_rejects_non_finite_bounds(capsys):
+    import argparse
+
+    for bad in ("30:5:1e400", "nan:5:60", "30:inf:60", "-inf:5:60", "30:5:nan"):
+        with pytest.raises(argparse.ArgumentTypeError, match="finite"):
+            parse_sweep_spec(bad)
+    assert exit_code(["--quiet", "sweep", "--trials", "1", "--sweep-db", "30:5:1e400"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "finite" in err and "Traceback" not in err
+
+
 # ------------------------------------------------------------------ dof verbs
 
 
@@ -166,6 +177,14 @@ def test_plan_json(capsys):
     assert len(blob["slots"]) == 6
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_plan_needs_a_relay_antenna(capsys, n):
+    code, out, err = run_cli(capsys, "plan", "--k", "4", "--n", n, "--dof", "uniform:0")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "need at least one relay antenna" in err
+
+
 def test_plan_infeasible_exits_one(capsys):
     code, out, err = run_cli(capsys, "plan", "--k", "4", "--n", "6", "--dof", "1-2=7")
     assert code == EXIT_FAILURE
@@ -198,6 +217,14 @@ def test_simulate_uses_sweep_channel_seed(capsys):
     assert out == json.dumps(res.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
+@pytest.mark.parametrize("power_db", ["nan", "inf", "1e400"])
+def test_simulate_rejects_non_finite_power(capsys, power_db):
+    code, out, err = run_cli(capsys, "simulate", "--power-db", power_db)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "power must be positive and finite" in err
+
+
 def test_simulate_infeasible_exits_one(capsys):
     code, out, err = run_cli(capsys, "simulate", "--k", "4", "--n", "6", "--dof", "1-2=7")
     assert code == EXIT_FAILURE
@@ -212,6 +239,14 @@ def test_mppi_check(capsys):
     blob = json.loads(out)
     assert blob["ok"] is True
     assert blob["max_diagonalization_residual"] <= 1e-9
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_mppi_check_needs_a_trial(capsys, trials):
+    code, out, err = run_cli(capsys, "mppi-check", "--trials", trials)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "need at least one trial" in err
 
 
 # ---------------------------------------------------------------------- sweep
@@ -276,15 +311,19 @@ def test_sweep_infeasible_exits_one(capsys):
     assert "Infeasible" in err
 
 
-def test_console_script_end_to_end():
-    exe = shutil.which("yrelay")
-    cmd = [exe] if exe else [sys.executable, "-m", "yrelay"]
-    # the child imports the same source tree as this test, wherever pytest
-    # was started from
+def child_env():
+    """The environment of a child that imports the same source tree as this
+    test, wherever pytest was started from."""
     src = str(pathlib.Path(yrelay.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(cmd + SWEEP_ARGS, capture_output=True, env=env)
+    return env
+
+
+def test_console_script_end_to_end():
+    exe = shutil.which("yrelay")
+    cmd = [exe] if exe else [sys.executable, "-m", "yrelay"]
+    proc = subprocess.run(cmd + SWEEP_ARGS, capture_output=True, env=child_env())
     assert proc.returncode == EXIT_OK
     assert proc.stdout == GOLDEN.read_bytes()
 
@@ -294,6 +333,33 @@ def test_console_script_end_to_end():
     if tomllib is not None:
         scripts = tomllib.loads(PYPROJECT.read_text())["project"]["scripts"]
         assert scripts["yrelay"] == "yrelay.cli:main"
+
+
+NUMPY_FREE_COMMANDS = [
+    ["--version"],
+    ["plan", "--k", "4", "--n", "6", "--dof", "1-2=3/2,2-1=1/2"],
+    ["dof", "check", "--k", "4", "--n", "6", "--dof", "uniform:1"],
+    ["dof", "sumdof", "--k", "4", "--n", "6"],
+    ["dof", "gap", "--k", "4", "--n", "6"],
+    ["dof", "vertices-k3", "--n", "6"],
+]
+
+
+@pytest.mark.parametrize("argv", NUMPY_FREE_COMMANDS, ids=" ".join)
+def test_exact_commands_do_not_import_numpy(argv):
+    # the exact core (alignment, dofregion, simplex) and the package root
+    # stand on the standard library; only the simulator commands load numpy
+    script = (
+        "import sys\n"
+        "from yrelay.cli import main\n"
+        "try:\n    code = main(sys.argv[1:])\nexcept SystemExit as exc:\n    code = exc.code\n"
+        "print('numpy' in sys.modules, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, env=child_env())
+    assert proc.returncode == EXIT_OK
+    assert proc.stdout
+    assert proc.stderr.splitlines()[-1] == b"False"
 
 
 # --------------------------------------------------------------------- config

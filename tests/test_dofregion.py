@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import yrelay.dofregion
+from conftest import permutation_constraint
 from yrelay.alignment import DofVector, ordered_pairs, user_pairs
 from yrelay.dofregion import (
     GAP_MAX_USERS,
@@ -25,7 +26,6 @@ from yrelay.dofregion import (
     construction_feasible,
     find_construction_gap,
     is_member,
-    permutation_constraint,
     sum_dof_max,
     vertices_k3,
 )

@@ -292,7 +292,7 @@ def test_sweep_reuses_precoders_and_plan(monkeypatch):
             return CountingGenerator(fresh(seed, stream), key + "_normal")
 
         monkeypatch.setattr(module, "rng_for", make)
-    yrelay.transceiver._memo_layout.cache_clear()
+    yrelay.transceiver.plan_layout.cache_clear()
     k_users, trials = 4, yrelay.harness.TRIAL_BLOCK + 3
     blocks = 2
     cfg = ExperimentConfig(
@@ -319,10 +319,10 @@ def test_sweep_reuses_precoders_and_plan(monkeypatch):
         run_sweep(sweep)
         assert calls == {**per_sweep, "plan": built, "layout": built}
     # the memo's layout is shared read-only: it holds no generator, and its
-    # indices, its plan's included, refuse writes
+    # indices refuse writes
     layout = yrelay.transceiver.plan_layout(cfg.dof, 6, 6)
     assert not any(isinstance(v, np.random.Generator) for v in vars(layout).values())
-    for index in (layout.word_index, layout.receive_index, layout.plan.word_index, layout.noise_index):
+    for index in (layout.word_index, layout.receive_index, layout.noise_index):
         with pytest.raises(ValueError):
             index[0] = 0
 
@@ -333,7 +333,7 @@ def test_concurrent_sweeps_match_sequential_bytes():
     configs = [dataclasses.replace(SMALL, seed=seed, trials=yrelay.harness.TRIAL_BLOCK + 2, mode=mode)
                for seed in (3, 4) for mode in ("genie", "raw")]
     want = [run_sweep(cfg).to_json_bytes() for cfg in configs]
-    yrelay.transceiver._memo_layout.cache_clear()
+    yrelay.transceiver.plan_layout.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

@@ -1,14 +1,16 @@
 """Normalized pseudo-inverse tests.
 
-The library exposes only the unit-Frobenius-norm inverses; the raw
-pseudo-inverse G is read back from them as matrix / alpha (right) or
-matrix / beta (left). The independent oracle is an explicit SVD
+The library computes only the unit-Frobenius-norm inverses, for a stack of
+matrices at once (`_unit_pinv`); most tests here run it on one matrix as a
+stack of one. The raw pseudo-inverse G is read back as matrix / alpha
+(right) or matrix / beta (left). The independent oracle is an explicit SVD
 reconstruction (economy SVD, invert nonzero singular values); the library
 path uses the Gram formula, so agreement is a real cross-check, not a
 tautology.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,22 +22,31 @@ from yrelay.linalg import (
     RANK_TOL,
     TRACE_TOL,
     _unit_pinv,
-    as_complex_matrix,
-    normalized_left_mppi,
-    normalized_right_mppi,
     well_conditioned,
 )
 
 
+def right_inverse(h):
+    """`_unit_pinv` on one wide H: matrix with H @ matrix = alpha * I."""
+    g, c = _unit_pinv(np.asarray(h)[None], right=True)
+    return SimpleNamespace(matrix=g[0], alpha=float(c[0]))
+
+
+def left_inverse(d):
+    """`_unit_pinv` on one tall D: matrix with matrix @ D = beta * I."""
+    g, c = _unit_pinv(np.asarray(d)[None], right=False)
+    return SimpleNamespace(matrix=g[0], beta=float(c[0]))
+
+
 def raw_right_inverse(h):
     """Raw right inverse G with H @ G = I, unscaled from the normalized form."""
-    r = normalized_right_mppi(h)
+    r = right_inverse(h)
     return r.matrix / r.alpha
 
 
 def raw_left_inverse(d):
     """Raw left inverse G with G @ D = I, unscaled from the normalized form."""
-    l = normalized_left_mppi(d)
+    l = left_inverse(d)
     return l.matrix / l.beta
 
 
@@ -109,22 +120,24 @@ def test_rank_deficient_rejected():
 
 def test_rejects_nonfinite_entries():
     with pytest.raises(ValueError):
-        as_complex_matrix(np.array([[1.0, np.nan]]))
+        right_inverse(np.array([[1.0, np.nan]]))
     with pytest.raises(ValueError):
-        as_complex_matrix(np.array([[np.inf, 1.0]]))
+        left_inverse(np.array([[np.inf], [1.0]]))
+    with pytest.raises(DimensionError):
+        _unit_pinv(np.eye(2), right=True)  # one matrix, not a stack
 
 
 # ------------------------------------------------------------ normalized forms
 
 
 def test_normalized_right_identity():
-    r = normalized_right_mppi(np.eye(2))
+    r = right_inverse(np.eye(2))
     assert np.allclose(r.matrix, np.eye(2) / math.sqrt(2), atol=1e-15)
     assert abs(r.alpha - 1 / math.sqrt(2)) < 1e-15
 
 
 def test_normalized_right_scalar():
-    r = normalized_right_mppi(np.array([[2.0]]))
+    r = right_inverse(np.array([[2.0]]))
     assert np.allclose(r.matrix, [[1.0]], atol=1e-15)
     assert abs(r.alpha - 2.0) < 1e-15
 
@@ -133,19 +146,19 @@ def test_normalized_right_diagonalizes():
     rng = np.random.default_rng(103)
     for _ in range(25):
         h = random_complex(rng, 3, 5)
-        r = normalized_right_mppi(h)
+        r = right_inverse(h)
         resid = np.linalg.norm(h @ r.matrix - r.alpha * np.eye(3))
         assert resid <= DIAG_RTOL * r.alpha * math.sqrt(3)
 
 
 def test_normalized_left_identity():
-    l = normalized_left_mppi(np.eye(2))
+    l = left_inverse(np.eye(2))
     assert np.allclose(l.matrix, np.eye(2) / math.sqrt(2), atol=1e-15)
     assert abs(l.beta - 1 / math.sqrt(2)) < 1e-15
 
 
 def test_normalized_left_scalar():
-    l = normalized_left_mppi(np.array([[3.0]]))
+    l = left_inverse(np.array([[3.0]]))
     assert np.allclose(l.matrix, [[1.0]], atol=1e-15)
     assert abs(l.beta - 3.0) < 1e-15
 
@@ -154,7 +167,7 @@ def test_normalized_left_diagonalizes():
     rng = np.random.default_rng(104)
     for _ in range(25):
         d = random_complex(rng, 6, 4)
-        l = normalized_left_mppi(d)
+        l = left_inverse(d)
         resid = np.linalg.norm(l.matrix @ d - l.beta * np.eye(4))
         assert resid / l.beta <= DIAG_RTOL * math.sqrt(4)
 
@@ -165,10 +178,10 @@ def test_unit_frobenius_norm():
     rng = np.random.default_rng(105)
     for rows, cols in [(2, 2), (2, 4), (4, 6), (6, 6)]:
         h = random_complex(rng, rows, cols)
-        r = normalized_right_mppi(h)
+        r = right_inverse(h)
         assert abs(np.trace(r.matrix.conj().T @ r.matrix).real - 1.0) <= TRACE_TOL
         d = random_complex(rng, cols, rows)
-        l = normalized_left_mppi(d)
+        l = left_inverse(d)
         assert abs(np.trace(l.matrix.conj().T @ l.matrix).real - 1.0) <= TRACE_TOL
 
 
@@ -179,7 +192,7 @@ def test_scaling_identities():
     h = random_complex(rng, 3, 5)
     for c in (0.25, 2.0, 17.5):
         assert np.allclose(raw_right_inverse(c * h), raw_right_inverse(h) / c, rtol=1e-11)
-        base, scaled = normalized_right_mppi(h), normalized_right_mppi(c * h)
+        base, scaled = right_inverse(h), right_inverse(c * h)
         assert abs(scaled.alpha - c * base.alpha) <= 1e-11 * base.alpha
         assert np.allclose(scaled.matrix, base.matrix, rtol=1e-11)
 
@@ -200,7 +213,7 @@ def test_gram_and_svd_agree_when_well_conditioned():
 
 def svals(a):
     """Singular values as the conditioning predicate's callers compute them."""
-    return np.linalg.svd(as_complex_matrix(a), compute_uv=False)
+    return np.linalg.svd(np.asarray(a, dtype=np.complex128), compute_uv=False)
 
 
 def test_condition_identity():

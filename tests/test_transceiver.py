@@ -16,30 +16,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from yrelay.alignment import (
-    DofVector,
-    StreamSymbols,
+from conftest import (
     assemble_uplink_symbol,
-    build_stream_plan,
-    ordered_pairs,
+    complex_normal,
+    extract_pair_slot,
+    normalized_left_mppi,
+    normalized_right_mppi,
+    precoders,
 )
+from yrelay.alignment import DofVector, build_stream_plan, ordered_pairs
 from yrelay.channel import (
     STREAM_NOISE,
     ChannelSet,
     SystemConfig,
-    complex_normal,
     rng_for,
     sample_channel_block,
     sample_channels,
 )
 from yrelay.errors import DimensionError, ModeUnavailable, ScalarUnderflow
 from yrelay.harness import derive_seed
-from yrelay.linalg import normalized_left_mppi, normalized_right_mppi
 from yrelay.transceiver import (
     GENIE,
     RAW,
     RoundContext,
     RoundLayout,
+    StreamSymbols,
     _norms,
     effective_snr,
     relay_decode,
@@ -100,7 +101,7 @@ def test_relay_observe_noise_only(reference_round):
 
 def test_relay_observe_single_user(reference_round):
     ch = sample_channels(CFG66, seed=3)
-    right, _ = ch.precoders
+    right, _ = precoders(ch)
     rng = np.random.default_rng(4)
     u2 = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     us = [np.zeros(6), u2, np.zeros(6), np.zeros(6)]
@@ -117,7 +118,7 @@ def test_relay_observe_single_user(reference_round):
 
 def test_relay_observe_matches_dense_oracle(reference_round):
     ch = sample_channels(CFG66, seed=5)
-    right, _ = ch.precoders
+    right, _ = precoders(ch)
     rng = np.random.default_rng(6)
     us = [rng.standard_normal(6) + 1j * rng.standard_normal(6) for _ in range(4)]
     y, _ = reference_round.relay_observe(CFG66, ch, us)
@@ -127,7 +128,7 @@ def test_relay_observe_matches_dense_oracle(reference_round):
 
 def test_relay_observe_is_scaled_symbol_sum(reference_round):
     ch = sample_channels(CFG66, seed=7)
-    right, _ = ch.precoders
+    right, _ = precoders(ch)
     rng = np.random.default_rng(8)
     us = [rng.standard_normal(6) + 1j * rng.standard_normal(6) for _ in range(4)]
     y, _ = reference_round.relay_observe(CFG66, ch, us)
@@ -192,7 +193,7 @@ def test_raw_decode_error_power_matches_noise_floor(reference_round):
     sq = []
     for t in range(1000):
         ch = sample_channels(CFG66, derive_seed(9, 1, t))
-        alphas = [r.alpha for r in ch.precoders[0]]
+        alphas = [r.alpha for r in precoders(ch)[0]]
         sym = reference_round.sample_stream_symbols(plan, derive_seed(9, 3, t))
         us = slot_words(sym, plan)
         truth = reference_round.network_coded_word(us, alphas)
@@ -367,7 +368,7 @@ def test_self_interference_fully_cancelled():
     sym = StreamSymbols(4, data)
     ch = sample_channels(CFG66, seed=29)
     res = run_round(CFG66, ch, ONES_PLAN, symbols=sym, seed=30, mode=GENIE, noise=False)
-    scale = max(float(np.max(np.abs(v))) for (j, k), v in sym.items() if j > k)
+    scale = max(float(np.max(np.abs(v))) for (j, k), v in data.items() if j > k)
     for (j, k), est in res.estimates.items():
         if j < k:
             assert np.max(np.abs(est)) <= 1e-9 * scale
@@ -403,6 +404,48 @@ def assert_same_round(got, want):
     assert got.snr.rate_proxy == want.snr.rate_proxy
 
 
+def feasible_entries(draw, k, n, t_ext):
+    """DoF entries j->k of K users with every direction 0..7 symbols long
+    at extension t_ext, pair by pair while the pair slots fit T*N; the rest
+    stay zero."""
+    entries, room = {}, t_ext * n
+    for j, kk in ordered_pairs(k):
+        if j < kk:
+            fwd, rev = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+            if max(fwd, rev) <= room:
+                room -= max(fwd, rev)
+                entries[(j, kk)] = Fraction(fwd, t_ext)
+                entries[(kk, j)] = Fraction(rev, t_ext)
+    return entries
+
+
+@st.composite
+def plans(draw):
+    """A feasible plan of K = 3..5 users, N = 1..6, drawn at T = 1..4, with
+    zero directions."""
+    k, n, t_ext = draw(st.integers(3, 5)), draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    return build_stream_plan(DofVector(k, feasible_entries(draw, k, n, t_ext)), n)
+
+
+@settings(PROPERTY, max_examples=150)
+@given(plans())
+def test_layout_indices_match_slot_oracle(plan):
+    # word_index gathers each user's slot word as assemble_uplink_symbol lays
+    # it out (symbol i carries the value i + 1, so a zero reads index -1), and
+    # receive_index finds v_jk where extract_pair_slot finds it in user k's word
+    layout = RoundLayout(plan, plan.N)
+    spans = plan.symbol_spans
+    positions = StreamSymbols(plan.K, {pair: np.arange(a + 1, b + 1) for pair, (a, b) in spans.items()})
+    words = [assemble_uplink_symbol(j, positions, plan).real for j in range(1, plan.K + 1)]
+    assert layout.word_index.dtype == np.intp
+    assert np.array_equal(layout.word_index, np.array(words).astype(np.intp) - 1)
+    components = np.arange(plan.word_length)
+    receive = [(k - 1) * plan.word_length + extract_pair_slot(components, (j, k), plan)[: b - a]
+               for (j, k), (a, b) in spans.items()]
+    assert layout.receive_index.dtype == np.intp
+    assert np.array_equal(layout.receive_index, np.concatenate(receive))
+
+
 @st.composite
 def round_cases(draw):
     """A K = 3..5, M >= N system, a feasible plan with T = 1..4 and
@@ -417,14 +460,7 @@ def round_cases(draw):
     t_ext = draw(st.integers(1, 4))
     entries = {}
     if draw(st.integers(0, 4)) > 0:  # else the all-zero DoF vector
-        room = t_ext * n
-        for j, kk in ordered_pairs(k):
-            if j < kk:
-                fwd, rev = draw(st.integers(0, 7)), draw(st.integers(0, 7))
-                if max(fwd, rev) <= room:
-                    room -= max(fwd, rev)
-                    entries[(j, kk)] = Fraction(fwd, t_ext)
-                    entries[(kk, j)] = Fraction(rev, t_ext)
+        entries = feasible_entries(draw, k, n, t_ext)
     plan = build_stream_plan(DofVector(k, entries), n)
     ch = sample_channels(cfg, seed=draw(st.integers(0, 2**64 - 1)))
     if draw(st.booleans()):
