@@ -1,4 +1,4 @@
-"""System configuration, random block-constant channels, and noisy propagation.
+"""System configuration, random block-constant channels, and seeded noise.
 
 A `ChannelSet` is one block-constant draw. `sample_channel_block` draws a
 block of them, each draw's 2K matrices with one standard-normal call, and
@@ -7,7 +7,8 @@ whole block and one stacked pseudo-inverse per direction for the per-user
 normalized inverses (`ChannelSet.inverses`: the precoders and receive
 filters with their diagonalization constants alpha_j and beta_k), from
 those singular values; every round over a draw reuses them.
-`sample_channels` is the block of one.
+`sample_channels` is the block of one. Signals cross these matrices only
+inside `transceiver.transmit_round`.
 
 Complex normals are drawn in blocks: a block of n unit-variance entries
 takes n standard normals as its real parts, then n as its imaginary parts.
@@ -34,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionError, GenerationFailed
+from .errors import GenerationFailed
 from .linalg import _unit_pinv, well_conditioned
 
 STREAM_CHANNEL = 1
@@ -218,51 +219,6 @@ def _redraw(rng, blocks, mats, svals, ok, cfg) -> None:
             if first < lo + k:
                 svals[first : lo + k] = np.linalg.svd(mats[first : lo + k].reshape(-1, *shape), compute_uv=False)
                 ok[first : lo + k] = well_conditioned(svals[first : lo + k])
-
-
-def uplink_propagate(ch: ChannelSet, x, noise=None) -> np.ndarray:
-    """Relay observation: sum_j H_j x_j plus noise (zero vector if absent).
-
-    x[j] is user j's transmit vector (M,), or a stack (..., M) of them, one
-    per channel use; the observation then has the same leading shape.
-    """
-    if len(x) != ch.K:
-        raise DimensionError(f"expected {ch.K} transmit vectors, got {len(x)}")
-    shape = np.shape(x[0])[:-1] + (ch.uplink[0].shape[0],)
-    y = np.zeros(shape, dtype=np.complex128)
-    for h, xj in zip(ch.uplink, x):
-        xj = np.asarray(xj, dtype=np.complex128)
-        if xj.shape != shape[:-1] + (h.shape[1],):
-            raise DimensionError(f"transmit vector shape {xj.shape} != {shape[:-1] + (h.shape[1],)}")
-        y += (h @ xj[..., None])[..., 0]
-    if noise is not None:
-        noise = np.asarray(noise, dtype=np.complex128)
-        if noise.shape != shape:
-            raise DimensionError(f"noise shape {noise.shape} != {shape}")
-        y += noise
-    return y
-
-
-def downlink_propagate(d, x_r, noise=None) -> np.ndarray:
-    """User observation: D x_r plus noise (zero vector if absent).
-
-    `d` is one downlink matrix (M x N) or a stack (..., M, N) of them, and
-    `x_r` one relay vector (N,) or a stack (..., N); the products broadcast
-    over the leading axes.
-    """
-    d = np.asarray(d, dtype=np.complex128)
-    x_r = np.asarray(x_r, dtype=np.complex128)
-    if d.ndim < 2 or x_r.shape[-1:] != d.shape[-1:]:
-        raise DimensionError(f"relay vector shape {x_r.shape} does not fit downlink shape {d.shape}")
-    if not np.isfinite(d).all():
-        raise ValueError("downlink matrix has non-finite entries")
-    y = (d @ x_r[..., None])[..., 0]
-    if noise is not None:
-        noise = np.asarray(noise, dtype=np.complex128)
-        if noise.shape != y.shape:
-            raise DimensionError(f"noise shape {noise.shape} != {y.shape}")
-        y += noise
-    return y
 
 
 def check_power(x, p):

@@ -30,7 +30,7 @@ class Infeasible(YRelayError, ValueError):
 
 
 class ModeUnavailable(YRelayError, ValueError):
-    """Requested relay decoding mode lacks a required input."""
+    """Requested relay mode is not one of the known modes (genie, raw)."""
 
 
 class ScalarUnderflow(YRelayError, ArithmeticError):

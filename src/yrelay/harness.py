@@ -57,7 +57,10 @@ def derive_seed(master: int, *ids: int) -> int:
 
 
 def db_to_linear(p_db: float) -> float:
-    return 10.0 ** (p_db / 10.0)
+    try:
+        return 10.0 ** (p_db / 10.0)
+    except OverflowError:
+        raise ValueError(f"power {p_db} dB is too large for a float") from None
 
 
 @dataclass(frozen=True)

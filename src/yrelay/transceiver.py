@@ -24,15 +24,22 @@ report keeps its order (users are added one at a time, rates and errors left
 to right), error norms run one BLAS dot per row as `ndarray.dot` does, and
 log2 runs per component through `math.log2`.
 
+`transmit_round` is the one implementation of every stage of a round:
+
 Uplink: every user precodes its slot word with the unit-norm right inverse of
 its channel, so the relay observes the componentwise sum of all users' words,
-each scaled only by the user's diagonalization constant alpha_j. Pair slots
-then carry the two-way network-coded combination alpha_j*u_jk + alpha_k*u_kj.
+each scaled only by the user's diagonalization constant alpha_j, plus noise.
+Pair slots then carry the two-way network-coded combination
+alpha_j*u_jk + alpha_k*u_kj.
 
-Downlink: the relay rescales its (decoded) word to the power budget and
-broadcasts; each user applies the unit-norm left inverse of its downlink
-channel, recovers the word up to the scalar gamma*beta_k, and cancels its own
-contribution from every slot it participates in.
+Relay: the genie relay decodes that combination exactly; the raw relay
+forwards its observation with the padding tail zeroed. Either rescales its
+word to the power budget and broadcasts it.
+
+Downlink: each user observes the relay word through its downlink channel
+plus noise, applies the unit-norm left inverse, recovers the word up to the
+scalar gamma*beta_k, and cancels its own contribution from every slot it
+participates in.
 
 Symbol extension T > 1 is handled by treating the length-T*N word as T
 consecutive channel uses of the same block-constant channel.
@@ -46,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alignment import DofVector, StreamPlan, build_stream_plan, ordered_pairs
+from .alignment import DofVector, StreamPlan, build_stream_plan
 from .channel import (
     STREAM_NOISE,
     STREAM_SYMBOLS,
@@ -54,11 +61,9 @@ from .channel import (
     SystemConfig,
     check_power,
     complex_normal_blocks,
-    downlink_propagate,
     normal_block_index,
     reset_rng,
     rng_for,
-    uplink_propagate,
 )
 from .errors import DimensionError, ModeUnavailable, ScalarUnderflow
 from .linalg import left_sum
@@ -186,6 +191,7 @@ class RoundContext:
         # Axes (draw, point, user, channel use): a matrix per draw and user,
         # broadcast over points and channel uses.
         self.right, self.left = right[:, None, :, None], left[:, None, :, None]
+        self.uplink = np.array([ch.uplink for ch in channels], dtype=np.complex128)[:, None, :, None]
         self.downlink = np.array([ch.downlink for ch in channels], dtype=np.complex128)[:, None, :, None]
         self.alpha_rows, self.beta_rows = alpha[:, None, :, None], beta[:, None, :, None]
         self.receive_scale = alpha[:, None, layout.sender]
@@ -202,48 +208,6 @@ class RoundContext:
         self.snr_a2, self.snr_b2 = a2[:, None, j], b2[:, None, k]
         self.snr_rows = np.sum(np.abs(left) ** 2, axis=-1)[:, k, row][:, None]
         self.snr_uplink = a2[:, None, layout.snr_senders]
-
-
-def relay_decode(y_word, plan: StreamPlan, mode: str, true_word=None) -> np.ndarray:
-    """Relay's estimate of the network-coded word, or of a stack of words
-    (one per round along the leading axes).
-
-    genie: returns a copy of the supplied ground-truth word (ideal lattice
-           decoding); the observation is not read and may be None.
-    raw:   passes the observation through, zeroing the padding tail.
-    """
-    if y_word is not None or mode == RAW:
-        y_word = np.asarray(y_word, dtype=np.complex128)
-        if y_word.shape[-1:] != (plan.word_length,):
-            raise DimensionError(f"observation shape {y_word.shape} != (..., {plan.word_length})")
-    if mode == GENIE:
-        if true_word is None:
-            raise ModeUnavailable("genie decoding needs the ground-truth relay word")
-        return np.array(true_word, dtype=np.complex128)
-    if mode == RAW:
-        w_hat = y_word.copy()
-        if plan.padding:
-            w_hat[..., plan.word_length - plan.padding :] = 0.0
-        return w_hat
-    raise ModeUnavailable(f"unknown relay decode mode {mode!r}")
-
-
-def relay_transmit(w_hat, p):
-    """Scale each decoded word (along the last axis) to its power budget:
-    x_r = sqrt(P)/||w|| * w.
-
-    Returns (x_r, gamma), gamma with the words' leading shape (a float for
-    one word). A zero word cannot be normalized; it is forwarded as zeros
-    with gamma = 0 (callers see the flag through gamma).
-    """
-    w_hat = np.asarray(w_hat, dtype=np.complex128)
-    norm = _norms(w_hat)
-    live = norm != 0.0
-    gamma = np.divide(np.sqrt(p), norm, out=np.zeros_like(norm), where=live)
-    x_r = gamma[..., None] * w_hat
-    if not live.all():
-        x_r[~live] = 0.0
-    return x_r, (gamma if gamma.ndim else float(gamma))
 
 
 @dataclass(frozen=True)
@@ -420,32 +384,11 @@ class RoundBatch:
         )
 
 
-class StreamSymbols:
-    """Codeword symbols v_jk per ordered pair; v_jk has length T*d_jk."""
-
-    def __init__(self, k_users: int, vectors=None):
-        self.K = k_users
-        self._v = {pair: np.zeros(0, dtype=np.complex128) for pair in ordered_pairs(k_users)}
-        for pair, vec in (vectors or {}).items():
-            if pair not in self._v:
-                raise ValueError(f"invalid ordered pair {pair} for K={k_users}")
-            self._v[pair] = np.asarray(vec, dtype=np.complex128).reshape(-1)
-
-    def get(self, j: int, k: int) -> np.ndarray:
-        return self._v[(j, k)]
-
-    def check_plan(self, plan: StreamPlan) -> None:
-        for (j, k), vec in self._v.items():
-            want = plan.stream_lengths[(j, k)]
-            if vec.shape[0] != want:
-                raise DimensionError(f"v[{j},{k}] has {vec.shape[0]} symbols, plan wants {want}")
-
-
 def transmit_round(
     ctx: RoundContext,
     powers,
     seeds,
-    symbols: StreamSymbols | None = None,
+    symbols=None,
     mode: str = GENIE,
     noise: bool = True,
 ) -> RoundBatch:
@@ -455,10 +398,11 @@ def transmit_round(
     Point i runs at power budget powers[i]. `seeds` holds one seed per
     round, in the order of the batch rows: the points of each draw in turn.
     A round's symbols are drawn from (its seed, symbol stream) unless
-    supplied (supplied symbols serve every round), its noise from (its
-    seed, noise stream): each stream in one draw, uplink noise of every
-    channel use before the downlink noise of every user and use. One
-    generator, made for the call, is re-keyed for every draw.
+    supplied as one flat complex vector in `plan.symbol_spans` order, which
+    serves every round; its noise comes from (its seed, noise stream): each
+    stream in one draw, uplink noise of every channel use before the
+    downlink noise of every user and use. One generator, made for the call,
+    is re-keyed for every draw.
     """
     if mode not in (GENIE, RAW):
         raise ModeUnavailable(f"unknown mode {mode!r}")
@@ -471,37 +415,46 @@ def transmit_round(
     if len(seeds) != budgets.size:
         raise ValueError(f"{shape[0]} draws x {shape[1]} power points but {len(seeds)} seeds")
     rng = rng_for(0, STREAM_SYMBOLS)
+    size = len(layout.sender)
     if symbols is None:
         normals = _draws(rng, seeds, STREAM_SYMBOLS, layout.symbol_index.size)
-        v = complex_normal_blocks(normals, layout.symbol_index).reshape(*shape, len(layout.sender))
+        v = complex_normal_blocks(normals, layout.symbol_index).reshape(*shape, size)
     else:
-        symbols.check_plan(plan)
-        v = np.tile(np.concatenate([symbols.get(j, k) for j, k in plan.symbol_spans]), (*shape, 1))
+        symbols = np.asarray(symbols, dtype=np.complex128)
+        if symbols.shape != (size,):
+            raise DimensionError(f"symbols of shape {symbols.shape}, plan wants ({size},)")
+        v = np.broadcast_to(symbols, (*shape, size))
     pad = np.zeros((*shape, 1), dtype=np.complex128)
     words = np.concatenate((v, pad), axis=-1)[..., layout.word_index]  # words[d, i, j]: user j's slot word
-    z_up = z_down = None
     if noise:
         normals = _draws(rng, seeds, STREAM_NOISE, layout.noise_index.size)
         z = complex_normal_blocks(normals, layout.noise_index).reshape(*shape, -1)
-        z_up = z[..., : t_ext * n].reshape(*shape, t_ext, n)
-        z_down = z[..., t_ext * n :].reshape(*shape, k_users, t_ext, m)
+        z_up = z[..., : t_ext * n].reshape(*shape, t_ext, n, 1)
+        z_down = z[..., t_ext * n :].reshape(*shape, k_users, t_ext, m, 1)
 
-    # Uplink: x[d, i, j, t] is user j's transmit vector in channel use t.
-    x = (ctx.right @ words.reshape(*shape, k_users, t_ext, n, 1))[..., 0]
-    power_ok = check_power(x, budgets)
+    # Uplink: x[d, i, j, t] is user j's transmit vector in channel use t, a column.
+    x = ctx.right @ words.reshape(*shape, k_users, t_ext, n, 1)
+    power_ok = check_power(x[..., 0], budgets)
     scaled = ctx.alpha_rows * words  # alpha_j * u_j
-    truth = y_word = None
-    if mode == GENIE:  # users added one at a time
-        truth = left_sum(np.moveaxis(scaled, 2, 0), np.zeros((*shape, length), dtype=np.complex128))
-    else:  # only the raw relay reads its observation, one draw at a time
-        noises = z_up if noise else [None] * shape[0]
-        y_word = np.stack([uplink_propagate(ch, xd.swapaxes(0, 1), zd)
-                           for ch, xd, zd in zip(ctx.channels, x, noises)]).reshape(*shape, length)
-
-    w_hat = relay_decode(y_word, plan, mode, true_word=truth)
-    x_word, gamma = relay_transmit(w_hat, powers)
-    live = gamma != 0.0  # a zero word forwards nothing; its estimates are zero
-    power_ok &= check_power(x_word.reshape(*shape, t_ext, n), budgets)
+    # Relay, users added one at a time. Genie decodes the network-coded word
+    # sum_j alpha_j u_j exactly; raw forwards its observation
+    # sum_j H_j x_j + z with the padding tail zeroed.
+    zeros = np.zeros((*shape, length), dtype=np.complex128)
+    if mode == GENIE:
+        w_hat = left_sum(np.moveaxis(scaled, 2, 0), zeros)
+    else:
+        w_hat = left_sum(np.moveaxis(ctx.uplink @ x, 2, 0), zeros.reshape(*shape, t_ext, n, 1))
+        if noise:
+            w_hat += z_up
+        w_hat = w_hat.reshape(*shape, length)
+        w_hat[..., length - plan.padding :] = 0.0
+    # Forward x_r = gamma * w at the power budget, gamma = sqrt(P)/||w||; a
+    # zero word gets gamma = 0, forwards nothing, and its estimates are zero.
+    norm = _norms(w_hat)
+    gamma = np.divide(np.sqrt(powers), norm, out=np.zeros_like(norm), where=norm != 0.0)
+    live = gamma != 0.0
+    x_word = (gamma[..., None] * w_hat).reshape(*shape, 1, t_ext, n, 1)
+    power_ok &= check_power(x_word[..., 0], budgets)
 
     denom = gamma[..., None] * ctx.pair_beta * ctx.pair_alpha
     under = (np.abs(denom) < SCALE_UNDERFLOW) & live[..., None]
@@ -509,8 +462,11 @@ def transmit_round(
         d, i, e = np.argwhere(under)[0]
         j, k = layout.estimate_order[e]
         raise ScalarUnderflow(f"recovery scale gamma*beta*alpha = {denom[d, i, e]:.3e} for pair ({j},{k})")
-    y = downlink_propagate(ctx.downlink, x_word.reshape(*shape, 1, t_ext, n), z_down)
-    filtered = (ctx.left @ y[..., None]).reshape(*shape, k_users, length)
+    # Downlink: y[d, i, k, t] is user k's observation D_k x_r + z in channel use t.
+    y = ctx.downlink @ x_word
+    if noise:
+        y += z_down
+    filtered = (ctx.left @ y).reshape(*shape, k_users, length)
     # Undo gamma*beta_k, cancel the user's own contribution, and divide
     # each partner's slot by the partner's alpha_j.
     cleaned = filtered / (np.where(live, gamma, 1.0)[..., None, None] * ctx.beta_rows) - scaled
@@ -531,7 +487,7 @@ def run_round(
     cfg: SystemConfig,
     ch: ChannelSet,
     plan: StreamPlan,
-    symbols: StreamSymbols | None = None,
+    symbols=None,
     seed: int = 0,
     mode: str = GENIE,
     noise: bool = True,

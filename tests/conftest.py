@@ -9,9 +9,9 @@ Fraction simplex that the integer tableau of `yrelay.simplex` is checked
 against, the matrix-by-matrix channel draw and pseudo-inverse that
 `yrelay.channel.sample_channels` and `yrelay.linalg._unit_pinv` are checked
 against, the numpy key conversion that `yrelay.channel.reset_rng` is checked
-against, the reference round that `yrelay.transceiver.transmit_round` is
-checked against, and the trial-by-trial sweep that
-`yrelay.harness.run_sweep` is checked against."""
+against, the reference round (with its symbol type `StreamSymbols`) that
+`yrelay.transceiver.transmit_round` is checked against, and the
+trial-by-trial sweep that `yrelay.harness.run_sweep` is checked against."""
 
 import functools
 import itertools
@@ -49,7 +49,6 @@ from yrelay.transceiver import (
     RoundResult,
     SnrReport,
     StreamSnr,
-    StreamSymbols,
     transmit_round,
 )
 
@@ -69,6 +68,33 @@ def permutation_constraint(d: DofVector, p) -> Fraction:
         for b in range(a + 1, d.K):
             total += d.get(p[a], p[b])
     return total
+
+
+class StreamSymbols:
+    """Codeword symbols v_jk per ordered pair, v_jk of length T*d_jk: the
+    reference round's input. `flat(plan)` holds the same symbols as the one
+    flat vector, in `plan.symbol_spans` order, that `transmit_round` takes."""
+
+    def __init__(self, k_users: int, vectors=None):
+        self.K = k_users
+        self._v = {pair: np.zeros(0, dtype=np.complex128) for pair in ordered_pairs(k_users)}
+        for pair, vec in (vectors or {}).items():
+            if pair not in self._v:
+                raise ValueError(f"invalid ordered pair {pair} for K={k_users}")
+            self._v[pair] = np.asarray(vec, dtype=np.complex128).reshape(-1)
+
+    def get(self, j: int, k: int) -> np.ndarray:
+        return self._v[(j, k)]
+
+    def check_plan(self, plan: StreamPlan) -> None:
+        for (j, k), vec in self._v.items():
+            want = plan.stream_lengths[(j, k)]
+            if vec.shape[0] != want:
+                raise DimensionError(f"v[{j},{k}] has {vec.shape[0]} symbols, plan wants {want}")
+
+    def flat(self, plan: StreamPlan) -> np.ndarray:
+        self.check_plan(plan)
+        return np.concatenate([self.get(j, k) for j, k in plan.symbol_spans])
 
 
 def assemble_uplink_symbol(j: int, sym: StreamSymbols, plan: StreamPlan) -> np.ndarray:
@@ -442,8 +468,8 @@ def reference_channels():
 
 # ------------------------------------------------------------ reference round
 # The round one call at a time: per user and channel use, symbols and noise
-# drawn per block, the analytic SNR recomputed from the precoders. The
-# propagation and power-check helpers are the single-vector forms.
+# drawn per block, the analytic SNR recomputed from the precoders. Each
+# stage takes one vector: one channel use of one user or of the relay.
 
 
 def _check_power(x, p):
@@ -510,8 +536,6 @@ def _relay_decode(y_word, plan, mode, true_word=None):
     if y_word.shape != (plan.word_length,):
         raise DimensionError(f"observation shape {y_word.shape} != ({plan.word_length},)")
     if mode == GENIE:
-        if true_word is None:
-            raise ModeUnavailable("genie decoding needs the ground-truth relay word")
         return np.array(true_word, dtype=np.complex128)
     if mode == RAW:
         w_hat = y_word.copy()
@@ -662,17 +686,23 @@ def _run_round(cfg, ch, plan, symbols=None, seed=0, mode=GENIE, noise=True):
 @pytest.fixture(scope="session")
 def reference_round():
     """The round one call at a time. `reference_round.run(cfg, ch, plan,
-    symbols, seed, mode, noise)` takes `run_round`'s arguments; its stages
-    (`effective_snr(cfg, ch, plan, mode)`, `sample_stream_symbols`,
-    `uplink_precode`, `relay_observe`, `network_coded_word`,
-    `user_postcode`, `user_recover`) are attributes too."""
+    symbols, seed, mode, noise)` takes `run_round`'s arguments, with the
+    symbols as a StreamSymbols; its stages (`effective_snr(cfg, ch, plan,
+    mode)`, `sample_stream_symbols`, `uplink_precode`, `uplink_propagate`,
+    `relay_observe`, `network_coded_word`, `relay_decode`, `relay_transmit`,
+    `downlink_propagate`, `user_postcode`, `user_recover`) are attributes
+    too."""
     return SimpleNamespace(
         run=_run_round,
         effective_snr=_effective_snr,
         sample_stream_symbols=_sample_stream_symbols,
         uplink_precode=_uplink_precode,
+        uplink_propagate=_uplink_propagate,
         relay_observe=_relay_observe,
         network_coded_word=_network_coded_word,
+        relay_decode=_relay_decode,
+        relay_transmit=_relay_transmit,
+        downlink_propagate=_downlink_propagate,
         user_postcode=_user_postcode,
         user_recover=_user_recover,
     )

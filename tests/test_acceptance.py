@@ -10,9 +10,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from conftest import assemble_uplink_symbol, complex_normal
+from conftest import StreamSymbols, assemble_uplink_symbol, complex_normal
 from yrelay.alignment import DofVector, build_stream_plan
-from yrelay.channel import SystemConfig, rng_for, sample_channels, uplink_propagate
+from yrelay.channel import SystemConfig, rng_for, sample_channels
 from yrelay.cli import main
 from yrelay.dofregion import (
     RegionSpec,
@@ -23,7 +23,7 @@ from yrelay.dofregion import (
 )
 from yrelay.harness import ExperimentConfig, run_sweep
 from yrelay.linalg import _unit_pinv
-from yrelay.transceiver import GENIE, StreamSymbols, run_round
+from yrelay.transceiver import GENIE, run_round
 
 CRITERION4_SHA256 = "a1eba261f300b0fe56121170e53879b5043d4fdff79981f3024bc3b718d3d47b"
 
@@ -65,7 +65,7 @@ def test_criterion_1_diagonalization_fidelity():
         assert time.perf_counter() - start < 5.0
 
 
-def test_criterion_2_parallel_pair_decomposition():
+def test_criterion_2_parallel_pair_decomposition(reference_round):
     # Noiseless relay observation is the scaled sum of the users' slot words,
     # and each pair slot carries exactly alpha_j*u_jk + alpha_k*u_kj.
     with _verdict(2, "parallel pair decomposition"):
@@ -81,7 +81,7 @@ def test_criterion_2_parallel_pair_decomposition():
             })
             us = [assemble_uplink_symbol(j, sym, plan) for j in range(1, 5)]
             right, alpha, _, _ = ch.inverses
-            y = uplink_propagate(ch, [g @ u for g, u in zip(right, us)])
+            y = reference_round.uplink_propagate(ch, [g @ u for g, u in zip(right, us)])
             alphas = alpha.tolist()
             target = sum(alphas[j - 1] * us[j - 1] for j in range(1, 5))
             assert np.linalg.norm(y - target) / np.linalg.norm(target) <= 1e-9
@@ -98,11 +98,8 @@ def test_criterion_3_noiseless_round_trip():
         for i in range(100):
             cfg = SystemConfig(K=4, M=6, N=6, P=100.0)
             ch = sample_channels(cfg, seed=5000 + i)
-            sym = StreamSymbols(4, {
-                (j, k): [1.0 + 0.0j]
-                for j in range(1, 5) for k in range(1, 5) if j != k
-            })
-            res = run_round(cfg, ch, plan, symbols=sym, mode=GENIE, noise=False, seed=9000 + i)
+            ones = np.ones(12, dtype=np.complex128)  # one unit symbol per direction
+            res = run_round(cfg, ch, plan, symbols=ones, mode=GENIE, noise=False, seed=9000 + i)
             for pair, est in res.estimates.items():
                 assert est.shape == (1,)
                 assert abs(est[0] - 1.0) <= 1e-8

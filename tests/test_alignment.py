@@ -10,10 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assemble_uplink_symbol, extract_pair_slot
+from conftest import StreamSymbols, assemble_uplink_symbol, extract_pair_slot
 from yrelay.alignment import DofVector, build_stream_plan, ordered_pairs, pair_index, user_pairs
 from yrelay.errors import DimensionError, Infeasible
-from yrelay.transceiver import StreamSymbols
 
 
 def lcm_oracle(fractions):

@@ -22,6 +22,7 @@ except ModuleNotFoundError:  # Python 3.10
 
 import yrelay.__main__
 import yrelay.cli
+import yrelay.harness
 from yrelay.alignment import DofVector, build_stream_plan
 from yrelay.channel import SystemConfig, sample_channels
 from yrelay.cli import (
@@ -223,6 +224,26 @@ def test_simulate_rejects_non_finite_power(capsys, power_db):
     assert code == EXIT_USAGE
     assert out == ""
     assert "power must be positive and finite" in err
+
+
+def test_simulate_rejects_power_beyond_float_range(capsys):
+    # 4000 dB is finite, but 10^400 is not a float
+    code, out, err = run_cli(capsys, "simulate", "--power-db", "4000")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "yrelay: usage error: power 4000.0 dB is too large for a float\n"
+
+
+def test_sweep_rejects_power_beyond_float_range_before_any_trial(capsys, monkeypatch):
+    # the first point (3000 dB) fits a float, so the sweep itself rejects 3100 dB
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(yrelay.harness, "sample_channel_block", no_trials)
+    code, out, err = run_cli(capsys, "--quiet", "sweep", "--sweep-db", "3000:100:3200", "--trials", "1")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "yrelay: usage error: power 3100.0 dB is too large for a float\n"
 
 
 def test_simulate_infeasible_exits_one(capsys):

@@ -2,9 +2,10 @@
 
 `transmit_round`, which runs every power point of a channel draw in one
 stacked call, is held point by point to the one-call-at-a-time reference
-round in `tests/conftest.py` bit for bit; the stage tests below check that
-reference's stages, or the stages the round still calls (`relay_decode`,
-`relay_transmit`, `effective_snr`, the stacked error norms).
+round in `tests/conftest.py` bit for bit; the stage tests below check the
+maths of that reference's stages (precoding, propagation, relay decode and
+transmit, filtering, recovery), and of the parts of the kernel that run on
+their own (`effective_snr`, the stacked error norms).
 """
 
 import math
@@ -13,10 +14,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    StreamSymbols,
     assemble_uplink_symbol,
     complex_normal,
     extract_pair_slot,
@@ -40,11 +42,8 @@ from yrelay.transceiver import (
     RAW,
     RoundContext,
     RoundLayout,
-    StreamSymbols,
     _norms,
     effective_snr,
-    relay_decode,
-    relay_transmit,
     run_round,
     transmit_round,
 )
@@ -148,41 +147,35 @@ def test_genie_decode_exact_under_noise(reference_round):
     sym = reference_round.sample_stream_symbols(plan, seed=11)
     truth = reference_round.network_coded_word(slot_words(sym, plan), [0.5, 0.4, 0.3, 0.2])
     noisy = truth + noise(6, seed=12)
-    assert np.array_equal(relay_decode(noisy, plan, GENIE, true_word=truth), truth)
+    assert np.array_equal(reference_round.relay_decode(noisy, plan, GENIE, true_word=truth), truth)
 
 
-def test_genie_decode_needs_truth():
-    plan = build_stream_plan(ALL_ONES, 6)
-    with pytest.raises(ModeUnavailable):
-        relay_decode(np.zeros(6), plan, GENIE)
-
-
-def test_genie_decode_returns_a_copy_and_checks_the_observation():
+def test_genie_decode_returns_a_copy_and_checks_the_observation(reference_round):
     plan = build_stream_plan(ALL_ONES, 6)
     truth = noise(6, seed=14)
-    for y in (None, np.zeros(6)):  # the observation is not read, so it may be absent
-        out = relay_decode(y, plan, GENIE, true_word=truth)
+    for y in (np.zeros(6), noise(6, seed=15)):  # the observation is not read
+        out = reference_round.relay_decode(y, plan, GENIE, true_word=truth)
         assert out.tobytes() == truth.tobytes()
         out[0] += 1.0
         assert out[0] != truth[0]  # writing to the estimate leaves the truth alone
     with pytest.raises(DimensionError):
-        relay_decode(np.zeros(5), plan, GENIE, true_word=truth)
+        reference_round.relay_decode(np.zeros(5), plan, GENIE, true_word=truth)
     with pytest.raises(DimensionError):
-        relay_decode(None, plan, RAW)
+        reference_round.relay_decode(None, plan, RAW)
 
 
 def test_raw_decode_noiseless_passthrough(reference_round):
     plan = build_stream_plan(ALL_ONES, 6)
     sym = reference_round.sample_stream_symbols(plan, seed=13)
     truth = reference_round.network_coded_word(slot_words(sym, plan), [0.5, 0.4, 0.3, 0.2])
-    assert np.allclose(relay_decode(truth, plan, RAW), truth)
+    assert np.allclose(reference_round.relay_decode(truth, plan, RAW), truth)
 
 
-def test_raw_decode_zeroes_padding_tail():
+def test_raw_decode_zeroes_padding_tail(reference_round):
     plan = build_stream_plan(DofVector(4, {(1, 2): Fraction(1)}), 6)
     assert plan.padding == 5
     y = np.ones(6, dtype=np.complex128)
-    out = relay_decode(y, plan, RAW)
+    out = reference_round.relay_decode(y, plan, RAW)
     assert np.allclose(out[1:], 0.0)
     assert out[0] == 1.0
 
@@ -198,39 +191,39 @@ def test_raw_decode_error_power_matches_noise_floor(reference_round):
         us = slot_words(sym, plan)
         truth = reference_round.network_coded_word(us, alphas)
         y, _ = reference_round.relay_observe(CFG66, ch, us, noise=noise(6, derive_seed(9, 4, t)))
-        sq.extend(np.abs(relay_decode(y, plan, RAW) - truth) ** 2)
+        sq.extend(np.abs(reference_round.relay_decode(y, plan, RAW) - truth) ** 2)
     assert np.mean(sq) == pytest.approx(1.0, rel=0.10)
 
 
 # ------------------------------------------------------------ relay transmit
 
 
-def test_transmit_unit_word():
+def test_transmit_unit_word(reference_round):
     w = np.zeros(6, dtype=np.complex128)
     w[0] = 1.0
-    x, gamma = relay_transmit(w, 25.0)
+    x, gamma = reference_round.relay_transmit(w, 25.0)
     assert np.allclose(x, 5.0 * w)
     assert gamma == pytest.approx(5.0)
 
 
-def test_transmit_scale_invariance():
+def test_transmit_scale_invariance(reference_round):
     rng = np.random.default_rng(14)
     w = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    x1, _ = relay_transmit(w, 10.0)
-    x2, _ = relay_transmit(3.7 * w, 10.0)
+    x1, _ = reference_round.relay_transmit(w, 10.0)
+    x2, _ = reference_round.relay_transmit(3.7 * w, 10.0)
     assert np.allclose(x1, x2, rtol=1e-12)
 
 
-def test_transmit_power_exact():
+def test_transmit_power_exact(reference_round):
     rng = np.random.default_rng(15)
     for _ in range(20):
         w = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        x, _ = relay_transmit(w, 42.0)
+        x, _ = reference_round.relay_transmit(w, 42.0)
         assert np.linalg.norm(x) ** 2 == pytest.approx(42.0, rel=1e-12)
 
 
-def test_transmit_zero_word_flagged():
-    x, gamma = relay_transmit(np.zeros(4), 10.0)
+def test_transmit_zero_word_flagged(reference_round):
+    x, gamma = reference_round.relay_transmit(np.zeros(4), 10.0)
     assert gamma == 0.0
     assert np.allclose(x, 0.0)
 
@@ -251,7 +244,7 @@ def test_postcode_noiseless_chain(reference_round):
     d = (rng.standard_normal((8, 6)) + 1j * rng.standard_normal((8, 6))) / np.sqrt(2)
     dl = normalized_left_mppi(d)
     w = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    x, gamma = relay_transmit(w, 100.0)
+    x, gamma = reference_round.relay_transmit(w, 100.0)
     got = reference_round.user_postcode(d @ x, dl)
     want = gamma * dl.beta * w
     assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
@@ -367,7 +360,7 @@ def test_self_interference_fully_cancelled():
             data[(j, k)] = rng.standard_normal(1) + 1j * rng.standard_normal(1)
     sym = StreamSymbols(4, data)
     ch = sample_channels(CFG66, seed=29)
-    res = run_round(CFG66, ch, ONES_PLAN, symbols=sym, seed=30, mode=GENIE, noise=False)
+    res = run_round(CFG66, ch, ONES_PLAN, symbols=sym.flat(ONES_PLAN), seed=30, mode=GENIE, noise=False)
     scale = max(float(np.max(np.abs(v))) for (j, k), v in data.items() if j > k)
     for (j, k), est in res.estimates.items():
         if j < k:
@@ -482,16 +475,27 @@ def round_cases(draw):
                 mode=draw(st.sampled_from((GENIE, RAW))), noise=draw(st.booleans()))
 
 
+# A noisy raw round of a non-square system whose T = 4 word (24 components)
+# ends in an 18-component padding tail.
+CFG76 = SystemConfig(K=4, M=7, N=6, P=1.0)
+PADDED_RAW_CASE = dict(
+    cfg=CFG76, ch=sample_channels(CFG76, seed=47),
+    plan=build_stream_plan(DofVector(4, {(1, 2): Fraction(1), (2, 1): Fraction(3, 4), (3, 4): Fraction(1, 2)}), 6),
+    symbols=None, powers=[0.1, 100.0, 1e5], seeds=[48, 2**63 + 49, 48], mode=RAW, noise=True)
+
+
 @settings(PROPERTY, max_examples=80)
 @given(round_cases())
+@example(PADDED_RAW_CASE)
 def test_round_matches_reference(reference_round, case):
     # one stacked call runs every point, as a sweep does for one channel draw;
     # each point equals the round run alone, and a context serves two calls
     cfg, ch, plan = case["cfg"], case["ch"], case["plan"]
     ctx = RoundContext([ch], RoundLayout(plan, cfg.M))
     mode, noise, symbols = case["mode"], case["noise"], case["symbols"]
+    flat = None if symbols is None else symbols.flat(plan)
     for powers, seeds in ((case["powers"], case["seeds"]), (case["powers"][::-1], case["seeds"][::-1])):
-        rounds = transmit_round(ctx, powers, seeds, symbols, mode, noise)
+        rounds = transmit_round(ctx, powers, seeds, flat, mode, noise)
         for i, (p, seed) in enumerate(zip(powers, seeds)):
             want = reference_round.run(SystemConfig(K=cfg.K, M=cfg.M, N=cfg.N, P=p), ch, plan, symbols, seed, mode, noise)
             assert_same_round(rounds.round(i), want)
@@ -549,6 +553,17 @@ def test_stacked_norms_match_one_row_at_a_time():
                     assert got[i, g] == one == np.linalg.norm(x)
 
 
+def test_round_rejects_symbols_of_other_length():
+    # supplied symbols are one flat vector of every direction's symbols
+    ctx = RoundContext([sample_channels(CFG66, seed=38)], RoundLayout(ONES_PLAN, 6))
+    assert transmit_round(ctx, [1.0], [5], np.ones(12), noise=False).round(0).rel_errors[(1, 2)] < 1e-8
+    for bad in (np.ones(11), np.ones(13), np.ones((1, 12)), np.ones(0)):
+        with pytest.raises(DimensionError):
+            transmit_round(ctx, [1.0], [5], bad)
+    with pytest.raises(DimensionError):
+        run_round(CFG66, ctx.channels[0], ONES_PLAN, symbols=np.ones(11))
+
+
 def test_round_rejects_points_without_seeds():
     ctx = RoundContext([sample_channels(CFG66, seed=38)], RoundLayout(ONES_PLAN, 6))
     with pytest.raises(ValueError):
@@ -583,9 +598,9 @@ def test_underflowing_recovery_scale_raises_as_alone(reference_round):
         reference_round.run(SystemConfig(K=4, M=6, N=6, P=1e-300), ch, ONES_PLAN, sym, 46, GENIE, False)
     ctx = RoundContext([ch], RoundLayout(ONES_PLAN, 6))
     with pytest.raises(ScalarUnderflow) as got:
-        transmit_round(ctx, [1.0, 1e-300], [46, 46], sym, GENIE, False)
+        transmit_round(ctx, [1.0, 1e-300], [46, 46], sym.flat(ONES_PLAN), GENIE, False)
     assert str(got.value) == str(want.value)
-    assert transmit_round(ctx, [1.0], [46], sym, GENIE, False).round(0).gamma > 0
+    assert transmit_round(ctx, [1.0], [46], sym.flat(ONES_PLAN), GENIE, False).round(0).gamma > 0
 
 
 # ------------------------------------------------------------------- SNR math
