@@ -10,6 +10,12 @@ those singular values; every round over a draw reuses them.
 `sample_channels` is the block of one. Signals cross these matrices only
 inside `transceiver.transmit_round`.
 
+The retry rule: the K uplink then K downlink matrices of a draw each take
+the next block of 2*N*M standard normals on the draw's stream that passes
+`well_conditioned`, at most _MAX_RESAMPLE tries per matrix. A draw that
+fails the stacked first pass is drawn again this way from the start of its
+stream.
+
 Complex normals are drawn in blocks: a block of n unit-variance entries
 takes n standard normals as its real parts, then n as its imaginary parts.
 
@@ -79,6 +85,15 @@ def reset_rng(rng: np.random.Generator, seed: int, stream: int) -> np.random.Gen
         "uinteger": 0,
     }
     return rng
+
+
+def seeded_normals(rng: np.random.Generator, seeds, stream: int, size: int) -> np.ndarray:
+    """Row i: `size` standard normals from the start of stream (seeds[i],
+    stream), each drawn by re-keying the one generator `rng`."""
+    out = np.empty((len(seeds), size))
+    for row, seed in zip(out, seeds):
+        reset_rng(rng, seed, stream).standard_normal(out=row)
+    return out
 
 
 def _complex(re, im) -> np.ndarray:
@@ -166,27 +181,34 @@ def sample_channel_block(cfg: SystemConfig, seeds) -> tuple:
     shapes hold N*M entries), on one generator re-keyed per seed. The whole
     block gets one stacked SVD per link direction for the conditioning check
     and one stacked pseudo-inverse per direction, from those singular values.
-    A matrix failing the check is redrawn on its own stream from where that
-    stream goes on: its block is dropped, the blocks after it move up one
-    matrix, and one more block is drawn. Continuous entries make that a
-    probability-zero event, so the retry budget exists only to guard
-    degenerate misuse.
+    A draw with a matrix failing the check is drawn again from the start of
+    its stream, matrix by matrix: each matrix takes the next block that
+    passes, and GenerationFailed is raised after _MAX_RESAMPLE tries at one
+    matrix. Continuous entries make a failed check a probability-zero
+    event, so the retry exists only to guard degenerate misuse.
     """
     k, n, m = cfg.K, cfg.N, cfg.M
     draws = len(seeds)
     rng = rng_for(0, STREAM_CHANNEL)
-    blocks = np.empty((draws, 2 * k, 2, n * m))  # per matrix: real parts, then imaginary parts
-    for row, seed in zip(blocks, seeds):
-        reset_rng(rng, seed, STREAM_CHANNEL).standard_normal(out=row)
+    blocks = seeded_normals(rng, seeds, STREAM_CHANNEL, 4 * k * n * m)
+    blocks = blocks.reshape(draws, 2 * k, 2, n * m)  # per matrix: real parts, then imaginary parts
     mats = _complex(blocks[:, :, 0], blocks[:, :, 1])
     svals = np.empty((draws, 2 * k, n))
     for lo, shape in ((0, (n, m)), (k, (m, n))):
         stack = mats[:, lo : lo + k].reshape(-1, *shape)
         svals[:, lo : lo + k] = np.linalg.svd(stack, compute_uv=False).reshape(-1, k, n)
-    ok = well_conditioned(svals)
-    for b in np.flatnonzero(~ok.all(axis=1)).tolist():
-        reset_rng(rng, seeds[b], STREAM_CHANNEL).standard_normal(blocks[b].shape)  # past the first draw
-        _redraw(rng, blocks[b], mats[b], svals[b], ok[b], cfg)
+    for b in np.flatnonzero(~well_conditioned(svals).all(axis=1)).tolist():
+        reset_rng(rng, seeds[b], STREAM_CHANNEL)
+        for i in range(2 * k):
+            shape = (n, m) if i < k else (m, n)
+            for _ in range(_MAX_RESAMPLE):
+                re, im = rng.standard_normal((2, n * m))
+                mats[b, i] = _complex(re, im)
+                svals[b, i] = np.linalg.svd(mats[b, i].reshape(shape), compute_uv=False)
+                if well_conditioned(svals[b, i]):
+                    break
+            else:
+                raise GenerationFailed(f"no full-rank {shape} draw in {_MAX_RESAMPLE} tries")
     up, down = mats[:, :k].reshape(draws * k, n, m), mats[:, k:].reshape(draws * k, m, n)
     right, alpha = _unit_pinv(up, True, svals[:, :k].reshape(-1, n))
     left, beta = _unit_pinv(down, False, svals[:, k:].reshape(-1, n))
@@ -197,28 +219,6 @@ def sample_channel_block(cfg: SystemConfig, seeds) -> tuple:
         ch.__dict__["inverses"] = (right[mine], alpha[mine], left[mine], beta[mine])
         out.append(ch)
     return tuple(out)
-
-
-def _redraw(rng, blocks, mats, svals, ok, cfg) -> None:
-    """Redraw the rejected matrices of one draw in place: `blocks` holds its
-    normals, `mats`, `svals` and `ok` the matrices, singular values and
-    verdicts of its first check, and `rng` stands where its stream goes on."""
-    k, n, m = cfg.K, cfg.N, cfg.M
-    start = tries = 0  # matrices before `start` are accepted
-    while not ok[start:].all():
-        failed = start + int(np.argmin(ok[start:]))
-        tries = tries + 1 if failed == start else 1
-        if tries == _MAX_RESAMPLE:
-            shape = (n, m) if failed < k else (m, n)
-            raise GenerationFailed(f"no full-rank {shape} draw in {_MAX_RESAMPLE} tries")
-        blocks = np.concatenate((blocks[:failed], blocks[failed + 1 :], rng.standard_normal((1, 2, n * m))))
-        start = failed
-        mats[start:] = _complex(blocks[start:, 0], blocks[start:, 1])
-        for lo, shape in ((0, (n, m)), (k, (m, n))):
-            first = max(start, lo)
-            if first < lo + k:
-                svals[first : lo + k] = np.linalg.svd(mats[first : lo + k].reshape(-1, *shape), compute_uv=False)
-                ok[first : lo + k] = well_conditioned(svals[first : lo + k])
 
 
 def check_power(x, p):

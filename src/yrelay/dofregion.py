@@ -31,7 +31,6 @@ from .simplex import _integral, solve_linear, solve_max, verify_certificate
 ORACLE_MAX_USERS = 16    # the ordering DP tabulates all 2^K user subsets
 TIGHT_LIST_MAX = 40320   # 8!, every ordering of 8 users
 GAP_MAX_USERS = 5        # 2^(K(K-1)/2) direction selections, one LP each
-VERTICES_MAX_N = 100
 
 
 @dataclass(frozen=True)
@@ -259,8 +258,6 @@ def vertices_k3(n_relay: int):
     (at equality N) and 6 nonnegativity constraints (at equality 0), kept
     when they satisfy the full system.
     """
-    if n_relay > VERTICES_MAX_N:
-        raise TooLarge(f"vertex enumeration guarded at N <= {VERTICES_MAX_N}")
     spec = RegionSpec(K=3, N=n_relay)
     variables = ordered_pairs(3)
     dim = len(variables)

@@ -23,6 +23,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -84,6 +85,14 @@ class ExperimentConfig:
             raise ValueError(f"need at least one trial, got {self.trials}")
         if self.mode not in (GENIE, RAW):
             raise ValueError(f"unknown mode {self.mode!r}")
+        for p_db, p in zip(self.sweep_db, self.powers):
+            if not 0.0 < p < math.inf:
+                raise ValueError(f"sweep point {p_db} dB is not a positive finite power ({p} W)")
+
+    @cached_property
+    def powers(self) -> tuple:
+        """The sweep points as linear powers, converted once."""
+        return tuple(db_to_linear(p_db) for p_db in self.sweep_db)
 
     def to_dict(self) -> dict:
         return {
@@ -225,7 +234,7 @@ class _PointSums:
 def run_sweep(cfg: ExperimentConfig) -> SweepReport:
     """Run the full power sweep; deterministic given (cfg, seed)."""
     layout = plan_layout(cfg.dof, cfg.system.N, cfg.system.M)  # raises Infeasible before any work
-    powers = [db_to_linear(p_db) for p_db in cfg.sweep_db]
+    powers = cfg.powers
     # derive_seed(seed, SUBSEED_ROUND, pi, t) continues the chain of derive_seed(seed, SUBSEED_ROUND, pi).
     point_seeds = [derive_seed(cfg.seed, SUBSEED_ROUND, pi) for pi in range(len(powers))]
     sums = _PointSums(len(powers))
@@ -240,7 +249,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepReport:
     slope = intercept = residual = None
     if len(rows) >= 3:
         slope, intercept, residual = fit_slope(
-            [(math.log2(db_to_linear(r.p_db)), r.sum_rate_proxy) for r in rows]
+            [(math.log2(p), r.sum_rate_proxy) for p, r in zip(powers, rows)]
         )
 
     config = cfg.to_dict()

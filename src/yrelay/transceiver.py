@@ -62,8 +62,8 @@ from .channel import (
     check_power,
     complex_normal_blocks,
     normal_block_index,
-    reset_rng,
     rng_for,
+    seeded_normals,
 )
 from .errors import DimensionError, ModeUnavailable, ScalarUnderflow
 from .linalg import left_sum
@@ -96,14 +96,6 @@ def _length_groups(spans):
     return [(np.array(pos), starts[pos, None] + np.arange(length)) for length, pos in groups.items()]
 
 
-def _draws(rng: np.random.Generator, seeds, stream: int, size: int) -> np.ndarray:
-    """Row i: `size` standard normals from the start of stream (seeds[i], stream)."""
-    out = np.empty((len(seeds), size))
-    for row, seed in zip(out, seeds):
-        reset_rng(rng, seed, stream).standard_normal(out=row)
-    return out
-
-
 class RoundLayout:
     """What a stream plan and the users' antenna count M fix for every round,
     whatever the channel draw. `plan_layout` builds one per (DoF vector, N,
@@ -123,20 +115,13 @@ class RoundLayout:
         # word_index: row j-1 gathers user j's slot word from the flat symbols
         # followed by one zero (index -1); receive_index: where each symbol
         # lies in the K stacked words the users receive (v_jk in user k's
-        # slot with j). effective_snr: per active direction its slot
-        # components and its sender, and per component the users j, k and
-        # its row q mod N of Dl_k.
+        # slot with j).
         self.word_index = np.full((k_users, length), -1, dtype=np.intp)
         self.receive_index = np.empty(sum(sizes), dtype=np.intp)
-        snr_keys, components, component_spans = [], [], []
         for (j, k), (a, b) in spans.items():
             off, _ = plan.slot(j, k)
             self.word_index[j - 1, off : off + b - a] = np.arange(a, b)
             self.receive_index[a:b] = (k - 1) * length + off + np.arange(b - a)
-            if b > a:
-                snr_keys.append((j, k))
-                component_spans.append((len(components), len(components) + b - a))
-                components += [(j - 1, k - 1, (off + i) % n) for i in range(b - a)]
         self.symbol_index = normal_block_index(sizes)
         self.noise_index = normal_block_index([n] * t_ext + [m] * (k_users * t_ext))
         self.sender = np.repeat([j - 1 for j, _ in spans], sizes)  # user index of each symbol
@@ -148,10 +133,13 @@ class RoundLayout:
         self.pair_users = np.array(self.estimate_order).T - 1  # rows: j - 1, k - 1
         self.error_keys = tuple(key for key in self.estimate_order if spans[key][1] > spans[key][0])
         self.error_groups = _length_groups([spans[key] for key in self.error_keys])
-        self.snr_keys = tuple(snr_keys)
-        self.snr_senders = np.array([j - 1 for j, _ in snr_keys], dtype=np.intp)
-        self.snr_components = np.array(components, dtype=np.intp).reshape(-1, 3).T
-        self.snr_groups = _length_groups(component_spans)
+        # effective_snr: the active directions, their senders, and per flat
+        # symbol (one slot component each) the users j, k and its row q mod N
+        # of Dl_k, read off the symbol placement.
+        self.snr_keys = tuple(key for key, (a, b) in spans.items() if b > a)
+        self.snr_senders = np.array([j - 1 for j, _ in self.snr_keys], dtype=np.intp)
+        self.snr_components = np.stack((self.sender, self.receive_index // length, self.receive_index % length % n))
+        self.snr_groups = _length_groups([spans[key] for key in self.snr_keys])
         for a in (self.word_index, self.receive_index, self.symbol_index, self.noise_index, self.sender,
                   self.pair_users, self.snr_senders, self.snr_components,
                   *(a for group in self.error_groups + self.snr_groups for a in group)):
@@ -404,8 +392,7 @@ def transmit_round(
     downlink noise of every user and use. One generator, made for the call,
     is re-keyed for every draw.
     """
-    if mode not in (GENIE, RAW):
-        raise ModeUnavailable(f"unknown mode {mode!r}")
+    snr = effective_snr(ctx, powers, mode)  # raises ModeUnavailable before any draw
     layout = ctx.layout
     plan, k_users, m = layout.plan, layout.plan.K, layout.M
     t_ext, n, length = plan.T, plan.N, plan.word_length
@@ -417,7 +404,7 @@ def transmit_round(
     rng = rng_for(0, STREAM_SYMBOLS)
     size = len(layout.sender)
     if symbols is None:
-        normals = _draws(rng, seeds, STREAM_SYMBOLS, layout.symbol_index.size)
+        normals = seeded_normals(rng, seeds, STREAM_SYMBOLS, layout.symbol_index.size)
         v = complex_normal_blocks(normals, layout.symbol_index).reshape(*shape, size)
     else:
         symbols = np.asarray(symbols, dtype=np.complex128)
@@ -427,7 +414,7 @@ def transmit_round(
     pad = np.zeros((*shape, 1), dtype=np.complex128)
     words = np.concatenate((v, pad), axis=-1)[..., layout.word_index]  # words[d, i, j]: user j's slot word
     if noise:
-        normals = _draws(rng, seeds, STREAM_NOISE, layout.noise_index.size)
+        normals = seeded_normals(rng, seeds, STREAM_NOISE, layout.noise_index.size)
         z = complex_normal_blocks(normals, layout.noise_index).reshape(*shape, -1)
         z_up = z[..., : t_ext * n].reshape(*shape, t_ext, n, 1)
         z_down = z[..., t_ext * n :].reshape(*shape, k_users, t_ext, m, 1)
@@ -479,8 +466,7 @@ def transmit_round(
         ref, e = _norms(symbols_and_errors[..., index])
         rel_errors[..., where] = np.divide(e, ref, out=np.where(e == 0, 0.0, np.inf), where=ref > 0)
 
-    return RoundBatch(ctx, mode, noise, *map(_rounds, (est, rel_errors, gamma, power_ok)),
-                      effective_snr(ctx, powers, mode))
+    return RoundBatch(ctx, mode, noise, *map(_rounds, (est, rel_errors, gamma, power_ok)), snr)
 
 
 def run_round(

@@ -121,9 +121,11 @@ def test_blocked_draw_matches_sequential_reference(reference_channels, k, m, n):
 def test_redraw_matches_sequential_reference(monkeypatch, reference_channels):
     # a rejected matrix is redrawn from where the stream goes on, as a draw
     # matrix by matrix does: uplink 2 once, then its redraw too, then
-    # downlink 3 (M != N, so each block changes shape when it moves up)
+    # downlink 3 (M != N, so each block changes shape when it moves up);
+    # then each of the 2K positions rejected once on its own, from the first
+    # uplink to the last downlink
     cfg = SystemConfig(K=4, M=5, N=3, P=1.0)
-    plain = sample_channels(cfg, 9)
+    plain, plain_values = sample_channels(cfg, 9), reference_channels(cfg, 9).singular_values
     accept, rejected = yrelay.channel.well_conditioned, []
     monkeypatch.setattr(
         yrelay.channel, "well_conditioned", lambda s: accept(s) & ~np.isin(np.asarray(s)[..., 0], rejected))
@@ -134,17 +136,24 @@ def test_redraw_matches_sequential_reference(monkeypatch, reference_channels):
         assert ch.uplink[0].tobytes() == plain.uplink[0].tobytes()
         assert ch.uplink[1].tobytes() != plain.uplink[1].tobytes()
     assert len(rejected) == 3
+    for position in range(2 * cfg.K):
+        rejected[:] = [plain_values[position][0]]
+        ch = sample_channels(cfg, 9)
+        assert_same_draw(ch, reference_channels(cfg, 9))
+        same = [a.tobytes() == b.tobytes() for a, b in zip(ch.uplink + ch.downlink, plain.uplink + plain.downlink)]
+        assert same[: position + 1] == [True] * position + [False]
 
 
 def test_block_draw_matches_sequential_reference(monkeypatch, reference_channels):
     # a block draws each seed's set as that seed alone draws it, also where
-    # a draw inside the block redraws rejected matrices on its own stream
+    # a draw inside the block, or its first or last draw, redraws rejected
+    # matrices on its own stream
     cfg = SystemConfig(K=4, M=5, N=3, P=1.0)
     seeds = [8, 9, 2**63 + 5, 10]
     accept, rejected = yrelay.channel.well_conditioned, []
     monkeypatch.setattr(
         yrelay.channel, "well_conditioned", lambda s: accept(s) & ~np.isin(np.asarray(s)[..., 0], rejected))
-    for seed, position in ((None, None), (9, 1), (10, 6), (10, 0)):
+    for seed, position in ((None, None), (9, 1), (10, 6), (10, 0), (8, 3), (10, 7)):
         if seed is not None:
             rejected.append(reference_channels(cfg, seed).singular_values[position][0])
         block = sample_channel_block(cfg, seeds)

@@ -244,6 +244,11 @@ def test_sweep_rejects_power_beyond_float_range_before_any_trial(capsys, monkeyp
     assert code == EXIT_USAGE
     assert out == ""
     assert err == "yrelay: usage error: power 3100.0 dB is too large for a float\n"
+    # points that underflow to 0 W are refused as well
+    code, out, err = run_cli(capsys, "--quiet", "sweep", "--sweep-db=-3300:10:-3280", "--trials", "1")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("yrelay: usage error: ")
 
 
 def test_simulate_infeasible_exits_one(capsys):

@@ -376,10 +376,14 @@ def closed_form_vertices(n):
 
 
 def test_vertices_match_closed_form():
-    for n in (1, 2, 3, 6):
+    # the region is homogeneous in N: the vertices at N are N times those at
+    # N = 1, for any relay size
+    unit = [v.as_tuple() for v in vertices_k3(1)]
+    for n in (1, 2, 3, 6, 7, 101, 10**6):
         verts = vertices_k3(n)
         assert {v.as_tuple() for v in verts} == closed_form_vertices(n)
         assert len(verts) == 12
+        assert [v.as_tuple() for v in verts] == [tuple(n * x for x in v) for v in unit]
 
 
 def test_vertices_basic_contracts():

@@ -67,6 +67,13 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(system=SMALL.system, dof=SMALL.dof, sweep_db=(10.0,),
                          trials=1, seed=0, mode="oracle")
+    # every point must be a positive finite power: NaN, underflow to 0 W and
+    # overflow past the float range are each named
+    for sweep_db, point in (((10.0, math.nan, 30.0), "nan"), ((-4000.0, -3990.0, 10.0), "-4000.0"),
+                            ((10.0, 4000.0), "4000.0")):
+        with pytest.raises(ValueError, match=rf"^(sweep point|power) {point} dB "):
+            ExperimentConfig(sweep_db=sweep_db, **good)
+    assert ExperimentConfig(sweep_db=(-10.0, 0.0, 30.0), **good).powers == (0.1, 1.0, 1000.0)
 
 
 def test_config_digest_tracks_content():

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import yrelay.transceiver
 from conftest import (
     StreamSymbols,
     assemble_uplink_symbol,
@@ -564,10 +565,12 @@ def test_round_rejects_symbols_of_other_length():
         run_round(CFG66, ctx.channels[0], ONES_PLAN, symbols=np.ones(11))
 
 
-def test_round_rejects_points_without_seeds():
+def test_round_rejects_points_without_seeds(monkeypatch):
     ctx = RoundContext([sample_channels(CFG66, seed=38)], RoundLayout(ONES_PLAN, 6))
     with pytest.raises(ValueError):
         transmit_round(ctx, [1.0, 10.0], [5])
+    # an unknown mode is refused before any draw
+    monkeypatch.setattr(yrelay.transceiver, "seeded_normals", lambda *args: pytest.fail("drew normals"))
     with pytest.raises(ModeUnavailable):
         transmit_round(ctx, [1.0], [5], mode="telepathy")
 
