@@ -167,6 +167,18 @@ def test_dof_output_matches_golden(capsysbinary, case):
     assert capsysbinary.readouterr().out == case["stdout"].encode()
 
 
+SIM_GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden" / "sim_outputs.json").read_text())
+
+
+@pytest.mark.parametrize("case", SIM_GOLDEN, ids=lambda case: " ".join(case["argv"]))
+def test_simulator_output_matches_golden(capsysbinary, case):
+    # recorded with one channel set per draw: `simulate` and `mppi-check`
+    # over the stacked channel block reproduce the same bytes and exit codes
+    code = main(list(case["argv"]))
+    assert code == case["exit"]
+    assert capsysbinary.readouterr().out == case["stdout"].encode()
+
+
 # ------------------------------------------------------------ plan / simulate
 
 
