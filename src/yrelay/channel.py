@@ -1,14 +1,14 @@
 """System configuration, random block-constant channels, and seeded noise.
 
-A `ChannelSet` is one block-constant draw. `sample_channel_block` draws a
-block of them, each draw's 2K matrices with one standard-normal call, and
-runs one stacked SVD per link direction for the conditioning check of the
-whole block and one stacked pseudo-inverse per direction for the per-user
-normalized inverses (`ChannelSet.inverses`: the precoders and receive
-filters with their diagonalization constants alpha_j and beta_k), from
-those singular values; every round over a draw reuses them.
-`sample_channels` is the block of one. Signals cross these matrices only
-inside `transceiver.transmit_round`.
+A `ChannelBlock` holds D block-constant draws as stacked arrays, with the
+normalized inverses that diagonalize them (the precoders and receive
+filters with their constants alpha_j and beta_k), one stacked
+pseudo-inverse per link direction. `sample_channel_block` draws a block,
+each draw's 2K matrices with one standard-normal call, and runs one stacked
+SVD per direction for the conditioning check, whose singular values the
+inverses reuse; `sample_channels` is the block of one. Rounds read the
+block's arrays as they are; signals cross its matrices only inside
+`transceiver.transmit_round`.
 
 The retry rule: the K uplink then K downlink matrices of a draw each take
 the next block of 2*N*M standard normals on the draw's stream that passes
@@ -37,11 +37,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .errors import GenerationFailed
+from .errors import DimensionError, GenerationFailed
 from .linalg import _unit_pinv, well_conditioned
 
 STREAM_CHANNEL = 1
@@ -145,42 +144,47 @@ class SystemConfig:
             raise ValueError(f"power must be positive and finite, got P={self.P}")
 
 
-@dataclass(frozen=True)
-class ChannelSet:
-    """One block-constant realization: uplink H_j (N x M), downlink D_j (M x N)."""
+class ChannelBlock:
+    """D block-constant channel draws of K users, stacked: `uplink` H (D, K,
+    N, M), `downlink` D (D, K, M, N), and the normalized inverses that
+    diagonalize them, computed here with one stacked pseudo-inverse per
+    direction: `right` (D, K, M, N) with alpha (D, K), `left` (D, K, N, M)
+    with beta (D, K). `singular_values` (D, 2K, N) of each draw's K uplink
+    then K downlink matrices, when given (the sampler's), spare their SVD.
+    A plain class: other matrices make a new block, with their own inverses.
+    """
 
-    uplink: tuple
-    downlink: tuple
+    def __init__(self, uplink, downlink, singular_values=None):
+        self.uplink = np.ascontiguousarray(uplink, dtype=np.complex128)
+        self.downlink = np.ascontiguousarray(downlink, dtype=np.complex128)
+        up, down = self.uplink.shape, self.downlink.shape
+        if len(up) != 4 or down != (*up[:2], up[3], up[2]):
+            raise DimensionError(f"uplink {up} and downlink {down} are not (draws, K, N, M) and (draws, K, M, N)")
+        d, k, n, m = up
+        up_sv = down_sv = None
+        if singular_values is not None:
+            up_sv, down_sv = (np.asarray(singular_values)[:, lo : lo + k].reshape(d * k, n) for lo in (0, k))
+        right, alpha = _unit_pinv(self.uplink.reshape(d * k, n, m), True, up_sv)
+        left, beta = _unit_pinv(self.downlink.reshape(d * k, m, n), False, down_sv)
+        self.right, self.alpha = right.reshape(d, k, m, n), alpha.reshape(d, k)
+        self.left, self.beta = left.reshape(d, k, n, m), beta.reshape(d, k)
 
-    @property
-    def K(self) -> int:
-        return len(self.uplink)
 
-    @cached_property
-    def inverses(self):
-        """(right, alpha, left, beta): the normalized right inverses of the
-        uplink matrices (K, M, N) with their alpha_j (K,), and the left
-        inverses of the downlink matrices (K, N, M) with their beta_k (K,)."""
-        right, alpha = _unit_pinv(np.array(self.uplink, dtype=np.complex128), True)
-        left, beta = _unit_pinv(np.array(self.downlink, dtype=np.complex128), False)
-        return right, alpha, left, beta
-
-
-def sample_channels(cfg: SystemConfig, seed: int) -> ChannelSet:
+def sample_channels(cfg: SystemConfig, seed: int) -> ChannelBlock:
     """Draw K uplink (N x M) and K downlink (M x N) matrices, i.i.d. CN(0,1):
-    the block-of-one case of `sample_channel_block`."""
-    return sample_channel_block(cfg, [seed])[0]
+    the block of one of `sample_channel_block`."""
+    return sample_channel_block(cfg, [seed])
 
 
-def sample_channel_block(cfg: SystemConfig, seeds) -> tuple:
-    """One channel draw per seed, each deterministic per its seed, with its
-    inverses computed.
+def sample_channel_block(cfg: SystemConfig, seeds) -> ChannelBlock:
+    """One channel draw per seed, each deterministic per its seed, as one
+    ChannelBlock.
 
     Each draw's 2K matrices come from one standard-normal draw, bit for bit
     the consecutive complex-normal blocks of a draw matrix by matrix (both
     shapes hold N*M entries), on one generator re-keyed per seed. The whole
-    block gets one stacked SVD per link direction for the conditioning check
-    and one stacked pseudo-inverse per direction, from those singular values.
+    block gets one stacked SVD per link direction for the conditioning check,
+    whose singular values the block's pseudo-inverses reuse.
     A draw with a matrix failing the check is drawn again from the start of
     its stream, matrix by matrix: each matrix takes the next block that
     passes, and GenerationFailed is raised after _MAX_RESAMPLE tries at one
@@ -209,16 +213,7 @@ def sample_channel_block(cfg: SystemConfig, seeds) -> tuple:
                     break
             else:
                 raise GenerationFailed(f"no full-rank {shape} draw in {_MAX_RESAMPLE} tries")
-    up, down = mats[:, :k].reshape(draws * k, n, m), mats[:, k:].reshape(draws * k, m, n)
-    right, alpha = _unit_pinv(up, True, svals[:, :k].reshape(-1, n))
-    left, beta = _unit_pinv(down, False, svals[:, k:].reshape(-1, n))
-    out = []
-    for b in range(draws):
-        mine = slice(b * k, (b + 1) * k)
-        ch = ChannelSet(uplink=tuple(up[mine]), downlink=tuple(down[mine]))
-        ch.__dict__["inverses"] = (right[mine], alpha[mine], left[mine], beta[mine])
-        out.append(ch)
-    return tuple(out)
+    return ChannelBlock(mats[:, :k].reshape(draws, k, n, m), mats[:, k:].reshape(draws, k, m, n), svals)
 
 
 def check_power(x, p):

@@ -199,11 +199,11 @@ def cmd_mppi_check(args) -> int:
     max_diag = 0.0
     max_trace = 0.0
     for t in range(args.trials):
-        ch = sample_channels(cfg, derive_seed(args.seed, SUBSEED_MPPI, t))
-        right, alpha, left, beta = ch.inverses
+        block = sample_channels(cfg, derive_seed(args.seed, SUBSEED_MPPI, t))
+        right, left = block.right[0], block.left[0]
         # H_j @ right_j = alpha_j * I and left_k @ D_k = beta_k * I
-        products = [h @ g for h, g in zip(ch.uplink, right)] + [g @ d for d, g in zip(ch.downlink, left)]
-        for product, g, c in zip(products, [*right, *left], alpha.tolist() + beta.tolist()):
+        products = [h @ g for h, g in zip(block.uplink[0], right)] + [g @ d for d, g in zip(block.downlink[0], left)]
+        for product, g, c in zip(products, [*right, *left], block.alpha[0].tolist() + block.beta[0].tolist()):
             resid = np.linalg.norm(product - c * np.eye(cfg.N))
             max_diag = max(max_diag, resid / (c * np.sqrt(cfg.N)))
             max_trace = max(max_trace, abs(np.trace(g.conj().T @ g).real - 1.0))
@@ -232,22 +232,22 @@ def cmd_plan(args) -> int:
 def cmd_simulate(args) -> int:
     from .channel import SystemConfig, sample_channels
     from .harness import SUBSEED_CHANNEL, db_to_linear, derive_seed
-    from .transceiver import run_round
+    from .transceiver import RoundContext, plan_layout, transmit_round
 
     cfg = SystemConfig(K=args.k, M=args.m, N=args.n, P=db_to_linear(args.power_db))
-    plan = build_stream_plan(_dof(args), cfg.N)
-    ch = sample_channels(cfg, derive_seed(args.seed, SUBSEED_CHANNEL, 0))
-    res = run_round(cfg, ch, plan, seed=args.seed, mode=args.mode, noise=args.noise)
+    layout = plan_layout(_dof(args), cfg.N, cfg.M)
+    ctx = RoundContext(sample_channels(cfg, derive_seed(args.seed, SUBSEED_CHANNEL, 0)), layout)
+    res = transmit_round(ctx, [cfg.P], [args.seed], mode=args.mode, noise=args.noise).round(0, 0)
     _print_json(res.to_dict())
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
     from .channel import SystemConfig
-    from .harness import ExperimentConfig, db_to_linear, run_sweep
+    from .harness import ExperimentConfig, run_sweep
 
     cfg = ExperimentConfig(
-        system=SystemConfig(K=args.k, M=args.m, N=args.n, P=db_to_linear(args.sweep_db[0])),
+        system=SystemConfig(K=args.k, M=args.m, N=args.n, P=1.0),  # each sweep point sets its own power
         dof=_dof(args),
         sweep_db=args.sweep_db,
         trials=args.trials,

@@ -5,12 +5,12 @@ realizations are shared across power points of the same trial (common random
 numbers), while symbols and noise are redrawn per (point, trial). The stream
 plan and its `RoundLayout` (the plan-only indices) come from the process's
 memo (`transceiver.plan_layout`), built once per (DoF vector, N, M). The
-trials run in blocks of TRIAL_BLOCK: a block's channel draws are sampled and
-inverted together, get one `RoundContext` (their inverses and SNR
+trials run in blocks of TRIAL_BLOCK: a block's draws are sampled and
+inverted together as one `ChannelBlock`, get one `RoundContext` (its SNR
 coefficients) and one `transmit_round` call over every draw and power point;
-the point sums add its stacked arrays in trial order, and the block is
-dropped before the next one, so a sweep holds one block at a time. Each
-trial gets the bits it would get alone. Floats are added left to right
+the point sums add that call's (trial, point) arrays as they come, and the
+block is dropped before the next one, so a sweep holds one block at a time.
+Each trial gets the bits it would get alone. Floats are added left to right
 (`left_sum`), so the bytes do not depend on the Python version. All
 sub-seeds derive from the master seed with a splitmix64 chain, so a report
 is a pure function of (config, seed): repeated runs emit identical bytes.
@@ -204,21 +204,16 @@ class _PointSums:
         self.violations = np.zeros(points, dtype=np.int64)
 
     def add(self, rounds) -> None:
-        """Add a block of trials' rounds (`transmit_round` rows: the points of
-        each trial in turn), one trial after the other."""
-        points = len(self.snr)
-
-        def trials(a):  # (trials, points, ...)
-            return a.reshape(len(a) // points, points, *a.shape[1:])
-
-        self.violations += (~trials(rounds.power_ok)).sum(axis=0)
+        """Add a block of trials' rounds (`transmit_round` arrays with (trial,
+        point) axes), one trial after the other."""
+        self.violations += (~rounds.power_ok).sum(axis=0)
         snr = rounds.snr
-        streams = snr.effective.shape[1]
+        streams = snr.effective.shape[2]
         if streams:
-            self.snr = left_sum(left_sum(trials(snr.effective).transpose(2, 0, 1)) / streams, self.snr)
-            self.rate = left_sum(trials(snr.rate_proxy) / streams, self.rate)
-        self.sum_rate = left_sum(trials(snr.rate_proxy), self.sum_rate)
-        errs = trials(rounds.rel_errors)
+            self.snr = left_sum(left_sum(snr.effective.transpose(2, 0, 1)) / streams, self.snr)
+            self.rate = left_sum(snr.rate_proxy / streams, self.rate)
+        self.sum_rate = left_sum(snr.rate_proxy, self.sum_rate)
+        errs = rounds.rel_errors
         if errs.shape[2]:
             self.err = left_sum(left_sum(errs.transpose(2, 0, 1)) / errs.shape[2], self.err)
             self.err_max = np.maximum(self.err_max, errs.max(axis=(0, 2)))

@@ -10,14 +10,14 @@ channel draw, so the work splits three ways:
   a round's random draws, the order in which users recover their estimates,
   the directions grouped by span length for the error norms, and the slot
   components of the analytic SNR;
-- a `RoundContext`, built once per block of channel draws, holds what the
-  draws fix: the stacked precoders and channel matrices, the
-  diagonalization constants alpha_j and beta_k, and the coefficients of the
-  analytic SNR;
+- a `RoundContext`, built once per `ChannelBlock` of draws, reads what the
+  draws fix off the block's stacked arrays (channel matrices, precoders,
+  the diagonalization constants alpha_j and beta_k) with the axes a round
+  broadcasts over, and computes the coefficients of the analytic SNR;
 - `transmit_round` runs the rounds of every draw and power point over a
-  context in one stacked computation, with leading (draw, point) axes: only
-  the symbols, the noise and the power budget P change from point to point.
-  `run_round` is the one-draw, one-point case.
+  context in one stacked computation, with (draw, point) axes that its
+  results keep: only the symbols, the noise and the power budget P change
+  from point to point; a single round is the block of one at one point.
 
 Each round gets the bits it would get alone: every sum whose order reaches a
 report keeps its order (users are added one at a time, rates and errors left
@@ -57,8 +57,7 @@ from .alignment import DofVector, StreamPlan, build_stream_plan
 from .channel import (
     STREAM_NOISE,
     STREAM_SYMBOLS,
-    ChannelSet,
-    SystemConfig,
+    ChannelBlock,
     check_power,
     complex_normal_blocks,
     normal_block_index,
@@ -99,8 +98,7 @@ def _length_groups(spans):
 class RoundLayout:
     """What a stream plan and the users' antenna count M fix for every round,
     whatever the channel draw. `plan_layout` builds one per (DoF vector, N,
-    M) for the sweeps of a process; `run_round`, a single round, builds its
-    own.
+    M) for the sweeps and single rounds of a process.
 
     Symbols travel as one flat vector laid out by `plan.symbol_spans`. A
     layout holds no generator and its arrays are read-only, so one layout
@@ -162,25 +160,21 @@ def plan_layout(dof: DofVector, n: int, m: int) -> RoundLayout:
 
 class RoundContext:
     """What a block of channel draws fixes for every round over it, under the
-    layout of its stream plan. `channels` is a sequence of ChannelSets, one
-    draw each; every array leads with the draws axis, and those a round
-    reads next with a points axis of length 1."""
+    layout of its stream plan. Every array leads with the draws axis of
+    `block`, and those a round reads next with a points axis of length 1."""
 
-    def __init__(self, channels, layout: RoundLayout):
-        channels = tuple(channels)
+    def __init__(self, block: ChannelBlock, layout: RoundLayout):
         plan = layout.plan
-        for ch in channels:
-            n, m = ch.uplink[0].shape
-            if (plan.K, plan.N, layout.M) != (ch.K, n, m):
-                raise DimensionError(
-                    f"layout for K={plan.K}, N={plan.N}, M={layout.M} does not fit channels with K={ch.K}, N={n}, M={m}")
-        right, alpha, left, beta = (np.stack(a) for a in zip(*(ch.inverses for ch in channels)))
-        self.channels, self.layout = channels, layout
+        _, k_users, n, m = block.uplink.shape
+        if (plan.K, plan.N, layout.M) != (k_users, n, m):
+            raise DimensionError(
+                f"layout for K={plan.K}, N={plan.N}, M={layout.M} does not fit channels with K={k_users}, N={n}, M={m}")
+        self.block, self.layout = block, layout
+        alpha, beta = block.alpha, block.beta
         # Axes (draw, point, user, channel use): a matrix per draw and user,
         # broadcast over points and channel uses.
-        self.right, self.left = right[:, None, :, None], left[:, None, :, None]
-        self.uplink = np.array([ch.uplink for ch in channels], dtype=np.complex128)[:, None, :, None]
-        self.downlink = np.array([ch.downlink for ch in channels], dtype=np.complex128)[:, None, :, None]
+        self.right, self.left = block.right[:, None, :, None], block.left[:, None, :, None]
+        self.uplink, self.downlink = block.uplink[:, None, :, None], block.downlink[:, None, :, None]
         self.alpha_rows, self.beta_rows = alpha[:, None, :, None], beta[:, None, :, None]
         self.receive_scale = alpha[:, None, layout.sender]
         j, k = layout.pair_users
@@ -194,7 +188,7 @@ class RoundContext:
         self.word_power = left_sum(a2[:, j - 1] * size for (j, _), size in plan.stream_lengths.items())
         j, k, row = layout.snr_components
         self.snr_a2, self.snr_b2 = a2[:, None, j], b2[:, None, k]
-        self.snr_rows = np.sum(np.abs(left) ** 2, axis=-1)[:, k, row][:, None]
+        self.snr_rows = np.sum(np.abs(block.left) ** 2, axis=-1)[:, k, row][:, None]
         self.snr_uplink = a2[:, None, layout.snr_senders]
 
 
@@ -238,31 +232,25 @@ class SnrReport:
 
 @dataclass(frozen=True)
 class SnrBatch:
-    """Analytic SNRs at several power points over a context's draws. Rows
-    are the rounds, the points of each draw in turn (row d * points + i is
-    draw d at point i), columns the active directions in
-    `ctx.layout.snr_keys` order; `report(r)` is row r as an SnrReport."""
+    """Analytic SNRs at several power points over a context's draws: axes
+    (draw, point, direction), the active directions in `ctx.layout.snr_keys`
+    order; `report(d, i)` is draw d at point i as an SnrReport."""
 
     ctx: RoundContext
     uplink: np.ndarray
     downlink: np.ndarray
     effective: np.ndarray
     rates: np.ndarray
-    rate_proxy: np.ndarray  # per round
+    rate_proxy: np.ndarray  # (draw, point)
 
-    def report(self, r: int) -> SnrReport:
+    def report(self, d: int, i: int) -> SnrReport:
         keys = self.ctx.layout.snr_keys
-        rows = zip(keys, self.uplink[r].tolist(), self.downlink[r].tolist(), self.effective[r].tolist())
+        rows = zip(keys, self.uplink[d, i].tolist(), self.downlink[d, i].tolist(), self.effective[d, i].tolist())
         return SnrReport(
             streams={key: StreamSnr(uplink=up, downlink=down, effective=eff) for key, up, down, eff in rows},
-            rates=dict(zip(keys, self.rates[r].tolist())),
-            rate_proxy=float(self.rate_proxy[r]),
+            rates=dict(zip(keys, self.rates[d, i].tolist())),
+            rate_proxy=float(self.rate_proxy[d, i]),
         )
-
-
-def _rounds(a: np.ndarray) -> np.ndarray:
-    """Merge the leading (draw, point) axes of `a` into one rounds axis."""
-    return a.reshape(a.shape[0] * a.shape[1], *a.shape[2:])
 
 
 def effective_snr(ctx: RoundContext, powers, mode: str = GENIE) -> SnrBatch:
@@ -297,7 +285,7 @@ def effective_snr(ctx: RoundContext, powers, mode: str = GENIE) -> SnrBatch:
     uplink = np.broadcast_to(ctx.snr_uplink, snr_down.shape)
     effective = snr_down if mode == GENIE else np.minimum(uplink, snr_down)
     rate_proxy = left_sum(np.moveaxis(rates, -1, 0), np.zeros(shape))
-    return SnrBatch(ctx, *map(_rounds, (uplink, snr_down, effective, rates, rate_proxy)))
+    return SnrBatch(ctx, uplink, snr_down, effective, rates, rate_proxy)
 
 
 @dataclass(frozen=True)
@@ -338,13 +326,12 @@ class RoundResult:
 @dataclass(frozen=True)
 class RoundBatch:
     """Rounds at several power points over a context's draws; every array
-    leads with the rounds axis, the points of each draw in turn (row
-    d * points + i is draw d at point i).
+    leads with the (draw, point) axes.
 
     `estimates` holds each round's symbol estimates in the flat layout of
     `plan.symbol_spans`, `rel_errors` the relative L2 error of each active
     direction in `ctx.layout.error_keys` order, and `gamma` 0 for a zero
-    relay word. `round(r)` is row r as a RoundResult.
+    relay word. `round(d, i)` is draw d at point i as a RoundResult.
     """
 
     ctx: RoundContext
@@ -356,17 +343,17 @@ class RoundBatch:
     power_ok: np.ndarray
     snr: SnrBatch
 
-    def round(self, r: int) -> RoundResult:
+    def round(self, d: int, i: int) -> RoundResult:
         layout = self.ctx.layout
         spans = layout.plan.symbol_spans
-        gamma = float(self.gamma[r])
+        gamma = float(self.gamma[d, i])
         return RoundResult(
-            estimates={key: self.estimates[r, slice(*spans[key])] for key in layout.estimate_order},
-            rel_errors=dict(zip(layout.error_keys, self.rel_errors[r].tolist())),
-            snr=self.snr.report(r),
+            estimates={key: self.estimates[d, i, slice(*spans[key])] for key in layout.estimate_order},
+            rel_errors=dict(zip(layout.error_keys, self.rel_errors[d, i].tolist())),
+            snr=self.snr.report(d, i),
             gamma=gamma,
             zero_word=gamma == 0.0,
-            power_ok=bool(self.power_ok[r]),
+            power_ok=bool(self.power_ok[d, i]),
             mode=self.mode,
             noisy=self.noisy,
         )
@@ -397,7 +384,7 @@ def transmit_round(
     plan, k_users, m = layout.plan, layout.plan.K, layout.M
     t_ext, n, length = plan.T, plan.N, plan.word_length
     powers = np.asarray(powers, dtype=np.float64)
-    shape = (len(ctx.channels), len(powers))
+    shape = (len(ctx.block.uplink), len(powers))
     budgets = np.broadcast_to(powers, shape)
     if len(seeds) != budgets.size:
         raise ValueError(f"{shape[0]} draws x {shape[1]} power points but {len(seeds)} seeds")
@@ -460,27 +447,19 @@ def transmit_round(
     est = cleaned.reshape(*shape, k_users * length)[..., layout.receive_index] / ctx.receive_scale
     est[~live] = 0.0
 
-    symbols_and_errors = np.stack((v, est - v))
+    errors = est - v
     rel_errors = np.empty((*shape, len(layout.error_keys)))
+    overflow = np.zeros(rel_errors.shape, dtype=bool)
     for where, index in layout.error_groups:
-        ref, e = _norms(symbols_and_errors[..., index])
+        ref = _norms(v[..., index])
+        with np.errstate(over="ignore"):  # an overflowing error norm is raised below
+            e = _norms(errors[..., index])
+        overflow[..., where] = np.isinf(e)
         rel_errors[..., where] = np.divide(e, ref, out=np.where(e == 0, 0.0, np.inf), where=ref > 0)
+    if overflow.any():  # noise divided by a scale above SCALE_UNDERFLOW, squared past the float range
+        d, i, c = np.argwhere(overflow)[0]
+        j, k = layout.error_keys[c]
+        scale = denom[d, i, layout.estimate_order.index((j, k))]
+        raise ScalarUnderflow(f"recovery scale gamma*beta*alpha = {scale:.3e} for pair ({j},{k}): error norm overflows")
 
-    return RoundBatch(ctx, mode, noise, *map(_rounds, (est, rel_errors, gamma, power_ok)), snr)
-
-
-def run_round(
-    cfg: SystemConfig,
-    ch: ChannelSet,
-    plan: StreamPlan,
-    symbols=None,
-    seed: int = 0,
-    mode: str = GENIE,
-    noise: bool = True,
-) -> RoundResult:
-    """One round over the stream plan `plan` at power cfg.P: the one-draw,
-    one-point case of `transmit_round`."""
-    if (plan.K, plan.N) != (cfg.K, cfg.N):
-        raise DimensionError(f"plan for K={plan.K}, N={plan.N} does not fit K={cfg.K}, N={cfg.N}")
-    ctx = RoundContext([ch], RoundLayout(plan, cfg.M))
-    return transmit_round(ctx, [cfg.P], [seed], symbols, mode, noise).round(0)
+    return RoundBatch(ctx, mode, noise, est, rel_errors, gamma, power_ok, snr)

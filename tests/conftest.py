@@ -10,8 +10,9 @@ against, the matrix-by-matrix channel draw and pseudo-inverse that
 `yrelay.channel.sample_channels` and `yrelay.linalg._unit_pinv` are checked
 against, the numpy key conversion that `yrelay.channel.reset_rng` is checked
 against, the reference round (with its symbol type `StreamSymbols`) that
-`yrelay.transceiver.transmit_round` is checked against, and the
-trial-by-trial sweep that `yrelay.harness.run_sweep` is checked against."""
+`yrelay.transceiver.transmit_round` is checked against, the one-round
+helper `run_round` over a block of one draw, and the trial-by-trial sweep
+that `yrelay.harness.run_sweep` is checked against."""
 
 import functools
 import itertools
@@ -176,11 +177,11 @@ def normalized_left_mppi(d) -> NormalizedLeftMppi:
 
 
 def precoders(ch):
-    """(right, left): a channel draw's `inverses` as one NormalizedRightMppi
-    per uplink and one NormalizedLeftMppi per downlink matrix."""
-    right, alpha, left, beta = ch.inverses
-    return (tuple(NormalizedRightMppi(g, c) for g, c in zip(right, alpha.tolist())),
-            tuple(NormalizedLeftMppi(g, c) for g, c in zip(left, beta.tolist())))
+    """(right, left): the inverses of the block of one `ch` as one
+    NormalizedRightMppi per uplink and one NormalizedLeftMppi per downlink
+    matrix."""
+    return (tuple(NormalizedRightMppi(g, c) for g, c in zip(ch.right[0], ch.alpha[0].tolist())),
+            tuple(NormalizedLeftMppi(g, c) for g, c in zip(ch.left[0], ch.beta[0].tolist())))
 
 
 @pytest.fixture
@@ -469,7 +470,8 @@ def reference_channels():
 # ------------------------------------------------------------ reference round
 # The round one call at a time: per user and channel use, symbols and noise
 # drawn per block, the analytic SNR recomputed from the precoders. Each
-# stage takes one vector: one channel use of one user or of the relay.
+# stage takes one vector: one channel use of one user or of the relay. A
+# channel argument `ch` is a ChannelBlock of one draw.
 
 
 def _check_power(x, p):
@@ -478,11 +480,11 @@ def _check_power(x, p):
 
 
 def _uplink_propagate(ch, x, noise=None):
-    if len(x) != ch.K:
-        raise DimensionError(f"expected {ch.K} transmit vectors, got {len(x)}")
-    n = ch.uplink[0].shape[0]
-    y = np.zeros(n, dtype=np.complex128)
-    for h, xj in zip(ch.uplink, x):
+    uplink = ch.uplink[0]
+    if len(x) != len(uplink):
+        raise DimensionError(f"expected {len(uplink)} transmit vectors, got {len(x)}")
+    y = np.zeros(uplink.shape[1], dtype=np.complex128)
+    for h, xj in zip(uplink, x):
         xj = np.asarray(xj, dtype=np.complex128)
         if xj.shape != (h.shape[1],):
             raise DimensionError(f"transmit vector shape {xj.shape} != ({h.shape[1]},)")
@@ -652,7 +654,7 @@ def _run_round(cfg, ch, plan, symbols=None, seed=0, mode=GENIE, noise=True):
         filt_parts = []
         for x_chunk in _chunks(x_word, cfg.N):
             z = complex_normal(noise_rng, cfg.M) if noise else None
-            y_k = _downlink_propagate(ch.downlink[k - 1], x_chunk, z)
+            y_k = _downlink_propagate(ch.downlink[0, k - 1], x_chunk, z)
             filt_parts.append(_user_postcode(y_k, left[k - 1]))
         filtered = np.concatenate(filt_parts)
         if zero_word:
@@ -681,6 +683,13 @@ def _run_round(cfg, ch, plan, symbols=None, seed=0, mode=GENIE, noise=True):
         mode=mode,
         noisy=noise,
     )
+
+
+def run_round(cfg, ch, plan, symbols=None, seed=0, mode=GENIE, noise=True):
+    """One round of `transmit_round` over the block of one `ch` at power
+    cfg.P, with the stream plan `plan` and the round seed `seed`."""
+    ctx = RoundContext(ch, RoundLayout(plan, cfg.M))
+    return transmit_round(ctx, [cfg.P], [seed], symbols, mode, noise).round(0, 0)
 
 
 @pytest.fixture(scope="session")
@@ -722,14 +731,15 @@ class _TrialSums:
         self.violations = np.zeros(points, dtype=np.int64)
 
     def add(self, rounds):
-        self.violations += ~rounds.power_ok
+        """Add the rounds of one trial: a `transmit_round` over its block of one."""
+        self.violations += ~rounds.power_ok[0]
         snr = rounds.snr
-        streams = snr.effective.shape[1]
+        streams = snr.effective.shape[2]
         if streams:
-            self.snr += left_sum(snr.effective.T) / streams
-            self.rate += snr.rate_proxy / streams
-        self.sum_rate += snr.rate_proxy
-        errs = rounds.rel_errors
+            self.snr += left_sum(snr.effective[0].T) / streams
+            self.rate += snr.rate_proxy[0] / streams
+        self.sum_rate += snr.rate_proxy[0]
+        errs = rounds.rel_errors[0]
         if errs.shape[1]:
             self.err += left_sum(errs.T) / errs.shape[1]
             self.err_max = np.maximum(self.err_max, errs.max(axis=1))
@@ -746,7 +756,7 @@ def _reference_sweep(cfg):
     sums = _TrialSums(len(powers))
     for t in range(cfg.trials):
         ch = yrelay.channel.sample_channels(cfg.system, derive_seed(cfg.seed, SUBSEED_CHANNEL, t))
-        ctx = RoundContext([ch], layout)
+        ctx = RoundContext(ch, layout)
         seeds = [derive_seed(cfg.seed, SUBSEED_ROUND, pi, t) for pi in range(len(powers))]
         sums.add(transmit_round(ctx, powers, seeds, mode=cfg.mode, noise=cfg.noise))
     rows = sums.rows(cfg.sweep_db, cfg.trials)

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from conftest import StreamSymbols, assemble_uplink_symbol, complex_normal
+from conftest import StreamSymbols, assemble_uplink_symbol, complex_normal, run_round
 from yrelay.alignment import DofVector, build_stream_plan
 from yrelay.channel import SystemConfig, rng_for, sample_channels
 from yrelay.cli import main
@@ -23,7 +23,7 @@ from yrelay.dofregion import (
 )
 from yrelay.harness import ExperimentConfig, run_sweep
 from yrelay.linalg import _unit_pinv
-from yrelay.transceiver import GENIE, run_round
+from yrelay.transceiver import GENIE
 
 CRITERION4_SHA256 = "a1eba261f300b0fe56121170e53879b5043d4fdff79981f3024bc3b718d3d47b"
 
@@ -80,9 +80,8 @@ def test_criterion_2_parallel_pair_decomposition(reference_round):
                 for j in range(1, 5) for k in range(1, 5) if j != k
             })
             us = [assemble_uplink_symbol(j, sym, plan) for j in range(1, 5)]
-            right, alpha, _, _ = ch.inverses
-            y = reference_round.uplink_propagate(ch, [g @ u for g, u in zip(right, us)])
-            alphas = alpha.tolist()
+            y = reference_round.uplink_propagate(ch, [g @ u for g, u in zip(ch.right[0], us)])
+            alphas = ch.alpha[0].tolist()
             target = sum(alphas[j - 1] * us[j - 1] for j in range(1, 5))
             assert np.linalg.norm(y - target) / np.linalg.norm(target) <= 1e-9
             for (j, k), off in plan.offsets.items():

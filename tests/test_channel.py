@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -7,7 +5,7 @@ import yrelay.channel
 from conftest import complex_normal
 from yrelay.channel import (
     STREAM_NOISE,
-    ChannelSet,
+    ChannelBlock,
     SystemConfig,
     check_power,
     complex_normal_blocks,
@@ -17,7 +15,7 @@ from yrelay.channel import (
     sample_channel_block,
     sample_channels,
 )
-from yrelay.errors import GenerationFailed, RankDeficient
+from yrelay.errors import DimensionError, GenerationFailed, RankDeficient
 
 
 def propagate_oracle(mats, xs):
@@ -58,57 +56,70 @@ def test_config_validation():
 def test_same_seed_same_channels():
     a = sample_channels(CFG, seed=7)
     b = sample_channels(CFG, seed=7)
-    for x, y in zip(a.uplink + a.downlink, b.uplink + b.downlink):
-        assert np.array_equal(x, y)
+    assert np.array_equal(a.uplink, b.uplink) and np.array_equal(a.downlink, b.downlink)
 
 
 def test_different_seed_differs():
     a = sample_channels(CFG, seed=7)
     b = sample_channels(CFG, seed=8)
-    assert not np.allclose(a.uplink[0], b.uplink[0])
+    assert not np.allclose(a.uplink[0, 0], b.uplink[0, 0])
 
 
 def test_channel_shapes():
+    # a draw is the block of one: (draws, K, N, M) uplink, (draws, K, M, N)
+    # downlink, each inverse with the other shape and one constant per user
     ch = sample_channels(CFG, seed=1)
-    assert len(ch.uplink) == 4 and len(ch.downlink) == 4
-    assert all(h.shape == (6, 6) for h in ch.uplink)
-    assert all(d.shape == (6, 6) for d in ch.downlink)
+    assert ch.uplink.shape == ch.downlink.shape == ch.right.shape == ch.left.shape == (1, 4, 6, 6)
     wide = sample_channels(SystemConfig(K=4, M=8, N=6, P=1.0), seed=1)
-    assert all(h.shape == (6, 8) for h in wide.uplink)
-    assert all(d.shape == (8, 6) for d in wide.downlink)
+    assert wide.uplink.shape == wide.left.shape == (1, 4, 6, 8)
+    assert wide.downlink.shape == wide.right.shape == (1, 4, 8, 6)
+    assert wide.alpha.shape == wide.beta.shape == (1, 4)
+    block = sample_channel_block(SystemConfig(K=3, M=8, N=6, P=1.0), [1, 2])
+    assert block.uplink.shape == (2, 3, 6, 8) and block.beta.shape == (2, 3)
+    with pytest.raises(DimensionError):
+        ChannelBlock(wide.uplink, wide.uplink)
+    with pytest.raises(DimensionError):
+        ChannelBlock(wide.uplink[0], wide.downlink[0])
+
+
+def inverses(block):
+    return block.right, block.alpha, block.left, block.beta
 
 
 def test_sampled_precoders_match_fresh_inverses():
     # a sampled draw reuses its conditioning check's singular values: the
-    # inverses equal a directly built set's bit for bit, and a replaced set
-    # inverts its own matrices, not with the draw's values
+    # inverses equal those of a block built from the same matrices bit for
+    # bit, and a block built from other matrices inverts those matrices
     ch = sample_channels(CFG, seed=4)
     other = sample_channels(CFG, seed=5)
+    mixed = ChannelBlock(other.uplink, ch.downlink)
     cases = [
-        (ch, ChannelSet(uplink=ch.uplink, downlink=ch.downlink)),
-        (dataclasses.replace(ch, uplink=other.uplink), ChannelSet(uplink=other.uplink, downlink=ch.downlink)),
+        (inverses(ch), inverses(ChannelBlock(ch.uplink, ch.downlink))),
+        (inverses(mixed), (other.right, other.alpha, ch.left, ch.beta)),
     ]
     for got, want in cases:
-        for g, w in zip(got.inverses, want.inverses):
+        for g, w in zip(got, want):
             assert g.shape == w.shape and g.tobytes() == w.tobytes()
-    flat = other.uplink[0].copy()
-    flat[1] = flat[0]  # rank-deficient: only its own singular values show it
+    for h, g, c in zip(mixed.uplink[0], mixed.right[0], mixed.alpha[0]):
+        assert np.allclose(h @ g, c * np.eye(6), rtol=0, atol=1e-12)
+    flat = other.uplink.copy()
+    flat[0, 0, 1] = flat[0, 0, 0]  # rank-deficient: refused when the block is built
     with pytest.raises(RankDeficient):
-        dataclasses.replace(ch, uplink=(flat,) + ch.uplink[1:]).inverses
+        ChannelBlock(flat, ch.downlink)
 
 
-def assert_same_draw(ch, want):
-    """A sampled set equals the matrix-by-matrix reference bit for bit:
-    matrices, their singular values, inverses, alpha and beta."""
-    assert len(ch.uplink) == len(want.uplink) and len(ch.downlink) == len(want.downlink)
-    for got, ref in zip(ch.uplink + ch.downlink, want.uplink + want.downlink):
-        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
-    for mats, refs in ((ch.uplink, want.singular_values[: ch.K]), (ch.downlink, want.singular_values[ch.K :])):
-        assert np.linalg.svd(np.array(mats), compute_uv=False).tobytes() == np.array(refs).tobytes()
-    inv_right, alpha, inv_left, beta = ch.inverses
-    assert inv_right.tobytes() == np.array([g for g, _ in want.right]).tobytes()
-    assert inv_left.tobytes() == np.array([g for g, _ in want.left]).tobytes()
-    assert alpha.tolist() == [c for _, c in want.right] and beta.tolist() == [c for _, c in want.left]
+def assert_same_draw(block, want, d=0):
+    """Draw d of a sampled block equals the matrix-by-matrix reference bit
+    for bit: matrices, their singular values, inverses, alpha and beta."""
+    k = len(want.uplink)
+    for got, ref in ((block.uplink[d], want.uplink), (block.downlink[d], want.downlink)):
+        assert got.shape == (k, *ref[0].shape) and got.tobytes() == np.array(ref).tobytes()
+    for mats, refs in ((block.uplink[d], want.singular_values[:k]), (block.downlink[d], want.singular_values[k:])):
+        assert np.linalg.svd(mats, compute_uv=False).tobytes() == np.array(refs).tobytes()
+    assert block.right[d].tobytes() == np.array([g for g, _ in want.right]).tobytes()
+    assert block.left[d].tobytes() == np.array([g for g, _ in want.left]).tobytes()
+    assert block.alpha[d].tolist() == [c for _, c in want.right]
+    assert block.beta[d].tolist() == [c for _, c in want.left]
 
 
 @pytest.mark.parametrize("k, m, n", [(3, 1, 1), (3, 4, 3), (4, 6, 6), (5, 8, 6), (4, 9, 2), (6, 7, 7)])
@@ -133,14 +144,15 @@ def test_redraw_matches_sequential_reference(monkeypatch, reference_channels):
         rejected.append(reference_channels(cfg, 9).singular_values[position][0])
         ch = sample_channels(cfg, 9)
         assert_same_draw(ch, reference_channels(cfg, 9))
-        assert ch.uplink[0].tobytes() == plain.uplink[0].tobytes()
-        assert ch.uplink[1].tobytes() != plain.uplink[1].tobytes()
+        assert ch.uplink[0, 0].tobytes() == plain.uplink[0, 0].tobytes()
+        assert ch.uplink[0, 1].tobytes() != plain.uplink[0, 1].tobytes()
     assert len(rejected) == 3
     for position in range(2 * cfg.K):
         rejected[:] = [plain_values[position][0]]
         ch = sample_channels(cfg, 9)
         assert_same_draw(ch, reference_channels(cfg, 9))
-        same = [a.tobytes() == b.tobytes() for a, b in zip(ch.uplink + ch.downlink, plain.uplink + plain.downlink)]
+        same = [a.tobytes() == b.tobytes()
+                for a, b in zip([*ch.uplink[0], *ch.downlink[0]], [*plain.uplink[0], *plain.downlink[0]])]
         assert same[: position + 1] == [True] * position + [False]
 
 
@@ -157,9 +169,9 @@ def test_block_draw_matches_sequential_reference(monkeypatch, reference_channels
         if seed is not None:
             rejected.append(reference_channels(cfg, seed).singular_values[position][0])
         block = sample_channel_block(cfg, seeds)
-        assert len(block) == len(seeds)
-        for ch, seed in zip(block, seeds):
-            assert_same_draw(ch, reference_channels(cfg, seed))
+        assert len(block.uplink) == len(seeds)
+        for d, seed in enumerate(seeds):
+            assert_same_draw(block, reference_channels(cfg, seed), d)
 
 
 def test_redraw_budget_matches_sequential_reference(monkeypatch, reference_channels):
@@ -192,7 +204,7 @@ def test_redraw_budget_matches_sequential_reference(monkeypatch, reference_chann
 
 def test_entry_moments():
     ch = sample_channels(SystemConfig(K=4, M=50, N=40, P=1.0), seed=5)
-    entries = np.concatenate([m.ravel() for m in ch.uplink + ch.downlink])
+    entries = np.concatenate([ch.uplink.ravel(), ch.downlink.ravel()])
     assert entries.size >= 10_000
     var = np.mean(np.abs(entries) ** 2)
     assert abs(var - 1.0) < 0.05
@@ -208,7 +220,7 @@ def test_uplink_zero_inputs(reference_round):
 
 def test_uplink_identity_passthrough(reference_round):
     eye = np.eye(3, dtype=np.complex128)
-    ch = ChannelSet(uplink=(eye,), downlink=(eye,))
+    ch = ChannelBlock(eye[None, None], eye[None, None])
     e1 = np.array([1.0, 0.0, 0.0])
     assert np.allclose(reference_round.uplink_propagate(ch, [e1]), e1)
 
@@ -219,7 +231,7 @@ def test_uplink_matches_oracle(reference_round):
     for _ in range(10):
         xs = [rng.standard_normal(6) + 1j * rng.standard_normal(6) for _ in range(4)]
         got = reference_round.uplink_propagate(ch, xs)
-        want = propagate_oracle(ch.uplink, xs)
+        want = propagate_oracle(ch.uplink[0], xs)
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
@@ -241,8 +253,8 @@ def test_downlink_matches_oracle(reference_round):
     rng = np.random.default_rng(12)
     ch = sample_channels(CFG, seed=4)
     x = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    got = reference_round.downlink_propagate(ch.downlink[2], x)
-    want = propagate_oracle([ch.downlink[2]], [x])
+    got = reference_round.downlink_propagate(ch.downlink[0, 2], x)
+    want = propagate_oracle([ch.downlink[0, 2]], [x])
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 

@@ -23,6 +23,7 @@ except ModuleNotFoundError:  # Python 3.10
 import yrelay.__main__
 import yrelay.cli
 import yrelay.harness
+from conftest import run_round
 from yrelay.alignment import DofVector, build_stream_plan
 from yrelay.channel import SystemConfig, sample_channels
 from yrelay.cli import (
@@ -36,7 +37,7 @@ from yrelay.cli import (
     parse_sweep_spec,
 )
 from yrelay.harness import SUBSEED_CHANNEL, db_to_linear, derive_seed
-from yrelay.transceiver import RAW, run_round
+from yrelay.transceiver import RAW
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "sweep_small.csv"
 GOLDEN_EXT = pathlib.Path(__file__).parent / "golden" / "sweep_ext.csv"
@@ -260,7 +261,24 @@ def test_sweep_rejects_power_beyond_float_range_before_any_trial(capsys, monkeyp
     code, out, err = run_cli(capsys, "--quiet", "sweep", "--sweep-db=-3300:10:-3280", "--trials", "1")
     assert code == EXIT_USAGE
     assert out == ""
-    assert err.startswith("yrelay: usage error: ")
+    assert err == "yrelay: usage error: sweep point -3300.0 dB is not a positive finite power (0.0 W)\n"
+
+
+def test_sweep_recovery_scale_too_small_for_noise(capsys):
+    # at -3230 dB the noise divided by the recovery scale (about 1e-162)
+    # overflows the error norms; the sweep stops with the pair instead of
+    # reporting inf errors (a RuntimeWarning from the package fails a test)
+    args = ["--quiet", "sweep", "--k", "3", "--m", "3", "--n", "3", "--trials", "1"]
+    code, out, err = run_cli(capsys, *args, "--sweep-db=-3230:10:-3210")
+    assert code == EXIT_FAILURE
+    assert out == ""
+    assert err == ("yrelay: error: ScalarUnderflow: recovery scale gamma*beta*alpha = 1.089e-162 "
+                   "for pair (2,1): error norm overflows\n")
+    # noiseless rounds at those powers recover, and noisy ones at -3000 dB do
+    for extra in (["--sweep-db=-3230:10:-3210", "--no-noise"], ["--sweep-db=-3000:10:-2980"]):
+        code, out, _ = run_cli(capsys, *args, *extra)
+        assert code == EXIT_OK
+        assert "inf" not in out
 
 
 def test_simulate_infeasible_exits_one(capsys):
