@@ -174,7 +174,9 @@ SIM_GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden" / "sim_outputs
 @pytest.mark.parametrize("case", SIM_GOLDEN, ids=lambda case: " ".join(case["argv"]))
 def test_simulator_output_matches_golden(capsysbinary, case):
     # recorded with one channel set per draw: `simulate` and `mppi-check`
-    # over the stacked channel block reproduce the same bytes and exit codes
+    # over the stacked channel block reproduce the same bytes and exit codes;
+    # the 33-trial `mppi-check` and raw `sweep` cases cross two trial-block
+    # boundaries
     code = main(list(case["argv"]))
     assert code == case["exit"]
     assert capsysbinary.readouterr().out == case["stdout"].encode()
