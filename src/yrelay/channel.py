@@ -4,20 +4,11 @@ A `ChannelBlock` holds D block-constant draws as stacked arrays, with the
 normalized inverses that diagonalize them (the precoders and receive
 filters with their constants alpha_j and beta_k), one stacked
 pseudo-inverse per link direction. `sample_channel_block` draws a block,
-each draw's 2K matrices with one standard-normal call, and runs one stacked
-SVD per direction for the conditioning check, whose singular values the
-inverses reuse; `sample_channels` is the block of one. Rounds read the
-block's arrays as they are; signals cross its matrices only inside
-`transceiver.transmit_round`.
-
-The retry rule: the K uplink then K downlink matrices of a draw each take
-the next block of 2*N*M standard normals on the draw's stream that passes
-`well_conditioned`, at most _MAX_RESAMPLE tries per matrix. A draw that
-fails the stacked first pass is drawn again this way from the start of its
-stream.
-
-Complex normals are drawn in blocks: a block of n unit-variance entries
-takes n standard normals as its real parts, then n as its imaginary parts.
+each draw's 2K matrices with one standard-normal call; the inverses are
+the conditioning check (no SVD unless a matrix fails their bound; see
+`sample_channel_block` for the retry); `sample_channels` is the block of
+one. Rounds read the block's arrays as they are; signals cross its
+matrices only inside `transceiver.transmit_round`.
 
 All randomness comes from the Philox counter-based generator keyed with
 (seed, stream id), so any seed reproduces the exact same realization. Streams
@@ -35,12 +26,13 @@ package:
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, GenerationFailed
+from .errors import DimensionError, GenerationFailed, RankDeficient
 from .linalg import _unit_pinv, well_conditioned
 
 STREAM_CHANNEL = 1
@@ -51,7 +43,7 @@ POWER_CHECK_SLACK = 1e-9  # relative slack in check_power
 _MAX_RESAMPLE = 100
 
 _MASK64 = (1 << 64) - 1
-_ZERO4 = np.zeros(4, dtype=np.uint64)
+_ZERO4 = (0, 0, 0, 0)
 
 
 def rng_for(seed: int, stream: int) -> np.random.Generator:
@@ -149,23 +141,22 @@ class ChannelBlock:
     N, M), `downlink` D (D, K, M, N), and the normalized inverses that
     diagonalize them, computed here with one stacked pseudo-inverse per
     direction: `right` (D, K, M, N) with alpha (D, K), `left` (D, K, N, M)
-    with beta (D, K). `singular_values` (D, 2K, N) of each draw's K uplink
-    then K downlink matrices, when given (the sampler's), spare their SVD.
+    with beta (D, K). Building it checks conditioning (RankDeficient): for
+    each Gram matrix G (H H^H, D^H D) and its inverse X, which the precoders
+    need anyway, cond_2(G) = ||G||_2 ||G^{-1}||_2 <= ||G||_F ||X||_F up to
+    X's rounding, so a direction with every bound within 1e6 needs no SVD.
     A plain class: other matrices make a new block, with their own inverses.
     """
 
-    def __init__(self, uplink, downlink, singular_values=None):
+    def __init__(self, uplink, downlink):
         self.uplink = np.ascontiguousarray(uplink, dtype=np.complex128)
         self.downlink = np.ascontiguousarray(downlink, dtype=np.complex128)
         up, down = self.uplink.shape, self.downlink.shape
         if len(up) != 4 or down != (*up[:2], up[3], up[2]):
             raise DimensionError(f"uplink {up} and downlink {down} are not (draws, K, N, M) and (draws, K, M, N)")
         d, k, n, m = up
-        up_sv = down_sv = None
-        if singular_values is not None:
-            up_sv, down_sv = (np.asarray(singular_values)[:, lo : lo + k].reshape(d * k, n) for lo in (0, k))
-        right, alpha = _unit_pinv(self.uplink.reshape(d * k, n, m), True, up_sv)
-        left, beta = _unit_pinv(self.downlink.reshape(d * k, m, n), False, down_sv)
+        right, alpha = _unit_pinv(self.uplink.reshape(d * k, n, m), True)
+        left, beta = _unit_pinv(self.downlink.reshape(d * k, m, n), False)
         self.right, self.alpha = right.reshape(d, k, m, n), alpha.reshape(d, k)
         self.left, self.beta = left.reshape(d, k, n, m), beta.reshape(d, k)
 
@@ -182,14 +173,13 @@ def sample_channel_block(cfg: SystemConfig, seeds) -> ChannelBlock:
 
     Each draw's 2K matrices come from one standard-normal draw, bit for bit
     the consecutive complex-normal blocks of a draw matrix by matrix (both
-    shapes hold N*M entries), on one generator re-keyed per seed. The whole
-    block gets one stacked SVD per link direction for the conditioning check,
-    whose singular values the block's pseudo-inverses reuse.
-    A draw with a matrix failing the check is drawn again from the start of
-    its stream, matrix by matrix: each matrix takes the next block that
-    passes, and GenerationFailed is raised after _MAX_RESAMPLE tries at one
-    matrix. Continuous entries make a failed check a probability-zero
-    event, so the retry exists only to guard degenerate misuse.
+    shapes hold N*M entries), on one generator re-keyed per seed. Only if
+    building the block refuses a matrix (RankDeficient) is every draw drawn
+    again from the start of its stream, matrix by matrix: each matrix takes
+    the next block that passes `well_conditioned` (by its singular values),
+    and GenerationFailed is raised after _MAX_RESAMPLE tries at one matrix.
+    Continuous entries make a failed check a probability-zero event, so the
+    retry exists only to guard degenerate misuse.
     """
     k, n, m = cfg.K, cfg.N, cfg.M
     draws = len(seeds)
@@ -197,23 +187,19 @@ def sample_channel_block(cfg: SystemConfig, seeds) -> ChannelBlock:
     blocks = seeded_normals(rng, seeds, STREAM_CHANNEL, 4 * k * n * m)
     blocks = blocks.reshape(draws, 2 * k, 2, n * m)  # per matrix: real parts, then imaginary parts
     mats = _complex(blocks[:, :, 0], blocks[:, :, 1])
-    svals = np.empty((draws, 2 * k, n))
-    for lo, shape in ((0, (n, m)), (k, (m, n))):
-        stack = mats[:, lo : lo + k].reshape(-1, *shape)
-        svals[:, lo : lo + k] = np.linalg.svd(stack, compute_uv=False).reshape(-1, k, n)
-    for b in np.flatnonzero(~well_conditioned(svals).all(axis=1)).tolist():
-        reset_rng(rng, seeds[b], STREAM_CHANNEL)
-        for i in range(2 * k):
-            shape = (n, m) if i < k else (m, n)
+    up, down = mats[:, :k].reshape(draws, k, n, m), mats[:, k:].reshape(draws, k, m, n)  # views of mats
+    with contextlib.suppress(RankDeficient):
+        return ChannelBlock(up, down)
+    for b, seed in enumerate(seeds):  # a draw whose matrices all pass is drawn again as it was
+        reset_rng(rng, seed, STREAM_CHANNEL)
+        for i, shape in enumerate([(n, m)] * k + [(m, n)] * k):
             for _ in range(_MAX_RESAMPLE):
-                re, im = rng.standard_normal((2, n * m))
-                mats[b, i] = _complex(re, im)
-                svals[b, i] = np.linalg.svd(mats[b, i].reshape(shape), compute_uv=False)
-                if well_conditioned(svals[b, i]):
+                mats[b, i] = _complex(*rng.standard_normal((2, n * m)))
+                if well_conditioned(np.linalg.svd(mats[b, i].reshape(shape), compute_uv=False)):
                     break
             else:
                 raise GenerationFailed(f"no full-rank {shape} draw in {_MAX_RESAMPLE} tries")
-    return ChannelBlock(mats[:, :k].reshape(draws, k, n, m), mats[:, k:].reshape(draws, k, m, n), svals)
+    return ChannelBlock(up, down)
 
 
 def check_power(x, p):

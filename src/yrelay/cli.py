@@ -189,24 +189,25 @@ def _dof(args) -> DofVector:
 def cmd_mppi_check(args) -> int:
     import numpy as np
 
-    from .channel import SystemConfig, sample_channels
-    from .harness import derive_seed
+    from .channel import SystemConfig, sample_channel_block
+    from .harness import TRIAL_BLOCK, derive_seed
     from .linalg import DIAG_RTOL, TRACE_TOL
 
     if args.trials < 1:
         raise ValueError(f"need at least one trial, got {args.trials}")
     cfg = SystemConfig(K=args.k, M=args.m, N=args.n, P=1.0)
-    max_diag = 0.0
-    max_trace = 0.0
-    for t in range(args.trials):
-        block = sample_channels(cfg, derive_seed(args.seed, SUBSEED_MPPI, t))
-        right, left = block.right[0], block.left[0]
-        # H_j @ right_j = alpha_j * I and left_k @ D_k = beta_k * I
-        products = [h @ g for h, g in zip(block.uplink[0], right)] + [g @ d for d, g in zip(block.downlink[0], left)]
-        for product, g, c in zip(products, [*right, *left], block.alpha[0].tolist() + block.beta[0].tolist()):
-            resid = np.linalg.norm(product - c * np.eye(cfg.N))
-            max_diag = max(max_diag, resid / (c * np.sqrt(cfg.N)))
-            max_trace = max(max_trace, abs(np.trace(g.conj().T @ g).real - 1.0))
+    max_diag = max_trace = 0.0
+    seeds = [derive_seed(args.seed, SUBSEED_MPPI, t) for t in range(args.trials)]
+    for lo in range(0, args.trials, TRIAL_BLOCK):
+        block = sample_channel_block(cfg, seeds[lo : lo + TRIAL_BLOCK])
+        for up, down, right, left, alpha, beta in zip(
+                block.uplink, block.downlink, block.right, block.left, block.alpha, block.beta):
+            # H_j @ right_j = alpha_j * I and left_k @ D_k = beta_k * I
+            products = [h @ g for h, g in zip(up, right)] + [g @ d for d, g in zip(down, left)]
+            for product, g, c in zip(products, [*right, *left], alpha.tolist() + beta.tolist()):
+                resid = np.linalg.norm(product - c * np.eye(cfg.N))
+                max_diag = max(max_diag, resid / (c * np.sqrt(cfg.N)))
+                max_trace = max(max_trace, abs(np.trace(g.conj().T @ g).real - 1.0))
     max_diag, max_trace = float(max_diag), float(max_trace)
     ok = max_diag <= DIAG_RTOL and max_trace <= TRACE_TOL
     _print_json(

@@ -1,10 +1,10 @@
 """Complex dense linear algebra for zero-forcing relay beamforming.
 
 Right and left Moore-Penrose pseudo-inverses in Gram-matrix form, for a
-whole stack of matrices at once, scaled to unit Frobenius norm so that
-pre/post-coding turns every uplink and downlink channel into a scaled
-identity; and the left-to-right sum that keeps float results independent of
-the Python version.
+whole stack of matrices at once (an SVD only where the Gram inverses fail
+their conditioning bound), scaled to unit Frobenius norm so that pre/post-
+coding turns every channel into a scaled identity; and the left-to-right
+sum that keeps float results independent of the Python version.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from .errors import DimensionError, RankDeficient
 # Conditioning / tolerance constants (shared by the test suite).
 RANK_TOL = 1e-10          # reject when sigma_min/sigma_max falls below this
 GRAM_COND_LIMIT = 1e8     # switch to the SVD route when cond(Gram) exceeds this
+GRAM_BOUND_LIMIT = GRAM_COND_LIMIT / 100  # no SVD for a stack whose cond(Gram) bounds stay within this
 DIAG_RTOL = 1e-9          # relative residual allowed in H @ H_R = alpha * I
 TRACE_TOL = 1e-12         # absolute tolerance on the unit-trace normalization
 
@@ -51,21 +52,25 @@ def _gram_pinv(a: np.ndarray, right: bool) -> np.ndarray:
     return ah @ gram_inv if right else gram_inv @ ah
 
 
-def _unit_pinv(a, right: bool, sv=None) -> tuple[np.ndarray, np.ndarray]:
+def _unit_pinv(a, right: bool) -> tuple[np.ndarray, np.ndarray]:
     """Minimum-norm pseudo-inverses G of a stack `a` (S, rows, cols), each
     scaled to unit Frobenius norm: (c * G, c), stacked.
 
     With `right`, every matrix is wide and G = A^H (A A^H)^{-1} (A @ G = I);
     otherwise tall, and G = (A^H A)^{-1} A^H (G @ A = I). One Gram product,
     one inversion and one product serve the stack, matrix by matrix the
-    same bits as one matrix alone. A matrix whose Gram matrix is too
-    ill-conditioned to invert reliably takes the SVD route instead, and its
-    stack is then inverted matrix by matrix. The side
-    is explicit: a square matrix fits both, and there the formulas differ in
-    the last bits. c^{-2} = tr(G^H G). `sv`, when given, holds the singular
-    values (S, min(rows, cols)) as `np.linalg.svd(a, compute_uv=False)`
-    returns them; a sampled channel draw passes the ones its conditioning
-    check computed.
+    same bits as one matrix alone. The side is explicit: a square matrix
+    fits both, and there the formulas differ in the last bits. c^{-2} =
+    tr(G^H G).
+
+    Gram matrices Q and computed inverses X check conditioning: P = ||Q||_F
+    ||X||_F >= cond_2(Q) up to X's error u cond_2(Q), and cond_2(Q) >
+    GRAM_COND_LIMIT gives P > GRAM_COND_LIMIT / sqrt(n): column j of X
+    solves (Q + E_j) x_j = e_j with ||E_j|| ~ u ||Q||, so ||x_j|| >= |v_j| /
+    (sigma_min(Q) + ||E_j||), v least singular, and some |v_j| >= 1/sqrt(n).
+    A stack with every P <= GRAM_BOUND_LIMIT takes the Gram formula, no SVD.
+    Any other is inverted matrix by matrix after its SVD: RANK_TOL refuses a
+    matrix (the first is named), and GRAM_COND_LIMIT sends one to pinv.
     """
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 3:
@@ -76,19 +81,27 @@ def _unit_pinv(a, right: bool, sv=None) -> tuple[np.ndarray, np.ndarray]:
     if n > m:
         want = "wide" if right else "tall"
         raise DimensionError(f"{side} inverse needs a {want} matrix, got {a.shape[1]}x{a.shape[2]}")
-    s = np.linalg.svd(a, compute_uv=False) if sv is None else sv
-    ok = well_conditioned(s)
-    if not ok.all():
-        top, low = s[np.argmin(ok)][[0, -1]]
-        ratio = 0.0 if top == 0 else low / top
-        raise RankDeficient(
-            f"{side} inverse needs a well-conditioned matrix: sigma_min/sigma_max = {ratio:.3e}")
-    # Squared as Python floats, by the pow() a lone matrix's scalar ratio used.
-    fallback = [r**2 > GRAM_COND_LIMIT for r in (s[:, 0] / s[:, -1]).tolist()]
-    if any(fallback):  # matrix by matrix, each on its own route
-        g = np.array([np.linalg.pinv(x) if f else _gram_pinv(x[None], right)[0] for x, f in zip(a, fallback)])
+    ah = a.conj().swapaxes(1, 2)
+    with np.errstate(all="ignore"):  # the bound warns of nothing; the SVD route keeps its warnings
+        gram = a @ ah if right else ah @ a
+        try:
+            gram_inv = np.linalg.inv(gram)
+        except np.linalg.LinAlgError:
+            gram_inv = np.full_like(gram, np.nan)  # no bound clears it
+        q2, x2 = (np.einsum("sij,sij->s", v, v) for v in (gram.view(np.float64), gram_inv.view(np.float64)))
+        bounded = (q2 * x2 <= GRAM_BOUND_LIMIT**2).all()
+    if bounded:
+        g = ah @ gram_inv if right else gram_inv @ ah
     else:
-        g = _gram_pinv(a, right)
+        s = np.linalg.svd(a, compute_uv=False)
+        ok = well_conditioned(s)
+        if not ok.all():
+            top, low = s[np.argmin(ok)][[0, -1]]
+            ratio = 0.0 if top == 0 else low / top
+            raise RankDeficient(
+                f"{side} inverse needs a well-conditioned matrix: sigma_min/sigma_max = {ratio:.3e}")
+        # Squared as Python floats, by the pow() a lone matrix's scalar ratio used.
+        fallback = [r**2 > GRAM_COND_LIMIT for r in (s[:, 0] / s[:, -1]).tolist()]
+        g = np.array([np.linalg.pinv(x) if f else _gram_pinv(x[None], right)[0] for x, f in zip(a, fallback)])
     c = 1.0 / np.sqrt(np.sum((np.abs(g) ** 2).reshape(len(g), -1), axis=-1))
     return c[:, None, None] * g, c
-

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import yrelay.channel
+import yrelay.linalg
 from conftest import complex_normal
 from yrelay.channel import (
     STREAM_NOISE,
@@ -87,9 +88,9 @@ def inverses(block):
 
 
 def test_sampled_precoders_match_fresh_inverses():
-    # a sampled draw reuses its conditioning check's singular values: the
-    # inverses equal those of a block built from the same matrices bit for
-    # bit, and a block built from other matrices inverts those matrices
+    # a sampled draw's inverses are those of a block built from the same
+    # matrices, bit for bit, and a block built from other matrices inverts
+    # those matrices
     ch = sample_channels(CFG, seed=4)
     other = sample_channels(CFG, seed=5)
     mixed = ChannelBlock(other.uplink, ch.downlink)
@@ -122,6 +123,17 @@ def assert_same_draw(block, want, d=0):
     assert block.beta[d].tolist() == [c for _, c in want.left]
 
 
+def reject_where(monkeypatch, verdict):
+    """Make `verdict` the conditioning predicate of every check a draw
+    meets. With the Gram bound's limit at 0 no block clears the bound, so
+    each block's inverses take their singular-value verdict
+    (`yrelay.linalg.well_conditioned`); the sampler's redraw and the
+    reference draw read `yrelay.channel.well_conditioned`."""
+    monkeypatch.setattr(yrelay.linalg, "GRAM_BOUND_LIMIT", 0.0)
+    for module in (yrelay.linalg, yrelay.channel):
+        monkeypatch.setattr(module, "well_conditioned", verdict)
+
+
 @pytest.mark.parametrize("k, m, n", [(3, 1, 1), (3, 4, 3), (4, 6, 6), (5, 8, 6), (4, 9, 2), (6, 7, 7)])
 def test_blocked_draw_matches_sequential_reference(reference_channels, k, m, n):
     cfg = SystemConfig(K=k, M=m, N=n, P=1.0)
@@ -138,8 +150,7 @@ def test_redraw_matches_sequential_reference(monkeypatch, reference_channels):
     cfg = SystemConfig(K=4, M=5, N=3, P=1.0)
     plain, plain_values = sample_channels(cfg, 9), reference_channels(cfg, 9).singular_values
     accept, rejected = yrelay.channel.well_conditioned, []
-    monkeypatch.setattr(
-        yrelay.channel, "well_conditioned", lambda s: accept(s) & ~np.isin(np.asarray(s)[..., 0], rejected))
+    reject_where(monkeypatch, lambda s: accept(s) & ~np.isin(np.asarray(s)[..., 0], rejected))
     for position in (1, 1, 6):
         rejected.append(reference_channels(cfg, 9).singular_values[position][0])
         ch = sample_channels(cfg, 9)
@@ -163,8 +174,7 @@ def test_block_draw_matches_sequential_reference(monkeypatch, reference_channels
     cfg = SystemConfig(K=4, M=5, N=3, P=1.0)
     seeds = [8, 9, 2**63 + 5, 10]
     accept, rejected = yrelay.channel.well_conditioned, []
-    monkeypatch.setattr(
-        yrelay.channel, "well_conditioned", lambda s: accept(s) & ~np.isin(np.asarray(s)[..., 0], rejected))
+    reject_where(monkeypatch, lambda s: accept(s) & ~np.isin(np.asarray(s)[..., 0], rejected))
     for seed, position in ((None, None), (9, 1), (10, 6), (10, 0), (8, 3), (10, 7)):
         if seed is not None:
             rejected.append(reference_channels(cfg, seed).singular_values[position][0])
@@ -178,15 +188,13 @@ def test_redraw_budget_matches_sequential_reference(monkeypatch, reference_chann
     cfg = SystemConfig(K=3, M=3, N=2, P=1.0)
     accept = yrelay.channel.well_conditioned
     # every matrix rejected: both give up on the first one after 100 tries
-    monkeypatch.setattr(yrelay.channel, "well_conditioned", lambda s: np.zeros(np.shape(s)[:-1], dtype=bool))
+    reject_where(monkeypatch, lambda s: np.zeros(np.shape(s)[:-1], dtype=bool))
     for draw in (sample_channels, reference_channels, lambda cfg, seed: sample_channel_block(cfg, [1, seed])):
         with pytest.raises(GenerationFailed, match=r"^no full-rank \(2, 3\) draw in 100 tries$"):
             draw(cfg, 3)
     # about 1 matrix in 32 accepted: long runs of redraws, some past the
     # budget (on an uplink or a downlink matrix); both agree on every outcome
-    monkeypatch.setattr(
-        yrelay.channel, "well_conditioned",
-        lambda s: accept(s) & (np.floor(np.asarray(s)[..., 0] * 2**20) % 32 == 0))
+    reject_where(monkeypatch, lambda s: accept(s) & (np.floor(np.asarray(s)[..., 0] * 2**20) % 32 == 0))
     outcomes = []
     for seed in range(30):
         try:

@@ -263,13 +263,16 @@ def counted(fn, calls, key):
 def test_sweep_reuses_precoders_and_plan(monkeypatch):
     # the channel is block-constant and trials run in blocks of TRIAL_BLOCK:
     # each draw takes its 2K matrices from one standard_normal call on its
-    # block's one generator; each block runs one stacked SVD per link
-    # direction for the conditioning check of all its draws, inverts each
-    # direction's stack once with those singular values, builds one round
-    # context (with its SNR coefficients) and makes one stacked kernel call,
-    # on one generator of its own, for all its draws and power points; a
-    # noisy round draws its symbols and its noise with one standard_normal
-    # call each. The plan and its round layout come from the process memo:
+    # block's one generator; each block inverts each link direction's stack
+    # once, and that one Gram inversion is also the conditioning check of
+    # all its draws (a stack whose matrices are all within the bound runs no
+    # SVD; seed 1's second block holds a 6x6 downlink with cond(G) = 8.6e5
+    # and a bound over 1e6, so that stack alone gets its SVD, and each of its
+    # 3 x 4 matrices is inverted again on the route the SVD picks); it
+    # builds one round context (with its SNR coefficients) and makes one
+    # stacked kernel call, on one generator of its own, for all its draws and
+    # power points; a noisy round draws its symbols and its noise with one
+    # standard_normal call each. The plan and its round layout come from the process memo:
     # built for the first sweep of a (DoF vector, N, M), not again for a
     # second sweep with another seed, and once more for another M.
     calls = {}
@@ -280,6 +283,7 @@ def test_sweep_reuses_precoders_and_plan(monkeypatch):
         (yrelay.harness, "RoundContext", "context"),
         (yrelay.harness, "transmit_round", "kernel"),
         (np.linalg, "svd", "svd"),
+        (np.linalg, "inv", "inv"),
     ):
         monkeypatch.setattr(module, name, counted(getattr(module, name), calls, key))
 
@@ -312,7 +316,8 @@ def test_sweep_reuses_precoders_and_plan(monkeypatch):
     rounds = len(cfg.sweep_db) * trials
     per_sweep = {
         "mppi": 2 * blocks,
-        "svd": 2 * blocks,
+        "svd": 0,
+        "inv": 2 * blocks,
         "context": blocks,
         "kernel": blocks,
         "channel_rng": blocks,
@@ -320,11 +325,12 @@ def test_sweep_reuses_precoders_and_plan(monkeypatch):
         "round_rng": blocks,
         "round_normal": 2 * rounds,
     }
-    for sweep, built in ((cfg, 1), (dataclasses.replace(cfg, seed=1), 0),
-                         (dataclasses.replace(cfg, system=SystemConfig(K=k_users, M=7, N=6, P=1.0)), 1)):
+    for sweep, built, checked in ((cfg, 1, 0), (dataclasses.replace(cfg, seed=1), 0, 1),
+                                  (dataclasses.replace(cfg, system=SystemConfig(K=k_users, M=7, N=6, P=1.0)), 1, 0)):
         calls.update(dict.fromkeys([*per_sweep, "plan", "layout"], 0))
         run_sweep(sweep)
-        assert calls == {**per_sweep, "plan": built, "layout": built}
+        routed = {"svd": checked, "inv": per_sweep["inv"] + 12 * checked}
+        assert calls == {**per_sweep, **routed, "plan": built, "layout": built}
     # the memo's layout is shared read-only: it holds no generator, and its
     # indices refuse writes
     layout = yrelay.transceiver.plan_layout(cfg.dof, 6, 6)

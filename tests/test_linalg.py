@@ -10,14 +10,17 @@ tautology.
 """
 
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import yrelay.linalg
 from yrelay.errors import DimensionError, RankDeficient
 from yrelay.linalg import (
     DIAG_RTOL,
+    GRAM_BOUND_LIMIT,
     GRAM_COND_LIMIT,
     RANK_TOL,
     TRACE_TOL,
@@ -243,36 +246,87 @@ def test_singular_values_multiply_to_determinant():
         assert not well_conditioned(svals(a @ np.diag([1.0, 1.0, 0.0])))
 
 
-def test_given_singular_values_change_no_bit():
-    # the inverse of a sampled channel reuses the draw's singular values: same
-    # bits, same route (Gram or SVD fallback) and same error as computing them
+def outcome(call):
+    """What `call()` does: its inverse and scale bits or its error, and the
+    warnings it raises."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            g, c = call()
+            result = ("inverse", np.asarray(g).tobytes(), np.asarray(c).tobytes())
+        except (RankDeficient, np.linalg.LinAlgError) as exc:
+            result = (type(exc).__name__, str(exc))
+    return result, [str(w.message) for w in caught]
+
+
+@pytest.fixture
+def traced_pinv(monkeypatch):
+    """(x, right, limit) -> the `outcome` of `_unit_pinv(x, right)` with
+    GRAM_BOUND_LIMIT at `limit`, and its np.linalg.svd and np.linalg.pinv
+    calls."""
+    calls = {}
+    for name in ("svd", "pinv"):
+        def counted(*args, name=name, fn=getattr(np.linalg, name), **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+
+    def run(x, right, limit):
+        monkeypatch.setattr(yrelay.linalg, "GRAM_BOUND_LIMIT", limit)
+        calls.update(svd=0, pinv=0)
+        return (*outcome(lambda: _unit_pinv(x, right)), dict(calls))
+
+    return run
+
+
+def test_bounded_check_matches_the_svd_route(traced_pinv):
+    # the Gram bound decides nothing the SVD would decide otherwise: the
+    # bounded path and the SVD route forced by a limit of 0 (cond >= 1, so
+    # no bound meets it) give the same verdict, route (Gram or per-matrix
+    # pinv), inverse and scale bits, RankDeficient text and warnings; where
+    # the bound clears a stack, no SVD runs and every matrix has
+    # sigma_min/sigma_max >= 1e-3
     rng = np.random.default_rng(110)
-    routes = {"gram": 0, "fallback": 0, "rank": 0}
+    routes = {"bound": 0, "gram": 0, "fallback": 0, "rank": 0}
     for i in range(600):
         n = 1 + i % 6
         m = n + (i // 6) % 3
-        a = random_complex(rng, n, m)
-        a[:, 0] *= 10.0 ** -rng.uniform(0, 12)  # ill-conditioned down to rank-deficient
-        for right, x in ((True, a), (False, a.T)):
-            s = svals(x)
-            try:
-                want = _unit_pinv(x[None], right)
-            except RankDeficient:
-                routes["rank"] += 1
-                with pytest.raises(RankDeficient):
-                    _unit_pinv(x[None], right, s[None])
-                continue
-            routes["fallback" if (s[0] / s[-1]) ** 2 > GRAM_COND_LIMIT else "gram"] += 1
-            got = _unit_pinv(x[None], right, s[None])
-            assert got[0].tobytes() == want[0].tobytes()
-            assert got[1].tobytes() == want[1].tobytes()
+        stack = np.array([random_complex(rng, n, m) for _ in range(1 + i % 3)])
+        # down to rank-deficient; every other stack near the bound's limit
+        stack[:, :, 0] *= 10.0 ** -rng.uniform(*((0, 12) if i % 2 else (2, 3.5)), size=(len(stack), 1))
+        for right, x in ((True, stack), (False, stack.transpose(0, 2, 1).copy())):
+            got, got_warnings, got_calls = traced_pinv(x, right, GRAM_BOUND_LIMIT)
+            want, want_warnings, want_calls = traced_pinv(x, right, 0.0)
+            assert got == want and got_warnings == want_warnings == []
+            assert got_calls["pinv"] == want_calls["pinv"] and want_calls["svd"] == 1
+            if got_calls["svd"] == 0:
+                routes["bound"] += 1
+                s = svals(x)
+                assert (s[:, -1] >= 1e-3 * s[:, 0]).all()
+            else:
+                routes["rank" if want[0] == "RankDeficient" else "fallback" if want_calls["pinv"] else "gram"] += 1
     assert min(routes.values()) > 50
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e160, 1e-160, 1e-170])
+def test_bound_clears_no_extreme_matrix(traced_pinv, reference_pinv, scale):
+    # an all-zero matrix, whose Gram matrix cannot be inverted, and entries
+    # whose Gram matrix overflows (1e160) or underflows (1e-160 to
+    # subnormals, 1e-170 to zero): the bound clears none of them, and the
+    # outcome, warnings included, is the SVD route's and the one-matrix
+    # reference's, so the bound adds no warning of its own
+    x = random_complex(np.random.default_rng(112), 3, 4)[None] * scale
+    for right, x in ((True, x), (False, x.transpose(0, 2, 1).copy())):
+        got = traced_pinv(x, right, GRAM_BOUND_LIMIT)
+        assert got == traced_pinv(x, right, 0.0) and got[2]["svd"] == 1
+        assert got[:2] == outcome(lambda: reference_pinv(x[0], right))
 
 
 def test_stacked_inverse_matches_one_matrix_at_a_time(reference_pinv):
     # one stacked Gram product, inversion and product give each matrix the
-    # bits it gets alone, on either route, with or without given singular
-    # values; a stack with a rank-deficient matrix raises the first one's error
+    # bits it gets alone, on either route; a stack with a rank-deficient
+    # matrix raises the first one's error
     rng = np.random.default_rng(111)
     routes = {"gram": 0, "fallback": 0, "rank": 0}
     for i in range(300):
@@ -288,19 +342,16 @@ def test_stacked_inverse_matches_one_matrix_at_a_time(reference_pinv):
                 except RankDeficient as exc:
                     wants.append(exc)
             errors = [w for w in wants if isinstance(w, RankDeficient)]
-            for sv in (None, np.linalg.svd(x, compute_uv=False)):
-                if errors:
-                    with pytest.raises(RankDeficient) as got:
-                        _unit_pinv(x, right, sv)
-                    assert str(got.value) == str(errors[0])
-                    continue
-                g, c = _unit_pinv(x, right, sv)
+            if errors:
+                with pytest.raises(RankDeficient) as got:
+                    _unit_pinv(x, right)
+                assert str(got.value) == str(errors[0])
+                routes["rank"] += 1
+            else:
+                g, c = _unit_pinv(x, right)
                 assert g.shape == (len(x),) + x.shape[:0:-1]
                 for gi, ci, (gw, cw) in zip(g, c.tolist(), wants):
                     assert gi.tobytes() == gw.tobytes() and ci == cw
-            if errors:
-                routes["rank"] += 1
-            else:
                 s = np.linalg.svd(x, compute_uv=False)
                 routes["fallback"] += any((s[:, 0] / s[:, -1]) ** 2 > GRAM_COND_LIMIT)
                 routes["gram"] += all((s[:, 0] / s[:, -1]) ** 2 <= GRAM_COND_LIMIT)
