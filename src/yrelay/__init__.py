@@ -24,7 +24,6 @@ from .dofregion import (
 )
 from .errors import (
     DimensionError,
-    GenerationFailed,
     Infeasible,
     LpError,
     ModeUnavailable,
@@ -41,7 +40,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DimensionError",
     "DofVector",
-    "GenerationFailed",
     "Infeasible",
     "LpError",
     "ModeUnavailable",

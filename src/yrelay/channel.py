@@ -5,10 +5,9 @@ normalized inverses that diagonalize them (the precoders and receive
 filters with their constants alpha_j and beta_k), one stacked
 pseudo-inverse per link direction. `sample_channel_block` draws a block,
 each draw's 2K matrices with one standard-normal call; the inverses are
-the conditioning check (no SVD unless a matrix fails their bound; see
-`sample_channel_block` for the retry); `sample_channels` is the block of
-one. Rounds read the block's arrays as they are; signals cross its
-matrices only inside `transceiver.transmit_round`.
+the conditioning check (an SVD only for a matrix past their bound);
+`sample_channels` is the block of one. Rounds read the block's arrays as
+is; signals cross its matrices only in `transceiver.transmit_round`.
 
 All randomness comes from the Philox counter-based generator keyed with
 (seed, stream id), so any seed reproduces the exact same realization. Streams
@@ -26,21 +25,19 @@ package:
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, GenerationFailed, RankDeficient
-from .linalg import _unit_pinv, well_conditioned
+from .errors import DimensionError, RankDeficient
+from .linalg import _unit_pinv
 
 STREAM_CHANNEL = 1
 STREAM_NOISE = 2
 STREAM_SYMBOLS = 3
 
 POWER_CHECK_SLACK = 1e-9  # relative slack in check_power
-_MAX_RESAMPLE = 100
 
 _MASK64 = (1 << 64) - 1
 _ZERO4 = (0, 0, 0, 0)
@@ -144,8 +141,9 @@ class ChannelBlock:
     with beta (D, K). Building it checks conditioning (RankDeficient): for
     each Gram matrix G (H H^H, D^H D) and its inverse X, which the precoders
     need anyway, cond_2(G) = ||G||_2 ||G^{-1}||_2 <= ||G||_F ||X||_F up to
-    X's rounding, so a direction with every bound within 1e6 needs no SVD.
-    A plain class: other matrices make a new block, with their own inverses.
+    X's rounding, so a matrix whose bound is within 1e6 needs no SVD. The
+    error names a refused matrix's draw (its `index`), link and user. A
+    plain class: other matrices make a new block, with their own inverses.
     """
 
     def __init__(self, uplink, downlink):
@@ -154,11 +152,16 @@ class ChannelBlock:
         up, down = self.uplink.shape, self.downlink.shape
         if len(up) != 4 or down != (*up[:2], up[3], up[2]):
             raise DimensionError(f"uplink {up} and downlink {down} are not (draws, K, N, M) and (draws, K, M, N)")
-        d, k, n, m = up
-        right, alpha = _unit_pinv(self.uplink.reshape(d * k, n, m), True)
-        left, beta = _unit_pinv(self.downlink.reshape(d * k, m, n), False)
-        self.right, self.alpha = right.reshape(d, k, m, n), alpha.reshape(d, k)
-        self.left, self.beta = left.reshape(d, k, n, m), beta.reshape(d, k)
+        d, k = up[:2]
+        inverses = []
+        for link, mats in (("uplink", self.uplink), ("downlink", self.downlink)):
+            try:
+                g, c = _unit_pinv(mats.reshape(d * k, *mats.shape[2:]), link == "uplink")
+            except RankDeficient as exc:
+                draw, user = divmod(exc.index, k)
+                raise RankDeficient(f"draw {draw}, {link} of user {user}: {exc}", draw) from None
+            inverses += [g.reshape(d, k, *mats.shape[:1:-1]), c.reshape(d, k)]
+        self.right, self.alpha, self.left, self.beta = inverses
 
 
 def sample_channels(cfg: SystemConfig, seed: int) -> ChannelBlock:
@@ -173,33 +176,20 @@ def sample_channel_block(cfg: SystemConfig, seeds) -> ChannelBlock:
 
     Each draw's 2K matrices come from one standard-normal draw, bit for bit
     the consecutive complex-normal blocks of a draw matrix by matrix (both
-    shapes hold N*M entries), on one generator re-keyed per seed. Only if
-    building the block refuses a matrix (RankDeficient) is every draw drawn
-    again from the start of its stream, matrix by matrix: each matrix takes
-    the next block that passes `well_conditioned` (by its singular values),
-    and GenerationFailed is raised after _MAX_RESAMPLE tries at one matrix.
-    Continuous entries make a failed check a probability-zero event, so the
-    retry exists only to guard degenerate misuse.
+    shapes hold N*M entries), on one generator re-keyed per seed. A refused
+    matrix (sigma_min/sigma_max < 1e-10, a probability-zero event for
+    continuous entries) raises RankDeficient naming its draw's seed, its
+    link and its user.
     """
     k, n, m = cfg.K, cfg.N, cfg.M
     draws = len(seeds)
-    rng = rng_for(0, STREAM_CHANNEL)
-    blocks = seeded_normals(rng, seeds, STREAM_CHANNEL, 4 * k * n * m)
+    blocks = seeded_normals(rng_for(0, STREAM_CHANNEL), seeds, STREAM_CHANNEL, 4 * k * n * m)
     blocks = blocks.reshape(draws, 2 * k, 2, n * m)  # per matrix: real parts, then imaginary parts
     mats = _complex(blocks[:, :, 0], blocks[:, :, 1])
-    up, down = mats[:, :k].reshape(draws, k, n, m), mats[:, k:].reshape(draws, k, m, n)  # views of mats
-    with contextlib.suppress(RankDeficient):
-        return ChannelBlock(up, down)
-    for b, seed in enumerate(seeds):  # a draw whose matrices all pass is drawn again as it was
-        reset_rng(rng, seed, STREAM_CHANNEL)
-        for i, shape in enumerate([(n, m)] * k + [(m, n)] * k):
-            for _ in range(_MAX_RESAMPLE):
-                mats[b, i] = _complex(*rng.standard_normal((2, n * m)))
-                if well_conditioned(np.linalg.svd(mats[b, i].reshape(shape), compute_uv=False)):
-                    break
-            else:
-                raise GenerationFailed(f"no full-rank {shape} draw in {_MAX_RESAMPLE} tries")
-    return ChannelBlock(up, down)
+    try:
+        return ChannelBlock(mats[:, :k].reshape(draws, k, n, m), mats[:, k:].reshape(draws, k, m, n))
+    except RankDeficient as exc:
+        raise RankDeficient(f"seed {seeds[exc.index]}: {exc}", exc.index) from None
 
 
 def check_power(x, p):

@@ -10,11 +10,12 @@ class DimensionError(YRelayError, ValueError):
 
 
 class RankDeficient(YRelayError, ArithmeticError):
-    """Matrix failed the conditioning check (sigma_min/sigma_max below threshold)."""
+    """Matrix failed the conditioning check (sigma_min/sigma_max below
+    threshold); `index` is its place in a stack, or its draw in a block."""
 
-
-class GenerationFailed(YRelayError, RuntimeError):
-    """Random generation exhausted its retry budget."""
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
 
 
 class Infeasible(YRelayError, ValueError):

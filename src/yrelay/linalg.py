@@ -1,10 +1,10 @@
 """Complex dense linear algebra for zero-forcing relay beamforming.
 
 Right and left Moore-Penrose pseudo-inverses in Gram-matrix form, for a
-whole stack of matrices at once (an SVD only where the Gram inverses fail
-their conditioning bound), scaled to unit Frobenius norm so that pre/post-
-coding turns every channel into a scaled identity; and the left-to-right
-sum that keeps float results independent of the Python version.
+whole stack of matrices at once (an SVD only for a matrix whose Gram
+inverse fails its conditioning bound), scaled to unit Frobenius norm so
+that pre/post-coding turns every channel into a scaled identity; and the
+left-to-right sum that keeps float results independent of Python versions.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from .errors import DimensionError, RankDeficient
 # Conditioning / tolerance constants (shared by the test suite).
 RANK_TOL = 1e-10          # reject when sigma_min/sigma_max falls below this
 GRAM_COND_LIMIT = 1e8     # switch to the SVD route when cond(Gram) exceeds this
-GRAM_BOUND_LIMIT = GRAM_COND_LIMIT / 100  # no SVD for a stack whose cond(Gram) bounds stay within this
+GRAM_BOUND_LIMIT = GRAM_COND_LIMIT / 100  # no SVD for a matrix whose cond(Gram) bound stays within this
 DIAG_RTOL = 1e-9          # relative residual allowed in H @ H_R = alpha * I
 TRACE_TOL = 1e-12         # absolute tolerance on the unit-trace normalization
 
@@ -45,11 +45,15 @@ def left_sum(values, start=0.0):
     return total
 
 
-def _gram_pinv(a: np.ndarray, right: bool) -> np.ndarray:
-    """Pseudo-inverses of a stack of full-rank matrices by the Gram formula."""
+def _gram_pinv(a: np.ndarray, right: bool):
+    """Gram-formula pseudo-inverses of a stack, its Gram matrices and their inverses (NaN if one fails)."""
     ah = a.conj().swapaxes(1, 2)
-    gram_inv = np.linalg.inv(a @ ah if right else ah @ a)
-    return ah @ gram_inv if right else gram_inv @ ah
+    gram = a @ ah if right else ah @ a
+    try:
+        gram_inv = np.linalg.inv(gram)
+    except np.linalg.LinAlgError:
+        gram_inv = np.full_like(gram, np.nan)  # no bound clears it
+    return (ah @ gram_inv if right else gram_inv @ ah), gram, gram_inv
 
 
 def _unit_pinv(a, right: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -68,11 +72,15 @@ def _unit_pinv(a, right: bool) -> tuple[np.ndarray, np.ndarray]:
     GRAM_COND_LIMIT gives P > GRAM_COND_LIMIT / sqrt(n): column j of X
     solves (Q + E_j) x_j = e_j with ||E_j|| ~ u ||Q||, so ||x_j|| >= |v_j| /
     (sigma_min(Q) + ||E_j||), v least singular, and some |v_j| >= 1/sqrt(n).
-    A stack with every P <= GRAM_BOUND_LIMIT takes the Gram formula, no SVD.
-    Any other is inverted matrix by matrix after its SVD: RANK_TOL refuses a
-    matrix (the first is named), and GRAM_COND_LIMIT sends one to pinv.
+    A matrix with P <= GRAM_BOUND_LIMIT keeps its stacked Gram inverse, no
+    SVD. Only the others (NaN P too) get their SVD: RANK_TOL refuses one
+    (the first is named, `index` its place), GRAM_COND_LIMIT sends one to
+    pinv, the rest retake the Gram formula. Each is scaled first by 2^-e, e
+    from frexp of its largest real or imaginary part, and c by 2^e after: a
+    power of two changes no bit in the normal range, and with entries in
+    [0.5, 1) the Gram product can neither underflow nor overflow.
     """
-    a = np.asarray(a, dtype=np.complex128)
+    a = np.ascontiguousarray(a, dtype=np.complex128)
     if a.ndim != 3:
         raise DimensionError(f"expected a stack of 2-D matrices, got ndim={a.ndim}")
     if not np.isfinite(a).all():
@@ -81,27 +89,29 @@ def _unit_pinv(a, right: bool) -> tuple[np.ndarray, np.ndarray]:
     if n > m:
         want = "wide" if right else "tall"
         raise DimensionError(f"{side} inverse needs a {want} matrix, got {a.shape[1]}x{a.shape[2]}")
-    ah = a.conj().swapaxes(1, 2)
-    with np.errstate(all="ignore"):  # the bound warns of nothing; the SVD route keeps its warnings
-        gram = a @ ah if right else ah @ a
-        try:
-            gram_inv = np.linalg.inv(gram)
-        except np.linalg.LinAlgError:
-            gram_inv = np.full_like(gram, np.nan)  # no bound clears it
+    with np.errstate(all="ignore"):  # the bound warns of nothing; the matrices past it are inverted again
+        g, gram, gram_inv = _gram_pinv(a, right)
         q2, x2 = (np.einsum("sij,sij->s", v, v) for v in (gram.view(np.float64), gram_inv.view(np.float64)))
-        bounded = (q2 * x2 <= GRAM_BOUND_LIMIT**2).all()
-    if bounded:
-        g = ah @ gram_inv if right else gram_inv @ ah
-    else:
-        s = np.linalg.svd(a, compute_uv=False)
+        past = np.flatnonzero(~(q2 * x2 <= GRAM_BOUND_LIMIT**2))
+    if past.size:
+        parts = a[past].view(np.float64)
+        e = np.frexp(np.abs(parts).max(axis=(1, 2)))[1]
+        b = np.ldexp(parts, -e[:, None, None]).view(np.complex128)
+        s = np.linalg.svd(b, compute_uv=False)
         ok = well_conditioned(s)
         if not ok.all():
-            top, low = s[np.argmin(ok)][[0, -1]]
-            ratio = 0.0 if top == 0 else low / top
+            i = np.argmin(ok)
+            ratio = 0.0 if s[i, 0] == 0 else s[i, -1] / s[i, 0]
             raise RankDeficient(
-                f"{side} inverse needs a well-conditioned matrix: sigma_min/sigma_max = {ratio:.3e}")
+                f"{side} inverse needs a well-conditioned matrix: sigma_min/sigma_max = {ratio:.3e}", int(past[i]))
         # Squared as Python floats, by the pow() a lone matrix's scalar ratio used.
-        fallback = [r**2 > GRAM_COND_LIMIT for r in (s[:, 0] / s[:, -1]).tolist()]
-        g = np.array([np.linalg.pinv(x) if f else _gram_pinv(x[None], right)[0] for x, f in zip(a, fallback)])
+        fallback = np.array([r**2 > GRAM_COND_LIMIT for r in (s[:, 0] / s[:, -1]).tolist()])
+        if fallback.any():
+            g[past[fallback]] = np.linalg.pinv(b[fallback])
+        if not fallback.all():
+            g[past[~fallback]] = _gram_pinv(b[~fallback], right)[0]
     c = 1.0 / np.sqrt(np.sum((np.abs(g) ** 2).reshape(len(g), -1), axis=-1))
-    return c[:, None, None] * g, c
+    g = c[:, None, None] * g
+    if past.size:
+        c[past] = np.ldexp(c[past], e)
+    return g, c

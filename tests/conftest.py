@@ -27,6 +27,7 @@ import pytest
 from yrelay import __version__
 from yrelay.alignment import DofVector, StreamPlan, build_stream_plan, ordered_pairs, user_pairs
 import yrelay.channel
+import yrelay.linalg
 from yrelay.channel import (
     POWER_CHECK_SLACK,
     STREAM_CHANNEL,
@@ -36,7 +37,7 @@ from yrelay.channel import (
     rng_for,
 )
 from yrelay.dofregion import MembershipVerdict, construction_feasible
-from yrelay.errors import DimensionError, GenerationFailed, ModeUnavailable, RankDeficient, ScalarUnderflow
+from yrelay.errors import DimensionError, ModeUnavailable, RankDeficient, ScalarUnderflow
 from yrelay.harness import SUBSEED_CHANNEL, SUBSEED_ROUND, SweepReport, SweepRow, db_to_linear, derive_seed, fit_slope
 from yrelay.linalg import GRAM_COND_LIMIT, RANK_TOL, _unit_pinv, left_sum
 from yrelay.errors import LpError
@@ -430,27 +431,25 @@ def _reference_unit_pinv(a, right, sv=None):
 
 
 def _reference_channels(cfg, seed):
-    """K uplink then K downlink matrices, one `complex_normal` call per try,
-    each checked by `yrelay.channel.well_conditioned` (looked up at call time,
-    so a test can replace it) and redrawn up to 100 times; with every
-    matrix's singular values and its inverse from `_reference_unit_pinv`."""
+    """K uplink then K downlink matrices, one `complex_normal` call each,
+    each checked by `yrelay.linalg.well_conditioned` (looked up at call
+    time, so a test can replace it): a refused matrix raises RankDeficient
+    naming its link and user, as a `ChannelBlock` does; with every matrix's
+    singular values and its inverse from `_reference_unit_pinv`."""
     rng = rng_for(seed, STREAM_CHANNEL)
-    singular_values = []
-
-    def draw(shape):
-        for _ in range(100):
-            m = complex_normal(rng, shape)
-            s = np.linalg.svd(m, compute_uv=False)
-            if yrelay.channel.well_conditioned(s):
-                singular_values.append(s)
-                return m
-        raise GenerationFailed(f"no full-rank {shape} draw in 100 tries")
-
-    uplink = tuple(draw((cfg.N, cfg.M)) for _ in range(cfg.K))
-    downlink = tuple(draw((cfg.M, cfg.N)) for _ in range(cfg.K))
-    s = singular_values
+    k = cfg.K
+    mats = [complex_normal(rng, shape) for shape in [(cfg.N, cfg.M)] * k + [(cfg.M, cfg.N)] * k]
+    s = [np.linalg.svd(m, compute_uv=False) for m in mats]
+    for i, sv in enumerate(s):
+        if not yrelay.linalg.well_conditioned(sv):
+            link, side = ("uplink", "right") if i < k else ("downlink", "left")
+            ratio = 0.0 if sv[0] == 0 else sv[-1] / sv[0]
+            raise RankDeficient(
+                f"{link} of user {i % k}: {side} inverse needs a well-conditioned matrix: "
+                f"sigma_min/sigma_max = {ratio:.3e}")
+    uplink, downlink = tuple(mats[:k]), tuple(mats[k:])
     right = [_reference_unit_pinv(h, True, sv) for h, sv in zip(uplink, s)]
-    left = [_reference_unit_pinv(d, False, sv) for d, sv in zip(downlink, s[cfg.K :])]
+    left = [_reference_unit_pinv(d, False, sv) for d, sv in zip(downlink, s[k:])]
     return SimpleNamespace(uplink=uplink, downlink=downlink, singular_values=s, right=right, left=left)
 
 

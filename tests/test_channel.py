@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import yrelay.channel
 import yrelay.linalg
 from conftest import complex_normal
 from yrelay.channel import (
@@ -16,7 +15,7 @@ from yrelay.channel import (
     sample_channel_block,
     sample_channels,
 )
-from yrelay.errors import DimensionError, GenerationFailed, RankDeficient
+from yrelay.errors import DimensionError, RankDeficient
 
 
 def propagate_oracle(mats, xs):
@@ -123,17 +122,6 @@ def assert_same_draw(block, want, d=0):
     assert block.beta[d].tolist() == [c for _, c in want.left]
 
 
-def reject_where(monkeypatch, verdict):
-    """Make `verdict` the conditioning predicate of every check a draw
-    meets. With the Gram bound's limit at 0 no block clears the bound, so
-    each block's inverses take their singular-value verdict
-    (`yrelay.linalg.well_conditioned`); the sampler's redraw and the
-    reference draw read `yrelay.channel.well_conditioned`."""
-    monkeypatch.setattr(yrelay.linalg, "GRAM_BOUND_LIMIT", 0.0)
-    for module in (yrelay.linalg, yrelay.channel):
-        monkeypatch.setattr(module, "well_conditioned", verdict)
-
-
 @pytest.mark.parametrize("k, m, n", [(3, 1, 1), (3, 4, 3), (4, 6, 6), (5, 8, 6), (4, 9, 2), (6, 7, 7)])
 def test_blocked_draw_matches_sequential_reference(reference_channels, k, m, n):
     cfg = SystemConfig(K=k, M=m, N=n, P=1.0)
@@ -141,73 +129,35 @@ def test_blocked_draw_matches_sequential_reference(reference_channels, k, m, n):
         assert_same_draw(sample_channels(cfg, seed), reference_channels(cfg, seed))
 
 
-def test_redraw_matches_sequential_reference(monkeypatch, reference_channels):
-    # a rejected matrix is redrawn from where the stream goes on, as a draw
-    # matrix by matrix does: uplink 2 once, then its redraw too, then
-    # downlink 3 (M != N, so each block changes shape when it moves up);
-    # then each of the 2K positions rejected once on its own, from the first
-    # uplink to the last downlink
-    cfg = SystemConfig(K=4, M=5, N=3, P=1.0)
-    plain, plain_values = sample_channels(cfg, 9), reference_channels(cfg, 9).singular_values
-    accept, rejected = yrelay.channel.well_conditioned, []
-    reject_where(monkeypatch, lambda s: accept(s) & ~np.isin(np.asarray(s)[..., 0], rejected))
-    for position in (1, 1, 6):
-        rejected.append(reference_channels(cfg, 9).singular_values[position][0])
-        ch = sample_channels(cfg, 9)
-        assert_same_draw(ch, reference_channels(cfg, 9))
-        assert ch.uplink[0, 0].tobytes() == plain.uplink[0, 0].tobytes()
-        assert ch.uplink[0, 1].tobytes() != plain.uplink[0, 1].tobytes()
-    assert len(rejected) == 3
-    for position in range(2 * cfg.K):
-        rejected[:] = [plain_values[position][0]]
-        ch = sample_channels(cfg, 9)
-        assert_same_draw(ch, reference_channels(cfg, 9))
-        same = [a.tobytes() == b.tobytes()
-                for a, b in zip([*ch.uplink[0], *ch.downlink[0]], [*plain.uplink[0], *plain.downlink[0]])]
-        assert same[: position + 1] == [True] * position + [False]
-
-
-def test_block_draw_matches_sequential_reference(monkeypatch, reference_channels):
-    # a block draws each seed's set as that seed alone draws it, also where
-    # a draw inside the block, or its first or last draw, redraws rejected
-    # matrices on its own stream
+def test_refused_draw_names_its_seed_and_matrix(monkeypatch, reference_channels):
+    # with the Gram bound's limit at 0 every matrix gets its singular-value
+    # verdict, so refusing one chosen matrix (by sigma_min/sigma_max, which
+    # the power-of-two prescale leaves unchanged) reaches the refusal: the
+    # error names the draw's seed, its place in the block, and the link and
+    # user of the matrix, as the matrix-by-matrix reference does; a lone
+    # seed, and the third draw of a 4-seed block, on an uplink and a
+    # downlink matrix
     cfg = SystemConfig(K=4, M=5, N=3, P=1.0)
     seeds = [8, 9, 2**63 + 5, 10]
-    accept, rejected = yrelay.channel.well_conditioned, []
-    reject_where(monkeypatch, lambda s: accept(s) & ~np.isin(np.asarray(s)[..., 0], rejected))
-    for seed, position in ((None, None), (9, 1), (10, 6), (10, 0), (8, 3), (10, 7)):
-        if seed is not None:
-            rejected.append(reference_channels(cfg, seed).singular_values[position][0])
-        block = sample_channel_block(cfg, seeds)
-        assert len(block.uplink) == len(seeds)
-        for d, seed in enumerate(seeds):
-            assert_same_draw(block, reference_channels(cfg, seed), d)
-
-
-def test_redraw_budget_matches_sequential_reference(monkeypatch, reference_channels):
-    cfg = SystemConfig(K=3, M=3, N=2, P=1.0)
-    accept = yrelay.channel.well_conditioned
-    # every matrix rejected: both give up on the first one after 100 tries
-    reject_where(monkeypatch, lambda s: np.zeros(np.shape(s)[:-1], dtype=bool))
-    for draw in (sample_channels, reference_channels, lambda cfg, seed: sample_channel_block(cfg, [1, seed])):
-        with pytest.raises(GenerationFailed, match=r"^no full-rank \(2, 3\) draw in 100 tries$"):
-            draw(cfg, 3)
-    # about 1 matrix in 32 accepted: long runs of redraws, some past the
-    # budget (on an uplink or a downlink matrix); both agree on every outcome
-    reject_where(monkeypatch, lambda s: accept(s) & (np.floor(np.asarray(s)[..., 0] * 2**20) % 32 == 0))
-    outcomes = []
-    for seed in range(30):
-        try:
-            want = reference_channels(cfg, seed)
-        except GenerationFailed as exc:
-            with pytest.raises(GenerationFailed) as got:
-                sample_channels(cfg, seed)
-            assert str(got.value) == str(exc)
-            outcomes.append(str(exc))
-            continue
-        assert_same_draw(sample_channels(cfg, seed), want)
-        outcomes.append("drawn")
-    assert outcomes.count("drawn") >= 10 and len(set(outcomes)) == 3
+    accept, refused = yrelay.linalg.well_conditioned, []
+    monkeypatch.setattr(yrelay.linalg, "GRAM_BOUND_LIMIT", 0.0)
+    monkeypatch.setattr(yrelay.linalg, "well_conditioned",
+                        lambda s: accept(s) & ~np.isin(s[..., -1] / s[..., 0], refused))
+    for block_seeds, d, position, named in (([9], 0, 1, "uplink of user 1: right"),
+                                            (seeds, 2, 6, "downlink of user 2: left")):
+        seed = block_seeds[d]
+        s = reference_channels(cfg, seed).singular_values[position]
+        refused[:] = [s[-1] / s[0]]
+        with pytest.raises(RankDeficient) as want:
+            reference_channels(cfg, seed)
+        with pytest.raises(RankDeficient) as got:
+            sample_channel_block(cfg, block_seeds)
+        assert str(want.value).startswith(f"{named} inverse needs a well-conditioned matrix: ")
+        assert str(got.value) == f"seed {seed}: draw {d}, {want.value}" and got.value.index == d
+    refused.clear()
+    block = sample_channel_block(cfg, seeds)
+    for d, seed in enumerate(seeds):
+        assert_same_draw(block, reference_channels(cfg, seed), d)
 
 
 def test_entry_moments():

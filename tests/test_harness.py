@@ -265,10 +265,10 @@ def test_sweep_reuses_precoders_and_plan(monkeypatch):
     # each draw takes its 2K matrices from one standard_normal call on its
     # block's one generator; each block inverts each link direction's stack
     # once, and that one Gram inversion is also the conditioning check of
-    # all its draws (a stack whose matrices are all within the bound runs no
-    # SVD; seed 1's second block holds a 6x6 downlink with cond(G) = 8.6e5
-    # and a bound over 1e6, so that stack alone gets its SVD, and each of its
-    # 3 x 4 matrices is inverted again on the route the SVD picks); it
+    # all its draws (a matrix within the bound gets no SVD; seed 1's second
+    # block holds a 6x6 downlink with cond(G) = 8.6e5 and a bound over 1e6,
+    # so that matrix alone gets its SVD and is inverted again on the route
+    # the SVD picks, one more inversion); it
     # builds one round context (with its SNR coefficients) and makes one
     # stacked kernel call, on one generator of its own, for all its draws and
     # power points; a noisy round draws its symbols and its noise with one
@@ -329,7 +329,7 @@ def test_sweep_reuses_precoders_and_plan(monkeypatch):
                                   (dataclasses.replace(cfg, system=SystemConfig(K=k_users, M=7, N=6, P=1.0)), 1, 0)):
         calls.update(dict.fromkeys([*per_sweep, "plan", "layout"], 0))
         run_sweep(sweep)
-        routed = {"svd": checked, "inv": per_sweep["inv"] + 12 * checked}
+        routed = {"svd": checked, "inv": per_sweep["inv"] + checked}
         assert calls == {**per_sweep, **routed, "plan": built, "layout": built}
     # the memo's layout is shared read-only: it holds no generator, and its
     # indices refuse writes

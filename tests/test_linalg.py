@@ -262,19 +262,19 @@ def outcome(call):
 @pytest.fixture
 def traced_pinv(monkeypatch):
     """(x, right, limit) -> the `outcome` of `_unit_pinv(x, right)` with
-    GRAM_BOUND_LIMIT at `limit`, and its np.linalg.svd and np.linalg.pinv
-    calls."""
+    GRAM_BOUND_LIMIT at `limit`, and the shapes of the stacks its
+    np.linalg.svd and np.linalg.pinv calls take, one per call."""
     calls = {}
     for name in ("svd", "pinv"):
-        def counted(*args, name=name, fn=getattr(np.linalg, name), **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
+        def counted(a, *args, name=name, fn=getattr(np.linalg, name), **kwargs):
+            calls[name].append(np.shape(a))
+            return fn(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
 
     def run(x, right, limit):
         monkeypatch.setattr(yrelay.linalg, "GRAM_BOUND_LIMIT", limit)
-        calls.update(svd=0, pinv=0)
+        calls.update(svd=[], pinv=[])
         return (*outcome(lambda: _unit_pinv(x, right)), dict(calls))
 
     return run
@@ -283,10 +283,10 @@ def traced_pinv(monkeypatch):
 def test_bounded_check_matches_the_svd_route(traced_pinv):
     # the Gram bound decides nothing the SVD would decide otherwise: the
     # bounded path and the SVD route forced by a limit of 0 (cond >= 1, so
-    # no bound meets it) give the same verdict, route (Gram or per-matrix
-    # pinv), inverse and scale bits, RankDeficient text and warnings; where
-    # the bound clears a stack, no SVD runs and every matrix has
-    # sigma_min/sigma_max >= 1e-3
+    # no bound meets it) give the same verdict, route (Gram or pinv, and
+    # the matrices pinv takes), inverse and scale bits, RankDeficient text
+    # and warnings; where the bound clears a stack, no SVD runs and every
+    # matrix has sigma_min/sigma_max >= 1e-3
     rng = np.random.default_rng(110)
     routes = {"bound": 0, "gram": 0, "fallback": 0, "rank": 0}
     for i in range(600):
@@ -299,8 +299,8 @@ def test_bounded_check_matches_the_svd_route(traced_pinv):
             got, got_warnings, got_calls = traced_pinv(x, right, GRAM_BOUND_LIMIT)
             want, want_warnings, want_calls = traced_pinv(x, right, 0.0)
             assert got == want and got_warnings == want_warnings == []
-            assert got_calls["pinv"] == want_calls["pinv"] and want_calls["svd"] == 1
-            if got_calls["svd"] == 0:
+            assert got_calls["pinv"] == want_calls["pinv"] and want_calls["svd"] == [x.shape]
+            if not got_calls["svd"]:
                 routes["bound"] += 1
                 s = svals(x)
                 assert (s[:, -1] >= 1e-3 * s[:, 0]).all()
@@ -309,18 +309,44 @@ def test_bounded_check_matches_the_svd_route(traced_pinv):
     assert min(routes.values()) > 50
 
 
-@pytest.mark.parametrize("scale", [0.0, 1e160, 1e-160, 1e-170])
-def test_bound_clears_no_extreme_matrix(traced_pinv, reference_pinv, scale):
-    # an all-zero matrix, whose Gram matrix cannot be inverted, and entries
-    # whose Gram matrix overflows (1e160) or underflows (1e-160 to
-    # subnormals, 1e-170 to zero): the bound clears none of them, and the
-    # outcome, warnings included, is the SVD route's and the one-matrix
-    # reference's, so the bound adds no warning of its own
-    x = random_complex(np.random.default_rng(112), 3, 4)[None] * scale
+@pytest.mark.parametrize("scale", [0.0, 1e160, 1e-160, 1e-170, 1e300, 1e-300])
+def test_bound_clears_no_extreme_matrix(traced_pinv, scale):
+    # entries whose Gram matrix overflows (1e160, 1e300) or underflows
+    # (1e-160 to subnormals, 1e-170 and 1e-300 to zero): the bound clears
+    # none of them, and the prescaled route gives the unscaled matrix's
+    # precoder and its alpha times the scale, with no warning; an all-zero
+    # matrix, whose Gram matrix cannot be inverted, is refused
+    x = random_complex(np.random.default_rng(112), 3, 4)[None]
     for right, x in ((True, x), (False, x.transpose(0, 2, 1).copy())):
-        got = traced_pinv(x, right, GRAM_BOUND_LIMIT)
-        assert got == traced_pinv(x, right, 0.0) and got[2]["svd"] == 1
-        assert got[:2] == outcome(lambda: reference_pinv(x[0], right))
+        got, got_warnings, calls = traced_pinv(x * scale, right, GRAM_BOUND_LIMIT)
+        assert got_warnings == [] and calls["svd"] == [x.shape]
+        if scale == 0.0:
+            side = "right" if right else "left"
+            text = f"{side} inverse needs a well-conditioned matrix: sigma_min/sigma_max = 0.000e+00"
+            assert got == ("RankDeficient", text)
+            continue
+        (g, c), (want_g, want_c) = _unit_pinv(x * scale, right), _unit_pinv(x, right)
+        assert np.abs(g - want_g).max() <= 1e-12
+        assert abs(c[0] - want_c[0] * scale) <= 1e-12 * want_c[0] * scale
+
+
+def test_only_matrices_past_the_bound_get_their_svd(traced_pinv):
+    # one 6x6 matrix of a 64-matrix stack rescaled past the bound: it alone
+    # gets an SVD, the other 63 keep the bits they get without it, and
+    # every matrix gets the bits it gets alone
+    rng = np.random.default_rng(113)
+    x = np.array([random_complex(rng, 6, 6) for _ in range(64)])
+    x[17, :, 0] *= 1e-3
+    for right in (True, False):
+        got, got_warnings, calls = traced_pinv(x, right, GRAM_BOUND_LIMIT)
+        assert got[0] == "inverse" and got_warnings == [] and calls == {"svd": [(1, 6, 6)], "pinv": []}
+        g, c = _unit_pinv(x, right)
+        for i in range(64):
+            alone = _unit_pinv(x[i : i + 1], right)
+            assert g[i].tobytes() == alone[0][0].tobytes() and c[i] == alone[1][0]
+        rest = np.delete(x, 17, axis=0)
+        assert traced_pinv(rest, right, GRAM_BOUND_LIMIT)[2]["svd"] == []
+        assert np.delete(g, 17, axis=0).tobytes() == _unit_pinv(rest, right)[0].tobytes()
 
 
 def test_stacked_inverse_matches_one_matrix_at_a_time(reference_pinv):
