@@ -161,8 +161,9 @@ DOF_GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden" / "dof_outputs
 
 @pytest.mark.parametrize("case", DOF_GOLDEN, ids=lambda case: " ".join(case["argv"][1:]))
 def test_dof_output_matches_golden(capsysbinary, case):
-    # recorded with the K!-enumeration region tools: any faster oracle
-    # must reproduce the same bytes and exit codes
+    # recorded with the K!-enumeration region tools, and the K=6 and K=8
+    # sumdof and K=5 gap cases with the subset DP and cutting planes: any
+    # faster oracle must reproduce the same bytes and exit codes
     code = main(list(case["argv"]))
     assert code == case["exit"]
     assert capsysbinary.readouterr().out == case["stdout"].encode()
