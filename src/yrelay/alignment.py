@@ -40,6 +40,14 @@ def pair_index(k_users: int) -> dict:
     return {pair: i for i, pair in enumerate(ordered_pairs(k_users))}
 
 
+@cache
+def pair_cells(k_users: int) -> tuple:
+    """((j, k), i, r) per pair of `user_pairs`: d_jk and d_kj are entries i
+    and r in `ordered_pairs` order (read-only)."""
+    index = pair_index(k_users)
+    return tuple(((j, k), index[(j, k)], index[(k, j)]) for j, k in user_pairs(k_users))
+
+
 class DofVector:
     """Nonnegative rational DoF targets d_jk for all K(K-1) ordered pairs.
 
@@ -92,8 +100,7 @@ class DofVector:
 
     def pair_lengths(self) -> dict:
         """Slot length per unordered pair at extension T: max(T*d_jk, T*d_kj)."""
-        index = pair_index(self.K)
-        return {(j, k): max(self.scaled[index[(j, k)]], self.scaled[index[(k, j)]]) for j, k in user_pairs(self.K)}
+        return {pair: max(self.scaled[i], self.scaled[r]) for pair, i, r in pair_cells(self.K)}
 
     def __eq__(self, other):
         return isinstance(other, DofVector) and (self.K, self.T, self.scaled) == (other.K, other.T, other.scaled)

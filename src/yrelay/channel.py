@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, RankDeficient
+from .errors import DimensionError, RankDeficient, ScalarUnderflow
 from .linalg import _unit_pinv
 
 STREAM_CHANNEL = 1
@@ -142,8 +142,9 @@ class ChannelBlock:
     each Gram matrix G (H H^H, D^H D) and its inverse X, which the precoders
     need anyway, cond_2(G) = ||G||_2 ||G^{-1}||_2 <= ||G||_F ||X||_F up to
     X's rounding, so a matrix whose bound is within 1e6 needs no SVD. The
-    error names a refused matrix's draw (its `index`), link and user. A
-    plain class: other matrices make a new block, with their own inverses.
+    error, or ScalarUnderflow for an alpha or beta past the float range,
+    names the matrix's draw (its `index`), link and user. A plain class:
+    other matrices make a new block, with their own inverses.
     """
 
     def __init__(self, uplink, downlink):
@@ -157,9 +158,9 @@ class ChannelBlock:
         for link, mats in (("uplink", self.uplink), ("downlink", self.downlink)):
             try:
                 g, c = _unit_pinv(mats.reshape(d * k, *mats.shape[2:]), link == "uplink")
-            except RankDeficient as exc:
+            except (RankDeficient, ScalarUnderflow) as exc:
                 draw, user = divmod(exc.index, k)
-                raise RankDeficient(f"draw {draw}, {link} of user {user}: {exc}", draw) from None
+                raise type(exc)(f"draw {draw}, {link} of user {user}: {exc}", draw) from None
             inverses += [g.reshape(d, k, *mats.shape[:1:-1]), c.reshape(d, k)]
         self.right, self.alpha, self.left, self.beta = inverses
 
@@ -188,8 +189,8 @@ def sample_channel_block(cfg: SystemConfig, seeds) -> ChannelBlock:
     mats = _complex(blocks[:, :, 0], blocks[:, :, 1])
     try:
         return ChannelBlock(mats[:, :k].reshape(draws, k, n, m), mats[:, k:].reshape(draws, k, m, n))
-    except RankDeficient as exc:
-        raise RankDeficient(f"seed {seeds[exc.index]}: {exc}", exc.index) from None
+    except (RankDeficient, ScalarUnderflow) as exc:
+        raise type(exc)(f"seed {seeds[exc.index]}: {exc}", exc.index) from None
 
 
 def check_power(x, p):

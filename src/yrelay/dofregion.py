@@ -15,7 +15,11 @@ and lists the tight ones, which a second pass over the table counts first.
 The LPs, on the integer simplex tableau, add the DP's violating ordering as a
 row until the optimum is a member (cutting planes): the simplex certificate
 on those rows, with zero duals for the rest, and the DP's feasibility verdict
-certify the optimum for all K! rows.
+certify the optimum for all K! rows, checked with zero tolerance on the
+tableau's ints; a cut is searched for only when the DP's top exceeds N*T.
+What depends on K alone is built once per K, as tuples: the DP's pair cells
+and half-subset members (2^(K/2) entries each), the identity and reversed
+ordering rows, and `alignment.pair_cells`.
 """
 
 from __future__ import annotations
@@ -23,10 +27,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from operator import add
 
-from .alignment import DofVector, ordered_pairs, pair_index, user_pairs
+from .alignment import DofVector, ordered_pairs, pair_cells
 from .errors import TooLarge, WitnessInvalid
-from .simplex import _integral, solve_linear, solve_max, verify_certificate
+from .simplex import _certify, _solve, solve_linear
 
 ORACLE_MAX_USERS = 16    # the ordering DP tabulates all 2^K user subsets
 TIGHT_LIST_MAX = 40320   # 8!, every ordering of 8 users
@@ -81,9 +87,21 @@ def _subset_sums(rows, half: int):
     for part in (rows[:half], rows[half:]):
         table = [[0] * len(rows[0])]
         for row in part:
-            table += [[t + x for t, x in zip(sums, row)] for sums in table]
+            table += [list(map(add, sums, row)) for sums in table]
         tables.append(table)
     return tables
+
+
+@cache
+def _dp_tables(k: int):
+    """The DP's tables that depend on K alone (tuples, built once per K):
+    the (u-1, v-1) cell of each pair in `ordered_pairs` order, and (v, 1 << v)
+    per member of each low and high half of a subset (2^(K/2) each, not 2^K)."""
+    half, bits = k // 2, tuple((v, 1 << v) for v in range(k))
+    cells = tuple((u - 1, v - 1) for u, v in ordered_pairs(k))
+    lo = tuple(tuple(b for b in bits[:half] if t & b[1]) for t in range(1 << half))
+    hi = tuple(tuple(b for b in bits[half:] if t << half & b[1]) for t in range(1 << (k - half)))
+    return cells, lo, hi
 
 
 class _OrderingDP:
@@ -99,23 +117,23 @@ class _OrderingDP:
         k = d.K
         if k > ORACLE_MAX_USERS:
             raise TooLarge(f"ordering DP guarded at K <= {ORACLE_MAX_USERS} (2^K subsets)")
-        self.K, self.scale, self.half = k, d.T, k // 2
-        w = [[0] * k for _ in range(k)]
-        for (u, v), value in zip(ordered_pairs(k), d.scaled):
-            w[u - 1][v - 1] = value
-        self.w, self.bits = w, [(v, 1 << v) for v in range(k)]
-        lo, hi = self.into = _subset_sums(w, self.half)
-        mask = (1 << self.half) - 1
+        half, mask = k // 2, (1 << k // 2) - 1
+        cells, lo_steps, hi_steps = _dp_tables(k)
+        self.K, self.scale, self.half, self.mask, self.steps = k, d.T, half, mask, (lo_steps, hi_steps)
+        w = self.w = [[0] * k for _ in range(k)]
+        for (u, v), value in zip(cells, d.scaled):
+            w[u][v] = value
+        lo, hi = self.into = _subset_sums(w, half)
         best = [0] * (1 << k)
         for s in range(1, 1 << k):
-            into_lo, into_hi = lo[s & mask], hi[s >> self.half]
+            low, high = s & mask, s >> half
+            into_lo, into_hi = lo[low], hi[high]
             top = -1
-            for v, bit in self.bits:
-                if s & bit:
-                    # user v+1 placed last: every other member precedes it
-                    value = best[s ^ bit] + into_lo[v] + into_hi[v]
-                    if value > top:
-                        top = value
+            for v, bit in lo_steps[low] + hi_steps[high]:
+                # user v+1 placed last: every other member precedes it
+                value = best[s ^ bit] + into_lo[v] + into_hi[v]
+                if value > top:
+                    top = value
             best[s] = top
         self.best = best
 
@@ -123,13 +141,13 @@ class _OrderingDP:
         """Number of orderings attaining best[-1]. Walks the table back from
         the full set: an ordering attains the maximum exactly when each of
         its prefixes does, so only the steps that keep a prefix tight count."""
-        (lo, hi), mask, best = self.into, (1 << self.half) - 1, self.best
+        (lo, hi), (lo_steps, hi_steps), best = self.into, self.steps, self.best
         ways = [0] * (len(best) - 1) + [1]
         for s in range(len(best) - 1, 0, -1):
             if ways[s]:
-                into_lo, into_hi = lo[s & mask], hi[s >> self.half]
-                for v, bit in self.bits:
-                    if s & bit and best[s ^ bit] + into_lo[v] + into_hi[v] == best[s]:
+                low, high = s & self.mask, s >> self.half
+                for v, bit in lo_steps[low] + hi_steps[high]:
+                    if best[s ^ bit] + lo[low][v] + hi[high][v] == best[s]:
                         ways[s ^ bit] += ways[s]
         return ways[0]
 
@@ -137,21 +155,20 @@ class _OrderingDP:
         """Orderings (tuples of users) with a scaled sum >= floor, in
         lexicographic order. A branch is cut when the entries fixed by its
         placed users plus the best order of the rest fall below floor."""
-        mask, prefix = (1 << self.half) - 1, []
+        (lo_steps, hi_steps), mask, half, prefix = self.steps, self.mask, self.half, []
         # out_lo[s % 2^half][u] + out_hi[s >> half][u]: entries from u to the users of s
-        out_lo, out_hi = _subset_sums([list(col) for col in zip(*self.w)], self.half)
+        out_lo, out_hi = _subset_sums([list(col) for col in zip(*self.w)], half)
 
         def walk(rest, fixed):
             if not rest:
                 yield tuple(prefix)
-            for u, bit in self.bits:
-                if rest & bit:
-                    left = rest ^ bit
-                    placed = fixed + out_lo[left & mask][u] + out_hi[left >> self.half][u]
-                    if placed + self.best[left] >= floor:
-                        prefix.append(u + 1)
-                        yield from walk(left, placed)
-                        prefix.pop()
+            for u, bit in lo_steps[rest & mask] + hi_steps[rest >> half]:
+                left = rest ^ bit
+                placed = fixed + out_lo[left & mask][u] + out_hi[left >> half][u]
+                if placed + self.best[left] >= floor:
+                    prefix.append(u + 1)
+                    yield from walk(left, placed)
+                    prefix.pop()
 
         return walk((1 << self.K) - 1, 0)
 
@@ -180,33 +197,37 @@ def is_member(d: DofVector, spec: RegionSpec) -> MembershipVerdict:
 
 def _ordering_row(p) -> list:
     """0/1 constraint row of ordering p, columns in `ordered_pairs` order."""
-    index = pair_index(len(p))
-    row = [0] * len(index)
-    for a, u in enumerate(p):
-        for v in p[a + 1 :]:
-            row[index[(u, v)]] = 1
-    return row
+    place = {u: a for a, u in enumerate(p)}
+    return [int(place[u] < place[v]) for u, v in ordered_pairs(len(p))]
+
+
+@cache
+def _extreme_rows(k: int):
+    """Rows of the identity and reversed orderings, which bound every
+    variable together (tuples, built once per K)."""
+    return tuple(tuple(_ordering_row(p)) for p in (range(1, k + 1), range(k, 0, -1)))
 
 
 def _region_max(objective, spec: RegionSpec, cap=None):
     """(max of objective . d over the region, maximizer), by cutting planes
-    from the identity and reversed orderings, which bound every variable.
-    The maximizer is None once a restricted optimum is <= cap: the full
-    optimum is no larger."""
-    identity = tuple(range(1, spec.K + 1))
-    rows = [_ordering_row(identity), _ordering_row(identity[::-1])]
+    from the extreme rows. The maximizer is None once a restricted optimum
+    is <= cap: the full optimum is no larger. Each LP optimum stays in
+    tableau ints: the DP reads the maximizer built from them, and the
+    certificate is checked on them."""
+    if spec.K > ORACLE_MAX_USERS:  # refused before any LP, as the DP would refuse its optimum
+        raise TooLarge(f"ordering DP guarded at K <= {ORACLE_MAX_USERS} (2^K subsets)")
+    rows = list(_extreme_rows(spec.K))
     while True:
         rhs = [spec.N] * len(rows)
-        res = solve_max(objective, rows, rhs)
-        if cap is not None and res.value <= cap:
-            return res.value, None
-        point = DofVector.from_scaled(spec.K, *_integral(res.x))
-        dp = _OrderingDP(point)
-        cut = next(dp.orderings(spec.N * dp.scale + 1), None)
-        if cut is None:
-            verify_certificate(objective, rows, rhs, res)
-            return res.value, point
-        rows.append(_ordering_row(cut))
+        x, d, y, value, den, *_ = _solve(objective, rows, rhs)
+        if cap is not None and value <= cap * den:
+            return Fraction(value, den), None
+        point = DofVector.from_scaled(spec.K, x, d)
+        dp, bound = _OrderingDP(point), spec.N * point.T
+        if dp.best[-1] <= bound:  # a member: no ordering to search for a cut
+            _certify(objective, rows, rhs, x, d, y, value, den)
+            return Fraction(value, den), point
+        rows.append(_ordering_row(next(dp.orderings(bound + 1))))
 
 
 def sum_dof_max(spec: RegionSpec):
@@ -236,12 +257,9 @@ def find_construction_gap(spec: RegionSpec) -> DofVector | None:
     """
     if spec.K > GAP_MAX_USERS:
         raise TooLarge(f"gap probe guarded at K <= {GAP_MAX_USERS}")
-    pairs, index = user_pairs(spec.K), pair_index(spec.K)
-
-    for bits in itertools.product((0, 1), repeat=len(pairs)):
-        objective = [0] * len(index)
-        for (j, k), rev in zip(pairs, bits):
-            objective[index[(k, j) if rev else (j, k)]] = 1
+    # one direction per pair: the entry of d_jk or of d_kj, forward first
+    for chosen in itertools.product(*((i, r) for _, i, r in pair_cells(spec.K))):
+        objective = [int(i in chosen) for i in range(spec.K * (spec.K - 1))]
         _, witness = _region_max(objective, spec, cap=spec.N)
         if witness is not None:
             feasible, total = construction_feasible(witness, spec.N)

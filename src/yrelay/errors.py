@@ -2,7 +2,12 @@
 
 
 class YRelayError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package; `index`, when
+    given, is the failing matrix's place in a stack, or its draw in a block."""
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
 
 
 class DimensionError(YRelayError, ValueError):
@@ -11,11 +16,7 @@ class DimensionError(YRelayError, ValueError):
 
 class RankDeficient(YRelayError, ArithmeticError):
     """Matrix failed the conditioning check (sigma_min/sigma_max below
-    threshold); `index` is its place in a stack, or its draw in a block."""
-
-    def __init__(self, message, index=None):
-        super().__init__(message)
-        self.index = index
+    threshold)."""
 
 
 class Infeasible(YRelayError, ValueError):
@@ -35,7 +36,8 @@ class ModeUnavailable(YRelayError, ValueError):
 
 
 class ScalarUnderflow(YRelayError, ArithmeticError):
-    """A recovery scale factor is too small to divide by."""
+    """A scale factor leaves the float range: a recovery scale too small to
+    divide by, or a normalized inverse's alpha or beta too large for a float."""
 
 
 class TooLarge(YRelayError, ValueError):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, RankDeficient
+from .errors import DimensionError, RankDeficient, ScalarUnderflow
 
 # Conditioning / tolerance constants (shared by the test suite).
 RANK_TOL = 1e-10          # reject when sigma_min/sigma_max falls below this
@@ -78,7 +78,8 @@ def _unit_pinv(a, right: bool) -> tuple[np.ndarray, np.ndarray]:
     pinv, the rest retake the Gram formula. Each is scaled first by 2^-e, e
     from frexp of its largest real or imaginary part, and c by 2^e after: a
     power of two changes no bit in the normal range, and with entries in
-    [0.5, 1) the Gram product can neither underflow nor overflow.
+    [0.5, 1) the Gram product can neither underflow nor overflow. A c*2^e
+    past the float range raises ScalarUnderflow (`index` its place).
     """
     a = np.ascontiguousarray(a, dtype=np.complex128)
     if a.ndim != 3:
@@ -113,5 +114,9 @@ def _unit_pinv(a, right: bool) -> tuple[np.ndarray, np.ndarray]:
     c = 1.0 / np.sqrt(np.sum((np.abs(g) ** 2).reshape(len(g), -1), axis=-1))
     g = c[:, None, None] * g
     if past.size:
+        top = np.frexp(c[past])[1] + e  # c * 2^e < 2^top
+        if (top > 1024).any():
+            i = np.argmax(top > 1024)
+            raise ScalarUnderflow(f"{side} inverse scale of 2^{top[i] - 1} or more has no float", int(past[i]))
         c[past] = np.ldexp(c[past], e)
     return g, c

@@ -6,8 +6,10 @@ least common denominator (ints by 1), and integer-preserving Gauss-Jordan
 pivots (Edmonds, 1967) divide exactly, so Fractions appear only in the
 result. Bland's rule guarantees termination; problem sizes here are tiny
 (tens of variables and constraints), so no effort is spent on sparsity or
-revised-form updates. The result carries the optimal basis and the dual
-vector so callers can re-verify optimality by substitution.
+revised-form updates. One core returns the optimum as tableau ints, which
+the region LPs read and certify as they are (zero tolerance); `solve_max`
+and `verify_certificate` are the Fraction-facing wrappers of the solver and
+of the certificate check.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import LpError
 
@@ -66,8 +69,9 @@ class LpResult:
     iterations: int
 
 
-def solve_max(c, a, b) -> LpResult:
-    """Maximize c'x s.t. Ax <= b, x >= 0 (all rationals, b >= 0)."""
+def _solve(c, a, b):
+    """solve_max in tableau ints: (x, d, y, value, den, basis, iterations),
+    the point x / d, the duals y / den and the value / den."""
     m, n = len(a), len(c)
     if any(len(row) != n for row in a) or len(b) != m:
         raise LpError("inconsistent LP dimensions")
@@ -102,41 +106,42 @@ def solve_max(c, a, b) -> LpResult:
         basis[row] = enter
         iterations += 1
 
-    x = [Fraction(0)] * n
+    x = [0] * n
     for i, var in enumerate(basis):
         if var < n:
-            x[var] = Fraction(tab[i][-1], d)
+            x[var] = tab[i][-1]
     # slack i, scaled with its row by s, has reduced cost y_i * c_scale / s
-    duals = tuple(Fraction(s * v, d * c_scale) for (_, s), v in zip(rows, tab[m][n : n + m]))
-    return LpResult(value=Fraction(tab[m][-1], d * c_scale), x=tuple(x), basis=tuple(basis),
-                    duals=duals, iterations=iterations)
+    duals = [s * v for (_, s), v in zip(rows, tab[m][n : n + m])]
+    return x, d, duals, tab[m][-1], d * c_scale, basis, iterations
+
+
+def solve_max(c, a, b) -> LpResult:
+    """Maximize c'x s.t. Ax <= b, x >= 0 (all rationals, b >= 0)."""
+    x, d, y, value, den, basis, iterations = _solve(c, a, b)
+    return LpResult(value=Fraction(value, den), x=tuple(Fraction(v, d) for v in x), basis=tuple(basis),
+                    duals=tuple(Fraction(v, den) for v in y), iterations=iterations)
+
+
+def _certify(c, a, b, x, d, y, value, den) -> bool:
+    """Zero-tolerance certificate of the optimum x / d, y / den, value / den
+    on the data c, A, b: primal feasibility, dual feasibility and matching
+    objective values (strong duality), each compared in ints for int data."""
+    if min(x, default=0) < 0:
+        raise LpError("certificate: primal point has a negative coordinate")
+    for i, row in enumerate(a):
+        if sum(map(mul, row, x)) > b[i] * d:
+            raise LpError(f"certificate: primal point violates constraint {i}")
+    if min(y, default=0) < 0:
+        raise LpError("certificate: dual vector has a negative coordinate")
+    for j, (cj, *col) in enumerate(zip(c, *a)):
+        if sum(map(mul, y, col)) < cj * den:
+            raise LpError(f"certificate: dual vector violates column {j}")
+    if sum(map(mul, c, x)) * den != value * d or sum(map(mul, y, b)) != value:
+        raise LpError("certificate: objective values disagree")
+    return True
 
 
 def verify_certificate(c, a, b, res: LpResult) -> bool:
-    """Re-check optimality by substitution, with zero tolerance.
-
-    Primal feasibility, dual feasibility, and matching objective values
-    (strong duality) together certify the reported optimum. The data (c, A,
-    b), x and y are each compared in ints over their common denominator.
-    """
-    n, m = len(c), len(a)
-    data, s = _integral([*c, *b, *(v for row in a for v in row)])
-    c, b, a = data[:n], data[n : n + m], [data[n + m + i * n : n + m + (i + 1) * n] for i in range(m)]
-    x, sx = _integral(res.x)
-    y, sy = _integral(res.duals)
-    if any(v < 0 for v in x):
-        raise LpError("certificate: primal point has a negative coordinate")
-    for i, row in enumerate(a):
-        if sum(rv * xv for rv, xv in zip(row, x)) > b[i] * sx:
-            raise LpError(f"certificate: primal point violates constraint {i}")
-    if any(v < 0 for v in y):
-        raise LpError("certificate: dual vector has a negative coordinate")
-    for j in range(n):
-        if sum(y[i] * a[i][j] for i in range(m)) < c[j] * sy:
-            raise LpError(f"certificate: dual vector violates column {j}")
-    value = res.value
-    primal = sum(cv * xv for cv, xv in zip(c, x)) * value.denominator
-    dual = sum(yv * bv for yv, bv in zip(y, b)) * value.denominator
-    if primal != value.numerator * s * sx or dual != value.numerator * s * sy:
-        raise LpError("certificate: objective values disagree")
-    return True
+    """Re-check optimality by substitution, with zero tolerance: the
+    tableau-int check, on the rationals of `res` as they are."""
+    return _certify(c, a, b, res.x, 1, res.duals, res.value, 1)

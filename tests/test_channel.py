@@ -15,7 +15,7 @@ from yrelay.channel import (
     sample_channel_block,
     sample_channels,
 )
-from yrelay.errors import DimensionError, RankDeficient
+from yrelay.errors import DimensionError, RankDeficient, ScalarUnderflow
 
 
 def propagate_oracle(mats, xs):
@@ -158,6 +158,18 @@ def test_refused_draw_names_its_seed_and_matrix(monkeypatch, reference_channels)
     block = sample_channel_block(cfg, seeds)
     for d, seed in enumerate(seeds):
         assert_same_draw(block, reference_channels(cfg, seed), d)
+
+
+def test_scale_past_the_float_range_names_its_draw():
+    # a finite 1x4 uplink matrix of entries 1.5e308 (alpha = 3e308 has no
+    # float) is named by its draw, link and user, as a refused matrix is
+    rng = np.random.default_rng(6)
+    up, down = complex_normal(rng, (2, 3, 1, 4)), complex_normal(rng, (2, 3, 4, 1))
+    up[1, 2] = 1.5e308
+    with pytest.raises(ScalarUnderflow) as got:
+        ChannelBlock(up, down)
+    assert str(got.value) == "draw 1, uplink of user 2: right inverse scale of 2^1024 or more has no float"
+    assert got.value.index == 1
 
 
 def test_entry_moments():

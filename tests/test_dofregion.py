@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import yrelay.dofregion
 from conftest import permutation_constraint
-from yrelay.alignment import DofVector, ordered_pairs, user_pairs
+from yrelay.alignment import DofVector, ordered_pairs, pair_cells, user_pairs
 from yrelay.dofregion import (
     GAP_MAX_USERS,
     ORACLE_MAX_USERS,
@@ -29,7 +29,7 @@ from yrelay.dofregion import (
     sum_dof_max,
     vertices_k3,
 )
-from yrelay.errors import TooLarge, WitnessInvalid
+from yrelay.errors import LpError, TooLarge, WitnessInvalid
 
 F = Fraction
 ALL_ONES = DofVector.uniform(4, F(1))
@@ -212,6 +212,19 @@ def test_tight_count_matches_enumeration(brute_membership, case):
         assert count == len(verdict.tight) > 0
 
 
+@settings(PROPERTY, max_examples=80)
+@given(region_points())
+def test_cut_search_runs_only_past_the_bound(case):
+    # the DP's largest sum exceeds N*T exactly when some ordering exceeds N,
+    # and the cut the LPs add is then the lexicographically first violator
+    d, spec = case
+    dp = yrelay.dofregion._OrderingDP(d)
+    violators = [p for p in permutations(range(1, d.K + 1)) if permutation_constraint(d, p) > spec.N]
+    bound = spec.N * dp.scale
+    assert (dp.best[-1] > bound) == bool(violators)
+    assert next(dp.orderings(bound + 1), None) == (violators[0] if violators else None)
+
+
 # -------------------------------------------------------------------- sum-DoF
 
 
@@ -245,7 +258,43 @@ def test_sum_dof_doubles_relay_antennas_six_and_eight_users():
             assert is_member(arg, RegionSpec(K=k, N=n)).member
 
 
-def test_sum_dof_guard():
+def test_per_k_tables_are_shared_read_only(full_row_lp):
+    # tables built once per K are tuples all the way down, so no caller can
+    # change them, and the DP's step tables hold 2^(K/2) entries, not 2^K
+    def frozen(t):
+        return type(t) is tuple and all(frozen(v) for v in t if not isinstance(v, int))
+
+    for k in (3, 4, 7, ORACLE_MAX_USERS):
+        cells, lo, hi = yrelay.dofregion._dp_tables(k)
+        assert (len(cells), len(lo), len(hi)) == (k * (k - 1), 2 ** (k // 2), 2 ** (k - k // 2))
+        assert frozen((cells, lo, hi)) and frozen(yrelay.dofregion._extreme_rows(k))
+        assert frozen(pair_cells(k))
+    # the gap probe appends cuts to its rows; later LPs start again from
+    # the identity and reversed rows alone
+    assert find_construction_gap(SPEC46) is not None
+    assert yrelay.dofregion._extreme_rows(4) == (tuple(yrelay.dofregion._ordering_row((1, 2, 3, 4))),
+                                                 tuple(yrelay.dofregion._ordering_row((4, 3, 2, 1))))
+    for n in range(1, 9):
+        assert sum_dof_max(RegionSpec(K=4, N=n)) == full_row_lp([F(1)] * 12, 4, n)
+
+
+def test_forged_maximizer_is_refused(monkeypatch):
+    # an LP optimum forged to the origin passes the DP (it is a member) and
+    # reaches the certificate check, which refuses it
+    solve = yrelay.dofregion._solve
+
+    def forged(c, a, b):
+        x, *rest = solve(c, a, b)
+        return [0] * len(x), *rest
+
+    monkeypatch.setattr(yrelay.dofregion, "_solve", forged)
+    with pytest.raises(LpError, match="^certificate: objective values disagree$"):
+        sum_dof_max(SPEC46)
+
+
+def test_sum_dof_guard(monkeypatch):
+    # refused before any LP is solved
+    monkeypatch.setattr(yrelay.dofregion, "_solve", None)
     with pytest.raises(TooLarge):
         sum_dof_max(RegionSpec(K=ORACLE_MAX_USERS + 1, N=2))
 

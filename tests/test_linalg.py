@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import yrelay.linalg
-from yrelay.errors import DimensionError, RankDeficient
+from yrelay.errors import DimensionError, RankDeficient, ScalarUnderflow
 from yrelay.linalg import (
     DIAG_RTOL,
     GRAM_BOUND_LIMIT,
@@ -328,6 +328,27 @@ def test_bound_clears_no_extreme_matrix(traced_pinv, scale):
         (g, c), (want_g, want_c) = _unit_pinv(x * scale, right), _unit_pinv(x, right)
         assert np.abs(g - want_g).max() <= 1e-12
         assert abs(c[0] - want_c[0] * scale) <= 1e-12 * want_c[0] * scale
+
+
+def test_scale_past_the_float_range_is_named():
+    # a finite, well-conditioned matrix whose alpha has no float (a 1x4
+    # right or 4x1 left inverse of entries 1.5e308: sigma = 3e308) raises
+    # ScalarUnderflow naming its place in the stack, with no warning; at
+    # half that size alpha = 2 * 0.75e308 still fits
+    ok = np.array([[[1.0, 2.0, 0.5, 1.5]]])
+    for right in (True, False):
+        big = np.concatenate([ok, ok, np.full((1, 1, 4), 1.5e308)])
+        if not right:
+            big = big.transpose(0, 2, 1).copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ScalarUnderflow) as info:
+                _unit_pinv(big, right)
+            _, c = _unit_pinv(big / 2, right)
+        side = "right" if right else "left"
+        assert str(info.value) == f"{side} inverse scale of 2^1024 or more has no float"
+        assert info.value.index == 2
+        assert c[2] == pytest.approx(1.5e308, rel=1e-12)
 
 
 def test_only_matrices_past_the_bound_get_their_svd(traced_pinv):
