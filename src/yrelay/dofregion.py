@@ -9,17 +9,17 @@ are all computed in Python ints, on the scaled entries a `DofVector` holds;
 Fractions appear only in the values returned.
 
 Membership, sum-DoF and the gap probe never walk the K! orderings. The
-Held-Karp subset DP gives the largest ordering sum over the 2^K user subsets;
-a lexicographic search pruned by its table finds the first violating ordering
-and lists the tight ones, which a second pass over the table counts first.
-The LPs, on the integer simplex tableau, add the DP's violating ordering as a
-row until the optimum is a member (cutting planes): the simplex certificate
-on those rows, with zero duals for the rest, and the DP's feasibility verdict
-certify the optimum for all K! rows, checked with zero tolerance on the
-tableau's ints; a cut is searched for only when the DP's top exceeds N*T.
-What depends on K alone is built once per K, as tuples: the DP's pair cells
-and half-subset members (2^(K/2) entries each), the identity and reversed
-ordering rows, and `alignment.pair_cells`.
+Held-Karp subset DP gives the largest ordering sum over the 2^K user subsets,
+placing the first user of each; its one subset table (the entries from a user
+to a subset) also serves the tight count and a lexicographic walk pruned by
+the exact DP, which yields each ordering with its sum: the first violating
+one (witness and cut) after K steps, or the tight ones, counted first. The
+LPs, on the integer simplex tableau, add that violator as a row until the
+optimum is a member (cutting planes): the simplex certificate on those rows,
+zero duals for the rest and the DP's verdict certify the optimum for all K!
+rows, checked with zero tolerance on the tableau's ints. What depends on K
+alone is built once per K, read-only: the DP's entry getters and half-subset
+members (2^(K/2) each), the extreme ordering rows and `alignment.pair_cells`.
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from operator import add
+from operator import add, itemgetter
 
-from .alignment import DofVector, ordered_pairs, pair_cells
+from .alignment import DofVector, ordered_pairs, pair_cells, pair_index
 from .errors import TooLarge, WitnessInvalid
 from .simplex import _certify, _solve, solve_linear
 
@@ -94,23 +94,26 @@ def _subset_sums(rows, half: int):
 
 @cache
 def _dp_tables(k: int):
-    """The DP's tables that depend on K alone (tuples, built once per K):
-    the (u-1, v-1) cell of each pair in `ordered_pairs` order, and (v, 1 << v)
-    per member of each low and high half of a subset (2^(K/2) each, not 2^K)."""
-    half, bits = k // 2, tuple((v, 1 << v) for v in range(k))
-    cells = tuple((u - 1, v - 1) for u, v in ordered_pairs(k))
+    """The DP's tables that depend on K alone (built once per K, read-only):
+    per user v, a getter of the entries T*d_uv into v, u = 1..K, from a
+    vector's `scaled` with a 0 appended for u = v; and (v, 1 << v) per member
+    of each low and high half of a subset (2^(K/2) each, not 2^K)."""
+    half, bits, index = k // 2, tuple((v, 1 << v) for v in range(k)), pair_index(k)
+    into = tuple(itemgetter(*(index.get((u, v), len(index)) for u in range(1, k + 1))) for v in range(1, k + 1))
     lo = tuple(tuple(b for b in bits[:half] if t & b[1]) for t in range(1 << half))
     hi = tuple(tuple(b for b in bits[half:] if t << half & b[1]) for t in range(1 << (k - half)))
-    return cells, lo, hi
+    return into, lo, hi
 
 
 class _OrderingDP:
     """Held-Karp table of the largest ordering sums of a DoF vector.
 
-    The weights w[u-1][v-1] are the vector's ints T*d_uv, so every sum is
-    an int, `scale` = T times the exact one. Bit u-1 of a subset S
-    stands for user u. best[S] is the largest sum, over orderings of the
-    users in S, of the entries from earlier to later users.
+    The weights are the vector's ints T*d_uv, so every sum is an int,
+    `scale` = T times the exact one. Bit u-1 of a subset S stands for user
+    u. best[S], the largest sum over orderings of S of the entries from
+    earlier to later users, is the max over u in S of out(u, S) + best[S - u]
+    (u first; out(u, S) sums the entries from u to S, d_uu none). The out
+    tables are the one subset table of the DP, `tight_count` and `orderings`.
     """
 
     def __init__(self, d: DofVector):
@@ -118,59 +121,60 @@ class _OrderingDP:
         if k > ORACLE_MAX_USERS:
             raise TooLarge(f"ordering DP guarded at K <= {ORACLE_MAX_USERS} (2^K subsets)")
         half, mask = k // 2, (1 << k // 2) - 1
-        cells, lo_steps, hi_steps = _dp_tables(k)
-        self.K, self.scale, self.half, self.mask, self.steps = k, d.T, half, mask, (lo_steps, hi_steps)
-        w = self.w = [[0] * k for _ in range(k)]
-        for (u, v), value in zip(cells, d.scaled):
-            w[u][v] = value
-        lo, hi = self.into = _subset_sums(w, half)
+        into, lo_steps, hi_steps = _dp_tables(k)
+        self.scale, self.half, self.mask, self.steps = d.T, half, mask, (lo_steps, hi_steps)
+        scaled = d.scaled + (0,)
+        # out(u, S) = lo[S % 2^half][u] + hi[S >> half][u]
+        lo, hi = self.out = _subset_sums([entries(scaled) for entries in into], half)
         best = [0] * (1 << k)
         for s in range(1, 1 << k):
             low, high = s & mask, s >> half
-            into_lo, into_hi = lo[low], hi[high]
+            out_lo, out_hi = lo[low], hi[high]
             top = -1
-            for v, bit in lo_steps[low] + hi_steps[high]:
-                # user v+1 placed last: every other member precedes it
-                value = best[s ^ bit] + into_lo[v] + into_hi[v]
+            for u, bit in lo_steps[low] + hi_steps[high]:
+                # user u+1 placed first: it precedes every other member
+                value = best[s ^ bit] + out_lo[u] + out_hi[u]
                 if value > top:
                     top = value
             best[s] = top
         self.best = best
 
     def tight_count(self) -> int:
-        """Number of orderings attaining best[-1]. Walks the table back from
+        """Number of orderings attaining best[-1]. Walks the table down from
         the full set: an ordering attains the maximum exactly when each of
-        its prefixes does, so only the steps that keep a prefix tight count."""
-        (lo, hi), (lo_steps, hi_steps), best = self.into, self.steps, self.best
+        its suffixes does, so only first users that keep the rest tight count."""
+        (lo, hi), (lo_steps, hi_steps), best = self.out, self.steps, self.best
         ways = [0] * (len(best) - 1) + [1]
         for s in range(len(best) - 1, 0, -1):
             if ways[s]:
                 low, high = s & self.mask, s >> self.half
-                for v, bit in lo_steps[low] + hi_steps[high]:
-                    if best[s ^ bit] + lo[low][v] + hi[high][v] == best[s]:
+                for u, bit in lo_steps[low] + hi_steps[high]:
+                    if best[s ^ bit] + lo[low][u] + hi[high][u] == best[s]:
                         ways[s ^ bit] += ways[s]
         return ways[0]
 
     def orderings(self, floor: int):
-        """Orderings (tuples of users) with a scaled sum >= floor, in
-        lexicographic order. A branch is cut when the entries fixed by its
-        placed users plus the best order of the rest fall below floor."""
-        (lo_steps, hi_steps), mask, half, prefix = self.steps, self.mask, self.half, []
-        # out_lo[s % 2^half][u] + out_hi[s >> half][u]: entries from u to the users of s
-        out_lo, out_hi = _subset_sums([list(col) for col in zip(*self.w)], half)
-
-        def walk(rest, fixed):
-            if not rest:
-                yield tuple(prefix)
-            for u, bit in lo_steps[rest & mask] + hi_steps[rest >> half]:
-                left = rest ^ bit
-                placed = fixed + out_lo[left & mask][u] + out_hi[left >> half][u]
-                if placed + self.best[left] >= floor:
-                    prefix.append(u + 1)
-                    yield from walk(left, placed)
-                    prefix.pop()
-
-        return walk((1 << self.K) - 1, 0)
+        """(ordering, scaled sum) for each ordering (a tuple of users) whose
+        scaled sum is >= floor, in lexicographic order. A user is placed
+        next only when the entries fixed so far plus the best order of the
+        rest reach floor; best[] is exact, so every placed user leads to a
+        yield, and the first comes after K placements."""
+        (lo, hi), (lo_steps, hi_steps), best = self.out, self.steps, self.best
+        mask, half, rest = self.mask, self.half, len(best) - 1
+        stack = [(rest, 0, (), iter(lo_steps[rest & mask] + hi_steps[rest >> half]))]
+        while stack:
+            rest, fixed, prefix, steps = stack[-1]
+            out_lo, out_hi = lo[rest & mask], hi[rest >> half]
+            for u, bit in steps:
+                left, placed = rest ^ bit, fixed + out_lo[u] + out_hi[u]
+                if placed + best[left] >= floor:
+                    if left:
+                        members = iter(lo_steps[left & mask] + hi_steps[left >> half])
+                        stack.append((left, placed, prefix + (u + 1,), members))
+                        break
+                    yield prefix + (u + 1,), placed
+            else:
+                stack.pop()
 
 
 def is_member(d: DofVector, spec: RegionSpec) -> MembershipVerdict:
@@ -184,14 +188,14 @@ def is_member(d: DofVector, spec: RegionSpec) -> MembershipVerdict:
     dp = _OrderingDP(d)
     bound, top = spec.N * dp.scale, dp.best[-1]
     if top > bound:
-        p = next(dp.orderings(bound + 1))
-        value = Fraction(sum(dp.w[u - 1][v - 1] for a, u in enumerate(p) for v in p[a + 1 :]), dp.scale)
+        p, value = next(dp.orderings(bound + 1))
+        value = Fraction(value, dp.scale)
         return MembershipVerdict(member=False, witness=(p, value), tight=(), max_value=value)
     tight = ()
     if top == bound:
         if (count := dp.tight_count()) > TIGHT_LIST_MAX:
             raise TooLarge(f"{count} tight orderings to list, guarded at {TIGHT_LIST_MAX}")
-        tight = tuple(dp.orderings(bound))
+        tight = tuple(p for p, _ in dp.orderings(bound))
     return MembershipVerdict(member=True, witness=None, tight=tight, max_value=Fraction(top, dp.scale))
 
 
@@ -227,7 +231,7 @@ def _region_max(objective, spec: RegionSpec, cap=None):
         if dp.best[-1] <= bound:  # a member: no ordering to search for a cut
             _certify(objective, rows, rhs, x, d, y, value, den)
             return Fraction(value, den), point
-        rows.append(_ordering_row(next(dp.orderings(bound + 1))))
+        rows.append(_ordering_row(next(dp.orderings(bound + 1))[0]))
 
 
 def sum_dof_max(spec: RegionSpec):
@@ -242,7 +246,9 @@ def sum_dof_max(spec: RegionSpec):
 def construction_feasible(d: DofVector, n_relay: int):
     """(feasible, sum of per-pair maxima): the direct-layout condition,
     summed in ints over the vector's scaled entries."""
-    total = sum(d.pair_lengths().values())
+    s, total = d.scaled, 0
+    for _, i, r in pair_cells(d.K):
+        total += s[i] if s[i] > s[r] else s[r]
     return total <= n_relay * d.T, Fraction(total, d.T)
 
 

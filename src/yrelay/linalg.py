@@ -46,13 +46,19 @@ def left_sum(values, start=0.0):
 
 
 def _gram_pinv(a: np.ndarray, right: bool):
-    """Gram-formula pseudo-inverses of a stack, its Gram matrices and their inverses (NaN if one fails)."""
+    """Gram-formula pseudo-inverses of a stack, its Gram matrices and their
+    inverses (NaN for each one that fails, which no bound clears)."""
     ah = a.conj().swapaxes(1, 2)
     gram = a @ ah if right else ah @ a
     try:
         gram_inv = np.linalg.inv(gram)
-    except np.linalg.LinAlgError:
-        gram_inv = np.full_like(gram, np.nan)  # no bound clears it
+    except np.linalg.LinAlgError:  # one singular matrix fails the stack: the others keep their bits
+        gram_inv = np.full_like(gram, np.nan)
+        for i, q in enumerate(gram):
+            try:
+                gram_inv[i] = np.linalg.inv(q)
+            except np.linalg.LinAlgError:
+                pass
     return (ah @ gram_inv if right else gram_inv @ ah), gram, gram_inv
 
 

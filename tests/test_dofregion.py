@@ -10,9 +10,10 @@ and a closed-form vertex catalogue checked for several N.
 import random
 from fractions import Fraction
 from itertools import permutations
+from operator import itemgetter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import yrelay.dofregion
@@ -216,13 +217,65 @@ def test_tight_count_matches_enumeration(brute_membership, case):
 @given(region_points())
 def test_cut_search_runs_only_past_the_bound(case):
     # the DP's largest sum exceeds N*T exactly when some ordering exceeds N,
-    # and the cut the LPs add is then the lexicographically first violator
+    # and the cut the LPs add is then the lexicographically first violator,
+    # read off the walk with its scaled sum
     d, spec = case
     dp = yrelay.dofregion._OrderingDP(d)
     violators = [p for p in permutations(range(1, d.K + 1)) if permutation_constraint(d, p) > spec.N]
     bound = spec.N * dp.scale
     assert (dp.best[-1] > bound) == bool(violators)
-    assert next(dp.orderings(bound + 1), None) == (violators[0] if violators else None)
+    first = next(dp.orderings(bound + 1), None)
+    assert (first[0] if first else None) == (violators[0] if violators else None)
+    if violators:
+        assert first[1] == permutation_constraint(d, violators[0]) * d.T > bound
+
+
+@settings(PROPERTY, max_examples=80)
+@given(region_points(), st.data())
+def test_ordering_walk_matches_enumeration(case, data):
+    # the walk yields exactly the orderings whose scaled sum reaches the
+    # floor, in lexicographic order, each with its exact scaled sum: at the
+    # region's bound (the tight list), just past it (the witness and the
+    # cut) and at a drawn floor
+    d, spec = case
+    dp = yrelay.dofregion._OrderingDP(d)
+    sums = [(p, permutation_constraint(d, p) * d.T) for p in permutations(range(1, d.K + 1))]
+    assert all(s.denominator == 1 for _, s in sums) and dp.best[-1] == max(s for _, s in sums)
+    bound = spec.N * d.T
+    for floor in (bound, bound + 1, data.draw(st.integers(-1, 2 * bound + 2), label="floor")):
+        assert list(dp.orderings(floor)) == [(p, s) for p, s in sums if s >= floor]
+
+
+def test_one_subset_table_per_dp(monkeypatch):
+    # _subset_sums builds the one table of each DP: is_member on a
+    # non-member (witness) and on a tight member (tight list), and the K=4
+    # gap probe, whose LPs search the walk for cuts, build no other
+    builds = {"dp": 0, "tables": 0, "walks": 0}
+    subset_sums = yrelay.dofregion._subset_sums
+
+    def counted(rows, half):
+        builds["tables"] += 1
+        return subset_sums(rows, half)
+
+    class CountedDP(yrelay.dofregion._OrderingDP):
+        def __init__(self, d):
+            builds["dp"] += 1
+            super().__init__(d)
+
+        def orderings(self, floor):
+            builds["walks"] += 1
+            return super().orderings(floor)
+
+    monkeypatch.setattr(yrelay.dofregion, "_subset_sums", counted)
+    monkeypatch.setattr(yrelay.dofregion, "_OrderingDP", CountedDP)
+    verdict = is_member(DofVector(4, {(1, 2): F(7)}), SPEC46)
+    assert not verdict.member and builds == {"dp": 1, "tables": 1, "walks": 1}
+    builds.update(dp=0, tables=0, walks=0)
+    verdict = is_member(CYCLE, SPEC46)
+    assert len(verdict.tight) == 12 and builds == {"dp": 1, "tables": 1, "walks": 1}
+    builds.update(dp=0, tables=0, walks=0)
+    assert find_construction_gap(SPEC46) is not None
+    assert builds["walks"] > 0 and builds["tables"] == builds["dp"] > builds["walks"]
 
 
 # -------------------------------------------------------------------- sum-DoF
@@ -259,16 +312,20 @@ def test_sum_dof_doubles_relay_antennas_six_and_eight_users():
 
 
 def test_per_k_tables_are_shared_read_only(full_row_lp):
-    # tables built once per K are tuples all the way down, so no caller can
-    # change them, and the DP's step tables hold 2^(K/2) entries, not 2^K
+    # tables built once per K are tuples all the way down (and getters), so
+    # no caller can change them, and the DP's step tables hold 2^(K/2)
+    # entries, not 2^K; user v's getter reads the entries into v, 0 for d_vv
     def frozen(t):
         return type(t) is tuple and all(frozen(v) for v in t if not isinstance(v, int))
 
     for k in (3, 4, 7, ORACLE_MAX_USERS):
-        cells, lo, hi = yrelay.dofregion._dp_tables(k)
-        assert (len(cells), len(lo), len(hi)) == (k * (k - 1), 2 ** (k // 2), 2 ** (k - k // 2))
-        assert frozen((cells, lo, hi)) and frozen(yrelay.dofregion._extreme_rows(k))
-        assert frozen(pair_cells(k))
+        into, lo, hi = yrelay.dofregion._dp_tables(k)
+        assert (len(into), len(lo), len(hi)) == (k, 2 ** (k // 2), 2 ** (k - k // 2))
+        assert frozen((lo, hi)) and frozen(yrelay.dofregion._extreme_rows(k))
+        assert frozen(pair_cells(k)) and all(type(g) is itemgetter for g in into)
+        d = DofVector.from_scaled(k, range(1, k * (k - 1) + 1), 1)
+        assert [g(d.scaled + (0,)) for g in into] == [tuple(d.get(u, v) if u != v else 0 for u in range(1, k + 1))
+                                                      for v in range(1, k + 1)]
     # the gap probe appends cuts to its rows; later LPs start again from
     # the identity and reversed rows alone
     assert find_construction_gap(SPEC46) is not None
@@ -319,9 +376,9 @@ def test_construction_feasible_examples():
 
 @st.composite
 def construction_points(draw):
-    """A K = 3..6 point with zero entries and mixed denominators, and N;
+    """A K = 3..7 point with zero entries and mixed denominators, and N;
     half of them scaled so that the pair maxima sum to N exactly."""
-    k, n = draw(st.integers(3, 6)), draw(st.integers(1, 8))
+    k, n = draw(st.integers(3, 7)), draw(st.integers(1, 8))
     entry = st.one_of(st.just(F(0)), st.builds(F, st.integers(0, 12), st.sampled_from((1, 2, 3, 5, 6, 7))))
     d = DofVector(k, {p: draw(entry) for p in ordered_pairs(k)})
     total = sum((max(d.get(j, i), d.get(i, j)) for j, i in user_pairs(k)), F(0))
@@ -332,12 +389,17 @@ def construction_points(draw):
 
 @settings(PROPERTY, max_examples=100)
 @given(construction_points())
+@example((DofVector(7, {(1, 2): F(5, 6), (2, 1): F(2, 3), (6, 7): F(1, 5)}), 2))
 def test_construction_feasible_matches_fraction_sum(case):
+    # the Fraction sum of the pair maxima, and in ints at the vector's
+    # extension T the sum of the slot lengths the stream plan lays out
     d, n = case
     total = sum((max(d.get(j, k), d.get(k, j)) for j, k in user_pairs(d.K)), F(0))
     got = construction_feasible(d, n)
     assert got == (total <= n, total)
     assert type(got[1]) is F
+    lengths = sum(d.pair_lengths().values())
+    assert got == (lengths <= n * d.T, F(lengths, d.T))
 
 
 def test_gap_probe_returns_valid_witness():

@@ -370,6 +370,24 @@ def test_only_matrices_past_the_bound_get_their_svd(traced_pinv):
         assert np.delete(g, 17, axis=0).tobytes() == _unit_pinv(rest, right)[0].tobytes()
 
 
+def test_singular_gram_matrix_fails_only_itself(traced_pinv):
+    # one matrix of a 64-matrix 6x6 stack scaled by 1e-170, so its Gram
+    # matrix underflows to zero and the stacked inversion raises: it alone
+    # gets an SVD, and every matrix, that one too, gets the bits it gets alone
+    rng = np.random.default_rng(114)
+    x = np.array([random_complex(rng, 6, 6) for _ in range(64)])
+    x[40] *= 1e-170
+    for right in (True, False):
+        gram = x[40] @ x[40].conj().T if right else x[40].conj().T @ x[40]
+        assert not gram.any()
+        got, got_warnings, calls = traced_pinv(x, right, GRAM_BOUND_LIMIT)
+        assert got[0] == "inverse" and got_warnings == [] and calls == {"svd": [(1, 6, 6)], "pinv": []}
+        g, c = _unit_pinv(x, right)
+        for i in range(64):
+            alone = _unit_pinv(x[i : i + 1], right)
+            assert g[i].tobytes() == alone[0][0].tobytes() and c[i] == alone[1][0]
+
+
 def test_stacked_inverse_matches_one_matrix_at_a_time(reference_pinv):
     # one stacked Gram product, inversion and product give each matrix the
     # bits it gets alone, on either route; a stack with a rank-deficient
