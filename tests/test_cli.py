@@ -159,11 +159,13 @@ def test_dof_check_sixteen_users(capsys):
 DOF_GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden" / "dof_outputs.json").read_text())
 
 
-@pytest.mark.parametrize("case", DOF_GOLDEN, ids=lambda case: " ".join(case["argv"][1:]))
+@pytest.mark.parametrize("case", DOF_GOLDEN, ids=lambda case: " ".join(case["argv"]).removeprefix("dof "))
 def test_dof_output_matches_golden(capsysbinary, case):
-    # recorded with the K!-enumeration region tools, and the K=6 and K=8
-    # sumdof and K=5 gap cases with the subset DP and cutting planes: any
-    # faster oracle must reproduce the same bytes and exit codes
+    # recorded with the K!-enumeration region tools, the K=6 and K=8 sumdof
+    # and K=5 gap cases with the subset DP and cutting planes, and the plan
+    # cases with the pair-keyed slot dicts: any faster oracle or relay-word
+    # layout must reproduce the same bytes and exit codes (a dof case is named
+    # by its arguments after `dof`, any other case by its whole argv)
     code = main(list(case["argv"]))
     assert code == case["exit"]
     assert capsysbinary.readouterr().out == case["stdout"].encode()
@@ -208,6 +210,10 @@ def test_plan_infeasible_exits_one(capsys):
     assert out == ""
     assert "Infeasible" in err
     assert "Traceback" not in err
+    # the 3-cycle point: a member of the region that pair slots cannot carry
+    code, out, err = run_cli(capsys, "plan", "--k", "4", "--n", "6", "--dof", "1-2=3,2-3=3,3-1=3")
+    assert (code, out) == (EXIT_FAILURE, "")
+    assert "pair slots need 9 of 6 relay components" in err
 
 
 def test_simulate_reports_round(capsys):
