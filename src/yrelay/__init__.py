@@ -3,7 +3,7 @@ K-user MIMO multi-way relay channel.
 
 Layering, bottom up. The exact core needs only the standard library:
 `alignment` (DoF vectors as ints over one common denominator, and the
-relay-word slot layout), `simplex` (integer-tableau LPs) and `dofregion`
+relay-word alignment blocks), `simplex` (integer-tableau LPs) and `dofregion`
 (exact region computations). The simulator is built on numpy: `linalg`
 (normalized pseudo-inverses), `channel` (seeded fading and noise),
 `transceiver` (end-to-end rounds, every draw and power point of a block of

@@ -7,11 +7,12 @@ making every T*d_jk an integer, and those integers: every consumer (the
 stream plan, the region's ordering DP and construction check) computes on
 them, and Fractions appear only where a value is read out.
 
-The uplink layout gives each unordered pair {j,k} one contiguous slot of
-length max(T*d_jk, T*d_kj) inside the length-T*N relay word, so both
-directions of a pair land on the same relay components and the relay sees
-their scaled sum. Remaining components are zero padding at the end of the
-word. Floats never enter the feasibility logic.
+The uplink layout is a tuple of alignment blocks, each a run of relay-word
+components shared by a cycle of users. A pair block gives unordered pair
+{j,k} max(T*d_jk, T*d_kj) components, so both directions of a pair land on
+the same relay components and the relay sees their scaled sum. Blocks run
+back to back; the rest of the length-T*N word is zero padding. Floats never
+enter the feasibility logic.
 """
 
 from __future__ import annotations
@@ -98,10 +99,6 @@ class DofVector:
     def total(self) -> Fraction:
         return Fraction(sum(self.scaled), self.T)
 
-    def pair_lengths(self) -> dict:
-        """Slot length per unordered pair at extension T: max(T*d_jk, T*d_kj)."""
-        return {pair: max(self.scaled[i], self.scaled[r]) for pair, i, r in pair_cells(self.K)}
-
     def __eq__(self, other):
         return isinstance(other, DofVector) and (self.K, self.T, self.scaled) == (other.K, other.T, other.scaled)
 
@@ -120,14 +117,29 @@ class DofVector:
 
 
 @dataclass(frozen=True)
-class StreamPlan:
-    """Slot layout of the length-T*N relay word.
+class AlignmentBlock:
+    """`length` components of the relay word from `offset` in which users[i]
+    sends streams[i] symbols to the next user in `users`, wrapping round;
+    each direction zero-fills the rest of the block."""
 
-    `lengths[(j,k)]` and `offsets[(j,k)]` describe the contiguous slot of
-    unordered pair {j,k}; slots follow lexicographic pair order and the last
-    `padding` components are zero. `stream_lengths[(j,k)]` is the number of
-    codeword symbols T*d_jk carried in direction j->k (the remainder of the
-    slot is zero-filled for that direction).
+    users: tuple
+    streams: tuple
+    offset: int
+    length: int
+
+    def directions(self):
+        """((sender, receiver), symbols) per direction of the block."""
+        return zip(zip(self.users, self.users[1:] + self.users[:1]), self.streams)
+
+
+@dataclass(frozen=True)
+class StreamPlan:
+    """Alignment-block layout of the length-T*N relay word.
+
+    `blocks` holds one pair block per unordered pair {j,k}, users (j, k), in
+    `user_pairs` order and back to back from component 0; the last `padding`
+    components are zero. Only this module maps a direction to its place in
+    the word: consumers read the blocks' directions.
 
     A round holds all symbols in one flat vector, v_jk for the ordered pairs
     in `ordered_pairs` order; the cached `symbol_spans` locate each v_jk in it.
@@ -136,28 +148,25 @@ class StreamPlan:
     K: int
     N: int
     T: int
-    lengths: dict
-    offsets: dict
-    stream_lengths: dict
-    padding: int
+    blocks: tuple
 
     @property
     def word_length(self) -> int:
         return self.T * self.N
 
     @cached_property
+    def padding(self) -> int:
+        return self.word_length - sum(block.length for block in self.blocks)
+
+    @cached_property
     def symbol_spans(self) -> dict:
         """(start, stop) of v_jk in the flat symbol vector."""
+        sizes = dict(direction for block in self.blocks for direction in block.directions())
         spans, stop = {}, 0
         for pair in ordered_pairs(self.K):
-            spans[pair] = (stop, stop + self.stream_lengths[pair])
+            spans[pair] = (stop, stop + sizes[pair])
             stop = spans[pair][1]
         return spans
-
-    def slot(self, j: int, k: int):
-        """(offset, length) of the slot shared by users j and k."""
-        pair = (j, k) if j < k else (k, j)
-        return self.offsets[pair], self.lengths[pair]
 
     def to_dict(self) -> dict:
         return {
@@ -167,39 +176,30 @@ class StreamPlan:
             "padding": self.padding,
             "slots": [
                 {
-                    "pair": [j, k],
-                    "offset": self.offsets[(j, k)],
-                    "length": self.lengths[(j, k)],
-                    "symbols_fwd": self.stream_lengths[(j, k)],
-                    "symbols_rev": self.stream_lengths[(k, j)],
+                    "pair": list(block.users),
+                    "offset": block.offset,
+                    "length": block.length,
+                    "symbols_fwd": block.streams[0],
+                    "symbols_rev": block.streams[1],
                 }
-                for j, k in user_pairs(self.K)
+                for block in self.blocks
             ],
         }
 
 
 def build_stream_plan(d: DofVector, n_relay: int) -> StreamPlan:
-    """Lay out pair slots consecutively; raise Infeasible when they overflow.
+    """Lay out pair blocks consecutively; raise Infeasible when they overflow.
 
     Uses the minimal symbol extension T, so feasibility is equivalent to
     sum over pairs of max(d_jk, d_kj) <= N.
     """
     if n_relay < 1:
         raise ValueError(f"need at least one relay antenna, got N={n_relay}")
-    lengths = d.pair_lengths()
-    total, word = sum(lengths.values()), d.T * n_relay
+    blocks, total, word = [], 0, d.T * n_relay
+    for pair, i, r in pair_cells(d.K):
+        streams = d.scaled[i], d.scaled[r]
+        blocks.append(AlignmentBlock(pair, streams, total, max(streams)))
+        total += blocks[-1].length
     if total > word:
         raise Infeasible(f"pair slots need {total} of {word} relay components (T={d.T})", excess=total - word)
-    offsets, cursor = {}, 0
-    for pair, length in lengths.items():
-        offsets[pair] = cursor
-        cursor += length
-    return StreamPlan(
-        K=d.K,
-        N=n_relay,
-        T=d.T,
-        lengths=lengths,
-        offsets=offsets,
-        stream_lengths=dict(zip(ordered_pairs(d.K), d.scaled)),
-        padding=word - total,
-    )
+    return StreamPlan(K=d.K, N=n_relay, T=d.T, blocks=tuple(blocks))

@@ -3,19 +3,17 @@
 Maximizes c'x subject to Ax <= b, x >= 0 with b >= 0, on a tableau of
 Python ints: each constraint row and the cost row are scaled by their own
 least common denominator (ints by 1), and integer-preserving Gauss-Jordan
-pivots (Edmonds, 1967) divide exactly, so Fractions appear only in the
-result. Bland's rule guarantees termination; problem sizes here are tiny
-(tens of variables and constraints), so no effort is spent on sparsity or
-revised-form updates. One core returns the optimum as tableau ints, which
-the region LPs read and certify as they are (zero tolerance); `solve_max`
-and `verify_certificate` are the Fraction-facing wrappers of the solver and
-of the certificate check.
+pivots (Edmonds, 1967) divide exactly. Bland's rule guarantees
+termination; problem sizes here are tiny (tens of variables and
+constraints), so no effort is spent on sparsity or revised-form updates.
+`_solve` returns the optimum as tableau ints, which the region LPs read and
+`_certify` checks as they are (zero tolerance), with no Fraction-facing
+wrapper; only `solve_linear` reads its solution out as Fractions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
@@ -57,21 +55,11 @@ def solve_linear(a, b):
     return [Fraction(m[r][n], d) for r in range(n)]
 
 
-@dataclass(frozen=True)
-class LpResult:
-    """Optimal value, primal point, optimal basis (column indices, slacks
-    numbered after structural variables), and the dual vector."""
-
-    value: Fraction
-    x: tuple
-    basis: tuple
-    duals: tuple
-    iterations: int
-
-
 def _solve(c, a, b):
-    """solve_max in tableau ints: (x, d, y, value, den, basis, iterations),
-    the point x / d, the duals y / den and the value / den."""
+    """Maximize c'x s.t. Ax <= b, x >= 0 (all rationals, b >= 0), in tableau
+    ints: (x, d, y, value, den, basis, iterations), the point x / d, the
+    duals y / den, the value / den, the optimal basis (column indices, slacks
+    numbered after structural variables) and the pivot count."""
     m, n = len(a), len(c)
     if any(len(row) != n for row in a) or len(b) != m:
         raise LpError("inconsistent LP dimensions")
@@ -115,13 +103,6 @@ def _solve(c, a, b):
     return x, d, duals, tab[m][-1], d * c_scale, basis, iterations
 
 
-def solve_max(c, a, b) -> LpResult:
-    """Maximize c'x s.t. Ax <= b, x >= 0 (all rationals, b >= 0)."""
-    x, d, y, value, den, basis, iterations = _solve(c, a, b)
-    return LpResult(value=Fraction(value, den), x=tuple(Fraction(v, d) for v in x), basis=tuple(basis),
-                    duals=tuple(Fraction(v, den) for v in y), iterations=iterations)
-
-
 def _certify(c, a, b, x, d, y, value, den) -> bool:
     """Zero-tolerance certificate of the optimum x / d, y / den, value / den
     on the data c, A, b: primal feasibility, dual feasibility and matching
@@ -139,9 +120,3 @@ def _certify(c, a, b, x, d, y, value, den) -> bool:
     if sum(map(mul, c, x)) * den != value * d or sum(map(mul, y, b)) != value:
         raise LpError("certificate: objective values disagree")
     return True
-
-
-def verify_certificate(c, a, b, res: LpResult) -> bool:
-    """Re-check optimality by substitution, with zero tolerance: the
-    tableau-int check, on the rationals of `res` as they are."""
-    return _certify(c, a, b, res.x, 1, res.duals, res.value, 1)

@@ -5,11 +5,11 @@ channel draw, so the work splits three ways:
 
 - a `RoundLayout`, built once per stream plan and antenna count M (for
   sweeps, kept in a bounded per-process memo, `plan_layout`), holds the
-  plan-only indices: where the flat symbol vector enters the users' slot
-  words and where each symbol lies in the words they receive, the layout of
-  a round's random draws, the order in which users recover their estimates,
-  the directions grouped by span length for the error norms, and the slot
-  components of the analytic SNR;
+  plan-only indices: where the flat symbol vector enters the users' words
+  and where each symbol lies in the words they receive (off the plan's
+  blocks), the layout of a round's random draws, the order in which users
+  recover their estimates, the directions grouped by span length for the
+  error norms, and the block components of the analytic SNR;
 - a `RoundContext`, built once per `ChannelBlock` of draws, reads what the
   draws fix off the block's stacked arrays (channel matrices, precoders,
   the diagonalization constants alpha_j and beta_k) with the axes a round
@@ -26,10 +26,10 @@ log2 runs per component through `math.log2`.
 
 `transmit_round` is the one implementation of every stage of a round:
 
-Uplink: every user precodes its slot word with the unit-norm right inverse of
+Uplink: every user precodes its word with the unit-norm right inverse of
 its channel, so the relay observes the componentwise sum of all users' words,
 each scaled only by the user's diagonalization constant alpha_j, plus noise.
-Pair slots then carry the two-way network-coded combination
+Pair blocks then carry the two-way network-coded combination
 alpha_j*u_jk + alpha_k*u_kj.
 
 Relay: the genie relay decodes that combination exactly; the raw relay
@@ -38,7 +38,7 @@ word to the power budget and broadcasts it.
 
 Downlink: each user observes the relay word through its downlink channel
 plus noise, applies the unit-norm left inverse, recovers the word up to the
-scalar gamma*beta_k, and cancels its own contribution from every slot it
+scalar gamma*beta_k, and cancels its own contribution from every block it
 participates in.
 
 Symbol extension T > 1 is handled by treating the length-T*N word as T
@@ -100,9 +100,10 @@ class RoundLayout:
     whatever the channel draw. `plan_layout` builds one per (DoF vector, N,
     M) for the sweeps and single rounds of a process.
 
-    Symbols travel as one flat vector laid out by `plan.symbol_spans`. A
-    layout holds no generator and its arrays are read-only, so one layout
-    serves any number of sweeps, in any number of threads, at once.
+    Symbols travel as one flat vector laid out by `plan.symbol_spans`; a
+    block direction j->k puts v_jk at the block's offset in the words of j
+    and k. A layout holds no generator and its arrays are read-only, so one
+    layout serves any number of sweeps, in any number of threads, at once.
     """
 
     def __init__(self, plan: StreamPlan, m: int):
@@ -110,16 +111,17 @@ class RoundLayout:
         self.plan, self.M = plan, m
         spans, length = plan.symbol_spans, plan.word_length
         sizes = [b - a for a, b in spans.values()]
-        # word_index: row j-1 gathers user j's slot word from the flat symbols
+        # word_index: row j-1 gathers user j's word from the flat symbols
         # followed by one zero (index -1); receive_index: where each symbol
         # lies in the K stacked words the users receive (v_jk in user k's
-        # slot with j).
+        # word, in the block that carries j->k).
         self.word_index = np.full((k_users, length), -1, dtype=np.intp)
         self.receive_index = np.empty(sum(sizes), dtype=np.intp)
-        for (j, k), (a, b) in spans.items():
-            off, _ = plan.slot(j, k)
-            self.word_index[j - 1, off : off + b - a] = np.arange(a, b)
-            self.receive_index[a:b] = (k - 1) * length + off + np.arange(b - a)
+        for block in plan.blocks:
+            for (j, k), size in block.directions():
+                a, off = spans[(j, k)][0], block.offset
+                self.word_index[j - 1, off : off + size] = np.arange(a, a + size)
+                self.receive_index[a : a + size] = (k - 1) * length + off + np.arange(size)
         self.symbol_index = normal_block_index(sizes)
         self.noise_index = normal_block_index([n] * t_ext + [m] * (k_users * t_ext))
         self.sender = np.repeat([j - 1 for j, _ in spans], sizes)  # user index of each symbol
@@ -132,7 +134,7 @@ class RoundLayout:
         self.error_keys = tuple(key for key in self.estimate_order if spans[key][1] > spans[key][0])
         self.error_groups = _length_groups([spans[key] for key in self.error_keys])
         # effective_snr: the active directions, their senders, and per flat
-        # symbol (one slot component each) the users j, k and its row q mod N
+        # symbol (one block component each) the users j, k and its row q mod N
         # of Dl_k, read off the symbol placement.
         self.snr_keys = tuple(key for key, (a, b) in spans.items() if b > a)
         self.snr_senders = np.array([j - 1 for j, _ in self.snr_keys], dtype=np.intp)
@@ -180,12 +182,12 @@ class RoundContext:
         j, k = layout.pair_users
         self.pair_beta, self.pair_alpha = beta[:, None, k], alpha[:, None, j]
 
-        # effective_snr: E||w||^2 of unit-variance symbols, and per slot
+        # effective_snr: E||w||^2 of unit-variance symbols, and per block
         # component alpha_j^2, beta_k^2 and the filtered noise power of its
         # row of Dl_k. Squares are Python floats, as per-component code had them.
         a2 = np.array([a**2 for a in alpha.ravel().tolist()]).reshape(alpha.shape)
         b2 = np.array([b**2 for b in beta.ravel().tolist()]).reshape(beta.shape)
-        self.word_power = left_sum(a2[:, j - 1] * size for (j, _), size in plan.stream_lengths.items())
+        self.word_power = left_sum(a2[:, j - 1] * (b - a) for (j, _), (a, b) in plan.symbol_spans.items())
         j, k, row = layout.snr_components
         self.snr_a2, self.snr_b2 = a2[:, None, j], b2[:, None, k]
         self.snr_rows = np.sum(np.abs(block.left) ** 2, axis=-1)[:, k, row][:, None]
@@ -194,7 +196,7 @@ class RoundContext:
 
 @dataclass(frozen=True)
 class StreamSnr:
-    """Analytic per-direction SNRs: uplink slot, downlink slot, and the
+    """Analytic per-direction SNRs: uplink, downlink, and the
     mode-effective value used by the rate proxy."""
 
     uplink: float
@@ -207,7 +209,7 @@ class SnrReport:
     """Per-direction SNR pairs plus the bottleneck rate proxy.
 
     `rates[(j,k)]` is the per-channel-use rate proxy of direction j->k:
-    sum over its slot components of log2(1 + effective SNR), divided by T.
+    sum over its block components of log2(1 + effective SNR), divided by T.
     `rate_proxy` is the sum over all active directions.
     """
 
@@ -399,7 +401,7 @@ def transmit_round(
             raise DimensionError(f"symbols of shape {symbols.shape}, plan wants ({size},)")
         v = np.broadcast_to(symbols, (*shape, size))
     pad = np.zeros((*shape, 1), dtype=np.complex128)
-    words = np.concatenate((v, pad), axis=-1)[..., layout.word_index]  # words[d, i, j]: user j's slot word
+    words = np.concatenate((v, pad), axis=-1)[..., layout.word_index]  # words[d, i, j]: user j's word
     if noise:
         normals = seeded_normals(rng, seeds, STREAM_NOISE, layout.noise_index.size)
         z = complex_normal_blocks(normals, layout.noise_index).reshape(*shape, -1)
@@ -442,7 +444,7 @@ def transmit_round(
         y += z_down
     filtered = (ctx.left @ y).reshape(*shape, k_users, length)
     # Undo gamma*beta_k, cancel the user's own contribution, and divide
-    # each partner's slot by the partner's alpha_j.
+    # each partner's block by the partner's alpha_j.
     cleaned = filtered / (np.where(live, gamma, 1.0)[..., None, None] * ctx.beta_rows) - scaled
     est = cleaned.reshape(*shape, k_users * length)[..., layout.receive_index] / ctx.receive_scale
     est[~live] = 0.0

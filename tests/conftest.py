@@ -1,8 +1,10 @@
 """Shared test helpers, the brute-force region oracles that the subset-DP
 and cutting-plane tools in `yrelay.dofregion` are checked against (with
 `permutation_constraint`, the definition of an ordering sum), the
-slot-word assembly and extraction that `yrelay.transceiver.RoundLayout`'s
-gather and scatter indices are checked against, the per-matrix normalized
+slot-word assembly and extraction (on pair slots laid out by the pair-slot
+rule, not read off a plan's blocks) that `yrelay.transceiver.RoundLayout`'s
+gather and scatter indices are checked against, the Hypothesis strategy of
+feasible DoF points and their plans, the per-matrix normalized
 pseudo-inverses (`normalized_right_mppi`, `normalized_left_mppi`) that the
 stage tests feed the reference round, the
 Fraction simplex that the integer tableau of `yrelay.simplex` is checked
@@ -23,6 +25,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from yrelay import __version__
 from yrelay.alignment import DofVector, StreamPlan, build_stream_plan, ordered_pairs, user_pairs
@@ -41,7 +44,6 @@ from yrelay.errors import DimensionError, ModeUnavailable, RankDeficient, Scalar
 from yrelay.harness import SUBSEED_CHANNEL, SUBSEED_ROUND, SweepReport, SweepRow, db_to_linear, derive_seed, fit_slope
 from yrelay.linalg import GRAM_COND_LIMIT, RANK_TOL, _unit_pinv, left_sum
 from yrelay.errors import LpError
-from yrelay.simplex import LpResult
 from yrelay.transceiver import (
     GENIE,
     RAW,
@@ -90,13 +92,29 @@ class StreamSymbols:
 
     def check_plan(self, plan: StreamPlan) -> None:
         for (j, k), vec in self._v.items():
-            want = plan.stream_lengths[(j, k)]
+            want = stream_lengths(plan)[(j, k)]
             if vec.shape[0] != want:
                 raise DimensionError(f"v[{j},{k}] has {vec.shape[0]} symbols, plan wants {want}")
 
     def flat(self, plan: StreamPlan) -> np.ndarray:
         self.check_plan(plan)
         return np.concatenate([self.get(j, k) for j, k in plan.symbol_spans])
+
+
+def stream_lengths(plan: StreamPlan) -> dict:
+    """T*d_jk per ordered pair, read off `plan.symbol_spans`."""
+    return {pair: b - a for pair, (a, b) in plan.symbol_spans.items()}
+
+
+def pair_slots(plan: StreamPlan) -> dict:
+    """(offset, length) of pair {j,k}'s slot, keyed by (j, k) and (k, j), by
+    the pair-slot rule rather than from the plan's blocks: slots of length
+    max(T*d_jk, T*d_kj), back to back from 0 in lexicographic pair order."""
+    sizes, slots, offset = stream_lengths(plan), {}, 0
+    for j, k in user_pairs(plan.K):
+        slots[(j, k)] = slots[(k, j)] = (offset, max(sizes[(j, k)], sizes[(k, j)]))
+        offset += slots[(j, k)][1]
+    return slots
 
 
 def assemble_uplink_symbol(j: int, sym: StreamSymbols, plan: StreamPlan) -> np.ndarray:
@@ -108,12 +126,12 @@ def assemble_uplink_symbol(j: int, sym: StreamSymbols, plan: StreamPlan) -> np.n
     """
     if not (1 <= j <= plan.K):
         raise DimensionError(f"user index {j} out of range 1..{plan.K}")
-    word = np.zeros(plan.word_length, dtype=np.complex128)
+    word, slots = np.zeros(plan.word_length, dtype=np.complex128), pair_slots(plan)
     for k in range(1, plan.K + 1):
         if k == j:
             continue
         v = sym.get(j, k)
-        off, _ = plan.slot(j, k)
+        off, _ = slots[(j, k)]
         word[off : off + v.shape[0]] = v  # rest of the slot is the zero pad
     return word
 
@@ -126,8 +144,36 @@ def extract_pair_slot(word, pair, plan: StreamPlan) -> np.ndarray:
     j, k = pair
     if j == k or not (1 <= j <= plan.K) or not (1 <= k <= plan.K):
         raise DimensionError(f"invalid pair {pair} for K={plan.K}")
-    off, length = plan.slot(j, k)
+    off, length = pair_slots(plan)[(j, k)]
     return word[off : off + length]
+
+
+def feasible_entries(draw, k, n, t_ext):
+    """DoF entries j->k of K users with every direction 0..7 symbols long
+    at extension t_ext, pair by pair while the pair slots fit T*N; the rest
+    stay zero."""
+    entries, room = {}, t_ext * n
+    for j, kk in ordered_pairs(k):
+        if j < kk:
+            fwd, rev = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+            if max(fwd, rev) <= room:
+                room -= max(fwd, rev)
+                entries[(j, kk)] = Fraction(fwd, t_ext)
+                entries[(kk, j)] = Fraction(rev, t_ext)
+    return entries
+
+
+@st.composite
+def feasible_points(draw):
+    """(d, N): a DoF vector of K = 3..5 users drawn at T = 1..4, with zero
+    directions, whose pair slots fit N = 1..6 relay antennas."""
+    k, n, t_ext = draw(st.integers(3, 5)), draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    return DofVector(k, feasible_entries(draw, k, n, t_ext)), n
+
+
+def plans():
+    """The stream plan of a `feasible_points` draw."""
+    return feasible_points().map(lambda point: build_stream_plan(*point))
 
 
 def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
@@ -305,6 +351,19 @@ def _reference_solve_linear(a, b):
     return [m[r][n] for r in range(n)]
 
 
+@dataclass(frozen=True)
+class LpResult:
+    """Optimal value, primal point, optimal basis (column indices, slacks
+    numbered after structural variables), the dual vector, and the pivot
+    count, all as the reference simplex computes them."""
+
+    value: Fraction
+    x: tuple
+    basis: tuple
+    duals: tuple
+    iterations: int
+
+
 def _reference_solve_max(c, a, b) -> LpResult:
     """Maximize c'x s.t. Ax <= b, x >= 0 (all rationals, b >= 0)."""
     a = _reference_frac_matrix(a)
@@ -378,8 +437,9 @@ def _reference_verify_certificate(c, a, b, res: LpResult) -> bool:
 
 @pytest.fixture(scope="session")
 def reference_simplex():
-    """The Fraction tableau simplex: `solve_max`, `verify_certificate` and
-    `solve_linear` with the package's signatures, results and messages."""
+    """The Fraction tableau simplex: `solve_max` (an `LpResult`),
+    `verify_certificate` and `solve_linear`, whose results and messages
+    `yrelay.simplex._solve`, `_certify` and `solve_linear` must reproduce."""
     return SimpleNamespace(solve_max=_reference_solve_max,
                            verify_certificate=_reference_verify_certificate,
                            solve_linear=_reference_solve_linear)
@@ -503,8 +563,7 @@ def _downlink_propagate(d_k, x_r, noise=None):
 def _sample_stream_symbols(plan, seed):
     """Unit-variance complex Gaussian codeword symbols for every direction."""
     rng = rng_for(seed, STREAM_SYMBOLS)
-    return StreamSymbols(plan.K, {pair: complex_normal(rng, plan.stream_lengths[pair])
-                                  for pair in ordered_pairs(plan.K)})
+    return StreamSymbols(plan.K, {pair: complex_normal(rng, size) for pair, size in stream_lengths(plan).items()})
 
 
 def _uplink_precode(u_j, hr):
@@ -578,7 +637,7 @@ def _user_recover(filtered, k, own_word, plan, alphas, gamma, beta_k):
     estimates = {}
     for j in partners:
         slot = extract_pair_slot(cleaned, (j, k), plan)
-        estimates[(j, k)] = slot[: plan.stream_lengths[(j, k)]] / alphas[j - 1]
+        estimates[(j, k)] = slot[: stream_lengths(plan)[(j, k)]] / alphas[j - 1]
     return estimates
 
 
@@ -587,17 +646,17 @@ def _effective_snr(cfg, ch, plan, mode=GENIE):
         raise ModeUnavailable(f"unknown mode {mode!r}")
     right, left = precoders(ch)
     alphas = [hr.alpha for hr in right]
-    word_power = 0.0
-    for (j, k), length in plan.stream_lengths.items():
+    word_power, sizes, slots = 0.0, stream_lengths(plan), pair_slots(plan)
+    for (j, k), length in sizes.items():
         word_power += (alphas[j - 1] ** 2) * length
     gamma_sq = cfg.P / word_power if word_power > 0 else 0.0
     noise_rows = [np.sum(np.abs(dl.matrix) ** 2, axis=1) for dl in left]
     streams, rates = {}, {}
     total_rate = 0.0
-    for (j, k), length in plan.stream_lengths.items():
+    for (j, k), length in sizes.items():
         if length == 0:
             continue
-        off, _ = plan.slot(j, k)
+        off, _ = slots[(j, k)]
         snr_up = alphas[j - 1] ** 2
         beta_k = left[k - 1].beta
         down = []
@@ -659,7 +718,7 @@ def _run_round(cfg, ch, plan, symbols=None, seed=0, mode=GENIE, noise=True):
         if zero_word:
             for j in range(1, cfg.K + 1):
                 if j != k:
-                    estimates[(j, k)] = np.zeros(plan.stream_lengths[(j, k)], dtype=np.complex128)
+                    estimates[(j, k)] = np.zeros(stream_lengths(plan)[(j, k)], dtype=np.complex128)
         else:
             estimates.update(
                 _user_recover(filtered, k, words[k - 1], plan, alphas, gamma, left[k - 1].beta))

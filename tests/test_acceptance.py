@@ -84,7 +84,8 @@ def test_criterion_2_parallel_pair_decomposition(reference_round):
             alphas = ch.alpha[0].tolist()
             target = sum(alphas[j - 1] * us[j - 1] for j in range(1, 5))
             assert np.linalg.norm(y - target) / np.linalg.norm(target) <= 1e-9
-            for (j, k), off in plan.offsets.items():
+            for block in plan.blocks:
+                (j, k), off = block.users, block.offset
                 want = alphas[j - 1] * sym.get(j, k)[0] + alphas[k - 1] * sym.get(k, j)[0]
                 assert abs(y[off] - want) <= 1e-9 * max(abs(want), 1.0)
 

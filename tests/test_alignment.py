@@ -1,5 +1,6 @@
-"""DoF vectors and stream plan bookkeeping: exact integer lengths, slot
-layout, and the slot-word assembly and extraction oracles in conftest.py."""
+"""DoF vectors and stream plan bookkeeping: exact integer lengths, the
+alignment-block layout, and the slot-word assembly and extraction oracles in
+conftest.py."""
 
 import json
 import random
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import StreamSymbols, assemble_uplink_symbol, extract_pair_slot
+from conftest import StreamSymbols, assemble_uplink_symbol, extract_pair_slot, feasible_points, stream_lengths
 from yrelay.alignment import DofVector, build_stream_plan, ordered_pairs, pair_index, user_pairs
 from yrelay.errors import DimensionError, Infeasible
 
@@ -86,19 +87,21 @@ def test_dof_relabel_roundtrip(relabel):
 
 def test_pair_lengths_max_rule():
     d = DofVector(4, {(1, 2): Fraction(2), (2, 1): Fraction(1)})
-    assert d.pair_lengths()[(1, 2)] == 2
-    assert list(d.pair_lengths()) == user_pairs(4)
+    blocks = build_stream_plan(d, 6).blocks
+    assert (blocks[0].users, blocks[0].streams, blocks[0].length) == ((1, 2), (2, 1), 2)
+    assert [block.users for block in blocks] == user_pairs(4)
 
 
 def test_pair_lengths_zero():
-    d = DofVector(4, {})
-    assert d.pair_lengths()[(1, 2)] == 0
+    blocks = build_stream_plan(DofVector(4, {}), 6).blocks
+    assert (blocks[0].users, blocks[0].streams, blocks[0].length) == ((1, 2), (0, 0), 0)
 
 
 def test_pair_lengths_scaled_fractions():
     d = DofVector(4, {(1, 2): Fraction(1, 2), (2, 1): Fraction(1, 3)})
     assert d.T == 6
-    assert d.pair_lengths()[(1, 2)] == 3
+    blocks = build_stream_plan(d, 6).blocks
+    assert (blocks[0].users, blocks[0].streams, blocks[0].length) == ((1, 2), (3, 2), 3)
 
 
 def test_minimal_extension():
@@ -128,11 +131,12 @@ def test_minimal_extension_matches_lcm_oracle(case):
 def test_all_ones_plan():
     plan = build_stream_plan(DofVector.uniform(4, Fraction(1)), 6)
     assert plan.T == 1
-    assert all(plan.lengths[p] == 1 for p in user_pairs(plan.K))
+    assert [block.users for block in plan.blocks] == user_pairs(plan.K)
+    assert all(block.streams == (1, 1) and block.length == 1 for block in plan.blocks)
     assert plan.padding == 0
     assert plan.word_length == 6
     # consecutive lexicographic offsets
-    assert [plan.slot(j, k)[0] for j, k in user_pairs(plan.K)] == [0, 1, 2, 3, 4, 5]
+    assert [block.offset for block in plan.blocks] == [0, 1, 2, 3, 4, 5]
 
 
 def test_plan_needs_a_relay_antenna():
@@ -160,10 +164,32 @@ def test_plan_padding_and_extension():
     plan = build_stream_plan(d, 6)
     assert plan.T == 2
     assert plan.word_length == 12
-    assert plan.lengths[(1, 2)] == 3  # max(3, 1) over T=2
-    assert plan.lengths[(3, 4)] == 4
+    first, last = plan.blocks[0], plan.blocks[-1]
+    assert (first.users, first.streams, first.length) == ((1, 2), (3, 1), 3)  # max(3, 1) over T=2
+    assert (last.users, last.streams, last.offset, last.length) == ((3, 4), (4, 0), 3, 4)
     assert plan.padding == 12 - 7
-    assert plan.stream_lengths[(2, 1)] == 1
+    assert dict(first.directions()) == {(1, 2): 3, (2, 1): 1}
+
+
+@settings(deadline=None, database=None, derandomize=True, max_examples=200)
+@given(feasible_points())
+def test_blocks_tile_the_word_pair_by_pair(point):
+    # one pair block per unordered pair in user_pairs order, back to back
+    # from 0, each max(T*d_jk, T*d_kj) long and carrying T*d_jk and T*d_kj;
+    # every ordered pair is one block direction, and padding fills the rest
+    d, n = point
+    plan = build_stream_plan(d, n)
+    assert [block.users for block in plan.blocks] == user_pairs(d.K)
+    offset = 0
+    for block in plan.blocks:
+        j, k = block.users
+        assert block.offset == offset
+        assert block.streams == (plan.T * d.get(j, k), plan.T * d.get(k, j))
+        assert block.length == max(block.streams)
+        offset += block.length
+    directions = [pair for block in plan.blocks for pair, _ in block.directions()]
+    assert sorted(directions) == ordered_pairs(d.K)
+    assert plan.padding == plan.T * n - offset >= 0
 
 
 def test_plan_json_schema():
@@ -182,7 +208,7 @@ def test_plan_json_schema():
 def unit_symbols(plan, fill=0.0):
     data = {}
     for j, k in ordered_pairs(plan.K):
-        data[(j, k)] = np.full(plan.stream_lengths[(j, k)], fill, dtype=np.complex128)
+        data[(j, k)] = np.full(stream_lengths(plan)[(j, k)], fill, dtype=np.complex128)
     return StreamSymbols(plan.K, data)
 
 
@@ -208,7 +234,7 @@ def test_assemble_extract_roundtrip():
     plan = build_stream_plan(d, 6)
     data = {}
     for j, k in ordered_pairs(4):
-        n = plan.stream_lengths[(j, k)]
+        n = stream_lengths(plan)[(j, k)]
         data[(j, k)] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     sym = StreamSymbols(4, data)
     for j in range(1, 5):
@@ -218,7 +244,7 @@ def test_assemble_extract_roundtrip():
             if k == j:
                 continue
             slot = extract_pair_slot(u, (j, k), plan)
-            nj = plan.stream_lengths[(j, k)]
+            nj = stream_lengths(plan)[(j, k)]
             assert np.array_equal(slot[:nj], sym.get(j, k))
             assert np.allclose(slot[nj:], 0.0)  # zero-pad up to the pair length
         # padding tail stays zero
@@ -227,17 +253,16 @@ def test_assemble_extract_roundtrip():
 
 
 def test_slot_disjointness():
-    # two users' words overlap only inside their shared pair slot
+    # two users' words overlap only inside the block of their pair
     plan = build_stream_plan(DofVector.uniform(4, Fraction(1)), 6)
     sym = unit_symbols(plan, fill=1.0)
     words = {j: assemble_uplink_symbol(j, sym, plan) for j in range(1, 5)}
-    for j in range(1, 5):
-        for jp in range(j + 1, 5):
-            both = (np.abs(words[j]) > 0) & (np.abs(words[jp]) > 0)
-            off, length = plan.slot(j, jp)
-            outside = both.copy()
-            outside[off : off + length] = False
-            assert not outside.any()
+    for block in plan.blocks:
+        j, jp = block.users
+        both = (np.abs(words[j]) > 0) & (np.abs(words[jp]) > 0)
+        outside = both.copy()
+        outside[block.offset : block.offset + block.length] = False
+        assert both.any() and not outside.any()
 
 
 def test_extract_validates():

@@ -392,13 +392,13 @@ def construction_points(draw):
 @example((DofVector(7, {(1, 2): F(5, 6), (2, 1): F(2, 3), (6, 7): F(1, 5)}), 2))
 def test_construction_feasible_matches_fraction_sum(case):
     # the Fraction sum of the pair maxima, and in ints at the vector's
-    # extension T the sum of the slot lengths the stream plan lays out
+    # extension T the sum of the pair maxima max(T*d_jk, T*d_kj)
     d, n = case
     total = sum((max(d.get(j, k), d.get(k, j)) for j, k in user_pairs(d.K)), F(0))
     got = construction_feasible(d, n)
     assert got == (total <= n, total)
     assert type(got[1]) is F
-    lengths = sum(d.pair_lengths().values())
+    lengths = sum(max(d.scaled[i], d.scaled[r]) for _, i, r in pair_cells(d.K))
     assert got == (lengths <= n * d.T, F(lengths, d.T))
 
 

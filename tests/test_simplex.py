@@ -1,7 +1,10 @@
 """Exact rational simplex: pinned instances, a float LP oracle sweep, and
 Hypothesis properties holding the integer tableau to the Fraction tableau
-(`reference_simplex` in conftest.py)."""
+(`reference_simplex` in conftest.py). The tests call `_solve` and
+`_certify`, the functions the region LPs call, and read their tableau ints
+out as the reference's `LpResult`."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -10,8 +13,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from conftest import LpResult
 from yrelay.errors import LpError
-from yrelay.simplex import LpResult, solve_linear, solve_max, verify_certificate
+from yrelay.simplex import _certify, _solve, solve_linear
 
 F = Fraction
 # fixed example sequence, no example database: the same cases on every run
@@ -21,6 +25,25 @@ BEALE = (
     [[F(1, 4), F(-60), F(-1, 25), F(9)], [F(1, 2), F(-90), F(-1, 50), F(3)], [F(0), F(0), F(1), F(0)]],
     [F(0), F(0), F(1)],
 )
+
+
+def solve(c, a, b) -> LpResult:
+    """`_solve`'s optimum, its tableau ints certified by `_certify` as the
+    region LPs certify them, read out as the reference simplex's record."""
+    x, d, y, value, den, basis, iterations = _solve(c, a, b)
+    assert _certify(c, a, b, x, d, y, value, den) is True
+    return LpResult(value=F(value, den), x=tuple(F(v, d) for v in x), basis=tuple(basis),
+                    duals=tuple(F(v, den) for v in y), iterations=iterations)
+
+
+def certify(c, a, b, res: LpResult) -> bool:
+    """`_certify` on a record's rationals, the point over one common
+    denominator and the duals and value over another, as `_solve` returns
+    them."""
+    d = math.lcm(*(F(v).denominator for v in res.x))
+    den = math.lcm(*(F(v).denominator for v in (res.value, *res.duals)))
+    return _certify(c, a, b, [int(v * d) for v in res.x], d, [int(v * den) for v in res.duals],
+                    int(res.value * den), den)
 
 
 def test_solve_linear_known_system():
@@ -35,29 +58,29 @@ def test_solve_linear_singular_returns_none():
 
 
 def test_small_lp():
-    res = solve_max([F(1), F(1)], [[F(1), F(0)], [F(0), F(1)]], [F(1), F(2)])
+    res = solve([F(1), F(1)], [[F(1), F(0)], [F(0), F(1)]], [F(1), F(2)])
     assert res.value == 3
     assert res.x == (F(1), F(2))
-    verify_certificate([F(1), F(1)], [[F(1), F(0)], [F(0), F(1)]], [F(1), F(2)], res)
+    assert certify([F(1), F(1)], [[F(1), F(0)], [F(0), F(1)]], [F(1), F(2)], res) is True
 
 
 def test_beale_degenerate_instance_terminates():
     # classic cycling example for naive pivoting; Bland's rule must finish
     c, a, b = BEALE
-    res = solve_max(c, a, b)
+    res = solve(c, a, b)
     assert res.value == F(1, 20)
     assert res.x == (F(1, 25), F(0), F(1), F(0))
-    verify_certificate(c, a, b, res)
+    assert certify(c, a, b, res) is True
 
 
 def test_unbounded_detected():
     with pytest.raises(LpError):
-        solve_max([F(1)], [[F(-1)]], [F(1)])
+        _solve([F(1)], [[F(-1)]], [F(1)])
 
 
 def test_negative_rhs_rejected():
     with pytest.raises(LpError):
-        solve_max([F(1)], [[F(1)]], [F(-1)])
+        _solve([F(1)], [[F(1)]], [F(-1)])
 
 
 def lp_error(fn, *args):
@@ -76,8 +99,8 @@ TAMPER_LPS = (
 
 def test_certificate_rejects_tampering(reference_simplex):
     for c, a, b in TAMPER_LPS:
-        res = solve_max(c, a, b)
-        assert verify_certificate(c, a, b, res) is True
+        res = solve(c, a, b)
+        assert certify(c, a, b, res) is True
 
         def forge(**fields):
             return LpResult(**{**res.__dict__, **fields})
@@ -92,7 +115,7 @@ def test_certificate_rejects_tampering(reference_simplex):
             ("objective values disagree", forge(duals=tuple(y + F(1, 4) for y in res.duals))),
         ]
         for message, forged in cases:
-            got = lp_error(verify_certificate, c, a, b, forged)
+            got = lp_error(certify, c, a, b, forged)
             assert got == f"certificate: {message}"
             assert got == lp_error(reference_simplex.verify_certificate, c, a, b, forged)
 
@@ -109,8 +132,8 @@ def test_matches_float_oracle_on_random_instances():
         for i in range(nvar):
             a.append([F(int(i == j)) for j in range(nvar)])
             b.append(F(25))
-        res = solve_max(c, a, b)
-        verify_certificate(c, a, b, res)
+        res = solve(c, a, b)
+        assert certify(c, a, b, res) is True
         lp = linprog(
             [-float(x) for x in c],
             A_ub=[[float(v) for v in row] for row in a],
@@ -161,11 +184,13 @@ def lps(draw):
 @example(([1, 2], [[-1, 1], [1, -2]], [1, 0]))  # unbounded after a degenerate pivot
 def test_integer_tableau_matches_fraction_tableau(reference_simplex, lp):
     c, a, b = lp
-    got = lp_error(solve_max, c, a, b)
+    # the whole record: value, point, duals, basis and pivot count
+    got = lp_error(solve, c, a, b)
     assert got == lp_error(reference_simplex.solve_max, c, a, b)
     if isinstance(got, LpResult):
-        assert all(type(v) is F for v in (got.value, *got.x, *got.duals))
-        assert verify_certificate(c, a, b, got) is True
+        x, d, y, value, den, *_ = _solve(c, a, b)
+        assert all(type(v) is int for v in (*x, d, *y, value, den))
+        assert certify(c, a, b, got) is True
         assert reference_simplex.verify_certificate(c, a, b, got) is True
 
 

@@ -23,10 +23,13 @@ from conftest import (
     assemble_uplink_symbol,
     complex_normal,
     extract_pair_slot,
+    feasible_entries,
     normalized_left_mppi,
     normalized_right_mppi,
+    plans,
     precoders,
     run_round,
+    stream_lengths,
 )
 from yrelay.alignment import DofVector, build_stream_plan, ordered_pairs
 from yrelay.channel import (
@@ -398,35 +401,14 @@ def assert_same_round(got, want):
     assert got.snr.rate_proxy == want.snr.rate_proxy
 
 
-def feasible_entries(draw, k, n, t_ext):
-    """DoF entries j->k of K users with every direction 0..7 symbols long
-    at extension t_ext, pair by pair while the pair slots fit T*N; the rest
-    stay zero."""
-    entries, room = {}, t_ext * n
-    for j, kk in ordered_pairs(k):
-        if j < kk:
-            fwd, rev = draw(st.integers(0, 7)), draw(st.integers(0, 7))
-            if max(fwd, rev) <= room:
-                room -= max(fwd, rev)
-                entries[(j, kk)] = Fraction(fwd, t_ext)
-                entries[(kk, j)] = Fraction(rev, t_ext)
-    return entries
-
-
-@st.composite
-def plans(draw):
-    """A feasible plan of K = 3..5 users, N = 1..6, drawn at T = 1..4, with
-    zero directions."""
-    k, n, t_ext = draw(st.integers(3, 5)), draw(st.integers(1, 6)), draw(st.integers(1, 4))
-    return build_stream_plan(DofVector(k, feasible_entries(draw, k, n, t_ext)), n)
-
-
 @settings(PROPERTY, max_examples=150)
 @given(plans())
 def test_layout_indices_match_slot_oracle(plan):
     # word_index gathers each user's slot word as assemble_uplink_symbol lays
     # it out (symbol i carries the value i + 1, so a zero reads index -1), and
-    # receive_index finds v_jk where extract_pair_slot finds it in user k's word
+    # receive_index finds v_jk where extract_pair_slot finds it in user k's
+    # word; both oracles place a pair's slot by the pair-slot rule, so a
+    # wrong block offset in the plan shows here
     layout = RoundLayout(plan, plan.N)
     spans = plan.symbol_spans
     positions = StreamSymbols(plan.K, {pair: np.arange(a + 1, b + 1) for pair, (a, b) in spans.items()})
@@ -464,7 +446,7 @@ def round_cases(draw):
         rng = np.random.default_rng(draw(st.integers(0, 2**32)))
         symbols = StreamSymbols(k, {
             pair: rng.standard_normal(size) + 1j * rng.standard_normal(size)
-            for pair, size in plan.stream_lengths.items()
+            for pair, size in stream_lengths(plan).items()
         })
     points = draw(st.integers(1, 4))
     powers = [10.0 ** (draw(st.integers(-10, 60)) / 10.0) for _ in range(points)]
