@@ -91,8 +91,9 @@ class StreamSymbols:
         return self._v[(j, k)]
 
     def check_plan(self, plan: StreamPlan) -> None:
+        sizes = stream_lengths(plan)
         for (j, k), vec in self._v.items():
-            want = stream_lengths(plan)[(j, k)]
+            want = sizes[(j, k)]
             if vec.shape[0] != want:
                 raise DimensionError(f"v[{j},{k}] has {vec.shape[0]} symbols, plan wants {want}")
 
@@ -634,10 +635,10 @@ def _user_recover(filtered, k, own_word, plan, alphas, gamma, beta_k):
         if abs(denom) < SCALE_UNDERFLOW:
             raise ScalarUnderflow(f"recovery scale gamma*beta*alpha = {denom:.3e} for pair ({j},{k})")
     cleaned = filtered / (gamma * beta_k) - alphas[k - 1] * own_word
-    estimates = {}
+    estimates, sizes = {}, stream_lengths(plan)
     for j in partners:
         slot = extract_pair_slot(cleaned, (j, k), plan)
-        estimates[(j, k)] = slot[: stream_lengths(plan)[(j, k)]] / alphas[j - 1]
+        estimates[(j, k)] = slot[: sizes[(j, k)]] / alphas[j - 1]
     return estimates
 
 
