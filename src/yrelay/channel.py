@@ -194,10 +194,10 @@ def sample_channel_block(cfg: SystemConfig, seeds) -> ChannelBlock:
 
 
 def check_power(x, p):
-    """True iff every vector along the last axis of x has ||x||^2 <= P, up to
-    a relative slack of 1e-9. With an array of budgets, the leading axes of
-    x run over them, and one verdict per budget comes back."""
+    """Per budget in p, whether every vector along the last axis of x under
+    it has ||x||^2 <= P, up to a relative slack of 1e-9: the leading axes of
+    x run over the budgets, and the verdicts come back as a bool array of
+    p's shape (a numpy bool for one scalar budget)."""
     p = np.asarray(p, dtype=np.float64)
     energy = (np.abs(np.asarray(x, dtype=np.complex128)) ** 2).sum(axis=-1)
-    ok = energy.reshape(p.shape + (-1,)).max(axis=-1) <= p * (1.0 + POWER_CHECK_SLACK)
-    return ok if p.ndim else bool(ok)
+    return energy.reshape(p.shape + (-1,)).max(axis=-1) <= p * (1.0 + POWER_CHECK_SLACK)

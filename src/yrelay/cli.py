@@ -99,8 +99,10 @@ def parse_sweep_spec(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"bad sweep {text!r}: start, step and stop must be finite")
     if step <= 0 or stop < start:
         raise argparse.ArgumentTypeError(f"bad sweep {text!r}: need step > 0 and stop >= start")
-    count = int((stop - start) / step + 1e-9) + 1
-    return tuple(start + i * step for i in range(count))
+    count = (stop - start) / step + 1e-9
+    if not math.isfinite(count):
+        raise argparse.ArgumentTypeError(f"bad sweep {text!r}: the number of points must be finite")
+    return tuple(start + i * step for i in range(int(count) + 1))
 
 
 def load_config(path: str) -> dict:
@@ -233,12 +235,12 @@ def cmd_plan(args) -> int:
 def cmd_simulate(args) -> int:
     from .channel import SystemConfig, sample_channels
     from .harness import SUBSEED_CHANNEL, db_to_linear, derive_seed
-    from .transceiver import RoundContext, plan_layout, transmit_round
+    from .transceiver import plan_layout, transmit_round
 
     cfg = SystemConfig(K=args.k, M=args.m, N=args.n, P=db_to_linear(args.power_db))
     layout = plan_layout(_dof(args), cfg.N, cfg.M)
-    ctx = RoundContext(sample_channels(cfg, derive_seed(args.seed, SUBSEED_CHANNEL, 0)), layout)
-    res = transmit_round(ctx, [cfg.P], [args.seed], mode=args.mode, noise=args.noise).round(0, 0)
+    ch = sample_channels(cfg, derive_seed(args.seed, SUBSEED_CHANNEL, 0))
+    res = transmit_round(ch, layout, [cfg.P], [args.seed], mode=args.mode, noise=args.noise).round(0, 0)
     _print_json(res.to_dict())
     return EXIT_OK
 

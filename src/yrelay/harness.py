@@ -6,10 +6,10 @@ numbers), while symbols and noise are redrawn per (point, trial). The stream
 plan and its `RoundLayout` (the plan-only indices) come from the process's
 memo (`transceiver.plan_layout`), built once per (DoF vector, N, M). The
 trials run in blocks of TRIAL_BLOCK: a block's draws are sampled and
-inverted together as one `ChannelBlock`, get one `RoundContext` (its SNR
-coefficients) and one `transmit_round` call over every draw and power point;
-the point sums add that call's (trial, point) arrays as they come, and the
-block is dropped before the next one, so a sweep holds one block at a time.
+inverted together as one `ChannelBlock` and get one `transmit_round` call
+over every draw and power point; the point sums add that call's (trial,
+point) arrays as they come, and the block is dropped before the next one,
+so a sweep holds one block at a time.
 Each trial gets the bits it would get alone. Floats are added left to right
 (`left_sum`), so the bytes do not depend on the Python version. All
 sub-seeds derive from the master seed with a splitmix64 chain, so a report
@@ -32,14 +32,14 @@ from .alignment import DofVector
 from .channel import _MASK64, SystemConfig, sample_channel_block
 from .errors import Underdetermined
 from .linalg import left_sum
-from .transceiver import GENIE, RAW, RoundContext, plan_layout, transmit_round
+from .transceiver import GENIE, RAW, plan_layout, transmit_round
 
 _GOLDEN = 0x9E3779B97F4A7C15
 
 SUBSEED_CHANNEL = 0xC4
 SUBSEED_ROUND = 0x0E
 
-TRIAL_BLOCK = 16  # trials per channel block, round context and kernel call
+TRIAL_BLOCK = 16  # trials per channel block and kernel call
 
 
 def _splitmix64(z: int) -> int:
@@ -235,10 +235,10 @@ def run_sweep(cfg: ExperimentConfig) -> SweepReport:
     sums = _PointSums(len(powers))
     for first in range(0, cfg.trials, TRIAL_BLOCK):
         block = range(first, min(first + TRIAL_BLOCK, cfg.trials))
-        # One draw per trial serves every power point; the block's context lives for this block only.
+        # One draw per trial serves every power point.
         channels = sample_channel_block(cfg.system, [derive_seed(cfg.seed, SUBSEED_CHANNEL, t) for t in block])
         seeds = [derive_seed(point, t) for t in block for point in point_seeds]
-        sums.add(transmit_round(RoundContext(channels, layout), powers, seeds, mode=cfg.mode, noise=cfg.noise))
+        sums.add(transmit_round(channels, layout, powers, seeds, mode=cfg.mode, noise=cfg.noise))
     rows = sums.rows(cfg.sweep_db, cfg.trials)
 
     slope = intercept = residual = None

@@ -1,7 +1,7 @@
 """End-to-end transmission rounds over the diagonalized Y-channel.
 
 The channel is block-constant, and a sweep runs every power point on each
-channel draw, so the work splits three ways:
+channel draw, so the work splits two ways:
 
 - a `RoundLayout`, built once per stream plan and antenna count M (for
   sweeps, kept in a bounded per-process memo, `plan_layout`), holds the
@@ -10,14 +10,12 @@ channel draw, so the work splits three ways:
   blocks), the layout of a round's random draws, the order in which users
   recover their estimates, the directions grouped by span length for the
   error norms, and the block components of the analytic SNR;
-- a `RoundContext`, built once per `ChannelBlock` of draws, reads what the
-  draws fix off the block's stacked arrays (channel matrices, precoders,
-  the diagonalization constants alpha_j and beta_k) with the axes a round
-  broadcasts over, and computes the coefficients of the analytic SNR;
-- `transmit_round` runs the rounds of every draw and power point over a
-  context in one stacked computation, with (draw, point) axes that its
-  results keep: only the symbols, the noise and the power budget P change
-  from point to point; a single round is the block of one at one point.
+- a `ChannelBlock` holds what its draws fix (channel matrices, precoders,
+  the diagonalization constants alpha_j and beta_k), and `transmit_round`
+  runs the rounds of every draw and power point of a block under a layout
+  in one stacked computation, with (draw, point) axes that its results
+  keep: only the symbols, the noise and the power budget P change from
+  point to point; a single round is the block of one at one point.
 
 Each round gets the bits it would get alone: every sum whose order reaches a
 report keeps its order (users are added one at a time, rates and errors left
@@ -160,40 +158,6 @@ def plan_layout(dof: DofVector, n: int, m: int) -> RoundLayout:
     return RoundLayout(build_stream_plan(dof, n), m)
 
 
-class RoundContext:
-    """What a block of channel draws fixes for every round over it, under the
-    layout of its stream plan. Every array leads with the draws axis of
-    `block`, and those a round reads next with a points axis of length 1."""
-
-    def __init__(self, block: ChannelBlock, layout: RoundLayout):
-        plan = layout.plan
-        _, k_users, n, m = block.uplink.shape
-        if (plan.K, plan.N, layout.M) != (k_users, n, m):
-            raise DimensionError(
-                f"layout for K={plan.K}, N={plan.N}, M={layout.M} does not fit channels with K={k_users}, N={n}, M={m}")
-        self.block, self.layout = block, layout
-        alpha, beta = block.alpha, block.beta
-        # Axes (draw, point, user, channel use): a matrix per draw and user,
-        # broadcast over points and channel uses.
-        self.right, self.left = block.right[:, None, :, None], block.left[:, None, :, None]
-        self.uplink, self.downlink = block.uplink[:, None, :, None], block.downlink[:, None, :, None]
-        self.alpha_rows, self.beta_rows = alpha[:, None, :, None], beta[:, None, :, None]
-        self.receive_scale = alpha[:, None, layout.sender]
-        j, k = layout.pair_users
-        self.pair_beta, self.pair_alpha = beta[:, None, k], alpha[:, None, j]
-
-        # effective_snr: E||w||^2 of unit-variance symbols, and per block
-        # component alpha_j^2, beta_k^2 and the filtered noise power of its
-        # row of Dl_k. Squares are Python floats, as per-component code had them.
-        a2 = np.array([a**2 for a in alpha.ravel().tolist()]).reshape(alpha.shape)
-        b2 = np.array([b**2 for b in beta.ravel().tolist()]).reshape(beta.shape)
-        self.word_power = left_sum(a2[:, j - 1] * (b - a) for (j, _), (a, b) in plan.symbol_spans.items())
-        j, k, row = layout.snr_components
-        self.snr_a2, self.snr_b2 = a2[:, None, j], b2[:, None, k]
-        self.snr_rows = np.sum(np.abs(block.left) ** 2, axis=-1)[:, k, row][:, None]
-        self.snr_uplink = a2[:, None, layout.snr_senders]
-
-
 @dataclass(frozen=True)
 class StreamSnr:
     """Analytic per-direction SNRs: uplink, downlink, and the
@@ -234,11 +198,11 @@ class SnrReport:
 
 @dataclass(frozen=True)
 class SnrBatch:
-    """Analytic SNRs at several power points over a context's draws: axes
-    (draw, point, direction), the active directions in `ctx.layout.snr_keys`
+    """Analytic SNRs at several power points over a block's draws: axes
+    (draw, point, direction), the active directions in `layout.snr_keys`
     order; `report(d, i)` is draw d at point i as an SnrReport."""
 
-    ctx: RoundContext
+    layout: RoundLayout
     uplink: np.ndarray
     downlink: np.ndarray
     effective: np.ndarray
@@ -246,7 +210,7 @@ class SnrBatch:
     rate_proxy: np.ndarray  # (draw, point)
 
     def report(self, d: int, i: int) -> SnrReport:
-        keys = self.ctx.layout.snr_keys
+        keys = self.layout.snr_keys
         rows = zip(keys, self.uplink[d, i].tolist(), self.downlink[d, i].tolist(), self.effective[d, i].tolist())
         return SnrReport(
             streams={key: StreamSnr(uplink=up, downlink=down, effective=eff) for key, up, down, eff in rows},
@@ -255,9 +219,10 @@ class SnrBatch:
         )
 
 
-def effective_snr(ctx: RoundContext, powers, mode: str = GENIE) -> SnrBatch:
+def effective_snr(block: ChannelBlock, layout: RoundLayout, powers, mode: str = GENIE) -> SnrBatch:
     """Analytic per-subchannel SNRs of the parallel two-way streams at each
-    power P in `powers`, on every draw of the context.
+    power P in `powers`, on every draw of the block, under the layout of its
+    stream plan.
 
     Uplink: the relay sees alpha_j * v plus unit-variance noise, so direction
     j->k runs at alpha_j^2 per component. Downlink: the relay forwards with
@@ -267,27 +232,38 @@ def effective_snr(ctx: RoundContext, powers, mode: str = GENIE) -> SnrBatch:
 
     The rate proxy counts log2(1 + SNR) per component: downlink-only SNR in
     genie mode (the relay decode is ideal), min(uplink, downlink) in raw mode.
-    Everything but P comes from the context.
+    A layout whose K, N or M differs from the block's raises DimensionError,
+    and an unknown mode ModeUnavailable, before any work.
     """
+    plan = layout.plan
+    _, k_users, n, m = block.uplink.shape
+    if (plan.K, plan.N, layout.M) != (k_users, n, m):
+        raise DimensionError(
+            f"layout for K={plan.K}, N={plan.N}, M={layout.M} does not fit channels with K={k_users}, N={n}, M={m}")
     if mode not in (GENIE, RAW):
         raise ModeUnavailable(f"unknown mode {mode!r}")
-    layout = ctx.layout
+    # E||w||^2 of unit-variance symbols, and per block component alpha_j^2,
+    # beta_k^2 and the filtered noise power of its row of Dl_k. Squares are
+    # Python floats, as per-component code had them.
+    a2, b2 = (np.array([x**2 for x in c.ravel().tolist()]).reshape(c.shape) for c in (block.alpha, block.beta))
+    word_power = left_sum(a2[:, j - 1] * (b - a) for (j, _), (a, b) in plan.symbol_spans.items())[:, None]
+    j, k, row = layout.snr_components
+    snr_a2 = a2[:, None, j]
     powers = np.asarray(powers, dtype=np.float64)
-    word_power = ctx.word_power[:, None]
     shape = (len(word_power), len(powers))
     gamma_sq = np.divide(powers, word_power, out=np.zeros(shape), where=word_power > 0)
-    down = gamma_sq[..., None] * ctx.snr_b2 * ctx.snr_a2 / ctx.snr_rows
-    eff = down if mode == GENIE else np.minimum(ctx.snr_a2, down)
+    down = gamma_sq[..., None] * b2[:, None, k] * snr_a2 / np.sum(np.abs(block.left) ** 2, axis=-1)[:, None, k, row]
+    eff = down if mode == GENIE else np.minimum(snr_a2, down)
     # math.log2: np.log2 rounds some values differently
     logs = np.array(list(map(math.log2, (1.0 + eff).ravel().tolist()))).reshape(eff.shape)
     snr_down, rates = np.empty((2, *shape, len(layout.snr_keys)))
     for where, index in layout.snr_groups:
         snr_down[..., where] = down[..., index].min(axis=-1)
-        rates[..., where] = left_sum(np.moveaxis(logs[..., index], -1, 0)) / layout.plan.T
-    uplink = np.broadcast_to(ctx.snr_uplink, snr_down.shape)
+        rates[..., where] = left_sum(np.moveaxis(logs[..., index], -1, 0)) / plan.T
+    uplink = np.broadcast_to(a2[:, None, layout.snr_senders], snr_down.shape)
     effective = snr_down if mode == GENIE else np.minimum(uplink, snr_down)
     rate_proxy = left_sum(np.moveaxis(rates, -1, 0), np.zeros(shape))
-    return SnrBatch(ctx, uplink, snr_down, effective, rates, rate_proxy)
+    return SnrBatch(layout, uplink, snr_down, effective, rates, rate_proxy)
 
 
 @dataclass(frozen=True)
@@ -327,16 +303,16 @@ class RoundResult:
 
 @dataclass(frozen=True)
 class RoundBatch:
-    """Rounds at several power points over a context's draws; every array
+    """Rounds at several power points over a block's draws; every array
     leads with the (draw, point) axes.
 
     `estimates` holds each round's symbol estimates in the flat layout of
     `plan.symbol_spans`, `rel_errors` the relative L2 error of each active
-    direction in `ctx.layout.error_keys` order, and `gamma` 0 for a zero
+    direction in `layout.error_keys` order, and `gamma` 0 for a zero
     relay word. `round(d, i)` is draw d at point i as a RoundResult.
     """
 
-    ctx: RoundContext
+    layout: RoundLayout
     mode: str
     noisy: bool
     estimates: np.ndarray
@@ -346,7 +322,7 @@ class RoundBatch:
     snr: SnrBatch
 
     def round(self, d: int, i: int) -> RoundResult:
-        layout = self.ctx.layout
+        layout = self.layout
         spans = layout.plan.symbol_spans
         gamma = float(self.gamma[d, i])
         return RoundResult(
@@ -362,15 +338,17 @@ class RoundBatch:
 
 
 def transmit_round(
-    ctx: RoundContext,
+    block: ChannelBlock,
+    layout: RoundLayout,
     powers,
     seeds,
     symbols=None,
     mode: str = GENIE,
     noise: bool = True,
 ) -> RoundBatch:
-    """Full uplink + downlink rounds over a context, one per draw and power
-    point, in one stacked computation with leading (draw, point) axes.
+    """Full uplink + downlink rounds over a block of channel draws under the
+    layout of its stream plan, one per draw and power point, in one stacked
+    computation with leading (draw, point) axes.
 
     Point i runs at power budget powers[i]. `seeds` holds one seed per
     round, in the order of the batch rows: the points of each draw in turn.
@@ -381,12 +359,11 @@ def transmit_round(
     downlink noise of every user and use. One generator, made for the call,
     is re-keyed for every draw.
     """
-    snr = effective_snr(ctx, powers, mode)  # raises ModeUnavailable before any draw
-    layout = ctx.layout
+    snr = effective_snr(block, layout, powers, mode)  # raises DimensionError and ModeUnavailable before any draw
     plan, k_users, m = layout.plan, layout.plan.K, layout.M
     t_ext, n, length = plan.T, plan.N, plan.word_length
     powers = np.asarray(powers, dtype=np.float64)
-    shape = (len(ctx.block.uplink), len(powers))
+    shape = (len(block.uplink), len(powers))
     budgets = np.broadcast_to(powers, shape)
     if len(seeds) != budgets.size:
         raise ValueError(f"{shape[0]} draws x {shape[1]} power points but {len(seeds)} seeds")
@@ -408,10 +385,13 @@ def transmit_round(
         z_up = z[..., : t_ext * n].reshape(*shape, t_ext, n, 1)
         z_down = z[..., t_ext * n :].reshape(*shape, k_users, t_ext, m, 1)
 
+    # A matrix or constant per draw and user takes the axes (draw, point, user,
+    # channel use), broadcast over points and channel uses.
+    alpha, beta = block.alpha, block.beta
     # Uplink: x[d, i, j, t] is user j's transmit vector in channel use t, a column.
-    x = ctx.right @ words.reshape(*shape, k_users, t_ext, n, 1)
+    x = block.right[:, None, :, None] @ words.reshape(*shape, k_users, t_ext, n, 1)
     power_ok = check_power(x[..., 0], budgets)
-    scaled = ctx.alpha_rows * words  # alpha_j * u_j
+    scaled = alpha[:, None, :, None] * words  # alpha_j * u_j
     # Relay, users added one at a time. Genie decodes the network-coded word
     # sum_j alpha_j u_j exactly; raw forwards its observation
     # sum_j H_j x_j + z with the padding tail zeroed.
@@ -419,7 +399,7 @@ def transmit_round(
     if mode == GENIE:
         w_hat = left_sum(np.moveaxis(scaled, 2, 0), zeros)
     else:
-        w_hat = left_sum(np.moveaxis(ctx.uplink @ x, 2, 0), zeros.reshape(*shape, t_ext, n, 1))
+        w_hat = left_sum(np.moveaxis(block.uplink[:, None, :, None] @ x, 2, 0), zeros.reshape(*shape, t_ext, n, 1))
         if noise:
             w_hat += z_up
         w_hat = w_hat.reshape(*shape, length)
@@ -432,21 +412,22 @@ def transmit_round(
     x_word = (gamma[..., None] * w_hat).reshape(*shape, 1, t_ext, n, 1)
     power_ok &= check_power(x_word[..., 0], budgets)
 
-    denom = gamma[..., None] * ctx.pair_beta * ctx.pair_alpha
+    j, k = layout.pair_users
+    denom = gamma[..., None] * beta[:, None, k] * alpha[:, None, j]
     under = (np.abs(denom) < SCALE_UNDERFLOW) & live[..., None]
     if under.any():
         d, i, e = np.argwhere(under)[0]
         j, k = layout.estimate_order[e]
         raise ScalarUnderflow(f"recovery scale gamma*beta*alpha = {denom[d, i, e]:.3e} for pair ({j},{k})")
     # Downlink: y[d, i, k, t] is user k's observation D_k x_r + z in channel use t.
-    y = ctx.downlink @ x_word
+    y = block.downlink[:, None, :, None] @ x_word
     if noise:
         y += z_down
-    filtered = (ctx.left @ y).reshape(*shape, k_users, length)
+    filtered = (block.left[:, None, :, None] @ y).reshape(*shape, k_users, length)
     # Undo gamma*beta_k, cancel the user's own contribution, and divide
     # each partner's block by the partner's alpha_j.
-    cleaned = filtered / (np.where(live, gamma, 1.0)[..., None, None] * ctx.beta_rows) - scaled
-    est = cleaned.reshape(*shape, k_users * length)[..., layout.receive_index] / ctx.receive_scale
+    cleaned = filtered / (np.where(live, gamma, 1.0)[..., None, None] * beta[:, None, :, None]) - scaled
+    est = cleaned.reshape(*shape, k_users * length)[..., layout.receive_index] / alpha[:, None, layout.sender]
     est[~live] = 0.0
 
     errors = est - v
@@ -464,4 +445,4 @@ def transmit_round(
         scale = denom[d, i, layout.estimate_order.index((j, k))]
         raise ScalarUnderflow(f"recovery scale gamma*beta*alpha = {scale:.3e} for pair ({j},{k}): error norm overflows")
 
-    return RoundBatch(ctx, mode, noise, est, rel_errors, gamma, power_ok, snr)
+    return RoundBatch(layout, mode, noise, est, rel_errors, gamma, power_ok, snr)

@@ -48,7 +48,6 @@ from yrelay.transceiver import (
     GENIE,
     RAW,
     SCALE_UNDERFLOW,
-    RoundContext,
     RoundLayout,
     RoundResult,
     SnrReport,
@@ -747,8 +746,7 @@ def _run_round(cfg, ch, plan, symbols=None, seed=0, mode=GENIE, noise=True):
 def run_round(cfg, ch, plan, symbols=None, seed=0, mode=GENIE, noise=True):
     """One round of `transmit_round` over the block of one `ch` at power
     cfg.P, with the stream plan `plan` and the round seed `seed`."""
-    ctx = RoundContext(ch, RoundLayout(plan, cfg.M))
-    return transmit_round(ctx, [cfg.P], [seed], symbols, mode, noise).round(0, 0)
+    return transmit_round(ch, RoundLayout(plan, cfg.M), [cfg.P], [seed], symbols, mode, noise).round(0, 0)
 
 
 @pytest.fixture(scope="session")
@@ -778,8 +776,8 @@ def reference_round():
 
 # ------------------------------------------------------------ reference sweep
 # The sweep one trial at a time, as it ran before trials were blocked: its own
-# plan and layout, and per trial one channel draw, one context and one kernel
-# call over the block of one, with the point sums added trial by trial.
+# plan and layout, and per trial one channel draw and one kernel call over
+# the block of one, with the point sums added trial by trial.
 
 
 class _TrialSums:
@@ -815,9 +813,8 @@ def _reference_sweep(cfg):
     sums = _TrialSums(len(powers))
     for t in range(cfg.trials):
         ch = yrelay.channel.sample_channels(cfg.system, derive_seed(cfg.seed, SUBSEED_CHANNEL, t))
-        ctx = RoundContext(ch, layout)
         seeds = [derive_seed(cfg.seed, SUBSEED_ROUND, pi, t) for pi in range(len(powers))]
-        sums.add(transmit_round(ctx, powers, seeds, mode=cfg.mode, noise=cfg.noise))
+        sums.add(transmit_round(ch, layout, powers, seeds, mode=cfg.mode, noise=cfg.noise))
     rows = sums.rows(cfg.sweep_db, cfg.trials)
     slope = intercept = residual = None
     if len(rows) >= 3:

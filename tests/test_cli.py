@@ -92,7 +92,7 @@ def test_parse_sweep():
 def test_parse_sweep_rejects_non_finite_bounds(capsys):
     import argparse
 
-    for bad in ("30:5:1e400", "nan:5:60", "30:inf:60", "-inf:5:60", "30:5:nan"):
+    for bad in ("30:5:1e400", "nan:5:60", "30:inf:60", "-inf:5:60", "30:5:nan", "0:1e-320:1"):
         with pytest.raises(argparse.ArgumentTypeError, match="finite"):
             parse_sweep_spec(bad)
     assert exit_code(["--quiet", "sweep", "--trials", "1", "--sweep-db", "30:5:1e400"]) == EXIT_USAGE
@@ -508,6 +508,7 @@ def test_config_values_parse_like_flags(tmp_path, capsys):
     "line, command",
     [
         ("sweep_db = oops", "sweep"),
+        ("sweep_db = 0:1e-320:1", "sweep"),
         ("out = xml", "sweep"),
         ("k = x", "sweep"),
         ("noise = maybe", "sweep"),

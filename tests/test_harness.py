@@ -268,11 +268,10 @@ def test_sweep_reuses_precoders_and_plan(monkeypatch):
     # all its draws (a matrix within the bound gets no SVD; seed 1's second
     # block holds a 6x6 downlink with cond(G) = 8.6e5 and a bound over 1e6,
     # so that matrix alone gets its SVD and is inverted again on the route
-    # the SVD picks, one more inversion); it
-    # builds one round context (with its SNR coefficients) and makes one
-    # stacked kernel call, on one generator of its own, for all its draws and
-    # power points; a noisy round draws its symbols and its noise with one
-    # standard_normal call each. The plan and its round layout come from the process memo:
+    # the SVD picks, one more inversion); it makes one stacked kernel call,
+    # on one generator of its own, for all its draws and power points; a
+    # noisy round draws its symbols and its noise with one standard_normal
+    # call each. The plan and its round layout come from the process memo:
     # built for the first sweep of a (DoF vector, N, M), not again for a
     # second sweep with another seed, and once more for another M.
     calls = {}
@@ -280,7 +279,6 @@ def test_sweep_reuses_precoders_and_plan(monkeypatch):
         (yrelay.channel, "_unit_pinv", "mppi"),
         (yrelay.transceiver, "build_stream_plan", "plan"),
         (yrelay.transceiver, "RoundLayout", "layout"),
-        (yrelay.harness, "RoundContext", "context"),
         (yrelay.harness, "transmit_round", "kernel"),
         (np.linalg, "svd", "svd"),
         (np.linalg, "inv", "inv"),
@@ -318,7 +316,6 @@ def test_sweep_reuses_precoders_and_plan(monkeypatch):
         "mppi": 2 * blocks,
         "svd": 0,
         "inv": 2 * blocks,
-        "context": blocks,
         "kernel": blocks,
         "channel_rng": blocks,
         "channel_normal": trials,

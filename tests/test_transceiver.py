@@ -45,7 +45,6 @@ from yrelay.harness import derive_seed
 from yrelay.transceiver import (
     GENIE,
     RAW,
-    RoundContext,
     RoundLayout,
     _norms,
     effective_snr,
@@ -321,10 +320,22 @@ def test_round_high_power_limit():
     assert np.mean(means) < 1e-3
 
 
-def test_round_rejects_plan_of_other_shape():
+def test_round_rejects_plan_of_other_shape(monkeypatch):
+    # a layout whose K, N or M differs from the block's is refused before any
+    # draw, by a round and by the analytic SNR alone
     ch = sample_channels(CFG66, seed=22)
+    monkeypatch.setattr(yrelay.transceiver, "seeded_normals", lambda *args: pytest.fail("drew normals"))
     with pytest.raises(DimensionError):
         run_round(CFG66, ch, build_stream_plan(DofVector(4, {(1, 2): 1}), 5), seed=23)
+    for layout in (
+        RoundLayout(build_stream_plan(DofVector(4, {(1, 2): 1}), 5), 6),  # N = 5
+        RoundLayout(build_stream_plan(DofVector(3, {(1, 2): 1}), 6), 6),  # K = 3
+        RoundLayout(ONES_PLAN, 7),  # M = 7
+    ):
+        with pytest.raises(DimensionError, match="does not fit"):
+            transmit_round(ch, layout, [CFG66.P], [23])
+        with pytest.raises(DimensionError, match="does not fit"):
+            effective_snr(ch, layout, [CFG66.P])
 
 
 def test_round_symbol_extension():
@@ -472,13 +483,13 @@ PADDED_RAW_CASE = dict(
 @example(PADDED_RAW_CASE)
 def test_round_matches_reference(reference_round, case):
     # one stacked call runs every point, as a sweep does for one channel draw;
-    # each point equals the round run alone, and a context serves two calls
+    # each point equals the round run alone, and a layout serves two calls
     cfg, ch, plan = case["cfg"], case["ch"], case["plan"]
-    ctx = RoundContext(ch, RoundLayout(plan, cfg.M))
+    layout = RoundLayout(plan, cfg.M)
     mode, noise, symbols = case["mode"], case["noise"], case["symbols"]
     flat = None if symbols is None else symbols.flat(plan)
     for powers, seeds in ((case["powers"], case["seeds"]), (case["powers"][::-1], case["seeds"][::-1])):
-        rounds = transmit_round(ctx, powers, seeds, flat, mode, noise)
+        rounds = transmit_round(ch, layout, powers, seeds, flat, mode, noise)
         for i, (p, seed) in enumerate(zip(powers, seeds)):
             want = reference_round.run(SystemConfig(K=cfg.K, M=cfg.M, N=cfg.N, P=p), ch, plan, symbols, seed, mode, noise)
             assert_same_round(rounds.round(0, i), want)
@@ -488,9 +499,9 @@ def test_round_matches_reference(reference_round, case):
 @pytest.mark.parametrize("noise", (True, False))
 @pytest.mark.parametrize("k, m, n, dof", [(4, 6, 6, "1"), (5, 8, 6, "1/4"), (3, 4, 3, "0")])
 def test_block_of_draws_matches_draws_alone(k, m, n, dof, mode, noise):
-    # one context over a block of draws (sampled together, and the same
-    # draws with one built directly from matrices of two others) runs each
-    # draw's rounds as a context of that draw alone
+    # one call over a block of draws (sampled together, and the same draws
+    # with one built directly from matrices of two others) runs each draw's
+    # rounds as a call over that draw alone
     cfg = SystemConfig(K=k, M=m, N=n, P=1.0)
     layout = RoundLayout(build_stream_plan(DofVector.uniform(k, Fraction(dof)), n), m)
     draw_seeds = [50, 2**63 + 51, 52]
@@ -499,17 +510,17 @@ def test_block_of_draws_matches_draws_alone(k, m, n, dof, mode, noise):
     block = ChannelBlock(np.concatenate([drawn.uplink, built.uplink]), np.concatenate([drawn.downlink, built.downlink]))
     powers = [1.0, 1e3, 1e6]
     seeds = [[derive_seed(53, d, i) for i in range(len(powers))] for d in range(len(block.uplink))]
-    alone = [transmit_round(RoundContext(ch, layout), powers, seeds[d], mode=mode, noise=noise)
+    alone = [transmit_round(ch, layout, powers, seeds[d], mode=mode, noise=noise)
              for d, ch in enumerate([sample_channels(cfg, seed) for seed in draw_seeds] + [built])]
     for whole in (drawn, block):
         draws = len(whole.uplink)
-        rounds = transmit_round(RoundContext(whole, layout), powers, sum(seeds[:draws], []), mode=mode, noise=noise)
+        rounds = transmit_round(whole, layout, powers, sum(seeds[:draws], []), mode=mode, noise=noise)
         assert rounds.gamma.shape == (draws, len(powers))
         for d in range(draws):
             for i in range(len(powers)):
                 assert_same_round(rounds.round(d, i), alone[d].round(0, i))
     with pytest.raises(ValueError):
-        transmit_round(RoundContext(block, layout), powers, seeds[0], mode=mode, noise=noise)
+        transmit_round(block, layout, powers, seeds[0], mode=mode, noise=noise)
 
 
 @pytest.mark.parametrize("mode", (GENIE, RAW))
@@ -544,23 +555,23 @@ def test_stacked_norms_match_one_row_at_a_time():
 
 def test_round_rejects_symbols_of_other_length():
     # supplied symbols are one flat vector of every direction's symbols
-    ctx = RoundContext(sample_channels(CFG66, seed=38), RoundLayout(ONES_PLAN, 6))
-    assert transmit_round(ctx, [1.0], [5], np.ones(12), noise=False).round(0, 0).rel_errors[(1, 2)] < 1e-8
+    ch, layout = sample_channels(CFG66, seed=38), RoundLayout(ONES_PLAN, 6)
+    assert transmit_round(ch, layout, [1.0], [5], np.ones(12), noise=False).round(0, 0).rel_errors[(1, 2)] < 1e-8
     for bad in (np.ones(11), np.ones(13), np.ones((1, 12)), np.ones(0)):
         with pytest.raises(DimensionError):
-            transmit_round(ctx, [1.0], [5], bad)
+            transmit_round(ch, layout, [1.0], [5], bad)
     with pytest.raises(DimensionError):
-        run_round(CFG66, ctx.block, ONES_PLAN, symbols=np.ones(11))
+        run_round(CFG66, ch, ONES_PLAN, symbols=np.ones(11))
 
 
 def test_round_rejects_points_without_seeds(monkeypatch):
-    ctx = RoundContext(sample_channels(CFG66, seed=38), RoundLayout(ONES_PLAN, 6))
+    ch, layout = sample_channels(CFG66, seed=38), RoundLayout(ONES_PLAN, 6)
     with pytest.raises(ValueError):
-        transmit_round(ctx, [1.0, 10.0], [5])
+        transmit_round(ch, layout, [1.0, 10.0], [5])
     # an unknown mode is refused before any draw
     monkeypatch.setattr(yrelay.transceiver, "seeded_normals", lambda *args: pytest.fail("drew normals"))
     with pytest.raises(ModeUnavailable):
-        transmit_round(ctx, [1.0], [5], mode="telepathy")
+        transmit_round(ch, layout, [1.0], [5], mode="telepathy")
 
 
 def test_zero_power_point_forwards_nothing(reference_round):
@@ -568,10 +579,10 @@ def test_zero_power_point_forwards_nothing(reference_round):
     # not forwarded and its estimates are zero, while the other points of the
     # same call run as they would alone
     ch = sample_channels(CFG66, seed=40)
-    ctx = RoundContext(ch, RoundLayout(ONES_PLAN, 6))
+    layout = RoundLayout(ONES_PLAN, 6)
     powers, seeds = [1e3, 0.0, 1e5], [41, 42, 43]
     for mode in (GENIE, RAW):
-        rounds = transmit_round(ctx, powers, seeds, mode=mode)
+        rounds = transmit_round(ch, layout, powers, seeds, mode=mode)
         for i, (p, seed) in enumerate(zip(powers, seeds)):
             cfg = SimpleNamespace(K=4, M=6, N=6, P=p)  # SystemConfig rejects P = 0
             assert_same_round(rounds.round(0, i), reference_round.run(cfg, ch, ONES_PLAN, None, seed, mode, True))
@@ -587,11 +598,11 @@ def test_underflowing_recovery_scale_raises_as_alone(reference_round):
                             for pair in ordered_pairs(4)})
     with pytest.raises(ScalarUnderflow) as want:
         reference_round.run(SystemConfig(K=4, M=6, N=6, P=1e-300), ch, ONES_PLAN, sym, 46, GENIE, False)
-    ctx = RoundContext(ch, RoundLayout(ONES_PLAN, 6))
+    layout = RoundLayout(ONES_PLAN, 6)
     with pytest.raises(ScalarUnderflow) as got:
-        transmit_round(ctx, [1.0, 1e-300], [46, 46], sym.flat(ONES_PLAN), GENIE, False)
+        transmit_round(ch, layout, [1.0, 1e-300], [46, 46], sym.flat(ONES_PLAN), GENIE, False)
     assert str(got.value) == str(want.value)
-    assert transmit_round(ctx, [1.0], [46], sym.flat(ONES_PLAN), GENIE, False).round(0, 0).gamma > 0
+    assert transmit_round(ch, layout, [1.0], [46], sym.flat(ONES_PLAN), GENIE, False).round(0, 0).gamma > 0
 
 
 def test_overflowing_error_norm_raises_with_its_pair():
@@ -600,10 +611,10 @@ def test_overflowing_error_norm_raises_with_its_pair():
     # with the pair and its scale, with no overflow warning; without noise the
     # same point recovers
     cfg = SystemConfig(K=3, M=3, N=3, P=1.0)
-    ctx = RoundContext(sample_channels(cfg, seed=54), RoundLayout(build_stream_plan(DofVector.uniform(3, 1), 3), 3))
+    ch, layout = sample_channels(cfg, seed=54), RoundLayout(build_stream_plan(DofVector.uniform(3, 1), 3), 3)
     with pytest.raises(ScalarUnderflow, match=r"= \S+e-16\d for pair \(\d,\d\): error norm overflows$"):
-        transmit_round(ctx, [1.0, 1e-323], [55, 56])
-    assert max(transmit_round(ctx, [1e-323], [56], noise=False).round(0, 0).rel_errors.values()) < 1e-8
+        transmit_round(ch, layout, [1.0, 1e-323], [55, 56])
+    assert max(transmit_round(ch, layout, [1e-323], [56], noise=False).round(0, 0).rel_errors.values()) < 1e-8
 
 
 # ------------------------------------------------------------------- SNR math
@@ -616,7 +627,7 @@ def test_identity_channel_snr_closed_form():
     cfg = SystemConfig(K=4, M=6, N=6, P=p)
     ch = identity_channels(4, 6)
     plan = build_stream_plan(ALL_ONES, 6)
-    rep = effective_snr(RoundContext(ch, RoundLayout(plan, cfg.M)), [cfg.P], GENIE).report(0, 0)
+    rep = effective_snr(ch, RoundLayout(plan, cfg.M), [cfg.P], GENIE).report(0, 0)
     assert len(rep.streams) == 12
     for s in rep.streams.values():
         assert s.downlink == pytest.approx(p / 12.0, rel=1e-12)
@@ -635,7 +646,7 @@ def test_snr_matches_reference_over_many_draws(reference_round):
     for t in range(300):
         ch = sample_channels(CFG66, derive_seed(39, 1, t))
         mode = (GENIE, RAW)[t % 2]
-        snr = effective_snr(RoundContext(ch, layout), powers, mode)
+        snr = effective_snr(ch, layout, powers, mode)
         for i, p in enumerate(powers):
             want = reference_round.effective_snr(SystemConfig(K=4, M=6, N=6, P=p), ch, plan, mode)
             assert snr.report(0, i) == want
@@ -644,8 +655,7 @@ def test_snr_matches_reference_over_many_draws(reference_round):
 def test_snr_linear_in_power():
     ch = sample_channels(CFG66, seed=33)
     plan = build_stream_plan(ALL_ONES, 6)
-    ctx = RoundContext(ch, RoundLayout(plan, CFG66.M))
-    snr = effective_snr(ctx, [CFG66.P, 2e4], GENIE)
+    snr = effective_snr(ch, RoundLayout(plan, CFG66.M), [CFG66.P, 2e4], GENIE)
     base, doubled = snr.report(0, 0), snr.report(0, 1)
     for key in base.streams:
         assert doubled.streams[key].effective == 2 * base.streams[key].effective
@@ -654,7 +664,7 @@ def test_snr_linear_in_power():
 def test_raw_mode_takes_bottleneck():
     ch = sample_channels(CFG66, seed=34)
     plan = build_stream_plan(ALL_ONES, 6)
-    rep = effective_snr(RoundContext(ch, RoundLayout(plan, CFG66.M)), [CFG66.P], RAW).report(0, 0)
+    rep = effective_snr(ch, RoundLayout(plan, CFG66.M), [CFG66.P], RAW).report(0, 0)
     for s in rep.streams.values():
         assert s.effective == min(s.uplink, s.downlink)
 
@@ -663,5 +673,5 @@ def test_snr_skips_silent_directions():
     d = DofVector(4, {(1, 2): Fraction(2), (2, 1): Fraction(1)})
     ch = sample_channels(CFG66, seed=35)
     plan = build_stream_plan(d, 6)
-    rep = effective_snr(RoundContext(ch, RoundLayout(plan, CFG66.M)), [CFG66.P], GENIE).report(0, 0)
+    rep = effective_snr(ch, RoundLayout(plan, CFG66.M), [CFG66.P], GENIE).report(0, 0)
     assert set(rep.streams) == {(1, 2), (2, 1)}
