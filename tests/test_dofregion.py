@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import yrelay.dofregion
 from conftest import permutation_constraint
-from yrelay.alignment import DofVector, ordered_pairs, pair_cells, user_pairs
+from yrelay.alignment import DofVector, build_stream_plan, ordered_pairs, pair_cells, user_pairs
 from yrelay.dofregion import (
     GAP_MAX_USERS,
     ORACLE_MAX_USERS,
@@ -30,7 +30,8 @@ from yrelay.dofregion import (
     sum_dof_max,
     vertices_k3,
 )
-from yrelay.errors import LpError, TooLarge, WitnessInvalid
+from yrelay.errors import Infeasible, LpError, TooLarge, WitnessInvalid
+from yrelay.simplex import _certify, _solve
 
 F = Fraction
 ALL_ONES = DofVector.uniform(4, F(1))
@@ -414,6 +415,52 @@ def test_cycle_is_a_pinned_witness():
     v = is_member(CYCLE, SPEC46)
     ok, total = construction_feasible(CYCLE, 6)
     assert v.member and not ok and total == 9
+
+
+# A K = 6 member with d = 2 on eleven directions, none with its reverse: pair
+# slots need 22 of N = 16 relay components, and a cycle of c DoF on each of
+# its L directions saves c of them (it needs (L - 1) * c components)
+BEYOND_CYCLES = ((1, 5), (1, 6), (2, 1), (3, 1), (3, 4), (4, 2), (4, 6), (5, 4), (6, 2), (6, 3), (6, 5))
+
+
+def directed_cycles(arcs):
+    """Every simple directed cycle of the digraph `arcs`, as its node tuple
+    starting from its smallest node."""
+    heads = {}
+    for j, k in arcs:
+        heads.setdefault(j, []).append(k)
+    found = []
+
+    def walk(path):
+        for k in heads.get(path[-1], ()):
+            if k == path[0]:
+                found.append(tuple(path))
+            elif k > path[0] and k not in path:
+                walk([*path, k])
+
+    for j in sorted(heads):
+        walk([j])
+    return found
+
+
+def test_six_user_member_beyond_pair_and_cycle_blocks():
+    d = DofVector(6, {arc: F(2) for arc in BEYOND_CYCLES})
+    v = is_member(d, RegionSpec(K=6, N=16))
+    assert v.member and v.max_value == 16 and len(v.tight) == 18
+    assert not is_member(d, RegionSpec(K=6, N=15)).member
+    assert construction_feasible(d, 16) == (False, F(22))
+    with pytest.raises(Infeasible, match="pair slots need 22 of 16 relay components"):
+        build_stream_plan(d, 16)
+    # maximum fractional packing of its directed cycles, at most d = 2 on each
+    # arc: 5, so pair and cycle blocks need 22 - 5 = 17 of 16 components
+    cycles = directed_cycles(BEYOND_CYCLES)
+    assert len(cycles) == 9
+    uses = [{(c[i], c[(i + 1) % len(c)]) for i in range(len(c))} for c in cycles]
+    c, a, b = [1] * len(cycles), [[int(arc in u) for u in uses] for arc in BEYOND_CYCLES], [2] * len(BEYOND_CYCLES)
+    x, scale, y, value, den, _, _ = _solve(c, a, b)
+    assert _certify(c, a, b, x, scale, y, value, den)
+    assert F(value, den) == 5
+    assert 22 - F(value, den) == 17
 
 
 def test_gap_probe_guard():
