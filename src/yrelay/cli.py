@@ -240,8 +240,7 @@ def cmd_simulate(args) -> int:
     cfg = SystemConfig(K=args.k, M=args.m, N=args.n, P=db_to_linear(args.power_db))
     layout = plan_layout(_dof(args), cfg.N, cfg.M)
     ch = sample_channels(cfg, derive_seed(args.seed, SUBSEED_CHANNEL, 0))
-    res = transmit_round(ch, layout, [cfg.P], [args.seed], mode=args.mode, noise=args.noise).round(0, 0)
-    _print_json(res.to_dict())
+    _print_json(transmit_round(ch, layout, [cfg.P], [args.seed], mode=args.mode, noise=args.noise).to_dict(0, 0))
     return EXIT_OK
 
 
@@ -357,7 +356,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     # argparse takes a separate `--sweep-db -10:10:40` value for a flag: join the two
     for i in range(len(argv) - 1, 0, -1):
-        if argv[i - 1] == "--sweep-db" and argv[i][:1] == "-" and argv[i][1:2].isdigit():
+        if argv[i - 1] == "--sweep-db" and argv[i][:1] == "-" and (argv[i][1:2].isdigit() or argv[i][1:2] == "."):
             argv[i - 1 : i + 1] = [f"--sweep-db={argv[i]}"]
     args = build_parser().parse_args(argv)
     try:

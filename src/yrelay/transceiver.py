@@ -13,9 +13,10 @@ channel draw, so the work splits two ways:
 - a `ChannelBlock` holds what its draws fix (channel matrices, precoders,
   the diagonalization constants alpha_j and beta_k), and `transmit_round`
   runs the rounds of every draw and power point of a block under a layout
-  in one stacked computation, with (draw, point) axes that its results
-  keep: only the symbols, the noise and the power budget P change from
-  point to point; a single round is the block of one at one point.
+  in one stacked computation, with (draw, point) axes that its result
+  arrays keep: only the symbols, the noise and the power budget P change
+  from point to point. Sweeps sum those arrays, and `simulate` prints the
+  entry of one draw at one point (`RoundBatch.to_dict`).
 
 Each round gets the bits it would get alone: every sum whose order reaches a
 report keeps its order (users are added one at a time, rates and errors left
@@ -159,64 +160,18 @@ def plan_layout(dof: DofVector, n: int, m: int) -> RoundLayout:
 
 
 @dataclass(frozen=True)
-class StreamSnr:
-    """Analytic per-direction SNRs: uplink, downlink, and the
-    mode-effective value used by the rate proxy."""
-
-    uplink: float
-    downlink: float
-    effective: float
-
-
-@dataclass(frozen=True)
-class SnrReport:
-    """Per-direction SNR pairs plus the bottleneck rate proxy.
-
-    `rates[(j,k)]` is the per-channel-use rate proxy of direction j->k:
-    sum over its block components of log2(1 + effective SNR), divided by T.
-    `rate_proxy` is the sum over all active directions.
-    """
-
-    streams: dict
-    rates: dict
-    rate_proxy: float
-
-    def to_dict(self) -> dict:
-        return {
-            "rate_proxy": self.rate_proxy,
-            "streams": {
-                f"{j}-{k}": {
-                    "snr_uplink": s.uplink,
-                    "snr_downlink": s.downlink,
-                    "snr_effective": s.effective,
-                    "rate": self.rates[(j, k)],
-                }
-                for (j, k), s in sorted(self.streams.items())
-            },
-        }
-
-
-@dataclass(frozen=True)
 class SnrBatch:
     """Analytic SNRs at several power points over a block's draws: axes
-    (draw, point, direction), the active directions in `layout.snr_keys`
-    order; `report(d, i)` is draw d at point i as an SnrReport."""
+    (draw, point, direction), the active directions in the layout's
+    `snr_keys` order. `rates` is each direction's per-channel-use rate
+    proxy, the sum over its block components of log2(1 + effective SNR)
+    divided by T, and `rate_proxy` their sum over the directions."""
 
-    layout: RoundLayout
     uplink: np.ndarray
     downlink: np.ndarray
     effective: np.ndarray
     rates: np.ndarray
     rate_proxy: np.ndarray  # (draw, point)
-
-    def report(self, d: int, i: int) -> SnrReport:
-        keys = self.layout.snr_keys
-        rows = zip(keys, self.uplink[d, i].tolist(), self.downlink[d, i].tolist(), self.effective[d, i].tolist())
-        return SnrReport(
-            streams={key: StreamSnr(uplink=up, downlink=down, effective=eff) for key, up, down, eff in rows},
-            rates=dict(zip(keys, self.rates[d, i].tolist())),
-            rate_proxy=float(self.rate_proxy[d, i]),
-        )
 
 
 def effective_snr(block: ChannelBlock, layout: RoundLayout, powers, mode: str = GENIE) -> SnrBatch:
@@ -263,42 +218,7 @@ def effective_snr(block: ChannelBlock, layout: RoundLayout, powers, mode: str = 
     uplink = np.broadcast_to(a2[:, None, layout.snr_senders], snr_down.shape)
     effective = snr_down if mode == GENIE else np.minimum(uplink, snr_down)
     rate_proxy = left_sum(np.moveaxis(rates, -1, 0), np.zeros(shape))
-    return SnrBatch(layout, uplink, snr_down, effective, rates, rate_proxy)
-
-
-@dataclass(frozen=True)
-class RoundResult:
-    """Outcome of one transmission round.
-
-    `estimates[(j,k)]` is user k's estimate of v_jk; `rel_errors` the
-    corresponding relative L2 errors; `snr` the analytic report for the
-    round's mode. `power_ok` records that every emitted transmit vector
-    passed the power check.
-    """
-
-    estimates: dict
-    rel_errors: dict
-    snr: SnrReport
-    gamma: float
-    zero_word: bool
-    power_ok: bool
-    mode: str
-    noisy: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "noisy": self.noisy,
-            "gamma": self.gamma,
-            "zero_word": self.zero_word,
-            "power_ok": self.power_ok,
-            "rel_errors": {f"{j}-{k}": e for (j, k), e in sorted(self.rel_errors.items())},
-            "estimates": {
-                f"{j}-{k}": [[float(z.real), float(z.imag)] for z in v]
-                for (j, k), v in sorted(self.estimates.items())
-            },
-            "snr": self.snr.to_dict(),
-        }
+    return SnrBatch(uplink, snr_down, effective, rates, rate_proxy)
 
 
 @dataclass(frozen=True)
@@ -306,10 +226,13 @@ class RoundBatch:
     """Rounds at several power points over a block's draws; every array
     leads with the (draw, point) axes.
 
-    `estimates` holds each round's symbol estimates in the flat layout of
-    `plan.symbol_spans`, `rel_errors` the relative L2 error of each active
-    direction in `layout.error_keys` order, and `gamma` 0 for a zero
-    relay word. `round(d, i)` is draw d at point i as a RoundResult.
+    `estimates` holds each round's symbol estimates (user k's estimate of
+    v_jk) in the flat layout of `plan.symbol_spans`, `rel_errors` the
+    relative L2 error of each active direction in `layout.error_keys`
+    order, `gamma` the relay's forwarding scale (0 for a zero relay word,
+    which is not forwarded), `power_ok` that every transmit vector of the
+    round passed the power check, and `snr` the analytic SNRs of the
+    round's mode.
     """
 
     layout: RoundLayout
@@ -321,20 +244,30 @@ class RoundBatch:
     power_ok: np.ndarray
     snr: SnrBatch
 
-    def round(self, d: int, i: int) -> RoundResult:
-        layout = self.layout
-        spans = layout.plan.symbol_spans
+    def to_dict(self, d: int, i: int) -> dict:
+        """Draw d at point i as `simulate` prints it, keyed "j-k" in the
+        layout's estimate, error and SNR orders."""
+        layout, snr, est = self.layout, self.snr, self.estimates[d, i]
+        name = {key: "%d-%d" % key for key in layout.estimate_order}
+        pairs = np.stack((est.real, est.imag), axis=-1).tolist()
         gamma = float(self.gamma[d, i])
-        return RoundResult(
-            estimates={key: self.estimates[d, i, slice(*spans[key])] for key in layout.estimate_order},
-            rel_errors=dict(zip(layout.error_keys, self.rel_errors[d, i].tolist())),
-            snr=self.snr.report(d, i),
-            gamma=gamma,
-            zero_word=gamma == 0.0,
-            power_ok=bool(self.power_ok[d, i]),
-            mode=self.mode,
-            noisy=self.noisy,
-        )
+        rows = zip(layout.snr_keys, *(a[d, i].tolist() for a in (snr.uplink, snr.downlink, snr.effective, snr.rates)))
+        return {
+            "mode": self.mode,
+            "noisy": self.noisy,
+            "gamma": gamma,
+            "zero_word": gamma == 0.0,
+            "power_ok": bool(self.power_ok[d, i]),
+            "rel_errors": {name[key]: e for key, e in zip(layout.error_keys, self.rel_errors[d, i].tolist())},
+            "estimates": {name[key]: pairs[slice(*layout.plan.symbol_spans[key])] for key in layout.estimate_order},
+            "snr": {
+                "rate_proxy": float(snr.rate_proxy[d, i]),
+                "streams": {
+                    name[key]: dict(zip(("snr_uplink", "snr_downlink", "snr_effective", "rate"), values))
+                    for key, *values in rows
+                },
+            },
+        }
 
 
 def transmit_round(

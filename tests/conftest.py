@@ -13,7 +13,8 @@ against, the matrix-by-matrix channel draw and pseudo-inverse that
 against, the numpy key conversion that `yrelay.channel.reset_rng` is checked
 against, the reference round (with its symbol type `StreamSymbols`) that
 `yrelay.transceiver.transmit_round` is checked against, the one-round
-helper `run_round` over a block of one draw, and the trial-by-trial sweep
+helper `run_round` over a block of one draw and `estimate`, which reads one
+direction's estimate out of a round's arrays, and the trial-by-trial sweep
 that `yrelay.harness.run_sweep` is checked against."""
 
 import functools
@@ -49,9 +50,6 @@ from yrelay.transceiver import (
     RAW,
     SCALE_UNDERFLOW,
     RoundLayout,
-    RoundResult,
-    SnrReport,
-    StreamSnr,
     transmit_round,
 )
 
@@ -670,10 +668,10 @@ def _effective_snr(cfg, ch, plan, mode=GENIE):
         rate /= plan.T
         snr_down = min(down)
         effective = snr_down if mode == GENIE else min(snr_up, snr_down)
-        streams[(j, k)] = StreamSnr(uplink=snr_up, downlink=snr_down, effective=effective)
+        streams[(j, k)] = (snr_up, snr_down, effective)
         rates[(j, k)] = rate
         total_rate += rate
-    return SnrReport(streams=streams, rates=rates, rate_proxy=total_rate)
+    return SimpleNamespace(streams=streams, rates=rates, rate_proxy=total_rate)
 
 
 def _chunks(word, n):
@@ -731,7 +729,7 @@ def _run_round(cfg, ch, plan, symbols=None, seed=0, mode=GENIE, noise=True):
         err = float(np.linalg.norm(v_hat - v))
         rel_errors[(j, k)] = err / ref if ref > 0 else (0.0 if err == 0 else math.inf)
 
-    return RoundResult(
+    return SimpleNamespace(
         estimates=estimates,
         rel_errors=rel_errors,
         snr=_effective_snr(cfg, ch, plan, mode),
@@ -744,17 +742,30 @@ def _run_round(cfg, ch, plan, symbols=None, seed=0, mode=GENIE, noise=True):
 
 
 def run_round(cfg, ch, plan, symbols=None, seed=0, mode=GENIE, noise=True):
-    """One round of `transmit_round` over the block of one `ch` at power
-    cfg.P, with the stream plan `plan` and the round seed `seed`."""
-    return transmit_round(ch, RoundLayout(plan, cfg.M), [cfg.P], [seed], symbols, mode, noise).round(0, 0)
+    """One round: `transmit_round` over the block of one `ch` at the one
+    power point cfg.P, with the stream plan `plan` and the round seed
+    `seed`. Its RoundBatch arrays have (draw, point) axes of length 1."""
+    return transmit_round(ch, RoundLayout(plan, cfg.M), [cfg.P], [seed], symbols, mode, noise)
+
+
+def estimate(rounds, key, d=0, i=0) -> np.ndarray:
+    """User k's estimate of v_jk, key (j, k), in a RoundBatch at draw d and
+    point i: its span of the flat estimates."""
+    return rounds.estimates[d, i, slice(*rounds.layout.plan.symbol_spans[key])]
 
 
 @pytest.fixture(scope="session")
 def reference_round():
     """The round one call at a time. `reference_round.run(cfg, ch, plan,
     symbols, seed, mode, noise)` takes `run_round`'s arguments, with the
-    symbols as a StreamSymbols; its stages (`effective_snr(cfg, ch, plan,
-    mode)`, `sample_stream_symbols`, `uplink_precode`, `uplink_propagate`,
+    symbols as a StreamSymbols, and returns a record of plain values:
+    `estimates` (every direction) and `rel_errors` (the active ones) keyed
+    by (j, k) in the order the round makes them, `gamma`, `zero_word`,
+    `power_ok`, `mode`, `noisy`, and `snr`, which `effective_snr(cfg, ch,
+    plan, mode)` returns: `streams` maps each active direction to its
+    (uplink, downlink, effective) SNRs and `rates` to its rate proxy, in
+    plan order, and `rate_proxy` is their sum. Its stages
+    (`sample_stream_symbols`, `uplink_precode`, `uplink_propagate`,
     `relay_observe`, `network_coded_word`, `relay_decode`, `relay_transmit`,
     `downlink_propagate`, `user_postcode`, `user_recover`) are attributes
     too."""

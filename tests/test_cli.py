@@ -237,7 +237,7 @@ def test_simulate_uses_sweep_channel_seed(capsys):
     ch = sample_channels(cfg, derive_seed(5, SUBSEED_CHANNEL, 0))
     plan = build_stream_plan(DofVector.uniform(4, 1), cfg.N)
     res = run_round(cfg, ch, plan, seed=5, mode=RAW, noise=True)
-    assert out == json.dumps(res.to_dict(), sort_keys=True, indent=2) + "\n"
+    assert out == json.dumps(res.to_dict(0, 0), sort_keys=True, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("power_db", ["nan", "inf", "1e400"])
@@ -343,6 +343,13 @@ def test_sweep_db_takes_separate_negative_value(capsys):
     assert code == EXIT_OK
     assert separate.encode() == joined.encode()
     assert [line.split(",")[0] for line in separate.splitlines()[2:5]] == ["-10.0", "0.0", "10.0"]
+    # a start with no digit before its point
+    code, separate, _ = run_cli(capsys, *base, "--sweep-db", "-.5:1:1.5")
+    assert code == EXIT_OK
+    code, joined, _ = run_cli(capsys, *base, "--sweep-db=-.5:1:1.5")
+    assert code == EXIT_OK
+    assert separate.encode() == joined.encode()
+    assert [line.split(",")[0] for line in separate.splitlines()[2:4]] == ["-0.5", "0.5"]
     assert exit_code([*base, "--sweep-db", "-10:oops"]) == EXIT_USAGE
 
 

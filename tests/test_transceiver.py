@@ -22,6 +22,7 @@ from conftest import (
     StreamSymbols,
     assemble_uplink_symbol,
     complex_normal,
+    estimate,
     extract_pair_slot,
     feasible_entries,
     normalized_left_mppi,
@@ -284,9 +285,9 @@ def test_recover_rejects_word_of_other_length(reference_round):
 def test_round_noiseless_genie_recovers_exactly():
     ch = sample_channels(CFG66, seed=19)
     res = run_round(CFG66, ch, ONES_PLAN, seed=20, mode=GENIE, noise=False)
-    assert max(res.rel_errors.values()) <= 1e-8
-    assert res.power_ok
-    assert not res.zero_word
+    assert res.rel_errors.max() <= 1e-8
+    assert res.power_ok[0, 0]
+    assert res.gamma[0, 0] != 0.0  # not a zero relay word
 
 
 def test_round_noiseless_recovery_random_feasible_targets():
@@ -304,7 +305,7 @@ def test_round_noiseless_recovery_random_feasible_targets():
             continue
         ch = sample_channels(CFG66, seed=100 + rounds)
         res = run_round(CFG66, ch, build_stream_plan(d, 6), seed=200 + rounds, mode=GENIE, noise=False)
-        assert max(res.rel_errors.values()) <= 1e-8
+        assert res.rel_errors.max() <= 1e-8
         rounds += 1
 
 
@@ -316,7 +317,7 @@ def test_round_high_power_limit():
     for t in range(100):
         ch = sample_channels(cfg, derive_seed(77, 1, t))
         res = run_round(cfg, ch, ONES_PLAN, seed=derive_seed(77, 2, t), mode=GENIE, noise=True)
-        means.append(np.mean(list(res.rel_errors.values())))
+        means.append(np.mean(res.rel_errors[0, 0]))
     assert np.mean(means) < 1e-3
 
 
@@ -342,24 +343,24 @@ def test_round_symbol_extension():
     d = DofVector(4, {(1, 2): Fraction(3, 2), (2, 1): Fraction(1, 2), (3, 4): Fraction(2)})
     ch = sample_channels(CFG66, seed=24)
     res = run_round(CFG66, ch, build_stream_plan(d, 6), seed=25, mode=GENIE, noise=False)
-    assert max(res.rel_errors.values()) <= 1e-8
-    active = {p for p, v in res.estimates.items() if v.shape[0] > 0}
+    assert res.rel_errors.max() <= 1e-8
+    active = {p for p in res.layout.estimate_order if estimate(res, p).shape[0] > 0}
     assert active == {(1, 2), (2, 1), (3, 4)}
-    assert res.estimates[(1, 2)].shape == (3,)  # T*d_12 = 2 * 3/2
+    assert estimate(res, (1, 2)).shape == (3,)  # T*d_12 = 2 * 3/2
 
 
 def test_round_raw_noiseless_also_exact():
     ch = sample_channels(CFG66, seed=26)
     res = run_round(CFG66, ch, ONES_PLAN, seed=27, mode=RAW, noise=False)
-    assert max(res.rel_errors.values()) <= 1e-8
+    assert res.rel_errors.max() <= 1e-8
 
 
 def test_round_transmit_powers_within_budget():
     for t in range(10):
         ch = sample_channels(CFG66, seed=300 + t)
         res = run_round(CFG66, ch, ONES_PLAN, seed=400 + t, mode=GENIE, noise=True)
-        assert res.power_ok
-        assert res.gamma > 0
+        assert res.power_ok[0, 0]
+        assert res.gamma[0, 0] > 0
 
 
 def test_self_interference_fully_cancelled():
@@ -377,9 +378,9 @@ def test_self_interference_fully_cancelled():
     ch = sample_channels(CFG66, seed=29)
     res = run_round(CFG66, ch, ONES_PLAN, symbols=sym.flat(ONES_PLAN), seed=30, mode=GENIE, noise=False)
     scale = max(float(np.max(np.abs(v))) for (j, k), v in data.items() if j > k)
-    for (j, k), est in res.estimates.items():
+    for j, k in res.layout.estimate_order:
         if j < k:
-            assert np.max(np.abs(est)) <= 1e-9 * scale
+            assert np.max(np.abs(estimate(res, (j, k)))) <= 1e-9 * scale
 
 
 def test_round_json_serializable():
@@ -387,7 +388,7 @@ def test_round_json_serializable():
 
     ch = sample_channels(CFG66, seed=31)
     res = run_round(CFG66, ch, ONES_PLAN, seed=32, mode=GENIE, noise=True)
-    blob = json.loads(json.dumps(res.to_dict()))
+    blob = json.loads(json.dumps(res.to_dict(0, 0)))
     assert blob["mode"] == "genie"
     assert "1-2" in blob["rel_errors"]
     assert blob["snr"]["rate_proxy"] > 0
@@ -398,18 +399,38 @@ def test_round_json_serializable():
 PROPERTY = settings(deadline=None, database=None, derandomize=True)
 
 
-def assert_same_round(got, want):
-    """Every RoundResult field equal: arrays by bytes, floats by ==, dict
-    entries in the same order (a sweep sums them in that order)."""
-    assert list(got.estimates) == list(want.estimates)
+def assert_same_snr(snr, layout, d, i, want):
+    """The SnrBatch entry of draw d at point i equals the reference SNRs
+    `want`: (uplink, downlink, effective) triples and rates by ==, keyed by
+    `layout.snr_keys` in the reference's order (a sweep sums them in that
+    order)."""
+    triples = zip(snr.uplink[d, i].tolist(), snr.downlink[d, i].tolist(), snr.effective[d, i].tolist())
+    assert list(zip(layout.snr_keys, triples)) == list(want.streams.items())
+    assert list(zip(layout.snr_keys, snr.rates[d, i].tolist())) == list(want.rates.items())
+    assert snr.rate_proxy[d, i] == want.rate_proxy
+
+
+def assert_same_round(rounds, d, i, want):
+    """The RoundBatch entry of draw d at point i equals the reference round
+    `want`: each direction's estimates by bytes, errors and SNRs by ==,
+    keyed by the layout's estimate, error and SNR keys in the reference's
+    order (a sweep sums them in that order)."""
+    layout = rounds.layout
+    assert layout.estimate_order == tuple(want.estimates)
     for key, est in want.estimates.items():
-        assert got.estimates[key].tobytes() == est.tobytes()
-    assert list(got.rel_errors.items()) == list(want.rel_errors.items())
-    assert (got.gamma, got.zero_word, got.power_ok, got.mode, got.noisy) == (
+        assert estimate(rounds, key, d, i).tobytes() == est.tobytes()
+    assert list(zip(layout.error_keys, rounds.rel_errors[d, i].tolist())) == list(want.rel_errors.items())
+    gamma = float(rounds.gamma[d, i])
+    assert (gamma, gamma == 0.0, bool(rounds.power_ok[d, i]), rounds.mode, rounds.noisy) == (
         want.gamma, want.zero_word, want.power_ok, want.mode, want.noisy)
-    assert list(got.snr.streams.items()) == list(want.snr.streams.items())
-    assert list(got.snr.rates.items()) == list(want.snr.rates.items())
-    assert got.snr.rate_proxy == want.snr.rate_proxy
+    assert_same_snr(rounds.snr, layout, d, i, want.snr)
+
+
+def entry_bytes(rounds, d, i):
+    """The bytes of every array of a RoundBatch and its SnrBatch at draw d
+    and point i."""
+    arrays = [*vars(rounds).values(), *vars(rounds.snr).values()]
+    return [a[d, i].tobytes() for a in arrays if isinstance(a, np.ndarray)]
 
 
 @settings(PROPERTY, max_examples=150)
@@ -492,7 +513,7 @@ def test_round_matches_reference(reference_round, case):
         rounds = transmit_round(ch, layout, powers, seeds, flat, mode, noise)
         for i, (p, seed) in enumerate(zip(powers, seeds)):
             want = reference_round.run(SystemConfig(K=cfg.K, M=cfg.M, N=cfg.N, P=p), ch, plan, symbols, seed, mode, noise)
-            assert_same_round(rounds.round(0, i), want)
+            assert_same_round(rounds, 0, i, want)
 
 
 @pytest.mark.parametrize("mode", (GENIE, RAW))
@@ -501,7 +522,8 @@ def test_round_matches_reference(reference_round, case):
 def test_block_of_draws_matches_draws_alone(k, m, n, dof, mode, noise):
     # one call over a block of draws (sampled together, and the same draws
     # with one built directly from matrices of two others) runs each draw's
-    # rounds as a call over that draw alone
+    # rounds as a call over that draw alone, with its points in reverse, to
+    # the byte and in `simulate`'s rendering of each draw and point
     cfg = SystemConfig(K=k, M=m, N=n, P=1.0)
     layout = RoundLayout(build_stream_plan(DofVector.uniform(k, Fraction(dof)), n), m)
     draw_seeds = [50, 2**63 + 51, 52]
@@ -510,7 +532,7 @@ def test_block_of_draws_matches_draws_alone(k, m, n, dof, mode, noise):
     block = ChannelBlock(np.concatenate([drawn.uplink, built.uplink]), np.concatenate([drawn.downlink, built.downlink]))
     powers = [1.0, 1e3, 1e6]
     seeds = [[derive_seed(53, d, i) for i in range(len(powers))] for d in range(len(block.uplink))]
-    alone = [transmit_round(ch, layout, powers, seeds[d], mode=mode, noise=noise)
+    alone = [transmit_round(ch, layout, powers[::-1], seeds[d][::-1], mode=mode, noise=noise)
              for d, ch in enumerate([sample_channels(cfg, seed) for seed in draw_seeds] + [built])]
     for whole in (drawn, block):
         draws = len(whole.uplink)
@@ -518,7 +540,8 @@ def test_block_of_draws_matches_draws_alone(k, m, n, dof, mode, noise):
         assert rounds.gamma.shape == (draws, len(powers))
         for d in range(draws):
             for i in range(len(powers)):
-                assert_same_round(rounds.round(d, i), alone[d].round(0, i))
+                assert entry_bytes(rounds, d, i) == entry_bytes(alone[d], 0, -1 - i)
+                assert rounds.to_dict(d, i) == alone[d].to_dict(0, -1 - i)
     with pytest.raises(ValueError):
         transmit_round(block, layout, powers, seeds[0], mode=mode, noise=noise)
 
@@ -530,8 +553,8 @@ def test_zero_dof_round_matches_reference(reference_round, mode, noise):
     ch = sample_channels(cfg, seed=36)
     plan = build_stream_plan(DofVector(3, {}), 3)
     got = run_round(cfg, ch, plan, seed=37, mode=mode, noise=noise)
-    assert got.zero_word and got.gamma == 0.0 and not got.rel_errors
-    assert_same_round(got, reference_round.run(cfg, ch, plan, seed=37, mode=mode, noise=noise))
+    assert got.gamma[0, 0] == 0.0 and got.rel_errors.shape == (1, 1, 0)
+    assert_same_round(got, 0, 0, reference_round.run(cfg, ch, plan, seed=37, mode=mode, noise=noise))
 
 
 def test_stacked_norms_match_one_row_at_a_time():
@@ -556,7 +579,8 @@ def test_stacked_norms_match_one_row_at_a_time():
 def test_round_rejects_symbols_of_other_length():
     # supplied symbols are one flat vector of every direction's symbols
     ch, layout = sample_channels(CFG66, seed=38), RoundLayout(ONES_PLAN, 6)
-    assert transmit_round(ch, layout, [1.0], [5], np.ones(12), noise=False).round(0, 0).rel_errors[(1, 2)] < 1e-8
+    rounds = transmit_round(ch, layout, [1.0], [5], np.ones(12), noise=False)
+    assert rounds.rel_errors[0, 0, layout.error_keys.index((1, 2))] < 1e-8
     for bad in (np.ones(11), np.ones(13), np.ones((1, 12)), np.ones(0)):
         with pytest.raises(DimensionError):
             transmit_round(ch, layout, [1.0], [5], bad)
@@ -585,8 +609,8 @@ def test_zero_power_point_forwards_nothing(reference_round):
         rounds = transmit_round(ch, layout, powers, seeds, mode=mode)
         for i, (p, seed) in enumerate(zip(powers, seeds)):
             cfg = SimpleNamespace(K=4, M=6, N=6, P=p)  # SystemConfig rejects P = 0
-            assert_same_round(rounds.round(0, i), reference_round.run(cfg, ch, ONES_PLAN, None, seed, mode, True))
-        assert [rounds.round(0, i).zero_word for i in range(3)] == [False, True, False]
+            assert_same_round(rounds, 0, i, reference_round.run(cfg, ch, ONES_PLAN, None, seed, mode, True))
+        assert (rounds.gamma[0] == 0.0).tolist() == [False, True, False]  # zero relay words
 
 
 def test_underflowing_recovery_scale_raises_as_alone(reference_round):
@@ -602,7 +626,7 @@ def test_underflowing_recovery_scale_raises_as_alone(reference_round):
     with pytest.raises(ScalarUnderflow) as got:
         transmit_round(ch, layout, [1.0, 1e-300], [46, 46], sym.flat(ONES_PLAN), GENIE, False)
     assert str(got.value) == str(want.value)
-    assert transmit_round(ch, layout, [1.0], [46], sym.flat(ONES_PLAN), GENIE, False).round(0, 0).gamma > 0
+    assert transmit_round(ch, layout, [1.0], [46], sym.flat(ONES_PLAN), GENIE, False).gamma[0, 0] > 0
 
 
 def test_overflowing_error_norm_raises_with_its_pair():
@@ -614,7 +638,7 @@ def test_overflowing_error_norm_raises_with_its_pair():
     ch, layout = sample_channels(cfg, seed=54), RoundLayout(build_stream_plan(DofVector.uniform(3, 1), 3), 3)
     with pytest.raises(ScalarUnderflow, match=r"= \S+e-16\d for pair \(\d,\d\): error norm overflows$"):
         transmit_round(ch, layout, [1.0, 1e-323], [55, 56])
-    assert max(transmit_round(ch, layout, [1e-323], [56], noise=False).round(0, 0).rel_errors.values()) < 1e-8
+    assert transmit_round(ch, layout, [1e-323], [56], noise=False).rel_errors.max() < 1e-8
 
 
 # ------------------------------------------------------------------- SNR math
@@ -627,13 +651,13 @@ def test_identity_channel_snr_closed_form():
     cfg = SystemConfig(K=4, M=6, N=6, P=p)
     ch = identity_channels(4, 6)
     plan = build_stream_plan(ALL_ONES, 6)
-    rep = effective_snr(ch, RoundLayout(plan, cfg.M), [cfg.P], GENIE).report(0, 0)
-    assert len(rep.streams) == 12
-    for s in rep.streams.values():
-        assert s.downlink == pytest.approx(p / 12.0, rel=1e-12)
-        assert s.effective == pytest.approx(p / 12.0, rel=1e-12)
-        assert s.uplink == pytest.approx(1.0 / 6.0, rel=1e-12)
-    assert rep.rate_proxy == pytest.approx(12 * math.log2(1 + p / 12.0), rel=1e-12)
+    snr = effective_snr(ch, RoundLayout(plan, cfg.M), [cfg.P], GENIE)
+    assert snr.effective.shape == (1, 1, 12)
+    for up, down, eff in zip(snr.uplink[0, 0].tolist(), snr.downlink[0, 0].tolist(), snr.effective[0, 0].tolist()):
+        assert down == pytest.approx(p / 12.0, rel=1e-12)
+        assert eff == pytest.approx(p / 12.0, rel=1e-12)
+        assert up == pytest.approx(1.0 / 6.0, rel=1e-12)
+    assert snr.rate_proxy[0, 0] == pytest.approx(12 * math.log2(1 + p / 12.0), rel=1e-12)
 
 
 def test_snr_matches_reference_over_many_draws(reference_round):
@@ -649,29 +673,32 @@ def test_snr_matches_reference_over_many_draws(reference_round):
         snr = effective_snr(ch, layout, powers, mode)
         for i, p in enumerate(powers):
             want = reference_round.effective_snr(SystemConfig(K=4, M=6, N=6, P=p), ch, plan, mode)
-            assert snr.report(0, i) == want
+            assert_same_snr(snr, layout, 0, i, want)
 
 
 def test_snr_linear_in_power():
     ch = sample_channels(CFG66, seed=33)
     plan = build_stream_plan(ALL_ONES, 6)
     snr = effective_snr(ch, RoundLayout(plan, CFG66.M), [CFG66.P, 2e4], GENIE)
-    base, doubled = snr.report(0, 0), snr.report(0, 1)
-    for key in base.streams:
-        assert doubled.streams[key].effective == 2 * base.streams[key].effective
+    base, doubled = snr.effective[0].tolist()
+    assert len(base) == 12
+    for b, twice in zip(base, doubled):
+        assert twice == 2 * b
 
 
 def test_raw_mode_takes_bottleneck():
     ch = sample_channels(CFG66, seed=34)
     plan = build_stream_plan(ALL_ONES, 6)
-    rep = effective_snr(ch, RoundLayout(plan, CFG66.M), [CFG66.P], RAW).report(0, 0)
-    for s in rep.streams.values():
-        assert s.effective == min(s.uplink, s.downlink)
+    snr = effective_snr(ch, RoundLayout(plan, CFG66.M), [CFG66.P], RAW)
+    assert snr.effective.shape == (1, 1, 12)
+    for up, down, eff in zip(snr.uplink[0, 0].tolist(), snr.downlink[0, 0].tolist(), snr.effective[0, 0].tolist()):
+        assert eff == min(up, down)
 
 
 def test_snr_skips_silent_directions():
     d = DofVector(4, {(1, 2): Fraction(2), (2, 1): Fraction(1)})
     ch = sample_channels(CFG66, seed=35)
     plan = build_stream_plan(d, 6)
-    rep = effective_snr(ch, RoundLayout(plan, CFG66.M), [CFG66.P], GENIE).report(0, 0)
-    assert set(rep.streams) == {(1, 2), (2, 1)}
+    layout = RoundLayout(plan, CFG66.M)
+    assert set(layout.snr_keys) == {(1, 2), (2, 1)}
+    assert effective_snr(ch, layout, [CFG66.P], GENIE).effective.shape == (1, 1, 2)
