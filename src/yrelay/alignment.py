@@ -110,10 +110,14 @@ class DofVector:
         return f"DofVector(K={self.K}, {nonzero})"
 
     def to_dict(self) -> dict:
-        return {
-            "K": self.K,
-            "entries": {f"{j}-{k}": str(v) for (j, k), v in sorted(self.items())},
-        }
+        """{"K": K, "entries": {"j-k": str(d_jk)}}, the entries in
+        `ordered_pairs` order (which is sorted) and rendered from the ints as
+        `str(Fraction)` renders them: "n", or "n/d" in lowest terms."""
+        t, entries = self.T, {}
+        for (j, k), v in zip(pair_index(self.K), self.scaled):
+            g = math.gcd(v, t)
+            entries[f"{j}-{k}"] = f"{v // g}" if g == t else f"{v // g}/{t // g}"
+        return {"K": self.K, "entries": entries}
 
 
 @dataclass(frozen=True)

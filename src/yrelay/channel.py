@@ -2,15 +2,17 @@
 
 A `ChannelBlock` holds D block-constant draws as stacked arrays, with the
 normalized inverses that diagonalize them (the precoders and receive
-filters with their constants alpha_j and beta_k), one stacked
-pseudo-inverse per link direction. `sample_channel_block` draws a block,
-each draw's 2K matrices with one standard-normal call; the inverses are
-the conditioning check (an SVD only for a matrix past their bound);
+filters with their constants alpha_j and beta_k), both link directions'
+N x N Gram matrices inverted in one call. `sample_channel_block` draws a
+block, each draw's 2K matrices with one standard-normal call; the inverses
+are the conditioning check (an SVD only for a matrix past their bound);
 `sample_channels` is the block of one. Rounds read the block's arrays as
 is; signals cross its matrices only in `transceiver.transmit_round`.
 
 All randomness comes from the Philox counter-based generator keyed with
-(seed, stream id), so any seed reproduces the exact same realization. Streams
+(seed, stream id), so any seed reproduces the exact same realization; its
+stream is a pure function of (key, counter), so `seeded_normals` draws
+every row on one generator per thread, re-keyed per row. Streams
 of different keys are independent, but two seeds can share a key: numpy
 reads the key `[seed, stream]` through a float64 array when seed >= 2^63,
 which rounds the seed to a multiple of 2^11, so 2^63 + 5 and 2^63 + 6 (for
@@ -26,6 +28,7 @@ package:
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,39 +51,50 @@ def rng_for(seed: int, stream: int) -> np.random.Generator:
     return reset_rng(np.random.Generator(np.random.Philox(key=0)), seed, stream)
 
 
-def reset_rng(rng: np.random.Generator, seed: int, stream: int) -> np.random.Generator:
-    """Re-key the Philox generator `rng` to the start of stream (seed, stream)
-    and return it: the state `Philox(key=[seed, stream])` starts in.
-
-    A round re-keys one generator per draw it takes, which costs a quarter of
-    building a new one. The key follows `Philox(key=[seed, stream])`: numpy
-    reads a list holding a value >= 2^63 as float64, so both entries are
-    then rounded to doubles. A value that rounds up to 2^64 has no uint64 of
-    its own (numpy's cast of it depends on the platform); this package's
-    fixed rule wraps it to 0, as the x86-64 cast does, so every platform
-    draws the same bytes. The key is built from Python ints, with no cast
-    and so no cast warning.
-    """
+def _philox_key(seed: int, stream: int) -> list:
+    """The key of `Philox(key=[seed, stream])`: numpy reads a list holding a
+    value >= 2^63 as float64, so both entries are then rounded to doubles.
+    A value that rounds up to 2^64 has no uint64 of its own (numpy's cast of
+    it depends on the platform); this package's fixed rule wraps it to 0, as
+    the x86-64 cast does, so every platform draws the same bytes. The key is
+    built from Python ints, with no cast and so no cast warning."""
     key = [seed & _MASK64, stream & _MASK64]
     if max(key) >> 63:
         key = [int(float(v)) & _MASK64 for v in key]
-    rng.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": _ZERO4, "key": key},
-        "buffer": _ZERO4,
-        "buffer_pos": 4,  # empty buffer: the next draw starts at counter 0
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    return key
+
+
+# A Philox state but its "state" entry: the buffer empty, so the next draw starts at the counter.
+_START = {"bit_generator": "Philox", "buffer": _ZERO4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+
+def reset_rng(rng: np.random.Generator, seed: int, stream: int) -> np.random.Generator:
+    """Re-key the Philox generator `rng` to the start of stream (seed, stream)
+    and return it: the state `Philox(key=[seed, stream])` starts in."""
+    rng.bit_generator.state = {**_START, "state": {"counter": _ZERO4, "key": _philox_key(seed, stream)}}
     return rng
 
 
-def seeded_normals(rng: np.random.Generator, seeds, stream: int, size: int) -> np.ndarray:
+_thread = threading.local()  # .rng: the calling thread's generator for seeded_normals
+
+
+def seeded_normals(seeds, stream: int, size: int) -> np.ndarray:
     """Row i: `size` standard normals from the start of stream (seeds[i],
-    stream), each drawn by re-keying the one generator `rng`."""
+    stream). A Philox stream is a pure function of its key and counter, so
+    every row is drawn on the calling thread's one generator (`rng_for`
+    builds it on the thread's first call), re-keyed per row by a state dict
+    of this call's own: whatever the generator drew before, the row is
+    that of a fresh `rng_for(seeds[i], stream)`."""
+    rng = getattr(_thread, "rng", None)
+    if rng is None:
+        rng = _thread.rng = rng_for(0, stream)
+    inner = {"counter": _ZERO4}
+    state = {**_START, "state": inner}
     out = np.empty((len(seeds), size))
     for row, seed in zip(out, seeds):
-        reset_rng(rng, seed, stream).standard_normal(out=row)
+        inner["key"] = _philox_key(seed, stream)
+        rng.bit_generator.state = state
+        rng.standard_normal(out=row)
     return out
 
 
@@ -136,14 +150,15 @@ class SystemConfig:
 class ChannelBlock:
     """D block-constant channel draws of K users, stacked: `uplink` H (D, K,
     N, M), `downlink` D (D, K, M, N), and the normalized inverses that
-    diagonalize them, computed here with one stacked pseudo-inverse per
-    direction: `right` (D, K, M, N) with alpha (D, K), `left` (D, K, N, M)
+    diagonalize them, computed here with one Gram inversion for both
+    directions: `right` (D, K, M, N) with alpha (D, K), `left` (D, K, N, M)
     with beta (D, K). Building it checks conditioning (RankDeficient): for
     each Gram matrix G (H H^H, D^H D) and its inverse X, which the precoders
     need anyway, cond_2(G) = ||G||_2 ||G^{-1}||_2 <= ||G||_F ||X||_F up to
     X's rounding, so a matrix whose bound is within 1e6 needs no SVD. The
     error, or ScalarUnderflow for an alpha or beta past the float range,
-    names the matrix's draw (its `index`), link and user. A plain class:
+    names the matrix's draw (its `index`), link and user; an uplink error
+    is raised before any downlink one. A plain class:
     other matrices make a new block, with their own inverses.
     """
 
@@ -154,15 +169,15 @@ class ChannelBlock:
         if len(up) != 4 or down != (*up[:2], up[3], up[2]):
             raise DimensionError(f"uplink {up} and downlink {down} are not (draws, K, N, M) and (draws, K, M, N)")
         d, k = up[:2]
-        inverses = []
-        for link, mats in (("uplink", self.uplink), ("downlink", self.downlink)):
-            try:
-                g, c = _unit_pinv(mats.reshape(d * k, *mats.shape[2:]), link == "uplink")
-            except (RankDeficient, ScalarUnderflow) as exc:
-                draw, user = divmod(exc.index, k)
-                raise type(exc)(f"draw {draw}, {link} of user {user}: {exc}", draw) from None
-            inverses += [g.reshape(d, k, *mats.shape[:1:-1]), c.reshape(d, k)]
-        self.right, self.alpha, self.left, self.beta = inverses
+        try:
+            right, alpha, left, beta = _unit_pinv(
+                self.uplink.reshape(d * k, *up[2:]), True, self.downlink.reshape(d * k, *down[2:]), False)
+        except (RankDeficient, ScalarUnderflow) as exc:
+            link, place = divmod(exc.index, d * k)
+            draw, user = divmod(place, k)
+            raise type(exc)(f"draw {draw}, {('uplink', 'downlink')[link]} of user {user}: {exc}", draw) from None
+        self.right, self.left = right.reshape(down), left.reshape(up)
+        self.alpha, self.beta = alpha.reshape(d, k), beta.reshape(d, k)
 
 
 def sample_channels(cfg: SystemConfig, seed: int) -> ChannelBlock:
@@ -177,14 +192,14 @@ def sample_channel_block(cfg: SystemConfig, seeds) -> ChannelBlock:
 
     Each draw's 2K matrices come from one standard-normal draw, bit for bit
     the consecutive complex-normal blocks of a draw matrix by matrix (both
-    shapes hold N*M entries), on one generator re-keyed per seed. A refused
+    shapes hold N*M entries), by `seeded_normals`. A refused
     matrix (sigma_min/sigma_max < 1e-10, a probability-zero event for
     continuous entries) raises RankDeficient naming its draw's seed, its
     link and its user.
     """
     k, n, m = cfg.K, cfg.N, cfg.M
     draws = len(seeds)
-    blocks = seeded_normals(rng_for(0, STREAM_CHANNEL), seeds, STREAM_CHANNEL, 4 * k * n * m)
+    blocks = seeded_normals(seeds, STREAM_CHANNEL, 4 * k * n * m)
     blocks = blocks.reshape(draws, 2 * k, 2, n * m)  # per matrix: real parts, then imaginary parts
     mats = _complex(blocks[:, :, 0], blocks[:, :, 1])
     try:

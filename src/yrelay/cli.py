@@ -354,10 +354,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # argparse takes a separate `--sweep-db -10:10:40` value for a flag: join the two
+    # argparse takes a separate negative value (`--power-db -1e1`) for a flag: join it to its option
+    takes_value = {"--config", *("--" + name.replace("_", "-") for name, (_, kw) in OPTIONS.items()
+                                 if "action" not in kw)}
     for i in range(len(argv) - 1, 0, -1):
-        if argv[i - 1] == "--sweep-db" and argv[i][:1] == "-" and (argv[i][1:2].isdigit() or argv[i][1:2] == "."):
-            argv[i - 1 : i + 1] = [f"--sweep-db={argv[i]}"]
+        if argv[i - 1] in takes_value and argv[i][:1] == "-" and (argv[i][1:2].isdigit() or argv[i][1:2] == "."):
+            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = build_parser().parse_args(argv)
     try:
         apply_config(args, load_config(args.config) if args.config is not None else {})

@@ -6,10 +6,11 @@ numbers), while symbols and noise are redrawn per (point, trial). The stream
 plan and its `RoundLayout` (the plan-only indices) come from the process's
 memo (`transceiver.plan_layout`), built once per (DoF vector, N, M). The
 trials run in blocks of TRIAL_BLOCK: a block's draws are sampled and
-inverted together as one `ChannelBlock` and get one `transmit_round` call
-over every draw and power point; the point sums add that call's (trial,
-point) arrays as they come, and the block is dropped before the next one,
-so a sweep holds one block at a time.
+inverted together as one `ChannelBlock` (one Gram inversion for both
+links; its random rows re-key the thread's one generator) and get one
+`transmit_round` call over every draw and power point; the point sums add
+that call's (trial, point) arrays as they come, and the block is dropped
+before the next one, so a sweep holds one block at a time.
 Each trial gets the bits it would get alone. Floats are added left to right
 (`left_sum`), so the bytes do not depend on the Python version. All
 sub-seeds derive from the master seed with a splitmix64 chain, so a report

@@ -1,10 +1,11 @@
 """Complex dense linear algebra for zero-forcing relay beamforming.
 
-Right and left Moore-Penrose pseudo-inverses in Gram-matrix form, for a
-whole stack of matrices at once (an SVD only for a matrix whose Gram
-inverse fails its conditioning bound), scaled to unit Frobenius norm so
-that pre/post-coding turns every channel into a scaled identity; and the
-left-to-right sum that keeps float results independent of Python versions.
+Right and left Moore-Penrose pseudo-inverses in Gram-matrix form, for
+whole stacks of matrices at once (one Gram inversion for all of them, and
+an SVD only for a matrix whose Gram inverse fails its conditioning bound),
+scaled to unit Frobenius norm so that pre/post-coding turns every channel
+into a scaled identity; and the left-to-right sum that keeps float results
+independent of Python versions.
 """
 
 from __future__ import annotations
@@ -45,11 +46,14 @@ def left_sum(values, start=0.0):
     return total
 
 
-def _gram_pinv(a: np.ndarray, right: bool):
-    """Gram-formula pseudo-inverses of a stack, its Gram matrices and their
-    inverses (NaN for each one that fails, which no bound clears)."""
-    ah = a.conj().swapaxes(1, 2)
-    gram = a @ ah if right else ah @ a
+def _gram_pinv(links):
+    """Gram-formula pseudo-inverses of the stacks in `links`, pairs (a,
+    right) whose Gram matrices share one size, with one inversion for all:
+    per stack its pseudo-inverses, then every stack's Gram matrices and
+    their inverses in turn (NaN for each one that fails, which no bound
+    clears)."""
+    ahs = [a.conj().swapaxes(1, 2) for a, _ in links]
+    gram = np.concatenate([a @ ah if right else ah @ a for (a, right), ah in zip(links, ahs)])
     try:
         gram_inv = np.linalg.inv(gram)
     except np.linalg.LinAlgError:  # one singular matrix fails the stack: the others keep their bits
@@ -59,19 +63,22 @@ def _gram_pinv(a: np.ndarray, right: bool):
                 gram_inv[i] = np.linalg.inv(q)
             except np.linalg.LinAlgError:
                 pass
-    return (ah @ gram_inv if right else gram_inv @ ah), gram, gram_inv
+    xs = np.split(gram_inv, np.cumsum([len(a) for a, _ in links[:-1]]))
+    return [ah @ x if right else x @ ah for (_, right), ah, x in zip(links, ahs, xs)], gram, gram_inv
 
 
-def _unit_pinv(a, right: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Minimum-norm pseudo-inverses G of a stack `a` (S, rows, cols), each
-    scaled to unit Frobenius norm: (c * G, c), stacked.
+def _unit_pinv(a, right: bool, *more) -> tuple:
+    """Minimum-norm pseudo-inverses G of a stack `a` (S, rows, cols), and of
+    the stacks in `more` = (b, right_b, ...), each scaled to unit Frobenius
+    norm: (c * G, c) per stack, in one flat tuple.
 
-    With `right`, every matrix is wide and G = A^H (A A^H)^{-1} (A @ G = I);
-    otherwise tall, and G = (A^H A)^{-1} A^H (G @ A = I). One Gram product,
-    one inversion and one product serve the stack, matrix by matrix the
-    same bits as one matrix alone. The side is explicit: a square matrix
-    fits both, and there the formulas differ in the last bits. c^{-2} =
-    tr(G^H G).
+    With `right`, every matrix of the stack is wide and G = A^H (A A^H)^{-1}
+    (A @ G = I); otherwise tall, and G = (A^H A)^{-1} A^H (G @ A = I). One
+    Gram product per stack, one inversion for all the stacks (their Gram
+    matrices share one size) and one product per stack serve them, matrix
+    by matrix the same bits as one matrix alone. The side is explicit: a
+    square matrix fits both, and there the formulas differ in the last
+    bits. c^{-2} = tr(G^H G).
 
     Gram matrices Q and computed inverses X check conditioning: P = ||Q||_F
     ||X||_F >= cond_2(Q) up to X's error u cond_2(Q), and cond_2(Q) >
@@ -85,44 +92,55 @@ def _unit_pinv(a, right: bool) -> tuple[np.ndarray, np.ndarray]:
     from frexp of its largest real or imaginary part, and c by 2^e after: a
     power of two changes no bit in the normal range, and with entries in
     [0.5, 1) the Gram product can neither underflow nor overflow. A c*2^e
-    past the float range raises ScalarUnderflow (`index` its place).
+    past the float range raises ScalarUnderflow (`index` its place). A
+    place counts the matrices of all the stacks in turn, and a stack's
+    errors are raised before any of a later stack.
     """
-    a = np.ascontiguousarray(a, dtype=np.complex128)
-    if a.ndim != 3:
-        raise DimensionError(f"expected a stack of 2-D matrices, got ndim={a.ndim}")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix has non-finite entries")
-    side, (n, m) = ("right", a.shape[1:]) if right else ("left", a.shape[:0:-1])
-    if n > m:
-        want = "wide" if right else "tall"
-        raise DimensionError(f"{side} inverse needs a {want} matrix, got {a.shape[1]}x{a.shape[2]}")
+    stacks, links = [], (a, right, *more)
+    for a, right in zip(links[::2], links[1::2]):
+        a = np.ascontiguousarray(a, dtype=np.complex128)
+        if a.ndim != 3:
+            raise DimensionError(f"expected a stack of 2-D matrices, got ndim={a.ndim}")
+        if not np.isfinite(a).all():
+            raise ValueError("matrix has non-finite entries")
+        n, m = a.shape[1:] if right else a.shape[:0:-1]
+        if n > m:
+            side, want = ("right", "wide") if right else ("left", "tall")
+            raise DimensionError(f"{side} inverse needs a {want} matrix, got {a.shape[1]}x{a.shape[2]}")
+        stacks.append((a, right))
     with np.errstate(all="ignore"):  # the bound warns of nothing; the matrices past it are inverted again
-        g, gram, gram_inv = _gram_pinv(a, right)
+        pinvs, gram, gram_inv = _gram_pinv(stacks)
         q2, x2 = (np.einsum("sij,sij->s", v, v) for v in (gram.view(np.float64), gram_inv.view(np.float64)))
-        past = np.flatnonzero(~(q2 * x2 <= GRAM_BOUND_LIMIT**2))
-    if past.size:
-        parts = a[past].view(np.float64)
-        e = np.frexp(np.abs(parts).max(axis=(1, 2)))[1]
-        b = np.ldexp(parts, -e[:, None, None]).view(np.complex128)
-        s = np.linalg.svd(b, compute_uv=False)
-        ok = well_conditioned(s)
-        if not ok.all():
-            i = np.argmin(ok)
-            ratio = 0.0 if s[i, 0] == 0 else s[i, -1] / s[i, 0]
-            raise RankDeficient(
-                f"{side} inverse needs a well-conditioned matrix: sigma_min/sigma_max = {ratio:.3e}", int(past[i]))
-        # Squared as Python floats, by the pow() a lone matrix's scalar ratio used.
-        fallback = np.array([r**2 > GRAM_COND_LIMIT for r in (s[:, 0] / s[:, -1]).tolist()])
-        if fallback.any():
-            g[past[fallback]] = np.linalg.pinv(b[fallback])
-        if not fallback.all():
-            g[past[~fallback]] = _gram_pinv(b[~fallback], right)[0]
-    c = 1.0 / np.sqrt(np.sum((np.abs(g) ** 2).reshape(len(g), -1), axis=-1))
-    g = c[:, None, None] * g
-    if past.size:
-        top = np.frexp(c[past])[1] + e  # c * 2^e < 2^top
-        if (top > 1024).any():
-            i = np.argmax(top > 1024)
-            raise ScalarUnderflow(f"{side} inverse scale of 2^{top[i] - 1} or more has no float", int(past[i]))
-        c[past] = np.ldexp(c[past], e)
-    return g, c
+        beyond = ~(q2 * x2 <= GRAM_BOUND_LIMIT**2)
+    out, start = [], 0
+    for (a, right), g in zip(stacks, pinvs):
+        side, past = "right" if right else "left", np.flatnonzero(beyond[start : start + len(a)])
+        if past.size:
+            parts = a[past].view(np.float64)
+            e = np.frexp(np.abs(parts).max(axis=(1, 2)))[1]
+            b = np.ldexp(parts, -e[:, None, None]).view(np.complex128)
+            s = np.linalg.svd(b, compute_uv=False)
+            ok = well_conditioned(s)
+            if not ok.all():
+                i = np.argmin(ok)
+                ratio = 0.0 if s[i, 0] == 0 else s[i, -1] / s[i, 0]
+                raise RankDeficient(f"{side} inverse needs a well-conditioned matrix: "
+                                    f"sigma_min/sigma_max = {ratio:.3e}", start + int(past[i]))
+            # Squared as Python floats, by the pow() a lone matrix's scalar ratio used.
+            fallback = np.array([r**2 > GRAM_COND_LIMIT for r in (s[:, 0] / s[:, -1]).tolist()])
+            if fallback.any():
+                g[past[fallback]] = np.linalg.pinv(b[fallback])
+            if not fallback.all():
+                g[past[~fallback]] = _gram_pinv([(b[~fallback], right)])[0][0]
+        c = 1.0 / np.sqrt(np.sum((np.abs(g) ** 2).reshape(len(g), -1), axis=-1))
+        g = c[:, None, None] * g
+        if past.size:
+            top = np.frexp(c[past])[1] + e  # c * 2^e < 2^top
+            if (top > 1024).any():
+                i = np.argmax(top > 1024)
+                raise ScalarUnderflow(f"{side} inverse scale of 2^{top[i] - 1} or more has no float",
+                                      start + int(past[i]))
+            c[past] = np.ldexp(c[past], e)
+        out += [g, c]
+        start += len(a)
+    return tuple(out)

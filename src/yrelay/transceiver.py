@@ -60,7 +60,6 @@ from .channel import (
     check_power,
     complex_normal_blocks,
     normal_block_index,
-    rng_for,
     seeded_normals,
 )
 from .errors import DimensionError, ModeUnavailable, ScalarUnderflow
@@ -132,15 +131,16 @@ class RoundLayout:
         self.pair_users = np.array(self.estimate_order).T - 1  # rows: j - 1, k - 1
         self.error_keys = tuple(key for key in self.estimate_order if spans[key][1] > spans[key][0])
         self.error_groups = _length_groups([spans[key] for key in self.error_keys])
-        # effective_snr: the active directions, their senders, and per flat
-        # symbol (one block component each) the users j, k and its row q mod N
-        # of Dl_k, read off the symbol placement.
+        # effective_snr: the active directions, their senders and lengths,
+        # and per flat symbol (one block component each) the users j, k and
+        # its row q mod N of Dl_k, read off the symbol placement.
         self.snr_keys = tuple(key for key, (a, b) in spans.items() if b > a)
         self.snr_senders = np.array([j - 1 for j, _ in self.snr_keys], dtype=np.intp)
+        self.snr_sizes = np.array([spans[key][1] - spans[key][0] for key in self.snr_keys], dtype=np.intp)
         self.snr_components = np.stack((self.sender, self.receive_index // length, self.receive_index % length % n))
         self.snr_groups = _length_groups([spans[key] for key in self.snr_keys])
         for a in (self.word_index, self.receive_index, self.symbol_index, self.noise_index, self.sender,
-                  self.pair_users, self.snr_senders, self.snr_components,
+                  self.pair_users, self.snr_senders, self.snr_sizes, self.snr_components,
                   *(a for group in self.error_groups + self.snr_groups for a in group)):
             a.flags.writeable = False
 
@@ -197,11 +197,12 @@ def effective_snr(block: ChannelBlock, layout: RoundLayout, powers, mode: str = 
             f"layout for K={plan.K}, N={plan.N}, M={layout.M} does not fit channels with K={k_users}, N={n}, M={m}")
     if mode not in (GENIE, RAW):
         raise ModeUnavailable(f"unknown mode {mode!r}")
-    # E||w||^2 of unit-variance symbols, and per block component alpha_j^2,
-    # beta_k^2 and the filtered noise power of its row of Dl_k. Squares are
-    # Python floats, as per-component code had them.
+    # E||w||^2 of unit-variance symbols (alpha_j^2 times the direction's
+    # length, the active directions added left to right), and per block
+    # component alpha_j^2, beta_k^2 and the filtered noise power of its row
+    # of Dl_k. Squares are Python floats, as per-component code had them.
     a2, b2 = (np.array([x**2 for x in c.ravel().tolist()]).reshape(c.shape) for c in (block.alpha, block.beta))
-    word_power = left_sum(a2[:, j - 1] * (b - a) for (j, _), (a, b) in plan.symbol_spans.items())[:, None]
+    word_power = left_sum((a2[:, layout.snr_senders] * layout.snr_sizes).T, np.zeros(len(a2)))[:, None]
     j, k, row = layout.snr_components
     snr_a2 = a2[:, None, j]
     powers = np.asarray(powers, dtype=np.float64)
@@ -289,8 +290,8 @@ def transmit_round(
     supplied as one flat complex vector in `plan.symbol_spans` order, which
     serves every round; its noise comes from (its seed, noise stream): each
     stream in one draw, uplink noise of every channel use before the
-    downlink noise of every user and use. One generator, made for the call,
-    is re-keyed for every draw.
+    downlink noise of every user and use (`seeded_normals`, on the
+    thread's one generator).
     """
     snr = effective_snr(block, layout, powers, mode)  # raises DimensionError and ModeUnavailable before any draw
     plan, k_users, m = layout.plan, layout.plan.K, layout.M
@@ -300,10 +301,9 @@ def transmit_round(
     budgets = np.broadcast_to(powers, shape)
     if len(seeds) != budgets.size:
         raise ValueError(f"{shape[0]} draws x {shape[1]} power points but {len(seeds)} seeds")
-    rng = rng_for(0, STREAM_SYMBOLS)
     size = len(layout.sender)
     if symbols is None:
-        normals = seeded_normals(rng, seeds, STREAM_SYMBOLS, layout.symbol_index.size)
+        normals = seeded_normals(seeds, STREAM_SYMBOLS, layout.symbol_index.size)
         v = complex_normal_blocks(normals, layout.symbol_index).reshape(*shape, size)
     else:
         symbols = np.asarray(symbols, dtype=np.complex128)
@@ -313,7 +313,7 @@ def transmit_round(
     pad = np.zeros((*shape, 1), dtype=np.complex128)
     words = np.concatenate((v, pad), axis=-1)[..., layout.word_index]  # words[d, i, j]: user j's word
     if noise:
-        normals = seeded_normals(rng, seeds, STREAM_NOISE, layout.noise_index.size)
+        normals = seeded_normals(seeds, STREAM_NOISE, layout.noise_index.size)
         z = complex_normal_blocks(normals, layout.noise_index).reshape(*shape, -1)
         z_up = z[..., : t_ext * n].reshape(*shape, t_ext, n, 1)
         z_down = z[..., t_ext * n :].reshape(*shape, k_users, t_ext, m, 1)
@@ -366,10 +366,10 @@ def transmit_round(
     errors = est - v
     rel_errors = np.empty((*shape, len(layout.error_keys)))
     overflow = np.zeros(rel_errors.shape, dtype=bool)
-    for where, index in layout.error_groups:
+    with np.errstate(over="ignore"):  # an overflowing error norm is raised below
+        norms = [_norms(errors[..., index]) for _, index in layout.error_groups]
+    for (where, index), e in zip(layout.error_groups, norms):
         ref = _norms(v[..., index])
-        with np.errstate(over="ignore"):  # an overflowing error norm is raised below
-            e = _norms(errors[..., index])
         overflow[..., where] = np.isinf(e)
         rel_errors[..., where] = np.divide(e, ref, out=np.where(e == 0, 0.0, np.inf), where=ref > 0)
     if overflow.any():  # noise divided by a scale above SCALE_UNDERFLOW, squared past the float range

@@ -34,6 +34,22 @@ def random_dof(rng, k_users=4, denom=6, top=6):
 # -------------------------------------------------------------------- vectors
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_to_dict_renders_as_fractions(data):
+    # to_dict renders the entries from the ints; the oracle renders each
+    # Fraction in sorted pair order, which puts 1-10 before 2-1 from K = 10
+    k = data.draw(st.integers(3, 10))
+    t = data.draw(st.integers(1, 12))
+    entry = st.one_of(st.just(0), st.integers(0, 3).map(lambda q: q * t), st.integers(0, 4 * t))
+    scaled = data.draw(st.lists(entry, min_size=k * (k - 1), max_size=k * (k - 1)))
+    entries = {pair: Fraction(v, t) for pair, v in zip(ordered_pairs(k), scaled)}
+    for d in (DofVector.from_scaled(k, scaled, t), DofVector(k, entries), DofVector(k), DofVector.uniform(k, scaled[0])):
+        want = {f"{j}-{kk}": str(v) for (j, kk), v in sorted(d.items())}
+        got = d.to_dict()
+        assert got == {"K": k, "entries": want} and list(got["entries"]) == list(want)
+
+
 def test_pair_listings():
     assert user_pairs(3) == [(1, 2), (1, 3), (2, 3)]
     assert ordered_pairs(3) == [(1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import yrelay.channel
 import yrelay.linalg
 from conftest import complex_normal
 from yrelay.channel import (
@@ -14,8 +15,10 @@ from yrelay.channel import (
     rng_for,
     sample_channel_block,
     sample_channels,
+    seeded_normals,
 )
 from yrelay.errors import DimensionError, RankDeficient, ScalarUnderflow
+from yrelay.linalg import _unit_pinv
 
 
 def propagate_oracle(mats, xs):
@@ -170,6 +173,69 @@ def test_scale_past_the_float_range_names_its_draw():
         ChannelBlock(up, down)
     assert str(got.value) == "draw 1, uplink of user 2: right inverse scale of 2^1024 or more has no float"
     assert got.value.index == 1
+
+
+def test_block_inverts_each_link_as_alone(monkeypatch):
+    # one Gram inversion serves both links: each link's inverses and
+    # constants are those of _unit_pinv on that link alone, bit for bit,
+    # with one matrix past the Gram bound on each link (each gets its SVD)
+    # and one downlink whose Gram matrix underflows to zero (the stacked
+    # inversion raises, and the matrices are inverted one by one)
+    rng = np.random.default_rng(21)
+    up, down = complex_normal(rng, (3, 4, 6, 8)), complex_normal(rng, (3, 4, 8, 6))
+    up[1, 2, 0] *= 1e-3
+    down[2, 0, :, 0] *= 1e-3
+    down[0, 3] *= 1e-170
+    svd, shapes = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: shapes.append(a.shape) or svd(a, **kw))
+    block = ChannelBlock(up, down)
+    assert shapes == [(1, 6, 8), (2, 8, 6)]
+    for (g, c), (want_g, want_c) in (((block.right, block.alpha), _unit_pinv(up.reshape(12, 6, 8), True)),
+                                     ((block.left, block.beta), _unit_pinv(down.reshape(12, 8, 6), False))):
+        assert g.shape == (3, 4, *want_g.shape[1:]) and g.tobytes() == want_g.tobytes()
+        assert c.shape == (3, 4) and c.tobytes() == want_c.tobytes()
+
+
+def test_uplink_error_wins_over_downlink_error():
+    # a bad downlink matrix alone is named by its draw, link and user; with
+    # a bad uplink matrix too, the uplink's error is raised, whichever kind
+    # either is (a zero 4x1 downlink is refused by its SVD, entries of
+    # 1.5e308 have no scale in the float range), as when the links were
+    # inverted one after the other
+    rng = np.random.default_rng(6)
+    up, down = complex_normal(rng, (2, 3, 1, 4)), complex_normal(rng, (2, 3, 4, 1))
+    big_up, big_down, zero_down = up.copy(), down.copy(), down.copy()
+    big_up[1, 2] = big_down[0, 1] = 1.5e308
+    zero_down[0, 1] = 0.0
+    scale = "inverse scale of 2^1024 or more has no float"
+    uplink = (ScalarUnderflow, f"draw 1, uplink of user 2: right {scale}", 1)
+    for links, (kind, text, draw) in (
+        ((up, big_down), (ScalarUnderflow, f"draw 0, downlink of user 1: left {scale}", 0)),
+        ((up, zero_down), (RankDeficient, "draw 0, downlink of user 1: left inverse needs a well-conditioned "
+                                          "matrix: sigma_min/sigma_max = 0.000e+00", 0)),
+        ((big_up, big_down), uplink),
+        ((big_up, zero_down), uplink),
+    ):
+        with pytest.raises(kind) as got:
+            ChannelBlock(*links)
+        assert str(got.value) == text and got.value.index == draw
+
+
+def test_seeded_rows_ignore_what_the_generator_drew_before():
+    # seeded_normals re-keys the thread's one generator for every row: after
+    # a draw that leaves half a uint32 pair buffered, or an odd-length draw,
+    # each row still has the bytes of a fresh rng_for(seed, stream)
+    seeds = [5, 2**63 + 5, 2**64 - 1]
+    want = np.array([rng_for(seed, STREAM_NOISE).standard_normal(7) for seed in seeds])
+    seeded_normals([0], STREAM_NOISE, 1)  # the thread now has its generator
+    rng = yrelay.channel._thread.rng
+    for disturb, field, left in ((lambda: rng.integers(0, 2**32, dtype=np.uint32), "has_uint32", 1),
+                                 (lambda: rng.standard_normal(3), "buffer_pos", 3)):
+        reset_rng(rng, 9, STREAM_NOISE)
+        disturb()
+        assert rng.bit_generator.state[field] == left
+        assert seeded_normals(seeds, STREAM_NOISE, 7).tobytes() == want.tobytes()
+    assert yrelay.channel._thread.rng is rng
 
 
 def test_entry_moments():

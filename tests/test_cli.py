@@ -353,6 +353,23 @@ def test_sweep_db_takes_separate_negative_value(capsys):
     assert exit_code([*base, "--sweep-db", "-10:oops"]) == EXIT_USAGE
 
 
+def test_value_options_take_separate_exponent_value(capsys):
+    # argparse reads a value with an exponent (`-1e1`) as a flag and exits
+    # 2 whatever option takes it; main joins it to the option as it does a
+    # separate `--sweep-db` start
+    small = ["--k", "3", "--m", "4", "--n", "3"]
+    for command, flag, value, same in (
+        (["simulate", *small], "--power-db", "-1e1", "-10"),
+        (["sweep", *small, "--trials", "2"], "--sweep-db", "-1e1:10:30", "-10:10:30"),
+    ):
+        code, separate, _ = run_cli(capsys, "--quiet", *command, flag, value)
+        assert code == EXIT_OK
+        code, joined, _ = run_cli(capsys, "--quiet", *command, f"{flag}={value}")
+        assert code == EXIT_OK
+        assert separate == joined == run_cli(capsys, "--quiet", *command, f"{flag}={same}")[1]
+    assert [line.split(",")[0] for line in separate.splitlines()[2:7]] == ["-10.0", "0.0", "10.0", "20.0", "30.0"]
+
+
 def test_sweep_repeat_is_byte_identical(capsys):
     _, first, _ = run_cli(capsys, *SWEEP_ARGS)
     _, second, _ = run_cli(capsys, *SWEEP_ARGS)

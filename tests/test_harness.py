@@ -6,6 +6,7 @@ import json
 import math
 import random
 import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,7 @@ import yrelay.channel
 import yrelay.harness
 import yrelay.transceiver
 from yrelay.alignment import DofVector, user_pairs
-from yrelay.channel import SystemConfig
+from yrelay.channel import STREAM_CHANNEL, STREAM_NOISE, STREAM_SYMBOLS, SystemConfig
 from yrelay.errors import Infeasible, Underdetermined
 from yrelay.linalg import left_sum
 from yrelay.harness import (
@@ -262,18 +263,20 @@ def counted(fn, calls, key):
 
 def test_sweep_reuses_precoders_and_plan(monkeypatch):
     # the channel is block-constant and trials run in blocks of TRIAL_BLOCK:
-    # each draw takes its 2K matrices from one standard_normal call on its
-    # block's one generator; each block inverts each link direction's stack
-    # once, and that one Gram inversion is also the conditioning check of
-    # all its draws (a matrix within the bound gets no SVD; seed 1's second
-    # block holds a 6x6 downlink with cond(G) = 8.6e5 and a bound over 1e6,
-    # so that matrix alone gets its SVD and is inverted again on the route
-    # the SVD picks, one more inversion); it makes one stacked kernel call,
-    # on one generator of its own, for all its draws and power points; a
-    # noisy round draws its symbols and its noise with one standard_normal
-    # call each. The plan and its round layout come from the process memo:
-    # built for the first sweep of a (DoF vector, N, M), not again for a
-    # second sweep with another seed, and once more for another M.
+    # each draw takes its 2K matrices from one standard_normal call; each
+    # block makes one _unit_pinv call for both links, whose one Gram
+    # inversion is also the conditioning check of all its draws (a matrix
+    # within the bound gets no SVD; seed 1's second block holds a 6x6
+    # downlink with cond(G) = 8.6e5 and a bound over 1e6, so that matrix
+    # alone gets its SVD and is inverted again on the route the SVD picks,
+    # one more inversion); it makes one stacked kernel call for all its
+    # draws and power points; a noisy round draws its symbols and its noise
+    # with one standard_normal call each. Every row drawn is one re-key of
+    # the thread's one generator, which rng_for builds on the thread's
+    # first draw and never again. The plan and its round layout come from
+    # the process memo: built for the first sweep of a (DoF vector, N, M),
+    # not again for a second sweep with another seed, and once more for
+    # another M.
     calls = {}
     for module, name, key in (
         (yrelay.channel, "_unit_pinv", "mppi"),
@@ -284,23 +287,35 @@ def test_sweep_reuses_precoders_and_plan(monkeypatch):
         (np.linalg, "inv", "inv"),
     ):
         monkeypatch.setattr(module, name, counted(getattr(module, name), calls, key))
+    link = {STREAM_CHANNEL: "channel", STREAM_NOISE: "round", STREAM_SYMBOLS: "round"}
+
+    class CountingBits:
+        """A Philox bit generator that counts its re-keys per stream."""
+
+        def __init__(self, bits):
+            self._bits, self.link = bits, None
+
+        @property
+        def state(self):
+            return self._bits.state
+
+        @state.setter
+        def state(self, value):
+            self.link = link[value["state"]["key"][1]]
+            calls[self.link + "_rekey"] += 1
+            self._bits.state = value
 
     class CountingGenerator:
-        def __init__(self, rng, key):
-            self.bit_generator, self._rng, self._key = rng.bit_generator, rng, key
+        def __init__(self, rng):
+            self.bit_generator, self._rng = CountingBits(rng.bit_generator), rng
 
         def standard_normal(self, *args, **kwargs):
-            calls[self._key] += 1
+            calls[self.bit_generator.link + "_normal"] += 1
             return self._rng.standard_normal(*args, **kwargs)
 
-    for module, key in ((yrelay.channel, "channel"), (yrelay.transceiver, "round")):
-        fresh = module.rng_for
-
-        def make(seed, stream, fresh=fresh, key=key):
-            calls[key + "_rng"] += 1
-            return CountingGenerator(fresh(seed, stream), key + "_normal")
-
-        monkeypatch.setattr(module, "rng_for", make)
+    fresh = yrelay.channel.rng_for
+    monkeypatch.setattr(yrelay.channel, "rng_for", counted(lambda *key: CountingGenerator(fresh(*key)), calls, "rng"))
+    monkeypatch.setattr(yrelay.channel, "_thread", threading.local())  # a thread with no generator yet
     yrelay.transceiver.plan_layout.cache_clear()
     k_users, trials = 4, yrelay.harness.TRIAL_BLOCK + 3
     blocks = 2
@@ -313,21 +328,22 @@ def test_sweep_reuses_precoders_and_plan(monkeypatch):
     )
     rounds = len(cfg.sweep_db) * trials
     per_sweep = {
-        "mppi": 2 * blocks,
+        "mppi": blocks,
         "svd": 0,
-        "inv": 2 * blocks,
+        "inv": blocks,
         "kernel": blocks,
-        "channel_rng": blocks,
+        "channel_rekey": trials,
         "channel_normal": trials,
-        "round_rng": blocks,
+        "round_rekey": 2 * rounds,
         "round_normal": 2 * rounds,
     }
-    for sweep, built, checked in ((cfg, 1, 0), (dataclasses.replace(cfg, seed=1), 0, 1),
-                                  (dataclasses.replace(cfg, system=SystemConfig(K=k_users, M=7, N=6, P=1.0)), 1, 0)):
-        calls.update(dict.fromkeys([*per_sweep, "plan", "layout"], 0))
+    for sweep, built, checked, rng in ((cfg, 1, 0, 1), (dataclasses.replace(cfg, seed=1), 0, 1, 0),
+                                       (dataclasses.replace(cfg, system=SystemConfig(K=k_users, M=7, N=6, P=1.0)),
+                                        1, 0, 0)):
+        calls.update(dict.fromkeys([*per_sweep, "plan", "layout", "rng"], 0))
         run_sweep(sweep)
         routed = {"svd": checked, "inv": per_sweep["inv"] + checked}
-        assert calls == {**per_sweep, **routed, "plan": built, "layout": built}
+        assert calls == {**per_sweep, **routed, "plan": built, "layout": built, "rng": rng}
     # the memo's layout is shared read-only: it holds no generator, and its
     # indices refuse writes
     layout = yrelay.transceiver.plan_layout(cfg.dof, 6, 6)
