@@ -12,7 +12,9 @@ links; its random rows re-key the thread's one generator) and get one
 that call's (trial, point) arrays as they come, and the block is dropped
 before the next one, so a sweep holds one block at a time.
 Each trial gets the bits it would get alone. Floats are added left to right
-(`left_sum`), so the bytes do not depend on the Python version. All
+(`left_sum`): a block's sums over directions take one accumulate call
+along that axis, and its sums over trials add one trial's row at a time,
+so the bytes do not depend on the Python version or the block size. All
 sub-seeds derive from the master seed with a splitmix64 chain, so a report
 is a pure function of (config, seed): repeated runs emit identical bytes.
 """
@@ -211,12 +213,12 @@ class _PointSums:
         snr = rounds.snr
         streams = snr.effective.shape[2]
         if streams:
-            self.snr = left_sum(left_sum(snr.effective.transpose(2, 0, 1)) / streams, self.snr)
+            self.snr = left_sum(left_sum(snr.effective, axis=-1) / streams, self.snr)
             self.rate = left_sum(snr.rate_proxy / streams, self.rate)
         self.sum_rate = left_sum(snr.rate_proxy, self.sum_rate)
         errs = rounds.rel_errors
         if errs.shape[2]:
-            self.err = left_sum(left_sum(errs.transpose(2, 0, 1)) / errs.shape[2], self.err)
+            self.err = left_sum(left_sum(errs, axis=-1) / errs.shape[2], self.err)
             self.err_max = np.maximum(self.err_max, errs.max(axis=(0, 2)))
 
     def rows(self, sweep_db, trials: int) -> list:
@@ -231,13 +233,15 @@ def run_sweep(cfg: ExperimentConfig) -> SweepReport:
     """Run the full power sweep; deterministic given (cfg, seed)."""
     layout = plan_layout(cfg.dof, cfg.system.N, cfg.system.M)  # raises Infeasible before any work
     powers = cfg.powers
-    # derive_seed(seed, SUBSEED_ROUND, pi, t) continues the chain of derive_seed(seed, SUBSEED_ROUND, pi).
+    # derive_seed(seed, SUBSEED_ROUND, pi, t) continues the chain of derive_seed(seed, SUBSEED_ROUND, pi),
+    # and derive_seed(seed, SUBSEED_CHANNEL, t) that of derive_seed(seed, SUBSEED_CHANNEL).
     point_seeds = [derive_seed(cfg.seed, SUBSEED_ROUND, pi) for pi in range(len(powers))]
+    channel_root = derive_seed(cfg.seed, SUBSEED_CHANNEL)
     sums = _PointSums(len(powers))
     for first in range(0, cfg.trials, TRIAL_BLOCK):
         block = range(first, min(first + TRIAL_BLOCK, cfg.trials))
         # One draw per trial serves every power point.
-        channels = sample_channel_block(cfg.system, [derive_seed(cfg.seed, SUBSEED_CHANNEL, t) for t in block])
+        channels = sample_channel_block(cfg.system, [derive_seed(channel_root, t) for t in block])
         seeds = [derive_seed(point, t) for t in block for point in point_seeds]
         sums.add(transmit_round(channels, layout, powers, seeds, mode=cfg.mode, noise=cfg.noise))
     rows = sums.rows(cfg.sweep_db, cfg.trials)

@@ -5,10 +5,13 @@ whole stacks of matrices at once (one Gram inversion for all of them, and
 an SVD only for a matrix whose Gram inverse fails its conditioning bound),
 scaled to unit Frobenius norm so that pre/post-coding turns every channel
 into a scaled identity; and the left-to-right sum that keeps float results
-independent of Python versions.
+independent of Python versions, over the items of an iterable or, in one
+`np.add.accumulate` call, along one axis of an array.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -32,18 +35,32 @@ def well_conditioned(s):
     return (top > 0) & (ratio >= RANK_TOL)
 
 
-def left_sum(values, start=0.0):
+def left_sum(values, start=0.0, axis=None):
     """((start + v0) + v1) + ..., added left to right.
 
     Builtin `sum()` adds floats with compensation from Python 3.12 on, and
     `np.sum` adds pairwise, so neither keeps a report's bytes across
-    versions. On arrays the sums run elementwise: each entry of
-    `left_sum(a.T)` is one row of a 2-D `a` added left to right.
+    versions. With no `axis` the terms are the items of `values`, added one
+    at a time (arrays elementwise). With an `axis` they are the entries of
+    the array `values` along it: `start` and the terms fill one buffer that
+    one `np.add.accumulate` runs through, sequential by definition (out[i]
+    = out[i-1] + a[i]), so each entry has the loop's bits in one call. An
+    empty axis gives `start` over the remaining shape.
     """
-    total = start
-    for v in values:
-        total = total + v
-    return total
+    if axis is None:
+        total = start
+        for v in values:
+            total = total + v
+        return total
+    terms = np.asarray(values)
+    axis = range(terms.ndim)[axis]
+    head = (slice(None),) * axis
+    buf = np.empty((*terms.shape[:axis], terms.shape[axis] + 1, *terms.shape[axis + 1 :]),
+                   np.result_type(start, terms))
+    buf[(*head, 0)] = start
+    buf[(*head, slice(1, None))] = terms
+    np.add.accumulate(buf, axis=axis, out=buf)
+    return buf[(*head, -1)]
 
 
 def _gram_pinv(links):
@@ -63,7 +80,8 @@ def _gram_pinv(links):
                 gram_inv[i] = np.linalg.inv(q)
             except np.linalg.LinAlgError:
                 pass
-    xs = np.split(gram_inv, np.cumsum([len(a) for a, _ in links[:-1]]))
+    ends = list(itertools.accumulate(len(a) for a, _ in links))
+    xs = (gram_inv[end - len(a) : end] for (a, _), end in zip(links, ends))
     return [ah @ x if right else x @ ah for (_, right), ah, x in zip(links, ahs, xs)], gram, gram_inv
 
 

@@ -202,7 +202,7 @@ def effective_snr(block: ChannelBlock, layout: RoundLayout, powers, mode: str = 
     # component alpha_j^2, beta_k^2 and the filtered noise power of its row
     # of Dl_k. Squares are Python floats, as per-component code had them.
     a2, b2 = (np.array([x**2 for x in c.ravel().tolist()]).reshape(c.shape) for c in (block.alpha, block.beta))
-    word_power = left_sum((a2[:, layout.snr_senders] * layout.snr_sizes).T, np.zeros(len(a2)))[:, None]
+    word_power = left_sum(a2[:, layout.snr_senders] * layout.snr_sizes, axis=-1)[:, None]
     j, k, row = layout.snr_components
     snr_a2 = a2[:, None, j]
     powers = np.asarray(powers, dtype=np.float64)
@@ -215,10 +215,10 @@ def effective_snr(block: ChannelBlock, layout: RoundLayout, powers, mode: str = 
     snr_down, rates = np.empty((2, *shape, len(layout.snr_keys)))
     for where, index in layout.snr_groups:
         snr_down[..., where] = down[..., index].min(axis=-1)
-        rates[..., where] = left_sum(np.moveaxis(logs[..., index], -1, 0)) / plan.T
-    uplink = np.broadcast_to(a2[:, None, layout.snr_senders], snr_down.shape)
+        rates[..., where] = left_sum(logs[..., index].transpose(3, 0, 1, 2)) / plan.T
+    uplink = a2[:, None, layout.snr_senders].repeat(len(powers), axis=1)
     effective = snr_down if mode == GENIE else np.minimum(uplink, snr_down)
-    rate_proxy = left_sum(np.moveaxis(rates, -1, 0), np.zeros(shape))
+    rate_proxy = left_sum(rates, axis=-1)
     return SnrBatch(uplink, snr_down, effective, rates, rate_proxy)
 
 
@@ -298,7 +298,7 @@ def transmit_round(
     t_ext, n, length = plan.T, plan.N, plan.word_length
     powers = np.asarray(powers, dtype=np.float64)
     shape = (len(block.uplink), len(powers))
-    budgets = np.broadcast_to(powers, shape)
+    budgets = powers[None].repeat(shape[0], axis=0)
     if len(seeds) != budgets.size:
         raise ValueError(f"{shape[0]} draws x {shape[1]} power points but {len(seeds)} seeds")
     size = len(layout.sender)
@@ -330,9 +330,10 @@ def transmit_round(
     # sum_j H_j x_j + z with the padding tail zeroed.
     zeros = np.zeros((*shape, length), dtype=np.complex128)
     if mode == GENIE:
-        w_hat = left_sum(np.moveaxis(scaled, 2, 0), zeros)
+        w_hat = left_sum(scaled.transpose(2, 0, 1, 3), zeros)
     else:
-        w_hat = left_sum(np.moveaxis(block.uplink[:, None, :, None] @ x, 2, 0), zeros.reshape(*shape, t_ext, n, 1))
+        w_hat = left_sum((block.uplink[:, None, :, None] @ x).transpose(2, 0, 1, 3, 4, 5),
+                         zeros.reshape(*shape, t_ext, n, 1))
         if noise:
             w_hat += z_up
         w_hat = w_hat.reshape(*shape, length)

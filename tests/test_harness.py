@@ -11,8 +11,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import yrelay.channel
 import yrelay.harness
@@ -52,6 +53,15 @@ def test_derive_seed_is_deterministic_and_spread():
     # a sub-seed continues its prefix's chain, as a sweep derives its round seeds
     for master in (0, 42, 2**63 + 5, 2**64 - 1):
         assert derive_seed(derive_seed(master, 0x0E, 6), 31) == derive_seed(master, 0x0E, 6, 31)
+
+
+@settings(deadline=None, database=None, derandomize=True, max_examples=200)
+@given(st.integers(-2**64, 2**65 - 1), st.integers(0, 2**32), st.integers(0, 2**32))
+def test_derive_seed_chain_splits_anywhere(seed, a, b):
+    # run_sweep derives the channel root derive_seed(seed, SUBSEED_CHANNEL)
+    # once and trial t's seed from it: the seed of derive_seed(seed,
+    # SUBSEED_CHANNEL, t), for any master seed the config takes
+    assert derive_seed(derive_seed(seed, a), b) == derive_seed(seed, a, b)
 
 
 def test_config_validation():
@@ -138,6 +148,75 @@ def test_left_sum_adds_left_to_right():
     # on arrays, elementwise: the columns of a.T are the rows of a
     rows = np.array([[0.1] * 10, [1e16, 1.0, -1e16] + [0.0] * 7])
     assert left_sum(rows.T).tolist() == [0.9999999999999999, 0.0]
+
+
+# Terms of a left_sum test: any float, and the values where orders and
+# formulas part (signed zeros, infinities, NaN, subnormals, a cancellation).
+SUM_TERMS = st.one_of(
+    st.sampled_from([-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310, 1e16, 1.0, -1e16, 0.1]),
+    st.floats(width=64),
+)
+
+
+@st.composite
+def axis_sums(draw):
+    """(a, start, k): float64 or complex128 terms of 1-4 dimensions with 0-25
+    along axis k (negative k too), and a start that is a scalar or an array
+    that broadcasts to the other axes."""
+    dtype = draw(st.sampled_from([np.float64, np.complex128]))
+    rest = draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3))
+    k = draw(st.integers(-len(rest) - 1, len(rest)))
+    shape = list(rest)
+    shape.insert(k % (len(rest) + 1), draw(st.integers(0, 25)))
+
+    def values(dtype, shape):
+        re = draw(hnp.arrays(np.float64, shape, elements=SUM_TERMS))
+        if dtype is np.float64:
+            return re
+        z = np.empty(shape, np.complex128)  # parts set apart: 1j * inf has a NaN real part
+        z.real, z.imag = re, draw(hnp.arrays(np.float64, shape, elements=SUM_TERMS))
+        return z
+
+    a = values(dtype, tuple(shape))
+    if draw(st.booleans()):
+        start = draw(SUM_TERMS)
+    else:
+        ndim = draw(st.integers(0, len(rest)))
+        start_shape = tuple(draw(st.sampled_from([1, n])) for n in rest[len(rest) - ndim :])
+        start = values(draw(st.sampled_from([np.float64, np.complex128])), start_shape)
+    return a, start, k
+
+
+def _sum_bits(x):
+    """dtype, shape and bytes of a sum, with every NaN part written as
+    np.nan: IEEE 754 leaves open which NaN a sum of two NaNs keeps, and
+    numpy's array add and its accumulate keep different ones (inf + -inf
+    gives a negative NaN on x86, np.nan is positive). A report prints every
+    NaN as nan."""
+    x = np.asarray(x)
+    parts = np.stack((x.real, x.imag))
+    return x.dtype, x.shape, np.where(np.isnan(parts), np.nan, parts).tobytes()
+
+
+@settings(deadline=None, database=None, derandomize=True, max_examples=400)
+@given(axis_sums())
+@example((np.array([1e16, 1.0, -1e16]), 0.0, 0))  # 1e16 + 1 rounds to 1e16
+@example((np.array([[0.1] * 10, [1e16, 1.0, -1e16] + [0.0] * 7]), np.zeros(2), -1))
+@example((np.array([-0.0, -0.0]), -0.0, 0))  # -0.0 throughout, and 0.0 from a 0.0 start
+@example((np.array([-0.0, -0.0]), 0.0, 0))
+@example((np.zeros((2, 0, 3), np.complex128), np.array([1.0, -0.0, 2.0]), 1))  # an empty axis
+def test_left_sum_axis_matches_the_loop(case):
+    # the axis path is one accumulate over a buffer of start and the terms;
+    # each entry has the bits of the loop over the terms moved to the front
+    a, start, k = case
+    moved = np.moveaxis(a, k, 0)
+    with np.errstate(all="ignore"):  # inf + -inf is a term here, not a fault
+        if len(moved):
+            want = left_sum(moved, start)
+        else:  # no terms: start over the other axes, in the type the terms would give
+            want = np.broadcast_to(np.asarray(start, np.result_type(start, a)), moved.shape[1:])
+        got = left_sum(a, start, axis=k)
+    assert _sum_bits(got) == _sum_bits(want)
 
 
 def test_fit_sums_left_to_right():
@@ -351,6 +430,35 @@ def test_sweep_reuses_precoders_and_plan(monkeypatch):
     for index in (layout.word_index, layout.receive_index, layout.noise_index):
         with pytest.raises(ValueError):
             index[0] = 0
+
+
+def test_sweep_blocks_call_no_numpy_shape_helper(monkeypatch):
+    # np.moveaxis, np.broadcast_to and np.split each cost a few microseconds
+    # a call, several adds on a block's small arrays: a sweep block
+    # sums with accumulate, transposes and slices instead. A 2-block genie
+    # sweep (K=4, M=N=6) and a 1-block raw sweep at T=4 (K=5, M=8, N=6); at
+    # these seeds no matrix goes past the Gram bound, so no SVD route runs
+    calls = dict.fromkeys(["moveaxis", "broadcast_to", "split", "svd"], 0)
+    for module, name in ((np, "moveaxis"), (np, "broadcast_to"), (np, "split"), (np.linalg, "svd")):
+        monkeypatch.setattr(module, name, counted(getattr(module, name), calls, name))
+    genie = ExperimentConfig(
+        system=SystemConfig(K=4, M=6, N=6, P=1.0),
+        dof=DofVector.uniform(4, Fraction(1)),
+        sweep_db=(30.0, 35.0, 40.0, 45.0, 50.0, 55.0, 60.0),
+        trials=yrelay.harness.TRIAL_BLOCK + 3,
+        seed=0,
+    )
+    raw = ExperimentConfig(
+        system=SystemConfig(K=5, M=8, N=6, P=1.0),
+        dof=DofVector.uniform(5, Fraction(1, 4)),
+        sweep_db=(20.0, 40.0, 60.0),
+        trials=2,
+        seed=0,
+        mode="raw",
+    )
+    for cfg in (genie, raw):
+        run_sweep(cfg)
+    assert calls == dict.fromkeys(calls, 0)
 
 
 def test_concurrent_sweeps_match_sequential_bytes():
