@@ -9,8 +9,9 @@ relay-word alignment blocks), `simplex` (integer-tableau LPs) and `dofregion`
 `transceiver` (end-to-end rounds, every draw and power point of a block of
 trials in one call) and `harness` (sweeps and reports).
 
-The package root re-exports the exact core only, so importing it does not
-load numpy; simulator names are imported from their modules.
+The package root re-exports the exact core only, so importing it loads
+neither numpy nor `dataclasses` (the core's records are named tuples);
+simulator names are imported from their modules.
 """
 
 from .alignment import DofVector, StreamPlan, build_stream_plan

@@ -18,7 +18,7 @@ enter the feasibility logic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache, cached_property
 
@@ -120,24 +120,20 @@ class DofVector:
         return {"K": self.K, "entries": entries}
 
 
-@dataclass(frozen=True)
-class AlignmentBlock:
+class AlignmentBlock(namedtuple("AlignmentBlock", "users streams offset length")):
     """`length` components of the relay word from `offset` in which users[i]
     sends streams[i] symbols to the next user in `users`, wrapping round;
-    each direction zero-fills the rest of the block."""
+    each direction zero-fills the rest of the block. A read-only named tuple:
+    it equals the plain tuple of its fields."""
 
-    users: tuple
-    streams: tuple
-    offset: int
-    length: int
+    __slots__ = ()
 
     def directions(self):
         """((sender, receiver), symbols) per direction of the block."""
         return zip(zip(self.users, self.users[1:] + self.users[:1]), self.streams)
 
 
-@dataclass(frozen=True)
-class StreamPlan:
+class StreamPlan(namedtuple("StreamPlan", "K N T blocks")):
     """Alignment-block layout of the length-T*N relay word.
 
     `blocks` holds one pair block per unordered pair {j,k}, users (j, k), in
@@ -147,12 +143,9 @@ class StreamPlan:
 
     A round holds all symbols in one flat vector, v_jk for the ordered pairs
     in `ordered_pairs` order; the cached `symbol_spans` locate each v_jk in it.
+    A read-only named tuple (== its field tuple) but for the `__dict__` that
+    holds the cached properties.
     """
-
-    K: int
-    N: int
-    T: int
-    blocks: tuple
 
     @property
     def word_length(self) -> int:

@@ -25,7 +25,7 @@ members (2^(K/2) each), the extreme ordering rows and `alignment.pair_cells`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from operator import add, itemgetter
@@ -39,23 +39,23 @@ TIGHT_LIST_MAX = 40320   # 8!, every ordering of 8 users
 GAP_MAX_USERS = 5        # 2^(K(K-1)/2) direction selections, one LP each
 
 
-@dataclass(frozen=True)
-class RegionSpec:
-    """Region parameters: K users, N relay antennas (users have M >= N)."""
+class RegionSpec(namedtuple("RegionSpec", "K N")):
+    """Region parameters: K users, N relay antennas (users have M >= N).
+    A read-only named tuple: RegionSpec(K=4, N=6) == (4, 6)."""
 
-    K: int
-    N: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.K < 3:
-            raise ValueError(f"need at least 3 users, got K={self.K}")
-        if self.N < 1:
-            raise ValueError(f"need at least one relay antenna, got N={self.N}")
+    def __new__(cls, K: int, N: int):
+        if K < 3:
+            raise ValueError(f"need at least 3 users, got K={K}")
+        if N < 1:
+            raise ValueError(f"need at least one relay antenna, got N={N}")
+        return tuple.__new__(cls, (K, N))
 
 
-@dataclass(frozen=True)
-class MembershipVerdict:
-    """Outcome of the check of all ordering constraints.
+class MembershipVerdict(namedtuple("MembershipVerdict", "member witness tight max_value")):
+    """Outcome of the check of all ordering constraints, a read-only named
+    tuple (equal to the plain tuple of its fields).
 
     When violated, `witness` is (permutation, exact constraint value > N)
     for the lexicographically first violating permutation, and `max_value`
@@ -64,10 +64,7 @@ class MembershipVerdict:
     constraint value.
     """
 
-    member: bool
-    witness: tuple | None
-    tight: tuple
-    max_value: Fraction
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {
@@ -81,13 +78,16 @@ class MembershipVerdict:
 
 
 def _subset_sums(rows, half: int):
-    """Tables (lo, hi) of lists with lo[s % 2^half][v] + hi[s >> half][v]
-    equal to the sum of rows[u][v] over the set bits u of s."""
+    """Tables (lo, hi) of sequences with lo[s % 2^half][v] + hi[s >> half][v]
+    equal to the sum of rows[u][v] over the set bits u of s. A single-user
+    entry is its row itself, so a half of h rows adds 2^h - 1 - h rows."""
     tables = []
     for part in (rows[:half], rows[half:]):
         table = [[0] * len(rows[0])]
         for row in part:
-            table += [list(map(add, sums, row)) for sums in table]
+            table.append(row)
+            for t in range(1, len(table) - 1):
+                table.append(list(map(add, table[t], row)))
         tables.append(table)
     return tables
 
@@ -112,7 +112,9 @@ class _OrderingDP:
     `scale` = T times the exact one. Bit u-1 of a subset S stands for user
     u. best[S], the largest sum over orderings of S of the entries from
     earlier to later users, is the max over u in S of out(u, S) + best[S - u]
-    (u first; out(u, S) sums the entries from u to S, d_uu none). The out
+    (u first; out(u, S) sums the entries from u to S, d_uu none). A single
+    user's best is 0, so the loop fills only subsets of two or more users,
+    band by band: those with highest user b+1 other than {b+1}. The out
     tables are the one subset table of the DP, `tight_count` and `orderings`.
     """
 
@@ -127,16 +129,17 @@ class _OrderingDP:
         # out(u, S) = lo[S % 2^half][u] + hi[S >> half][u]
         lo, hi = self.out = _subset_sums([entries(scaled) for entries in into], half)
         best = [0] * (1 << k)
-        for s in range(1, 1 << k):
-            low, high = s & mask, s >> half
-            out_lo, out_hi = lo[low], hi[high]
-            top = -1
-            for u, bit in lo_steps[low] + hi_steps[high]:
-                # user u+1 placed first: it precedes every other member
-                value = best[s ^ bit] + out_lo[u] + out_hi[u]
-                if value > top:
-                    top = value
-            best[s] = top
+        for b in range(1, k):
+            for s in range(1 << b | 1, 2 << b):
+                low, high = s & mask, s >> half
+                out_lo, out_hi = lo[low], hi[high]
+                top = -1
+                for u, bit in lo_steps[low] + hi_steps[high]:
+                    # user u+1 placed first: it precedes every other member
+                    value = best[s ^ bit] + out_lo[u] + out_hi[u]
+                    if value > top:
+                        top = value
+                best[s] = top
         self.best = best
 
     def tight_count(self) -> int:

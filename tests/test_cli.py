@@ -437,18 +437,21 @@ NUMPY_FREE_COMMANDS = [
 @pytest.mark.parametrize("argv", NUMPY_FREE_COMMANDS, ids=" ".join)
 def test_exact_commands_do_not_import_numpy(argv):
     # the exact core (alignment, dofregion, simplex) and the package root
-    # stand on the standard library; only the simulator commands load numpy
+    # stand on the standard library; only the simulator commands load numpy.
+    # Their records are named tuples, so neither `dataclasses` nor the
+    # `inspect` it imports is loaded either; -S keeps site hooks (.pth
+    # files) from loading modules the package does not ask for
     script = (
         "import sys\n"
         "from yrelay.cli import main\n"
         "try:\n    code = main(sys.argv[1:])\nexcept SystemExit as exc:\n    code = exc.code\n"
-        "print('numpy' in sys.modules, file=sys.stderr)\n"
+        "print([m for m in ('numpy', 'dataclasses', 'inspect') if m in sys.modules], file=sys.stderr)\n"
         "sys.exit(code)\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, env=child_env())
+    proc = subprocess.run([sys.executable, "-S", "-c", script, *argv], capture_output=True, env=child_env())
     assert proc.returncode == EXIT_OK
     assert proc.stdout
-    assert proc.stderr.splitlines()[-1] == b"False"
+    assert proc.stderr.splitlines()[-1] == b"[]"
 
 
 # --------------------------------------------------------------------- config

@@ -7,6 +7,7 @@ LPs to; the full-row LP as a support-function oracle for the vertex list;
 and a closed-form vertex catalogue checked for several N.
 """
 
+import pickle
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -18,11 +19,21 @@ from hypothesis import strategies as st
 
 import yrelay.dofregion
 from conftest import permutation_constraint
-from yrelay.alignment import DofVector, build_stream_plan, ordered_pairs, pair_cells, user_pairs
+from yrelay.alignment import (
+    AlignmentBlock,
+    DofVector,
+    StreamPlan,
+    build_stream_plan,
+    ordered_pairs,
+    pair_cells,
+    pair_index,
+    user_pairs,
+)
 from yrelay.dofregion import (
     GAP_MAX_USERS,
     ORACLE_MAX_USERS,
     TIGHT_LIST_MAX,
+    MembershipVerdict,
     RegionSpec,
     construction_feasible,
     find_construction_gap,
@@ -46,6 +57,51 @@ def test_region_spec_validation():
         RegionSpec(K=2, N=6)
     with pytest.raises(ValueError):
         RegionSpec(K=4, N=0)
+
+
+BLOCK12 = AlignmentBlock(users=(1, 2), streams=(3, 1), offset=0, length=3)
+# (record, another of its type, its repr)
+RECORDS = {
+    "RegionSpec": (RegionSpec(K=4, N=6), RegionSpec(K=4, N=7), "RegionSpec(K=4, N=6)"),
+    "MembershipVerdict": (
+        MembershipVerdict(member=False, witness=((2, 1, 3), F(7, 2)), tight=(), max_value=F(7, 2)),
+        MembershipVerdict(member=True, witness=None, tight=(), max_value=F(7, 2)),
+        "MembershipVerdict(member=False, witness=((2, 1, 3), Fraction(7, 2)), tight=(), max_value=Fraction(7, 2))",
+    ),
+    "AlignmentBlock": (
+        BLOCK12,
+        AlignmentBlock(users=(1, 2), streams=(3, 1), offset=1, length=3),
+        "AlignmentBlock(users=(1, 2), streams=(3, 1), offset=0, length=3)",
+    ),
+    "StreamPlan": (
+        StreamPlan(K=3, N=2, T=2, blocks=(BLOCK12,)),
+        StreamPlan(K=3, N=3, T=2, blocks=(BLOCK12,)),
+        "StreamPlan(K=3, N=2, T=2, blocks=(" + repr(BLOCK12) + ",))",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_region_records_keep_their_contract(name):
+    # the records are named tuples: keyword construction, read-only fields,
+    # field-wise equality and hash, the keyword repr and pickling; each also
+    # equals the plain tuple of its fields
+    record, other, text = RECORDS[name]
+    fields = record._asdict()
+    assert type(record).__name__ == name and repr(record) == text
+    assert record == type(record)(**fields) == tuple(fields.values()) and record != other
+    assert hash(record) == hash(type(record)(**fields)) == hash(tuple(fields.values()))
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    copy = pickle.loads(pickle.dumps(record))
+    assert type(copy) is type(record) and copy == record and repr(copy) == text
+
+
+def test_stream_plan_caches_in_its_dict():
+    plan = build_stream_plan(ALL_ONES, 6)
+    assert plan.padding == 0 and plan.__dict__ == {"padding": 0}
+    assert pickle.loads(pickle.dumps(plan)).symbol_spans == plan.symbol_spans
 
 
 # ---------------------------------------------------------------- constraints
@@ -277,6 +333,41 @@ def test_one_subset_table_per_dp(monkeypatch):
     builds.update(dp=0, tables=0, walks=0)
     assert find_construction_gap(SPEC46) is not None
     assert builds["walks"] > 0 and builds["tables"] == builds["dp"] > builds["walks"]
+
+
+def _brute_best(d, users) -> int:
+    """Largest scaled ordering sum over the orderings of `users`."""
+    index = pair_index(d.K)
+    return max(
+        sum(d.scaled[index[(p[a], p[b])]] for a in range(len(p)) for b in range(a + 1, len(p)))
+        for p in permutations(users)
+    )
+
+
+@pytest.mark.parametrize("k", [5, 6])
+def test_dp_fills_every_subset_exactly(k):
+    # every per-subset value of the DP and of its half tables, not only those
+    # the pruned walk reads, on one fixed vector per K (zeros, repeats and a
+    # common denominator T = 3 among its entries)
+    scaled = [(7 * i + k) % 11 if i % 4 else 0 for i in range(k * (k - 1))]
+    d = DofVector.from_scaled(k, scaled, 3)
+    dp = yrelay.dofregion._OrderingDP(d)
+    index = pair_index(k)
+    for s in range(1 << k):
+        users = [u for u in range(1, k + 1) if s >> (u - 1) & 1]
+        assert dp.best[s] == (_brute_best(d, users) if users else 0)
+        if len(users) == 1:
+            assert dp.best[s] == 0
+        elif len(users) == 2:
+            u, v = users
+            assert dp.best[s] == max(d.scaled[index[(u, v)]], d.scaled[index[(v, u)]])
+    rows = [[(3 * u + 5 * v) % 7 for v in range(k + 1)] for u in range(k)]
+    for half in range(k + 1):
+        lo, hi = yrelay.dofregion._subset_sums(rows, half)
+        assert len(lo) == 1 << half and len(hi) == 1 << (k - half)
+        for s in range(1 << k):
+            sums = [sum(rows[u][v] for u in range(k) if s >> u & 1) for v in range(k + 1)]
+            assert [a + b for a, b in zip(lo[s % (1 << half)], hi[s >> half])] == sums
 
 
 # -------------------------------------------------------------------- sum-DoF
