@@ -5,20 +5,20 @@ normalized inverses that diagonalize them (the precoders and receive
 filters with their constants alpha_j and beta_k), both link directions'
 N x N Gram matrices inverted in one call. `sample_channel_block` draws a
 block, each draw's 2K matrices with one standard-normal call; the inverses
-are the conditioning check (an SVD only for a matrix past their bound);
-`sample_channels` is the block of one. Rounds read the block's arrays as
-is; signals cross its matrices only in `transceiver.transmit_round`.
+are the conditioning check (an SVD only for a matrix past their bound).
+Rounds read the block's arrays as is; signals cross its matrices only in
+`transceiver.transmit_round`.
 
-All randomness comes from the Philox counter-based generator keyed with
-(seed, stream id), so any seed reproduces the exact same realization; its
-stream is a pure function of (key, counter), so `seeded_normals` draws
-every row on one generator per thread, re-keyed per row. Streams
-of different keys are independent, but two seeds can share a key: numpy
-reads the key `[seed, stream]` through a float64 array when seed >= 2^63,
-which rounds the seed to a multiple of 2^11, so 2^63 + 5 and 2^63 + 6 (for
-example) draw the same streams, and `reset_rng` keys its streams the same
-way (a seed that rounds up to 2^64 is keyed as 0). Stream ids used in this
-package:
+All randomness comes from `seeded_normals`, the one routine here that keys
+a Philox counter-based generator: row i is the start of the stream keyed
+(seeds[i], stream id), so any seed reproduces the exact same realization.
+A Philox stream is a pure function of (key, counter), so every row is drawn
+on one generator per thread, re-keyed per row. Streams of different keys
+are independent, but two seeds can share a key: numpy reads the key
+`[seed, stream]` through a float64 array when seed >= 2^63, which rounds
+the seed to a multiple of 2^11, so 2^63 + 5 and 2^63 + 6 (for example) draw
+the same streams, and `_philox_key` keys its streams the same way (a seed
+that rounds up to 2^64 is keyed as 0). Stream ids used in this package:
 
     1  channel matrices      (sample_channel_block)
     2  receiver noise        (transceiver.transmit_round, uplink then downlink)
@@ -46,11 +46,6 @@ _MASK64 = (1 << 64) - 1
 _ZERO4 = (0, 0, 0, 0)
 
 
-def rng_for(seed: int, stream: int) -> np.random.Generator:
-    """Philox generator addressed by (seed, stream)."""
-    return reset_rng(np.random.Generator(np.random.Philox(key=0)), seed, stream)
-
-
 def _philox_key(seed: int, stream: int) -> list:
     """The key of `Philox(key=[seed, stream])`: numpy reads a list holding a
     value >= 2^63 as float64, so both entries are then rounded to doubles.
@@ -64,32 +59,23 @@ def _philox_key(seed: int, stream: int) -> list:
     return key
 
 
-# A Philox state but its "state" entry: the buffer empty, so the next draw starts at the counter.
-_START = {"bit_generator": "Philox", "buffer": _ZERO4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-
-
-def reset_rng(rng: np.random.Generator, seed: int, stream: int) -> np.random.Generator:
-    """Re-key the Philox generator `rng` to the start of stream (seed, stream)
-    and return it: the state `Philox(key=[seed, stream])` starts in."""
-    rng.bit_generator.state = {**_START, "state": {"counter": _ZERO4, "key": _philox_key(seed, stream)}}
-    return rng
-
-
 _thread = threading.local()  # .rng: the calling thread's generator for seeded_normals
 
 
 def seeded_normals(seeds, stream: int, size: int) -> np.ndarray:
     """Row i: `size` standard normals from the start of stream (seeds[i],
-    stream). A Philox stream is a pure function of its key and counter, so
-    every row is drawn on the calling thread's one generator (`rng_for`
-    builds it on the thread's first call), re-keyed per row by a state dict
-    of this call's own: whatever the generator drew before, the row is
-    that of a fresh `rng_for(seeds[i], stream)`."""
+    stream), those of a fresh `Philox(key=[seeds[i], stream])` generator.
+    A Philox stream is a pure function of its key and counter, so every row
+    is drawn on the calling thread's one generator (built on the thread's
+    first call), re-keyed per row by a state dict of this call's own, with
+    the counter at zero and the buffer empty: whatever the generator drew
+    before, the row starts at the stream's start."""
     rng = getattr(_thread, "rng", None)
     if rng is None:
-        rng = _thread.rng = rng_for(0, stream)
+        rng = _thread.rng = np.random.Generator(np.random.Philox(key=0))
     inner = {"counter": _ZERO4}
-    state = {**_START, "state": inner}
+    state = {"bit_generator": "Philox", "state": inner, "buffer": _ZERO4, "buffer_pos": 4, "has_uint32": 0,
+             "uinteger": 0}
     out = np.empty((len(seeds), size))
     for row, seed in zip(out, seeds):
         inner["key"] = _philox_key(seed, stream)
@@ -156,9 +142,10 @@ class ChannelBlock:
     each Gram matrix G (H H^H, D^H D) and its inverse X, which the precoders
     need anyway, cond_2(G) = ||G||_2 ||G^{-1}||_2 <= ||G||_F ||X||_F up to
     X's rounding, so a matrix whose bound is within 1e6 needs no SVD. The
-    error, or ScalarUnderflow for an alpha or beta past the float range,
-    names the matrix's draw (its `index`), link and user; an uplink error
-    is raised before any downlink one. A plain class:
+    error, or ScalarUnderflow for an alpha or beta whose square has no
+    float (the SNR model squares them), names the matrix's draw (its
+    `index`), link and user; an uplink error is raised before any downlink
+    one. A plain class:
     other matrices make a new block, with their own inverses.
     """
 
@@ -171,7 +158,8 @@ class ChannelBlock:
         d, k = up[:2]
         try:
             right, alpha, left, beta = _unit_pinv(
-                self.uplink.reshape(d * k, *up[2:]), True, self.downlink.reshape(d * k, *down[2:]), False)
+                self.uplink.reshape(d * k, *up[2:]), True, self.downlink.reshape(d * k, *down[2:]), False,
+                scale_bits=512)
         except (RankDeficient, ScalarUnderflow) as exc:
             link, place = divmod(exc.index, d * k)
             draw, user = divmod(place, k)
@@ -180,15 +168,10 @@ class ChannelBlock:
         self.alpha, self.beta = alpha.reshape(d, k), beta.reshape(d, k)
 
 
-def sample_channels(cfg: SystemConfig, seed: int) -> ChannelBlock:
-    """Draw K uplink (N x M) and K downlink (M x N) matrices, i.i.d. CN(0,1):
-    the block of one of `sample_channel_block`."""
-    return sample_channel_block(cfg, [seed])
-
-
 def sample_channel_block(cfg: SystemConfig, seeds) -> ChannelBlock:
     """One channel draw per seed, each deterministic per its seed, as one
-    ChannelBlock.
+    ChannelBlock: K uplink (N x M) and K downlink (M x N) matrices, i.i.d.
+    CN(0,1).
 
     Each draw's 2K matrices come from one standard-normal draw, bit for bit
     the consecutive complex-normal blocks of a draw matrix by matrix (both

@@ -193,24 +193,25 @@ def cmd_mppi_check(args) -> int:
 
     from .channel import SystemConfig, sample_channel_block
     from .harness import TRIAL_BLOCK, derive_seed
-    from .linalg import DIAG_RTOL, TRACE_TOL
+    from .linalg import DIAG_RTOL, TRACE_TOL, _norms
 
     if args.trials < 1:
         raise ValueError(f"need at least one trial, got {args.trials}")
     cfg = SystemConfig(K=args.k, M=args.m, N=args.n, P=1.0)
     max_diag = max_trace = 0.0
     seeds = [derive_seed(args.seed, SUBSEED_MPPI, t) for t in range(args.trials)]
+    eye = np.eye(cfg.N)
     for lo in range(0, args.trials, TRIAL_BLOCK):
         block = sample_channel_block(cfg, seeds[lo : lo + TRIAL_BLOCK])
-        for up, down, right, left, alpha, beta in zip(
-                block.uplink, block.downlink, block.right, block.left, block.alpha, block.beta):
-            # H_j @ right_j = alpha_j * I and left_k @ D_k = beta_k * I
-            products = [h @ g for h, g in zip(up, right)] + [g @ d for d, g in zip(down, left)]
-            for product, g, c in zip(products, [*right, *left], alpha.tolist() + beta.tolist()):
-                resid = np.linalg.norm(product - c * np.eye(cfg.N))
-                max_diag = max(max_diag, resid / (c * np.sqrt(cfg.N)))
-                max_trace = max(max_trace, abs(np.trace(g.conj().T @ g).real - 1.0))
-    max_diag, max_trace = float(max_diag), float(max_trace)
+        # H_j @ right_j = alpha_j * I and left_k @ D_k = beta_k * I, over the
+        # block's draws and users at once; the Frobenius residuals by
+        # np.linalg.norm's formula, one matrix per row
+        for product, g, c in ((block.uplink @ block.right, block.right, block.alpha),
+                              (block.left @ block.downlink, block.left, block.beta)):
+            resid = _norms((product - c[..., None, None] * eye).reshape(*c.shape, -1))
+            gram = g.conj().swapaxes(-2, -1) @ g
+            max_diag = max(max_diag, float((resid / (c * np.sqrt(cfg.N))).max()))
+            max_trace = max(max_trace, float(np.abs(np.trace(gram, axis1=-2, axis2=-1).real - 1.0).max()))
     ok = max_diag <= DIAG_RTOL and max_trace <= TRACE_TOL
     _print_json(
         {
@@ -233,13 +234,13 @@ def cmd_plan(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from .channel import SystemConfig, sample_channels
+    from .channel import SystemConfig, sample_channel_block
     from .harness import SUBSEED_CHANNEL, db_to_linear, derive_seed
     from .transceiver import plan_layout, transmit_round
 
     cfg = SystemConfig(K=args.k, M=args.m, N=args.n, P=db_to_linear(args.power_db))
     layout = plan_layout(_dof(args), cfg.N, cfg.M)
-    ch = sample_channels(cfg, derive_seed(args.seed, SUBSEED_CHANNEL, 0))
+    ch = sample_channel_block(cfg, [derive_seed(args.seed, SUBSEED_CHANNEL, 0)])
     _print_json(transmit_round(ch, layout, [cfg.P], [args.seed], mode=args.mode, noise=args.noise).to_dict(0, 0))
     return EXIT_OK
 

@@ -37,7 +37,8 @@ class ModeUnavailable(YRelayError, ValueError):
 
 class ScalarUnderflow(YRelayError, ArithmeticError):
     """A scale factor leaves the float range: a recovery scale too small to
-    divide by, or a normalized inverse's alpha or beta too large for a float."""
+    divide by, or a normalized inverse's alpha or beta whose square is too
+    large for a float."""
 
 
 class TooLarge(YRelayError, ValueError):

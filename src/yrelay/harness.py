@@ -17,11 +17,14 @@ along that axis, and its sums over trials add one trial's row at a time,
 so the bytes do not depend on the Python version or the block size. All
 sub-seeds derive from the master seed with a splitmix64 chain, so a report
 is a pure function of (config, seed): repeated runs emit identical bytes.
+A report holds its rows, its fit and its config. A row is a dict keyed by
+ROW_FIELDS, the one list of a row's fields: the CSV renders all of them
+but the last, the JSON all of them. The config's digest, the seed and the
+package version are read off the config when the report is rendered.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -111,69 +114,46 @@ class ExperimentConfig:
         }
 
     def digest(self) -> str:
-        return _digest(self.to_dict())
+        """First 16 hex digits of the SHA-256 of the canonical JSON of `to_dict()`."""
+        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
-def _digest(config: dict) -> str:
-    """First 16 hex digits of the SHA-256 of the canonical JSON of `config`."""
-    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    p_db: float
-    mean_stream_snr: float
-    mean_rate_proxy: float
-    sum_rate_proxy: float
-    err_mean: float
-    err_max: float
-    power_violations: int  # rounds whose power check failed
+# A report row's fields, in CSV column order: the point, the means over the
+# trials, the worst error, and the rounds whose power check failed (JSON only).
+ROW_FIELDS = ("p_db", "mean_stream_snr", "mean_rate_proxy", "sum_rate_proxy", "err_mean", "err_max",
+              "power_violations")
+FIT_FIELDS = ("slope", "intercept", "residual")
 
 
 @dataclass(frozen=True)
 class SweepReport:
-    """Per-point aggregates, the fitted slope (when >= 3 points), and
-    self-describing provenance."""
+    """Per-point rows (dicts keyed by ROW_FIELDS), the fit (slope, intercept,
+    residual) when there are >= 3 points, else None, and the config; the
+    provenance (config, its digest, seed, package version) is read off the
+    config when the report is rendered."""
 
     rows: tuple
-    slope: float | None
-    intercept: float | None
-    residual: float | None
-    config: dict
-    config_hash: str
-    seed: int
-    version: str
-
-    def to_dict(self) -> dict:
-        return {
-            "provenance": {
-                "config": self.config,
-                "config_hash": self.config_hash,
-                "seed": self.seed,
-                "version": self.version,
-            },
-            "rows": [dataclasses.asdict(r) for r in self.rows],
-            "fit": None
-            if self.slope is None
-            else {"slope": self.slope, "intercept": self.intercept, "residual": self.residual},
-        }
+    fit: tuple | None
+    config: ExperimentConfig
 
     def to_json_bytes(self) -> bytes:
-        return (json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n").encode()
+        cfg = self.config
+        report = {
+            "provenance": {"config": cfg.to_dict(), "config_hash": cfg.digest(), "seed": cfg.seed,
+                           "version": __version__},
+            "rows": list(self.rows),
+            "fit": None if self.fit is None else dict(zip(FIT_FIELDS, self.fit)),
+        }
+        return (json.dumps(report, sort_keys=True, indent=2) + "\n").encode()
 
     def to_csv_bytes(self) -> bytes:
-        lines = [
-            f"# yrelay sweep v1 config={self.config_hash} seed={self.seed} version={self.version}"
-        ]
-        lines.append("p_db,mean_stream_snr,mean_rate_proxy,sum_rate_proxy,err_mean,err_max")
-        for r in self.rows:
-            lines.append(
-                f"{r.p_db!r},{r.mean_stream_snr!r},{r.mean_rate_proxy!r},"
-                f"{r.sum_rate_proxy!r},{r.err_mean!r},{r.err_max!r}"
-            )
-        if self.slope is not None:
-            lines.append(f"# fit slope={self.slope!r} intercept={self.intercept!r} residual={self.residual!r}")
+        cfg = self.config
+        lines = [f"# yrelay sweep v1 config={cfg.digest()} seed={cfg.seed} version={__version__}",
+                 ",".join(ROW_FIELDS[:-1])]
+        lines += [",".join(repr(row[name]) for name in ROW_FIELDS[:-1]) for row in self.rows]
+        if self.fit is not None:
+            lines.append("# fit " + " ".join(f"{name}={value!r}" for name, value in zip(FIT_FIELDS, self.fit)))
         return ("\n".join(lines) + "\n").encode()
 
 
@@ -221,12 +201,12 @@ class _PointSums:
             self.err = left_sum(left_sum(errs, axis=-1) / errs.shape[2], self.err)
             self.err_max = np.maximum(self.err_max, errs.max(axis=(0, 2)))
 
-    def rows(self, sweep_db, trials: int) -> list:
-        """One SweepRow per point: means over the trials, the worst error and
-        the violation count."""
+    def rows(self, sweep_db, trials: int) -> tuple:
+        """One row per point, keyed by ROW_FIELDS: means over the trials, the
+        worst error and the violation count."""
         means = (self.snr / trials, self.rate / trials, self.sum_rate / trials, self.err / trials)
-        columns = [a.tolist() for a in (*means, self.err_max, self.violations)]
-        return [SweepRow(float(p_db), *values) for p_db, *values in zip(sweep_db, *columns)]
+        columns = [list(map(float, sweep_db)), *(a.tolist() for a in (*means, self.err_max, self.violations))]
+        return tuple(dict(zip(ROW_FIELDS, values)) for values in zip(*columns))
 
 
 def run_sweep(cfg: ExperimentConfig) -> SweepReport:
@@ -245,21 +225,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepReport:
         seeds = [derive_seed(point, t) for t in block for point in point_seeds]
         sums.add(transmit_round(channels, layout, powers, seeds, mode=cfg.mode, noise=cfg.noise))
     rows = sums.rows(cfg.sweep_db, cfg.trials)
-
-    slope = intercept = residual = None
+    fit = None
     if len(rows) >= 3:
-        slope, intercept, residual = fit_slope(
-            [(math.log2(p), r.sum_rate_proxy) for p, r in zip(powers, rows)]
-        )
-
-    config = cfg.to_dict()
-    return SweepReport(
-        rows=tuple(rows),
-        slope=slope,
-        intercept=intercept,
-        residual=residual,
-        config=config,
-        config_hash=_digest(config),
-        seed=cfg.seed,
-        version=__version__,
-    )
+        fit = fit_slope([(math.log2(p), r["sum_rate_proxy"]) for p, r in zip(powers, rows)])
+    return SweepReport(rows, fit, cfg)

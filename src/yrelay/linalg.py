@@ -4,9 +4,11 @@ Right and left Moore-Penrose pseudo-inverses in Gram-matrix form, for
 whole stacks of matrices at once (one Gram inversion for all of them, and
 an SVD only for a matrix whose Gram inverse fails its conditioning bound),
 scaled to unit Frobenius norm so that pre/post-coding turns every channel
-into a scaled identity; and the left-to-right sum that keeps float results
+into a scaled identity; the left-to-right sum that keeps float results
 independent of Python versions, over the items of an iterable or, in one
-`np.add.accumulate` call, along one axis of an array.
+`np.add.accumulate` call, along one axis of an array; and Euclidean norms
+along the last axis of a stack, each by `np.linalg.norm`'s formula for one
+vector.
 """
 
 from __future__ import annotations
@@ -63,6 +65,18 @@ def left_sum(values, start=0.0, axis=None):
     return buf[(*head, -1)]
 
 
+def _row_dots(x: np.ndarray) -> np.ndarray:
+    """x . x along the last axis of a real array: one BLAS dot per row, the
+    call `ndarray.dot` makes for one row (`np.sum` adds in another order)."""
+    return (x[..., None, :] @ x[..., :, None])[..., 0, 0]
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis of a complex array, each by the
+    formula np.linalg.norm uses for one vector."""
+    return np.sqrt(_row_dots(x.real) + _row_dots(x.imag))
+
+
 def _gram_pinv(links):
     """Gram-formula pseudo-inverses of the stacks in `links`, pairs (a,
     right) whose Gram matrices share one size, with one inversion for all:
@@ -85,7 +99,7 @@ def _gram_pinv(links):
     return [ah @ x if right else x @ ah for (_, right), ah, x in zip(links, ahs, xs)], gram, gram_inv
 
 
-def _unit_pinv(a, right: bool, *more) -> tuple:
+def _unit_pinv(a, right: bool, *more, scale_bits: int = 1024) -> tuple:
     """Minimum-norm pseudo-inverses G of a stack `a` (S, rows, cols), and of
     the stacks in `more` = (b, right_b, ...), each scaled to unit Frobenius
     norm: (c * G, c) per stack, in one flat tuple.
@@ -110,9 +124,12 @@ def _unit_pinv(a, right: bool, *more) -> tuple:
     from frexp of its largest real or imaginary part, and c by 2^e after: a
     power of two changes no bit in the normal range, and with entries in
     [0.5, 1) the Gram product can neither underflow nor overflow. A c*2^e
-    past the float range raises ScalarUnderflow (`index` its place). A
-    place counts the matrices of all the stacks in turn, and a stack's
-    errors are raised before any of a later stack.
+    of 2^scale_bits or more raises ScalarUnderflow (`index` its place): by
+    default c past the float range, and with scale_bits = 512 a c whose
+    square has no float. Only a matrix past the bound can reach 2^512: c <=
+    sigma_min, so its Gram matrix overflows. A place counts the
+    matrices of all the stacks in turn, and a stack's errors are raised
+    before any of a later stack.
     """
     stacks, links = [], (a, right, *more)
     for a, right in zip(links[::2], links[1::2]):
@@ -154,9 +171,10 @@ def _unit_pinv(a, right: bool, *more) -> tuple:
         g = c[:, None, None] * g
         if past.size:
             top = np.frexp(c[past])[1] + e  # c * 2^e < 2^top
-            if (top > 1024).any():
-                i = np.argmax(top > 1024)
-                raise ScalarUnderflow(f"{side} inverse scale of 2^{top[i] - 1} or more has no float",
+            if (top > scale_bits).any():
+                i = np.argmax(top > scale_bits)
+                what = "no float" if top[i] > 1024 else "no float square"
+                raise ScalarUnderflow(f"{side} inverse scale of 2^{top[i] - 1} or more has {what}",
                                       start + int(past[i]))
             c[past] = np.ldexp(c[past], e)
         out += [g, c]

@@ -63,24 +63,12 @@ from .channel import (
     seeded_normals,
 )
 from .errors import DimensionError, ModeUnavailable, ScalarUnderflow
-from .linalg import left_sum
+from .linalg import _norms, left_sum
 
 SCALE_UNDERFLOW = 1e-300
 
 GENIE = "genie"
 RAW = "raw"
-
-
-def _row_dots(x: np.ndarray) -> np.ndarray:
-    """x . x along the last axis of a real array: one BLAS dot per row, the
-    call `ndarray.dot` makes for one row (`np.sum` adds in another order)."""
-    return (x[..., None, :] @ x[..., :, None])[..., 0, 0]
-
-
-def _norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norms along the last axis of a complex array, each by the
-    formula np.linalg.norm uses for one vector."""
-    return np.sqrt(_row_dots(x.real) + _row_dots(x.imag))
 
 
 def _length_groups(spans):

@@ -9,9 +9,11 @@ pseudo-inverses (`normalized_right_mppi`, `normalized_left_mppi`) that the
 stage tests feed the reference round, the
 Fraction simplex that the integer tableau of `yrelay.simplex` is checked
 against, the matrix-by-matrix channel draw and pseudo-inverse that
-`yrelay.channel.sample_channels` and `yrelay.linalg._unit_pinv` are checked
-against, the numpy key conversion that `yrelay.channel.reset_rng` is checked
-against, the reference round (with its symbol type `StreamSymbols`) that
+`yrelay.channel.sample_channel_block` and `yrelay.linalg._unit_pinv` are
+checked against, the numpy key conversion that `yrelay.channel._philox_key`
+is checked against, numpy's own keyed generator `rng_for` that the rows of
+`yrelay.channel.seeded_normals` are checked against, `sample_channels`
+(the block of one draw), the reference round (with its symbol type `StreamSymbols`) that
 `yrelay.transceiver.transmit_round` is checked against, the one-round
 helper `run_round` over a block of one draw and `estimate`, which reads one
 direction's estimate out of a round's arrays, and the trial-by-trial sweep
@@ -28,9 +30,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from yrelay import __version__
 from yrelay.alignment import DofVector, StreamPlan, build_stream_plan, ordered_pairs, user_pairs
-import yrelay.channel
 import yrelay.linalg
 from yrelay.channel import (
     POWER_CHECK_SLACK,
@@ -38,11 +38,19 @@ from yrelay.channel import (
     STREAM_NOISE,
     STREAM_SYMBOLS,
     _complex,
-    rng_for,
+    sample_channel_block,
 )
 from yrelay.dofregion import MembershipVerdict, construction_feasible
 from yrelay.errors import DimensionError, ModeUnavailable, RankDeficient, ScalarUnderflow
-from yrelay.harness import SUBSEED_CHANNEL, SUBSEED_ROUND, SweepReport, SweepRow, db_to_linear, derive_seed, fit_slope
+from yrelay.harness import (
+    ROW_FIELDS,
+    SUBSEED_CHANNEL,
+    SUBSEED_ROUND,
+    SweepReport,
+    db_to_linear,
+    derive_seed,
+    fit_slope,
+)
 from yrelay.linalg import GRAM_COND_LIMIT, RANK_TOL, _unit_pinv, left_sum
 from yrelay.errors import LpError
 from yrelay.transceiver import (
@@ -461,6 +469,19 @@ def numpy_philox_key():
     return _numpy_philox_key
 
 
+def rng_for(seed, stream) -> np.random.Generator:
+    """numpy's own Philox generator at the start of stream (seed, stream),
+    keyed as numpy keys `[seed, stream]`; a seed that rounds up to 2^64 is
+    keyed `[0, stream]`, the package's fixed rule."""
+    key = [0, stream] if float(seed & (2**64 - 1)) == 2.0**64 else _numpy_philox_key(seed, stream)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def sample_channels(cfg, seed):
+    """The ChannelBlock of one draw: `sample_channel_block(cfg, [seed])`."""
+    return sample_channel_block(cfg, [seed])
+
+
 # ------------------------------------------------- reference channel draw
 # One matrix at a time: each drawn by its own `complex_normal` call, checked
 # by its own SVD and inverted alone.
@@ -815,7 +836,7 @@ class _TrialSums:
     def rows(self, sweep_db, trials):
         means = (self.snr / trials, self.rate / trials, self.sum_rate / trials, self.err / trials)
         columns = [a.tolist() for a in (*means, self.err_max, self.violations)]
-        return [SweepRow(float(p_db), *values) for p_db, *values in zip(sweep_db, *columns)]
+        return tuple(dict(zip(ROW_FIELDS, (float(p_db), *values))) for p_db, *values in zip(sweep_db, *columns))
 
 
 def _reference_sweep(cfg):
@@ -823,16 +844,14 @@ def _reference_sweep(cfg):
     powers = [db_to_linear(p_db) for p_db in cfg.sweep_db]
     sums = _TrialSums(len(powers))
     for t in range(cfg.trials):
-        ch = yrelay.channel.sample_channels(cfg.system, derive_seed(cfg.seed, SUBSEED_CHANNEL, t))
+        ch = sample_channels(cfg.system, derive_seed(cfg.seed, SUBSEED_CHANNEL, t))
         seeds = [derive_seed(cfg.seed, SUBSEED_ROUND, pi, t) for pi in range(len(powers))]
         sums.add(transmit_round(ch, layout, powers, seeds, mode=cfg.mode, noise=cfg.noise))
     rows = sums.rows(cfg.sweep_db, cfg.trials)
-    slope = intercept = residual = None
+    fit = None
     if len(rows) >= 3:
-        slope, intercept, residual = fit_slope(
-            [(math.log2(db_to_linear(r.p_db)), r.sum_rate_proxy) for r in rows])
-    return SweepReport(rows=tuple(rows), slope=slope, intercept=intercept, residual=residual,
-                       config=cfg.to_dict(), config_hash=cfg.digest(), seed=cfg.seed, version=__version__)
+        fit = fit_slope([(math.log2(db_to_linear(r["p_db"])), r["sum_rate_proxy"]) for r in rows])
+    return SweepReport(rows=rows, fit=fit, config=cfg)
 
 
 @pytest.fixture(scope="session")

@@ -1,20 +1,20 @@
+import math
+
 import numpy as np
 import pytest
 
 import yrelay.channel
 import yrelay.linalg
-from conftest import complex_normal
+from conftest import complex_normal, rng_for, sample_channels
 from yrelay.channel import (
     STREAM_NOISE,
     ChannelBlock,
     SystemConfig,
+    _philox_key,
     check_power,
     complex_normal_blocks,
     normal_block_index,
-    reset_rng,
-    rng_for,
     sample_channel_block,
-    sample_channels,
     seeded_normals,
 )
 from yrelay.errors import DimensionError, RankDeficient, ScalarUnderflow
@@ -175,6 +175,25 @@ def test_scale_past_the_float_range_names_its_draw():
     assert got.value.index == 1
 
 
+@pytest.mark.parametrize("scale", [1e160, 1e200])
+def test_scale_whose_square_has_no_float_names_its_draw(scale):
+    # an uplink scaled up by 1e160 or 1e200 gives alpha of about 5e159 or
+    # 5e199, and a downlink scaled so gives such a beta: each fits a float,
+    # as `_unit_pinv` alone gives it, but its square, which the SNR model
+    # takes, does not, so the block refuses it, named by its draw, link and
+    # user (every user is scaled: user 0 is named)
+    b = sample_channels(SystemConfig(K=3, M=4, N=3, P=1.0), 1)
+    for up, down, link, side, right in ((b.uplink * scale, b.downlink, "uplink", "right", True),
+                                        (b.uplink / scale, b.downlink * scale, "downlink", "left", False)):
+        _, c = _unit_pinv((up if right else down)[0], right)
+        assert 2.0**512 <= c[0] < math.inf
+        with pytest.raises(ScalarUnderflow) as got:
+            ChannelBlock(up, down)
+        top = np.frexp(c[0])[1]
+        assert str(got.value) == f"draw 0, {link} of user 0: {side} inverse scale of 2^{top - 1} or more has no float square"
+        assert got.value.index == 0
+
+
 def test_block_inverts_each_link_as_alone(monkeypatch):
     # one Gram inversion serves both links: each link's inverses and
     # constants are those of _unit_pinv on that link alone, bit for bit,
@@ -224,14 +243,15 @@ def test_uplink_error_wins_over_downlink_error():
 def test_seeded_rows_ignore_what_the_generator_drew_before():
     # seeded_normals re-keys the thread's one generator for every row: after
     # a draw that leaves half a uint32 pair buffered, or an odd-length draw,
-    # each row still has the bytes of a fresh rng_for(seed, stream)
+    # each row still has the bytes of numpy's fresh generator rng_for(seed,
+    # stream)
     seeds = [5, 2**63 + 5, 2**64 - 1]
     want = np.array([rng_for(seed, STREAM_NOISE).standard_normal(7) for seed in seeds])
     seeded_normals([0], STREAM_NOISE, 1)  # the thread now has its generator
     rng = yrelay.channel._thread.rng
     for disturb, field, left in ((lambda: rng.integers(0, 2**32, dtype=np.uint32), "has_uint32", 1),
                                  (lambda: rng.standard_normal(3), "buffer_pos", 3)):
-        reset_rng(rng, 9, STREAM_NOISE)
+        rng.bit_generator.state = rng_for(9, STREAM_NOISE).bit_generator.state
         disturb()
         assert rng.bit_generator.state[field] == left
         assert seeded_normals(seeds, STREAM_NOISE, 7).tobytes() == want.tobytes()
@@ -315,29 +335,32 @@ def test_awgn_determinism_and_moments():
 
 
 def test_reset_rng_matches_fresh_generator():
-    # rng_for and a re-keyed generator both start where numpy's own
-    # Philox(key=[seed, stream]) does, also for seeds >= 2^63, whose key
-    # numpy rounds through float64 (2^63 + 5 and 2^63 + 6 collide); a seed
-    # that rounds up to 2^64 starts where Philox(key=[0, stream]) does
-    reused = rng_for(0, STREAM_NOISE)
+    # every row of seeded_normals, drawn alone or in a block on the thread's
+    # re-keyed generator, starts where numpy's own Philox(key=[seed,
+    # stream]) does, as the tests' rng_for does, also for seeds >= 2^63,
+    # whose key numpy rounds through float64 (2^63 + 5 and 2^63 + 6
+    # collide); a seed that rounds up to 2^64 starts where Philox(key=[0,
+    # stream]) does
     seeds = [0, 2**53, 2**63 - 1, 2**63, 2**63 + 5, 2**63 + 6, 2**64 - 1]
     seeds += [int(s) for s in np.random.default_rng(15).integers(0, 2**64, size=200, dtype=np.uint64)]
-    for seed in seeds:
-        for stream in (1, 2, 3):
+    for stream in (1, 2, 3):
+        block = seeded_normals(seeds, stream, 64)
+        for seed, row in zip(seeds, block):
             key = [0 if float(seed) == 2.0**64 else seed, stream]
             want = np.random.Generator(np.random.Philox(key=key)).standard_normal(64)
             assert rng_for(seed, stream).standard_normal(64).tobytes() == want.tobytes()
-            assert reset_rng(reused, seed, stream).standard_normal(64).tobytes() == want.tobytes()
-    assert (rng_for(2**63 + 5, 2).standard_normal(4) == rng_for(2**63 + 6, 2).standard_normal(4)).all()
+            assert seeded_normals([seed], stream, 64)[0].tobytes() == want.tobytes()
+            assert row.tobytes() == want.tobytes()
+    assert (seeded_normals([2**63 + 5], 2, 4) == seeded_normals([2**63 + 6], 2, 4)).all()
 
 
 def test_reset_rng_keys_as_numpy_does(numpy_philox_key):
-    # reset_rng builds its key from Python ints, with no cast and so no cast
-    # warning, and gets numpy's key: for a seed >= 2^63 both entries rounded
-    # to doubles (half to even at an odd multiple of 2^10 past a multiple of
-    # 2^11). A seed rounded up to 2^64, where numpy's cast depends on the
-    # platform, is keyed by the package's fixed rule: it wraps to 0
-    rng = rng_for(0, STREAM_NOISE)
+    # _philox_key builds its key from Python ints, with no cast and so no
+    # cast warning, and gets numpy's key: for a seed >= 2^63 both entries
+    # rounded to doubles (half to even at an odd multiple of 2^10 past a
+    # multiple of 2^11). A seed rounded up to 2^64, where numpy's cast
+    # depends on the platform, is keyed by the package's fixed rule: it
+    # wraps to 0
     seeds = [0, 1, 2**53 + 1, 2**63 - 1, 2**63, 2**63 + 1]
     multiples = [2**63, 2**63 + 2**11, 2**63 + 3 * 2**11, 2**63 + 2**62, 2**64 - 2**12, 2**64 - 2**11, 2**64, 2**62]
     multiples += [2**11 * int(q) for q in np.random.default_rng(16).integers(2**52, 2**53, size=50)]
@@ -347,12 +370,12 @@ def test_reset_rng_keys_as_numpy_does(numpy_philox_key):
     wrapped = 0
     for seed in seeds:
         for stream in (1, 2, 3):
-            key = reset_rng(rng, seed, stream).bit_generator.state["state"]["key"]
+            key = _philox_key(seed, stream)
             if float(seed & (2**64 - 1)) == 2.0**64:
                 wrapped += 1
-                assert key.tolist() == [0, stream]
+                assert key == [0, stream]
             else:
-                assert key.tolist() == numpy_philox_key(seed, stream).tolist()
+                assert key == numpy_philox_key(seed, stream).tolist()
     assert wrapped >= 3 * 1024  # every seed from 2^64 - 1024 up
 
 

@@ -23,9 +23,9 @@ except ModuleNotFoundError:  # Python 3.10
 import yrelay.__main__
 import yrelay.cli
 import yrelay.harness
-from conftest import run_round
+from conftest import run_round, sample_channels
 from yrelay.alignment import DofVector, build_stream_plan
-from yrelay.channel import SystemConfig, sample_channels
+from yrelay.channel import SystemConfig
 from yrelay.cli import (
     EXIT_FAILURE,
     EXIT_OK,

@@ -23,7 +23,9 @@ from yrelay.channel import STREAM_CHANNEL, STREAM_NOISE, STREAM_SYMBOLS, SystemC
 from yrelay.errors import Infeasible, Underdetermined
 from yrelay.linalg import left_sum
 from yrelay.harness import (
+    ROW_FIELDS,
     ExperimentConfig,
+    SweepReport,
     db_to_linear,
     derive_seed,
     fit_slope,
@@ -237,18 +239,18 @@ def test_single_point_noiseless_sweep():
     )
     rep = run_sweep(cfg)
     assert len(rep.rows) == 1
-    assert rep.rows[0].err_mean <= 1e-10
-    assert rep.rows[0].err_max <= 1e-10
-    assert rep.slope is None  # needs >= 3 points
+    assert rep.rows[0]["err_mean"] <= 1e-10
+    assert rep.rows[0]["err_max"] <= 1e-10
+    assert rep.fit is None  # needs >= 3 points
 
 
 def test_sweep_row_and_fit_presence():
     rep = run_sweep(SMALL)
     assert len(rep.rows) == 3
-    assert rep.slope is not None
-    assert [r.p_db for r in rep.rows] == [10.0, 20.0, 30.0]
+    assert rep.fit is not None
+    assert [r["p_db"] for r in rep.rows] == [10.0, 20.0, 30.0]
     # SNR grows with power
-    snrs = [r.mean_stream_snr for r in rep.rows]
+    snrs = [r["mean_stream_snr"] for r in rep.rows]
     assert snrs[0] < snrs[1] < snrs[2]
 
 
@@ -299,7 +301,24 @@ def test_json_schema_and_provenance():
     assert prov["config"]["dof"]["entries"]["1-2"] == "1"
     assert prov["config_hash"] == SMALL.digest()
     assert len(blob["rows"]) == 3
-    assert blob["fit"]["slope"] == rep.slope
+    assert blob["fit"]["slope"] == rep.fit[0]
+
+
+def test_report_renders_one_field_list():
+    # ROW_FIELDS is the one list of a row's fields: the CSV header and
+    # columns are all of them but the last, a JSON row has all of them, and
+    # each CSV row parses back to its JSON row on the fields they share
+    assert [f.name for f in dataclasses.fields(SweepReport)] == ["rows", "fit", "config"]
+    for cfg in (SMALL, dataclasses.replace(SMALL, sweep_db=(0.0, 30.0), mode="raw", seed=2**63 + 5)):
+        rep = run_sweep(cfg)
+        lines = rep.to_csv_bytes().decode().splitlines()
+        assert lines[1] == ",".join(ROW_FIELDS[:-1])
+        csv_rows = [line.split(",") for line in lines[2:] if not line.startswith("#")]
+        json_rows = json.loads(rep.to_json_bytes())["rows"]
+        assert len(csv_rows) == len(json_rows) == len(cfg.sweep_db)
+        for values, row in zip(csv_rows, json_rows):
+            assert set(row) == set(ROW_FIELDS)
+            assert dict(zip(ROW_FIELDS, map(float, values))) == {name: row[name] for name in ROW_FIELDS[:-1]}
 
 
 def test_channels_shared_across_power_points():
@@ -310,7 +329,7 @@ def test_channels_shared_across_power_points():
         trials=1, seed=11,
     )
     rep = run_sweep(cfg)
-    assert rep.rows[1].mean_stream_snr == pytest.approx(10 * rep.rows[0].mean_stream_snr, rel=1e-9)
+    assert rep.rows[1]["mean_stream_snr"] == pytest.approx(10 * rep.rows[0]["mean_stream_snr"], rel=1e-9)
 
 
 def test_sweep_counts_power_violations():
@@ -325,10 +344,10 @@ def test_sweep_counts_power_violations():
     )
     rep = run_sweep(cfg)
     low, high = rep.rows
-    assert 0 < low.power_violations <= cfg.trials
-    assert high.power_violations == 0
+    assert 0 < low["power_violations"] <= cfg.trials
+    assert high["power_violations"] == 0
     rows = json.loads(rep.to_json_bytes())["rows"]
-    assert [r["power_violations"] for r in rows] == [low.power_violations, 0]
+    assert [r["power_violations"] for r in rows] == [low["power_violations"], 0]
     assert "power_violations" not in rep.to_csv_bytes().decode()
 
 
@@ -351,11 +370,11 @@ def test_sweep_reuses_precoders_and_plan(monkeypatch):
     # one more inversion); it makes one stacked kernel call for all its
     # draws and power points; a noisy round draws its symbols and its noise
     # with one standard_normal call each. Every row drawn is one re-key of
-    # the thread's one generator, which rng_for builds on the thread's
-    # first draw and never again. The plan and its round layout come from
-    # the process memo: built for the first sweep of a (DoF vector, N, M),
-    # not again for a second sweep with another seed, and once more for
-    # another M.
+    # the thread's one generator, the same object after every sweep (here a
+    # counting one, installed on a fresh thread store). The plan and its
+    # round layout come from the process memo: built for the first sweep of
+    # a (DoF vector, N, M), not again for a second sweep with another seed,
+    # and once more for another M.
     calls = {}
     for module, name, key in (
         (yrelay.channel, "_unit_pinv", "mppi"),
@@ -392,9 +411,9 @@ def test_sweep_reuses_precoders_and_plan(monkeypatch):
             calls[self.bit_generator.link + "_normal"] += 1
             return self._rng.standard_normal(*args, **kwargs)
 
-    fresh = yrelay.channel.rng_for
-    monkeypatch.setattr(yrelay.channel, "rng_for", counted(lambda *key: CountingGenerator(fresh(*key)), calls, "rng"))
-    monkeypatch.setattr(yrelay.channel, "_thread", threading.local())  # a thread with no generator yet
+    thread = threading.local()
+    thread.rng = generator = CountingGenerator(np.random.Generator(np.random.Philox(key=0)))
+    monkeypatch.setattr(yrelay.channel, "_thread", thread)
     yrelay.transceiver.plan_layout.cache_clear()
     k_users, trials = 4, yrelay.harness.TRIAL_BLOCK + 3
     blocks = 2
@@ -416,13 +435,13 @@ def test_sweep_reuses_precoders_and_plan(monkeypatch):
         "round_rekey": 2 * rounds,
         "round_normal": 2 * rounds,
     }
-    for sweep, built, checked, rng in ((cfg, 1, 0, 1), (dataclasses.replace(cfg, seed=1), 0, 1, 0),
-                                       (dataclasses.replace(cfg, system=SystemConfig(K=k_users, M=7, N=6, P=1.0)),
-                                        1, 0, 0)):
-        calls.update(dict.fromkeys([*per_sweep, "plan", "layout", "rng"], 0))
+    for sweep, built, checked in ((cfg, 1, 0), (dataclasses.replace(cfg, seed=1), 0, 1),
+                                  (dataclasses.replace(cfg, system=SystemConfig(K=k_users, M=7, N=6, P=1.0)), 1, 0)):
+        calls.update(dict.fromkeys([*per_sweep, "plan", "layout"], 0))
         run_sweep(sweep)
         routed = {"svd": checked, "inv": per_sweep["inv"] + checked}
-        assert calls == {**per_sweep, **routed, "plan": built, "layout": built, "rng": rng}
+        assert calls == {**per_sweep, **routed, "plan": built, "layout": built}
+        assert yrelay.channel._thread.rng is generator
     # the memo's layout is shared read-only: it holds no generator, and its
     # indices refuse writes
     layout = yrelay.transceiver.plan_layout(cfg.dof, 6, 6)

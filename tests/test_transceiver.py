@@ -29,7 +29,9 @@ from conftest import (
     normalized_right_mppi,
     plans,
     precoders,
+    rng_for,
     run_round,
+    sample_channels,
     stream_lengths,
 )
 from yrelay.alignment import DofVector, build_stream_plan, ordered_pairs
@@ -37,17 +39,15 @@ from yrelay.channel import (
     STREAM_NOISE,
     ChannelBlock,
     SystemConfig,
-    rng_for,
     sample_channel_block,
-    sample_channels,
 )
 from yrelay.errors import DimensionError, ModeUnavailable, ScalarUnderflow
 from yrelay.harness import derive_seed
+from yrelay.linalg import _norms
 from yrelay.transceiver import (
     GENIE,
     RAW,
     RoundLayout,
-    _norms,
     effective_snr,
     transmit_round,
 )
