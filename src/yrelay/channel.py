@@ -158,8 +158,7 @@ class ChannelBlock:
         d, k = up[:2]
         try:
             right, alpha, left, beta = _unit_pinv(
-                self.uplink.reshape(d * k, *up[2:]), True, self.downlink.reshape(d * k, *down[2:]), False,
-                scale_bits=512)
+                self.uplink.reshape(d * k, *up[2:]), True, self.downlink.reshape(d * k, *down[2:]), False)
         except (RankDeficient, ScalarUnderflow) as exc:
             link, place = divmod(exc.index, d * k)
             draw, user = divmod(place, k)

@@ -99,7 +99,7 @@ def _gram_pinv(links):
     return [ah @ x if right else x @ ah for (_, right), ah, x in zip(links, ahs, xs)], gram, gram_inv
 
 
-def _unit_pinv(a, right: bool, *more, scale_bits: int = 1024) -> tuple:
+def _unit_pinv(a, right: bool, *more) -> tuple:
     """Minimum-norm pseudo-inverses G of a stack `a` (S, rows, cols), and of
     the stacks in `more` = (b, right_b, ...), each scaled to unit Frobenius
     norm: (c * G, c) per stack, in one flat tuple.
@@ -124,12 +124,12 @@ def _unit_pinv(a, right: bool, *more, scale_bits: int = 1024) -> tuple:
     from frexp of its largest real or imaginary part, and c by 2^e after: a
     power of two changes no bit in the normal range, and with entries in
     [0.5, 1) the Gram product can neither underflow nor overflow. A c*2^e
-    of 2^scale_bits or more raises ScalarUnderflow (`index` its place): by
-    default c past the float range, and with scale_bits = 512 a c whose
-    square has no float. Only a matrix past the bound can reach 2^512: c <=
-    sigma_min, so its Gram matrix overflows. A place counts the
-    matrices of all the stacks in turn, and a stack's errors are raised
-    before any of a later stack.
+    of 2^512 or more, whose square has no float (the SNR model squares c),
+    raises ScalarUnderflow (`index` its place), as does one past the float
+    range. Only a matrix past the bound can reach 2^512: c <= sigma_min, so
+    its Gram matrix overflows. A place counts the matrices of all the
+    stacks in turn, and a stack's errors are raised before any of a later
+    stack.
     """
     stacks, links = [], (a, right, *more)
     for a, right in zip(links[::2], links[1::2]):
@@ -171,8 +171,8 @@ def _unit_pinv(a, right: bool, *more, scale_bits: int = 1024) -> tuple:
         g = c[:, None, None] * g
         if past.size:
             top = np.frexp(c[past])[1] + e  # c * 2^e < 2^top
-            if (top > scale_bits).any():
-                i = np.argmax(top > scale_bits)
+            if (top > 512).any():
+                i = np.argmax(top > 512)
                 what = "no float" if top[i] > 1024 else "no float square"
                 raise ScalarUnderflow(f"{side} inverse scale of 2^{top[i] - 1} or more has {what}",
                                       start + int(past[i]))

@@ -179,17 +179,16 @@ def test_scale_past_the_float_range_names_its_draw():
 def test_scale_whose_square_has_no_float_names_its_draw(scale):
     # an uplink scaled up by 1e160 or 1e200 gives alpha of about 5e159 or
     # 5e199, and a downlink scaled so gives such a beta: each fits a float,
-    # as `_unit_pinv` alone gives it, but its square, which the SNR model
-    # takes, does not, so the block refuses it, named by its draw, link and
-    # user (every user is scaled: user 0 is named)
+    # but its square, which the SNR model takes, does not, so the block
+    # refuses it, named by its draw, link and user (every user is scaled:
+    # user 0 is named)
     b = sample_channels(SystemConfig(K=3, M=4, N=3, P=1.0), 1)
-    for up, down, link, side, right in ((b.uplink * scale, b.downlink, "uplink", "right", True),
-                                        (b.uplink / scale, b.downlink * scale, "downlink", "left", False)):
-        _, c = _unit_pinv((up if right else down)[0], right)
-        assert 2.0**512 <= c[0] < math.inf
+    for up, down, link, side, c in ((b.uplink * scale, b.downlink, "uplink", "right", b.alpha[0, 0] * scale),
+                                    (b.uplink / scale, b.downlink * scale, "downlink", "left", b.beta[0, 0] * scale)):
+        assert 2.0**512 <= c < math.inf
         with pytest.raises(ScalarUnderflow) as got:
             ChannelBlock(up, down)
-        top = np.frexp(c[0])[1]
+        top = np.frexp(c)[1]
         assert str(got.value) == f"draw 0, {link} of user 0: {side} inverse scale of 2^{top - 1} or more has no float square"
         assert got.value.index == 0
 

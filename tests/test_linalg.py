@@ -254,7 +254,7 @@ def outcome(call):
         try:
             g, c = call()
             result = ("inverse", np.asarray(g).tobytes(), np.asarray(c).tobytes())
-        except (RankDeficient, np.linalg.LinAlgError) as exc:
+        except (RankDeficient, ScalarUnderflow, np.linalg.LinAlgError) as exc:
             result = (type(exc).__name__, str(exc))
     return result, [str(w.message) for w in caught]
 
@@ -309,19 +309,25 @@ def test_bounded_check_matches_the_svd_route(traced_pinv):
     assert min(routes.values()) > 50
 
 
-@pytest.mark.parametrize("scale", [0.0, 1e160, 1e-160, 1e-170, 1e300, 1e-300])
+@pytest.mark.parametrize("scale", [0.0, 1e154, 1e160, 1e-160, 1e-170, 1e300, 1e-300])
 def test_bound_clears_no_extreme_matrix(traced_pinv, scale):
-    # entries whose Gram matrix overflows (1e160, 1e300) or underflows
-    # (1e-160 to subnormals, 1e-170 and 1e-300 to zero): the bound clears
-    # none of them, and the prescaled route gives the unscaled matrix's
-    # precoder and its alpha times the scale, with no warning; an all-zero
-    # matrix, whose Gram matrix cannot be inverted, is refused
+    # entries whose Gram matrix overflows (1e154, 1e160, 1e300) or
+    # underflows (1e-160 to subnormals, 1e-170 and 1e-300 to zero): the
+    # bound clears none of them, and the prescaled route gives the unscaled
+    # matrix's precoder and its alpha times the scale, with no warning; an
+    # all-zero matrix, whose Gram matrix cannot be inverted, is refused, and
+    # so is an alpha of 2^512 or more (1e160, 1e300: about 3.9e159 and
+    # 3.9e299), whose square has no float
     x = random_complex(np.random.default_rng(112), 3, 4)[None]
     for right, x in ((True, x), (False, x.transpose(0, 2, 1).copy())):
         got, got_warnings, calls = traced_pinv(x * scale, right, GRAM_BOUND_LIMIT)
         assert got_warnings == [] and calls["svd"] == [x.shape]
+        side = "right" if right else "left"
+        if scale in (1e160, 1e300):
+            top = np.frexp(_unit_pinv(x, right)[1][0] * scale)[1]
+            assert got == ("ScalarUnderflow", f"{side} inverse scale of 2^{top - 1} or more has no float square")
+            continue
         if scale == 0.0:
-            side = "right" if right else "left"
             text = f"{side} inverse needs a well-conditioned matrix: sigma_min/sigma_max = 0.000e+00"
             assert got == ("RankDeficient", text)
             continue
@@ -334,7 +340,8 @@ def test_scale_past_the_float_range_is_named():
     # a finite, well-conditioned matrix whose alpha has no float (a 1x4
     # right or 4x1 left inverse of entries 1.5e308: sigma = 3e308) raises
     # ScalarUnderflow naming its place in the stack, with no warning; at
-    # half that size alpha = 2 * 0.75e308 still fits
+    # half that size alpha = 2 * 0.75e308 = 1.5e308, in [2^1023, 2^1024),
+    # fits a float but its square does not, and the message says so
     ok = np.array([[[1.0, 2.0, 0.5, 1.5]]])
     for right in (True, False):
         big = np.concatenate([ok, ok, np.full((1, 1, 4), 1.5e308)])
@@ -344,11 +351,12 @@ def test_scale_past_the_float_range_is_named():
             warnings.simplefilter("error")
             with pytest.raises(ScalarUnderflow) as info:
                 _unit_pinv(big, right)
-            _, c = _unit_pinv(big / 2, right)
+            with pytest.raises(ScalarUnderflow) as half:
+                _unit_pinv(big / 2, right)
         side = "right" if right else "left"
         assert str(info.value) == f"{side} inverse scale of 2^1024 or more has no float"
-        assert info.value.index == 2
-        assert c[2] == pytest.approx(1.5e308, rel=1e-12)
+        assert str(half.value) == f"{side} inverse scale of 2^1023 or more has no float square"
+        assert info.value.index == half.value.index == 2
 
 
 def test_only_matrices_past_the_bound_get_their_svd(traced_pinv):
