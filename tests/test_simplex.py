@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from conftest import LpResult
+from yrelay.dofregion import _extreme_rows, _ordering_row
 from yrelay.errors import LpError
 from yrelay.simplex import _certify, _solve, solve_linear
 
@@ -95,10 +96,23 @@ TAMPER_LPS = (
     ([2, 3], [[1, 0], [0, 1], [1, 1]], [4, 4, 6]),  # integer data
     ([F(2, 3), F(3, 2)], [[F(1, 2), 0], [0, F(1, 3)], [1, F(5, 4)]], [F(4, 3), 4, F(6, 5)]),  # fractional
 )
+# the last row never binds (2 + 1 + 1 < 9), so its optimal dual is zero
+REDUNDANT_LP = ([1, 1, 1], [[1, 0, 0], [0, 1, 0], [0, 0, 1], [2, 1, 1]], [1, 1, 1, 9])
+REDUNDANT_FORGERIES = (
+    # zero on the binding rows, positive on the redundant one
+    ("dual vector violates column 0", (0, 0, 0, F(1, 3))),
+    ("dual vector violates column 1", (0, 0, 0, F(1, 2))),
+    ("objective values disagree", (0, 0, 0, 1)),  # dual-feasible, but b . y = 9
+    # several failing columns: the first one is named
+    ("dual vector violates column 0", (0, 0, 0, 0)),
+    ("dual vector violates column 1", (1, 0, 0, 0)),
+    ("dual vector violates column 1", (F(1, 2), 0, F(1, 2), F(1, 4))),
+    ("dual vector violates column 2", (1, 1, 0, 0)),
+)
 
 
 def test_certificate_rejects_tampering(reference_simplex):
-    for c, a, b in TAMPER_LPS:
+    for c, a, b in (*TAMPER_LPS, REDUNDANT_LP):
         res = solve(c, a, b)
         assert certify(c, a, b, res) is True
 
@@ -114,6 +128,9 @@ def test_certificate_rejects_tampering(reference_simplex):
             # still dual-feasible (A >= 0), but b . y no longer meets c . x
             ("objective values disagree", forge(duals=tuple(y + F(1, 4) for y in res.duals))),
         ]
+        if (c, a, b) == REDUNDANT_LP:
+            assert res.duals == (1, 1, 1, 0)
+            cases += [(message, forge(duals=y)) for message, y in REDUNDANT_FORGERIES]
         for message, forged in cases:
             got = lp_error(certify, c, a, b, forged)
             assert got == f"certificate: {message}"
@@ -192,6 +209,31 @@ def test_integer_tableau_matches_fraction_tableau(reference_simplex, lp):
         assert all(type(v) is int for v in (*x, d, *y, value, den))
         assert certify(c, a, b, got) is True
         assert reference_simplex.verify_certificate(c, a, b, got) is True
+
+
+@st.composite
+def region_lps(draw):
+    """(c, A, b) as the region's cutting-plane LPs have them: the extreme
+    ordering rows plus random ordering cut rows (0/1 ints) for K = 3..6, every
+    rhs N = 1..8, and an all-ones, a random 0/1 or a random nonnegative int
+    objective. These LPs are degenerate, so Bland's tie-breaking decides the
+    basis."""
+    k, n = draw(st.integers(3, 6)), draw(st.integers(1, 8))
+    cuts = draw(st.lists(st.permutations(range(1, k + 1)), max_size=6))
+    rows = [*_extreme_rows(k), *map(_ordering_row, cuts)]
+    width = k * (k - 1)
+    c = draw(st.one_of(st.just([1] * width),
+                       st.lists(st.integers(0, 1), min_size=width, max_size=width),
+                       st.lists(st.integers(0, 9), min_size=width, max_size=width)))
+    return c, rows, [n] * len(rows)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(region_lps())
+def test_integer_tableau_matches_fraction_tableau_on_region_lps(reference_simplex, lp):
+    c, a, b = lp
+    # x, duals, value, basis and pivot count, certified on the tableau ints
+    assert solve(c, a, b) == reference_simplex.solve_max(c, a, b)
 
 
 @st.composite
