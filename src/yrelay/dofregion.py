@@ -193,13 +193,13 @@ def is_member(d: DofVector, spec: RegionSpec) -> MembershipVerdict:
     if top > bound:
         p, value = next(dp.orderings(bound + 1))
         value = Fraction(value, dp.scale)
-        return MembershipVerdict(member=False, witness=(p, value), tight=(), max_value=value)
+        return MembershipVerdict(False, (p, value), (), value)
     tight = ()
     if top == bound:
         if (count := dp.tight_count()) > TIGHT_LIST_MAX:
             raise TooLarge(f"{count} tight orderings to list, guarded at {TIGHT_LIST_MAX}")
         tight = tuple(p for p, _ in dp.orderings(bound))
-    return MembershipVerdict(member=True, witness=None, tight=tight, max_value=Fraction(top, dp.scale))
+    return MembershipVerdict(True, None, tight, Fraction(top, dp.scale))
 
 
 def _ordering_row(p) -> list:

@@ -37,12 +37,12 @@ class ModeUnavailable(YRelayError, ValueError):
 
 class ScalarUnderflow(YRelayError, ArithmeticError):
     """A scale factor leaves the float range: a recovery scale too small to
-    divide by, or a normalized inverse's alpha or beta whose square is too
-    large for a float."""
+    divide by, a normalized inverse's alpha or beta whose square is too
+    large for a float, or a downlink SNR gamma^2*beta^2*alpha^2 too large."""
 
 
 class TooLarge(YRelayError, ValueError):
-    """Problem size exceeds the guard for exhaustive enumeration."""
+    """Problem size exceeds a guard for exhaustive enumeration, or memory."""
 
 
 class Underdetermined(YRelayError, ValueError):

@@ -5,7 +5,7 @@ Python ints: each constraint row and the cost row are scaled by their own
 least common denominator (ints by 1), and integer-preserving Gauss-Jordan
 pivots (Edmonds, 1967) divide exactly. Bland's rule guarantees
 termination; problem sizes here are tiny (tens of variables and
-constraints), so no effort is spent on sparsity or revised-form updates.
+constraints), so the tableau is dense; only `_certify` skips zero duals in y.A.
 `_solve` returns the optimum as tableau ints, which the region LPs read and
 `_certify` checks as they are (zero tolerance), with no Fraction-facing
 wrapper; only `solve_linear` reads its solution out as Fractions.
@@ -63,29 +63,34 @@ def _solve(c, a, b):
     m, n = len(a), len(c)
     if any(len(row) != n for row in a) or len(b) != m:
         raise LpError("inconsistent LP dimensions")
-    if any(v < 0 for v in b):
+    if min(b, default=0) < 0:
         raise LpError("this solver needs b >= 0 (all-slack start)")
 
     # Tableau: m constraint rows then the cost row, each scaled to ints;
     # columns are the n structural variables, m slacks (slack i scaled with
     # its row, so its column stays a unit column), and the rhs. True entries
     # are tab / d.
-    rows = [_integral([*row, rhs]) for row, rhs in zip(a, b)]
-    tab = [r[:n] + [int(i == j) for j in range(m)] + r[n:] for i, (r, _) in enumerate(rows)]
+    rows = [_integral([*row, *[0] * m, rhs]) for row, rhs in zip(a, b)]
+    tab = [r for r, _ in rows]
+    for i, r in enumerate(tab):
+        r[n + i] = 1
     cost, c_scale = _integral(c)
     tab.append([-v for v in cost] + [0] * (m + 1))
     basis = list(range(n, n + m))
 
     d, iterations = 1, 0
     while True:
-        enter = next((j for j in range(n + m) if tab[m][j] < 0), None)
-        if enter is None:
+        # the first negative reduced cost enters (never the value: it only grows)
+        for enter, v in enumerate(tab[m]):
+            if v < 0:
+                break
+        else:
             break
         # Bland: min ratio tab[i][-1] / tab[i][enter], compared by
         # cross-multiplying; ties by smallest basis index
         row = None
-        for i in range(m):
-            t, rhs = tab[i][enter], tab[i][-1]
+        for i, r in enumerate(tab[:m]):
+            t, rhs = r[enter], r[-1]
             if t > 0 and (row is None or (rhs * den, basis[i]) < (top * t, basis[row])):
                 row, top, den = i, rhs, t
         if row is None:
@@ -114,8 +119,13 @@ def _certify(c, a, b, x, d, y, value, den) -> bool:
             raise LpError(f"certificate: primal point violates constraint {i}")
     if min(y, default=0) < 0:
         raise LpError("certificate: dual vector has a negative coordinate")
-    for j, (cj, *col) in enumerate(zip(c, *a)):
-        if sum(map(mul, y, col)) < cj * den:
+    # y.A over the rows whose dual is nonzero, then column by column in order
+    ya = [0] * len(c)
+    for yi, row in zip(y, a):
+        if yi:
+            ya = [s + yi * v for s, v in zip(ya, row)]
+    for j, (cj, s) in enumerate(zip(c, ya)):
+        if s < cj * den:
             raise LpError(f"certificate: dual vector violates column {j}")
     if sum(map(mul, c, x)) * den != value * d or sum(map(mul, y, b)) != value:
         raise LpError("certificate: objective values disagree")

@@ -62,7 +62,7 @@ from .channel import (
     normal_block_index,
     seeded_normals,
 )
-from .errors import DimensionError, ModeUnavailable, ScalarUnderflow
+from .errors import DimensionError, ModeUnavailable, ScalarUnderflow, TooLarge
 from .linalg import _norms, left_sum
 
 SCALE_UNDERFLOW = 1e-300
@@ -143,8 +143,13 @@ def plan_layout(dof: DofVector, n: int, m: int) -> RoundLayout:
     (DoF vector, N, M); a vector hashes by its ints. A layout enters the memo
     whole and is shared read-only by every caller. `Infeasible` and the
     other plan errors are raised on every call, before any work, as
-    `build_stream_plan` raises them."""
-    return RoundLayout(build_stream_plan(dof, n), m)
+    `build_stream_plan` raises them; a layout too large to allocate raises
+    TooLarge naming T and the word length T*N."""
+    plan = build_stream_plan(dof, n)
+    try:
+        return RoundLayout(plan, m)
+    except MemoryError:
+        raise TooLarge(f"symbol extension T={plan.T}: words of T*N = {plan.word_length} entries do not fit") from None
 
 
 @dataclass(frozen=True)
@@ -176,7 +181,8 @@ def effective_snr(block: ChannelBlock, layout: RoundLayout, powers, mode: str = 
     The rate proxy counts log2(1 + SNR) per component: downlink-only SNR in
     genie mode (the relay decode is ideal), min(uplink, downlink) in raw mode.
     A layout whose K, N or M differs from the block's raises DimensionError,
-    and an unknown mode ModeUnavailable, before any work.
+    and an unknown mode ModeUnavailable, before any work; an overflowing
+    downlink SNR raises ScalarUnderflow naming its draw (`index`) and direction.
     """
     plan = layout.plan
     _, k_users, n, m = block.uplink.shape
@@ -195,8 +201,12 @@ def effective_snr(block: ChannelBlock, layout: RoundLayout, powers, mode: str = 
     snr_a2 = a2[:, None, j]
     powers = np.asarray(powers, dtype=np.float64)
     shape = (len(word_power), len(powers))
-    gamma_sq = np.divide(powers, word_power, out=np.zeros(shape), where=word_power > 0)
-    down = gamma_sq[..., None] * b2[:, None, k] * snr_a2 / np.sum(np.abs(block.left) ** 2, axis=-1)[:, None, k, row]
+    with np.errstate(over="ignore", invalid="ignore"):  # an SNR past the float range is raised below
+        gamma_sq = np.divide(powers, word_power, out=np.zeros(shape), where=word_power > 0)
+        down = gamma_sq[..., None] * b2[:, None, k] * snr_a2 / np.sum(np.abs(block.left) ** 2, axis=-1)[:, None, k, row]
+    if not np.isfinite(down).all():
+        d, _, c = np.argwhere(~np.isfinite(down))[0]
+        raise ScalarUnderflow(f"draw {d}: downlink SNR of direction ({j[c] + 1},{k[c] + 1}) overflows", int(d))
     eff = down if mode == GENIE else np.minimum(snr_a2, down)
     # math.log2: np.log2 rounds some values differently
     logs = np.array(list(map(math.log2, (1.0 + eff).ravel().tolist()))).reshape(eff.shape)

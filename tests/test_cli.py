@@ -393,6 +393,17 @@ def test_sweep_quiet_controls_stderr(capsys):
     assert "sweep:" in err
 
 
+@pytest.mark.parametrize("command", [["simulate"], ["sweep", "--trials", "1"]])
+def test_unallocatable_symbol_extension_exits_one(capsys, command):
+    # a member point at T = 2^50: `plan` prints it, but the words of length
+    # T*N cannot be allocated on any host, which is one named error line
+    code, out, err = run_cli(capsys, "--quiet", *command, "--k", "3", "--m", "4", "--n", "3",
+                             "--dof", "1-2=1/1125899906842624")
+    assert (code, out) == (EXIT_FAILURE, "")
+    assert err == ("yrelay: error: TooLarge: symbol extension T=1125899906842624: words of "
+                   "T*N = 3377699720527872 entries do not fit\n")
+
+
 def test_sweep_infeasible_exits_one(capsys):
     code, _, err = run_cli(capsys, "--quiet", "sweep", "--k", "4", "--n", "6", "--m", "6",
                            "--dof", "1-2=7", "--sweep-db", "10:10:10", "--trials", "1")

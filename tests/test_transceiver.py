@@ -641,6 +641,26 @@ def test_overflowing_error_norm_raises_with_its_pair():
     assert transmit_round(ch, layout, [1e-323], [56], noise=False).rel_errors.max() < 1e-8
 
 
+def test_overflowing_downlink_snr_raises_with_its_draw():
+    # alpha near 1e-150 and beta near 1e150 both pass the 2^512 bound, but
+    # gamma^2 (about 1e300) times beta^2 leaves the float range: the block
+    # is refused with the draw and the direction, with no overflow warning
+    # (pytest makes one an error) and no infinite SNR
+    cfg = SystemConfig(K=3, M=4, N=3, P=1.0)
+    ch, layout = sample_channels(cfg, seed=1), RoundLayout(build_stream_plan(DofVector.uniform(3, 1), 3), 4)
+    scaled = ChannelBlock(ch.uplink / 1e150, ch.downlink * 1e150)
+    both = ChannelBlock(np.concatenate((ch.uplink, scaled.uplink)), np.concatenate((ch.downlink, scaled.downlink)))
+    for block, draw in ((scaled, 0), (both, 1)):
+        message = rf"^draw {draw}: downlink SNR of direction \(1,2\) overflows$"
+        for mode in (GENIE, RAW):
+            for run in (lambda: effective_snr(block, layout, [1.0], mode),
+                        lambda: transmit_round(block, layout, [1.0], [1] * len(block.uplink), mode=mode)):
+                with pytest.raises(ScalarUnderflow, match=message) as exc:
+                    run()
+                assert exc.value.index == draw
+    assert np.isfinite(effective_snr(ch, layout, [1.0]).downlink).all()
+
+
 # ------------------------------------------------------------------- SNR math
 
 
