@@ -80,7 +80,7 @@ def _solve(c, a, b):
 
     d, iterations = 1, 0
     while True:
-        # the first negative reduced cost enters (never the value: it only grows)
+        # the first negative reduced cost enters (never the value: it starts at 0 and never falls)
         for enter, v in enumerate(tab[m]):
             if v < 0:
                 break
