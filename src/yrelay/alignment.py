@@ -25,20 +25,29 @@ from functools import cache, cached_property
 from .errors import Infeasible
 
 
+@cache
+def pair_tuple(k_users: int) -> tuple:
+    """Ordered pairs in row-major order: (1,2)...(1,K), (2,1), (2,3), ...
+    Built once per K: every pair table and returned pair list holds these
+    same (j, k) tuples."""
+    return tuple((j, k) for j in range(1, k_users + 1) for k in range(1, k_users + 1) if j != k)
+
+
 def user_pairs(k_users: int):
     """Unordered pairs in lexicographic order: (1,2), (1,3), ..., (K-1,K)."""
-    return [(j, k) for j in range(1, k_users + 1) for k in range(j + 1, k_users + 1)]
+    return [pair for pair in pair_tuple(k_users) if pair[0] < pair[1]]
 
 
 def ordered_pairs(k_users: int):
-    """Ordered pairs in row-major order: (1,2)...(1,K), (2,1), (2,3), ..."""
-    return [(j, k) for j in range(1, k_users + 1) for k in range(1, k_users + 1) if j != k]
+    """Ordered pairs in row-major order, a fresh list of the shared
+    `pair_tuple(k_users)` tuples."""
+    return list(pair_tuple(k_users))
 
 
 @cache
 def pair_index(k_users: int) -> dict:
     """Position of each ordered pair in `ordered_pairs(k_users)` (read-only)."""
-    return {pair: i for i, pair in enumerate(ordered_pairs(k_users))}
+    return {pair: i for i, pair in enumerate(pair_tuple(k_users))}
 
 
 @cache
@@ -46,15 +55,18 @@ def pair_cells(k_users: int) -> tuple:
     """((j, k), i, r) per pair of `user_pairs`: d_jk and d_kj are entries i
     and r in `ordered_pairs` order (read-only)."""
     index = pair_index(k_users)
-    return tuple(((j, k), index[(j, k)], index[(k, j)]) for j, k in user_pairs(k_users))
+    return tuple((pair, index[pair], index[pair[::-1]]) for pair in user_pairs(k_users))
 
 
 class DofVector:
     """Nonnegative rational DoF targets d_jk for all K(K-1) ordered pairs.
 
     Stored as `T`, the least common denominator of the entries, and
-    `scaled`, the ints T*d_jk in `ordered_pairs` order.
+    `scaled`, the ints T*d_jk in `ordered_pairs` order. Slotted: a vector
+    holds only these three fields.
     """
+
+    __slots__ = ("K", "T", "scaled")
 
     def __init__(self, k_users: int, entries=None):
         if k_users < 3:
@@ -83,14 +95,14 @@ class DofVector:
 
     @classmethod
     def uniform(cls, k_users: int, value) -> "DofVector":
-        return cls(k_users, dict.fromkeys(ordered_pairs(k_users), value))
+        return cls(k_users, dict.fromkeys(pair_tuple(k_users), value))
 
     def get(self, j: int, k: int) -> Fraction:
         return Fraction(self.scaled[pair_index(self.K)[(j, k)]], self.T)
 
     def items(self):
         """(pair, Fraction) in `ordered_pairs` order."""
-        return list(zip(ordered_pairs(self.K), self.as_tuple()))
+        return list(zip(pair_tuple(self.K), self.as_tuple()))
 
     def as_tuple(self):
         """Entries in canonical (row-major ordered pair) order."""
@@ -160,7 +172,7 @@ class StreamPlan(namedtuple("StreamPlan", "K N T blocks")):
         """(start, stop) of v_jk in the flat symbol vector."""
         sizes = dict(direction for block in self.blocks for direction in block.directions())
         spans, stop = {}, 0
-        for pair in ordered_pairs(self.K):
+        for pair in pair_tuple(self.K):
             spans[pair] = (stop, stop + sizes[pair])
             stop = spans[pair][1]
         return spans

@@ -248,6 +248,7 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     from .channel import SystemConfig
     from .harness import ExperimentConfig, run_sweep
+    from .transceiver import plan_layout
 
     cfg = ExperimentConfig(
         system=SystemConfig(K=args.k, M=args.m, N=args.n, P=1.0),  # each sweep point sets its own power
@@ -258,6 +259,7 @@ def cmd_sweep(args) -> int:
         mode=args.mode,
         noise=args.noise,
     )
+    plan_layout(cfg.dof, cfg.system.N, cfg.system.M)  # a refused point is the one line printed; run_sweep reuses it
     if not args.quiet:
         print(f"sweep: {len(cfg.sweep_db)} points x {cfg.trials} trials, config {cfg.digest()}", file=sys.stderr)
     report = run_sweep(cfg)

@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import cache
 from operator import add, itemgetter
 
-from .alignment import DofVector, ordered_pairs, pair_cells, pair_index
+from .alignment import DofVector, pair_cells, pair_index, pair_tuple
 from .errors import TooLarge, WitnessInvalid
 from .simplex import _certify, _solve, solve_linear
 
@@ -205,7 +205,7 @@ def is_member(d: DofVector, spec: RegionSpec) -> MembershipVerdict:
 def _ordering_row(p) -> list:
     """0/1 constraint row of ordering p, columns in `ordered_pairs` order."""
     place = {u: a for a, u in enumerate(p)}
-    return [int(place[u] < place[v]) for u, v in ordered_pairs(len(p))]
+    return [int(place[u] < place[v]) for u, v in pair_tuple(len(p))]
 
 
 @cache
@@ -286,7 +286,7 @@ def vertices_k3(n_relay: int):
     when they satisfy the full system.
     """
     spec = RegionSpec(K=3, N=n_relay)
-    variables = ordered_pairs(3)
+    variables = pair_tuple(3)
     dim = len(variables)
     perm_rows = [_ordering_row(p) for p in itertools.permutations((1, 2, 3))]
     nonneg_rows = [[int(i == j) for j in range(dim)] for i in range(dim)]

@@ -215,7 +215,8 @@ def run_sweep(cfg: ExperimentConfig) -> SweepReport:
     powers = cfg.powers
     # derive_seed(seed, SUBSEED_ROUND, pi, t) continues the chain of derive_seed(seed, SUBSEED_ROUND, pi),
     # and derive_seed(seed, SUBSEED_CHANNEL, t) that of derive_seed(seed, SUBSEED_CHANNEL).
-    point_seeds = [derive_seed(cfg.seed, SUBSEED_ROUND, pi) for pi in range(len(powers))]
+    round_root = derive_seed(cfg.seed, SUBSEED_ROUND)
+    point_seeds = [derive_seed(round_root, pi) for pi in range(len(powers))]
     channel_root = derive_seed(cfg.seed, SUBSEED_CHANNEL)
     sums = _PointSums(len(powers))
     for first in range(0, cfg.trials, TRIAL_BLOCK):

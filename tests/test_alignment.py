@@ -3,6 +3,7 @@ alignment-block layout, and the slot-word assembly and extraction oracles in
 conftest.py."""
 
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import StreamSymbols, assemble_uplink_symbol, extract_pair_slot, feasible_points, stream_lengths
-from yrelay.alignment import DofVector, build_stream_plan, ordered_pairs, pair_index, user_pairs
+from yrelay.alignment import DofVector, build_stream_plan, ordered_pairs, pair_cells, pair_index, user_pairs
 from yrelay.errors import DimensionError, Infeasible
 
 
@@ -57,6 +58,58 @@ def test_pair_listings():
     for k in (3, 4, 7):
         assert list(pair_index(k)) == ordered_pairs(k)
         assert list(pair_index(k).values()) == list(range(k * (k - 1)))
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+def test_pairs_are_built_once_per_k(k):
+    first, second = ordered_pairs(k), ordered_pairs(k)
+    assert first == second and first is not second
+    first[0] = None
+    first.append((0, 0))
+    assert ordered_pairs(k) == second and len(second) == k * (k - 1)
+    # every table and listing holds the same tuple objects
+    assert all(pair is key for pair, key in zip(ordered_pairs(k), pair_index(k), strict=True))
+    shared = {id(pair): pair for pair in second}
+    assert all(shared.get(id(pair)) is pair for pair in user_pairs(k))
+    assert [pair for pair, _, _ in pair_cells(k)] == user_pairs(k)
+    assert all(shared.get(id(pair)) is pair for pair, _, _ in pair_cells(k))
+    d = DofVector.uniform(k, Fraction(1, k))
+    assert all(shared.get(id(pair)) is pair for pair, _ in d.items())
+    assert all(shared.get(id(pair)) is pair for pair in build_stream_plan(d, k).symbol_spans)
+
+
+def test_a_point_pool_holds_one_set_of_pairs():
+    # 1000 criterion-7 points at K = 4, kept with their entry dicts and
+    # items() lists, reference 12 pair objects in all
+    rng = random.Random(7)
+    held = set()
+    for _ in range(1000):
+        sixths = {}
+        for pair in ordered_pairs(4):
+            u = rng.random()
+            sixths[pair] = 0 if u < 0.55 else rng.randint(1, 6) if u < 0.85 else rng.randint(0, 36)
+        entries = {p: Fraction(v, 6) for p, v in sixths.items()}
+        d = DofVector(4, entries)
+        held.update(id(p) for p in sixths)
+        held.update(id(p) for p in entries)
+        held.update(id(p) for p, _ in d.items())
+    assert len(held) == 12
+
+
+def test_dof_vector_is_slotted():
+    d = DofVector(4, {(1, 2): Fraction(3, 2), (3, 4): 1})
+    assert not hasattr(d, "__dict__")
+    with pytest.raises(AttributeError):
+        d.note = "x"
+    same = DofVector.from_scaled(4, [3 * v for v in d.scaled], 3 * d.T)
+    assert (same.K, same.T, same.scaled) == (d.K, d.T, d.scaled) == (4, 2, (3,) + (0,) * 7 + (2,) + (0,) * 3)
+    assert same == d and hash(same) == hash(d) and d != DofVector(4) and d != d.scaled
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(d, protocol))
+        assert back == d and hash(back) == hash(d) and (back.K, back.T, back.scaled) == (d.K, d.T, d.scaled)
+    assert repr(d) == "DofVector(K=4, {'1->2': '3/2', '3->4': '1'})"
+    want = dict.fromkeys((f"{j}-{k}" for j, k in ordered_pairs(4)), "0") | {"1-2": "3/2", "3-4": "1"}
+    assert d.to_dict() == {"K": 4, "entries": want}
 
 
 def test_dof_vector_basics():

@@ -404,6 +404,17 @@ def test_unallocatable_symbol_extension_exits_one(capsys, command):
                    "T*N = 3377699720527872 entries do not fit\n")
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["--k", "4", "--n", "6", "--dof", "1-2=3,2-3=3,3-1=3", "--trials", "2"], "Infeasible"),
+    (["--k", "3", "--m", "4", "--n", "3", "--dof", "1-2=1/1125899906842624", "--trials", "1"], "TooLarge"),
+])
+def test_refused_sweep_prints_only_its_error(capsys, argv, error):
+    # the point is refused before the progress line, which is not printed
+    code, out, err = run_cli(capsys, "sweep", *argv)
+    assert (code, out) == (EXIT_FAILURE, "")
+    assert len(err.splitlines()) == 1 and err.startswith(f"yrelay: error: {error}: ")
+
+
 def test_sweep_infeasible_exits_one(capsys):
     code, _, err = run_cli(capsys, "--quiet", "sweep", "--k", "4", "--n", "6", "--m", "6",
                            "--dof", "1-2=7", "--sweep-db", "10:10:10", "--trials", "1")
