@@ -50,6 +50,7 @@ EXIT_FAILURE = 1
 EXIT_USAGE = 2
 
 SUBSEED_MPPI = 0xA1
+SWEEP_MAX_POINTS = 10**6  # power points per sweep; the defaults use 7
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -102,7 +103,9 @@ def parse_sweep_spec(text: str) -> tuple:
     count = (stop - start) / step + 1e-9
     if not math.isfinite(count):
         raise argparse.ArgumentTypeError(f"bad sweep {text!r}: the number of points must be finite")
-    return tuple(start + i * step for i in range(int(count) + 1))
+    if (points := int(count) + 1) > SWEEP_MAX_POINTS:
+        raise argparse.ArgumentTypeError(f"bad sweep {text!r}: {points:.12g} points, at most {SWEEP_MAX_POINTS}")
+    return tuple(start + i * step for i in range(points))
 
 
 def load_config(path: str) -> dict:

@@ -18,8 +18,9 @@ LPs, on the integer simplex tableau, add that violator as a row until the
 optimum is a member (cutting planes): the simplex certificate on those rows,
 zero duals for the rest and the DP's verdict certify the optimum for all K!
 rows, checked with zero tolerance on the tableau's ints. What depends on K
-alone is built once per K, read-only: the DP's entry getters and half-subset
-members (2^(K/2) each), the extreme ordering rows and `alignment.pair_cells`.
+alone is built once per K, read-only: the DP's entry getters, half-subset
+members (2^(K/2) each) and, for K <= 8, its loop's schedule (2^K - K - 1
+records), the extreme ordering rows and `alignment.pair_cells`.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .simplex import _certify, _solve, solve_linear
 
 ORACLE_MAX_USERS = 16    # the ordering DP tabulates all 2^K user subsets
 TIGHT_LIST_MAX = 40320   # 8!, every ordering of 8 users
+SCHEDULE_MAX_USERS = 8   # the ordering DP's loop is tabulated once per K up to here
 GAP_MAX_USERS = 5        # 2^(K(K-1)/2) direction selections, one LP each
 
 
@@ -96,13 +98,23 @@ def _subset_sums(rows, half: int):
 def _dp_tables(k: int):
     """The DP's tables that depend on K alone (built once per K, read-only):
     per user v, a getter of the entries T*d_uv into v, u = 1..K, from a
-    vector's `scaled` with a 0 appended for u = v; and (v, 1 << v) per member
-    of each low and high half of a subset (2^(K/2) each, not 2^K)."""
+    vector's `scaled` with a 0 appended for u = v; (v, 1 << v) per member of
+    each low and high half of a subset (2^(K/2) each); and for K <= 8 the
+    schedule of the DP's loop, else None: per subset s of two or more users,
+    in the loop's order, (s, s % 2^half, s >> half, ((s ^ 1 << v, v) per
+    member v)), 2^K - K - 1 records (247 at K = 8). Past K = 8 it is not
+    built: it would hold 57 MB at K = 16, and built per call it is slower
+    than the loop that splits each subset."""
     half, bits, index = k // 2, tuple((v, 1 << v) for v in range(k)), pair_index(k)
     into = tuple(itemgetter(*(index.get((u, v), len(index)) for u in range(1, k + 1))) for v in range(1, k + 1))
     lo = tuple(tuple(b for b in bits[:half] if t & b[1]) for t in range(1 << half))
     hi = tuple(tuple(b for b in bits[half:] if t << half & b[1]) for t in range(1 << (k - half)))
-    return into, lo, hi
+    schedule = None
+    if k <= SCHEDULE_MAX_USERS:
+        mask = (1 << half) - 1
+        schedule = tuple((s, s & mask, s >> half, tuple((s ^ bit, u) for u, bit in lo[s & mask] + hi[s >> half]))
+                         for b in range(1, k) for s in range(1 << b | 1, 2 << b))
+    return into, lo, hi, schedule
 
 
 class _OrderingDP:
@@ -114,8 +126,11 @@ class _OrderingDP:
     earlier to later users, is the max over u in S of out(u, S) + best[S - u]
     (u first; out(u, S) sums the entries from u to S, d_uu none). A single
     user's best is 0, so the loop fills only subsets of two or more users,
-    band by band: those with highest user b+1 other than {b+1}. The out
-    tables are the one subset table of the DP, `tight_count` and `orderings`.
+    band by band: those with highest user b+1 other than {b+1}. For K <= 8
+    it runs down the per-K schedule of `_dp_tables`, which holds each
+    subset's halves and (S - u, u) pairs; past that it splits S itself. The
+    out tables are the one subset table of the DP, `tight_count` and
+    `orderings`.
     """
 
     def __init__(self, d: DofVector):
@@ -123,12 +138,23 @@ class _OrderingDP:
         if k > ORACLE_MAX_USERS:
             raise TooLarge(f"ordering DP guarded at K <= {ORACLE_MAX_USERS} (2^K subsets)")
         half, mask = k // 2, (1 << k // 2) - 1
-        into, lo_steps, hi_steps = _dp_tables(k)
+        into, lo_steps, hi_steps, schedule = _dp_tables(k)
         self.scale, self.half, self.mask, self.steps = d.T, half, mask, (lo_steps, hi_steps)
         scaled = d.scaled + (0,)
         # out(u, S) = lo[S % 2^half][u] + hi[S >> half][u]
         lo, hi = self.out = _subset_sums([entries(scaled) for entries in into], half)
-        best = [0] * (1 << k)
+        self.best = best = [0] * (1 << k)
+        if schedule is not None:
+            for s, low, high, steps in schedule:
+                out_lo, out_hi = lo[low], hi[high]
+                top = -1
+                for rest, u in steps:
+                    # user u+1 placed first, before the rest of s
+                    value = best[rest] + out_lo[u] + out_hi[u]
+                    if value > top:
+                        top = value
+                best[s] = top
+            return
         for b in range(1, k):
             for s in range(1 << b | 1, 2 << b):
                 low, high = s & mask, s >> half
@@ -140,7 +166,6 @@ class _OrderingDP:
                     if value > top:
                         top = value
                 best[s] = top
-        self.best = best
 
     def tight_count(self) -> int:
         """Number of orderings attaining best[-1]. Walks the table down from

@@ -98,6 +98,14 @@ def test_parse_sweep_rejects_non_finite_bounds(capsys):
     assert exit_code(["--quiet", "sweep", "--trials", "1", "--sweep-db", "30:5:1e400"]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert "finite" in err and "Traceback" not in err
+    # a finite count past the bound is refused with the count, before any point is built
+    for bad, count in (("0:1e-300:1", r"1e\+300"), ("0:1e-6:1", "1000001")):
+        with pytest.raises(argparse.ArgumentTypeError, match=f": {count} points, at most 1000000$"):
+            parse_sweep_spec(bad)
+    assert len(parse_sweep_spec("0:1e-6:0.999999")) == 10**6
+    assert exit_code(["--quiet", "sweep", "--trials", "1", "--sweep-db", "0:1e-300:1"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "points, at most 1000000" in err and "Traceback" not in err
 
 
 # ------------------------------------------------------------------ dof verbs
@@ -558,6 +566,7 @@ def test_config_values_parse_like_flags(tmp_path, capsys):
     [
         ("sweep_db = oops", "sweep"),
         ("sweep_db = 0:1e-320:1", "sweep"),
+        ("sweep_db = 0:1e-300:1", "sweep"),
         ("out = xml", "sweep"),
         ("k = x", "sweep"),
         ("noise = maybe", "sweep"),

@@ -370,6 +370,39 @@ def test_dp_fills_every_subset_exactly(k):
             assert [a + b for a, b in zip(lo[s % (1 << half)], hi[s >> half])] == sums
 
 
+def _last_placed_best(d):
+    """Largest ordering sum of every user subset, in Fractions, by the
+    recurrence on the user placed last: f(S) = max over v in S of f(S - v)
+    plus the entries from S - v into v (the DP places the first user)."""
+    f = [F(0)] * (1 << d.K)
+    for s in range(1, 1 << d.K):
+        users = [u for u in range(1, d.K + 1) if s >> (u - 1) & 1]
+        f[s] = max(f[s ^ 1 << (v - 1)] + sum(d.get(u, v) for u in users if u != v) for v in users)
+    return f
+
+
+@pytest.mark.parametrize("k", range(3, 10))
+def test_both_dp_loops_match_an_independent_oracle(brute_membership, k):
+    # K <= 8 runs the per-K schedule and K = 9 the loop that splits each
+    # subset; both fill every subset as the last-placed recurrence does, and
+    # is_member's verdict, witness, tight list and max value match the K!
+    # enumeration for K <= 7, on seeded points scaled to land on N (tight),
+    # just above it (a witness) or left as drawn
+    rng = random.Random(k)
+    assert (yrelay.dofregion._dp_tables(k)[3] is None) == (k > 8)
+    for above in (0, F(1, 7), None):
+        spec = RegionSpec(K=k, N=rng.randint(1, 8))
+        d = DofVector(k, {p: F(rng.choice((0, 0, rng.randint(1, 12))), rng.randint(1, 4))
+                          for p in ordered_pairs(k)})
+        top = _last_placed_best(d)[-1]
+        if above is not None and top > 0:
+            d = DofVector(k, {p: v * (spec.N + above) / top for p, v in d.items()})
+        best = yrelay.dofregion._OrderingDP(d).best
+        assert best == [v * d.T for v in _last_placed_best(d)]
+        if k <= 7:
+            assert is_member(d, spec) == brute_membership(d, spec)
+
+
 # -------------------------------------------------------------------- sum-DoF
 
 
@@ -405,15 +438,28 @@ def test_sum_dof_doubles_relay_antennas_six_and_eight_users():
 
 def test_per_k_tables_are_shared_read_only(full_row_lp):
     # tables built once per K are tuples all the way down (and getters), so
-    # no caller can change them, and the DP's step tables hold 2^(K/2)
-    # entries, not 2^K; user v's getter reads the entries into v, 0 for d_vv
+    # no caller can change them. The DP's step tables hold 2^(K/2) entries
+    # each; its schedule, one record per subset of two or more users in the
+    # loop's band order, is built for K <= 8 only, so no table of K >= 9
+    # has 2^K entries. User v's getter reads the entries into v, 0 for d_vv
     def frozen(t):
         return type(t) is tuple and all(frozen(v) for v in t if not isinstance(v, int))
 
-    for k in (3, 4, 7, ORACLE_MAX_USERS):
-        into, lo, hi = yrelay.dofregion._dp_tables(k)
+    for k in (3, 4, 7, 8, 9, ORACLE_MAX_USERS):
+        into, lo, hi, schedule = yrelay.dofregion._dp_tables(k)
         assert (len(into), len(lo), len(hi)) == (k, 2 ** (k // 2), 2 ** (k - k // 2))
         assert frozen((lo, hi)) and frozen(yrelay.dofregion._extreme_rows(k))
+        if k <= 8:
+            assert frozen(schedule) and len(schedule) == 2 ** k - k - 1
+            half = k // 2
+            subsets = [s for b in range(1, k) for s in range(1 << b | 1, 2 << b)]
+            assert [r[0] for r in schedule] == subsets
+            for s, low, high, steps in schedule:
+                members = [u for u in range(k) if s >> u & 1]
+                assert (low, high) == (s % 2 ** half, s >> half)
+                assert steps == tuple((s ^ 1 << u, u) for u in members)
+        else:
+            assert schedule is None and max(len(lo), len(hi)) < 2 ** k
         assert frozen(pair_cells(k)) and all(type(g) is itemgetter for g in into)
         d = DofVector.from_scaled(k, range(1, k * (k - 1) + 1), 1)
         assert [g(d.scaled + (0,)) for g in into] == [tuple(d.get(u, v) if u != v else 0 for u in range(1, k + 1))
