@@ -19,8 +19,9 @@ optimum is a member (cutting planes): the simplex certificate on those rows,
 zero duals for the rest and the DP's verdict certify the optimum for all K!
 rows, checked with zero tolerance on the tableau's ints. What depends on K
 alone is built once per K, read-only: the DP's entry getters, half-subset
-members (2^(K/2) each) and, for K <= 8, its loop's schedule (2^K - K - 1
-records), the extreme ordering rows and `alignment.pair_cells`.
+members (2^(K/2) each) and, for K <= 6, the DP itself compiled into one
+straight-line function, the extreme ordering rows and `alignment.pair_cells`.
+No result is cached: each vector's table is computed anew.
 """
 
 from __future__ import annotations
@@ -28,16 +29,16 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from operator import add, itemgetter
 
 from .alignment import DofVector, pair_cells, pair_index, pair_tuple
-from .errors import TooLarge, WitnessInvalid
+from .errors import DimensionError, TooLarge, WitnessInvalid
 from .simplex import _certify, _solve, solve_linear
 
 ORACLE_MAX_USERS = 16    # the ordering DP tabulates all 2^K user subsets
 TIGHT_LIST_MAX = 40320   # 8!, every ordering of 8 users
-SCHEDULE_MAX_USERS = 8   # the ordering DP's loop is tabulated once per K up to here
+KERNEL_MAX_USERS = 6     # the ordering DP is compiled once per K up to here
 GAP_MAX_USERS = 5        # 2^(K(K-1)/2) direction selections, one LP each
 
 
@@ -98,23 +99,50 @@ def _subset_sums(rows, half: int):
 def _dp_tables(k: int):
     """The DP's tables that depend on K alone (built once per K, read-only):
     per user v, a getter of the entries T*d_uv into v, u = 1..K, from a
-    vector's `scaled` with a 0 appended for u = v; (v, 1 << v) per member of
-    each low and high half of a subset (2^(K/2) each); and for K <= 8 the
-    schedule of the DP's loop, else None: per subset s of two or more users,
-    in the loop's order, (s, s % 2^half, s >> half, ((s ^ 1 << v, v) per
-    member v)), 2^K - K - 1 records (247 at K = 8). Past K = 8 it is not
-    built: it would hold 57 MB at K = 16, and built per call it is slower
-    than the loop that splits each subset."""
+    vector's `scaled` with a 0 appended for u = v; and (v, 1 << v) per
+    member of each low and high half of a subset (2^(K/2) each, so K = 16
+    needs 256 entries, not 65536)."""
     half, bits, index = k // 2, tuple((v, 1 << v) for v in range(k)), pair_index(k)
     into = tuple(itemgetter(*(index.get((u, v), len(index)) for u in range(1, k + 1))) for v in range(1, k + 1))
     lo = tuple(tuple(b for b in bits[:half] if t & b[1]) for t in range(1 << half))
     hi = tuple(tuple(b for b in bits[half:] if t << half & b[1]) for t in range(1 << (k - half)))
-    schedule = None
-    if k <= SCHEDULE_MAX_USERS:
-        mask = (1 << half) - 1
-        schedule = tuple((s, s & mask, s >> half, tuple((s ^ bit, u) for u, bit in lo[s & mask] + hi[s >> half]))
-                         for b in range(1, k) for s in range(1 << b | 1, 2 << b))
-    return into, lo, hi, schedule
+    return into, lo, hi
+
+
+@cache
+def _dp_kernel(k: int):
+    """The DP for K <= KERNEL_MAX_USERS as one straight-line function
+    `best(scaled)` of a vector's `scaled`, compiled once per K (as
+    `dataclasses` compiles its generated methods). Its text depends on the
+    int K alone: it unpacks the entries into locals e<i>; per subset S of
+    two or more users and member u it grows o<u>_<S> = out(u, S) by one
+    entry from out(u, S - w), w the highest other member; it sets b<S> to
+    the max over members u, in increasing order, of b<S - u> + o<u>_<S>;
+    and it returns the 2^K list best. Building and compiling it takes
+    about 0.8, 2.0 and 4.7 ms at K = 4, 5 and 6, but 11.5 and 28 ms at
+    K = 7 and 8 (one core of a 2-core Xeon), more than a one-shot command
+    saves, so K >= 7 runs the loop."""
+    index = pair_index(k)
+    lines = ["def best(scaled):", " " + ", ".join(f"e{i}" for i in range(len(index))) + " = scaled"]
+    names = ["0"] * (1 << k)
+    for s in range(3, 1 << k):  # each S - u < S is set before S
+        members = [u for u in range(k) if s >> u & 1]
+        if len(members) < 2:
+            continue
+        terms = []
+        for u in members:
+            w = members[-1] if u != members[-1] else members[-2]
+            entry, rest = f"e{index[u + 1, w + 1]}", s ^ 1 << w
+            lines.append(f" o{u}_{s} = " + (entry if rest == 1 << u else f"o{u}_{rest} + {entry}"))
+            terms.append(f"{names[s ^ 1 << u]} + o{u}_{s}".removeprefix("0 + "))
+        names[s] = f"b{s}"
+        lines.append(f" b{s} = {terms[0]}")
+        for term in terms[1:]:
+            lines += [f" t = {term}", f" if t > b{s}: b{s} = t"]
+    lines.append(f" return [{', '.join(names)}]")
+    namespace = {}
+    exec(compile("\n".join(lines), f"<ordering DP, K={k}>", "exec"), namespace)
+    return namespace["best"]
 
 
 class _OrderingDP:
@@ -125,12 +153,12 @@ class _OrderingDP:
     u. best[S], the largest sum over orderings of S of the entries from
     earlier to later users, is the max over u in S of out(u, S) + best[S - u]
     (u first; out(u, S) sums the entries from u to S, d_uu none). A single
-    user's best is 0, so the loop fills only subsets of two or more users,
-    band by band: those with highest user b+1 other than {b+1}. For K <= 8
-    it runs down the per-K schedule of `_dp_tables`, which holds each
-    subset's halves and (S - u, u) pairs; past that it splits S itself. The
-    out tables are the one subset table of the DP, `tight_count` and
-    `orderings`.
+    user's best is 0, so only subsets of two or more users are computed.
+    For K <= KERNEL_MAX_USERS the compiled `_dp_kernel` of K fills best;
+    past that a loop fills it band by band (the subsets with highest user
+    b+1 other than {b+1}), splitting each subset into halves. `out`, built
+    on first read, is the DP's one subset table: the loop, `tight_count`
+    and `orderings` read it.
     """
 
     def __init__(self, d: DofVector):
@@ -138,23 +166,13 @@ class _OrderingDP:
         if k > ORACLE_MAX_USERS:
             raise TooLarge(f"ordering DP guarded at K <= {ORACLE_MAX_USERS} (2^K subsets)")
         half, mask = k // 2, (1 << k // 2) - 1
-        into, lo_steps, hi_steps, schedule = _dp_tables(k)
-        self.scale, self.half, self.mask, self.steps = d.T, half, mask, (lo_steps, hi_steps)
-        scaled = d.scaled + (0,)
-        # out(u, S) = lo[S % 2^half][u] + hi[S >> half][u]
-        lo, hi = self.out = _subset_sums([entries(scaled) for entries in into], half)
-        self.best = best = [0] * (1 << k)
-        if schedule is not None:
-            for s, low, high, steps in schedule:
-                out_lo, out_hi = lo[low], hi[high]
-                top = -1
-                for rest, u in steps:
-                    # user u+1 placed first, before the rest of s
-                    value = best[rest] + out_lo[u] + out_hi[u]
-                    if value > top:
-                        top = value
-                best[s] = top
+        self.into, lo_steps, hi_steps = _dp_tables(k)
+        self.scale, self.half, self.mask, self.steps, self.scaled = d.T, half, mask, (lo_steps, hi_steps), d.scaled
+        if k <= KERNEL_MAX_USERS:
+            self.best = _dp_kernel(k)(d.scaled)
             return
+        lo, hi = self.out
+        self.best = best = [0] * (1 << k)
         for b in range(1, k):
             for s in range(1 << b | 1, 2 << b):
                 low, high = s & mask, s >> half
@@ -166,6 +184,12 @@ class _OrderingDP:
                     if value > top:
                         top = value
                 best[s] = top
+
+    @cached_property
+    def out(self):
+        """(lo, hi) with out(u, S) = lo[S % 2^half][u] + hi[S >> half][u]."""
+        scaled = self.scaled + (0,)
+        return _subset_sums([entries(scaled) for entries in self.into], self.half)
 
     def tight_count(self) -> int:
         """Number of orderings attaining best[-1]. Walks the table down from
@@ -212,7 +236,7 @@ def is_member(d: DofVector, spec: RegionSpec) -> MembershipVerdict:
     than TIGHT_LIST_MAX tight orderings to list.
     """
     if d.K != spec.K:
-        raise ValueError(f"DoF vector has K={d.K}, region has K={spec.K}")
+        raise DimensionError(f"DoF vector has K={d.K}, region has K={spec.K}")
     dp = _OrderingDP(d)
     bound, top = spec.N * dp.scale, dp.best[-1]
     if top > bound:

@@ -484,6 +484,25 @@ def test_exact_commands_do_not_import_numpy(argv):
     assert proc.stderr.splitlines()[-1] == b"[]"
 
 
+def test_dp_kernel_compiles_on_first_use_only():
+    # importing the CLI compiles no ordering-DP kernel, so start-up pays for
+    # none, and a one-shot `dof check` at K = 4 compiles exactly its own
+    script = (
+        "import sys\n"
+        "from yrelay.cli import main\n"
+        "from yrelay.dofregion import _dp_kernel\n"
+        "print(_dp_kernel.cache_info().currsize, file=sys.stderr)\n"
+        "code = main(sys.argv[1:])\n"
+        "print(_dp_kernel.cache_info().currsize, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    argv = ["dof", "check", "--k", "4", "--n", "6", "--dof", "uniform:1"]
+    proc = subprocess.run([sys.executable, "-S", "-c", script, *argv], capture_output=True, env=child_env())
+    assert proc.returncode == EXIT_OK
+    assert json.loads(proc.stdout)["member"] is True
+    assert proc.stderr.splitlines()[-2:] == [b"0", b"1"]
+
+
 # --------------------------------------------------------------------- config
 
 

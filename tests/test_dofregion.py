@@ -31,6 +31,7 @@ from yrelay.alignment import (
 )
 from yrelay.dofregion import (
     GAP_MAX_USERS,
+    KERNEL_MAX_USERS,
     ORACLE_MAX_USERS,
     TIGHT_LIST_MAX,
     MembershipVerdict,
@@ -41,7 +42,7 @@ from yrelay.dofregion import (
     sum_dof_max,
     vertices_k3,
 )
-from yrelay.errors import Infeasible, LpError, TooLarge, WitnessInvalid
+from yrelay.errors import DimensionError, Infeasible, LpError, TooLarge, WitnessInvalid, YRelayError
 from yrelay.simplex import _certify, _solve
 
 F = Fraction
@@ -206,6 +207,13 @@ def test_membership_guard():
         is_member(DofVector(k, {}), RegionSpec(K=k, N=2))
 
 
+def test_membership_of_another_k_is_a_dimension_error():
+    # a named error of the package that callers catching ValueError still catch
+    with pytest.raises(DimensionError, match=r"^DoF vector has K=3, region has K=4$") as info:
+        is_member(DofVector.uniform(3, F(1)), SPEC46)
+    assert isinstance(info.value, YRelayError) and isinstance(info.value, ValueError)
+
+
 def test_membership_nine_users():
     spec = RegionSpec(K=9, N=7)
     cycle = DofVector(9, {(1, 2): F(3), (2, 3): F(3), (3, 1): F(3)})
@@ -306,7 +314,8 @@ def test_ordering_walk_matches_enumeration(case, data):
 def test_one_subset_table_per_dp(monkeypatch):
     # _subset_sums builds the one table of each DP: is_member on a
     # non-member (witness) and on a tight member (tight list), and the K=4
-    # gap probe, whose LPs search the walk for cuts, build no other
+    # gap probe, whose LPs search the walk for cuts, build no other. The
+    # compiled K <= 6 DP needs no table, so only a DP that is walked builds it
     builds = {"dp": 0, "tables": 0, "walks": 0}
     subset_sums = yrelay.dofregion._subset_sums
 
@@ -332,7 +341,7 @@ def test_one_subset_table_per_dp(monkeypatch):
     assert len(verdict.tight) == 12 and builds == {"dp": 1, "tables": 1, "walks": 1}
     builds.update(dp=0, tables=0, walks=0)
     assert find_construction_gap(SPEC46) is not None
-    assert builds["walks"] > 0 and builds["tables"] == builds["dp"] > builds["walks"]
+    assert builds["walks"] > 0 and builds["tables"] == builds["walks"] < builds["dp"]
 
 
 def _brute_best(d, users) -> int:
@@ -382,14 +391,17 @@ def _last_placed_best(d):
 
 
 @pytest.mark.parametrize("k", range(3, 10))
-def test_both_dp_loops_match_an_independent_oracle(brute_membership, k):
-    # K <= 8 runs the per-K schedule and K = 9 the loop that splits each
-    # subset; both fill every subset as the last-placed recurrence does, and
-    # is_member's verdict, witness, tight list and max value match the K!
-    # enumeration for K <= 7, on seeded points scaled to land on N (tight),
-    # just above it (a witness) or left as drawn
+def test_both_dp_loops_match_an_independent_oracle(monkeypatch, brute_membership, k):
+    # K <= 6 runs the compiled kernel and K >= 7 the loop that splits each
+    # subset (the only one that builds the subset table up front); both fill
+    # every subset as the last-placed recurrence does, and is_member's
+    # verdict, witness, tight list and max value match the K! enumeration
+    # for K <= 7, on seeded points scaled to land on N (tight), just above
+    # it (a witness) or left as drawn
+    kernels = []
+    kernel = yrelay.dofregion._dp_kernel
+    monkeypatch.setattr(yrelay.dofregion, "_dp_kernel", lambda users: kernels.append(users) or kernel(users))
     rng = random.Random(k)
-    assert (yrelay.dofregion._dp_tables(k)[3] is None) == (k > 8)
     for above in (0, F(1, 7), None):
         spec = RegionSpec(K=k, N=rng.randint(1, 8))
         d = DofVector(k, {p: F(rng.choice((0, 0, rng.randint(1, 12))), rng.randint(1, 4))
@@ -397,10 +409,37 @@ def test_both_dp_loops_match_an_independent_oracle(brute_membership, k):
         top = _last_placed_best(d)[-1]
         if above is not None and top > 0:
             d = DofVector(k, {p: v * (spec.N + above) / top for p, v in d.items()})
-        best = yrelay.dofregion._OrderingDP(d).best
-        assert best == [v * d.T for v in _last_placed_best(d)]
+        kernels.clear()
+        dp = yrelay.dofregion._OrderingDP(d)
+        assert kernels == ([k] if k <= KERNEL_MAX_USERS == 6 else [])
+        assert ("out" in vars(dp)) == (k > KERNEL_MAX_USERS)
+        assert dp.best == [v * d.T for v in _last_placed_best(d)]
         if k <= 7:
             assert is_member(d, spec) == brute_membership(d, spec)
+
+
+def _kernel_cases():
+    """(K, scaled, T) for K = 3..6: entries 0, small, or past 2^64, over a T
+    that may also pass 2^64."""
+    entry = st.one_of(st.just(0), st.integers(1, 12), st.integers(2 ** 64, 2 ** 70))
+    return st.integers(3, 6).flatmap(lambda k: st.tuples(
+        st.just(k), st.lists(entry, min_size=k * (k - 1), max_size=k * (k - 1)), st.integers(1, 2 ** 66)))
+
+
+@settings(PROPERTY, max_examples=60)
+@given(_kernel_cases())
+@example((6, [0] * 30, 1))
+@example((5, [0] * 13 + [7] + [0] * 6, 3))
+@example((4, [2 ** 64 + i for i in range(12)], 2 ** 65 + 1))
+def test_kernel_matches_the_last_placed_oracle(case):
+    # the compiled DP of each K <= 6 on the zero vector, a single nonzero
+    # entry and ints past 2^64, against the Fraction recurrence; each call
+    # returns a fresh list
+    k, scaled, t = case
+    d = DofVector.from_scaled(k, scaled, t)
+    best = yrelay.dofregion._dp_kernel(k)(d.scaled)
+    assert best == [v * d.T for v in _last_placed_best(d)]
+    assert best is not yrelay.dofregion._dp_kernel(k)(d.scaled)
 
 
 # -------------------------------------------------------------------- sum-DoF
@@ -439,27 +478,16 @@ def test_sum_dof_doubles_relay_antennas_six_and_eight_users():
 def test_per_k_tables_are_shared_read_only(full_row_lp):
     # tables built once per K are tuples all the way down (and getters), so
     # no caller can change them. The DP's step tables hold 2^(K/2) entries
-    # each; its schedule, one record per subset of two or more users in the
-    # loop's band order, is built for K <= 8 only, so no table of K >= 9
-    # has 2^K entries. User v's getter reads the entries into v, 0 for d_vv
+    # each, so no table has 2^K entries. User v's getter reads the entries
+    # into v, 0 for d_vv
     def frozen(t):
         return type(t) is tuple and all(frozen(v) for v in t if not isinstance(v, int))
 
     for k in (3, 4, 7, 8, 9, ORACLE_MAX_USERS):
-        into, lo, hi, schedule = yrelay.dofregion._dp_tables(k)
+        into, lo, hi = yrelay.dofregion._dp_tables(k)
         assert (len(into), len(lo), len(hi)) == (k, 2 ** (k // 2), 2 ** (k - k // 2))
         assert frozen((lo, hi)) and frozen(yrelay.dofregion._extreme_rows(k))
-        if k <= 8:
-            assert frozen(schedule) and len(schedule) == 2 ** k - k - 1
-            half = k // 2
-            subsets = [s for b in range(1, k) for s in range(1 << b | 1, 2 << b)]
-            assert [r[0] for r in schedule] == subsets
-            for s, low, high, steps in schedule:
-                members = [u for u in range(k) if s >> u & 1]
-                assert (low, high) == (s % 2 ** half, s >> half)
-                assert steps == tuple((s ^ 1 << u, u) for u in members)
-        else:
-            assert schedule is None and max(len(lo), len(hi)) < 2 ** k
+        assert max(len(lo), len(hi)) < 2 ** k
         assert frozen(pair_cells(k)) and all(type(g) is itemgetter for g in into)
         d = DofVector.from_scaled(k, range(1, k * (k - 1) + 1), 1)
         assert [g(d.scaled + (0,)) for g in into] == [tuple(d.get(u, v) if u != v else 0 for u in range(1, k + 1))
