@@ -10,18 +10,20 @@ Fractions appear only in the values returned.
 
 Membership, sum-DoF and the gap probe never walk the K! orderings. The
 Held-Karp subset DP gives the largest ordering sum over the 2^K user subsets,
-placing the first user of each; its one subset table (the entries from a user
-to a subset) also serves the tight count and a lexicographic walk pruned by
-the exact DP, which yields each ordering with its sum: the first violating
-one (witness and cut) after K steps, or the tight ones, counted first. The
-LPs, on the integer simplex tableau, add that violator as a row until the
-optimum is a member (cutting planes): the simplex certificate on those rows,
-zero duals for the rest and the DP's verdict certify the optimum for all K!
-rows, checked with zero tolerance on the tableau's ints. What depends on K
-alone is built once per K, read-only: the DP's entry getters, half-subset
-members (2^(K/2) each) and, for K <= 6, the DP itself compiled into one
-straight-line function, the extreme ordering rows and `alignment.pair_cells`.
-No result is cached: each vector's table is computed anew.
+placing the first user of each. A lexicographic walk pruned by the exact DP
+yields each ordering with its sum: the first violating one (witness and cut)
+after K - 2 placements, or the tight ones, counted first. The walk keeps each
+unplaced user's entries to the rest in one list, updated in place; only the
+tight count and the K >= 7 DP loop build the subset table (the entries from
+a user to a subset). The LPs, on the integer simplex tableau, add that
+violator as a row until the optimum is a member (cutting planes): the
+simplex certificate on those rows, zero duals for the rest and the DP's
+verdict certify the optimum for all K! rows, checked with zero tolerance on
+the tableau's ints. What depends on K alone is built once per K, read-only:
+the DP's entry getters, half-subset members (2^(K/2) each) and, for K <= 6,
+the DP itself compiled into one straight-line function, the extreme ordering
+rows and `alignment.pair_cells`. No result is cached: each vector's DP is
+computed anew.
 """
 
 from __future__ import annotations
@@ -157,8 +159,8 @@ class _OrderingDP:
     For K <= KERNEL_MAX_USERS the compiled `_dp_kernel` of K fills best;
     past that a loop fills it band by band (the subsets with highest user
     b+1 other than {b+1}), splitting each subset into halves. `out`, built
-    on first read, is the DP's one subset table: the loop, `tight_count`
-    and `orderings` read it.
+    on first read, is the DP's one subset table; only that loop and
+    `tight_count` read it, as `orderings` keeps its sums in place.
     """
 
     def __init__(self, d: DofVector):
@@ -210,23 +212,35 @@ class _OrderingDP:
         scaled sum is >= floor, in lexicographic order. A user is placed
         next only when the entries fixed so far plus the best order of the
         rest reach floor; best[] is exact, so every placed user leads to a
-        yield, and the first comes after K placements."""
-        (lo, hi), (lo_steps, hi_steps), best = self.out, self.steps, self.best
-        mask, half, rest = self.mask, self.half, len(best) - 1
-        stack = [(rest, 0, (), iter(lo_steps[rest & mask] + hi_steps[rest >> half]))]
+        yield. The last user's out is 0, so it closes an ordering unplaced
+        and the first yield comes after K - 2 placements. No subset table is
+        read: out[u] = out(u, rest) starts as u's row sum, placing a user
+        takes the entries into it off the rest's out in place, and
+        backtracking adds them back."""
+        (lo_steps, hi_steps), best, mask, half, padded = self.steps, self.best, self.mask, self.half, self.scaled + (0,)
+        into = [entries(padded) for entries in self.into]
+        out = list(map(sum, zip(*into)))
+        members = lo_steps[-1] + hi_steps[-1]  # every user
+        path, stack = [], [(len(best) - 1, 0, members, iter(members))]
         while stack:
-            rest, fixed, prefix, steps = stack[-1]
-            out_lo, out_hi = lo[rest & mask], hi[rest >> half]
+            rest, fixed, members, steps = stack[-1]
             for u, bit in steps:
-                left, placed = rest ^ bit, fixed + out_lo[u] + out_hi[u]
+                left, placed = rest ^ bit, fixed + out[u]
                 if placed + best[left] >= floor:
-                    if left:
-                        members = iter(lo_steps[left & mask] + hi_steps[left >> half])
-                        stack.append((left, placed, prefix + (u + 1,), members))
+                    if left & (left - 1):
+                        entries, kids = into[u], lo_steps[left & mask] + hi_steps[left >> half]
+                        for v, _ in kids:
+                            out[v] -= entries[v]
+                        path.append(u + 1)
+                        stack.append((left, placed, kids, iter(kids)))
                         break
-                    yield prefix + (u + 1,), placed
+                    yield (*path, u + 1, left.bit_length()), placed
             else:
                 stack.pop()
+                if path:
+                    entries = into[path.pop() - 1]
+                    for v, _ in members:
+                        out[v] += entries[v]
 
 
 def is_member(d: DofVector, spec: RegionSpec) -> MembershipVerdict:
@@ -342,9 +356,10 @@ def vertices_k3(n_relay: int):
     rows = perm_rows + nonneg_rows
     rhs = [n_relay] * len(perm_rows) + [0] * dim
 
-    candidates = set()
+    candidates = set()  # solution tuples, in `variables` order: sorted as `DofVector.as_tuple`
     for subset in itertools.combinations(range(len(rows)), dim):
         solution = solve_linear([rows[i] for i in subset], [rhs[i] for i in subset])
         if solution is not None and min(solution) >= 0:
-            candidates.add(DofVector(3, dict(zip(variables, solution))))
-    return sorted((v for v in candidates if is_member(v, spec).member), key=DofVector.as_tuple)
+            candidates.add(tuple(solution))
+    vectors = (DofVector(3, dict(zip(variables, s))) for s in sorted(candidates))
+    return [v for v in vectors if is_member(v, spec).member]

@@ -10,7 +10,7 @@ and a closed-form vertex catalogue checked for several N.
 import pickle
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import islice, permutations
 from operator import itemgetter
 
 import pytest
@@ -311,11 +311,11 @@ def test_ordering_walk_matches_enumeration(case, data):
         assert list(dp.orderings(floor)) == [(p, s) for p, s in sums if s >= floor]
 
 
-def test_one_subset_table_per_dp(monkeypatch):
-    # _subset_sums builds the one table of each DP: is_member on a
-    # non-member (witness) and on a tight member (tight list), and the K=4
-    # gap probe, whose LPs search the walk for cuts, build no other. The
-    # compiled K <= 6 DP needs no table, so only a DP that is walked builds it
+def test_only_the_tight_count_and_the_dp_loop_build_a_subset_table(monkeypatch):
+    # the walk keeps its sums in place, so a non-member's witness and the
+    # cuts of the K=4 gap probe build no subset table; a tight member builds
+    # one, for tight_count, and a DP past the compiled K <= 6 builds one for
+    # its loop, which its witness walk does not add to
     builds = {"dp": 0, "tables": 0, "walks": 0}
     subset_sums = yrelay.dofregion._subset_sums
 
@@ -335,13 +335,16 @@ def test_one_subset_table_per_dp(monkeypatch):
     monkeypatch.setattr(yrelay.dofregion, "_subset_sums", counted)
     monkeypatch.setattr(yrelay.dofregion, "_OrderingDP", CountedDP)
     verdict = is_member(DofVector(4, {(1, 2): F(7)}), SPEC46)
-    assert not verdict.member and builds == {"dp": 1, "tables": 1, "walks": 1}
+    assert not verdict.member and builds == {"dp": 1, "tables": 0, "walks": 1}
     builds.update(dp=0, tables=0, walks=0)
     verdict = is_member(CYCLE, SPEC46)
     assert len(verdict.tight) == 12 and builds == {"dp": 1, "tables": 1, "walks": 1}
     builds.update(dp=0, tables=0, walks=0)
     assert find_construction_gap(SPEC46) is not None
-    assert builds["walks"] > 0 and builds["tables"] == builds["walks"] < builds["dp"]
+    assert 0 == builds["tables"] < builds["walks"] < builds["dp"]
+    builds.update(dp=0, tables=0, walks=0)
+    verdict = is_member(DofVector(7, {(1, 2): F(7)}), RegionSpec(K=7, N=6))
+    assert not verdict.member and builds == {"dp": 1, "tables": 1, "walks": 1}
 
 
 def _brute_best(d, users) -> int:
@@ -401,14 +404,7 @@ def test_both_dp_loops_match_an_independent_oracle(monkeypatch, brute_membership
     kernels = []
     kernel = yrelay.dofregion._dp_kernel
     monkeypatch.setattr(yrelay.dofregion, "_dp_kernel", lambda users: kernels.append(users) or kernel(users))
-    rng = random.Random(k)
-    for above in (0, F(1, 7), None):
-        spec = RegionSpec(K=k, N=rng.randint(1, 8))
-        d = DofVector(k, {p: F(rng.choice((0, 0, rng.randint(1, 12))), rng.randint(1, 4))
-                          for p in ordered_pairs(k)})
-        top = _last_placed_best(d)[-1]
-        if above is not None and top > 0:
-            d = DofVector(k, {p: v * (spec.N + above) / top for p, v in d.items()})
+    for d, spec in _seeded_points(k, random.Random(k)):
         kernels.clear()
         dp = yrelay.dofregion._OrderingDP(d)
         assert kernels == ([k] if k <= KERNEL_MAX_USERS == 6 else [])
@@ -416,6 +412,60 @@ def test_both_dp_loops_match_an_independent_oracle(monkeypatch, brute_membership
         assert dp.best == [v * d.T for v in _last_placed_best(d)]
         if k <= 7:
             assert is_member(d, spec) == brute_membership(d, spec)
+
+
+def _seeded_points(k, rng):
+    """Seeded K-user points, each with a region: entries 0 or small over a
+    small denominator, scaled so that the largest ordering sum lands on N
+    (tight orderings), just above N (a witness), or left as drawn."""
+    for above in (0, F(1, 7), None):
+        spec = RegionSpec(K=k, N=rng.randint(1, 8))
+        d = DofVector(k, {p: F(rng.choice((0, 0, rng.randint(1, 12))), rng.randint(1, 4))
+                          for p in ordered_pairs(k)})
+        top = _last_placed_best(d)[-1]
+        if above is not None and top > 0:
+            d = DofVector(k, {p: v * (spec.N + above) / top for p, v in d.items()})
+        yield d, spec
+
+
+def _ordering_sums(d):
+    """(ordering, scaled sum) of each ordering in lexicographic order, summed
+    from the vector's ints as the permutations are enumerated."""
+    index, k = pair_index(d.K), d.K
+    for p in permutations(range(1, k + 1)):
+        yield p, sum(d.scaled[index[p[a], p[b]]] for a in range(k) for b in range(a + 1, k))
+
+
+@pytest.mark.parametrize("k", [7, 8])
+def test_walk_past_the_compiled_dp_matches_enumeration(k):
+    # the K >= 7 loop's best[] prunes the same in-place walk: at K = 7 its
+    # whole list, at K = 8 its first yield, at the tight floor, just past it
+    # (witness and cut) and at a drawn floor, against the K! enumeration, on
+    # tight, just violating and drawn points
+    rng = random.Random(100 + k)
+    for d, spec in _seeded_points(k, rng):
+        dp, bound = yrelay.dofregion._OrderingDP(d), spec.N * d.T
+        sums = list(_ordering_sums(d))
+        assert dp.best[-1] == max(s for _, s in sums)
+        for floor in (bound, bound + 1, rng.randint(-1, 2 * bound + 2)):
+            want = [(p, s) for p, s in sums if s >= floor]
+            if k == 7:
+                assert list(dp.orderings(floor)) == want
+            else:
+                assert next(dp.orderings(floor), None) == (want[0] if want else None)
+
+
+def test_k16_witness_is_the_first_violator_by_enumeration():
+    # a K = 16 point scaled so that an ordering starting 1, ..., 9 exceeds N:
+    # the lexicographically first violator is then among the first 7!
+    # orderings, which the enumeration reaches
+    rng, spec = random.Random(16), RegionSpec(K=16, N=5)
+    d = DofVector(16, {p: F(rng.choice((0, 0, rng.randint(1, 12))), rng.randint(1, 4)) for p in ordered_pairs(16)})
+    top = max(s for _, s in islice(_ordering_sums(d), 5040))
+    d = DofVector(16, {p: v * (spec.N + F(1, 7)) * d.T / top for p, v in d.items()})
+    p, s = next((p, s) for p, s in _ordering_sums(d) if s > spec.N * d.T)
+    assert p != tuple(range(1, 17))
+    assert is_member(d, spec) == MembershipVerdict(False, (p, F(s, d.T)), (), F(s, d.T))
 
 
 def _kernel_cases():
