@@ -15,15 +15,13 @@ yields each ordering with its sum: the first violating one (witness and cut)
 after K - 2 placements, or the tight ones, counted first. The walk keeps each
 unplaced user's entries to the rest in one list, updated in place; only the
 tight count and the K >= 7 DP loop build the subset table (the entries from
-a user to a subset). The LPs, on the integer simplex tableau, add that
-violator as a row until the optimum is a member (cutting planes): the
-simplex certificate on those rows, zero duals for the rest and the DP's
-verdict certify the optimum for all K! rows, checked with zero tolerance on
-the tableau's ints. What depends on K alone is built once per K, read-only:
-the DP's entry getters, half-subset members (2^(K/2) each) and, for K <= 6,
-the DP itself compiled into one straight-line function, the extreme ordering
-rows and `alignment.pair_cells`. No result is cached: each vector's DP is
-computed anew.
+a user to a subset). The LPs add that violator as a row to one kept integer
+tableau, where dual pivots restore feasibility, until the optimum is a member
+(cutting planes); the simplex certificate on those rows, zero duals for the
+rest and the DP's verdict certify it for all K! rows with zero tolerance.
+Built once per K, read-only: the DP's entry getters, half-subset members
+(2^(K/2) each), for K <= 6 the compiled DP, the extreme ordering rows, their
+start tableau and `alignment.pair_cells`. No result is cached.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from operator import add, itemgetter
 
 from .alignment import DofVector, pair_cells, pair_index, pair_tuple
 from .errors import DimensionError, TooLarge, WitnessInvalid
-from .simplex import _certify, _solve, solve_linear
+from .simplex import Tableau, _certify, _solve, solve_linear
 
 ORACLE_MAX_USERS = 16    # the ordering DP tabulates all 2^K user subsets
 TIGHT_LIST_MAX = 40320   # 8!, every ordering of 8 users
@@ -278,26 +276,29 @@ def _extreme_rows(k: int):
     return tuple(tuple(_ordering_row(p)) for p in (range(1, k + 1), range(k, 0, -1)))
 
 
+@cache
+def _extreme_start(k: int):
+    """All-slack int tableau rows [row, unit slack, rhs 0] of the extreme rows, built once per K."""
+    return tuple(map(tuple, _solve([0] * (k * (k - 1)), _extreme_rows(k), [0, 0]).tab[:-1]))
+
+
 def _region_max(objective, spec: RegionSpec, cap=None):
     """(max of objective . d over the region, maximizer), by cutting planes
-    from the extreme rows. The maximizer is None once a restricted optimum
-    is <= cap: the full optimum is no larger. Each LP optimum stays in
-    tableau ints: the DP reads the maximizer built from them, and the
-    certificate is checked on them."""
+    from the extreme rows, added to one kept `Tableau`. The maximizer is None
+    once a restricted optimum is <= cap: the full optimum is no larger. The
+    DP and the certificate read each optimum as the tableau's ints."""
     if spec.K > ORACLE_MAX_USERS:  # refused before any LP, as the DP would refuse its optimum
         raise TooLarge(f"ordering DP guarded at K <= {ORACLE_MAX_USERS} (2^K subsets)")
-    rows = list(_extreme_rows(spec.K))
+    rows, n = list(_extreme_rows(spec.K)), spec.N
+    lp = Tableau(objective, [[*row[:-1], n] for row in _extreme_start(spec.K)], [1, 1])
     while True:
-        rhs = [spec.N] * len(rows)
-        x, d, y, value, den, *_ = _solve(objective, rows, rhs)
-        if cap is not None and value <= cap * den:
-            return Fraction(value, den), None
-        point = DofVector.from_scaled(spec.K, x, d)
-        dp, bound = _OrderingDP(point), spec.N * point.T
-        if dp.best[-1] <= bound:  # a member: no ordering to search for a cut
-            _certify(objective, rows, rhs, x, d, y, value, den)
+        x, d, y, value, den = lp.optimum()
+        point = None if cap is not None and value <= cap * den else DofVector.from_scaled(spec.K, x, d)
+        if point is None or (dp := _OrderingDP(point)).best[-1] <= n * point.T:  # within cap, or a member
+            _certify(objective, rows, [n] * len(rows), x, d, y, value, den)
             return Fraction(value, den), point
-        rows.append(_ordering_row(next(dp.orderings(bound + 1))[0]))
+        rows.append(_ordering_row(next(dp.orderings(n * point.T + 1))[0]))
+        lp.add_row(rows[-1], n)
 
 
 def sum_dof_max(spec: RegionSpec):

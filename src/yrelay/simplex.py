@@ -1,14 +1,10 @@
-"""Exact-arithmetic primal simplex for small linear programs.
+"""Exact-arithmetic simplex for small, dense linear programs.
 
-Maximizes c'x subject to Ax <= b, x >= 0 with b >= 0, on a tableau of
-Python ints: each constraint row and the cost row are scaled by their own
-least common denominator (ints by 1), and integer-preserving Gauss-Jordan
-pivots (Edmonds, 1967) divide exactly. Bland's rule guarantees
-termination; problem sizes here are tiny (tens of variables and
-constraints), so the tableau is dense; only `_certify` skips zero duals in y.A.
-`_solve` returns the optimum as tableau ints, which the region LPs read and
-`_certify` checks as they are (zero tolerance), with no Fraction-facing
-wrapper; only `solve_linear` reads its solution out as Fractions.
+Maximizes c'x subject to Ax <= b, x >= 0 with b >= 0 on a `Tableau` of
+Python ints, each row scaled by its own least common denominator, where
+integer-preserving Gauss-Jordan pivots (Edmonds, 1967) divide exactly:
+primal Bland pivots from the all-slack basis, and dual ones (Lemke, 1954)
+after `add_row`. `_certify` checks an optimum's ints with zero tolerance.
 """
 
 from __future__ import annotations
@@ -55,57 +51,90 @@ def solve_linear(a, b):
     return [Fraction(m[r][n], d) for r in range(n)]
 
 
-def _solve(c, a, b):
-    """Maximize c'x s.t. Ax <= b, x >= 0 (all rationals, b >= 0), in tableau
-    ints: (x, d, y, value, den, basis, iterations), the point x / d, the
-    duals y / den, the value / den, the optimal basis (column indices, slacks
-    numbered after structural variables) and the pivot count."""
+class Tableau:
+    """An optimal simplex tableau of max c'x s.t. Ax <= b, x >= 0: ints over
+    d > 0, row i of A times scales[i], the cost row times c_scale, a unit
+    slack column per row after the n structural ones, then the rhs. Its cold
+    start takes over all-slack int rows [s_i A_i, unit slack, s_i b_i] with
+    b >= 0 and makes primal Bland pivots to an optimum."""
+
+    __slots__ = ("tab", "basis", "scales", "c_scale", "d", "n", "pivots")
+
+    def __init__(self, c, rows, scales):
+        (cost, self.c_scale), m = _integral(c), len(rows)
+        self.tab = tab = [*rows, [-v for v in cost] + [0] * (m + 1)]
+        self.basis = basis = list(range(len(c), len(c) + m))
+        self.n, self.scales, self.d, self.pivots = len(c), scales, 1, 0
+        while True:
+            # the first negative reduced cost enters (never the value: it starts at 0 and never falls)
+            for enter, v in enumerate(tab[m]):
+                if v < 0:
+                    break
+            else:
+                return
+            row = None  # Bland: min ratio rhs / entry by cross-multiplying, ties by smallest basis index
+            for i, r in enumerate(tab[:m]):
+                if r[enter] > 0 and (row is None or (r[-1] * den, basis[i]) < (top * r[enter], basis[row])):
+                    row, top, den = i, r[-1], r[enter]
+            if row is None:
+                raise LpError("unbounded linear program")
+            self.d, basis[row], self.pivots = _pivot(tab, row, enter, self.d), enter, self.pivots + 1
+
+    def add_row(self, row, rhs) -> None:
+        """Add the constraint row . x <= rhs (n rationals, rhs >= 0) in the
+        current basis, its slack basic, and restore feasibility by dual Bland
+        pivots: the negative rhs of least basic index leaves, and the least
+        reduced cost / |entry| over its negative entries enters (ties to the
+        least index), its row negated first so that d stays positive."""
+        (*row, rhs), s = _integral([*row, rhs])
+        if rhs < 0 or len(row) != self.n:
+            raise LpError("this solver needs b >= 0 (all-slack start)" if rhs < 0 else "inconsistent LP dimensions")
+        tab, basis, n, d = self.tab, self.basis, self.n, self.d
+        for r in tab:
+            r.insert(-1, 0)
+        new = [d * v for v in row] + [0] * len(basis) + [d, d * rhs]
+        for i, var in enumerate(basis):
+            if var < n and row[var]:
+                new = [v - row[var] * t for v, t in zip(new, tab[i])]
+        tab.insert(len(basis), new)
+        basis.append(n + len(basis))
+        self.scales.append(s)
+        while True:
+            cost, row, enter = tab[-1], None, None
+            for i, r in enumerate(tab[:-1]):
+                if r[-1] < 0 and (row is None or basis[i] < basis[row]):
+                    row = i
+            if row is None:
+                return
+            for j, t in enumerate(tab[row][:-1]):  # x = 0 is feasible, so some t < 0
+                if t < 0 and (enter is None or cost[j] * top < cost[enter] * -t):
+                    enter, top = j, -t
+            tab[row] = [-v for v in tab[row]]
+            self.d, basis[row], self.pivots = _pivot(tab, row, enter, self.d), enter, self.pivots + 1
+
+    def optimum(self):
+        """(x, d, y, value, den): the point x / d, the duals y / den and the
+        value / den, in tableau ints as `_certify` takes them."""
+        n, cost, x = self.n, self.tab[-1], [0] * self.n
+        for var, r in zip(self.basis, self.tab):
+            if var < n:
+                x[var] = r[-1]
+        # slack i, scaled with its row by s, has reduced cost y_i * c_scale / s
+        return x, self.d, list(map(mul, self.scales, cost[n:-1])), cost[-1], self.d * self.c_scale
+
+
+def _solve(c, a, b) -> Tableau:
+    """The `Tableau` of max c'x s.t. Ax <= b, x >= 0 (rationals, b >= 0),
+    each row [A_i, unit slack, b_i] scaled by its least common denominator."""
     m, n = len(a), len(c)
     if any(len(row) != n for row in a) or len(b) != m:
         raise LpError("inconsistent LP dimensions")
     if min(b, default=0) < 0:
         raise LpError("this solver needs b >= 0 (all-slack start)")
-
-    # Tableau: m constraint rows then the cost row, each scaled to ints;
-    # columns are the n structural variables, m slacks (slack i scaled with
-    # its row, so its column stays a unit column), and the rhs. True entries
-    # are tab / d.
     rows = [_integral([*row, *[0] * m, rhs]) for row, rhs in zip(a, b)]
-    tab = [r for r, _ in rows]
-    for i, r in enumerate(tab):
+    for i, (r, _) in enumerate(rows):
         r[n + i] = 1
-    cost, c_scale = _integral(c)
-    tab.append([-v for v in cost] + [0] * (m + 1))
-    basis = list(range(n, n + m))
-
-    d, iterations = 1, 0
-    while True:
-        # the first negative reduced cost enters (never the value: it starts at 0 and never falls)
-        for enter, v in enumerate(tab[m]):
-            if v < 0:
-                break
-        else:
-            break
-        # Bland: min ratio tab[i][-1] / tab[i][enter], compared by
-        # cross-multiplying; ties by smallest basis index
-        row = None
-        for i, r in enumerate(tab[:m]):
-            t, rhs = r[enter], r[-1]
-            if t > 0 and (row is None or (rhs * den, basis[i]) < (top * t, basis[row])):
-                row, top, den = i, rhs, t
-        if row is None:
-            raise LpError("unbounded linear program")
-        d = _pivot(tab, row, enter, d)
-        basis[row] = enter
-        iterations += 1
-
-    x = [0] * n
-    for i, var in enumerate(basis):
-        if var < n:
-            x[var] = tab[i][-1]
-    # slack i, scaled with its row by s, has reduced cost y_i * c_scale / s
-    duals = [s * v for (_, s), v in zip(rows, tab[m][n : n + m])]
-    return x, d, duals, tab[m][-1], d * c_scale, basis, iterations
+    return Tableau(c, [r for r, _ in rows], [s for _, s in rows])
 
 
 def _certify(c, a, b, x, d, y, value, den) -> bool:

@@ -326,7 +326,8 @@ def full_row_gap():
 
 # ---------------------------------------------------------- reference simplex
 # The tableau simplex as it ran over fractions.Fraction, before the integer
-# tableau: every entry a Fraction, each pivot row scaled to a unit entry.
+# tableau: every entry a Fraction, each pivot row scaled to a unit entry; its
+# dual pivots for an added row follow the integer tableau's rule.
 
 
 def _reference_frac_matrix(rows):
@@ -370,48 +371,91 @@ class LpResult:
     iterations: int
 
 
+class _ReferenceTableau:
+    """The Fraction tableau of max c'x s.t. Ax <= b, x >= 0 (all rationals,
+    b >= 0): built by primal Bland pivots from the all-slack basis, and kept
+    optimal by dual Bland pivots as `add_row` adds a constraint."""
+
+    def __init__(self, c, a, b):
+        a = _reference_frac_matrix(a)
+        c = [Fraction(v) for v in c]
+        b = [Fraction(v) for v in b]
+        m, n = len(a), len(c)
+        if any(len(row) != n for row in a) or len(b) != m:
+            raise LpError("inconsistent LP dimensions")
+        if any(v < 0 for v in b):
+            raise LpError("this solver needs b >= 0 (all-slack start)")
+
+        # Tableau: m constraint rows then the cost row; columns are the n
+        # structural variables, m slacks, and the rhs.
+        self.n, self.iterations = n, 0
+        self.tab = [a[i] + [Fraction(int(i == j)) for j in range(m)] + [b[i]] for i in range(m)]
+        self.tab.append([-v for v in c] + [Fraction(0)] * (m + 1))
+        self.basis = list(range(n, n + m))
+        tab = self.tab
+        while True:
+            enter = next((j for j in range(n + m) if tab[m][j] < 0), None)
+            if enter is None:
+                break
+            ratios = [
+                (tab[i][-1] / tab[i][enter], self.basis[i], i)
+                for i in range(m)
+                if tab[i][enter] > 0
+            ]
+            if not ratios:
+                raise LpError("unbounded linear program")
+            _, _, row = min(ratios)  # Bland: min ratio, ties by smallest basis index
+            self._pivot(row, enter)
+
+    def _pivot(self, row: int, col: int) -> None:
+        _reference_pivot(self.tab, row, col)
+        self.basis[row] = col
+        self.iterations += 1
+
+    def add_row(self, row, rhs) -> None:
+        """Add row . x <= rhs (n entries, rhs >= 0): the row with its new
+        slack, minus the rows of the basic structural variables it holds,
+        then dual pivots while a rhs is negative (Bland: the row of least
+        basic index leaves; the least reduced cost / |entry| over its
+        negative entries enters, ties by smallest column)."""
+        row, rhs = [Fraction(v) for v in row], Fraction(rhs)
+        if rhs < 0:
+            raise LpError("this solver needs b >= 0 (all-slack start)")
+        if len(row) != self.n:
+            raise LpError("inconsistent LP dimensions")
+        tab, basis, m = self.tab, self.basis, len(self.basis)
+        for r in tab:
+            r.insert(-1, Fraction(0))
+        new = row + [Fraction(0)] * m + [Fraction(1), rhs]
+        for i, var in enumerate(basis):
+            if var < self.n and row[var] != 0:
+                new = [v - row[var] * t for v, t in zip(new, tab[i])]
+        tab.insert(m, new)
+        basis.append(self.n + m)
+        while True:
+            infeasible = [(basis[i], i) for i in range(len(basis)) if tab[i][-1] < 0]
+            if not infeasible:
+                return
+            _, leave = min(infeasible)
+            ratios = [(tab[-1][j] / -t, j) for j, t in enumerate(tab[leave][:-1]) if t < 0]
+            _, enter = min(ratios)
+            self._pivot(leave, enter)
+
+    def result(self) -> LpResult:
+        n, m, tab = self.n, len(self.basis), self.tab
+        x = [Fraction(0)] * n
+        for i, var in enumerate(self.basis):
+            if var < n:
+                x[var] = tab[i][-1]
+        duals = tuple(tab[m][n + i] for i in range(m))
+        return LpResult(
+            value=tab[m][-1], x=tuple(x), basis=tuple(self.basis), duals=duals, iterations=self.iterations
+        )
+
+
 def _reference_solve_max(c, a, b) -> LpResult:
     """Maximize c'x s.t. Ax <= b, x >= 0 (all rationals, b >= 0)."""
-    a = _reference_frac_matrix(a)
-    c = [Fraction(v) for v in c]
-    b = [Fraction(v) for v in b]
-    m, n = len(a), len(c)
-    if any(len(row) != n for row in a) or len(b) != m:
-        raise LpError("inconsistent LP dimensions")
-    if any(v < 0 for v in b):
-        raise LpError("this solver needs b >= 0 (all-slack start)")
-
-    # Tableau: m constraint rows then the cost row; columns are the n
-    # structural variables, m slacks, and the rhs.
-    tab = [a[i] + [Fraction(int(i == j)) for j in range(m)] + [b[i]] for i in range(m)]
-    tab.append([-v for v in c] + [Fraction(0)] * (m + 1))
-    basis = list(range(n, n + m))
-
-    iterations = 0
-    while True:
-        enter = next((j for j in range(n + m) if tab[m][j] < 0), None)
-        if enter is None:
-            break
-        ratios = [
-            (tab[i][-1] / tab[i][enter], basis[i], i)
-            for i in range(m)
-            if tab[i][enter] > 0
-        ]
-        if not ratios:
-            raise LpError("unbounded linear program")
-        _, _, row = min(ratios)  # Bland: min ratio, ties by smallest basis index
-        _reference_pivot(tab, row, enter)
-        basis[row] = enter
-        iterations += 1
-
-    x = [Fraction(0)] * n
-    for i, var in enumerate(basis):
-        if var < n:
-            x[var] = tab[i][-1]
-    duals = tuple(tab[m][n + i] for i in range(m))
-    return LpResult(
-        value=tab[m][-1], x=tuple(x), basis=tuple(basis), duals=duals, iterations=iterations
-    )
+    return _ReferenceTableau(c, a, b).result()
 
 
 def _reference_verify_certificate(c, a, b, res: LpResult) -> bool:
@@ -443,10 +487,11 @@ def _reference_verify_certificate(c, a, b, res: LpResult) -> bool:
 
 @pytest.fixture(scope="session")
 def reference_simplex():
-    """The Fraction tableau simplex: `solve_max` (an `LpResult`),
-    `verify_certificate` and `solve_linear`, whose results and messages
-    `yrelay.simplex._solve`, `_certify` and `solve_linear` must reproduce."""
-    return SimpleNamespace(solve_max=_reference_solve_max,
+    """The Fraction tableau simplex: `solve_max` (an `LpResult`), `tableau`
+    (kept, with `add_row` and `result`), `verify_certificate` and
+    `solve_linear`, whose results and messages `yrelay.simplex._solve`, its
+    `Tableau`, `_certify` and `solve_linear` must reproduce."""
+    return SimpleNamespace(solve_max=_reference_solve_max, tableau=_ReferenceTableau,
                            verify_certificate=_reference_verify_certificate,
                            solve_linear=_reference_solve_linear)
 

@@ -11,7 +11,7 @@ import pickle
 import random
 from fractions import Fraction
 from itertools import islice, permutations
-from operator import itemgetter
+from operator import itemgetter, mul
 
 import pytest
 from hypothesis import example, given, settings
@@ -43,7 +43,7 @@ from yrelay.dofregion import (
     vertices_k3,
 )
 from yrelay.errors import DimensionError, Infeasible, LpError, TooLarge, WitnessInvalid, YRelayError
-from yrelay.simplex import _certify, _solve
+from yrelay.simplex import Tableau, _certify, _solve
 
 F = Fraction
 ALL_ONES = DofVector.uniform(4, F(1))
@@ -537,16 +537,21 @@ def test_per_k_tables_are_shared_read_only(full_row_lp):
         into, lo, hi = yrelay.dofregion._dp_tables(k)
         assert (len(into), len(lo), len(hi)) == (k, 2 ** (k // 2), 2 ** (k - k // 2))
         assert frozen((lo, hi)) and frozen(yrelay.dofregion._extreme_rows(k))
+        # the start tableau: each extreme row, its unit slack and rhs 0
+        assert yrelay.dofregion._extreme_start(k) == tuple((*row, 1 - i, i, 0) for i, row in
+                                                           enumerate(yrelay.dofregion._extreme_rows(k)))
         assert max(len(lo), len(hi)) < 2 ** k
         assert frozen(pair_cells(k)) and all(type(g) is itemgetter for g in into)
         d = DofVector.from_scaled(k, range(1, k * (k - 1) + 1), 1)
         assert [g(d.scaled + (0,)) for g in into] == [tuple(d.get(u, v) if u != v else 0 for u in range(1, k + 1))
                                                       for v in range(1, k + 1)]
-    # the gap probe appends cuts to its rows; later LPs start again from
-    # the identity and reversed rows alone
+    # the gap probe adds cuts to its tableaus, which copy the start rows;
+    # later LPs start again from the identity and reversed rows alone
+    start = yrelay.dofregion._extreme_start(4)
     assert find_construction_gap(SPEC46) is not None
     assert yrelay.dofregion._extreme_rows(4) == (tuple(yrelay.dofregion._ordering_row((1, 2, 3, 4))),
                                                  tuple(yrelay.dofregion._ordering_row((4, 3, 2, 1))))
+    assert yrelay.dofregion._extreme_start(4) is start and frozen(start)
     for n in range(1, 9):
         assert sum_dof_max(RegionSpec(K=4, N=n)) == full_row_lp([F(1)] * 12, 4, n)
 
@@ -554,22 +559,78 @@ def test_per_k_tables_are_shared_read_only(full_row_lp):
 def test_forged_maximizer_is_refused(monkeypatch):
     # an LP optimum forged to the origin passes the DP (it is a member) and
     # reaches the certificate check, which refuses it
-    solve = yrelay.dofregion._solve
+    class Forged(Tableau):
+        __slots__ = ()
 
-    def forged(c, a, b):
-        x, *rest = solve(c, a, b)
-        return [0] * len(x), *rest
+        def optimum(self):
+            x, *rest = super().optimum()
+            return [0] * len(x), *rest
 
-    monkeypatch.setattr(yrelay.dofregion, "_solve", forged)
+    monkeypatch.setattr(yrelay.dofregion, "Tableau", Forged)
     with pytest.raises(LpError, match="^certificate: objective values disagree$"):
         sum_dof_max(SPEC46)
 
 
 def test_sum_dof_guard(monkeypatch):
-    # refused before any LP is solved
-    monkeypatch.setattr(yrelay.dofregion, "_solve", None)
+    # refused before any tableau is built, the per-K start included
+    monkeypatch.setattr(yrelay.dofregion, "Tableau", None)
+    monkeypatch.setattr(yrelay.dofregion, "_extreme_start", None)
     with pytest.raises(TooLarge):
         sum_dof_max(RegionSpec(K=ORACLE_MAX_USERS + 1, N=2))
+
+
+# (K, the optimum at N = 2 of the objective (7i + 3) mod 5 as a cold solve
+# per cutting-plane round found it, the cuts and the pivots on the kept
+# tableau; a cold solve per round made 169, 10 and 1578 pivots)
+CUT_LOOPS = ((5, 12, 11, 17), (6, 16, 1, 5), (7, 12, 40, 62))
+
+
+@pytest.mark.parametrize("k, value, cuts, pivots", CUT_LOOPS)
+def test_cut_loop_keeps_one_tableau(monkeypatch, k, value, cuts, pivots):
+    # every cut enters the one tableau of the cold start by add_row; its
+    # pivots, the cold start's and the dual ones, stay within the count
+    # recorded when the tableau was first kept across cuts
+    built = []
+
+    class Counted(Tableau):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(yrelay.dofregion, "Tableau", Counted)
+    objective = [(7 * i + 3) % 5 for i in range(k * (k - 1))]
+    got, point = yrelay.dofregion._region_max(objective, RegionSpec(K=k, N=2))
+    assert got == value and is_member(point, RegionSpec(K=k, N=2)).member
+    assert sum(map(mul, objective, point.scaled)) == value * point.T
+    [lp] = built
+    assert len(lp.basis) == 2 + cuts and lp.pivots <= pivots
+
+
+@pytest.mark.parametrize("k", range(3, 8))
+@settings(PROPERTY, max_examples=10)
+@given(n=st.integers(1, 4), data=st.data())
+def test_kept_tableau_matches_cold_solves_along_the_cut_loop(k, n, data):
+    # the cut loop on random nonnegative objectives: after each cut that the
+    # walk yields, the kept tableau's optimum has the value of a cold solve
+    # on the same rows, passes the certificate and keeps d > 0
+    objective = data.draw(st.lists(st.integers(0, 5), min_size=k * (k - 1), max_size=k * (k - 1)), label="c")
+    rows = list(yrelay.dofregion._extreme_rows(k))
+    lp = _solve(objective, rows, [n] * len(rows))
+    while True:
+        x, d, y, value, den = lp.optimum()
+        rhs = [n] * len(rows)
+        assert d > 0 and den > 0 and _certify(objective, rows, rhs, x, d, y, value, den)
+        cold = _solve(objective, rows, rhs).optimum()
+        assert F(value, den) == F(cold[3], cold[4])
+        point = DofVector.from_scaled(k, x, d)
+        dp = yrelay.dofregion._OrderingDP(point)
+        if dp.best[-1] <= n * point.T:
+            break
+        rows.append(yrelay.dofregion._ordering_row(next(dp.orderings(n * point.T + 1))[0]))
+        lp.add_row(rows[-1], n)
+    assert yrelay.dofregion._region_max(objective, RegionSpec(K=k, N=n)) == (F(value, den), point)
 
 
 @settings(PROPERTY, max_examples=6)
@@ -672,7 +733,7 @@ def test_six_user_member_beyond_pair_and_cycle_blocks():
     assert len(cycles) == 9
     uses = [{(c[i], c[(i + 1) % len(c)]) for i in range(len(c))} for c in cycles]
     c, a, b = [1] * len(cycles), [[int(arc in u) for u in uses] for arc in BEYOND_CYCLES], [2] * len(BEYOND_CYCLES)
-    x, scale, y, value, den, _, _ = _solve(c, a, b)
+    x, scale, y, value, den = _solve(c, a, b).optimum()
     assert _certify(c, a, b, x, scale, y, value, den)
     assert F(value, den) == 5
     assert 22 - F(value, den) == 17

@@ -1,12 +1,14 @@
 """Exact rational simplex: pinned instances, a float LP oracle sweep, and
 Hypothesis properties holding the integer tableau to the Fraction tableau
-(`reference_simplex` in conftest.py). The tests call `_solve` and
-`_certify`, the functions the region LPs call, and read their tableau ints
-out as the reference's `LpResult`."""
+(`reference_simplex` in conftest.py), from the cold start and pivot for
+pivot through added rows. The tests build a `Tableau` by `_solve`, add rows
+to it, and read its optimum's tableau ints, which `_certify` checks as the
+region LPs do, out as the reference's `LpResult`."""
 
 import math
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,7 +16,8 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from conftest import LpResult
-from yrelay.dofregion import _extreme_rows, _ordering_row
+from yrelay.alignment import DofVector, pair_tuple
+from yrelay.dofregion import RegionSpec, _extreme_rows, _ordering_row, is_member
 from yrelay.errors import LpError
 from yrelay.simplex import _certify, _solve, solve_linear
 
@@ -28,19 +31,25 @@ BEALE = (
 )
 
 
+def record(lp, c, a, b) -> LpResult:
+    """A `Tableau`'s optimum on the rows c, A, b it holds, its tableau ints
+    certified by `_certify` as the region LPs certify them, read out as the
+    reference simplex's record."""
+    x, d, y, value, den = lp.optimum()
+    assert d > 0 and _certify(c, a, b, x, d, y, value, den) is True
+    return LpResult(value=F(value, den), x=tuple(F(v, d) for v in x), basis=tuple(lp.basis),
+                    duals=tuple(F(v, den) for v in y), iterations=lp.pivots)
+
+
 def solve(c, a, b) -> LpResult:
-    """`_solve`'s optimum, its tableau ints certified by `_certify` as the
-    region LPs certify them, read out as the reference simplex's record."""
-    x, d, y, value, den, basis, iterations = _solve(c, a, b)
-    assert _certify(c, a, b, x, d, y, value, den) is True
-    return LpResult(value=F(value, den), x=tuple(F(v, d) for v in x), basis=tuple(basis),
-                    duals=tuple(F(v, den) for v in y), iterations=iterations)
+    """The cold start's optimum, as `record` reads it."""
+    return record(_solve(c, a, b), c, a, b)
 
 
 def certify(c, a, b, res: LpResult) -> bool:
     """`_certify` on a record's rationals, the point over one common
-    denominator and the duals and value over another, as `_solve` returns
-    them."""
+    denominator and the duals and value over another, as `Tableau.optimum`
+    returns them."""
     d = math.lcm(*(F(v).denominator for v in res.x))
     den = math.lcm(*(F(v).denominator for v in (res.value, *res.duals)))
     return _certify(c, a, b, [int(v * d) for v in res.x], d, [int(v * den) for v in res.duals],
@@ -205,21 +214,21 @@ def test_integer_tableau_matches_fraction_tableau(reference_simplex, lp):
     got = lp_error(solve, c, a, b)
     assert got == lp_error(reference_simplex.solve_max, c, a, b)
     if isinstance(got, LpResult):
-        x, d, y, value, den, *_ = _solve(c, a, b)
+        x, d, y, value, den = _solve(c, a, b).optimum()
         assert all(type(v) is int for v in (*x, d, *y, value, den))
         assert certify(c, a, b, got) is True
         assert reference_simplex.verify_certificate(c, a, b, got) is True
 
 
 @st.composite
-def region_lps(draw):
+def region_lps(draw, max_cuts=6):
     """(c, A, b) as the region's cutting-plane LPs have them: the extreme
-    ordering rows plus random ordering cut rows (0/1 ints) for K = 3..6, every
-    rhs N = 1..8, and an all-ones, a random 0/1 or a random nonnegative int
-    objective. These LPs are degenerate, so Bland's tie-breaking decides the
-    basis."""
+    ordering rows plus up to `max_cuts` random ordering cut rows (0/1 ints)
+    for K = 3..6, every rhs N = 1..8, and an all-ones, a random 0/1 or a
+    random nonnegative int objective. These LPs are degenerate, so Bland's
+    tie-breaking decides the basis."""
     k, n = draw(st.integers(3, 6)), draw(st.integers(1, 8))
-    cuts = draw(st.lists(st.permutations(range(1, k + 1)), max_size=6))
+    cuts = draw(st.lists(st.permutations(range(1, k + 1)), max_size=max_cuts))
     rows = [*_extreme_rows(k), *map(_ordering_row, cuts)]
     width = k * (k - 1)
     c = draw(st.one_of(st.just([1] * width),
@@ -234,6 +243,92 @@ def test_integer_tableau_matches_fraction_tableau_on_region_lps(reference_simple
     c, a, b = lp
     # x, duals, value, basis and pivot count, certified on the tableau ints
     assert solve(c, a, b) == reference_simplex.solve_max(c, a, b)
+
+
+def added_rows_match(reference_simplex, c, a, b, next_row):
+    """Cold-start c, A, b in the integer and in the Fraction tableau, then
+    enter by `add_row` each (row, rhs) that next_row(record) gives for the
+    kept optimum's record, until it gives None, and hold the two tableaus
+    equal after each row: the record (pivot count included) or the error
+    message. The kept optimum has the value of a cold start on the rows so
+    far. Returns the number of dual pivots."""
+    lp, ref = lp_error(_solve, c, a, b), lp_error(reference_simplex.tableau, c, a, b)
+    if isinstance(lp, str):
+        assert lp == ref
+        return 0
+    kept, a, b = record(lp, c, a, b), list(a), list(b)
+    assert kept == ref.result()
+    start = kept.iterations
+    while (added := next_row(kept)) is not None:
+        row, rhs = added
+        got = lp_error(lp.add_row, row, rhs)
+        assert got == lp_error(ref.add_row, row, rhs)
+        if got is not None:  # refused before either tableau changes
+            assert got in ("this solver needs b >= 0 (all-slack start)", "inconsistent LP dimensions")
+            continue
+        a.append(row)
+        b.append(rhs)
+        kept = record(lp, c, a, b)
+        assert kept == ref.result()
+        assert kept.value == solve(c, a, b).value
+    return lp.pivots - start
+
+
+def rows_from(added):
+    """next_row for `added_rows_match` that gives the rows of a list."""
+    rows = iter(added)
+    return lambda kept: next(rows, None)
+
+
+@pytest.mark.parametrize("c, a, b, added", [
+    # the last cut is degenerate: it meets the optimum's value exactly
+    ([1, 1], [[1, 1]], [4], [([1, 0], 1), ([0, 1], 1), ([1, 1], 2)]),
+    (*BEALE, [([F(1, 2), 0, 0, 0], F(1, 100)), ([0, 0, 1, 0], F(1, 2)), ([1, 1, 1, 1], -1), ([1, 1], 1)]),
+])
+def test_added_rows_match_fraction_tableau_pinned(reference_simplex, c, a, b, added):
+    assert added_rows_match(reference_simplex, c, a, b, rows_from(added)) > 0
+
+
+@settings(PROPERTY, max_examples=300)
+@given(lps(), st.data())
+def test_added_rows_match_fraction_tableau(reference_simplex, lp, data):
+    # up to 6 rows: entries as in `lps` or all positive, now and then a row
+    # of the wrong length; the rhs mostly a fraction of the row's value at
+    # the kept optimum (a violated cut when that value is positive), now
+    # and then any rhs, negative included
+    c, a, b = lp
+    count = data.draw(st.integers(0, 6), label="rows")
+
+    def next_row(kept):
+        nonlocal count
+        if count == 0:
+            return None
+        count -= 1
+        width = data.draw(st.sampled_from((len(c),) * 12 + (len(c) - 1, len(c) + 1)), label="width")
+        entry = data.draw(st.sampled_from((_ENTRY, st.sampled_from((1, 2, F(1, 2))))), label="entries")
+        row = data.draw(st.lists(entry, min_size=width, max_size=width), label="row")
+        at = max(sum(map(F, map(mul, row, kept.x)), F(0)), F(0))
+        rhs = st.one_of(st.sampled_from((0, F(1, 4), F(1, 2), F(3, 4), 1)).map(lambda t: t * at),
+                        st.builds(F, st.integers(-2, 9), st.integers(1, 4)))
+        return row, data.draw(rhs, label="rhs")
+
+    added_rows_match(reference_simplex, c, a, b, next_row)
+
+
+@settings(PROPERTY, max_examples=150)
+@given(region_lps(max_cuts=0))
+def test_walk_cuts_match_fraction_tableau_on_region_lps(reference_simplex, lp):
+    # the cut loop of the region LPs: the extreme rows' cold start, then the
+    # first ordering (in lexicographic order) that the kept optimum violates,
+    # as the walk finds it, until the optimum is a member
+    c, a, b = lp
+    k, n = next(k for k in range(3, 7) if k * (k - 1) == len(c)), b[0]
+
+    def next_row(kept):
+        witness = is_member(DofVector(k, dict(zip(pair_tuple(k), kept.x))), RegionSpec(K=k, N=n)).witness
+        return None if witness is None else (_ordering_row(witness[0]), n)
+
+    added_rows_match(reference_simplex, c, a, b, next_row)
 
 
 @st.composite
