@@ -278,19 +278,19 @@ def _extreme_rows(k: int):
 
 @cache
 def _extreme_start(k: int):
-    """All-slack int tableau rows [row, unit slack, rhs 0] of the extreme rows, built once per K."""
-    return tuple(map(tuple, _solve([0] * (k * (k - 1)), _extreme_rows(k), [0, 0]).tab[:-1]))
+    """All-slack int tableau rows [row, unit slack] of the extreme rows, rhs left out, built once per K."""
+    return tuple(tuple(row[:-1]) for row in _solve([0] * (k * (k - 1)), _extreme_rows(k), [0, 0]).tab[:-1])
 
 
 def _region_max(objective, spec: RegionSpec, cap=None):
-    """(max of objective . d over the region, maximizer), by cutting planes
-    from the extreme rows, added to one kept `Tableau`. The maximizer is None
-    once a restricted optimum is <= cap: the full optimum is no larger. The
-    DP and the certificate read each optimum as the tableau's ints."""
+    """(max of objective . d over the region, maximizer) for an int
+    objective, by cutting planes from the extreme rows added to one kept
+    `Tableau`; the maximizer is None once a restricted optimum is <= cap (the
+    full optimum is no larger). The DP and `_certify` read its optimum's ints."""
     if spec.K > ORACLE_MAX_USERS:  # refused before any LP, as the DP would refuse its optimum
         raise TooLarge(f"ordering DP guarded at K <= {ORACLE_MAX_USERS} (2^K subsets)")
     rows, n = list(_extreme_rows(spec.K)), spec.N
-    lp = Tableau(objective, [[*row[:-1], n] for row in _extreme_start(spec.K)], [1, 1])
+    lp = Tableau(objective, 1, [[*row, n] for row in _extreme_start(spec.K)], [1, 1])
     while True:
         x, d, y, value, den = lp.optimum()
         point = None if cap is not None and value <= cap * den else DofVector.from_scaled(spec.K, x, d)

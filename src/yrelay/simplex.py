@@ -55,16 +55,16 @@ class Tableau:
     """An optimal simplex tableau of max c'x s.t. Ax <= b, x >= 0: ints over
     d > 0, row i of A times scales[i], the cost row times c_scale, a unit
     slack column per row after the n structural ones, then the rhs. Its cold
-    start takes over all-slack int rows [s_i A_i, unit slack, s_i b_i] with
-    b >= 0 and makes primal Bland pivots to an optimum."""
+    start keeps the all-slack int rows [s_i A_i, unit slack, s_i b_i], b >= 0,
+    and the int cost c_scale * c, and makes primal Bland pivots."""
 
     __slots__ = ("tab", "basis", "scales", "c_scale", "d", "n", "pivots")
 
-    def __init__(self, c, rows, scales):
-        (cost, self.c_scale), m = _integral(c), len(rows)
+    def __init__(self, cost, c_scale, rows, scales):
+        n, m = len(cost), len(rows)
         self.tab = tab = [*rows, [-v for v in cost] + [0] * (m + 1)]
-        self.basis = basis = list(range(len(c), len(c) + m))
-        self.n, self.scales, self.d, self.pivots = len(c), scales, 1, 0
+        self.basis = basis = list(range(n, n + m))
+        self.n, self.c_scale, self.scales, self.d, self.pivots = n, c_scale, scales, 1, 0
         while True:
             # the first negative reduced cost enters (never the value: it starts at 0 and never falls)
             for enter, v in enumerate(tab[m]):
@@ -134,7 +134,7 @@ def _solve(c, a, b) -> Tableau:
     rows = [_integral([*row, *[0] * m, rhs]) for row, rhs in zip(a, b)]
     for i, (r, _) in enumerate(rows):
         r[n + i] = 1
-    return Tableau(c, [r for r, _ in rows], [s for _, s in rows])
+    return Tableau(*_integral(c), [r for r, _ in rows], [s for _, s in rows])
 
 
 def _certify(c, a, b, x, d, y, value, den) -> bool:

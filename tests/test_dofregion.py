@@ -537,8 +537,8 @@ def test_per_k_tables_are_shared_read_only(full_row_lp):
         into, lo, hi = yrelay.dofregion._dp_tables(k)
         assert (len(into), len(lo), len(hi)) == (k, 2 ** (k // 2), 2 ** (k - k // 2))
         assert frozen((lo, hi)) and frozen(yrelay.dofregion._extreme_rows(k))
-        # the start tableau: each extreme row, its unit slack and rhs 0
-        assert yrelay.dofregion._extreme_start(k) == tuple((*row, 1 - i, i, 0) for i, row in
+        # the start tableau: each extreme row and its unit slack (the rhs is N)
+        assert yrelay.dofregion._extreme_start(k) == tuple((*row, 1 - i, i) for i, row in
                                                            enumerate(yrelay.dofregion._extreme_rows(k)))
         assert max(len(lo), len(hi)) < 2 ** k
         assert frozen(pair_cells(k)) and all(type(g) is itemgetter for g in into)
