@@ -20,8 +20,8 @@ tableau, where dual pivots restore feasibility, until the optimum is a member
 (cutting planes); the simplex certificate on those rows, zero duals for the
 rest and the DP's verdict certify it for all K! rows with zero tolerance.
 Built once per K, read-only: the DP's entry getters, half-subset members
-(2^(K/2) each), for K <= 6 the compiled DP, the extreme ordering rows, their
-start tableau and `alignment.pair_cells`. No result is cached.
+(2^(K/2) each), for K <= 6 the compiled DP, the extreme ordering rows that
+start every LP, and `alignment.pair_cells`. No result is cached.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from operator import add, itemgetter
 
 from .alignment import DofVector, pair_cells, pair_index, pair_tuple
 from .errors import DimensionError, TooLarge, WitnessInvalid
-from .simplex import Tableau, _certify, _solve, solve_linear
+from .simplex import Tableau, _certify, solve_linear
 
 ORACLE_MAX_USERS = 16    # the ordering DP tabulates all 2^K user subsets
 TIGHT_LIST_MAX = 40320   # 8!, every ordering of 8 users
@@ -276,12 +276,6 @@ def _extreme_rows(k: int):
     return tuple(tuple(_ordering_row(p)) for p in (range(1, k + 1), range(k, 0, -1)))
 
 
-@cache
-def _extreme_start(k: int):
-    """All-slack int tableau rows [row, unit slack] of the extreme rows, rhs left out, built once per K."""
-    return tuple(tuple(row[:-1]) for row in _solve([0] * (k * (k - 1)), _extreme_rows(k), [0, 0]).tab[:-1])
-
-
 def _region_max(objective, spec: RegionSpec, cap=None):
     """(max of objective . d over the region, maximizer) for an int
     objective, by cutting planes from the extreme rows added to one kept
@@ -290,7 +284,7 @@ def _region_max(objective, spec: RegionSpec, cap=None):
     if spec.K > ORACLE_MAX_USERS:  # refused before any LP, as the DP would refuse its optimum
         raise TooLarge(f"ordering DP guarded at K <= {ORACLE_MAX_USERS} (2^K subsets)")
     rows, n = list(_extreme_rows(spec.K)), spec.N
-    lp = Tableau(objective, 1, [[*row, n] for row in _extreme_start(spec.K)], [1, 1])
+    lp = Tableau(objective, rows, [n, n])
     while True:
         x, d, y, value, den = lp.optimum()
         point = None if cap is not None and value <= cap * den else DofVector.from_scaled(spec.K, x, d)

@@ -55,16 +55,17 @@ class Tableau:
     """An optimal simplex tableau of max c'x s.t. Ax <= b, x >= 0: ints over
     d > 0, row i of A times scales[i], the cost row times c_scale, a unit
     slack column per row after the n structural ones, then the rhs. Its cold
-    start keeps the all-slack int rows [s_i A_i, unit slack, s_i b_i], b >= 0,
-    and the int cost c_scale * c, and makes primal Bland pivots."""
+    start copies the int rows s_i A_i, adds their unit slacks and the int rhs
+    s_i b_i >= 0, takes the int cost c_scale * c and makes primal Bland pivots."""
 
     __slots__ = ("tab", "basis", "scales", "c_scale", "d", "n", "pivots")
 
-    def __init__(self, cost, c_scale, rows, scales):
+    def __init__(self, cost, rows, rhs, c_scale=1, scales=None):
         n, m = len(cost), len(rows)
-        self.tab = tab = [*rows, [-v for v in cost] + [0] * (m + 1)]
+        self.tab = tab = [[*r, *[0] * i, 1, *[0] * (m - 1 - i), b] for i, (r, b) in enumerate(zip(rows, rhs))]
+        tab.append([-v for v in cost] + [0] * (m + 1))
         self.basis = basis = list(range(n, n + m))
-        self.n, self.c_scale, self.scales, self.d, self.pivots = n, c_scale, scales, 1, 0
+        self.n, self.c_scale, self.scales, self.d, self.pivots = n, c_scale, scales or [1] * m, 1, 0
         while True:
             # the first negative reduced cost enters (never the value: it starts at 0 and never falls)
             for enter, v in enumerate(tab[m]):
@@ -83,9 +84,11 @@ class Tableau:
     def add_row(self, row, rhs) -> None:
         """Add the constraint row . x <= rhs (n rationals, rhs >= 0) in the
         current basis, its slack basic, and restore feasibility by dual Bland
-        pivots: the negative rhs of least basic index leaves, and the least
-        reduced cost / |entry| over its negative entries enters (ties to the
-        least index), its row negated first so that d stays positive."""
+        pivots over the slacks, then the structural columns: the negative rhs
+        of the first basic variable leaves, and the least reduced cost / |entry|
+        over its negative entries enters, ties to the first column, its row
+        negated first so that d stays positive. A tie at a zero reduced cost
+        thus frees a slack before it raises a coordinate the cost ignores."""
         (*row, rhs), s = _integral([*row, rhs])
         if rhs < 0 or len(row) != self.n:
             raise LpError("this solver needs b >= 0 (all-slack start)" if rhs < 0 else "inconsistent LP dimensions")
@@ -102,12 +105,12 @@ class Tableau:
         while True:
             cost, row, enter = tab[-1], None, None
             for i, r in enumerate(tab[:-1]):
-                if r[-1] < 0 and (row is None or basis[i] < basis[row]):
+                if r[-1] < 0 and (row is None or (basis[i] < n, basis[i]) < (basis[row] < n, basis[row])):
                     row = i
             if row is None:
                 return
             for j, t in enumerate(tab[row][:-1]):  # x = 0 is feasible, so some t < 0
-                if t < 0 and (enter is None or cost[j] * top < cost[enter] * -t):
+                if t < 0 and (enter is None or (cost[j] * top, j < n) < (cost[enter] * -t, enter < n)):
                     enter, top = j, -t
             tab[row] = [-v for v in tab[row]]
             self.d, basis[row], self.pivots = _pivot(tab, row, enter, self.d), enter, self.pivots + 1
@@ -125,16 +128,15 @@ class Tableau:
 
 def _solve(c, a, b) -> Tableau:
     """The `Tableau` of max c'x s.t. Ax <= b, x >= 0 (rationals, b >= 0),
-    each row [A_i, unit slack, b_i] scaled by its least common denominator."""
+    each row [A_i, b_i] scaled by its least common denominator."""
     m, n = len(a), len(c)
     if any(len(row) != n for row in a) or len(b) != m:
         raise LpError("inconsistent LP dimensions")
     if min(b, default=0) < 0:
         raise LpError("this solver needs b >= 0 (all-slack start)")
-    rows = [_integral([*row, *[0] * m, rhs]) for row, rhs in zip(a, b)]
-    for i, (r, _) in enumerate(rows):
-        r[n + i] = 1
-    return Tableau(*_integral(c), [r for r, _ in rows], [s for _, s in rows])
+    rows = [_integral([*row, rhs]) for row, rhs in zip(a, b)]
+    cost, c_scale = _integral(c)
+    return Tableau(cost, [r[:-1] for r, _ in rows], [r[-1] for r, _ in rows], c_scale, [s for _, s in rows])
 
 
 def _certify(c, a, b, x, d, y, value, den) -> bool:

@@ -415,9 +415,10 @@ class _ReferenceTableau:
     def add_row(self, row, rhs) -> None:
         """Add row . x <= rhs (n entries, rhs >= 0): the row with its new
         slack, minus the rows of the basic structural variables it holds,
-        then dual pivots while a rhs is negative (Bland: the row of least
-        basic index leaves; the least reduced cost / |entry| over its
-        negative entries enters, ties by smallest column)."""
+        then dual pivots while a rhs is negative (Bland over the slacks,
+        then the structural columns: the row of the first basic variable
+        leaves; the least reduced cost / |entry| over its negative entries
+        enters, ties to the first column in that order)."""
         row, rhs = [Fraction(v) for v in row], Fraction(rhs)
         if rhs < 0:
             raise LpError("this solver needs b >= 0 (all-slack start)")
@@ -433,12 +434,13 @@ class _ReferenceTableau:
         tab.insert(m, new)
         basis.append(self.n + m)
         while True:
-            infeasible = [(basis[i], i) for i in range(len(basis)) if tab[i][-1] < 0]
+            n = self.n
+            infeasible = [(basis[i] < n, basis[i], i) for i in range(len(basis)) if tab[i][-1] < 0]
             if not infeasible:
                 return
-            _, leave = min(infeasible)
-            ratios = [(tab[-1][j] / -t, j) for j, t in enumerate(tab[leave][:-1]) if t < 0]
-            _, enter = min(ratios)
+            *_, leave = min(infeasible)
+            ratios = [(tab[-1][j] / -t, j < n, j) for j, t in enumerate(tab[leave][:-1]) if t < 0]
+            *_, enter = min(ratios)
             self._pivot(leave, enter)
 
     def result(self) -> LpResult:

@@ -537,21 +537,16 @@ def test_per_k_tables_are_shared_read_only(full_row_lp):
         into, lo, hi = yrelay.dofregion._dp_tables(k)
         assert (len(into), len(lo), len(hi)) == (k, 2 ** (k // 2), 2 ** (k - k // 2))
         assert frozen((lo, hi)) and frozen(yrelay.dofregion._extreme_rows(k))
-        # the start tableau: each extreme row and its unit slack (the rhs is N)
-        assert yrelay.dofregion._extreme_start(k) == tuple((*row, 1 - i, i) for i, row in
-                                                           enumerate(yrelay.dofregion._extreme_rows(k)))
         assert max(len(lo), len(hi)) < 2 ** k
         assert frozen(pair_cells(k)) and all(type(g) is itemgetter for g in into)
         d = DofVector.from_scaled(k, range(1, k * (k - 1) + 1), 1)
         assert [g(d.scaled + (0,)) for g in into] == [tuple(d.get(u, v) if u != v else 0 for u in range(1, k + 1))
                                                       for v in range(1, k + 1)]
-    # the gap probe adds cuts to its tableaus, which copy the start rows;
-    # later LPs start again from the identity and reversed rows alone
-    start = yrelay.dofregion._extreme_start(4)
+    # the gap probe appends cuts to its rows; later LPs start again from
+    # the identity and reversed rows alone
     assert find_construction_gap(SPEC46) is not None
     assert yrelay.dofregion._extreme_rows(4) == (tuple(yrelay.dofregion._ordering_row((1, 2, 3, 4))),
                                                  tuple(yrelay.dofregion._ordering_row((4, 3, 2, 1))))
-    assert yrelay.dofregion._extreme_start(4) is start and frozen(start)
     for n in range(1, 9):
         assert sum_dof_max(RegionSpec(K=4, N=n)) == full_row_lp([F(1)] * 12, 4, n)
 
@@ -572,9 +567,9 @@ def test_forged_maximizer_is_refused(monkeypatch):
 
 
 def test_sum_dof_guard(monkeypatch):
-    # refused before any tableau is built, the per-K start included
+    # refused before any tableau is built, the per-K extreme rows included
     monkeypatch.setattr(yrelay.dofregion, "Tableau", None)
-    monkeypatch.setattr(yrelay.dofregion, "_extreme_start", None)
+    monkeypatch.setattr(yrelay.dofregion, "_extreme_rows", None)
     with pytest.raises(TooLarge):
         sum_dof_max(RegionSpec(K=ORACLE_MAX_USERS + 1, N=2))
 
@@ -582,14 +577,11 @@ def test_sum_dof_guard(monkeypatch):
 # (K, the optimum at N = 2 of the objective (7i + 3) mod 5 as a cold solve
 # per cutting-plane round found it, the cuts and the pivots on the kept
 # tableau; a cold solve per round made 169, 10 and 1578 pivots)
-CUT_LOOPS = ((5, 12, 11, 17), (6, 16, 1, 5), (7, 12, 40, 62))
+CUT_LOOPS = ((5, 12, 11, 16), (6, 16, 1, 5), (7, 12, 49, 80))
 
 
-@pytest.mark.parametrize("k, value, cuts, pivots", CUT_LOOPS)
-def test_cut_loop_keeps_one_tableau(monkeypatch, k, value, cuts, pivots):
-    # every cut enters the one tableau of the cold start by add_row; its
-    # pivots, the cold start's and the dual ones, stay within the count
-    # recorded when the tableau was first kept across cuts
+def _counted_tableaus(monkeypatch):
+    """The list that every `Tableau` the region LPs build is appended to."""
     built = []
 
     class Counted(Tableau):
@@ -600,12 +592,32 @@ def test_cut_loop_keeps_one_tableau(monkeypatch, k, value, cuts, pivots):
             built.append(self)
 
     monkeypatch.setattr(yrelay.dofregion, "Tableau", Counted)
+    return built
+
+
+@pytest.mark.parametrize("k, value, cuts, pivots", CUT_LOOPS)
+def test_cut_loop_keeps_one_tableau(monkeypatch, k, value, cuts, pivots):
+    # every cut enters the one tableau of the cold start by add_row; its
+    # pivots, the cold start's and the dual ones, stay within the count
+    # recorded when the tableau was first kept across cuts
+    built = _counted_tableaus(monkeypatch)
     objective = [(7 * i + 3) % 5 for i in range(k * (k - 1))]
     got, point = yrelay.dofregion._region_max(objective, RegionSpec(K=k, N=2))
     assert got == value and is_member(point, RegionSpec(K=k, N=2)).member
     assert sum(map(mul, objective, point.scaled)) == value * point.T
     [lp] = built
     assert len(lp.basis) == 2 + cuts and lp.pivots <= pivots
+
+
+@pytest.mark.parametrize("k", (3, 4, 5))
+def test_gap_probe_cuts_no_more_than_cold_solves(monkeypatch, k):
+    # the gap probe's 3 LPs at N = 1 add 3 cuts in all, as a cold solve per
+    # round did: dual ties free a slack before they raise a coordinate that
+    # the selection ignores, which would cost a cut each (9 at K = 5)
+    built = _counted_tableaus(monkeypatch)
+    assert find_construction_gap(RegionSpec(K=k, N=1)) is not None
+    assert len(built) == 3 and sum(len(lp.basis) - 2 for lp in built) == 3
+    assert sum(lp.pivots for lp in built) <= 9
 
 
 @pytest.mark.parametrize("k", range(3, 8))
