@@ -9,20 +9,12 @@ relay-word alignment blocks), `simplex` (integer-tableau LPs) and `dofregion`
 `transceiver` (end-to-end rounds, every draw and power point of a block of
 trials in one call) and `harness` (sweeps and reports).
 
-The package root re-exports the exact core only, so importing it loads
-neither numpy nor `dataclasses` (the core's records are named tuples);
-simulator names are imported from their modules.
+The package root re-exports the exact core only, each name read from its
+module when asked for (PEP 562 `__getattr__`), so `import yrelay` loads none
+of the core modules, nor numpy nor `dataclasses` (the core's records are
+named tuples); simulator names are imported from their modules.
 """
 
-from .alignment import DofVector, StreamPlan, build_stream_plan
-from .dofregion import (
-    RegionSpec,
-    construction_feasible,
-    find_construction_gap,
-    is_member,
-    sum_dof_max,
-    vertices_k3,
-)
 from .errors import (
     DimensionError,
     Infeasible,
@@ -38,25 +30,19 @@ from .errors import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DimensionError",
-    "DofVector",
-    "Infeasible",
-    "LpError",
-    "ModeUnavailable",
-    "RankDeficient",
-    "RegionSpec",
-    "ScalarUnderflow",
-    "StreamPlan",
-    "TooLarge",
-    "Underdetermined",
-    "WitnessInvalid",
-    "YRelayError",
-    "build_stream_plan",
-    "construction_feasible",
-    "find_construction_gap",
-    "is_member",
-    "sum_dof_max",
-    "vertices_k3",
-    "__version__",
-]
+# each exact-core name, with the module that defines it
+_CORE = {**dict.fromkeys(("DofVector", "StreamPlan", "build_stream_plan"), "alignment"),
+         **dict.fromkeys(("RegionSpec", "construction_feasible", "find_construction_gap", "is_member",
+                          "sum_dof_max", "vertices_k3"), "dofregion")}
+
+__all__ = ["DimensionError", "Infeasible", "LpError", "ModeUnavailable", "RankDeficient", "ScalarUnderflow",
+           "TooLarge", "Underdetermined", "WitnessInvalid", "YRelayError", *_CORE, "__version__"]
+
+
+def __getattr__(name):
+    """An exact-core name, read from its module, which the first read imports."""
+    if name not in _CORE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f".{_CORE[name]}", __name__), name)

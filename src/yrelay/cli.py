@@ -20,9 +20,10 @@ noise, power_db, sweep_db, out). A file value is parsed like its flag, and a
 bad one is a config error; keys the subcommand has no flag for are ignored.
 Explicit flags win over the file, the file wins over the OPTIONS default.
 
-Only `mppi-check`, `simulate` and `sweep` import numpy and the simulator
-modules, when they run: `plan` and the `dof` commands need only the exact
-core (`alignment`, `dofregion`, `simplex`).
+Each command imports the modules it needs when it runs, so importing this
+module loads none of them: `mppi-check`, `simulate` and `sweep` load numpy
+and the simulator modules, `plan` and the `dof` commands only the exact core
+(`alignment`, `dofregion`, `simplex`).
 """
 
 from __future__ import annotations
@@ -34,15 +35,6 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .alignment import DofVector, build_stream_plan
-from .dofregion import (
-    RegionSpec,
-    construction_feasible,
-    find_construction_gap,
-    is_member,
-    sum_dof_max,
-    vertices_k3,
-)
 from .errors import YRelayError
 
 EXIT_OK = 0
@@ -60,11 +52,13 @@ def parse_fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"bad rational {text!r}: {exc}") from None
 
 
-def parse_dof_spec(text: str, k_users: int) -> DofVector:
-    """Parse `1-2=1,2-1=1/2,...`; `uniform:V` sets every direction to V.
+def parse_dof_spec(text: str, k_users: int):
+    """The `DofVector` of `1-2=1,2-1=1/2,...`; `uniform:V` sets every direction to V.
 
     Unlisted directions are zero.
     """
+    from .alignment import DofVector
+
     text = text.strip()
     if text.startswith("uniform:"):
         return DofVector.uniform(k_users, parse_fraction(text[len("uniform:"):]))
@@ -187,7 +181,7 @@ def _print_json(obj) -> None:
     _emit((json.dumps(obj, sort_keys=True, indent=2) + "\n").encode())
 
 
-def _dof(args) -> DofVector:
+def _dof(args):
     return parse_dof_spec(args.dof, args.k)
 
 
@@ -231,6 +225,8 @@ def cmd_mppi_check(args) -> int:
 
 
 def cmd_plan(args) -> int:
+    from .alignment import build_stream_plan
+
     plan = build_stream_plan(_dof(args), args.n)
     _print_json(plan.to_dict())
     return EXIT_OK
@@ -271,6 +267,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_dof_check(args) -> int:
+    from .dofregion import RegionSpec, construction_feasible, is_member
+
     d = _dof(args)
     spec = RegionSpec(K=args.k, N=args.n)
     verdict = is_member(d, spec)
@@ -283,12 +281,16 @@ def cmd_dof_check(args) -> int:
 
 
 def cmd_dof_sumdof(args) -> int:
+    from .dofregion import RegionSpec, sum_dof_max
+
     value, maximizer = sum_dof_max(RegionSpec(K=args.k, N=args.n))
     _print_json({"sum_dof": str(value), "maximizer": maximizer.to_dict()})
     return EXIT_OK
 
 
 def cmd_dof_gap(args) -> int:
+    from .dofregion import RegionSpec, construction_feasible, find_construction_gap
+
     witness = find_construction_gap(RegionSpec(K=args.k, N=args.n))
     out = {"gap_found": witness is not None, "witness": None}
     if witness is not None:
@@ -299,6 +301,8 @@ def cmd_dof_gap(args) -> int:
 
 
 def cmd_dof_vertices(args) -> int:
+    from .dofregion import vertices_k3
+
     verts = vertices_k3(args.n)
     _print_json({"n_relay": args.n, "count": len(verts), "vertices": [v.to_dict() for v in verts]})
     return EXIT_OK

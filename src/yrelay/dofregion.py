@@ -27,6 +27,7 @@ start every LP, and `alignment.pair_cells`. No result is cached.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache, cached_property
@@ -44,11 +45,17 @@ GAP_MAX_USERS = 5        # 2^(K(K-1)/2) direction selections, one LP each
 
 class RegionSpec(namedtuple("RegionSpec", "K N")):
     """Region parameters: K users, N relay antennas (users have M >= N).
-    A read-only named tuple: RegionSpec(K=4, N=6) == (4, 6)."""
+    A read-only named tuple: RegionSpec(K=4, N=6) == (4, 6). K and N pass
+    through `operator.index`, so a numpy int becomes an int and a float or a
+    Fraction is refused."""
 
     __slots__ = ()
 
     def __new__(cls, K: int, N: int):
+        try:
+            K, N = operator.index(K), operator.index(N)
+        except TypeError:
+            raise ValueError(f"K and N must be integers, got K={K!r}, N={N!r}") from None
         if K < 3:
             raise ValueError(f"need at least 3 users, got K={K}")
         if N < 1:
@@ -286,11 +293,11 @@ def _region_max(objective, spec: RegionSpec, cap=None):
     rows, n = list(_extreme_rows(spec.K)), spec.N
     lp = Tableau(objective, rows, [n, n])
     while True:
-        x, d, y, value, den = lp.optimum()
-        point = None if cap is not None and value <= cap * den else DofVector.from_scaled(spec.K, x, d)
+        x, y, value, d = lp.optimum()
+        point = None if cap is not None and value <= cap * d else DofVector.from_scaled(spec.K, x, d)
         if point is None or (dp := _OrderingDP(point)).best[-1] <= n * point.T:  # within cap, or a member
-            _certify(objective, rows, [n] * len(rows), x, d, y, value, den)
-            return Fraction(value, den), point
+            _certify(objective, rows, [n] * len(rows), x, y, value, d)
+            return Fraction(value, d), point
         rows.append(_ordering_row(next(dp.orderings(n * point.T + 1))[0]))
         lp.add_row(rows[-1], n)
 

@@ -491,8 +491,9 @@ def _reference_verify_certificate(c, a, b, res: LpResult) -> bool:
 def reference_simplex():
     """The Fraction tableau simplex: `solve_max` (an `LpResult`), `tableau`
     (kept, with `add_row` and `result`), `verify_certificate` and
-    `solve_linear`, whose results and messages `yrelay.simplex._solve`, its
-    `Tableau`, `_certify` and `solve_linear` must reproduce."""
+    `solve_linear`, whose results and messages `yrelay.simplex.Tableau`
+    (cold start, `add_row` and `optimum`), `_certify` and `solve_linear`
+    must reproduce on int data."""
     return SimpleNamespace(solve_max=_reference_solve_max, tableau=_ReferenceTableau,
                            verify_certificate=_reference_verify_certificate,
                            solve_linear=_reference_solve_linear)

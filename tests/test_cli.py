@@ -484,6 +484,25 @@ def test_exact_commands_do_not_import_numpy(argv):
     assert proc.stderr.splitlines()[-1] == b"[]"
 
 
+def test_start_up_loads_no_exact_core_module():
+    # importing the package root and the CLI loads none of the exact core:
+    # the root reads each exact-core name from its module when asked for,
+    # and each command imports what it runs; -S keeps site hooks from
+    # loading anything more
+    core = ("yrelay.alignment", "yrelay.dofregion", "yrelay.simplex")
+    script = (
+        "import sys\n"
+        "import yrelay, yrelay.cli\n"
+        f"print([m for m in {core!r} if m in sys.modules], file=sys.stderr)\n"
+        "from yrelay import *\n"
+        "missing = [name for name in yrelay.__all__ if name not in globals()]\n"
+        "print(missing, yrelay.is_member.__module__, yrelay.DofVector.__module__, file=sys.stderr)\n"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == [b"[]", b"[] yrelay.dofregion yrelay.alignment"]
+
+
 def test_dp_kernel_compiles_on_first_use_only():
     # importing the CLI compiles no ordering-DP kernel, so start-up pays for
     # none, and a one-shot `dof check` at K = 4 compiles exactly its own

@@ -13,6 +13,7 @@ from fractions import Fraction
 from itertools import islice, permutations
 from operator import itemgetter, mul
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -43,7 +44,7 @@ from yrelay.dofregion import (
     vertices_k3,
 )
 from yrelay.errors import DimensionError, Infeasible, LpError, TooLarge, WitnessInvalid, YRelayError
-from yrelay.simplex import Tableau, _certify, _solve
+from yrelay.simplex import Tableau, _certify
 
 F = Fraction
 ALL_ONES = DofVector.uniform(4, F(1))
@@ -58,6 +59,16 @@ def test_region_spec_validation():
         RegionSpec(K=2, N=6)
     with pytest.raises(ValueError):
         RegionSpec(K=4, N=0)
+    # K and N pass through operator.index: a float or a Fraction is refused,
+    # not taken for a 2.5-antenna relay
+    for k, n in ((4, 2.5), (4.0, 6), (4, F(5, 2)), (4, F(6)), (F(4), 6), (4, "6")):
+        with pytest.raises(ValueError, match="^K and N must be integers"):
+            RegionSpec(K=k, N=n)
+    # a numpy int becomes a Python int, so sums past 2^63 stay exact
+    spec = RegionSpec(K=np.int64(4), N=np.int64(6))
+    assert spec == (4, 6) and type(spec.K) is int and type(spec.N) is int
+    d = DofVector(4, {(1, 2): F(1, 2**64), (2, 1): F(1, 3)})
+    assert is_member(d, spec) == is_member(d, RegionSpec(K=4, N=6))
 
 
 BLOCK12 = AlignmentBlock(users=(1, 2), streams=(3, 1), offset=0, length=3)
@@ -629,20 +640,20 @@ def test_kept_tableau_matches_cold_solves_along_the_cut_loop(k, n, data):
     # on the same rows, passes the certificate and keeps d > 0
     objective = data.draw(st.lists(st.integers(0, 5), min_size=k * (k - 1), max_size=k * (k - 1)), label="c")
     rows = list(yrelay.dofregion._extreme_rows(k))
-    lp = _solve(objective, rows, [n] * len(rows))
+    lp = Tableau(objective, rows, [n] * len(rows))
     while True:
-        x, d, y, value, den = lp.optimum()
+        x, y, value, d = lp.optimum()
         rhs = [n] * len(rows)
-        assert d > 0 and den > 0 and _certify(objective, rows, rhs, x, d, y, value, den)
-        cold = _solve(objective, rows, rhs).optimum()
-        assert F(value, den) == F(cold[3], cold[4])
+        assert d > 0 and _certify(objective, rows, rhs, x, y, value, d)
+        cold = Tableau(objective, rows, rhs).optimum()
+        assert F(value, d) == F(cold[2], cold[3])
         point = DofVector.from_scaled(k, x, d)
         dp = yrelay.dofregion._OrderingDP(point)
         if dp.best[-1] <= n * point.T:
             break
         rows.append(yrelay.dofregion._ordering_row(next(dp.orderings(n * point.T + 1))[0]))
         lp.add_row(rows[-1], n)
-    assert yrelay.dofregion._region_max(objective, RegionSpec(K=k, N=n)) == (F(value, den), point)
+    assert yrelay.dofregion._region_max(objective, RegionSpec(K=k, N=n)) == (F(value, d), point)
 
 
 @settings(PROPERTY, max_examples=6)
@@ -745,10 +756,10 @@ def test_six_user_member_beyond_pair_and_cycle_blocks():
     assert len(cycles) == 9
     uses = [{(c[i], c[(i + 1) % len(c)]) for i in range(len(c))} for c in cycles]
     c, a, b = [1] * len(cycles), [[int(arc in u) for u in uses] for arc in BEYOND_CYCLES], [2] * len(BEYOND_CYCLES)
-    x, scale, y, value, den = _solve(c, a, b).optimum()
-    assert _certify(c, a, b, x, scale, y, value, den)
-    assert F(value, den) == 5
-    assert 22 - F(value, den) == 17
+    x, y, value, d = Tableau(c, a, b).optimum()
+    assert _certify(c, a, b, x, y, value, d)
+    assert F(value, d) == 5
+    assert 22 - F(value, d) == 17
 
 
 def test_gap_probe_guard():

@@ -1,9 +1,10 @@
 """Exact rational simplex: pinned instances, a float LP oracle sweep, and
 Hypothesis properties holding the integer tableau to the Fraction tableau
 (`reference_simplex` in conftest.py), from the cold start and pivot for
-pivot through added rows. The tests build a `Tableau` by `_solve`, add rows
+pivot through added rows. The tests build a `Tableau` on int data, add rows
 to it, and read its optimum's tableau ints, which `_certify` checks as the
-region LPs do, out as the reference's `LpResult`."""
+region LPs do, out as the reference's `LpResult`. A rational row is
+restated on int data by `ints`, as the region LPs' rows are ints."""
 
 import math
 import random
@@ -19,12 +20,30 @@ from conftest import LpResult
 from yrelay.alignment import DofVector, pair_tuple
 from yrelay.dofregion import RegionSpec, _extreme_rows, _ordering_row, is_member
 from yrelay.errors import LpError
-from yrelay.simplex import _certify, _solve, solve_linear
+from yrelay.simplex import Tableau, _certify, solve_linear
 
 F = Fraction
 # fixed example sequence, no example database: the same cases on every run
 PROPERTY = settings(deadline=None, database=None, derandomize=True)
-BEALE = (
+
+
+def ints(values) -> list:
+    """The rationals `values` times their least common denominator, as ints:
+    a rational row [A_i, b_i] or cost row restated on int data. A positive
+    factor keeps a row's feasible set and every choice of Bland's rule."""
+    s = math.lcm(*(F(v).denominator for v in values))
+    return [int(v * s) for v in values]
+
+
+def int_lp(c, a, b):
+    """The rational LP c, A, b on int data: the cost and each row [A_i, b_i]
+    times its least common denominator (entries of b past A's rows kept)."""
+    rows = [ints([*row, rhs]) for row, rhs in zip(a, b)]
+    return ints(c), [r[:-1] for r in rows], [r[-1] for r in rows] + list(b[len(a):])
+
+
+# Beale's cycling example, max 3/4 x1 - 150 x2 + 1/50 x3 - 6 x4, on int data
+BEALE = int_lp(
     [F(3, 4), F(-150), F(1, 50), F(-6)],
     [[F(1, 4), F(-60), F(-1, 25), F(9)], [F(1, 2), F(-90), F(-1, 50), F(3)], [F(0), F(0), F(1), F(0)]],
     [F(0), F(0), F(1)],
@@ -35,62 +54,57 @@ def record(lp, c, a, b) -> LpResult:
     """A `Tableau`'s optimum on the rows c, A, b it holds, its tableau ints
     certified by `_certify` as the region LPs certify them, read out as the
     reference simplex's record."""
-    x, d, y, value, den = lp.optimum()
-    assert d > 0 and _certify(c, a, b, x, d, y, value, den) is True
-    return LpResult(value=F(value, den), x=tuple(F(v, d) for v in x), basis=tuple(lp.basis),
-                    duals=tuple(F(v, den) for v in y), iterations=lp.pivots)
+    x, y, value, d = lp.optimum()
+    assert d > 0 and _certify(c, a, b, x, y, value, d) is True
+    return LpResult(value=F(value, d), x=tuple(F(v, d) for v in x), basis=tuple(lp.basis),
+                    duals=tuple(F(v, d) for v in y), iterations=lp.pivots)
 
 
 def solve(c, a, b) -> LpResult:
     """The cold start's optimum, as `record` reads it."""
-    return record(_solve(c, a, b), c, a, b)
+    return record(Tableau(c, a, b), c, a, b)
 
 
 def certify(c, a, b, res: LpResult) -> bool:
-    """`_certify` on a record's rationals, the point over one common
-    denominator and the duals and value over another, as `Tableau.optimum`
-    returns them."""
-    d = math.lcm(*(F(v).denominator for v in res.x))
-    den = math.lcm(*(F(v).denominator for v in (res.value, *res.duals)))
-    return _certify(c, a, b, [int(v * d) for v in res.x], d, [int(v * den) for v in res.duals],
-                    int(res.value * den), den)
+    """`_certify` on a record's rationals over one common denominator, as
+    `Tableau.optimum` returns them."""
+    d = math.lcm(*(F(v).denominator for v in (*res.x, res.value, *res.duals)))
+    return _certify(c, a, b, [int(v * d) for v in res.x], [int(v * d) for v in res.duals], int(res.value * d), d)
 
 
 def test_solve_linear_known_system():
-    a = [[F(2), F(1)], [F(1), F(3)]]
-    x = solve_linear(a, [F(5), F(10)])
+    x = solve_linear([[2, 1], [1, 3]], [5, 10])
     assert x == [F(1), F(3)]
 
 
 def test_solve_linear_singular_returns_none():
-    a = [[F(1), F(2)], [F(2), F(4)]]
-    assert solve_linear(a, [F(1), F(2)]) is None
+    assert solve_linear([[1, 2], [2, 4]], [1, 2]) is None
 
 
 def test_small_lp():
-    res = solve([F(1), F(1)], [[F(1), F(0)], [F(0), F(1)]], [F(1), F(2)])
+    res = solve([1, 1], [[1, 0], [0, 1]], [1, 2])
     assert res.value == 3
     assert res.x == (F(1), F(2))
-    assert certify([F(1), F(1)], [[F(1), F(0)], [F(0), F(1)]], [F(1), F(2)], res) is True
+    assert certify([1, 1], [[1, 0], [0, 1]], [1, 2], res) is True
 
 
 def test_beale_degenerate_instance_terminates():
     # classic cycling example for naive pivoting; Bland's rule must finish
     c, a, b = BEALE
     res = solve(c, a, b)
-    assert res.value == F(1, 20)
+    assert c == [75, -15000, 2, -600] and res.value == 100 * F(1, 20)  # the cost times its lcm, 100
     assert res.x == (F(1, 25), F(0), F(1), F(0))
     assert certify(c, a, b, res) is True
 
 
 def test_unbounded_detected():
     with pytest.raises(LpError):
-        _solve([F(1)], [[F(-1)]], [F(1)])
+        Tableau([1], [[-1]], [1])
 
 
 def test_negative_rhs_rejected():
     with pytest.raises(LpError):
-        _solve([F(1)], [[F(1)]], [F(-1)])
+        Tableau([1], [[1]], [-1])
 
 
 def lp_error(fn, *args):
@@ -103,7 +117,7 @@ def lp_error(fn, *args):
 
 TAMPER_LPS = (
     ([2, 3], [[1, 0], [0, 1], [1, 1]], [4, 4, 6]),  # integer data
-    ([F(2, 3), F(3, 2)], [[F(1, 2), 0], [0, F(1, 3)], [1, F(5, 4)]], [F(4, 3), 4, F(6, 5)]),  # fractional
+    int_lp([F(2, 3), F(3, 2)], [[F(1, 2), 0], [0, F(1, 3)], [1, F(5, 4)]], [F(4, 3), 4, F(6, 5)]),  # fractional
 )
 # the last row never binds (2 + 1 + 1 < 9), so its optimal dual is zero
 REDUNDANT_LP = ([1, 1, 1], [[1, 0, 0], [0, 1, 0], [0, 0, 1], [2, 1, 1]], [1, 1, 1, 9])
@@ -151,13 +165,13 @@ def test_matches_float_oracle_on_random_instances():
     for _ in range(60):
         nvar = rng.randint(2, 5)
         ncon = rng.randint(1, 6)
-        c = [F(rng.randint(-6, 9)) for _ in range(nvar)]
-        a = [[F(rng.randint(-3, 5)) for _ in range(nvar)] for _ in range(ncon)]
-        b = [F(rng.randint(0, 12)) for _ in range(ncon)]
+        c = [rng.randint(-6, 9) for _ in range(nvar)]
+        a = [[rng.randint(-3, 5) for _ in range(nvar)] for _ in range(ncon)]
+        b = [rng.randint(0, 12) for _ in range(ncon)]
         # box rows keep every instance bounded
         for i in range(nvar):
-            a.append([F(int(i == j)) for j in range(nvar)])
-            b.append(F(25))
+            a.append([int(i == j) for j in range(nvar)])
+            b.append(25)
         res = solve(c, a, b)
         assert certify(c, a, b, res) is True
         lp = linprog(
@@ -182,10 +196,11 @@ _ENTRY = st.one_of(
 
 @st.composite
 def lps(draw):
-    """(c, A, b) with up to 8 rows and 12 columns: ints and Fractions mixed,
-    negative and fractional entries, zero rows and zero right-hand sides,
-    most with a last row of positive entries that bounds the LP; now and then
-    a negative right-hand side or a row or b of the wrong length."""
+    """(c, A, b) on int data with up to 8 rows and 12 columns: drawn as ints
+    and Fractions mixed, negative and fractional entries, zero rows and zero
+    right-hand sides, most with a last row of positive entries that bounds
+    the LP, now and then a negative right-hand side or a row or b of the
+    wrong length; then restated by `int_lp`."""
     m, n = draw(st.integers(0, 8)), draw(st.integers(1, 12))
     rhs = st.one_of(st.just(0), st.integers(0, 9), st.builds(F, st.integers(0, 9), st.integers(1, 4)))
     c = [draw(_ENTRY) for _ in range(n)]
@@ -200,7 +215,7 @@ def lps(draw):
         a[draw(st.integers(0, m - 1))].pop()
     elif flaw == "short b":
         b.append(1)
-    return c, a, b
+    return int_lp(c, a, b)
 
 
 @settings(PROPERTY, max_examples=300)
@@ -214,8 +229,8 @@ def test_integer_tableau_matches_fraction_tableau(reference_simplex, lp):
     got = lp_error(solve, c, a, b)
     assert got == lp_error(reference_simplex.solve_max, c, a, b)
     if isinstance(got, LpResult):
-        x, d, y, value, den = _solve(c, a, b).optimum()
-        assert all(type(v) is int for v in (*x, d, *y, value, den))
+        x, y, value, d = Tableau(c, a, b).optimum()
+        assert all(type(v) is int for v in (*x, *y, value, d))
         assert certify(c, a, b, got) is True
         assert reference_simplex.verify_certificate(c, a, b, got) is True
 
@@ -252,7 +267,7 @@ def added_rows_match(reference_simplex, c, a, b, next_row):
     equal after each row: the record (pivot count included) or the error
     message. The kept optimum has the value of a cold start on the rows so
     far. Returns the number of dual pivots."""
-    lp, ref = lp_error(_solve, c, a, b), lp_error(reference_simplex.tableau, c, a, b)
+    lp, ref = lp_error(Tableau, c, a, b), lp_error(reference_simplex.tableau, c, a, b)
     if isinstance(lp, str):
         assert lp == ref
         return 0
@@ -283,7 +298,8 @@ def rows_from(added):
 @pytest.mark.parametrize("c, a, b, added", [
     # the last cut is degenerate: it meets the optimum's value exactly
     ([1, 1], [[1, 1]], [4], [([1, 0], 1), ([0, 1], 1), ([1, 1], 2)]),
-    (*BEALE, [([F(1, 2), 0, 0, 0], F(1, 100)), ([0, 0, 1, 0], F(1, 2)), ([1, 1, 1, 1], -1), ([1, 1], 1)]),
+    # x1 / 2 <= 1/100 and x3 <= 1/2 times 100 and 2, then a negative rhs and a short row
+    (*BEALE, [([50, 0, 0, 0], 1), ([0, 0, 2, 0], 1), ([1, 1, 1, 1], -1), ([1, 1], 1)]),
 ])
 def test_added_rows_match_fraction_tableau_pinned(reference_simplex, c, a, b, added):
     assert added_rows_match(reference_simplex, c, a, b, rows_from(added)) > 0
@@ -295,7 +311,7 @@ def test_added_rows_match_fraction_tableau(reference_simplex, lp, data):
     # up to 6 rows: entries as in `lps` or all positive, now and then a row
     # of the wrong length; the rhs mostly a fraction of the row's value at
     # the kept optimum (a violated cut when that value is positive), now
-    # and then any rhs, negative included
+    # and then any rhs, negative included; each [row, rhs] restated by `ints`
     c, a, b = lp
     count = data.draw(st.integers(0, 6), label="rows")
 
@@ -310,7 +326,8 @@ def test_added_rows_match_fraction_tableau(reference_simplex, lp, data):
         at = max(sum(map(F, map(mul, row, kept.x)), F(0)), F(0))
         rhs = st.one_of(st.sampled_from((0, F(1, 4), F(1, 2), F(3, 4), 1)).map(lambda t: t * at),
                         st.builds(F, st.integers(-2, 9), st.integers(1, 4)))
-        return row, data.draw(rhs, label="rhs")
+        *row, rhs = ints([*row, data.draw(rhs, label="rhs")])
+        return row, rhs
 
     added_rows_match(reference_simplex, c, a, b, next_row)
 
@@ -333,8 +350,9 @@ def test_walk_cuts_match_fraction_tableau_on_region_lps(reference_simplex, lp):
 
 @st.composite
 def square_systems(draw):
-    """An n x n system, n = 1..6; now and then one row a combination of two
-    others (singular when n >= 2) or a zero row."""
+    """An n x n int system, n = 1..6: drawn rational, now and then one row a
+    combination of two others (singular when n >= 2) or a zero row, then
+    each [row, rhs] restated by `ints`."""
     n = draw(st.integers(1, 6))
     a = [[draw(_ENTRY) for _ in range(n)] for _ in range(n)]
     b = [draw(_ENTRY) for _ in range(n)]
@@ -344,6 +362,7 @@ def square_systems(draw):
         a[i] = [F(2) * u - F(1, 3) * v for u, v in zip(a[j], a[k])]
     elif kind == "zero row":
         a[i] = [0] * n
+    _, a, b = int_lp([], a, b)
     return a, b
 
 
