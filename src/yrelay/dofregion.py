@@ -14,14 +14,15 @@ placing the first user of each. A lexicographic walk pruned by the exact DP
 yields each ordering with its sum: the first violating one (witness and cut)
 after K - 2 placements, or the tight ones, counted first. The walk keeps each
 unplaced user's entries to the rest in one list, updated in place; only the
-tight count and the K >= 7 DP loop build the subset table (the entries from
-a user to a subset). The LPs add that violator as a row to one kept integer
-tableau, where dual pivots restore feasibility, until the optimum is a member
-(cutting planes); the simplex certificate on those rows, zero duals for the
-rest and the DP's verdict certify it for all K! rows with zero tolerance.
-Built once per K, read-only: the DP's entry getters, half-subset members
-(2^(K/2) each), for K <= 6 the compiled DP, the extreme ordering rows that
-start every LP, and `alignment.pair_cells`. No result is cached.
+tight count and the K >= 7 DP loop build the subset table (the entries from a
+user to a subset). An LP starts on the identity and reversed ordering rows,
+solved by inspection (each direction is in one), then adds each violator to
+one integer tableau built at the first, where dual pivots restore feasibility,
+until the optimum is a member (cutting planes); the simplex certificate on
+those rows, zero duals for the rest and the DP's verdict certify it for all K!
+rows with zero tolerance. Built once per K, read-only: the DP's entry getters,
+half-subset members (2^(K/2) each), for K <= 6 the compiled DP, the extreme
+rows and their columns, and `alignment.pair_cells`. No result is cached.
 """
 
 from __future__ import annotations
@@ -283,23 +284,41 @@ def _extreme_rows(k: int):
     return tuple(tuple(_ordering_row(p)) for p in (range(1, k + 1), range(k, 0, -1)))
 
 
+@cache
+def _extreme_columns(k: int):
+    """Each extreme row's columns of 1s, disjoint (tuples, built once per K)."""
+    return tuple(tuple(j for j, v in enumerate(row) if v) for row in _extreme_rows(k))
+
+
+def _extreme_optimum(objective, k: int, n: int):
+    """`Tableau(objective, _extreme_rows(k), [n, n]).optimum()` by inspection,
+    as the rows' 0/1 supports are disjoint: Bland's unit pivots (d stays 1) put
+    N on each row's first costliest column and its cost in the row's dual, if > 0."""
+    x, y = [0] * len(objective), []
+    for columns in _extreme_columns(k):
+        j = max(columns, key=objective.__getitem__)
+        y.append(max(objective[j], 0))
+        x[j] = n if y[-1] else 0
+    return x, y, n * sum(y), 1
+
+
 def _region_max(objective, spec: RegionSpec, cap=None):
-    """(max of objective . d over the region, maximizer) for an int
-    objective, by cutting planes from the extreme rows added to one kept
-    `Tableau`; the maximizer is None once a restricted optimum is <= cap (the
-    full optimum is no larger). The DP and `_certify` read its optimum's ints."""
+    """(max of objective . d over the region, maximizer) for an int objective,
+    by cutting planes from `_extreme_optimum` on one `Tableau` built at the first
+    cut; the maximizer is None once an optimum is <= cap (the full one is no larger)."""
     if spec.K > ORACLE_MAX_USERS:  # refused before any LP, as the DP would refuse its optimum
         raise TooLarge(f"ordering DP guarded at K <= {ORACLE_MAX_USERS} (2^K subsets)")
-    rows, n = list(_extreme_rows(spec.K)), spec.N
-    lp = Tableau(objective, rows, [n, n])
+    rows, n, lp = list(_extreme_rows(spec.K)), spec.N, None
+    x, y, value, d = _extreme_optimum(objective, spec.K, n)
     while True:
-        x, y, value, d = lp.optimum()
         point = None if cap is not None and value <= cap * d else DofVector.from_scaled(spec.K, x, d)
         if point is None or (dp := _OrderingDP(point)).best[-1] <= n * point.T:  # within cap, or a member
             _certify(objective, rows, [n] * len(rows), x, y, value, d)
             return Fraction(value, d), point
+        lp = lp or Tableau(objective, rows, [n, n])  # the first cut's, solved cold on the extreme rows
         rows.append(_ordering_row(next(dp.orderings(n * point.T + 1))[0]))
         lp.add_row(rows[-1], n)
+        x, y, value, d = lp.optimum()
 
 
 def sum_dof_max(spec: RegionSpec):

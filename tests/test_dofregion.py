@@ -548,6 +548,8 @@ def test_per_k_tables_are_shared_read_only(full_row_lp):
         into, lo, hi = yrelay.dofregion._dp_tables(k)
         assert (len(into), len(lo), len(hi)) == (k, 2 ** (k // 2), 2 ** (k - k // 2))
         assert frozen((lo, hi)) and frozen(yrelay.dofregion._extreme_rows(k))
+        columns = yrelay.dofregion._extreme_columns(k)  # each direction forward in one of the two
+        assert frozen(columns) and sorted(columns[0] + columns[1]) == list(range(k * (k - 1)))
         assert max(len(lo), len(hi)) < 2 ** k
         assert frozen(pair_cells(k)) and all(type(g) is itemgetter for g in into)
         d = DofVector.from_scaled(k, range(1, k * (k - 1) + 1), 1)
@@ -564,25 +566,56 @@ def test_per_k_tables_are_shared_read_only(full_row_lp):
 
 def test_forged_maximizer_is_refused(monkeypatch):
     # an LP optimum forged to the origin passes the DP (it is a member) and
-    # reaches the certificate check, which refuses it
+    # reaches the certificate check, which refuses it: the closed-form start
+    # of a sum-DoF LP, and the kept tableau's optimum in a cut loop
+    def forged(optimum):
+        def origin(*args):
+            x, *rest = optimum(*args)
+            return [0] * len(x), *rest
+        return origin
+
     class Forged(Tableau):
         __slots__ = ()
+        optimum = forged(Tableau.optimum)
 
-        def optimum(self):
-            x, *rest = super().optimum()
-            return [0] * len(x), *rest
-
+    with monkeypatch.context() as patched:
+        patched.setattr(yrelay.dofregion, "_extreme_optimum", forged(yrelay.dofregion._extreme_optimum))
+        with pytest.raises(LpError, match="^certificate: objective values disagree$"):
+            sum_dof_max(SPEC46)
     monkeypatch.setattr(yrelay.dofregion, "Tableau", Forged)
     with pytest.raises(LpError, match="^certificate: objective values disagree$"):
-        sum_dof_max(SPEC46)
+        yrelay.dofregion._region_max([(7 * i + 3) % 5 for i in range(20)], RegionSpec(K=5, N=2))
 
 
 def test_sum_dof_guard(monkeypatch):
-    # refused before any tableau is built, the per-K extreme rows included
+    # refused before any LP work, the per-K extreme rows and columns included
     monkeypatch.setattr(yrelay.dofregion, "Tableau", None)
     monkeypatch.setattr(yrelay.dofregion, "_extreme_rows", None)
+    monkeypatch.setattr(yrelay.dofregion, "_extreme_columns", None)
     with pytest.raises(TooLarge):
         sum_dof_max(RegionSpec(K=ORACLE_MAX_USERS + 1, N=2))
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+@settings(PROPERTY, max_examples=25)
+@given(n=st.integers(1, 5), data=st.data())
+def test_extreme_optimum_matches_the_tableau(k, n, data):
+    # the start solved by inspection is the optimum that Bland's pivots reach
+    # on the identity and reversed rows, field for field, ties, zero and
+    # negative costs included, and the same costs lowered below 0, where no
+    # column enters
+    drawn = data.draw(st.lists(st.integers(-4, 2), min_size=k * (k - 1), max_size=k * (k - 1)), label="c")
+    for objective in (drawn, [v - 3 for v in drawn]):
+        start = yrelay.dofregion._extreme_optimum(objective, k, n)
+        assert start == Tableau(objective, yrelay.dofregion._extreme_rows(k), [n, n]).optimum()
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+def test_sum_dof_builds_no_tableau(monkeypatch, k):
+    # the start is the sum-DoF optimum at every K: no cut, so no tableau
+    monkeypatch.setattr(yrelay.dofregion, "Tableau", None)
+    value, point = sum_dof_max(RegionSpec(K=k, N=3))
+    assert value == point.total() == 6 and is_member(point, RegionSpec(K=k, N=3)).member
 
 
 # (K, the optimum at N = 2 of the objective (7i + 3) mod 5 as a cold solve
@@ -624,10 +657,20 @@ def test_cut_loop_keeps_one_tableau(monkeypatch, k, value, cuts, pivots):
 def test_gap_probe_cuts_no_more_than_cold_solves(monkeypatch, k):
     # the gap probe's 3 LPs at N = 1 add 3 cuts in all, as a cold solve per
     # round did: dual ties free a slack before they raise a coordinate that
-    # the selection ignores, which would cost a cut each (9 at K = 5)
-    built = _counted_tableaus(monkeypatch)
+    # the selection ignores, which would cost a cut each (9 at K = 5). The
+    # first LP stops at its start, within the cap, and builds no tableau;
+    # the other two build one each (7, 8 and 8 pivots in all at K = 3, 4, 5)
+    built, per_lp, region_max = _counted_tableaus(monkeypatch), [], yrelay.dofregion._region_max
+
+    def counted(*args, **kwargs):
+        before = len(built)
+        result = region_max(*args, **kwargs)
+        per_lp.append(len(built) - before)
+        return result
+
+    monkeypatch.setattr(yrelay.dofregion, "_region_max", counted)
     assert find_construction_gap(RegionSpec(K=k, N=1)) is not None
-    assert len(built) == 3 and sum(len(lp.basis) - 2 for lp in built) == 3
+    assert per_lp == [0, 1, 1] and sum(len(lp.basis) - 2 for lp in built) == 3
     assert sum(lp.pivots for lp in built) <= 9
 
 
