@@ -6,7 +6,8 @@ the users, sum over positions a < b of d[p_a -> p_b] <= N. Membership,
 sum-DoF maximization, the direct-construction feasibility predicate
 (sum of per-pair maxima <= N), and a probe for points separating the two
 are all computed in Python ints, on the scaled entries a `DofVector` holds;
-Fractions appear only in the values returned.
+Fractions appear only in the values returned. The K = 3 vertices are built
+in closed form: the origin, N on one direction, N/(L-1) on an L-cycle.
 
 Membership, sum-DoF and the gap probe never walk the K! orderings. The
 Held-Karp subset DP gives the largest ordering sum over the 2^K user subsets,
@@ -36,7 +37,7 @@ from operator import add, itemgetter
 
 from .alignment import DofVector, pair_cells, pair_index, pair_tuple
 from .errors import DimensionError, TooLarge, WitnessInvalid
-from .simplex import Tableau, _certify, solve_linear
+from .simplex import Tableau, _certify
 
 ORACLE_MAX_USERS = 16    # the ordering DP tabulates all 2^K user subsets
 TIGHT_LIST_MAX = 40320   # 8!, every ordering of 8 users
@@ -363,24 +364,13 @@ def find_construction_gap(spec: RegionSpec) -> DofVector | None:
 
 
 def vertices_k3(n_relay: int):
-    """All vertices of the 3-user region (6 coordinates), exact and deduped.
-
-    Basic solutions of every 6-subset drawn from the 6 ordering constraints
-    (at equality N) and 6 nonnegativity constraints (at equality 0), kept
-    when they satisfy the full system.
-    """
-    spec = RegionSpec(K=3, N=n_relay)
-    variables = pair_tuple(3)
-    dim = len(variables)
-    perm_rows = [_ordering_row(p) for p in itertools.permutations((1, 2, 3))]
-    nonneg_rows = [[int(i == j) for j in range(dim)] for i in range(dim)]
-    rows = perm_rows + nonneg_rows
-    rhs = [n_relay] * len(perm_rows) + [0] * dim
-
-    candidates = set()  # solution tuples, in `variables` order: sorted as `DofVector.as_tuple`
-    for subset in itertools.combinations(range(len(rows)), dim):
-        solution = solve_linear([rows[i] for i in subset], [rhs[i] for i in subset])
-        if solution is not None and min(solution) >= 0:
-            candidates.add(tuple(solution))
-    vectors = (DofVector(3, dict(zip(variables, s))) for s in sorted(candidates))
-    return [v for v in vectors if is_member(v, spec).member]
+    """All vertices of the 3-user region (6 coordinates), exact, sorted by
+    `DofVector.as_tuple`: the origin, N on each direction, and N/(L-1) on
+    each arc of every directed cycle of L = 2 or 3 users (3 two-cycles at N,
+    2 three-cycles at N/2). Each is a member, since an ordering runs forward
+    along at most L-1 arcs of an L-cycle."""
+    n, pairs = RegionSpec(K=3, N=n_relay).N, pair_tuple(3)
+    cycles = [c for length in (2, 3) for c in itertools.permutations((1, 2, 3), length) if c[0] == min(c)]
+    supports = [((), 1)] + [((a,), 1) for a in pairs] + [(tuple(zip(c, c[1:] + c[:1])), len(c) - 1) for c in cycles]
+    points = (DofVector.from_scaled(3, [n * (a in arcs) for a in pairs], t) for arcs, t in supports)
+    return sorted(points, key=DofVector.as_tuple)

@@ -9,7 +9,6 @@ checks an optimum's ints with zero tolerance.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import mul
 
 from .errors import LpError
@@ -25,19 +24,6 @@ def _pivot(tab, row: int, col: int, d: int) -> int:
         if r != row and (f or p != d):
             tab[r] = [(p * v - f * q) // d for v, q in zip(other, prow)]
     return p
-
-
-def solve_linear(a, b):
-    """Exact solution of a square int system, or None when singular."""
-    n = len(a)
-    m, d = [[*row, rhs] for row, rhs in zip(a, b)], 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return None
-        m[col], m[pivot] = m[pivot], m[col]
-        d = _pivot(m, col, col, d)
-    return [Fraction(m[r][n], d) for r in range(n)]
 
 
 class Tableau:

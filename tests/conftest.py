@@ -490,10 +490,11 @@ def _reference_verify_certificate(c, a, b, res: LpResult) -> bool:
 @pytest.fixture(scope="session")
 def reference_simplex():
     """The Fraction tableau simplex: `solve_max` (an `LpResult`), `tableau`
-    (kept, with `add_row` and `result`), `verify_certificate` and
-    `solve_linear`, whose results and messages `yrelay.simplex.Tableau`
-    (cold start, `add_row` and `optimum`), `_certify` and `solve_linear`
-    must reproduce on int data."""
+    (kept, with `add_row` and `result`) and `verify_certificate`, whose
+    results and messages `yrelay.simplex.Tableau` (cold start, `add_row` and
+    `optimum`) and `_certify` must reproduce on int data; and `solve_linear`,
+    the square-system elimination of the K = 3 vertex enumeration that
+    `vertices_k3` is held to."""
     return SimpleNamespace(solve_max=_reference_solve_max, tableau=_ReferenceTableau,
                            verify_certificate=_reference_verify_certificate,
                            solve_linear=_reference_solve_linear)

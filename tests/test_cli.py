@@ -210,6 +210,9 @@ def test_plan_needs_a_relay_antenna(capsys, n):
     assert code == EXIT_USAGE
     assert out == ""
     assert "need at least one relay antenna" in err
+    # the vertex list refuses the same N with one usage line
+    code, out, err = run_cli(capsys, "dof", "vertices-k3", "--n", n)
+    assert (code, out, err) == (EXIT_USAGE, "", f"yrelay: usage error: need at least one relay antenna, got N={n}\n")
 
 
 def test_plan_infeasible_exits_one(capsys):

@@ -4,13 +4,14 @@ Oracles: hand-enumerated permutation sums for pinned points; the brute-force
 K!-enumeration membership check and the LPs over all K! ordering rows (in
 conftest.py), which property tests hold the subset DP and the cutting-plane
 LPs to; the full-row LP as a support-function oracle for the vertex list;
-and a closed-form vertex catalogue checked for several N.
+and the basic solutions of every 6-row subsystem, the enumeration that the
+closed-form vertex list replaced.
 """
 
 import pickle
 import random
 from fractions import Fraction
-from itertools import islice, permutations
+from itertools import combinations, islice, permutations
 from operator import itemgetter, mul
 
 import numpy as np
@@ -67,6 +68,7 @@ def test_region_spec_validation():
     # a numpy int becomes a Python int, so sums past 2^63 stay exact
     spec = RegionSpec(K=np.int64(4), N=np.int64(6))
     assert spec == (4, 6) and type(spec.K) is int and type(spec.N) is int
+    assert [v.to_dict() for v in vertices_k3(np.int64(6))] == [v.to_dict() for v in vertices_k3(6)]
     d = DofVector(4, {(1, 2): F(1, 2**64), (2, 1): F(1, 3)})
     assert is_member(d, spec) == is_member(d, RegionSpec(K=4, N=6))
 
@@ -853,26 +855,31 @@ def test_feasible_implies_member_sample():
 # -------------------------------------------------------------------- vertices
 
 
-def closed_form_vertices(n):
-    """origin + 6 single directions at N + 3 bidirectional pairs at N
-    + 2 opposite 3-cycles at N/2"""
+def enumerated_vertices(n, solve_linear):
+    """The vertices as basic solutions: every 6-row subsystem of the 6
+    ordering rows (at N) and the 6 nonnegativity rows (at 0), solved in
+    Fractions, each nonnegative solution kept once when is_member accepts
+    it, in `as_tuple` order."""
     variables = ordered_pairs(3)
-    out = {tuple([F(0)] * 6)}
-    for i in range(6):
-        t = [F(0)] * 6
-        t[i] = F(n)
-        out.add(tuple(t))
-    for j, k in user_pairs(3):
-        t = [F(0)] * 6
-        t[variables.index((j, k))] = F(n)
-        t[variables.index((k, j))] = F(n)
-        out.add(tuple(t))
-    for cyc in (((1, 2), (2, 3), (3, 1)), ((2, 1), (3, 2), (1, 3))):
-        t = [F(0)] * 6
-        for e in cyc:
-            t[variables.index(e)] = F(n, 2)
-        out.add(tuple(t))
-    return out
+    rows = [[int(p.index(u) < p.index(v)) for u, v in variables] for p in permutations((1, 2, 3))]
+    rows += [[int(i == j) for j in range(6)] for i in range(6)]
+    rhs = [n] * 6 + [0] * 6
+    solutions = set()
+    for subset in combinations(range(12), 6):
+        x = solve_linear([rows[i] for i in subset], [rhs[i] for i in subset])
+        if x is not None and min(x) >= 0:
+            solutions.add(tuple(x))
+    spec = RegionSpec(K=3, N=n)
+    vectors = (DofVector(3, dict(zip(variables, x))) for x in sorted(solutions))
+    return [v for v in vectors if is_member(v, spec).member]
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 7])
+def test_vertices_match_enumeration(reference_simplex, n):
+    # the closed form against the 924-system enumeration it replaced
+    expected = enumerated_vertices(n, reference_simplex.solve_linear)
+    got = vertices_k3(n)
+    assert got == expected and [v.to_dict() for v in got] == [v.to_dict() for v in expected]
 
 
 def test_vertices_match_closed_form():
@@ -881,9 +888,17 @@ def test_vertices_match_closed_form():
     unit = [v.as_tuple() for v in vertices_k3(1)]
     for n in (1, 2, 3, 6, 7, 101, 10**6):
         verts = vertices_k3(n)
-        assert {v.as_tuple() for v in verts} == closed_form_vertices(n)
         assert len(verts) == 12
         assert [v.as_tuple() for v in verts] == [tuple(n * x for x in v) for v in unit]
+
+
+@pytest.mark.parametrize("n", [0, -1, 1.5])
+def test_vertices_refuse_what_region_spec_refuses(n):
+    with pytest.raises(ValueError) as refused:
+        RegionSpec(K=3, N=n)
+    with pytest.raises(ValueError) as got:
+        vertices_k3(n)
+    assert str(got.value) == str(refused.value)
 
 
 def test_vertices_basic_contracts():

@@ -20,7 +20,7 @@ from conftest import LpResult
 from yrelay.alignment import DofVector, pair_tuple
 from yrelay.dofregion import RegionSpec, _extreme_rows, _ordering_row, is_member
 from yrelay.errors import LpError
-from yrelay.simplex import Tableau, _certify, solve_linear
+from yrelay.simplex import Tableau, _certify
 
 F = Fraction
 # fixed example sequence, no example database: the same cases on every run
@@ -70,15 +70,6 @@ def certify(c, a, b, res: LpResult) -> bool:
     `Tableau.optimum` returns them."""
     d = math.lcm(*(F(v).denominator for v in (*res.x, res.value, *res.duals)))
     return _certify(c, a, b, [int(v * d) for v in res.x], [int(v * d) for v in res.duals], int(res.value * d), d)
-
-
-def test_solve_linear_known_system():
-    x = solve_linear([[2, 1], [1, 3]], [5, 10])
-    assert x == [F(1), F(3)]
-
-
-def test_solve_linear_singular_returns_none():
-    assert solve_linear([[1, 2], [2, 4]], [1, 2]) is None
 
 
 def test_small_lp():
@@ -346,30 +337,3 @@ def test_walk_cuts_match_fraction_tableau_on_region_lps(reference_simplex, lp):
         return None if witness is None else (_ordering_row(witness[0]), n)
 
     added_rows_match(reference_simplex, c, a, b, next_row)
-
-
-@st.composite
-def square_systems(draw):
-    """An n x n int system, n = 1..6: drawn rational, now and then one row a
-    combination of two others (singular when n >= 2) or a zero row, then
-    each [row, rhs] restated by `ints`."""
-    n = draw(st.integers(1, 6))
-    a = [[draw(_ENTRY) for _ in range(n)] for _ in range(n)]
-    b = [draw(_ENTRY) for _ in range(n)]
-    kind = draw(st.sampled_from(("random", "random", "combination", "zero row")))
-    i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
-    if kind == "combination":
-        a[i] = [F(2) * u - F(1, 3) * v for u, v in zip(a[j], a[k])]
-    elif kind == "zero row":
-        a[i] = [0] * n
-    _, a, b = int_lp([], a, b)
-    return a, b
-
-
-@settings(PROPERTY, max_examples=200)
-@given(square_systems())
-def test_solve_linear_matches_fraction_elimination(reference_simplex, system):
-    a, b = system
-    got = solve_linear(a, b)
-    assert got == reference_simplex.solve_linear(a, b)
-    assert got is None or all(type(v) is F for v in got)
