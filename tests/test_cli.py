@@ -186,8 +186,9 @@ SIM_GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden" / "sim_outputs
 def test_simulator_output_matches_golden(capsysbinary, case):
     # recorded with one channel set per draw: `simulate` and `mppi-check`
     # over the stacked channel block reproduce the same bytes and exit codes;
-    # the 33-trial `mppi-check` and raw `sweep` cases cross two trial-block
-    # boundaries
+    # the 33-trial `mppi-check` and `sweep` cases cross two trial-block
+    # boundaries, and the JSON genie sweep pins `power_violations` (15 at
+    # 0 dB), which only the JSON report prints
     code = main(list(case["argv"]))
     assert code == case["exit"]
     assert capsysbinary.readouterr().out == case["stdout"].encode()
