@@ -43,6 +43,7 @@ STREAM_SYMBOLS = 3
 POWER_CHECK_SLACK = 1e-9  # relative slack in check_power
 
 _MASK64 = (1 << 64) - 1
+_TOP = 1 << 63  # a key entry below it is exact as numpy reads the key
 _ZERO4 = (0, 0, 0, 0)
 
 
@@ -69,18 +70,22 @@ def seeded_normals(seeds, stream: int, size: int) -> np.ndarray:
     is drawn on the calling thread's one generator (built on the thread's
     first call), re-keyed per row by a state dict of this call's own, with
     the counter at zero and the buffer empty: whatever the generator drew
-    before, the row starts at the stream's start."""
+    before, the row starts at the stream's start. A key whose entries are
+    both in [0, 2^63) is `[seed, stream]` as it stands; only the others go
+    through `_philox_key`."""
     rng = getattr(_thread, "rng", None)
     if rng is None:
         rng = _thread.rng = np.random.Generator(np.random.Philox(key=0))
+    bits, draw = rng.bit_generator, rng.standard_normal
     inner = {"counter": _ZERO4}
     state = {"bit_generator": "Philox", "state": inner, "buffer": _ZERO4, "buffer_pos": 4, "has_uint32": 0,
              "uinteger": 0}
+    top = _TOP if 0 <= stream < _TOP else 0  # a stream id past 2^63 sends every key through _philox_key
     out = np.empty((len(seeds), size))
     for row, seed in zip(out, seeds):
-        inner["key"] = _philox_key(seed, stream)
-        rng.bit_generator.state = state
-        rng.standard_normal(out=row)
+        inner["key"] = [seed, stream] if 0 <= seed < top else _philox_key(seed, stream)
+        bits.state = state
+        draw(out=row)
     return out
 
 
@@ -106,7 +111,7 @@ def complex_normal_blocks(normals: np.ndarray, index: np.ndarray) -> np.ndarray:
     from `normals`, one `rng.standard_normal(index.size)` draw per row along
     the last axis: bit for bit the blocks drawn one after the other, for
     every row at once."""
-    z = normals[..., index]
+    z = normals.take(index, axis=-1)
     return _complex(z[..., 0, :], z[..., 1, :])
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -48,18 +49,15 @@ SUBSEED_ROUND = 0x0E
 TRIAL_BLOCK = 16  # trials per channel block and kernel call
 
 
-def _splitmix64(z: int) -> int:
-    z = (z + _GOLDEN) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (z ^ (z >> 31)) & _MASK64
-
-
 def derive_seed(master: int, *ids: int) -> int:
-    """Deterministic sub-seed from a master seed and an id path."""
+    """Deterministic sub-seed from a master seed and an id path: per id i,
+    one splitmix64 step on the seed so far xor (i + 1) * golden."""
     x = master & _MASK64
     for i in ids:
-        x = _splitmix64(x ^ ((i + 1) * _GOLDEN & _MASK64))
+        z = ((x ^ ((i + 1) * _GOLDEN & _MASK64)) + _GOLDEN) & _MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        x = z ^ (z >> 31)
     return x
 
 
@@ -124,6 +122,7 @@ class ExperimentConfig:
 ROW_FIELDS = ("p_db", "mean_stream_snr", "mean_rate_proxy", "sum_rate_proxy", "err_mean", "err_max",
               "power_violations")
 FIT_FIELDS = ("slope", "intercept", "residual")
+_CSV_VALUES = operator.itemgetter(*ROW_FIELDS[:-1])  # a row's CSV fields, in column order
 
 
 @dataclass(frozen=True)
@@ -151,7 +150,7 @@ class SweepReport:
         cfg = self.config
         lines = [f"# yrelay sweep v1 config={cfg.digest()} seed={cfg.seed} version={__version__}",
                  ",".join(ROW_FIELDS[:-1])]
-        lines += [",".join(repr(row[name]) for name in ROW_FIELDS[:-1]) for row in self.rows]
+        lines += [",".join(map(repr, _CSV_VALUES(row))) for row in self.rows]
         if self.fit is not None:
             lines.append("# fit " + " ".join(f"{name}={value!r}" for name, value in zip(FIT_FIELDS, self.fit)))
         return ("\n".join(lines) + "\n").encode()
@@ -180,32 +179,37 @@ def fit_slope(points):
 
 
 class _PointSums:
-    """Running sums over the trials, one entry per power point, in trial order."""
+    """Running sums over the trials, one entry per power point, in trial
+    order: the rows of `total` add up each trial's stream-mean SNR,
+    stream-mean rate proxy, rate proxy and direction-mean error."""
 
     def __init__(self, points: int):
-        self.snr, self.rate, self.sum_rate, self.err, self.err_max = np.zeros((5, points))
+        self.total = np.zeros((4, points))
+        self.err_max = np.zeros(points)
         self.violations = np.zeros(points, dtype=np.int64)
 
     def add(self, rounds) -> None:
         """Add a block of trials' rounds (`transmit_round` arrays with (trial,
-        point) axes), one trial after the other."""
+        point) axes), one trial after the other. With no active stream or
+        direction a row adds zeros, which leave its +0.0 sum as it is."""
         self.violations += (~rounds.power_ok).sum(axis=0)
-        snr = rounds.snr
+        snr, errs = rounds.snr, rounds.rel_errors
+        terms = np.zeros((errs.shape[0], 4, errs.shape[1]))
         streams = snr.effective.shape[2]
         if streams:
-            self.snr = left_sum(left_sum(snr.effective, axis=-1) / streams, self.snr)
-            self.rate = left_sum(snr.rate_proxy / streams, self.rate)
-        self.sum_rate = left_sum(snr.rate_proxy, self.sum_rate)
-        errs = rounds.rel_errors
+            terms[:, 0] = left_sum(snr.effective, axis=-1) / streams
+            terms[:, 1] = snr.rate_proxy / streams
+        terms[:, 2] = snr.rate_proxy
         if errs.shape[2]:
-            self.err = left_sum(left_sum(errs, axis=-1) / errs.shape[2], self.err)
+            terms[:, 3] = left_sum(errs, axis=-1) / errs.shape[2]
             self.err_max = np.maximum(self.err_max, errs.max(axis=(0, 2)))
+        self.total = left_sum(terms, self.total)
 
     def rows(self, sweep_db, trials: int) -> tuple:
         """One row per point, keyed by ROW_FIELDS: means over the trials, the
         worst error and the violation count."""
-        means = (self.snr / trials, self.rate / trials, self.sum_rate / trials, self.err / trials)
-        columns = [list(map(float, sweep_db)), *(a.tolist() for a in (*means, self.err_max, self.violations))]
+        columns = [map(float, sweep_db), *(self.total / trials).tolist(), self.err_max.tolist(),
+                   self.violations.tolist()]
         return tuple(dict(zip(ROW_FIELDS, values)) for values in zip(*columns))
 
 

@@ -13,7 +13,7 @@ vector.
 
 from __future__ import annotations
 
-import itertools
+import math
 
 import numpy as np
 
@@ -25,6 +25,9 @@ GRAM_COND_LIMIT = 1e8     # switch to the SVD route when cond(Gram) exceeds this
 GRAM_BOUND_LIMIT = GRAM_COND_LIMIT / 100  # no SVD for a matrix whose cond(Gram) bound stays within this
 DIAG_RTOL = 1e-9          # relative residual allowed in H @ H_R = alpha * I
 TRACE_TOL = 1e-12         # absolute tolerance on the unit-trace normalization
+
+_NO_INDEX = np.empty(0, dtype=np.intp)
+_NO_INDEX.flags.writeable = False
 
 
 def well_conditioned(s):
@@ -44,10 +47,16 @@ def left_sum(values, start=0.0, axis=None):
     `np.sum` adds pairwise, so neither keeps a report's bytes across
     versions. With no `axis` the terms are the items of `values`, added one
     at a time (arrays elementwise). With an `axis` they are the entries of
-    the array `values` along it: `start` and the terms fill one buffer that
-    one `np.add.accumulate` runs through, sequential by definition (out[i]
-    = out[i-1] + a[i]), so each entry has the loop's bits in one call. An
-    empty axis gives `start` over the remaining shape.
+    the array `values` along it, added by one `np.add.accumulate`,
+    sequential by definition (out[i] = out[i-1] + a[i]), so each entry has
+    the loop's bits in one call. A start of +0.0 as a Python float (the
+    default) over float or complex terms needs no buffer: the accumulate
+    runs over the terms alone and its last entry gets + 0.0, because the
+    loop's partial sums from +0.0 differ from the terms' own only in the
+    sign of a zero (the loop's is never -0.0), and x + 0.0 turns -0.0 into
+    +0.0 and keeps every other x. Any other start, -0.0 included (it equals
+    0.0), fills one buffer with the terms for the accumulate. An empty axis
+    gives `start` over the remaining shape.
     """
     if axis is None:
         total = start
@@ -57,6 +66,9 @@ def left_sum(values, start=0.0, axis=None):
     terms = np.asarray(values)
     axis = range(terms.ndim)[axis]
     head = (slice(None),) * axis
+    if type(start) is float and start == 0.0 and math.copysign(1.0, start) > 0.0 and terms.shape[axis] \
+            and terms.dtype.kind in "fc":
+        return np.add.accumulate(terms, axis=axis)[(*head, -1)] + 0.0
     buf = np.empty((*terms.shape[:axis], terms.shape[axis] + 1, *terms.shape[axis + 1 :]),
                    np.result_type(start, terms))
     buf[(*head, 0)] = start
@@ -94,9 +106,12 @@ def _gram_pinv(links):
                 gram_inv[i] = np.linalg.inv(q)
             except np.linalg.LinAlgError:
                 pass
-    ends = list(itertools.accumulate(len(a) for a, _ in links))
-    xs = (gram_inv[end - len(a) : end] for (a, _), end in zip(links, ends))
-    return [ah @ x if right else x @ ah for (_, right), ah, x in zip(links, ahs, xs)], gram, gram_inv
+    pinvs, start = [], 0
+    for (a, right), ah in zip(links, ahs):
+        x = gram_inv[start : start + len(a)]
+        pinvs.append(ah @ x if right else x @ ah)
+        start += len(a)
+    return pinvs, gram, gram_inv
 
 
 def _unit_pinv(a, right: bool, *more) -> tuple:
@@ -147,9 +162,12 @@ def _unit_pinv(a, right: bool, *more) -> tuple:
         pinvs, gram, gram_inv = _gram_pinv(stacks)
         q2, x2 = (np.einsum("sij,sij->s", v, v) for v in (gram.view(np.float64), gram_inv.view(np.float64)))
         beyond = ~(q2 * x2 <= GRAM_BOUND_LIMIT**2)
+    any_past = beyond.any()
     out, start = [], 0
     for (a, right), g in zip(stacks, pinvs):
-        side, past = "right" if right else "left", np.flatnonzero(beyond[start : start + len(a)])
+        side, past = "right" if right else "left", _NO_INDEX
+        if any_past:
+            past = np.flatnonzero(beyond[start : start + len(a)])
         if past.size:
             parts = a[past].view(np.float64)
             e = np.frexp(np.abs(parts).max(axis=(1, 2)))[1]
@@ -167,7 +185,7 @@ def _unit_pinv(a, right: bool, *more) -> tuple:
                 g[past[fallback]] = np.linalg.pinv(b[fallback])
             if not fallback.all():
                 g[past[~fallback]] = _gram_pinv([(b[~fallback], right)])[0][0]
-        c = 1.0 / np.sqrt(np.sum((np.abs(g) ** 2).reshape(len(g), -1), axis=-1))
+        c = 1.0 / np.sqrt(np.add.reduce((np.abs(g) ** 2).reshape(len(g), -1), axis=-1))
         g = c[:, None, None] * g
         if past.size:
             top = np.frexp(c[past])[1] + e  # c * 2^e < 2^top

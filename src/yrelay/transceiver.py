@@ -81,6 +81,27 @@ def _length_groups(spans):
     return [(np.array(pos), starts[pos, None] + np.arange(length)) for length, pos in groups.items()]
 
 
+def _per_span(reduce, x, groups):
+    """reduce(...) of x's spans along its last axis, one entry per span in
+    span order: `groups` from `_length_groups`, and reduce takes a group's
+    (..., spans, length) gather and reduces its last axis. One group holds
+    every span in order, so its result is the answer as it stands."""
+    if len(groups) == 1:
+        return reduce(x.take(groups[0][1], axis=-1))
+    out = np.empty((*x.shape[:-1], sum(len(where) for where, _ in groups)))
+    for where, index in groups:
+        out[..., where] = reduce(x.take(index, axis=-1))
+    return out
+
+
+def _min_last(a):
+    return a.min(axis=-1)
+
+
+def _sum_last(a):
+    return left_sum(a, axis=-1)
+
+
 class RoundLayout:
     """What a stream plan and the users' antenna count M fix for every round,
     whatever the channel draw. `plan_layout` builds one per (DoF vector, N,
@@ -125,10 +146,12 @@ class RoundLayout:
         self.snr_keys = tuple(key for key, (a, b) in spans.items() if b > a)
         self.snr_senders = np.array([j - 1 for j, _ in self.snr_keys], dtype=np.intp)
         self.snr_sizes = np.array([spans[key][1] - spans[key][0] for key in self.snr_keys], dtype=np.intp)
-        self.snr_components = np.stack((self.sender, self.receive_index // length, self.receive_index % length % n))
+        receiver = self.receive_index // length
+        self.snr_users = np.stack((self.sender, receiver))
+        self.snr_rows = receiver * n + self.receive_index % length % n  # in Dl's (K * N) rows
         self.snr_groups = _length_groups([spans[key] for key in self.snr_keys])
         for a in (self.word_index, self.receive_index, self.symbol_index, self.noise_index, self.sender,
-                  self.pair_users, self.snr_senders, self.snr_sizes, self.snr_components,
+                  self.pair_users, self.snr_senders, self.snr_sizes, self.snr_users, self.snr_rows,
                   *(a for group in self.error_groups + self.snr_groups for a in group)):
             a.flags.writeable = False
 
@@ -195,26 +218,27 @@ def effective_snr(block: ChannelBlock, layout: RoundLayout, powers, mode: str = 
     # length, the active directions added left to right), and per block
     # component alpha_j^2, beta_k^2 and the filtered noise power of its row
     # of Dl_k. Squares are Python floats, as per-component code had them.
-    a2, b2 = (np.array([x**2 for x in c.ravel().tolist()]).reshape(c.shape) for c in (block.alpha, block.beta))
-    word_power = left_sum(a2[:, layout.snr_senders] * layout.snr_sizes, axis=-1)[:, None]
-    j, k, row = layout.snr_components
-    snr_a2 = a2[:, None, j]
+    d = len(block.alpha)
+    a2, b2 = np.array([[x**2 for x in c.ravel().tolist()] for c in (block.alpha, block.beta)]).reshape(2, d, -1)
+    sender_a2 = a2.take(layout.snr_senders, axis=1)
+    word_power = left_sum(sender_a2 * layout.snr_sizes, axis=-1)[:, None]
+    j, k = layout.snr_users
+    snr_a2 = a2.take(j, axis=1)[:, None]
+    row_noise = np.add.reduce(np.abs(block.left) ** 2, axis=-1).reshape(d, -1).take(layout.snr_rows, axis=1)[:, None]
     powers = np.asarray(powers, dtype=np.float64)
-    shape = (len(word_power), len(powers))
+    shape = (d, len(powers))
     with np.errstate(over="ignore", invalid="ignore"):  # an SNR past the float range is raised below
         gamma_sq = np.divide(powers, word_power, out=np.zeros(shape), where=word_power > 0)
-        down = gamma_sq[..., None] * b2[:, None, k] * snr_a2 / np.sum(np.abs(block.left) ** 2, axis=-1)[:, None, k, row]
+        down = gamma_sq[..., None] * b2.take(k, axis=1)[:, None] * snr_a2 / row_noise
     if not np.isfinite(down).all():
         d, _, c = np.argwhere(~np.isfinite(down))[0]
         raise ScalarUnderflow(f"draw {d}: downlink SNR of direction ({j[c] + 1},{k[c] + 1}) overflows", int(d))
     eff = down if mode == GENIE else np.minimum(snr_a2, down)
     # math.log2: np.log2 rounds some values differently
-    logs = np.array(list(map(math.log2, (1.0 + eff).ravel().tolist()))).reshape(eff.shape)
-    snr_down, rates = np.empty((2, *shape, len(layout.snr_keys)))
-    for where, index in layout.snr_groups:
-        snr_down[..., where] = down[..., index].min(axis=-1)
-        rates[..., where] = left_sum(logs[..., index].transpose(3, 0, 1, 2)) / plan.T
-    uplink = a2[:, None, layout.snr_senders].repeat(len(powers), axis=1)
+    logs = np.fromiter(map(math.log2, (1.0 + eff).ravel().tolist()), np.float64, eff.size).reshape(eff.shape)
+    snr_down = _per_span(_min_last, down, layout.snr_groups)
+    rates = _per_span(_sum_last, logs, layout.snr_groups) / plan.T
+    uplink = sender_a2[:, None].repeat(len(powers), axis=1)
     effective = snr_down if mode == GENIE else np.minimum(uplink, snr_down)
     rate_proxy = left_sum(rates, axis=-1)
     return SnrBatch(uplink, snr_down, effective, rates, rate_proxy)
@@ -309,7 +333,7 @@ def transmit_round(
             raise DimensionError(f"symbols of shape {symbols.shape}, plan wants ({size},)")
         v = np.broadcast_to(symbols, (*shape, size))
     pad = np.zeros((*shape, 1), dtype=np.complex128)
-    words = np.concatenate((v, pad), axis=-1)[..., layout.word_index]  # words[d, i, j]: user j's word
+    words = np.concatenate((v, pad), axis=-1).take(layout.word_index, axis=-1)  # words[d, i, j]: user j's word
     if noise:
         normals = seeded_normals(seeds, STREAM_NOISE, layout.noise_index.size)
         z = complex_normal_blocks(normals, layout.noise_index).reshape(*shape, -1)
@@ -326,27 +350,30 @@ def transmit_round(
     # Relay, users added one at a time. Genie decodes the network-coded word
     # sum_j alpha_j u_j exactly; raw forwards its observation
     # sum_j H_j x_j + z with the padding tail zeroed.
-    zeros = np.zeros((*shape, length), dtype=np.complex128)
     if mode == GENIE:
-        w_hat = left_sum(scaled.transpose(2, 0, 1, 3), zeros)
+        w_hat = left_sum(scaled, axis=2)
     else:
-        w_hat = left_sum((block.uplink[:, None, :, None] @ x).transpose(2, 0, 1, 3, 4, 5),
-                         zeros.reshape(*shape, t_ext, n, 1))
+        w_hat = left_sum(block.uplink[:, None, :, None] @ x, axis=2)
         if noise:
             w_hat += z_up
         w_hat = w_hat.reshape(*shape, length)
         w_hat[..., length - plan.padding :] = 0.0
     # Forward x_r = gamma * w at the power budget, gamma = sqrt(P)/||w||; a
     # zero word gets gamma = 0, forwards nothing, and its estimates are zero.
+    # When every round forwards (the usual case), the masks on gamma = 0 are
+    # skipped.
     norm = _norms(w_hat)
     gamma = np.divide(np.sqrt(powers), norm, out=np.zeros_like(norm), where=norm != 0.0)
     live = gamma != 0.0
+    all_live = live.all()
     x_word = (gamma[..., None] * w_hat).reshape(*shape, 1, t_ext, n, 1)
     power_ok &= check_power(x_word[..., 0], budgets)
 
     j, k = layout.pair_users
-    denom = gamma[..., None] * beta[:, None, k] * alpha[:, None, j]
-    under = (np.abs(denom) < SCALE_UNDERFLOW) & live[..., None]
+    denom = gamma[..., None] * beta.take(k, axis=1)[:, None] * alpha.take(j, axis=1)[:, None]
+    under = np.abs(denom) < SCALE_UNDERFLOW
+    if not all_live:
+        under &= live[..., None]
     if under.any():
         d, i, e = np.argwhere(under)[0]
         j, k = layout.estimate_order[e]
@@ -358,19 +385,24 @@ def transmit_round(
     filtered = (block.left[:, None, :, None] @ y).reshape(*shape, k_users, length)
     # Undo gamma*beta_k, cancel the user's own contribution, and divide
     # each partner's block by the partner's alpha_j.
-    cleaned = filtered / (np.where(live, gamma, 1.0)[..., None, None] * beta[:, None, :, None]) - scaled
-    est = cleaned.reshape(*shape, k_users * length)[..., layout.receive_index] / alpha[:, None, layout.sender]
-    est[~live] = 0.0
+    kept = gamma if all_live else np.where(live, gamma, 1.0)
+    cleaned = filtered / (kept[..., None, None] * beta[:, None, :, None]) - scaled
+    est = cleaned.reshape(*shape, k_users * length).take(layout.receive_index, axis=-1) / \
+        alpha.take(layout.sender, axis=1)[:, None]
+    if not all_live:
+        est[~live] = 0.0
 
+    # Relative errors per active direction; a zero reference (silent
+    # symbols) gives 0 for a zero error and inf otherwise.
     errors = est - v
-    rel_errors = np.empty((*shape, len(layout.error_keys)))
-    overflow = np.zeros(rel_errors.shape, dtype=bool)
     with np.errstate(over="ignore"):  # an overflowing error norm is raised below
-        norms = [_norms(errors[..., index]) for _, index in layout.error_groups]
-    for (where, index), e in zip(layout.error_groups, norms):
-        ref = _norms(v[..., index])
-        overflow[..., where] = np.isinf(e)
-        rel_errors[..., where] = np.divide(e, ref, out=np.where(e == 0, 0.0, np.inf), where=ref > 0)
+        error_norms = _per_span(_norms, errors, layout.error_groups)
+    ref = _per_span(_norms, v, layout.error_groups)
+    overflow = np.isinf(error_norms)
+    if (ref > 0).all():
+        rel_errors = error_norms / ref
+    else:
+        rel_errors = np.divide(error_norms, ref, out=np.where(error_norms == 0, 0.0, np.inf), where=ref > 0)
     if overflow.any():  # noise divided by a scale above SCALE_UNDERFLOW, squared past the float range
         d, i, c = np.argwhere(overflow)[0]
         j, k = layout.error_keys[c]

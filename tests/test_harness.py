@@ -206,10 +206,13 @@ def _sum_bits(x):
 @example((np.array([[0.1] * 10, [1e16, 1.0, -1e16] + [0.0] * 7]), np.zeros(2), -1))
 @example((np.array([-0.0, -0.0]), -0.0, 0))  # -0.0 throughout, and 0.0 from a 0.0 start
 @example((np.array([-0.0, -0.0]), 0.0, 0))
+@example((np.full((3, 2), -0.0), -0.0, 0))  # a -0.0 start keeps its buffer: -0.0 == 0.0
+@example((np.full((2, 3), complex(-0.0, -0.0)), 0.0, -1))  # +0.0 start, no buffer: both parts +0.0
 @example((np.zeros((2, 0, 3), np.complex128), np.array([1.0, -0.0, 2.0]), 1))  # an empty axis
 def test_left_sum_axis_matches_the_loop(case):
-    # the axis path is one accumulate over a buffer of start and the terms;
-    # each entry has the bits of the loop over the terms moved to the front
+    # the axis path is one accumulate over the terms (and over a buffer of
+    # start and the terms unless start is +0.0); each entry has the bits of
+    # the loop over the terms moved to the front
     a, start, k = case
     moved = np.moveaxis(a, k, 0)
     with np.errstate(all="ignore"):  # inf + -inf is a term here, not a fault
