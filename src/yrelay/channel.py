@@ -13,7 +13,8 @@ All randomness comes from `seeded_normals`, the one routine here that keys
 a Philox counter-based generator: row i is the start of the stream keyed
 (seeds[i], stream id), so any seed reproduces the exact same realization.
 A Philox stream is a pure function of (key, counter), so every row is drawn
-on one generator per thread, re-keyed per row. Streams of different keys
+on one generator per thread, re-keyed per row; a key whose seed and stream
+are both below 2^63 is used as it stands. Streams of different keys
 are independent, but two seeds can share a key: numpy reads the key
 `[seed, stream]` through a float64 array when seed >= 2^63, which rounds
 the seed to a multiple of 2^11, so 2^63 + 5 and 2^63 + 6 (for example) draw

@@ -13,8 +13,10 @@ that call's (trial, point) arrays as they come, and the block is dropped
 before the next one, so a sweep holds one block at a time.
 Each trial gets the bits it would get alone. Floats are added left to right
 (`left_sum`): a block's sums over directions take one accumulate call
-along that axis, and its sums over trials add one trial's row at a time,
-so the bytes do not depend on the Python version or the block size. All
+along that axis, and the point sums over trials (stream-mean SNR and rate
+proxy, rate proxy, direction-mean error) are the rows of one array that
+adds one trial's terms at a time, so the bytes do not depend on the
+Python version or the block size. All
 sub-seeds derive from the master seed with a splitmix64 chain, so a report
 is a pure function of (config, seed): repeated runs emit identical bytes.
 A report holds its rows, its fit and its config. A row is a dict keyed by

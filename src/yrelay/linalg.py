@@ -13,6 +13,7 @@ vector.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -106,12 +107,9 @@ def _gram_pinv(links):
                 gram_inv[i] = np.linalg.inv(q)
             except np.linalg.LinAlgError:
                 pass
-    pinvs, start = [], 0
-    for (a, right), ah in zip(links, ahs):
-        x = gram_inv[start : start + len(a)]
-        pinvs.append(ah @ x if right else x @ ah)
-        start += len(a)
-    return pinvs, gram, gram_inv
+    ends = list(itertools.accumulate(len(a) for a, _ in links))
+    xs = (gram_inv[end - len(a) : end] for (a, _), end in zip(links, ends))
+    return [ah @ x if right else x @ ah for (_, right), ah, x in zip(links, ahs, xs)], gram, gram_inv
 
 
 def _unit_pinv(a, right: bool, *more) -> tuple:
@@ -185,7 +183,7 @@ def _unit_pinv(a, right: bool, *more) -> tuple:
                 g[past[fallback]] = np.linalg.pinv(b[fallback])
             if not fallback.all():
                 g[past[~fallback]] = _gram_pinv([(b[~fallback], right)])[0][0]
-        c = 1.0 / np.sqrt(np.add.reduce((np.abs(g) ** 2).reshape(len(g), -1), axis=-1))
+        c = 1.0 / np.sqrt(np.sum((np.abs(g) ** 2).reshape(len(g), -1), axis=-1))
         g = c[:, None, None] * g
         if past.size:
             top = np.frexp(c[past])[1] + e  # c * 2^e < 2^top

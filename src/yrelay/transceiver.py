@@ -21,7 +21,9 @@ channel draw, so the work splits two ways:
 Each round gets the bits it would get alone: every sum whose order reaches a
 report keeps its order (users are added one at a time, rates and errors left
 to right), error norms run one BLAS dot per row as `ndarray.dot` does, and
-log2 runs per component through `math.log2`.
+log2 runs per component through `math.log2`. The masks for a relay word
+that is not forwarded (gamma = 0) and for a silent direction's zero
+reference norm run only in a call that has one.
 
 `transmit_round` is the one implementation of every stage of a round:
 
@@ -92,14 +94,6 @@ def _per_span(reduce, x, groups):
     for where, index in groups:
         out[..., where] = reduce(x.take(index, axis=-1))
     return out
-
-
-def _min_last(a):
-    return a.min(axis=-1)
-
-
-def _sum_last(a):
-    return left_sum(a, axis=-1)
 
 
 class RoundLayout:
@@ -224,7 +218,7 @@ def effective_snr(block: ChannelBlock, layout: RoundLayout, powers, mode: str = 
     word_power = left_sum(sender_a2 * layout.snr_sizes, axis=-1)[:, None]
     j, k = layout.snr_users
     snr_a2 = a2.take(j, axis=1)[:, None]
-    row_noise = np.add.reduce(np.abs(block.left) ** 2, axis=-1).reshape(d, -1).take(layout.snr_rows, axis=1)[:, None]
+    row_noise = np.sum(np.abs(block.left) ** 2, axis=-1).reshape(d, -1).take(layout.snr_rows, axis=1)[:, None]
     powers = np.asarray(powers, dtype=np.float64)
     shape = (d, len(powers))
     with np.errstate(over="ignore", invalid="ignore"):  # an SNR past the float range is raised below
@@ -236,8 +230,8 @@ def effective_snr(block: ChannelBlock, layout: RoundLayout, powers, mode: str = 
     eff = down if mode == GENIE else np.minimum(snr_a2, down)
     # math.log2: np.log2 rounds some values differently
     logs = np.fromiter(map(math.log2, (1.0 + eff).ravel().tolist()), np.float64, eff.size).reshape(eff.shape)
-    snr_down = _per_span(_min_last, down, layout.snr_groups)
-    rates = _per_span(_sum_last, logs, layout.snr_groups) / plan.T
+    snr_down = _per_span(lambda a: a.min(axis=-1), down, layout.snr_groups)
+    rates = _per_span(lambda a: left_sum(a, axis=-1), logs, layout.snr_groups) / plan.T
     uplink = sender_a2[:, None].repeat(len(powers), axis=1)
     effective = snr_down if mode == GENIE else np.minimum(uplink, snr_down)
     rate_proxy = left_sum(rates, axis=-1)

@@ -353,6 +353,17 @@ def test_reset_rng_matches_fresh_generator():
     assert (seeded_normals([2**63 + 5], 2, 4) == seeded_normals([2**63 + 6], 2, 4)).all()
 
 
+def test_stream_id_past_2_63_keys_every_row_as_numpy_does():
+    # a key entry below 2^63 is exact as numpy reads it, so such rows take
+    # [seed, stream] as it stands; a stream id past 2^63 sends every row's
+    # key, small seeds too, through the rounding rule
+    seeds = [5, 2**62, 2**63 - 1]
+    for stream in (2**63 + 1, 2**64 - 2**12):
+        block = seeded_normals(seeds, stream, 8)
+        for seed, row in zip(seeds, block):
+            assert row.tobytes() == rng_for(seed, stream).standard_normal(8).tobytes()
+
+
 def test_reset_rng_keys_as_numpy_does(numpy_philox_key):
     # _philox_key builds its key from Python ints, with no cast and so no
     # cast warning, and gets numpy's key: for a seed >= 2^63 both entries

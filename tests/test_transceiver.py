@@ -557,6 +557,30 @@ def test_zero_dof_round_matches_reference(reference_round, mode, noise):
     assert_same_round(got, 0, 0, reference_round.run(cfg, ch, plan, seed=37, mode=mode, noise=noise))
 
 
+@pytest.mark.parametrize("mode", (GENIE, RAW))
+@pytest.mark.parametrize("noise", (True, False))
+def test_silent_pair_errors_match_reference(reference_round, mode, noise):
+    # both directions of pair {2,3} send zero symbols, so their reference
+    # norm is 0: on identity channels their estimates are exactly zero
+    # without noise (relative error 0.0) and noise alone with it (inf),
+    # beside directions whose errors divide as usual
+    cfg = SystemConfig(K=4, M=6, N=6, P=1.0)
+    eye = np.broadcast_to(np.eye(6), (1, 4, 6, 6))
+    ch = ChannelBlock(eye, eye)
+    rng = np.random.default_rng(57)
+    silent = {(2, 3), (3, 2)}
+    sym = StreamSymbols(4, {pair: np.zeros(1) if pair in silent else rng.standard_normal(1) + 1j * rng.standard_normal(1)
+                            for pair in ordered_pairs(4)})
+    layout = RoundLayout(ONES_PLAN, 6)
+    powers, seeds = [10.0, 1e4], [58, 2**63 + 59]
+    rounds = transmit_round(ch, layout, powers, seeds, sym.flat(ONES_PLAN), mode, noise)
+    for i, (p, seed) in enumerate(zip(powers, seeds)):
+        want = reference_round.run(SystemConfig(K=4, M=6, N=6, P=p), ch, ONES_PLAN, sym, seed, mode, noise)
+        assert_same_round(rounds, 0, i, want)
+        for key, e in zip(layout.error_keys, rounds.rel_errors[0, i].tolist()):
+            assert e == (math.inf if noise else 0.0) if key in silent else e < math.inf
+
+
 def test_stacked_norms_match_one_row_at_a_time():
     # one BLAS dot per row, as np.linalg.norm runs on one vector; from length
     # 4 on, OpenBLAS's strided dot unrolls, so the order of the sum matters
