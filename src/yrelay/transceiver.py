@@ -84,10 +84,10 @@ def _length_groups(spans):
 
 
 def _per_span(reduce, x, groups):
-    """reduce(...) of x's spans along its last axis, one entry per span in
-    span order: `groups` from `_length_groups`, and reduce takes a group's
-    (..., spans, length) gather and reduces its last axis. One group holds
-    every span in order, so its result is the answer as it stands."""
+    """`reduce` of each span of x's last axis, one entry per span in span
+    order: `groups` come from `_length_groups`, and `reduce` maps a group's
+    (..., spans, length) gather to (..., spans). A lone group holds every
+    span in order, so its result needs no placing."""
     if len(groups) == 1:
         return reduce(x.take(groups[0][1], axis=-1))
     out = np.empty((*x.shape[:-1], sum(len(where) for where, _ in groups)))
